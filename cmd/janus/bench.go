@@ -24,7 +24,6 @@ func benchClient(args []string) {
 	threads := fs.Int("threads", 0, "guest thread count (0 = daemon default)")
 	jobs := fs.Int("jobs", 0, "concurrent benchmark rows (0 = daemon default)")
 	inject := fs.String("inject", "", "region fault plan point[@every][#seed] applied inside the remote render")
-	cacheDir := fs.String("cache-dir", "", "artifact cache dir override on the daemon host (empty = daemon default)")
 	deadline := fs.Duration("deadline", 0, "per-request deadline enforced by the daemon (0 = daemon default)")
 	retries := fs.Int("retries", 8, "max retries for shed/draining responses")
 	backoff := fs.Duration("backoff", 50*time.Millisecond, "base retry delay (doubles per attempt)")
@@ -54,7 +53,6 @@ func benchClient(args []string) {
 		Threads:    *threads,
 		Jobs:       *jobs,
 		Inject:     *inject,
-		CacheDir:   *cacheDir,
 		DeadlineMS: deadline.Milliseconds(),
 	})
 	if err != nil {

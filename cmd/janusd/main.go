@@ -1,8 +1,8 @@
 // Command janusd runs the Janus pipeline as a long-lived service: the
 // whole build → profile → analyze → parallelise → simulate suite is
-// served over HTTP/JSON and Go net/rpc on one listener, with a bounded
-// worker pool, per-request deadlines, load shedding, graceful drain on
-// SIGTERM, and zero-downtime hot restart on SIGHUP.
+// served over HTTP/JSON on one listener, with a bounded worker pool,
+// per-request deadlines, load shedding, graceful drain on SIGTERM, and
+// zero-downtime hot restart on SIGHUP.
 //
 // Usage:
 //
@@ -11,7 +11,7 @@
 //	-addr string      listen address (default "127.0.0.1:7117")
 //	-workers int      max concurrently running jobs (default GOMAXPROCS)
 //	-queue int        queued jobs beyond workers before shedding (default 16)
-//	-cache-dir dir    durable artifact cache shared by all requests
+//	-cache-dir dir    durable artifact cache every request renders through
 //	-deadline dur     default per-request deadline (0 = none)
 //	-drain dur        graceful drain budget on SIGTERM/SIGHUP (default 60s)
 //	-inject spec      service fault plan: point[@every][#seed] over

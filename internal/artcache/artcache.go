@@ -3,7 +3,9 @@
 // is keyed by (schema version, artifact kind, binary content hash,
 // input, configuration); because every cached stage is a pure function
 // of that tuple, an entry can be verified against its key and a valid
-// hit is always byte-equivalent to recomputation.
+// hit is always byte-equivalent to recomputation. Stages do not call
+// Get and Put themselves: each declares a Tier (tier.go), the one
+// memory → disk → compute → publish lookup built on this store.
 //
 // Durability and sharing contract:
 //
@@ -145,8 +147,8 @@ func Open(dir string, o Options) (*Cache, error) {
 }
 
 // shared deduplicates OpenShared instances per absolute directory, so
-// every layer of one process (harness options, memos, build cache,
-// CLI stats reporting) observes a single set of counters.
+// every layer of one process (harness options, tier instances, CLI
+// stats reporting) observes a single set of counters.
 var shared struct {
 	mu sync.Mutex
 	m  map[string]*Cache
@@ -345,22 +347,6 @@ func (c *Cache) Put(k Key, payload []byte) error {
 	}
 	c.mu.Unlock()
 	return nil
-}
-
-// GetOrCompute returns the cached payload for k, or computes, caches
-// and returns it. Compute errors propagate; Put failures (a full or
-// read-only disk) are swallowed — the cache layer must never turn a
-// computable artifact into an error.
-func (c *Cache) GetOrCompute(k Key, compute func() ([]byte, error)) ([]byte, error) {
-	if payload, ok := c.Get(k); ok {
-		return payload, nil
-	}
-	payload, err := compute()
-	if err != nil {
-		return nil, err
-	}
-	_ = c.Put(k, payload)
-	return payload, nil
 }
 
 // removeEntry unlinks an entry file and adjusts the size accounting.

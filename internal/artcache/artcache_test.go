@@ -22,6 +22,16 @@ func testKey(i int) Key {
 	return Key{Kind: "test-v1", Binary: fmt.Sprintf("bin%d", i), Input: "train", Config: "threads=8"}
 }
 
+// rawTier is a tier over raw payloads under testKey's kind, for
+// driving the tiered lookup against hand-built entries.
+var rawTier = Tier[string, []byte]{
+	Kind:   "test-v1",
+	Encode: func(b []byte) ([]byte, error) { return b, nil },
+	Decode: func(b []byte) ([]byte, error) { return b, nil },
+}
+
+func keyFn(k Key) func() (Key, bool) { return func() (Key, bool) { return k, true } }
+
 // payloadFor derives a deterministic payload from a key, so any read
 // can be verified against what its writer must have stored.
 func payloadFor(k Key) []byte {
@@ -125,7 +135,7 @@ func entryFile(t *testing.T, dir string) string {
 
 // TestCorruptEntryIsMissAndHeals is the adversarial contract: a
 // bit-flipped payload is detected, treated as a miss, and transparently
-// recomputed and rewritten by GetOrCompute.
+// recomputed and rewritten by the tiered lookup.
 func TestCorruptEntryIsMissAndHeals(t *testing.T) {
 	for _, tc := range []struct {
 		name    string
@@ -162,12 +172,12 @@ func TestCorruptEntryIsMissAndHeals(t *testing.T) {
 			}
 			// The recompute path heals the entry in place.
 			recomputed := 0
-			got, err := c.GetOrCompute(k, func() ([]byte, error) {
+			got, err := rawTier.Disk(c, keyFn(k), func() ([]byte, error) {
 				recomputed++
 				return want, nil
 			})
 			if err != nil || !bytes.Equal(got, want) {
-				t.Fatalf("GetOrCompute = %q, %v", got, err)
+				t.Fatalf("Disk = %q, %v", got, err)
 			}
 			if recomputed != 1 {
 				t.Fatalf("recomputed %d times, want 1", recomputed)
@@ -301,16 +311,5 @@ func TestOpenSharedDedups(t *testing.T) {
 	}
 	if _, ok := b.Get(testKey(1)); !ok {
 		t.Fatal("shared instance does not see the write")
-	}
-}
-
-func TestGetOrComputePropagatesComputeError(t *testing.T) {
-	c := mustOpen(t, t.TempDir(), Options{})
-	wantErr := fmt.Errorf("boom")
-	if _, err := c.GetOrCompute(testKey(1), func() ([]byte, error) { return nil, wantErr }); err != wantErr {
-		t.Fatalf("err = %v, want boom", err)
-	}
-	if _, ok := c.Get(testKey(1)); ok {
-		t.Fatal("failed compute left an entry behind")
 	}
 }

@@ -1,0 +1,150 @@
+package artcache
+
+import (
+	"errors"
+	"sync"
+)
+
+// Tier is the one lookup every cached pipeline stage goes through:
+//
+//	memory (bounded, singleflight) → disk (Cache) → compute → publish
+//
+// A stage declares an instance — its artifact kind, memory bound and
+// payload codec — and supplies per call the memory key, the disk key
+// and the computation. The stages are deterministic functions of
+// their keys, which is what makes both tiers sound: a hit at either
+// level is equivalent to recomputation.
+//
+// The memory tier has singleflight semantics: the first caller for a
+// key runs the lookup, concurrent callers for the same key block on
+// that one run and share its result, so concurrent experiments never
+// duplicate work. Errors are cached like values (a deterministic
+// stage would fail identically on retry).
+//
+// A Tier with a nil codec is memory-only (results with no serialised
+// form); calling Disk directly skips the memory tier (results whose
+// key is too wide to be worth holding in memory). The zero value is a
+// ready, unbounded, memory-only tier.
+type Tier[K comparable, V any] struct {
+	// Kind is the version-tagged artifact kind stamped on every disk
+	// key of this stage ("native-v1", ...). Any change to the payload
+	// layout or to the semantics feeding it must bump the kind, which
+	// orphans old entries: they stop matching and age out via LRU.
+	Kind string
+	// Limit bounds the number of memory entries (0 = unbounded); when
+	// reached, completed entries are evicted. In-flight ones are kept,
+	// so the run-exactly-once guarantee survives eviction.
+	Limit int
+	// Encode and Decode are the disk payload codec; both nil makes the
+	// tier memory-only.
+	Encode func(V) ([]byte, error)
+	Decode func([]byte) (V, error)
+
+	mu    sync.Mutex
+	calls map[K]*call[V]
+}
+
+// call is one in-flight or completed lookup.
+type call[V any] struct {
+	done chan struct{}
+	val  V
+	err  error
+}
+
+// errPanicked is handed to waiters whose shared computation panicked.
+var errPanicked = errors.New("artcache: shared computation panicked")
+
+// Do returns the result for memKey: from memory, by joining an
+// in-flight lookup, or by running Disk(c, diskKey, compute) exactly
+// once and remembering what it returned.
+func (t *Tier[K, V]) Do(c *Cache, memKey K, diskKey func() (Key, bool), compute func() (V, error)) (V, error) {
+	t.mu.Lock()
+	if t.calls == nil {
+		t.calls = map[K]*call[V]{}
+	}
+	if cl, ok := t.calls[memKey]; ok {
+		t.mu.Unlock()
+		<-cl.done
+		return cl.val, cl.err
+	}
+	if t.Limit > 0 && len(t.calls) >= t.Limit {
+		t.dropCompletedLocked()
+	}
+	cl := &call[V]{done: make(chan struct{})}
+	t.calls[memKey] = cl
+	t.mu.Unlock()
+	completed := false
+	defer func() {
+		if completed {
+			return
+		}
+		// The lookup panicked: drop the poisoned entry and release
+		// waiters with an error instead of leaving them blocked forever
+		// on done. The panic itself keeps propagating to this caller.
+		t.mu.Lock()
+		delete(t.calls, memKey)
+		t.mu.Unlock()
+		cl.err = errPanicked
+		close(cl.done)
+	}()
+	cl.val, cl.err = t.Disk(c, diskKey, compute)
+	completed = true
+	close(cl.done)
+	return cl.val, cl.err
+}
+
+// Disk is the lookup beneath the memory tier: a verified entry under
+// diskKey is decoded and returned; otherwise compute runs and its
+// result is published. It degrades to compute alone when there is no
+// store (nil c), no codec, or no key — diskKey reports ok=false for
+// results that must not be cached (it is only called when a store and
+// a codec exist, so key derivation costs nothing otherwise). Compute
+// errors propagate; encode and Put failures (a full or read-only
+// disk) are swallowed — the cache must never turn a computable
+// artifact into an error.
+func (t *Tier[K, V]) Disk(c *Cache, diskKey func() (Key, bool), compute func() (V, error)) (V, error) {
+	if c == nil || t.Decode == nil {
+		return compute()
+	}
+	k, ok := diskKey()
+	if !ok {
+		return compute()
+	}
+	k.Kind = t.Kind
+	if data, hit := c.Get(k); hit {
+		if v, err := t.Decode(data); err == nil {
+			return v, nil
+		}
+		// Verified entry with an undecodable payload: a schema skew the
+		// kind tag failed to capture. Recompute and overwrite.
+	}
+	v, err := compute()
+	if err != nil {
+		return v, err
+	}
+	if data, err := t.Encode(v); err == nil {
+		_ = c.Put(k, data)
+	}
+	return v, nil
+}
+
+// Reset drops every completed memory entry, forcing the next Do
+// through the disk tier (or a fresh computation). In-flight lookups
+// are kept so concurrent callers still join them and the
+// run-exactly-once guarantee holds. Tests use it to exercise
+// cold/warm paths in one process.
+func (t *Tier[K, V]) Reset() {
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	t.dropCompletedLocked()
+}
+
+func (t *Tier[K, V]) dropCompletedLocked() {
+	for k, cl := range t.calls {
+		select {
+		case <-cl.done:
+			delete(t.calls, k)
+		default: // in flight: keep, so concurrent callers still join it
+		}
+	}
+}

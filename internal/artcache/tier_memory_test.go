@@ -1,4 +1,4 @@
-package singleflight
+package artcache
 
 import (
 	"errors"
@@ -8,10 +8,10 @@ import (
 )
 
 func TestDoCachesResult(t *testing.T) {
-	var f Flight[string, int]
+	var f Tier[string, int]
 	runs := 0
 	for i := 0; i < 3; i++ {
-		v, err := f.Do("k", func() (int, error) { runs++; return 42, nil })
+		v, err := f.Do(nil, "k", nil, func() (int, error) { runs++; return 42, nil })
 		if err != nil || v != 42 {
 			t.Fatalf("Do = %d, %v", v, err)
 		}
@@ -22,11 +22,11 @@ func TestDoCachesResult(t *testing.T) {
 }
 
 func TestDoCachesError(t *testing.T) {
-	var f Flight[string, int]
+	var f Tier[string, int]
 	boom := errors.New("boom")
 	runs := 0
 	for i := 0; i < 2; i++ {
-		if _, err := f.Do("k", func() (int, error) { runs++; return 0, boom }); err != boom {
+		if _, err := f.Do(nil, "k", nil, func() (int, error) { runs++; return 0, boom }); err != boom {
 			t.Fatalf("err = %v, want boom", err)
 		}
 	}
@@ -39,7 +39,7 @@ func TestDoCachesError(t *testing.T) {
 // every other caller is waiting on it, then checks that exactly one run
 // happened and all callers saw its result.
 func TestConcurrentCallersJoinOneRun(t *testing.T) {
-	var f Flight[string, int]
+	var f Tier[string, int]
 	const callers = 8
 	var runs atomic.Int32
 	release := make(chan struct{})
@@ -49,7 +49,7 @@ func TestConcurrentCallersJoinOneRun(t *testing.T) {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			v, err := f.Do("k", func() (int, error) {
+			v, err := f.Do(nil, "k", nil, func() (int, error) {
 				runs.Add(1)
 				<-release
 				return 7, nil
@@ -86,8 +86,8 @@ func TestConcurrentCallersJoinOneRun(t *testing.T) {
 // entry and an in-flight one, triggers eviction with a third key, and
 // checks the in-flight entry still dedups joiners.
 func TestEvictionKeepsInFlight(t *testing.T) {
-	f := Flight[string, int]{Limit: 1}
-	if _, err := f.Do("done", func() (int, error) { return 1, nil }); err != nil {
+	f := Tier[string, int]{Limit: 1}
+	if _, err := f.Do(nil, "done", nil, func() (int, error) { return 1, nil }); err != nil {
 		t.Fatal(err)
 	}
 	var runs atomic.Int32
@@ -97,7 +97,7 @@ func TestEvictionKeepsInFlight(t *testing.T) {
 	wg.Add(1)
 	go func() {
 		defer wg.Done()
-		f.Do("inflight", func() (int, error) {
+		f.Do(nil, "inflight", nil, func() (int, error) {
 			runs.Add(1)
 			close(started)
 			<-release
@@ -106,14 +106,14 @@ func TestEvictionKeepsInFlight(t *testing.T) {
 	}()
 	<-started
 	// Over the limit: this must evict "done" but keep "inflight".
-	if _, err := f.Do("evictor", func() (int, error) { return 3, nil }); err != nil {
+	if _, err := f.Do(nil, "evictor", nil, func() (int, error) { return 3, nil }); err != nil {
 		t.Fatal(err)
 	}
 	// A joiner for the in-flight key must not start a second run.
 	wg.Add(1)
 	go func() {
 		defer wg.Done()
-		v, err := f.Do("inflight", func() (int, error) {
+		v, err := f.Do(nil, "inflight", nil, func() (int, error) {
 			runs.Add(1)
 			return -1, nil
 		})
@@ -133,7 +133,7 @@ func TestEvictionKeepsInFlight(t *testing.T) {
 		t.Fatalf("in-flight fn ran %d times, want 1", got)
 	}
 	// The completed entry was evicted: a re-Do recomputes.
-	v, err := f.Do("done", func() (int, error) { return 10, nil })
+	v, err := f.Do(nil, "done", nil, func() (int, error) { return 10, nil })
 	if err != nil || v != 10 {
 		t.Fatalf("re-Do after eviction = %d, %v", v, err)
 	}
@@ -143,8 +143,8 @@ func TestEvictionKeepsInFlight(t *testing.T) {
 // completed entries recompute afterwards, but an in-flight run is kept
 // so joiners still dedup onto it.
 func TestResetDropsCompletedKeepsInFlight(t *testing.T) {
-	var f Flight[string, int]
-	if _, err := f.Do("done", func() (int, error) { return 1, nil }); err != nil {
+	var f Tier[string, int]
+	if _, err := f.Do(nil, "done", nil, func() (int, error) { return 1, nil }); err != nil {
 		t.Fatal(err)
 	}
 	var runs atomic.Int32
@@ -154,7 +154,7 @@ func TestResetDropsCompletedKeepsInFlight(t *testing.T) {
 	wg.Add(1)
 	go func() {
 		defer wg.Done()
-		f.Do("inflight", func() (int, error) {
+		f.Do(nil, "inflight", nil, func() (int, error) {
 			runs.Add(1)
 			close(started)
 			<-release
@@ -177,7 +177,7 @@ func TestResetDropsCompletedKeepsInFlight(t *testing.T) {
 	wg.Add(1)
 	go func() {
 		defer wg.Done()
-		v, err := f.Do("inflight", func() (int, error) {
+		v, err := f.Do(nil, "inflight", nil, func() (int, error) {
 			runs.Add(1)
 			return -1, nil
 		})
@@ -192,7 +192,7 @@ func TestResetDropsCompletedKeepsInFlight(t *testing.T) {
 	}
 	// The completed entry really recomputes.
 	runsDone := 0
-	if v, err := f.Do("done", func() (int, error) { runsDone++; return 11, nil }); err != nil || v != 11 {
+	if v, err := f.Do(nil, "done", nil, func() (int, error) { runsDone++; return 11, nil }); err != nil || v != 11 {
 		t.Fatalf("re-Do after Reset = %d, %v", v, err)
 	}
 	if runsDone != 1 {
@@ -205,7 +205,7 @@ func TestResetDropsCompletedKeepsInFlight(t *testing.T) {
 // run (and gets an error) or arrives after cleanup (and recomputes) —
 // but never blocks forever — and the key is reusable afterwards.
 func TestPanicReleasesWaiters(t *testing.T) {
-	var f Flight[string, int]
+	var f Tier[string, int]
 	started := make(chan struct{})
 	var waiterVal int
 	var waiterErr error
@@ -214,7 +214,7 @@ func TestPanicReleasesWaiters(t *testing.T) {
 	go func() {
 		defer wg.Done()
 		<-started
-		waiterVal, waiterErr = f.Do("k", func() (int, error) { return 5, nil })
+		waiterVal, waiterErr = f.Do(nil, "k", nil, func() (int, error) { return 5, nil })
 	}()
 	func() {
 		defer func() {
@@ -222,7 +222,7 @@ func TestPanicReleasesWaiters(t *testing.T) {
 				t.Error("panic did not propagate to the running caller")
 			}
 		}()
-		f.Do("k", func() (int, error) {
+		f.Do(nil, "k", nil, func() (int, error) {
 			close(started)
 			panic("boom")
 		})
@@ -233,7 +233,7 @@ func TestPanicReleasesWaiters(t *testing.T) {
 	}
 	// The poisoned entry was dropped: the key works again, returning
 	// either the waiter's cached recomputation (5) or a fresh run (9).
-	v, err := f.Do("k", func() (int, error) { return 9, nil })
+	v, err := f.Do(nil, "k", nil, func() (int, error) { return 9, nil })
 	if err != nil || (v != 9 && v != 5) {
 		t.Fatalf("re-Do after panic = %d, %v", v, err)
 	}

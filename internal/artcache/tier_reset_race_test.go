@@ -1,4 +1,4 @@
-package singleflight
+package artcache
 
 import (
 	"runtime"
@@ -22,7 +22,7 @@ import (
 // Run under -race this also shakes out unsynchronised map access
 // between Do's claim path and Reset's sweep.
 func TestResetRacesInFlightCallers(t *testing.T) {
-	var f Flight[int, int]
+	var f Tier[int, int]
 	const keys = 4
 	var running [keys]atomic.Int32
 	var overlaps atomic.Int32
@@ -60,7 +60,7 @@ func TestResetRacesInFlightCallers(t *testing.T) {
 			defer wg.Done()
 			for i := 0; i < 300; i++ {
 				k := (g + i) % keys
-				v, err := f.Do(k, fn(k))
+				v, err := f.Do(nil, k, nil, fn(k))
 				if err != nil {
 					t.Errorf("Do(%d): %v", k, err)
 					return

@@ -1,0 +1,122 @@
+package artcache
+
+import (
+	"bytes"
+	"errors"
+	"fmt"
+	"sync"
+	"testing"
+)
+
+// TestTierDiskPropagatesComputeError: a failed computation is returned
+// as is and publishes nothing.
+func TestTierDiskPropagatesComputeError(t *testing.T) {
+	c := mustOpen(t, t.TempDir(), Options{})
+	wantErr := fmt.Errorf("boom")
+	if _, err := rawTier.Disk(c, keyFn(testKey(1)), func() ([]byte, error) { return nil, wantErr }); err != wantErr {
+		t.Fatalf("err = %v, want boom", err)
+	}
+	if _, ok := c.Get(testKey(1)); ok {
+		t.Fatal("failed compute left an entry behind")
+	}
+}
+
+// TestTierDiskBypasses pins the three degradations of the disk step:
+// no store, no codec and no key each run compute and touch nothing.
+func TestTierDiskBypasses(t *testing.T) {
+	c := mustOpen(t, t.TempDir(), Options{})
+	noKey := func() (Key, bool) { return Key{}, false }
+	mustNotKey := func() (Key, bool) { t.Error("disk key derived with nothing to look up"); return Key{}, false }
+	var memOnly Tier[string, []byte]
+	for name, lookup := range map[string]func(func() ([]byte, error)) ([]byte, error){
+		"nil-cache": func(f func() ([]byte, error)) ([]byte, error) { return rawTier.Disk(nil, mustNotKey, f) },
+		"no-codec":  func(f func() ([]byte, error)) ([]byte, error) { return memOnly.Disk(c, mustNotKey, f) },
+		"no-key":    func(f func() ([]byte, error)) ([]byte, error) { return rawTier.Disk(c, noKey, f) },
+	} {
+		runs := 0
+		for i := 0; i < 2; i++ {
+			got, err := lookup(func() ([]byte, error) { runs++; return []byte("v"), nil })
+			if err != nil || string(got) != "v" {
+				t.Fatalf("%s: %q, %v", name, got, err)
+			}
+		}
+		if runs != 2 {
+			t.Fatalf("%s: compute ran %d times, want 2 (nothing may be cached)", name, runs)
+		}
+	}
+	if st := c.Stats(); st != (Stats{}) {
+		t.Fatalf("bypassed lookups touched the store: %s", st)
+	}
+}
+
+// TestTierUndecodableVerifiedPayloadIsOverwritten: an entry that
+// passes verification but whose payload the codec rejects (schema skew
+// the kind tag missed) is recomputed and replaced, not served and not
+// counted as corruption.
+func TestTierUndecodableVerifiedPayloadIsOverwritten(t *testing.T) {
+	c := mustOpen(t, t.TempDir(), Options{})
+	strict := Tier[string, []byte]{
+		Kind:   "test-v1",
+		Encode: func(b []byte) ([]byte, error) { return b, nil },
+		Decode: func(b []byte) ([]byte, error) {
+			if !bytes.HasPrefix(b, []byte("ok:")) {
+				return nil, errors.New("stale layout")
+			}
+			return b, nil
+		},
+	}
+	k := testKey(3)
+	if err := c.Put(k, []byte("old layout")); err != nil {
+		t.Fatal(err)
+	}
+	runs := 0
+	compute := func() ([]byte, error) { runs++; return []byte("ok:fresh"), nil }
+	if got, err := strict.Do(c, "k", keyFn(k), compute); err != nil || string(got) != "ok:fresh" {
+		t.Fatalf("Do = %q, %v", got, err)
+	}
+	if st := c.Stats(); st.Hits != 1 || st.BadEntries != 0 {
+		t.Fatalf("stale payload must read as a verified hit, not corruption: %s", st)
+	}
+	strict.Reset()
+	if got, err := strict.Do(c, "k", keyFn(k), compute); err != nil || string(got) != "ok:fresh" {
+		t.Fatalf("second Do = %q, %v", got, err)
+	}
+	if runs != 1 {
+		t.Fatalf("compute ran %d times, want 1: the overwrite did not stick", runs)
+	}
+}
+
+// TestTierPanicWithDiskReleasesWaiters is TestPanicReleasesWaiters
+// with a store attached: the panic unwinds through the disk step, the
+// waiter is released, nothing is published and the key works again.
+func TestTierPanicWithDiskReleasesWaiters(t *testing.T) {
+	c := mustOpen(t, t.TempDir(), Options{})
+	tier := Tier[string, []byte]{Kind: rawTier.Kind, Encode: rawTier.Encode, Decode: rawTier.Decode}
+	k := testKey(4)
+	started := make(chan struct{})
+	var wg sync.WaitGroup
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		<-started
+		got, err := tier.Do(c, "k", keyFn(k), func() ([]byte, error) { return []byte("late"), nil })
+		if err == nil && string(got) != "late" {
+			t.Errorf("waiter got (%q, nil): neither the panic error nor its own recomputation", got)
+		}
+	}()
+	func() {
+		defer func() {
+			if recover() == nil {
+				t.Error("panic did not propagate to the running caller")
+			}
+		}()
+		tier.Do(c, "k", keyFn(k), func() ([]byte, error) {
+			close(started)
+			panic("boom")
+		})
+	}()
+	wg.Wait() // must not deadlock
+	if got, err := tier.Do(c, "k", keyFn(k), func() ([]byte, error) { return []byte("late"), nil }); err != nil || string(got) != "late" {
+		t.Fatalf("re-Do after panic = %q, %v", got, err)
+	}
+}

@@ -129,3 +129,29 @@ func TestCacheCorruptionHealsAcrossRender(t *testing.T) {
 		t.Fatalf("no corrupt entries were detected: %s", st)
 	}
 }
+
+// TestUnopenableCacheDirIsAnError: a CacheDir that cannot be opened
+// (here: it names a regular file) must fail every entry point with the
+// same error instead of letting RenderAll quietly render uncached.
+func TestUnopenableCacheDirIsAnError(t *testing.T) {
+	file := filepath.Join(t.TempDir(), "not-a-dir")
+	if err := os.WriteFile(file, []byte("x"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	o := DefaultOptions()
+	o.CacheDir = file
+	_, figErr := Figure7(o)
+	if figErr == nil {
+		t.Fatal("Figure7 accepted a CacheDir naming a regular file")
+	}
+	out, allErr := RenderAll(o, 0, 2)
+	if allErr == nil {
+		t.Fatalf("RenderAll swallowed the cache-open error and rendered %d bytes uncached", len(out))
+	}
+	if allErr.Error() != figErr.Error() {
+		t.Fatalf("entry points disagree:\n RenderAll: %v\n Figure7:   %v", allErr, figErr)
+	}
+	if out != "" {
+		t.Fatalf("RenderAll rendered despite the open failure:\n%s", out)
+	}
+}

@@ -47,7 +47,7 @@ func TestFigureContextDeadline(t *testing.T) {
 	<-ctx.Done()
 	o := DefaultOptions()
 	o.Jobs = 1
-	if _, err := Figure6Context(ctx, o); !errors.Is(err, ErrCanceled) || !errors.Is(err, context.DeadlineExceeded) {
+	if _, err := RenderAllContext(ctx, o, 6, 0); !errors.Is(err, ErrCanceled) || !errors.Is(err, context.DeadlineExceeded) {
 		t.Fatalf("want ErrCanceled wrapping DeadlineExceeded, got %v", err)
 	}
 }

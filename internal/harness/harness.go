@@ -81,11 +81,9 @@ type Options struct {
 	CacheDir string
 
 	// cache is the opened durable store (resolved from CacheDir by
-	// normalized; OpenShared dedups per directory so every experiment
-	// and the owning command observe one counter set). cacheErr holds
-	// the open failure, surfaced at each public entry point.
-	cache    *artcache.Cache
-	cacheErr error
+	// launch; OpenShared dedups per directory so every experiment and the
+	// owning command observe one counter set).
+	cache *artcache.Cache
 }
 
 // RecoveryLog aggregates speculation-recovery counters across the
@@ -117,19 +115,27 @@ func DefaultOptions() Options {
 	}
 }
 
-// normalized fills unset fields with their defaults and opens the
-// durable cache when CacheDir is set.
-func (o Options) normalized() Options {
+// launch is the one entry path of every experiment and of RenderAll: it
+// fills unset options with their defaults, opens the durable cache
+// when CacheDir is set — an open failure is returned, never silently
+// degraded to an uncached run — and hands f the scheduler all of its
+// rows share.
+func launch[T any](ctx context.Context, o Options, f func(Options, *scheduler) (T, error)) (T, error) {
 	if o.Threads <= 0 {
 		o.Threads = DefaultThreads
 	}
 	if o.Jobs <= 0 {
 		o.Jobs = 1
 	}
-	if o.CacheDir != "" && o.cache == nil && o.cacheErr == nil {
-		o.cache, o.cacheErr = artcache.OpenShared(o.CacheDir)
+	if o.CacheDir != "" {
+		c, err := artcache.OpenShared(o.CacheDir)
+		if err != nil {
+			var zero T
+			return zero, err
+		}
+		o.cache = c
 	}
-	return o
+	return f(o, newScheduler(ctx, o.Jobs, o.OnProgress))
 }
 
 // engineConfig applies the run's engine selection and fault-injection
@@ -202,18 +208,7 @@ type Fig6Row struct {
 // Figure6 classifies every loop of every benchmark and profiles
 // execution-time fractions with training inputs.
 func Figure6(o Options) ([]Fig6Row, error) {
-	return Figure6Context(context.Background(), o)
-}
-
-// Figure6Context is Figure6 under a context: cancellation or an
-// expired deadline abandons pending rows with ErrCanceled instead of
-// running the experiment to completion.
-func Figure6Context(ctx context.Context, o Options) ([]Fig6Row, error) {
-	o = o.normalized()
-	if o.cacheErr != nil {
-		return nil, o.cacheErr
-	}
-	return figure6(o, newScheduler(ctx, o.Jobs, o.OnProgress))
+	return launch(context.Background(), o, figure6)
 }
 
 func figure6(o Options, s *scheduler) ([]Fig6Row, error) {
@@ -309,16 +304,7 @@ type Fig7Row struct {
 // Figure7 measures the four configurations on the nine parallelisable
 // benchmarks.
 func Figure7(o Options) ([]Fig7Row, error) {
-	return Figure7Context(context.Background(), o)
-}
-
-// Figure7Context is Figure7 under a context (see Figure6Context).
-func Figure7Context(ctx context.Context, o Options) ([]Fig7Row, error) {
-	o = o.normalized()
-	if o.cacheErr != nil {
-		return nil, o.cacheErr
-	}
-	return figure7(o, newScheduler(ctx, o.Jobs, o.OnProgress))
+	return launch(context.Background(), o, figure7)
 }
 
 func figure7(o Options, s *scheduler) ([]Fig7Row, error) {
@@ -429,16 +415,7 @@ type Fig8Row struct {
 
 // Figure8 measures breakdowns for 1 and Options.Threads threads.
 func Figure8(o Options) ([]Fig8Row, error) {
-	return Figure8Context(context.Background(), o)
-}
-
-// Figure8Context is Figure8 under a context (see Figure6Context).
-func Figure8Context(ctx context.Context, o Options) ([]Fig8Row, error) {
-	o = o.normalized()
-	if o.cacheErr != nil {
-		return nil, o.cacheErr
-	}
-	return figure8(o, newScheduler(ctx, o.Jobs, o.OnProgress))
+	return launch(context.Background(), o, figure8)
 }
 
 func figure8(o Options, s *scheduler) ([]Fig8Row, error) {
@@ -525,16 +502,7 @@ type Fig9Row struct {
 
 // Figure9 sweeps thread counts 1..Options.Threads.
 func Figure9(o Options) ([]Fig9Row, error) {
-	return Figure9Context(context.Background(), o)
-}
-
-// Figure9Context is Figure9 under a context (see Figure6Context).
-func Figure9Context(ctx context.Context, o Options) ([]Fig9Row, error) {
-	o = o.normalized()
-	if o.cacheErr != nil {
-		return nil, o.cacheErr
-	}
-	return figure9(o, newScheduler(ctx, o.Jobs, o.OnProgress))
+	return launch(context.Background(), o, figure9)
 }
 
 func figure9(o Options, s *scheduler) ([]Fig9Row, error) {
@@ -604,16 +572,7 @@ type Fig10Row struct {
 // Figure10 generates the full-Janus schedule for each benchmark and
 // compares its serialised size with the binary image size.
 func Figure10(o Options) ([]Fig10Row, error) {
-	return Figure10Context(context.Background(), o)
-}
-
-// Figure10Context is Figure10 under a context (see Figure6Context).
-func Figure10Context(ctx context.Context, o Options) ([]Fig10Row, error) {
-	o = o.normalized()
-	if o.cacheErr != nil {
-		return nil, o.cacheErr
-	}
-	return figure10(o, newScheduler(ctx, o.Jobs, o.OnProgress))
+	return launch(context.Background(), o, figure10)
 }
 
 func figure10(o Options, s *scheduler) ([]Fig10Row, error) {
@@ -684,16 +643,7 @@ type Fig11Row struct {
 
 // Figure11 runs both compilers and Janus on both binary flavours.
 func Figure11(o Options) ([]Fig11Row, error) {
-	return Figure11Context(context.Background(), o)
-}
-
-// Figure11Context is Figure11 under a context (see Figure6Context).
-func Figure11Context(ctx context.Context, o Options) ([]Fig11Row, error) {
-	o = o.normalized()
-	if o.cacheErr != nil {
-		return nil, o.cacheErr
-	}
-	return figure11(o, newScheduler(ctx, o.Jobs, o.OnProgress))
+	return launch(context.Background(), o, figure11)
 }
 
 func figure11(o Options, s *scheduler) ([]Fig11Row, error) {
@@ -781,16 +731,7 @@ type Fig12Row struct {
 
 // Figure12 runs Janus on all three optimisation-level builds.
 func Figure12(o Options) ([]Fig12Row, error) {
-	return Figure12Context(context.Background(), o)
-}
-
-// Figure12Context is Figure12 under a context (see Figure6Context).
-func Figure12Context(ctx context.Context, o Options) ([]Fig12Row, error) {
-	o = o.normalized()
-	if o.cacheErr != nil {
-		return nil, o.cacheErr
-	}
-	return figure12(o, newScheduler(ctx, o.Jobs, o.OnProgress))
+	return launch(context.Background(), o, figure12)
 }
 
 func figure12(o Options, s *scheduler) ([]Fig12Row, error) {
@@ -862,16 +803,7 @@ type Tab1Row struct {
 
 // TableI inspects the generated schedules.
 func TableI(o Options) ([]Tab1Row, error) {
-	return TableIContext(context.Background(), o)
-}
-
-// TableIContext is TableI under a context (see Figure6Context).
-func TableIContext(ctx context.Context, o Options) ([]Tab1Row, error) {
-	o = o.normalized()
-	if o.cacheErr != nil {
-		return nil, o.cacheErr
-	}
-	return tableI(o, newScheduler(ctx, o.Jobs, o.OnProgress))
+	return launch(context.Background(), o, tableI)
 }
 
 func tableI(o Options, s *scheduler) ([]Tab1Row, error) {

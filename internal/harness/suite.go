@@ -17,68 +17,29 @@ type Experiment struct {
 	render func(o Options, s *scheduler) (string, error)
 }
 
+// rendered pairs an experiment's row computation with its renderer.
+func rendered[T any](rows func(Options, *scheduler) (T, error), render func(T) string) func(Options, *scheduler) (string, error) {
+	return func(o Options, s *scheduler) (string, error) {
+		r, err := rows(o, s)
+		if err != nil {
+			return "", err
+		}
+		return render(r), nil
+	}
+}
+
 // experiments lists the whole suite in print order.
 func experiments() []Experiment {
 	return []Experiment{
-		{"fig6", func(o Options, s *scheduler) (string, error) {
-			rows, err := figure6(o, s)
-			if err != nil {
-				return "", err
-			}
-			return RenderFigure6(rows), nil
-		}},
-		{"fig7", func(o Options, s *scheduler) (string, error) {
-			rows, err := figure7(o, s)
-			if err != nil {
-				return "", err
-			}
-			return RenderFigure7(rows), nil
-		}},
-		{"fig8", func(o Options, s *scheduler) (string, error) {
-			rows, err := figure8(o, s)
-			if err != nil {
-				return "", err
-			}
-			return RenderFigure8(rows), nil
-		}},
-		{"fig9", func(o Options, s *scheduler) (string, error) {
-			rows, err := figure9(o, s)
-			if err != nil {
-				return "", err
-			}
-			return RenderFigure9(rows), nil
-		}},
-		{"fig10", func(o Options, s *scheduler) (string, error) {
-			rows, err := figure10(o, s)
-			if err != nil {
-				return "", err
-			}
-			return RenderFigure10(rows), nil
-		}},
-		{"fig11", func(o Options, s *scheduler) (string, error) {
-			rows, err := figure11(o, s)
-			if err != nil {
-				return "", err
-			}
-			return RenderFigure11(rows), nil
-		}},
-		{"fig12", func(o Options, s *scheduler) (string, error) {
-			rows, err := figure12(o, s)
-			if err != nil {
-				return "", err
-			}
-			return RenderFigure12(rows), nil
-		}},
-		{"tab1", func(o Options, s *scheduler) (string, error) {
-			rows, err := tableI(o, s)
-			if err != nil {
-				return "", err
-			}
-			return RenderTableI(rows), nil
-		}},
-		{"tab2", func(o Options, s *scheduler) (string, error) {
-			return TableII(), nil
-		}},
+		{"fig6", rendered(figure6, RenderFigure6)},
+		{"fig7", rendered(figure7, RenderFigure7)},
+		{"fig8", rendered(figure8, RenderFigure8)},
+		{"fig9", rendered(figure9, RenderFigure9)},
+		{"fig10", rendered(figure10, RenderFigure10)},
+		{"fig11", rendered(figure11, RenderFigure11)},
+		{"fig12", rendered(figure12, RenderFigure12)},
+		{"tab1", rendered(tableI, RenderTableI)},
+		{"tab2", func(Options, *scheduler) (string, error) { return TableII(), nil }},
 	}
 }
 
@@ -107,7 +68,12 @@ func RenderAll(o Options, fig, table int) (string, error) {
 // service can bound how long a render request may run. Progress events
 // flow to Options.OnProgress when set.
 func RenderAllContext(ctx context.Context, o Options, fig, table int) (string, error) {
-	o = o.normalized()
+	return launch(ctx, o, func(o Options, s *scheduler) (string, error) {
+		return renderAll(o, s, fig, table)
+	})
+}
+
+func renderAll(o Options, s *scheduler, fig, table int) (string, error) {
 	runAll := fig == 0 && table == 0
 	var selected []Experiment
 	for _, e := range experiments() {
@@ -116,7 +82,6 @@ func RenderAllContext(ctx context.Context, o Options, fig, table int) (string, e
 		}
 	}
 
-	s := newScheduler(ctx, o.Jobs, o.OnProgress)
 	outs := make([]string, len(selected))
 	errs := make([]error, len(selected))
 	var wg sync.WaitGroup

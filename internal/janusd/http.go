@@ -11,8 +11,8 @@ import (
 )
 
 // Handler returns the daemon's full HTTP surface. One mux serves the
-// JSON job API, the synchronous render endpoint, the health probes and
-// the net/rpc CONNECT path, so a single listener carries everything.
+// JSON job API, the synchronous render endpoint and the health probes,
+// so a single listener carries everything.
 //
 //	POST /v1/jobs              submit, 202 {"id": ...} | 429 shed | 503 draining
 //	GET  /v1/jobs/{id}         status snapshot
@@ -22,7 +22,6 @@ import (
 //	GET  /healthz              liveness ("ok" even while draining)
 //	GET  /readyz               readiness (503 once draining)
 //	GET  /statusz              JSON Stats snapshot
-//	     /rpc                  net/rpc over HTTP CONNECT
 func (s *Server) Handler() http.Handler {
 	mux := http.NewServeMux()
 	mux.HandleFunc("POST /v1/jobs", s.handleSubmit)
@@ -43,7 +42,6 @@ func (s *Server) Handler() http.Handler {
 	mux.HandleFunc("GET /statusz", func(w http.ResponseWriter, r *http.Request) {
 		writeJSON(w, http.StatusOK, s.Snapshot())
 	})
-	mux.Handle("/rpc", s.rpcHandler())
 	return mux
 }
 

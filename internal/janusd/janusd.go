@@ -1,11 +1,10 @@
 // Package janusd is the analysis-as-a-service layer: a long-lived
 // daemon that serves the whole build → profile → analyze →
-// parallelise → simulate pipeline over HTTP/JSON and Go net/rpc on a
-// single listener. Requests are promoted into jobs on a bounded,
-// resizable worker pool (internal/pool); each job carries its own
-// harness.Options, gets an ID, streams progress events, and renders
-// byte-identically to janus-bench, so the golden fixture pins the
-// service path too.
+// parallelise → simulate pipeline over HTTP/JSON. Requests are
+// promoted into jobs on a bounded worker pool (internal/pool); each
+// job carries its own harness.Options, gets an ID, streams progress
+// events, and renders byte-identically to janus-bench, so the golden
+// fixture pins the service path too.
 //
 // Robustness is the point of the package:
 //
@@ -61,8 +60,9 @@ type Config struct {
 	// it expires, still-running jobs are cancelled through their
 	// contexts so their responses flush as typed errors. Default 60s.
 	DrainTimeout time.Duration
-	// CacheDir is the durable artifact cache shared by every request
-	// that does not name its own. Replicas may share one directory.
+	// CacheDir is the durable artifact cache every request renders
+	// through; requests cannot name another. Replicas may share one
+	// directory.
 	CacheDir string
 	// Inject arms service-level fault injection (handler-panic,
 	// queue-stall, slow-worker). Region-level points are ignored here —
@@ -125,9 +125,6 @@ type Request struct {
 	// Inject arms region-level fault injection inside this request's
 	// renders (spec grammar of janus-bench -inject).
 	Inject string `json:"inject,omitempty"`
-	// CacheDir overrides the daemon's configured artifact cache for
-	// this request. Empty inherits the daemon default.
-	CacheDir string `json:"cache_dir,omitempty"`
 	// DeadlineMS bounds queue wait + render; past it the job fails with
 	// a typed deadline error. Zero inherits Config.DefaultDeadline.
 	DeadlineMS int64 `json:"deadline_ms,omitempty"`
@@ -341,7 +338,7 @@ type Server struct {
 	baseCancel context.CancelFunc
 
 	http    *http.Server
-	cache   *artcache.Cache // daemon-default cache handle, for statusz
+	cache   *artcache.Cache // cfg.CacheDir's handle, for statusz
 	started time.Time
 
 	served atomic.Int64 // jobs admitted over the server's lifetime
@@ -367,7 +364,10 @@ func New(cfg Config) *Server {
 		if c, err := artcache.OpenShared(cfg.CacheDir); err == nil {
 			s.cache = c
 		} else {
-			cfg.Log.Printf("janusd: cache %s unavailable: %v", cfg.CacheDir, err)
+			// Degrade once, here and visibly: requests render uncached
+			// instead of each failing on the same open error.
+			cfg.Log.Printf("janusd: cache %s unavailable, serving uncached: %v", cfg.CacheDir, err)
+			s.cfg.CacheDir = ""
 		}
 	}
 	s.pool.OnPanic = func(v any, stack []byte) {
@@ -380,10 +380,9 @@ func New(cfg Config) *Server {
 	return s
 }
 
-// typed submit errors (the HTTP/RPC layers map them to kinds).
-var (
-	errDraining = errors.New("janusd: draining, not accepting work")
-)
+// errDraining is the typed submit error the HTTP layer maps to
+// KindDraining.
+var errDraining = errors.New("janusd: draining, not accepting work")
 
 // Submit admits req as a job, or fails fast: pool.ErrOverloaded when
 // the admission bound is hit (shed), errDraining during drain, or a
@@ -499,11 +498,7 @@ func (s *Server) runJob(j *Job) {
 	}
 
 	rec := &harness.RecoveryLog{}
-	cacheDir := j.Req.CacheDir
-	if cacheDir == "" {
-		cacheDir = s.cfg.CacheDir
-	}
-	opts, err := j.Req.options(cacheDir, rec, func(ev harness.ProgressEvent) {
+	opts, err := j.Req.options(s.cfg.CacheDir, rec, func(ev harness.ProgressEvent) {
 		switch ev.State {
 		case "row":
 			j.event(fmt.Sprintf("rows %d", ev.Rows))
@@ -582,8 +577,8 @@ type Stats struct {
 	Served   int64 `json:"served"`
 	Shed     int64 `json:"shed"`
 	Draining bool  `json:"draining"`
-	// Cache counters from the daemon-default artifact cache (zero
-	// values when the daemon runs cacheless). CacheBad counts entries
+	// Cache counters from the daemon's artifact cache (zero values
+	// when the daemon runs cacheless). CacheBad counts entries
 	// rejected by verification — the replica-sharing tests assert it
 	// stays zero.
 	CacheHits   int64 `json:"cache_hits,omitempty"`
@@ -612,13 +607,6 @@ func (s *Server) Snapshot() Stats {
 		Draining:    s.draining.Load(),
 	}
 }
-
-// Resize re-bounds the worker pool at runtime.
-func (s *Server) Resize(workers int) { s.pool.Resize(workers) }
-
-// Purge reclaims idle pool workers (hot-restart and administrative
-// use); queued and running jobs are untouched.
-func (s *Server) Purge() int { return s.pool.Purge() }
 
 // firstLine trims err text to its first line (stacks stay in the log).
 func firstLine(s string) string {

@@ -1,14 +1,16 @@
 package janusd
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"fmt"
 	"io"
+	"log"
 	"net"
 	"net/http"
-	"net/rpc"
 	"os"
+	"path/filepath"
 	"strings"
 	"sync"
 	"testing"
@@ -153,6 +155,15 @@ func TestJobLifecycle(t *testing.T) {
 		if !strings.Contains(ev, want) {
 			t.Fatalf("event stream missing %q:\n%s", want, ev)
 		}
+	}
+
+	res, payload = getBody(t, base+"/statusz")
+	var st Stats
+	if err := json.Unmarshal(payload, &st); err != nil || res.StatusCode != http.StatusOK {
+		t.Fatalf("statusz: %d %v: %s", res.StatusCode, err, payload)
+	}
+	if st.Served < 1 || st.PID != os.Getpid() {
+		t.Fatalf("statusz: %+v", st)
 	}
 
 	res, payload = getBody(t, base+"/v1/jobs/nope")
@@ -369,46 +380,6 @@ func TestServiceFaultMatrix(t *testing.T) {
 	}
 }
 
-// TestRPCRender drives the same daemon over net/rpc on the same
-// listener: byte-identity holds across both protocol surfaces.
-func TestRPCRender(t *testing.T) {
-	_, base, _ := startServer(t, Config{Workers: 2})
-	addr := strings.TrimPrefix(base, "http://")
-	client, err := rpc.DialHTTPPath("tcp", addr, "/rpc")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer client.Close()
-
-	var res Response
-	if err := client.Call("Janus.Render", Request{Table: 2}, &res); err != nil {
-		t.Fatal(err)
-	}
-	if res.State != StateDone || res.Output != tab2Expected(t) {
-		t.Fatalf("rpc render: state %s err %s", res.State, res.Err)
-	}
-
-	var id string
-	if err := client.Call("Janus.Submit", Request{Table: 2}, &id); err != nil {
-		t.Fatal(err)
-	}
-	var final Response
-	if err := client.Call("Janus.Wait", id, &final); err != nil {
-		t.Fatal(err)
-	}
-	if final.Output != tab2Expected(t) {
-		t.Fatal("rpc submit/wait output differs")
-	}
-
-	var st Stats
-	if err := client.Call("Janus.Stats", struct{}{}, &st); err != nil {
-		t.Fatal(err)
-	}
-	if st.Served < 2 || st.PID != os.Getpid() {
-		t.Fatalf("stats: %+v", st)
-	}
-}
-
 // TestDrainGraceful: during drain the daemon refuses new work with the
 // typed draining kind, readyz flips to 503, in-flight jobs complete
 // and deliver, and Serve exits cleanly.
@@ -512,11 +483,12 @@ func TestDrainDeadlineCancels(t *testing.T) {
 	}
 }
 
-// TestBadRequests: malformed bodies and inject specs are refused with
-// typed 400s before touching the pool.
+// TestBadRequests: malformed bodies, inject specs and the retired
+// cache_dir field (a client may not choose where the daemon writes)
+// are refused with typed 400s before touching the pool.
 func TestBadRequests(t *testing.T) {
 	s, base, _ := startServer(t, Config{Workers: 1})
-	for _, body := range []string{`{bad json`, `{"nope":1}`, `{"inject":"not-a-point"}`} {
+	for _, body := range []string{`{bad json`, `{"nope":1}`, `{"inject":"not-a-point"}`, `{"table":2,"cache_dir":"/tmp/x"}`} {
 		res, payload := postJSON(t, base+"/v1/render", body)
 		if res.StatusCode != http.StatusBadRequest {
 			t.Fatalf("body %q: status %d: %s", body, res.StatusCode, payload)
@@ -641,24 +613,24 @@ func TestEventsStream(t *testing.T) {
 	}
 }
 
-// TestPoolControls: runtime resize and purge through the server.
-func TestPoolControls(t *testing.T) {
-	s, base, _ := startServer(t, Config{Workers: 2, QueueDepth: 2})
-	for i := 0; i < 3; i++ {
-		if res, payload := postJSON(t, base+"/v1/render", `{"table":2}`); res.StatusCode != http.StatusOK {
+// TestUnopenableCacheDegradesOnce: a daemon whose CacheDir cannot be
+// opened says so once at start-up and then serves uncached, instead of
+// failing every request on the same open error.
+func TestUnopenableCacheDegradesOnce(t *testing.T) {
+	file := filepath.Join(t.TempDir(), "not-a-dir")
+	if err := os.WriteFile(file, []byte("x"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	var logged bytes.Buffer
+	_, base, _ := startServer(t, Config{Workers: 1, CacheDir: file, Log: log.New(&logged, "", 0)})
+	if n := strings.Count(logged.String(), "unavailable"); n != 1 {
+		t.Fatalf("start-up logged the open failure %d times, want 1:\n%s", n, logged.String())
+	}
+	for i := 0; i < 2; i++ {
+		res, payload := postJSON(t, base+"/v1/render", `{"table":2}`)
+		if res.StatusCode != http.StatusOK || string(payload) != tab2Expected(t) {
 			t.Fatalf("render %d: %d %s", i, res.StatusCode, payload)
 		}
-	}
-	s.Resize(4)
-	if got := s.Snapshot().Cap; got != 4 {
-		t.Fatalf("cap after resize: %d", got)
-	}
-	waitFor(t, "workers idle", func() bool { return s.Snapshot().Idle > 0 })
-	if purged := s.Purge(); purged == 0 {
-		t.Fatal("purge reclaimed nothing with idle workers present")
-	}
-	if res, _ := postJSON(t, base+"/v1/render", `{"table":2}`); res.StatusCode != http.StatusOK {
-		t.Fatal("render after purge failed")
 	}
 }
 

@@ -1,12 +1,10 @@
-// Package pool provides the bounded, resizable worker pool behind the
-// janusd job system. Tasks are submitted to a FIFO queue with a hard
-// admission bound — a full pool rejects the submission immediately
-// with ErrOverloaded instead of blocking, which is what lets the
-// daemon shed load with a 429 rather than letting latency grow without
-// bound. Workers are spawned on demand up to the capacity, park when
-// idle, and can be reclaimed (Purge) or re-bounded (Resize) at runtime
-// without dropping queued work; a panicking task never takes its
-// worker down.
+// Package pool provides the bounded worker pool behind the janusd job
+// system. Tasks are submitted to a FIFO queue with a hard admission
+// bound — a full pool rejects the submission immediately with
+// ErrOverloaded instead of blocking, which is what lets the daemon
+// shed load with a 429 rather than letting latency grow without
+// bound. Workers are spawned on demand up to the capacity and park
+// when idle; a panicking task never takes its worker down.
 package pool
 
 import (
@@ -40,7 +38,6 @@ type Pool struct {
 	active  int // tasks executing right now
 	workers int // goroutines alive (idle + executing)
 	idle    int // workers parked in cond.Wait
-	reap    int // idle workers Purge has condemned
 	closed  bool
 
 	// OnPanic, when non-nil, observes a panic recovered from a task
@@ -92,26 +89,16 @@ func (p *Pool) Submit(t Task) error {
 	return nil
 }
 
-// worker runs queued tasks until the pool closes, Resize shrinks the
-// capacity below the live worker count, or Purge condemns it while
-// idle.
+// worker runs queued tasks until the pool closes and the queue drains.
 func (p *Pool) worker() {
 	p.mu.Lock()
 	for {
-		for len(p.queue) == 0 && !p.closed && p.reap == 0 && p.workers <= p.cap {
+		for len(p.queue) == 0 && !p.closed {
 			p.idle++
 			p.cond.Wait()
 			p.idle--
 		}
-		if len(p.queue) == 0 && (p.closed || p.reap > 0 || p.workers > p.cap) {
-			if p.reap > 0 {
-				p.reap--
-			}
-			break
-		}
-		if p.workers > p.cap {
-			// Shrunk below the live count: exit even with work queued;
-			// the surviving workers (>= new cap >= 1) drain it.
+		if len(p.queue) == 0 {
 			break
 		}
 		t := p.queue[0]
@@ -148,37 +135,6 @@ func (p *Pool) onPanic() func(any, []byte) {
 	return p.OnPanic
 }
 
-// Resize re-bounds the pool to run at most workers tasks concurrently
-// (clamped to >= 1). Growing spawns workers for queued tasks
-// immediately; shrinking lets excess workers exit as they go idle (a
-// busy worker finishes its current task first). Queued work is never
-// dropped, but the admission bound tightens at once.
-func (p *Pool) Resize(workers int) {
-	if workers < 1 {
-		workers = 1
-	}
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	p.cap = workers
-	for p.workers < p.cap && len(p.queue) > p.idle {
-		p.workers++
-		go p.worker()
-	}
-	p.cond.Broadcast()
-}
-
-// Purge reclaims every currently idle worker. Busy workers and queued
-// tasks are untouched; new submissions respawn workers on demand. It
-// reports how many workers were condemned.
-func (p *Pool) Purge() int {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	n := p.idle
-	p.reap += n
-	p.cond.Broadcast()
-	return n
-}
-
 // Close rejects further submissions and releases the workers once the
 // already-queued tasks drain. It does not wait; use Wait for that.
 func (p *Pool) Close() {
@@ -205,13 +161,6 @@ func (p *Pool) Cap() int {
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	return p.cap
-}
-
-// Depth returns the queued-task bound.
-func (p *Pool) Depth() int {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	return p.depth
 }
 
 // Idle returns how many spawned workers are parked waiting for work.

@@ -91,94 +91,6 @@ func TestCloseRejectsAndDrains(t *testing.T) {
 	}
 }
 
-func TestIdleAndPurge(t *testing.T) {
-	p := New(3, 8)
-	var wg sync.WaitGroup
-	for i := 0; i < 3; i++ {
-		wg.Add(1)
-		p.Submit(func() { wg.Done() })
-	}
-	wg.Wait()
-	waitFor(t, "workers idle", func() bool { return p.Idle() == 3 })
-	if n := p.Purge(); n != 3 {
-		t.Fatalf("purged %d workers, want 3", n)
-	}
-	waitFor(t, "workers reaped", func() bool { return p.Idle() == 0 })
-	// The pool respawns on demand after a purge.
-	done := make(chan struct{})
-	if err := p.Submit(func() { close(done) }); err != nil {
-		t.Fatal(err)
-	}
-	<-done
-	p.Close()
-	p.Wait()
-}
-
-func TestResizeGrowsAndShrinks(t *testing.T) {
-	p := New(1, 16)
-	if p.Cap() != 1 {
-		t.Fatalf("cap %d, want 1", p.Cap())
-	}
-	gate := make(chan struct{})
-	var peak atomic.Int64
-	var cur atomic.Int64
-	task := func() {
-		if v := cur.Add(1); v > peak.Load() {
-			peak.Store(v)
-		}
-		<-gate
-		cur.Add(-1)
-	}
-	for i := 0; i < 4; i++ {
-		if err := p.Submit(task); err != nil {
-			t.Fatal(err)
-		}
-	}
-	waitFor(t, "one running at cap 1", func() bool { return p.Running() == 1 })
-	p.Resize(4)
-	waitFor(t, "four running after grow", func() bool { return p.Running() == 4 })
-	close(gate)
-	waitFor(t, "drained", func() bool { return p.Running() == 0 })
-	if peak.Load() != 4 {
-		t.Fatalf("peak concurrency %d, want 4", peak.Load())
-	}
-
-	// Shrink back below the live worker count: excess workers exit,
-	// concurrency honors the new bound, queued work still runs.
-	p.Resize(1)
-	gate2 := make(chan struct{})
-	var peak2 atomic.Int64
-	var cur2 atomic.Int64
-	var wg sync.WaitGroup
-	for i := 0; i < 4; i++ {
-		wg.Add(1)
-		if err := p.Submit(func() {
-			defer wg.Done()
-			if v := cur2.Add(1); v > peak2.Load() {
-				peak2.Store(v)
-			}
-			<-gate2
-			cur2.Add(-1)
-		}); err != nil {
-			t.Fatal(err)
-		}
-	}
-	waitFor(t, "one running after shrink", func() bool { return p.Running() == 1 })
-	if got := p.Running(); got != 1 {
-		t.Fatalf("running %d after shrink, want 1", got)
-	}
-	go func() {
-		// Release each in turn; with cap 1 they serialise.
-		close(gate2)
-	}()
-	wg.Wait()
-	if peak2.Load() != 1 {
-		t.Fatalf("peak concurrency %d after shrink to 1, want 1", peak2.Load())
-	}
-	p.Close()
-	p.Wait()
-}
-
 func TestPanicKeepsWorkerAlive(t *testing.T) {
 	p := New(1, 8)
 	var caught atomic.Int64
@@ -205,8 +117,8 @@ func TestPanicKeepsWorkerAlive(t *testing.T) {
 	p.Wait()
 }
 
-// TestConcurrentChurn hammers submit/resize/purge from many goroutines
-// under the race detector; every admitted task must run exactly once.
+// TestConcurrentChurn hammers Submit from many goroutines under the
+// race detector; every admitted task must run exactly once.
 func TestConcurrentChurn(t *testing.T) {
 	p := New(4, 64)
 	var admitted, ran atomic.Int64
@@ -222,12 +134,6 @@ func TestConcurrentChurn(t *testing.T) {
 				} else if !errors.Is(err, ErrOverloaded) {
 					t.Errorf("submit: %v", err)
 					return
-				}
-				switch i % 50 {
-				case 10:
-					p.Resize(1 + i%7)
-				case 30:
-					p.Purge()
 				}
 			}
 		}(g)

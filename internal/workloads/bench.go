@@ -9,7 +9,6 @@ import (
 	"janus/internal/asm"
 	"janus/internal/guest"
 	"janus/internal/obj"
-	"janus/internal/singleflight"
 )
 
 // Benchmark describes one synthetic SPEC-like workload: how to build it
@@ -19,8 +18,6 @@ type Benchmark struct {
 	Name string
 	// Parallelisable marks the nine figure-7 benchmarks.
 	Parallelisable bool
-	// NeedsLib marks workloads importing the shared math library.
-	NeedsLib bool
 	// PaperSpeedup8T is the paper's figure-7 Janus bar (approximate,
 	// read from the plot); 0 when the benchmark is not in figure 7.
 	PaperSpeedup8T float64
@@ -50,7 +47,7 @@ func scale(in Input) int64 {
 var registry = []Benchmark{
 	// ---- The nine parallelisable benchmarks (figure 7). ----
 	{
-		Name: "410.bwaves", Parallelisable: true, NeedsLib: true,
+		Name: "410.bwaves", Parallelisable: true,
 		PaperSpeedup8T: 2.8, PaperChecks: 1,
 		build: func(k *kctx, in Input) {
 			s := scale(in)
@@ -438,29 +435,22 @@ type buildKey struct {
 	opt  OptLevel
 }
 
-// built pairs one build's outputs (the key space is bounded by the
-// registry, so the cache is unbounded).
+// built pairs one build's outputs.
 type built struct {
 	exe  *obj.Executable
 	libs []*obj.Library
 }
 
-var buildFlight singleflight.Flight[buildKey, built]
-
-// Build assembles the named benchmark at the given input size and
-// optimisation level, returning the executable and any libraries it
-// links against. The executable is stripped, as the paper targets
-// stripped binaries.
-//
-// Builds are deterministic, so results are cached per (name, input,
-// opt) with singleflight semantics: concurrent experiments asking for
-// the same binary share one build — and, because the returned
-// *obj.Executable pointer is stable, they also share the downstream
-// per-executable memos (native baseline, train profile). Executables
-// and libraries are never mutated after construction, so sharing is
-// safe under concurrency.
-func Build(name string, in Input, opt OptLevel) (*obj.Executable, []*obj.Library, error) {
-	return BuildCached(nil, name, in, opt)
+// linked completes a registry build: the library set is not part of
+// the disk payload because it is a pure function of the binary — the
+// shared math library iff the binary imports from it — so an
+// assembled and a replayed executable are completed the same way.
+func linked(exe *obj.Executable) built {
+	b := built{exe: exe}
+	if len(exe.Imports) > 0 {
+		b.libs = []*obj.Library{MathLib()}
+	}
+	return b
 }
 
 // BuildSchema versions the on-disk build artifact. It must be bumped
@@ -470,9 +460,34 @@ func Build(name string, in Input, opt OptLevel) (*obj.Executable, []*obj.Library
 // forgotten bump: a stale binary produces stale figures.
 const BuildSchema = "workloads-build/v1"
 
-// buildArtifactKind is the artifact namespace for built benchmark
-// images in the durable cache.
-const buildArtifactKind = "build-v1"
+// buildTier caches builds per (name, input, opt): concurrent
+// experiments asking for the same binary share one build — and,
+// because the returned *obj.Executable pointer is stable, they also
+// share the downstream per-executable tiers (native baseline, train
+// profile). The key space is bounded by the registry, so the memory
+// tier is unbounded. Verified bytes that no longer parse (schema
+// skew) reassemble and overwrite.
+var buildTier = artcache.Tier[buildKey, built]{
+	Kind:   "build-v1",
+	Encode: func(b built) ([]byte, error) { return b.exe.Save(), nil },
+	Decode: func(data []byte) (built, error) {
+		exe, err := obj.Load(data)
+		if err != nil {
+			return built{}, err
+		}
+		return linked(exe), nil
+	},
+}
+
+// Build assembles the named benchmark at the given input size and
+// optimisation level, returning the executable and any libraries it
+// links against. The executable is stripped, as the paper targets
+// stripped binaries. Builds are deterministic and cached (buildTier);
+// executables and libraries are never mutated after construction, so
+// sharing them is safe under concurrency.
+func Build(name string, in Input, opt OptLevel) (*obj.Executable, []*obj.Library, error) {
+	return BuildCached(nil, name, in, opt)
+}
 
 // BuildCached is Build backed by a durable artifact cache: on an
 // in-memory miss the serialised executable is looked up on disk
@@ -481,69 +496,35 @@ const buildArtifactKind = "build-v1"
 // supplied by the generator and have no serialised form here. Nil c
 // is exactly Build.
 func BuildCached(c *artcache.Cache, name string, in Input, opt OptLevel) (*obj.Executable, []*obj.Library, error) {
-	b, err := buildFlight.Do(buildKey{name: name, in: in, opt: opt}, func() (built, error) {
-		exe, libs, err := buildDisk(c, name, in, opt)
-		return built{exe: exe, libs: libs}, err
-	})
+	bm, ok := ByName(name)
+	if !ok {
+		return nil, nil, fmt.Errorf("workloads: unknown benchmark %q", name)
+	}
+	b, err := buildTier.Do(c, buildKey{name: name, in: in, opt: opt}, func() (artcache.Key, bool) {
+		return artcache.Key{
+			Binary: name,
+			Input:  fmt.Sprintf("%s", in),
+			Config: fmt.Sprintf("opt=%s schema=%s", opt, BuildSchema),
+		}, bm.buildExt == nil
+	}, func() (built, error) { return build(bm, in, opt) })
 	return b.exe, b.libs, err
 }
 
 // ResetBuildCache drops every completed entry from the in-memory
-// build cache, forcing the next Build through the durable tier (or a
+// build tier, forcing the next Build through the durable tier (or a
 // fresh assembly). Tests use it to exercise cold/warm paths in one
 // process.
 func ResetBuildCache() {
-	buildFlight.Reset()
-}
-
-// buildDisk wraps build with the durable tier.
-func buildDisk(c *artcache.Cache, name string, in Input, opt OptLevel) (*obj.Executable, []*obj.Library, error) {
-	bm, ok := ByName(name)
-	if !ok {
-		return nil, nil, fmt.Errorf("workloads: unknown benchmark %q", name)
-	}
-	if c == nil || bm.buildExt != nil {
-		return build(name, in, opt)
-	}
-	// The library set is not part of the payload: it is a pure function
-	// of the registry entry (NeedsLib -> the shared math library), so it
-	// is reconstructed on a hit.
-	k := artcache.Key{
-		Kind:   buildArtifactKind,
-		Binary: name,
-		Input:  fmt.Sprintf("%s", in),
-		Config: fmt.Sprintf("opt=%s schema=%s", opt, BuildSchema),
-	}
-	libsOf := func() []*obj.Library {
-		if bm.NeedsLib {
-			return []*obj.Library{MathLib()}
-		}
-		return nil
-	}
-	if data, hit := c.Get(k); hit {
-		if exe, err := obj.Load(data); err == nil {
-			return exe, libsOf(), nil
-		}
-		// Verified bytes that no longer parse: schema skew; reassemble.
-	}
-	exe, libs, err := build(name, in, opt)
-	if err != nil {
-		return nil, nil, err
-	}
-	_ = c.Put(k, exe.Save())
-	return exe, libs, nil
+	buildTier.Reset()
 }
 
 // build performs the uncached assembly of one benchmark binary.
-func build(name string, in Input, opt OptLevel) (*obj.Executable, []*obj.Library, error) {
-	bm, ok := ByName(name)
-	if !ok {
-		return nil, nil, fmt.Errorf("workloads: unknown benchmark %q", name)
-	}
+func build(bm Benchmark, in Input, opt OptLevel) (built, error) {
 	if bm.buildExt != nil {
-		return bm.buildExt(in)
+		exe, libs, err := bm.buildExt(in)
+		return built{exe: exe, libs: libs}, err
 	}
-	b := asm.NewBuilder(fmt.Sprintf("%s-%s-%s", name, in, opt))
+	b := asm.NewBuilder(fmt.Sprintf("%s-%s-%s", bm.Name, in, opt))
 	k := &kctx{b: b, f: b.Func("main"), opt: opt}
 	bm.build(k, in)
 	k.exit()
@@ -556,14 +537,9 @@ func build(name string, in Input, opt OptLevel) (*obj.Executable, []*obj.Library
 	emitColdRuntime(b, 36, 32)
 	exe, err := b.Build()
 	if err != nil {
-		return nil, nil, fmt.Errorf("workloads: %s: %w", name, err)
+		return built{}, fmt.Errorf("workloads: %s: %w", bm.Name, err)
 	}
-	exe = exe.Strip()
-	var libs []*obj.Library
-	if bm.NeedsLib {
-		libs = append(libs, MathLib())
-	}
-	return exe, libs, nil
+	return linked(exe.Strip()), nil
 }
 
 // emitColdRuntime appends nFuncs unreferenced support functions of

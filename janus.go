@@ -136,7 +136,7 @@ func Parallelise(exe *obj.Executable, cfg Config, libs ...*obj.Library) (*Report
 				return nil, fmt.Errorf("janus: train analysis: %w", err)
 			}
 		}
-		pr, err := runProfilingMemo(cfg.Cache, trainExe, trainProg, libs...)
+		pr, err := RunProfilingCached(cfg.Cache, trainExe, trainProg, libs...)
 		if err != nil {
 			return nil, fmt.Errorf("janus: profiling: %w", err)
 		}
@@ -158,7 +158,7 @@ func Parallelise(exe *obj.Executable, cfg Config, libs ...*obj.Library) (*Report
 		return nil, fmt.Errorf("janus: schedule generation: %w", err)
 	}
 
-	native, err := runNativeMemo(cfg.Cache, exe, libs...)
+	native, err := RunNativeBaselineCached(cfg.Cache, exe, libs...)
 	if err != nil {
 		return nil, fmt.Errorf("janus: native run: %w", err)
 	}
@@ -271,7 +271,7 @@ func RunProfiling(exe *obj.Executable, prog *analyzer.Program, libs ...*obj.Libr
 // is memoised per executable: native execution is deterministic, so
 // repeated baseline runs of the same binary return the cached result.
 func RunNativeBaseline(exe *obj.Executable, libs ...*obj.Library) (*vm.Result, error) {
-	return runNativeMemo(nil, exe, libs...)
+	return RunNativeBaselineCached(nil, exe, libs...)
 }
 
 // RunBareDBM executes exe under the DBM with no rewrite schedule (the

@@ -1,42 +1,15 @@
 package janus
 
 import (
-	"os"
-	"path/filepath"
 	"sync"
 	"sync/atomic"
 	"testing"
 
 	"janus/internal/artcache"
 	"janus/internal/obj"
-	"janus/internal/singleflight"
 	"janus/internal/vm"
 	"janus/internal/workloads"
 )
-
-// corruptAll flips one payload byte in every artifact under dir.
-func corruptAll(t *testing.T, dir string) {
-	t.Helper()
-	n := 0
-	err := filepath.WalkDir(dir, func(path string, d os.DirEntry, err error) error {
-		if err != nil || d.IsDir() || filepath.Ext(path) != ".art" {
-			return err
-		}
-		data, err := os.ReadFile(path)
-		if err != nil {
-			return err
-		}
-		data[len(data)-1] ^= 0xFF
-		n++
-		return os.WriteFile(path, data, 0o644)
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if n == 0 {
-		t.Fatal("no artifacts found to corrupt")
-	}
-}
 
 // TestLibsKeyOf pins the overflow contract of the memo key: up to four
 // libraries fold into a comparable key, more must report !ok so the
@@ -84,11 +57,11 @@ func TestNativeMemoOverflowBypassesCache(t *testing.T) {
 	if len(libs) != 1 {
 		t.Fatalf("expected one math library, got %d", len(libs))
 	}
-	r1, err := runNativeMemo(nil, exe, libs...)
+	r1, err := RunNativeBaselineCached(nil, exe, libs...)
 	if err != nil {
 		t.Fatal(err)
 	}
-	r2, err := runNativeMemo(nil, exe, libs...)
+	r2, err := RunNativeBaselineCached(nil, exe, libs...)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -104,11 +77,11 @@ func TestNativeMemoOverflowBypassesCache(t *testing.T) {
 		many = append(many, &obj.Library{Name: "pad", Base: base, Code: make([]byte, 24)})
 		base += 0x1_0000_0000
 	}
-	o1, err := runNativeMemo(nil, exe, many...)
+	o1, err := RunNativeBaselineCached(nil, exe, many...)
 	if err != nil {
 		t.Fatal(err)
 	}
-	o2, err := runNativeMemo(nil, exe, many...)
+	o2, err := RunNativeBaselineCached(nil, exe, many...)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -120,15 +93,15 @@ func TestNativeMemoOverflowBypassesCache(t *testing.T) {
 	}
 }
 
-// TestMemoEvictionKeepsInFlight fills the native flight to memoLimit
+// TestMemoEvictionKeepsInFlight fills a native-shaped tier to memoLimit
 // while one computation is blocked in flight, forces eviction past the
 // limit, and verifies the in-flight entry still deduplicates joiners
 // (the run-exactly-once guarantee survives eviction pressure).
 func TestMemoEvictionKeepsInFlight(t *testing.T) {
-	// A private flight with the production limit: the package-level
-	// tables are shared with other tests, so pressure is applied to an
-	// identically-configured instance.
-	f := singleflight.Flight[runKey, *vm.Result]{Limit: memoLimit}
+	// A private memory tier with the production limit: the package-level
+	// tiers are shared with other tests, so pressure is applied to an
+	// identically-bounded instance.
+	f := artcache.Tier[runKey, *vm.Result]{Limit: memoLimit}
 	dummy := func(i int) runKey { return runKey{exe: &obj.Executable{Entry: uint64(i)}} }
 
 	var runs atomic.Int32
@@ -139,7 +112,7 @@ func TestMemoEvictionKeepsInFlight(t *testing.T) {
 	wg.Add(1)
 	go func() {
 		defer wg.Done()
-		f.Do(inflight, func() (*vm.Result, error) {
+		f.Do(nil, inflight, nil, func() (*vm.Result, error) {
 			runs.Add(1)
 			close(started)
 			<-release
@@ -151,7 +124,7 @@ func TestMemoEvictionKeepsInFlight(t *testing.T) {
 	// Flood past the limit: every completed entry becomes evictable,
 	// and eviction triggers each time the table is full.
 	for i := 0; i < 3*memoLimit; i++ {
-		if _, err := f.Do(dummy(i), func() (*vm.Result, error) { return &vm.Result{}, nil }); err != nil {
+		if _, err := f.Do(nil, dummy(i), nil, func() (*vm.Result, error) { return &vm.Result{}, nil }); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -160,7 +133,7 @@ func TestMemoEvictionKeepsInFlight(t *testing.T) {
 	wg.Add(1)
 	go func() {
 		defer wg.Done()
-		res, err := f.Do(inflight, func() (*vm.Result, error) {
+		res, err := f.Do(nil, inflight, nil, func() (*vm.Result, error) {
 			runs.Add(1)
 			return &vm.Result{Exit: -1}, nil
 		})
@@ -172,52 +145,5 @@ func TestMemoEvictionKeepsInFlight(t *testing.T) {
 	wg.Wait()
 	if got := runs.Load(); got != 1 {
 		t.Fatalf("in-flight computation ran %d times under eviction pressure, want 1", got)
-	}
-}
-
-// TestNativeMemoHealsCorruptDiskEntry corrupts the cached native
-// baseline on disk and checks the next (memory-reset) lookup detects
-// it, recomputes the identical result, and rewrites the entry.
-func TestNativeMemoHealsCorruptDiskEntry(t *testing.T) {
-	cache, err := artcache.Open(t.TempDir(), artcache.Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	exe, libs, err := workloads.Build("462.libquantum", workloads.Train, workloads.O3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ResetMemos() // other tests may have memoised this executable in memory
-	r1, err := runNativeMemo(cache, exe, libs...)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := cache.Stats(); got.Misses != 1 {
-		t.Fatalf("cold run: %s, want exactly one miss", got)
-	}
-
-	corruptAll(t, cache.Dir())
-	ResetMemos() // fall through the memory tier
-
-	r2, err := runNativeMemo(cache, exe, libs...)
-	if err != nil {
-		t.Fatal(err)
-	}
-	st := cache.Stats()
-	if st.BadEntries == 0 {
-		t.Fatalf("corruption was not detected: %s", st)
-	}
-	if r2.Cycles != r1.Cycles || r2.DataHash != r1.DataHash || r2.MemHash != r1.MemHash {
-		t.Fatalf("recomputed result differs: %+v vs %+v", r2, r1)
-	}
-
-	// The rewrite healed the store: a third lookup hits.
-	ResetMemos()
-	before := cache.Stats().Hits
-	if _, err := runNativeMemo(cache, exe, libs...); err != nil {
-		t.Fatal(err)
-	}
-	if cache.Stats().Hits <= before {
-		t.Fatal("store did not heal: third lookup was not a hit")
 	}
 }
