@@ -65,13 +65,13 @@ type Result struct {
 
 // Engine selects the DBM region execution for the modelled compiler's
 // simulated run. Results are bit-identical under every setting;
-// callers thread their engine choice through so a single-goroutine or
-// static-partition A/B run really is one end to end.
+// callers thread their engine choice through so a single-goroutine
+// (or one-piece-per-thread) A/B run really is one end to end.
 type Engine struct {
 	// HostParallel runs eligible parallel regions on host goroutines.
 	HostParallel bool
-	// WorkStealing uses the work-stealing partitioner inside
-	// host-parallel regions.
+	// WorkStealing subdivides host-parallel regions for work stealing
+	// (dbm.Config.WorkStealing).
 	WorkStealing bool
 }
 

@@ -5,21 +5,21 @@
 //
 // Execution is deterministic and the elapsed time of a parallel region
 // is always the maximum thread virtual-cycle clock plus orchestration
-// overheads (see ARCHITECTURE.md). Three region engines produce that
+// overheads (see ARCHITECTURE.md). Two region engines produce that
 // result:
 //
 //   - round-robin: guest threads stepped at basic-block granularity on
 //     one goroutine. Fully general — the fixed schedule orders
 //     speculative commits and syscalls.
-//   - host-parallel: one host goroutine per guest thread, used when a
-//     static scan of the loop body proves the threads cannot observe
-//     each other (see hostpar.go). Per-thread code caches, memory
-//     views and counters keep the hot paths lock-free.
-//   - work-stealing (the default for scan-eligible loops): the same
-//     host-parallel execution over a finer partition — idle workers
-//     steal subchunks from a shared set of deques, and every piece
-//     folds back into its owning guest thread so the folded result is
-//     bit-identical to static chunking (see steal.go).
+//   - speculative (steal.go): one host goroutine per guest thread,
+//     used when a static scan of the loop body proves the threads
+//     cannot observe each other (see hostpar.go). Each thread's static
+//     chunk is cut into a per-loop number of pieces — one, or
+//     jrt.StealFactor when work stealing is on and the loop can be
+//     subdivided exactly — that idle workers steal from a shared set
+//     of deques; every piece folds back into its owning guest thread,
+//     so the folded result is bit-identical at any factor. A failed
+//     region is rolled back and re-executed round-robin (recover.go).
 //
 // Simulated results — virtual cycles, figures, data hashes — are
 // bit-identical between the engines and independent of GOMAXPROCS;
@@ -94,23 +94,25 @@ type Config struct {
 	// Profile enables the profiling rule handlers.
 	Profile bool
 	// HostParallel runs eligible parallel regions on real host
-	// goroutines (one per guest thread) instead of stepping guest
-	// threads round-robin on one goroutine. Virtual-cycle results are
-	// bit-identical either way — eligibility is established by a static
-	// scan of the loop body (see hostpar.go) — so this trades nothing
-	// but host wall-clock. Regions the scan cannot prove safe
-	// (syscalls, indirect control flow, speculation) fall back to the
-	// round-robin engine.
+	// goroutines (one per guest thread, the speculative engine in
+	// steal.go) instead of stepping guest threads round-robin on one
+	// goroutine. Virtual-cycle results are bit-identical either way —
+	// eligibility is established by a static scan of the loop body (see
+	// hostpar.go) — so this trades nothing but host wall-clock. Regions
+	// the scan cannot prove safe (syscalls, indirect control flow,
+	// speculation) fall back to the round-robin engine.
 	HostParallel bool
-	// WorkStealing subdivides each host-parallel region's static chunks
-	// into ~StealFactor pieces per thread that idle host workers steal
-	// from a shared set of deques, balancing host wall-clock when
-	// per-iteration cost is uneven. Every piece's virtual-cycle cost is
-	// folded back into the guest thread that owns it under static
-	// chunking, so simulated results are bit-identical to the static
-	// partitioner (see steal.go); only host wall-clock changes. Regions
-	// the eligibility scan sends to the round-robin engine, and loops
-	// with floating-point reductions, keep static chunks.
+	// WorkStealing sets the speculative engine's subdivision factor:
+	// each guest thread's static chunk is cut into ~jrt.StealFactor
+	// pieces that idle host workers steal from a shared set of deques,
+	// balancing host wall-clock when per-iteration cost is uneven;
+	// false means factor 1 — one piece per thread, nothing stolen —
+	// in the same engine. Every piece's virtual-cycle cost is folded
+	// back into the guest thread that owns it, so simulated results are
+	// bit-identical at either factor (see steal.go); only host
+	// wall-clock changes. Loops that cannot be subdivided exactly
+	// (non-integer-ADD reductions, not top-tested, several exits) run
+	// at factor 1 whatever this says.
 	WorkStealing bool
 	// MinIterPerThread is the profitability floor: loops with fewer
 	// iterations per thread run sequentially.
@@ -154,8 +156,9 @@ type Stats struct {
 	// HostParRegions counts the regions that ran on host goroutines
 	// (the remainder of ParRegions used the round-robin engine).
 	HostParRegions int64
-	// StealRegions counts the host-parallel regions that used the
-	// work-stealing partitioner (a subset of HostParRegions).
+	// StealRegions counts the host-parallel regions that were
+	// subdivided for work stealing (a subset of HostParRegions; the
+	// rest ran at one piece per thread).
 	StealRegions int64
 	SeqFallbacks int64
 	CacheFlushes int64
@@ -197,22 +200,20 @@ type Executor struct {
 	// caches[t] is thread t's private code cache.
 	caches []map[uint64]*tblock
 	// charged[t] records the blocks whose translation cost has been
-	// charged to guest thread t. For the sequential, round-robin and
-	// static-chunk host-parallel paths this always mirrors caches[t] (a
-	// block is charged exactly when it is first translated), so
-	// charging behaviour is unchanged; the work-stealing engine
-	// executes blocks from worker-private stealCaches and charges
-	// owners deterministically through this set instead (see steal.go).
+	// charged to guest thread t. On the sequential and round-robin
+	// paths a block is charged when thread t first translates it into
+	// caches[t]; the speculative engine executes blocks from
+	// worker-private stealCaches and charges owners deterministically
+	// through this set instead (see steal.go).
 	charged []map[uint64]bool
-	// stealCaches[w] is worker w's code cache for work-stealing
-	// regions, kept separate from caches so the charged sets above stay
-	// exactly "the blocks a static-chunk run would have translated".
+	// stealCaches[w] is worker w's code cache for speculative regions,
+	// kept separate from caches so the charged sets above stay exactly
+	// "the blocks a round-robin run would have translated" whichever
+	// worker ran which owner's piece.
 	stealCaches []map[uint64]*tblock
-	// stealActive is set while a work-stealing region runs; stealMu
-	// then guards the charged sets (which are single-goroutine
-	// otherwise).
-	stealActive bool
-	stealMu     sync.Mutex
+	// stealMu guards the charged sets and the charge journal while a
+	// speculative region runs (they are single-goroutine otherwise).
+	stealMu sync.Mutex
 	// lastBlk[t] is the block thread t executed last, the anchor for
 	// block linking in blockFor. Entries are only ever touched by the
 	// owning thread, so host-parallel threads never contend.
@@ -234,15 +235,14 @@ type Executor struct {
 	// loop is the active parallel-region state (nil outside regions).
 	loop       *jrt.LoopCtx
 	inParallel bool
-	// hostParActive is set while region threads run on host goroutines,
-	// and hostParSet then holds the active loop's scanned address set.
-	// Written only by the main thread before spawning and after joining
-	// the workers; workers read them to refuse any block the
-	// eligibility scan did not see (plus schedule-ordered work:
+	// specSet is non-nil exactly while a speculative region's workers
+	// run on host goroutines, and holds the active loop's scanned
+	// address set. Written only by the main thread before spawning and
+	// after joining the workers; workers read it to refuse any block
+	// the eligibility scan did not see (plus schedule-ordered work:
 	// syscalls, transactions) — work that only a defeated static scan
 	// could reach — failing loudly instead of racing.
-	hostParActive bool
-	hostParSet    map[uint64]bool
+	specSet map[uint64]bool
 
 	// Per-loop metadata precomputed from the schedule.
 	exitTargets map[int32]map[uint64]bool
@@ -276,9 +276,8 @@ type Executor struct {
 	inj *faultinject.Injector
 	// chargeUndo[t] journals the block addresses first charged to guest
 	// thread t inside the active speculative region, so a recovery can
-	// undo exactly those charges. Appended lock-free by the owning
-	// thread on the static host-parallel path and under stealMu on the
-	// stealing path; drained on the orchestrating goroutine.
+	// undo exactly those charges. Appended under stealMu by
+	// chargeStealOwner; drained on the orchestrating goroutine.
 	chargeUndo [][]uint64
 
 	// Per-thread transaction state (index = thread ID). txSpare keeps a

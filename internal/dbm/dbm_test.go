@@ -7,6 +7,7 @@ import (
 	"janus/internal/analyzer"
 	"janus/internal/asm"
 	"janus/internal/guest"
+	"janus/internal/jrt"
 	"janus/internal/obj"
 	"janus/internal/rules"
 	"janus/internal/vm"
@@ -15,6 +16,12 @@ import (
 // pipeline analyzes exe, selects loops, generates the parallel schedule
 // and runs under the DBM with the given thread count.
 func pipeline(t *testing.T, exe *obj.Executable, threads int, libs ...*obj.Library) (*Result, *Executor) {
+	t.Helper()
+	return pipelineCfg(t, exe, DefaultConfig(threads), libs...)
+}
+
+// pipelineCfg is pipeline under an explicit DBM configuration.
+func pipelineCfg(t *testing.T, exe *obj.Executable, cfg Config, libs ...*obj.Library) (*Result, *Executor) {
 	t.Helper()
 	p, err := analyzer.Analyze(exe)
 	if err != nil {
@@ -25,7 +32,7 @@ func pipeline(t *testing.T, exe *obj.Executable, threads int, libs ...*obj.Libra
 	if err != nil {
 		t.Fatal(err)
 	}
-	ex, err := New(exe, sched, DefaultConfig(threads), libs...)
+	ex, err := New(exe, sched, cfg, libs...)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -517,5 +524,87 @@ func TestSmallTripFallsBack(t *testing.T) {
 	}
 	if ex.Stats.SeqFallbacks == 0 {
 		t.Fatal("fallback not recorded")
+	}
+}
+
+// TestOnePieceReductionPartialBitExact pins the speculative engine's
+// fold at one piece per thread: a guest thread's reduction partial is
+// its register verbatim, so a float partial of -0.0 (a product over a
+// chunk holding one -0.0) reaches LOOP_FINISH with the same bits the
+// round-robin engine hands it.
+func TestOnePieceReductionPartialBitExact(t *testing.T) {
+	b := asm.NewBuilder("fprod")
+	const n, threads = 64, 4
+	vals := make([]float64, n)
+	for i := range vals {
+		vals[i] = 1.5
+	}
+	// One -0.0 in three of the four chunks: those partials are -0.0 and
+	// the product's sign (three negative factors) shows in the output.
+	negZero := math.Copysign(0, -1)
+	vals[3], vals[n/threads+5], vals[n-2] = negZero, negZero, negZero
+	b.DataF64("a", vals)
+	f := b.Func("main")
+	loop, done := f.NewLabel(), f.NewLabel()
+	f.MoviData(guest.R8, "a", 0)
+	f.Movi(guest.R1, 0)
+	f.Movi(guest.R2, int64(math.Float64bits(1.0))) // product
+	f.Bind(loop)
+	f.Cmpi(guest.R1, n)
+	f.J(guest.JGE, done)
+	f.Ld(guest.R3, guest.Mem{Base: guest.R8, Index: guest.R1, Scale: 8})
+	f.Op(guest.FMUL, guest.R2, guest.R3)
+	f.OpI(guest.ADDI, guest.R1, 1)
+	f.J(guest.JMP, loop)
+	f.Bind(done)
+	f.Movi(guest.R0, guest.SysWriteF)
+	f.Mov(guest.R1, guest.R2)
+	f.Syscall()
+	f.Halt()
+	exe, err := b.Build()
+	if err != nil {
+		t.Fatal(err)
+	}
+	run := func(hostParallel bool) *Result {
+		cfg := DefaultConfig(threads)
+		cfg.HostParallel = hostParallel
+		cfg.WorkStealing = false
+		res, _ := pipelineCfg(t, exe, cfg)
+		return res
+	}
+	rr, spec := run(false), run(true)
+	if spec.Stats.HostParRegions == 0 || spec.Stats.StealRegions != 0 {
+		t.Fatalf("want one-piece speculative regions, got stats %+v", spec.Stats)
+	}
+	if want := math.Float64bits(negZero); rr.Output[0] != want || nativeOf(t, exe).Output[0] != want {
+		t.Fatalf("kernel does not produce -0.0: round-robin %#x", rr.Output[0])
+	}
+	if spec.Output[0] != rr.Output[0] || spec.Cycles != rr.Cycles || spec.Insts != rr.Insts || spec.MemHash != rr.MemHash {
+		t.Errorf("speculative run differs from round-robin:\n round-robin %+v\n speculative %+v", rr.Result, spec.Result)
+	}
+}
+
+// TestStealDequesOnePieceNoTheft: when the region is not subdivided a
+// worker with an empty queue gets no work, even while siblings hold
+// theirs — running a sibling's whole chunk would put it on the wrong
+// stack and TLS.
+func TestStealDequesOnePieceNoTheft(t *testing.T) {
+	// 3 iterations over 4 workers: worker 3's chunk is empty.
+	chunks := jrt.PartitionStealing(3, 4, 1)
+	d := newStealDeques(4, chunks, false)
+	if idx, ok := d.next(3); ok {
+		t.Fatalf("worker 3 stole piece %d with stealing off", idx)
+	}
+	for w := 0; w < 3; w++ {
+		if idx, ok := d.next(w); !ok || chunks[idx].Owner != w {
+			t.Fatalf("worker %d: next = %d, %v; want its own piece", w, idx, ok)
+		}
+		if _, ok := d.next(w); ok {
+			t.Fatalf("worker %d got a second piece", w)
+		}
+	}
+	// The same pool with stealing on hands worker 3 a sibling's piece.
+	if _, ok := newStealDeques(4, chunks, true).next(3); !ok {
+		t.Fatal("worker 3 found nothing to steal with stealing on")
 	}
 }

@@ -22,7 +22,7 @@ func (ex *Executor) stepBlock(t *jrt.Thread) error {
 	if err != nil {
 		return err
 	}
-	if ex.hostParActive {
+	if ex.specSet != nil {
 		// Allowlist check: only a defeated eligibility verdict (e.g. a
 		// redirected return address) can fail it — refuse rather than
 		// execute unscanned code, or a syscall, on a concurrent worker.
@@ -35,17 +35,15 @@ func (ex *Executor) stepBlock(t *jrt.Thread) error {
 		}
 		if b.scanLoop != ex.loop.LoopID {
 			b.scanLoop = ex.loop.LoopID
-			b.scanOK = !b.hasSyscall && ex.hostParSet[b.start]
+			b.scanOK = !b.hasSyscall && ex.specSet[b.start]
 		}
 		if !b.scanOK {
-			if b.hasSyscall && ex.hostParSet[b.start] {
+			if b.hasSyscall && ex.specSet[b.start] {
 				return ErrScanSyscall
 			}
 			return ErrScanEscaped
 		}
-		if ex.stealActive {
-			ex.chargeStealOwner(t, b)
-		}
+		ex.chargeStealOwner(t, b)
 	}
 	ex.lastBlk[t.ID] = b
 	t.Ctx.Cycles += ex.Cfg.Cost.Dispatch
@@ -199,7 +197,7 @@ func (ex *Executor) runHandler(t *jrt.Thread, it *titem, r rules.Rule) (*redirec
 		// sequential fallback path) costs nothing.
 
 	case rules.TX_START:
-		if ex.hostParActive {
+		if ex.specSet != nil {
 			// See ErrScanSyscall: speculation needs the round-robin
 			// commit order.
 			return nil, ErrScanTx

@@ -1,17 +1,12 @@
 package dbm
 
 import (
-	"runtime/debug"
-	"sync"
-	"sync/atomic"
-
-	"janus/internal/faultinject"
 	"janus/internal/guest"
-	"janus/internal/jrt"
 	"janus/internal/rules"
 )
 
-// Host-parallel region execution.
+// Host-parallel eligibility: which regions may leave the round-robin
+// schedule for the speculative engine (steal.go).
 //
 // The round-robin engine (parallel.go) steps guest threads on one
 // goroutine; its fixed schedule is what makes speculative commit order
@@ -71,10 +66,10 @@ func (ex *Executor) hostParEligible(loopID int32, start uint64) map[uint64]bool 
 // scanHostParBody walks the statically reachable code of one loop body
 // and, if it is free of schedule-dependent effects, returns the set of
 // visited addresses (nil otherwise). The set doubles as the runtime
-// allowlist: a host-parallel worker refuses any block starting outside
-// it, so even control flow the scan cannot see (a redirected return
-// address) fails deterministically instead of executing unscanned code
-// concurrently.
+// allowlist: a speculative-engine worker refuses any block starting
+// outside it, so even control flow the scan cannot see (a redirected
+// return address) fails deterministically instead of executing
+// unscanned code concurrently.
 func (ex *Executor) scanHostParBody(loopID int32, start uint64) map[uint64]bool {
 	exits := ex.exitTargets[loopID]
 	// site distinguishes code reached at loop level (topLevel: a RET
@@ -141,97 +136,4 @@ func (ex *Executor) scanHostParBody(loopID int32, start uint64) map[uint64]bool 
 		set[a] = true
 	}
 	return set
-}
-
-// runRegionHostParallel executes the region with one host goroutine per
-// guest thread. Eligibility (hostParEligible) guarantees the threads
-// share no schedule-ordered state, so each goroutine simply runs its
-// thread to its chunk exit; per-thread code caches, memory views and
-// counters keep the hot paths free of locks. Results are bit-identical
-// to runRegionRoundRobin.
-func (ex *Executor) runRegionHostParallel(loopID int32, threads []*jrt.Thread, lc *jrt.LoopCtx, scanned map[uint64]bool) error {
-	errs := make([]error, len(threads))
-	// One region-wide block budget shared by all threads, matching the
-	// round-robin engine's single per-block guard exactly, so a runaway
-	// region trips after the same MaxSteps total under either engine.
-	var budget atomic.Int64
-	budget.Store(ex.Cfg.MaxSteps)
-	if ex.inj.Fire(faultinject.BudgetExhaust) {
-		// Forced budget exhaustion: every worker trips the runaway
-		// backstop on its first block.
-		budget.Store(0)
-	}
-	// failed cancels the siblings of a failing thread: any error sends
-	// the whole region to recovery, so their remaining work is wasted.
-	// Which threads record an error can depend on host scheduling (a
-	// sibling may finish or notice the flag first); the region's
-	// success/failure never does, and the round-robin re-execution —
-	// not the specific message — is what determines the run's outcome.
-	var failed atomic.Bool
-	ex.hostParActive = true
-	ex.hostParSet = scanned
-	defer func() { ex.hostParActive = false; ex.hostParSet = nil }()
-	var wg sync.WaitGroup
-	for _, th := range threads {
-		if th.State == jrt.StateDone {
-			continue
-		}
-		th.State = jrt.StateRunning
-		wg.Add(1)
-		go func(th *jrt.Thread) {
-			defer wg.Done()
-			// Contain worker panics: a bug (or injected fault) in one
-			// region must fail that region, never the process.
-			defer func() {
-				if p := recover(); p != nil {
-					failed.Store(true)
-					errs[th.ID] = panicErr(loopID, th.ID, p, debug.Stack())
-				}
-			}()
-			errs[th.ID] = ex.runThreadToExit(loopID, th, lc, &budget, &failed)
-		}(th)
-	}
-	wg.Wait()
-	// Report the lowest-ID recorded error.
-	for _, err := range errs {
-		if err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// runThreadToExit drives one guest thread from the loop head to its
-// chunk exit, charging each block to the region's shared runaway
-// budget and abandoning the chunk once a sibling has failed.
-func (ex *Executor) runThreadToExit(loopID int32, th *jrt.Thread, lc *jrt.LoopCtx, budget *atomic.Int64, failed *atomic.Bool) error {
-	for {
-		if failed.Load() {
-			return nil
-		}
-		if ex.inj.Fire(faultinject.WorkerPanic) {
-			panic("faultinject: forced worker panic")
-		}
-		if ex.inj.Fire(faultinject.Stall) {
-			// Forced stall: report the region wedged, as a livelocked
-			// worker eventually would.
-			failed.Store(true)
-			return regionErr(loopID, th.ID, ErrRegionStuck)
-		}
-		if budget.Add(-1) < 0 {
-			if failed.Load() {
-				return nil // a failing sibling may have drained the budget
-			}
-			failed.Store(true)
-			return regionErr(loopID, th.ID, ErrRegionStuck)
-		}
-		if err := ex.stepBlock(th); err != nil {
-			failed.Store(true)
-			return regionErr(loopID, th.ID, err)
-		}
-		if lc.IsExit(th.Ctx.PC) {
-			th.State = jrt.StateDone
-			return nil
-		}
-	}
 }

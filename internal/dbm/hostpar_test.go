@@ -1,10 +1,13 @@
 package dbm_test
 
-// Determinism tests for the host-parallel region engine: simulated
-// results must be bit-identical to the single-goroutine round-robin
-// engine, at any GOMAXPROCS. Run with -race these also double as race
-// tests for the per-thread TLBs, code caches and block-link inline
-// caches under real concurrency.
+// Determinism tests for the speculative region engine at one piece per
+// guest thread (WorkStealing off — plain static chunking on host
+// goroutines): simulated results, the full-image MemHash included, must
+// be bit-identical to the single-goroutine round-robin engine, at any
+// GOMAXPROCS. Run with -race these also double as race tests for the
+// per-thread TLBs, code caches and block-link inline caches under real
+// concurrency. steal_test.go pins the subdivided engine against this
+// one.
 
 import (
 	"runtime"
@@ -16,11 +19,9 @@ import (
 	"janus/internal/workloads"
 )
 
-// runEngine executes one workload under a statically-parallelised DBM
-// with the given engine selection. Work stealing is pinned off: these
-// tests compare the two static-chunk engines (steal_test.go covers the
-// work-stealing partitioner).
-func runEngine(t *testing.T, name string, hostParallel bool) *dbm.Result {
+// runConfig executes one workload's statically-selected parallel
+// schedule under the DBM with the given configuration.
+func runConfig(t *testing.T, name string, cfg dbm.Config) *dbm.Result {
 	t.Helper()
 	exe, libs, err := workloads.Build(name, workloads.Train, workloads.O3)
 	if err != nil {
@@ -35,9 +36,6 @@ func runEngine(t *testing.T, name string, hostParallel bool) *dbm.Result {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cfg := dbm.DefaultConfig(8)
-	cfg.HostParallel = hostParallel
-	cfg.WorkStealing = false
 	ex, err := dbm.New(exe, sched, cfg, libs...)
 	if err != nil {
 		t.Fatal(err)
@@ -49,8 +47,19 @@ func runEngine(t *testing.T, name string, hostParallel bool) *dbm.Result {
 	return res
 }
 
+// runEngine selects the round-robin engine or the speculative engine
+// at one piece per thread.
+func runEngine(t *testing.T, name string, hostParallel bool) *dbm.Result {
+	t.Helper()
+	cfg := dbm.DefaultConfig(8)
+	cfg.HostParallel = hostParallel
+	cfg.WorkStealing = false
+	return runConfig(t, name, cfg)
+}
+
 // sansEngineStats clears the only stats that legitimately differ
-// between the engines: which of them ran the regions.
+// between engine configurations: which engine ran the regions, and how
+// many it subdivided.
 func sansEngineStats(s dbm.Stats) dbm.Stats {
 	s.HostParRegions = 0
 	s.StealRegions = 0
@@ -100,5 +109,41 @@ func TestHostParallelDeterministicAcrossGOMAXPROCS(t *testing.T) {
 	}
 	if one.Stats != many.Stats {
 		t.Errorf("stats differ across GOMAXPROCS:\n 1: %+v\n n: %+v", one.Stats, many.Stats)
+	}
+}
+
+// TestMoreThan64ThreadsMatchesRoundRobin runs past the 64 owners a
+// block's chargeMask can stamp: owners 64 and up must still be charged
+// for each block exactly once (through the locked charged sets), at
+// either subdivision factor.
+func TestMoreThan64ThreadsMatchesRoundRobin(t *testing.T) {
+	const name, threads = "470.lbm", 65
+	cfg := dbm.DefaultConfig(threads)
+	cfg.HostParallel = false
+	rr := runConfig(t, name, cfg)
+	if rr.Stats.ParRegions == 0 {
+		t.Fatalf("no region parallelised at %d threads", threads)
+	}
+	for _, stealing := range []bool{false, true} {
+		cfg := dbm.DefaultConfig(threads)
+		cfg.WorkStealing = stealing
+		got := runConfig(t, name, cfg)
+		if got.Stats.HostParRegions == 0 {
+			t.Fatalf("stealing=%v: speculative engine never engaged", stealing)
+		}
+		if (got.Stats.StealRegions > 0) != stealing {
+			t.Errorf("stealing=%v: %d subdivided regions", stealing, got.Stats.StealRegions)
+		}
+		// One piece per thread pins MemHash too; stealing pins all but it.
+		same := sameResult
+		if stealing {
+			same = samePinnedResult
+		}
+		if !same(rr, got) {
+			t.Errorf("stealing=%v: results differ:\n round-robin %+v\n speculative %+v", stealing, rr.Result, got.Result)
+		}
+		if sansEngineStats(rr.Stats) != sansEngineStats(got.Stats) {
+			t.Errorf("stealing=%v: stats differ:\n round-robin %+v\n speculative %+v", stealing, rr.Stats, got.Stats)
+		}
 	}
 }

@@ -77,18 +77,22 @@ func (ex *Executor) runParallelLoop(mainT *jrt.Thread, r rules.Rule) (*redirect,
 	}
 
 	// Partition and launch.
+	ivInit := make([]int64, len(ld.Inductions))
+	for j, iv := range ld.Inductions {
+		ivInit[j] = iv.Init.Eval(entry, 0)
+	}
 	chunks := jrt.PartitionChunked(n, ex.Cfg.Threads)
-	threads, err := ex.buildRegionThreads(ld, lc, ubd, entry, chunks)
+	threads, err := ex.buildRegionThreads(lc, ubd, entry, ivInit, chunks)
 	if err != nil {
 		return nil, err
 	}
 
 	// Region execution. Both engines produce bit-identical per-thread
-	// virtual clocks and memory images; the host-parallel engine is
-	// chosen only when the static eligibility scan proves the loop body
-	// free of cross-thread interactions the round-robin schedule would
-	// otherwise order (see hostpar.go). Speculative engines run under
-	// an undo log and fall back to round-robin on any failure (see
+	// virtual clocks and memory images; the speculative engine
+	// (steal.go) is chosen only when the static eligibility scan proves
+	// the loop body free of cross-thread interactions the round-robin
+	// schedule would otherwise order (see hostpar.go). It runs under an
+	// undo log and falls back to round-robin on any failure (see
 	// recover.go), so a recovered region renders exactly what a pure
 	// round-robin run renders.
 	ex.loop = lc
@@ -99,7 +103,7 @@ func (ex *Executor) runParallelLoop(mainT *jrt.Thread, r rules.Rule) (*redirect,
 	var engineErr error
 	if scanned := ex.hostParEligible(r.LoopID, ld.LoopStart); scanned != nil {
 		ex.Stats.HostParRegions++
-		threads, engineErr = ex.runRegionRecoverable(r, threads, lc, ld, ubd, entry, n, chunks, scanned)
+		threads, engineErr = ex.runRegionRecoverable(r, threads, lc, ubd, entry, ivInit, n, chunks, scanned)
 	} else {
 		engineErr = ex.runRegionRoundRobin(r.LoopID, threads, lc)
 	}
@@ -135,9 +139,8 @@ func (ex *Executor) runParallelLoop(mainT *jrt.Thread, r rules.Rule) (*redirect,
 
 	// LOOP_FINISH: combine loop contexts from all threads.
 	last := lastNonEmpty(threads)
-	for _, iv := range ld.Inductions {
-		init := iv.Init.Eval(entry, 0)
-		main.SetReg(iv.Reg, uint64(init+iv.Step*n))
+	for j, iv := range ld.Inductions {
+		main.SetReg(iv.Reg, uint64(ivInit[j]+iv.Step*n))
 	}
 	finish := ex.finishData[r.LoopID]
 	for _, red := range finish.Reductions {
@@ -202,7 +205,7 @@ func (ex *Executor) runRegionRoundRobin(loopID int32, threads []*jrt.Thread, lc 
 			if ex.suppressTx[th.ID] && th.ID != oldest {
 				continue
 			}
-			// Per-block guard check, the same boundary the host-parallel
+			// Per-block guard check, the same boundary the speculative
 			// engine's shared budget enforces: a runaway region fails
 			// after MaxSteps blocks under either engine.
 			if guard <= 0 {

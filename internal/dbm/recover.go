@@ -9,9 +9,9 @@ import (
 
 // Region-level speculation recovery.
 //
-// The speculative engines (hostpar.go, steal.go) run a region
-// concurrently only after the eligibility scan proves the threads
-// cannot observe each other — but the backstops that enforce that
+// The speculative engine (steal.go) runs a region concurrently only
+// after the eligibility scan (hostpar.go) proves the threads cannot
+// observe each other — but the backstops that enforce that
 // proof at runtime (the allowlist, the shared step budget, panic
 // containment) can still trip. Rather than abort the run, the region
 // is executed under an undo log and re-executed deterministically:
@@ -40,7 +40,7 @@ import (
 //     jrt.Threads are dropped unfolded and rebuilt from the loop-entry
 //     snapshot, so no counter or register from the failed attempt
 //     survives.
-//   - Translation charges: blockFor/chargeStealOwner journal every
+//   - Translation charges: chargeStealOwner journals every
 //     (thread, block) pair first charged inside the region; rollback
 //     deletes exactly those entries, so the re-execution re-charges
 //     them just as a from-scratch round-robin run would.
@@ -49,24 +49,21 @@ import (
 //     Harmless to virtual time: re-translating an already-charged
 //     block adds zero cycles, and the charged sets are preserved.
 //   - Executor stats, profilers, transactions, output: unreachable
-//     from inside a host-parallel region by construction (profilers
+//     from inside a speculative region by construction (profilers
 //     are ineligible, syscalls/TX trip the allowlist before running).
 
-// runRegionRecoverable executes an eligible region under a speculative
-// engine with full undo, falling back to the round-robin engine on any
-// failure. It returns the threads that actually produced the region's
-// result (the rebuilt set when recovery ran).
-func (ex *Executor) runRegionRecoverable(r rules.Rule, threads []*jrt.Thread, lc *jrt.LoopCtx, ld rules.LoopInitData, ubd rules.UpdateBoundData, entry func(guest.Reg) uint64, n int64, chunks []jrt.Chunk, scanned map[uint64]bool) ([]*jrt.Thread, error) {
+// runRegionRecoverable executes an eligible region under the
+// speculative engine with full undo, falling back to the round-robin
+// engine on any failure. It returns the threads that actually produced
+// the region's result (the rebuilt set when recovery ran).
+func (ex *Executor) runRegionRecoverable(r rules.Rule, threads []*jrt.Thread, lc *jrt.LoopCtx, ubd rules.UpdateBoundData, entry func(guest.Reg) uint64, ivInit []int64, n int64, chunks []jrt.Chunk, scanned map[uint64]bool) ([]*jrt.Thread, error) {
 	cp := ex.M.Mem.Snapshot()
 	ex.inj.Arm()
-	var specErr error
-	if ex.stealEligible(r.LoopID, ld) {
+	factor := ex.stealFactor(r.LoopID, lc.Init)
+	if factor > 1 {
 		ex.Stats.StealRegions++
-		specErr = ex.runRegionStealing(r.LoopID, threads, lc, ld, ubd, entry, n, scanned)
-	} else {
-		specErr = ex.runRegionHostParallel(r.LoopID, threads, lc, scanned)
 	}
-	if specErr == nil {
+	if ex.runRegionSpeculative(r.LoopID, threads, lc, ubd, entry, ivInit, n, factor, scanned) == nil {
 		cp.Discard()
 		ex.commitCharges()
 		return threads, nil
@@ -79,40 +76,51 @@ func (ex *Executor) runRegionRecoverable(r rules.Rule, threads []*jrt.Thread, lc
 	ex.clearRegionCaches()
 	ex.Stats.ParRecoveries++
 	ex.demote(r.LoopID)
-	rebuilt, err := ex.buildRegionThreads(ld, lc, ubd, entry, chunks)
+	rebuilt, err := ex.buildRegionThreads(lc, ubd, entry, ivInit, chunks)
 	if err != nil {
 		return threads, err
 	}
 	return rebuilt, ex.runRegionRoundRobin(r.LoopID, rebuilt, lc)
 }
 
-// buildRegionThreads constructs the region's guest threads from the
-// loop-entry register snapshot: per-thread contexts with induction
-// variables set to chunk bases, reductions at identity, rebased worker
-// stacks, and the per-thread patched bounds written into lc.BoundValue.
-// Recovery calls it a second time to rebuild untainted threads.
-func (ex *Executor) buildRegionThreads(ld rules.LoopInitData, lc *jrt.LoopCtx, ubd rules.UpdateBoundData, entry func(guest.Reg) uint64, chunks []jrt.Chunk) ([]*jrt.Thread, error) {
+// initRegionCtx points ctx at the start of iteration lo of lc's loop as
+// guest thread (or host worker) id enters it: the loop-entry register
+// snapshot with id's TLS base and rebased stack, induction variables
+// (ivInit holds their loop-entry values) advanced to lo, reductions at
+// identity, vector registers, flags and clocks cleared, PC at the loop
+// head.
+func initRegionCtx(ctx *vm.Context, id int, lc *jrt.LoopCtx, ivInit []int64, lo int64) {
+	ctx.GPR = lc.EntryRegs
+	ctx.GPR[guest.RegTLS] = jrt.TLSFor(id)
+	if id != 0 {
+		ctx.SetReg(guest.SP, jrt.StackTopFor(id))
+	}
+	for j, iv := range lc.Init.Inductions {
+		ctx.SetReg(iv.Reg, uint64(ivInit[j]+iv.Step*lo))
+	}
+	for _, red := range lc.Init.Reductions {
+		ctx.SetReg(red.Reg, jrt.ReductionIdentity(red.Op))
+	}
+	ctx.VReg = [guest.NumVReg][guest.VLEN]float64{}
+	ctx.ZF, ctx.LF = false, false
+	ctx.PC = lc.Init.LoopStart
+	ctx.Cycles, ctx.Insts = 0, 0
+}
+
+// buildRegionThreads constructs the region's guest threads, one per
+// static chunk, each initialised at its chunk base (initRegionCtx) with
+// its patched bound written into lc.BoundValue. Recovery calls it a
+// second time to rebuild untainted threads.
+func (ex *Executor) buildRegionThreads(lc *jrt.LoopCtx, ubd rules.UpdateBoundData, entry func(guest.Reg) uint64, ivInit []int64, chunks []jrt.Chunk) ([]*jrt.Thread, error) {
 	threads := make([]*jrt.Thread, ex.Cfg.Threads)
 	for i := 0; i < ex.Cfg.Threads; i++ {
 		ctx := &vm.Context{ID: i, Bus: ex.views[i]}
-		ctx.GPR = lc.EntryRegs
-		ctx.GPR[guest.RegTLS] = jrt.TLSFor(i)
-		if i != 0 {
-			ctx.SetReg(guest.SP, jrt.StackTopFor(i))
-		}
-		for _, iv := range ld.Inductions {
-			init := iv.Init.Eval(entry, 0)
-			ctx.SetReg(iv.Reg, uint64(init+iv.Step*chunks[i].Lo))
-		}
-		for _, red := range ld.Reductions {
-			ctx.SetReg(red.Reg, jrt.ReductionIdentity(red.Op))
-		}
+		initRegionCtx(ctx, i, lc, ivInit, chunks[i].Lo)
 		bv, err := jrt.PatchedBound(ubd, entry, chunks[i].Hi)
 		if err != nil {
 			return nil, err
 		}
 		lc.BoundValue[i] = bv
-		ctx.PC = ld.LoopStart
 		th := &jrt.Thread{ID: i, Ctx: ctx, Lo: chunks[i].Lo, Hi: chunks[i].Hi, State: jrt.StateScheduled}
 		if chunks[i].Lo >= chunks[i].Hi {
 			th.State = jrt.StateDone

@@ -1,8 +1,9 @@
 package dbm_test
 
-// Recovery tests for the speculative region engines: under every
-// deterministic fault-injection point, a run whose speculative regions
-// fail must roll back, re-execute round-robin and finish bit-identical
+// Recovery tests for the speculative region engine, at one piece per
+// thread ("static") and subdivided for work stealing ("steal"): under
+// every deterministic fault-injection point, a run whose speculative
+// regions fail must roll back, re-execute round-robin and finish bit-identical
 // to a run that never left the round-robin engine — same simulated
 // result AND same stats (minus the engine/recovery counters that
 // legitimately record which path ran). Run with -race these double as
@@ -13,42 +14,18 @@ import (
 	"runtime"
 	"testing"
 
-	"janus/internal/analyzer"
 	"janus/internal/dbm"
 	"janus/internal/faultinject"
-	"janus/internal/workloads"
 )
 
-// runInjected executes one workload with a speculative engine armed
-// with the given injection plan.
+// runInjected runs the speculative engine, at one piece per thread or
+// subdivided, armed with the given injection plan.
 func runInjected(t *testing.T, name string, stealing bool, plan *faultinject.Plan) *dbm.Result {
 	t.Helper()
-	exe, libs, err := workloads.Build(name, workloads.Train, workloads.O3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	prog, err := analyzer.Analyze(exe)
-	if err != nil {
-		t.Fatal(err)
-	}
-	prog.SelectLoops(analyzer.SelectOptions{})
-	sched, err := prog.GenParallelSchedule()
-	if err != nil {
-		t.Fatal(err)
-	}
 	cfg := dbm.DefaultConfig(8)
-	cfg.HostParallel = true
 	cfg.WorkStealing = stealing
 	cfg.Inject = plan
-	ex, err := dbm.New(exe, sched, cfg, libs...)
-	if err != nil {
-		t.Fatal(err)
-	}
-	res, err := ex.Run()
-	if err != nil {
-		t.Fatal(err)
-	}
-	return res
+	return runConfig(t, name, cfg)
 }
 
 // sansRecoveryStats additionally clears the recovery counters: an
@@ -70,10 +47,10 @@ func TestRecoveryBitIdenticalPerPoint(t *testing.T) {
 	rr := runEngine(t, "470.lbm", false)
 	for _, spec := range injectionSpecs {
 		for _, tc := range []struct {
-			engine   string
+			factor   string
 			stealing bool
 		}{{"static", false}, {"steal", true}} {
-			t.Run(spec+"/"+tc.engine, func(t *testing.T) {
+			t.Run(spec+"/"+tc.factor, func(t *testing.T) {
 				plan, err := faultinject.ParsePlan(spec)
 				if err != nil {
 					t.Fatal(err)

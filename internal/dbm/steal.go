@@ -12,59 +12,72 @@ import (
 	"janus/internal/vm"
 )
 
-// Work-stealing region execution.
+// Speculative region execution: the one engine that runs a
+// scan-eligible region (hostpar.go) on host goroutines.
 //
-// Static equal chunking (jrt.PartitionChunked) hands every guest
-// thread the same number of iterations, but iterations need not cost
-// the same: a data-dependent branch or a library call can make one
-// chunk several times more expensive than its siblings, and with one
-// host goroutine per guest thread the cheap workers idle while the
-// expensive one finishes. This engine subdivides each static chunk
-// into up to jrt.StealFactor pieces and lets idle workers steal
-// pieces from a shared set of per-worker deques.
+// The region's static chunks (jrt.PartitionChunked) are subdivided
+// into `factor` pieces per guest thread and run by one host worker per
+// guest thread from a shared set of per-worker deques:
 //
-// The determinism contract is the same as hostpar.go's, and stronger:
-// simulated results must be bit-identical to the *static* partitioner
-// (and hence to the round-robin engine) at any GOMAXPROCS. Work
-// stealing respects it because every subchunk's outcome is a pure
-// function of its iteration range:
+//   - factor 1 is plain static chunking: jrt.PartitionStealing yields
+//     exactly the PartitionChunked chunks, worker w runs guest thread
+//     w's chunk from the loop head to its chunk exit on w's own stack
+//     and TLS, and nothing is stolen. Every loop shape and every
+//     reduction operator runs here.
+//   - factor jrt.StealFactor adds work stealing. Static equal chunking
+//     hands every guest thread the same number of iterations, but
+//     iterations need not cost the same: a data-dependent branch or a
+//     library call can make one chunk several times more expensive
+//     than its siblings, and the cheap workers idle while the
+//     expensive one finishes. With several pieces per thread, idle
+//     workers steal pieces from their siblings' deques.
 //
-//   - Registers: a subchunk's context starts from the loop-entry
-//     snapshot with its induction set to the subchunk base — exactly
+// The determinism contract is hostpar.go's, and stronger: simulated
+// results must be bit-identical to factor 1 (and hence to the
+// round-robin engine) at any factor and any GOMAXPROCS. Subdivision
+// respects it because every piece's outcome is a pure function of its
+// iteration range:
+//
+//   - Registers: a piece's context starts from the loop-entry
+//     snapshot with its induction set to the piece base — exactly
 //     how a static chunk starts, just at a finer grain. Flags and
 //     live-outs come from the final iteration, which lives in the
-//     owner's last subchunk whichever worker runs it.
+//     owner's last piece whichever worker runs it.
 //   - Cycles: dispatch and instruction costs are additive over
 //     iterations, so summing a chunk's pieces equals running it
 //     whole. Translation is charged once per (owner thread, block)
 //     through the executor's charged sets (chargeStealOwner) — the
-//     identical total a static run charges when the owner first
-//     translates the block — no matter which worker, or how many,
-//     actually translated it into their private steal caches.
-//   - Reductions: subchunk partials are merged in ascending iteration
-//     order. Integer ADD is associative, so the merged value matches
-//     the static chunk's sequentially accumulated partial bit for bit;
-//     loops with floating-point reductions are not steal-eligible
-//     (stealEligible) because reassociation would perturb them.
+//     identical total the round-robin engine charges when the owner
+//     first translates the block — no matter which worker, or how
+//     many, actually translated it into their private steal caches.
+//   - Reductions: an owner's first partial is taken verbatim and the
+//     rest are merged into it in ascending iteration order. Integer
+//     ADD is associative, so the merged value matches the chunk's
+//     sequentially accumulated partial bit for bit; any other
+//     operator would be perturbed by the reassociation, so those
+//     loops run at factor 1 (stealFactor), where the single partial
+//     is never re-merged (0.0 + -0.0 and NaN payloads are not
+//     bit-preserving even against the identity).
 //   - Memory: eligibility (hostParEligible) already proves iterations
 //     write disjoint words, so shared memory ends identical. Worker
-//     stacks and TLS scratch above vm.DataHashLimit do depend on which
-//     worker ran which subchunk; they are invisible to DataHash (the
-//     verification contract) and to every figure, but they make the
-//     full-image MemHash schedule-dependent — the one simulated field
-//     work stealing does not pin.
+//     stacks and TLS scratch above vm.DataHashLimit depend on which
+//     worker ran which piece: at factor 1 that is always the owner, so
+//     the full-image MemHash matches round-robin too; under stealing
+//     they are invisible to DataHash (the verification contract) and
+//     to every figure, but they make MemHash schedule-dependent — the
+//     one simulated field work stealing does not pin.
 //
 // The folded result is written back into the per-owner thread
 // structures, so LOOP_FINISH (reduction merge, live-outs, privatised
-// copy-back) runs the same code as the static engines.
+// copy-back) runs the same code as the round-robin engine.
 
-// stealEligible reports whether an eligible host-parallel region may
-// also use the work-stealing partitioner under the current
-// configuration.
-func (ex *Executor) stealEligible(loopID int32, ld rules.LoopInitData) bool {
-	// Threads beyond 64 would overflow the per-block chargeMask.
-	if !ex.Cfg.WorkStealing || ex.Cfg.Threads > 64 {
-		return false
+// stealFactor returns the number of pieces each guest thread's static
+// chunk is subdivided into for an eligible region of this loop:
+// jrt.StealFactor when work stealing is on and the loop can be
+// subdivided exactly, 1 (static chunks, no theft) otherwise.
+func (ex *Executor) stealFactor(loopID int32, ld rules.LoopInitData) int {
+	if !ex.Cfg.WorkStealing {
+		return 1
 	}
 	// The interior-piece discard accounting in runStealWorker is exact
 	// only for top-tested, single-exit loops: the exit test must sit at
@@ -73,27 +86,32 @@ func (ex *Executor) stealEligible(loopID int32, ld rules.LoopInitData) bool {
 	// the only way out of a piece must be that patched bound. Any other
 	// shape keeps static chunks.
 	if ex.boundData[loopID].CmpAddr != ld.LoopStart || len(ex.exitTargets[loopID]) != 1 {
-		return false
+		return 1
 	}
 	for _, red := range ld.Reductions {
 		if red.Op != guest.ADD {
-			return false
+			return 1
 		}
 	}
-	return true
+	return jrt.StealFactor
 }
 
 // chargeStealOwner charges block b's translation cost to the guest
-// thread owning t's current subchunk, the first time any worker
-// executes it for that owner. The owner's charged set accumulates
-// exactly the blocks a static-chunk run of the same region sequence
-// would have translated into the owner's cache, so the folded
-// translation counters — and hence virtual cycles — are bit-identical
-// to the static partitioner whichever worker reaches a block first.
+// thread owning t's current piece, the first time any worker executes
+// it for that owner. The owner's charged set accumulates exactly the
+// blocks a round-robin run of the same region sequence would have
+// translated into the owner's cache, so the folded translation
+// counters — and hence virtual cycles — are bit-identical to it
+// whichever worker reaches a block first.
 func (ex *Executor) chargeStealOwner(t *jrt.Thread, b *tblock) {
-	bit := uint64(1) << uint(t.Owner)
-	if b.chargeMask&bit != 0 {
-		return
+	// chargeMask has one bit for each of the first 64 owners; owners
+	// beyond it take the locked lookup on every block.
+	var bit uint64
+	if t.Owner < 64 {
+		bit = 1 << uint(t.Owner)
+		if b.chargeMask&bit != 0 {
+			return
+		}
 	}
 	ex.stealMu.Lock()
 	set := ex.charged[t.Owner]
@@ -112,26 +130,31 @@ func (ex *Executor) chargeStealOwner(t *jrt.Thread, b *tblock) {
 	b.chargeMask |= bit
 }
 
-// stealDeques is the shared work pool: one deque of subchunk indices
-// per worker, seeded with the worker's own static chunk's pieces.
-// Workers take their own work front-to-back (ascending iterations,
-// best locality) and steal from victims back-to-front.
+// stealDeques is the shared work pool: one deque of piece indices per
+// worker, seeded with the worker's own static chunk's pieces. Workers
+// take their own work front-to-back (ascending iterations, best
+// locality) and, when the region is subdivided, steal from victims
+// back-to-front.
 type stealDeques struct {
 	mu     sync.Mutex
 	queues [][]int
+	// steal is false at one piece per thread: a worker whose own queue
+	// is empty must not run a sibling's whole chunk on its own stack
+	// and TLS.
+	steal bool
 }
 
-func newStealDeques(workers int, chunks []jrt.StealChunk) *stealDeques {
-	d := &stealDeques{queues: make([][]int, workers)}
+func newStealDeques(workers int, chunks []jrt.StealChunk, steal bool) *stealDeques {
+	d := &stealDeques{queues: make([][]int, workers), steal: steal}
 	for i, sc := range chunks {
 		d.queues[sc.Owner] = append(d.queues[sc.Owner], i)
 	}
 	return d
 }
 
-// next returns the next subchunk index for worker w: its own front, or
-// a steal from the back of the first non-empty victim scanning
-// round-robin from w+1. ok=false means no work remains anywhere.
+// next returns the next piece index for worker w: its own front, or,
+// when stealing, the back of the first non-empty victim scanning
+// round-robin from w+1. ok=false means no work remains for w.
 func (d *stealDeques) next(w int) (int, bool) {
 	d.mu.Lock()
 	defer d.mu.Unlock()
@@ -139,6 +162,9 @@ func (d *stealDeques) next(w int) (int, bool) {
 		idx := q[0]
 		d.queues[w] = q[1:]
 		return idx, true
+	}
+	if !d.steal {
+		return 0, false
 	}
 	n := len(d.queues)
 	for off := 1; off < n; off++ {
@@ -152,27 +178,28 @@ func (d *stealDeques) next(w int) (int, bool) {
 	return 0, false
 }
 
-// stealResult is one subchunk's folded outcome, written once by the
+// stealResult is one piece's folded outcome, written once by the
 // worker that executed it.
 type stealResult struct {
 	cycles, insts, steps              int64
 	transBlocks, transInsts, transCyc int64
 	// red[j] is the partial for ld.Reductions[j], accumulated from the
-	// reduction identity over this subchunk's iterations.
+	// reduction identity over this piece's iterations.
 	red []uint64
 }
 
-// runRegionStealing executes the region over work-stealing subchunks
-// and folds the results back into the per-owner threads so the shared
-// LOOP_FINISH path (parallel.go) sees exactly what the static
-// partitioner would have produced.
-func (ex *Executor) runRegionStealing(loopID int32, threads []*jrt.Thread, lc *jrt.LoopCtx, ld rules.LoopInitData, ubd rules.UpdateBoundData, entry func(guest.Reg) uint64, n int64, scanned map[uint64]bool) error {
-	chunks := jrt.PartitionStealing(n, ex.Cfg.Threads, jrt.StealFactor)
+// runRegionSpeculative executes the region on host goroutines over
+// factor pieces per guest thread and folds the results back into the
+// per-owner threads, so the shared LOOP_FINISH path (parallel.go) sees
+// exactly what the round-robin engine would have produced.
+func (ex *Executor) runRegionSpeculative(loopID int32, threads []*jrt.Thread, lc *jrt.LoopCtx, ubd rules.UpdateBoundData, entry func(guest.Reg) uint64, ivInit []int64, n int64, factor int, scanned map[uint64]bool) error {
+	ld := lc.Init
+	chunks := jrt.PartitionStealing(n, ex.Cfg.Threads, factor)
 	if len(chunks) == 0 {
 		return nil
 	}
-	// Deterministic per-subchunk parameters, evaluated on the main
-	// thread so workers never touch the main context.
+	// Deterministic per-piece bounds, evaluated on the main thread so
+	// workers never touch the main context.
 	bounds := make([]uint64, len(chunks))
 	for i, sc := range chunks {
 		bv, err := jrt.PatchedBound(ubd, entry, sc.Hi)
@@ -181,13 +208,11 @@ func (ex *Executor) runRegionStealing(loopID int32, threads []*jrt.Thread, lc *j
 		}
 		bounds[i] = bv
 	}
-	ivInit := make([]int64, len(ld.Inductions))
-	for j, iv := range ld.Inductions {
-		ivInit[j] = iv.Init.Eval(entry, 0)
-	}
-	// ownerLast[o] is the index of owner o's final subchunk (-1 if the
-	// owner's chunk is empty); the last entry overall holds the loop's
-	// final iteration.
+	// ownerLast[o] is the index of owner o's final piece (-1 if the
+	// owner's chunk is empty): the only pieces whose failing exit check
+	// a whole chunk also executes — interior pieces discard theirs (see
+	// runStealWorker). The last entry overall holds the loop's final
+	// iteration.
 	ownerLast := make([]int, len(threads))
 	for o := range ownerLast {
 		ownerLast[o] = -1
@@ -195,30 +220,17 @@ func (ex *Executor) runRegionStealing(loopID int32, threads []*jrt.Thread, lc *j
 	for i, sc := range chunks {
 		ownerLast[sc.Owner] = i
 	}
-	// isLast[i] marks owner-final subchunks: the only pieces whose
-	// failing exit check a static chunk also executes. Interior pieces
-	// discard theirs (see runStealWorker).
-	isLast := make([]bool, len(chunks))
-	for o, i := range ownerLast {
-		if i >= 0 && chunks[i].Owner == o {
-			isLast[i] = true
-		}
-	}
 	final := len(chunks) - 1
 
 	results := make([]stealResult, len(chunks))
-	// ends[o] snapshots the ending registers and flags of owner o's
-	// final subchunk (single writer: whichever worker runs it).
-	type ownerEnd struct {
-		gpr    [guest.NumGPR + 1]uint64
-		zf, lf bool
-	}
-	ends := make([]ownerEnd, len(threads))
 	// privEnd[slot] snapshots the privatised cells as written by the
 	// loop's final iteration, read from the executing worker's TLS the
-	// moment the final subchunk completes.
+	// moment the final piece completes.
 	privEnd := make(map[int32][]byte, len(lc.PrivSlots))
 
+	// One region-wide block budget shared by all workers, matching the
+	// round-robin engine's single per-block guard exactly, so a runaway
+	// region trips after the same MaxSteps total under either engine.
 	var budget atomic.Int64
 	budget.Store(ex.Cfg.MaxSteps)
 	if ex.inj.Fire(faultinject.BudgetExhaust) {
@@ -226,12 +238,18 @@ func (ex *Executor) runRegionStealing(loopID int32, threads []*jrt.Thread, lc *j
 		// backstop on its first block.
 		budget.Store(0)
 	}
+	// failed cancels the siblings of a failing worker: any error sends
+	// the whole region to recovery, so their remaining work is wasted.
+	// Which workers record an error can depend on host scheduling (a
+	// sibling may finish or notice the flag first); the region's
+	// success/failure never does, and the round-robin re-execution —
+	// not the specific message — is what determines the run's outcome.
 	var failed atomic.Bool
 	errs := make([]error, len(threads))
 
-	// Block linking must not leak between the sequential/static caches
-	// and the steal caches: clear the anchors on both sides of the
-	// region (link caches only skip map lookups, so this has no
+	// Block linking must not leak between the sequential/round-robin
+	// caches and the steal caches: clear the anchors on both sides of
+	// the region (link caches only skip map lookups, so this has no
 	// virtual-cycle effect).
 	clearLinks := func() {
 		for i := range ex.lastBlk {
@@ -239,17 +257,13 @@ func (ex *Executor) runRegionStealing(loopID int32, threads []*jrt.Thread, lc *j
 		}
 	}
 	clearLinks()
-	ex.hostParActive = true
-	ex.hostParSet = scanned
-	ex.stealActive = true
+	ex.specSet = scanned
 	defer func() {
-		ex.stealActive = false
-		ex.hostParActive = false
-		ex.hostParSet = nil
+		ex.specSet = nil
 		clearLinks()
 	}()
 
-	deques := newStealDeques(ex.Cfg.Threads, chunks)
+	deques := newStealDeques(ex.Cfg.Threads, chunks, factor > 1)
 	var wg sync.WaitGroup
 	for w := 0; w < ex.Cfg.Threads; w++ {
 		wg.Add(1)
@@ -263,12 +277,13 @@ func (ex *Executor) runRegionStealing(loopID int32, threads []*jrt.Thread, lc *j
 					errs[w] = panicErr(loopID, w, p, debug.Stack())
 				}
 			}()
-			errs[w] = ex.runStealWorker(w, loopID, lc, ld, chunks, bounds, ivInit, isLast, deques, results, &budget, &failed, func(idx int, th *jrt.Thread) {
-				sc := chunks[idx]
-				if idx == ownerLast[sc.Owner] {
-					e := &ends[sc.Owner]
-					e.gpr = th.Ctx.GPR
-					e.zf, e.lf = th.Ctx.ZF, th.Ctx.LF
+			errs[w] = ex.runStealWorker(w, loopID, lc, chunks, bounds, ivInit, ownerLast, deques, results, &budget, &failed, func(idx int, th *jrt.Thread) {
+				if o := chunks[idx].Owner; idx == ownerLast[o] {
+					// The owner's ending registers and flags (single
+					// writer: whichever worker runs its final piece).
+					end := threads[o].Ctx
+					end.GPR = th.Ctx.GPR
+					end.ZF, end.LF = th.Ctx.ZF, th.Ctx.LF
 				}
 				if idx == final {
 					for slot, ps := range lc.PrivSlots {
@@ -281,21 +296,19 @@ func (ex *Executor) runRegionStealing(loopID int32, threads []*jrt.Thread, lc *j
 		}(w)
 	}
 	wg.Wait()
+	// Report the lowest-ID recorded error.
 	for _, err := range errs {
 		if err != nil {
 			return err
 		}
 	}
 
-	// Fold subchunk results into the per-owner threads in deterministic
-	// ascending-iteration order.
+	// Fold piece results into the per-owner threads in deterministic
+	// ascending-iteration order. An owner's first partial is taken
+	// verbatim — merging it into the identity would not preserve every
+	// bit pattern (0.0 + -0.0, NaN payloads) — and only a subdivided
+	// (integer ADD) chunk has further partials to merge into it.
 	acc := make([][]uint64, len(threads))
-	for o := range acc {
-		acc[o] = make([]uint64, len(ld.Reductions))
-		for j, red := range ld.Reductions {
-			acc[o][j] = jrt.ReductionIdentity(red.Op)
-		}
-	}
 	for i := range chunks {
 		o := chunks[i].Owner
 		th := threads[o]
@@ -306,6 +319,10 @@ func (ex *Executor) runRegionStealing(loopID int32, threads []*jrt.Thread, lc *j
 		th.TransBlocks += rec.transBlocks
 		th.TransInsts += rec.transInsts
 		th.TransCycles += rec.transCyc
+		if acc[o] == nil {
+			acc[o] = rec.red
+			continue
+		}
 		for j, red := range ld.Reductions {
 			acc[o][j] = jrt.MergeReduction(red.Op, acc[o][j], rec.red[j])
 		}
@@ -314,8 +331,6 @@ func (ex *Executor) runRegionStealing(loopID int32, threads []*jrt.Thread, lc *j
 		if ownerLast[o] < 0 {
 			continue // empty chunk: keep the as-initialised context
 		}
-		th.Ctx.GPR = ends[o].gpr
-		th.Ctx.ZF, th.Ctx.LF = ends[o].zf, ends[o].lf
 		for j, red := range ld.Reductions {
 			th.Ctx.SetReg(red.Reg, acc[o][j])
 		}
@@ -333,11 +348,12 @@ func (ex *Executor) runRegionStealing(loopID int32, threads []*jrt.Thread, lc *j
 	return nil
 }
 
-// runStealWorker drives worker w: take or steal subchunks until the
-// pool drains, running each from the loop head to its patched-bound
-// exit on a context that is re-initialised from the loop-entry
-// snapshot per subchunk.
-func (ex *Executor) runStealWorker(w int, loopID int32, lc *jrt.LoopCtx, ld rules.LoopInitData, chunks []jrt.StealChunk, bounds []uint64, ivInit []int64, isLast []bool, deques *stealDeques, results []stealResult, budget *atomic.Int64, failed *atomic.Bool, done func(idx int, th *jrt.Thread)) error {
+// runStealWorker drives worker w: take (or steal) pieces until the
+// pool holds none for it, running each from the loop head to its
+// patched-bound exit on a context that is re-initialised from the
+// loop-entry snapshot per piece.
+func (ex *Executor) runStealWorker(w int, loopID int32, lc *jrt.LoopCtx, chunks []jrt.StealChunk, bounds []uint64, ivInit []int64, ownerLast []int, deques *stealDeques, results []stealResult, budget *atomic.Int64, failed *atomic.Bool, done func(idx int, th *jrt.Thread)) error {
+	ld := lc.Init
 	ctx := &vm.Context{ID: w, Bus: ex.views[w]}
 	th := &jrt.Thread{ID: w, Ctx: ctx, State: jrt.StateRunning}
 	for {
@@ -350,21 +366,7 @@ func (ex *Executor) runStealWorker(w int, loopID int32, lc *jrt.LoopCtx, ld rule
 		}
 		sc := chunks[idx]
 		th.Owner = sc.Owner
-		ctx.GPR = lc.EntryRegs
-		ctx.GPR[guest.RegTLS] = jrt.TLSFor(w)
-		if w != 0 {
-			ctx.SetReg(guest.SP, jrt.StackTopFor(w))
-		}
-		for j, iv := range ld.Inductions {
-			ctx.SetReg(iv.Reg, uint64(ivInit[j]+iv.Step*sc.Lo))
-		}
-		for _, red := range ld.Reductions {
-			ctx.SetReg(red.Reg, jrt.ReductionIdentity(red.Op))
-		}
-		ctx.VReg = [guest.NumVReg][guest.VLEN]float64{}
-		ctx.ZF, ctx.LF = false, false
-		ctx.PC = ld.LoopStart
-		ctx.Cycles, ctx.Insts = 0, 0
+		initRegionCtx(ctx, w, lc, ivInit, sc.Lo)
 		lc.BoundValue[w] = bounds[idx]
 
 		for {
@@ -393,16 +395,16 @@ func (ex *Executor) runStealWorker(w int, loopID int32, lc *jrt.LoopCtx, ld rule
 				return regionErr(loopID, w, err)
 			}
 			if lc.IsExit(ctx.PC) {
-				if !isLast[idx] {
+				if idx != ownerLast[sc.Owner] {
 					// Interior piece: its failing exit check is an artefact
-					// of the subdivision — a static chunk flows straight
+					// of the subdivision — a whole chunk flows straight
 					// from this iteration into the next piece's first,
 					// executing the head check once (which the next piece
 					// re-executes as its entry check). Discard the extra
 					// execution — and refund its budget charge — so folded
 					// costs and the runaway threshold match static
 					// chunking exactly. The discarded block is the loop
-					// head (stealEligible pins the shape), which this
+					// head (stealFactor pins the shape), which this
 					// piece already executed at entry, so no translation
 					// charge can hide in the discarded delta.
 					ctx.Cycles, ctx.Insts, th.Steps = preCycles, preInsts, preSteps

@@ -1,9 +1,11 @@
 package dbm_test
 
-// Determinism tests for the work-stealing partitioner: simulated
-// results must be bit-identical to the static equal-chunk partitioner
-// at any GOMAXPROCS, whichever worker steals which piece. The one
-// exception is the full-image MemHash — worker stacks and TLS scratch
+// Determinism tests for the speculative engine's subdivision factor:
+// with each chunk cut into jrt.StealFactor stealable pieces, simulated
+// results must be bit-identical to the same engine at one piece per
+// thread (static chunks, hostpar_test.go) at any GOMAXPROCS, whichever
+// worker steals which piece. The one exception is the full-image
+// MemHash — worker stacks and TLS scratch
 // above vm.DataHashLimit depend on which worker ran which subchunk —
 // so these tests compare everything the determinism contract covers:
 // outputs, virtual cycles, instruction counts, DataHash and stats.
@@ -13,39 +15,16 @@ import (
 	"slices"
 	"testing"
 
-	"janus/internal/analyzer"
 	"janus/internal/dbm"
-	"janus/internal/workloads"
 )
 
-// runStealEngine executes one workload under a statically-parallelised
-// DBM with host-parallel regions and the given partitioner.
+// runStealEngine runs the speculative engine subdivided for work
+// stealing, or at one piece per thread.
 func runStealEngine(t *testing.T, name string, stealing bool) *dbm.Result {
 	t.Helper()
-	exe, libs, err := workloads.Build(name, workloads.Train, workloads.O3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	prog, err := analyzer.Analyze(exe)
-	if err != nil {
-		t.Fatal(err)
-	}
-	prog.SelectLoops(analyzer.SelectOptions{})
-	sched, err := prog.GenParallelSchedule()
-	if err != nil {
-		t.Fatal(err)
-	}
 	cfg := dbm.DefaultConfig(8)
 	cfg.WorkStealing = stealing
-	ex, err := dbm.New(exe, sched, cfg, libs...)
-	if err != nil {
-		t.Fatal(err)
-	}
-	res, err := ex.Run()
-	if err != nil {
-		t.Fatal(err)
-	}
-	return res
+	return runConfig(t, name, cfg)
 }
 
 // samePinnedResult compares every simulated field the determinism
@@ -62,10 +41,10 @@ func TestStealingBitIdenticalToStaticChunks(t *testing.T) {
 			static := runStealEngine(t, name, false)
 			steal := runStealEngine(t, name, true)
 			if static.Stats.StealRegions != 0 {
-				t.Fatalf("static run used the stealing partitioner %d times", static.Stats.StealRegions)
+				t.Fatalf("one-piece run subdivided %d regions", static.Stats.StealRegions)
 			}
 			if steal.Stats.StealRegions == 0 {
-				t.Fatalf("stealing partitioner never engaged (%d host-parallel regions)", steal.Stats.HostParRegions)
+				t.Fatalf("no region was subdivided (%d host-parallel regions)", steal.Stats.HostParRegions)
 			}
 			if !samePinnedResult(static, steal) {
 				t.Errorf("results differ:\n  static %+v\nstealing %+v", static.Result, steal.Result)

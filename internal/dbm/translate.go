@@ -47,7 +47,7 @@ type tblock struct {
 	items []titem
 	// end is the fall-through address after the block.
 	end uint64
-	// hasSyscall marks blocks containing a SYSCALL: the host-parallel
+	// hasSyscall marks blocks containing a SYSCALL: the speculative
 	// engine refuses to execute them (syscalls are schedule-ordered),
 	// turning any unsoundness in the eligibility scan into a loud
 	// error instead of a data race.
@@ -91,7 +91,7 @@ func (ex *Executor) blockFor(t *jrt.Thread, addr uint64) (*tblock, error) {
 		}
 	}
 	cache := ex.caches[t.ID]
-	if ex.stealActive {
+	if ex.specSet != nil {
 		cache = ex.stealCaches[t.ID]
 	}
 	b, ok := cache[addr]
@@ -102,23 +102,16 @@ func (ex *Executor) blockFor(t *jrt.Thread, addr uint64) (*tblock, error) {
 			return nil, err
 		}
 		cache[addr] = b
-		// Translation stats accumulate on the thread (folded into
-		// ex.Stats at deterministic points) so host-parallel threads
-		// translating concurrently never touch shared counters. The
-		// charged set keeps the charge unique per guest thread even
-		// when a work-stealing region already charged this owner for
-		// the block (in which case the static engines would have found
-		// it warm in the owner's cache). Work-stealing regions fill
-		// worker-private stealCaches uncharged here and charge owners
-		// deterministically in chargeStealOwner instead.
-		if !ex.stealActive && !ex.charged[t.ID][addr] {
+		// Translation stats accumulate on the thread and are folded into
+		// ex.Stats at deterministic points. The charged set keeps the
+		// charge unique per guest thread even when a speculative region
+		// already charged this owner for the block (in which case a
+		// round-robin run would have found it warm in the owner's
+		// cache). Speculative regions fill worker-private stealCaches
+		// uncharged here and charge owners deterministically in
+		// chargeStealOwner instead.
+		if ex.specSet == nil && !ex.charged[t.ID][addr] {
 			ex.charged[t.ID][addr] = true
-			if ex.hostParActive {
-				// Journal charges made inside a speculative region so a
-				// recovery can undo exactly these (lock-free: only the
-				// owning thread appends to its own list).
-				ex.chargeUndo[t.ID] = append(ex.chargeUndo[t.ID], addr)
-			}
 			t.TransBlocks++
 			t.TransInsts += int64(len(b.items))
 			cost := int64(len(b.items)) * ex.Cfg.Cost.TransPerInst

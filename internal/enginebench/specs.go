@@ -129,9 +129,10 @@ func benchRunNative(b *testing.B) {
 
 // benchRegion measures a full statically-parallelised DBM run of the
 // lbm train workload (dominated by DOALL parallel regions) under the
-// selected region engine, so the snapshot tracks the round-robin,
-// static host-parallel and work-stealing engines. Simulated results
-// are bit-identical between all three; only host time differs.
+// selected region-engine configuration, so the snapshot tracks the
+// round-robin engine and the speculative engine at one piece per
+// thread (RegionHostParallel) and with work stealing. Simulated
+// results are bit-identical between all three; only host time differs.
 func benchRegion(hostParallel, stealing bool) func(b *testing.B) {
 	return func(b *testing.B) {
 		exe, libs, err := workloads.Build("470.lbm", workloads.Train, workloads.O3)

@@ -1,5 +1,5 @@
 // Package faultinject provides seeded, deterministic fault injection
-// for the speculative region engines. A Plan names one injection point
+// for the speculative region engine. A Plan names one injection point
 // and how often it fires; an Injector carries the per-run state that
 // decides — deterministically, from the region counter and seed —
 // which speculative regions are armed. The package is compiled in
@@ -25,7 +25,7 @@ import (
 	"sync/atomic"
 )
 
-// Point names one injection site inside the speculative engines.
+// Point names one injection site inside the speculative engine.
 type Point int
 
 const (
@@ -44,7 +44,7 @@ const (
 	BudgetExhaust
 
 	// The remaining points are service-level: they fire inside janusd's
-	// request lifecycle rather than inside the speculative engines, so
+	// request lifecycle rather than inside the speculative engine, so
 	// the daemon's robustness machinery (panic containment, deadlines,
 	// load shedding, drain) is testable deterministically. Region
 	// engines never fire them and janusd never fires the region points,

@@ -131,8 +131,9 @@ func DiffShape(shape Shape, seed uint64, o Options) (*Report, error) {
 //  2. the dependence profiler runs on the training build and must
 //     observe exactly the dependences the generator planted (a miss or
 //     a false positive is fatal),
-//  3. the program executes under the round-robin, host-parallel and
-//     work-stealing engines; all three must match native output and
+//  3. the program executes under the round-robin engine and the
+//     speculative engine at one piece per thread ("host-parallel") and
+//     subdivided ("work-stealing"); all three must match native output and
 //     final data hash byte-for-byte, agree on virtual cycles, and —
 //     because selection may only pick truly independent loops — report
 //     zero STM aborts and zero speculation recoveries.
@@ -270,9 +271,10 @@ func RunDiff(k *Kernel, o Options) (*Report, error) {
 		return nil, k.failf("native baseline: %v", err)
 	}
 
-	// Engine matrix: the deterministic round-robin engine, the
-	// host-parallel engine with static chunking, and the work-stealing
-	// engine. All three must agree with native and with each other.
+	// Engine matrix: the deterministic round-robin engine, and the
+	// speculative engine with static chunks (one piece per thread) and
+	// with work stealing. All three must agree with native and with
+	// each other.
 	type engineCfg struct {
 		name         string
 		hostParallel bool

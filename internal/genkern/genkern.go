@@ -14,7 +14,7 @@
 // loop's header address, which the analyser rediscovers independently),
 // and diff.go cross-checks that truth against the analyser's verdict,
 // the profiler's observed dependences, and actual execution under all
-// three region engines. Any disagreement is either a missed
+// three region-engine configurations. Any disagreement is either a missed
 // parallelisation (counted) or a soundness bug (fatal, with a one-line
 // repro command naming the seed).
 package genkern

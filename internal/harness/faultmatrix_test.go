@@ -1,7 +1,9 @@
 package harness
 
-// Fault-injection matrix: every injection point, under both
-// speculative engines, at GOMAXPROCS 1 and N, must leave the full
+// Fault-injection matrix: every injection point, under the default
+// engine configuration (the speculative engine with work stealing on,
+// which still runs the suite's non-subdividable regions at one piece
+// per thread), at GOMAXPROCS 1 and N, must leave the full
 // janus-bench output byte-identical to the committed golden fixture —
 // recovery re-executes every failed region round-robin, and nothing
 // about a recovered run may leak into a figure. Each cell also asserts
@@ -13,43 +15,95 @@ import (
 	"runtime"
 	"testing"
 
+	"janus"
+	"janus/internal/dbm"
 	"janus/internal/faultinject"
+	"janus/internal/workloads"
 )
 
 func TestFaultInjectionMatrix(t *testing.T) {
 	if testing.Short() {
-		t.Skip("16 full-suite renders; run without -short")
+		t.Skip("8 full-suite renders; run without -short")
 	}
 	want := readGolden(t)
 	procsN := max(runtime.NumCPU(), 4)
 	for _, spec := range []string{"scan-defeat", "worker-panic", "stall", "budget"} {
-		for _, engine := range []struct {
-			name   string
-			static bool
-		}{{"steal", false}, {"static", true}} {
-			for _, procs := range []int{1, procsN} {
-				name := fmt.Sprintf("%s/%s/gomaxprocs=%d", spec, engine.name, procs)
-				t.Run(name, func(t *testing.T) {
-					plan, err := faultinject.ParsePlan(spec)
-					if err != nil {
-						t.Fatal(err)
-					}
-					prev := runtime.GOMAXPROCS(procs)
-					defer runtime.GOMAXPROCS(prev)
+		for _, procs := range []int{1, procsN} {
+			name := fmt.Sprintf("%s/steal/gomaxprocs=%d", spec, procs)
+			t.Run(name, func(t *testing.T) {
+				plan, err := faultinject.ParsePlan(spec)
+				if err != nil {
+					t.Fatal(err)
+				}
+				prev := runtime.GOMAXPROCS(procs)
+				defer runtime.GOMAXPROCS(prev)
 
-					o := DefaultOptions()
-					o.StaticPartition = engine.static
-					o.Inject = plan
-					o.Recovery = &RecoveryLog{}
-					diffGolden(t, name, renderSuite(t, o), want)
-					if o.Recovery.ParRecoveries.Load() == 0 {
-						t.Errorf("injection %q never triggered a recovery", spec)
-					}
-					if o.Recovery.DemotedLoops.Load() == 0 {
-						t.Errorf("recovery ran but demoted no loop")
-					}
-				})
+				o := DefaultOptions()
+				o.Inject = plan
+				o.Recovery = &RecoveryLog{}
+				diffGolden(t, name, renderSuite(t, o), want)
+				if o.Recovery.ParRecoveries.Load() == 0 {
+					t.Errorf("injection %q never triggered a recovery", spec)
+				}
+				if o.Recovery.DemotedLoops.Load() == 0 {
+					t.Errorf("recovery ran but demoted no loop")
+				}
+			})
+		}
+	}
+}
+
+// TestDefaultSuiteRunsOnePieceRegions pins that the matrix above covers
+// both subdivision factors of the speculative engine: under default
+// options figure 7's Janus runs send some scan-eligible regions through
+// it at one piece per thread (HostParRegions counts every eligible
+// region, StealRegions only the subdivided ones), and an injected fault
+// in such a region recovers like any other.
+func TestDefaultSuiteRunsOnePieceRegions(t *testing.T) {
+	o := DefaultOptions()
+	run := func(name string, cfg janus.Config, plan *faultinject.Plan) dbm.Stats {
+		t.Helper()
+		exe, libs, err := o.buildRef(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		trainExe, _, err := o.buildTrain(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		cfg = o.engineConfig(cfg)
+		cfg.Threads, cfg.Verify, cfg.TrainExe, cfg.Inject = o.Threads, true, trainExe, plan
+		rep, err := janus.Parallelise(exe, cfg, libs...)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return rep.Stats
+	}
+	plan, err := faultinject.ParsePlan("scan-defeat")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var hostPar, steal int64
+	recovered := false
+	for _, name := range workloads.ParallelisableNames() {
+		for _, cfg := range []janus.Config{{}, {UseProfile: true}, {UseProfile: true, UseChecks: true}} {
+			st := run(name, cfg, nil)
+			hostPar += st.HostParRegions
+			steal += st.StealRegions
+			if !recovered && st.HostParRegions > 0 && st.StealRegions == 0 {
+				// Every speculative region of this run is one-piece, so
+				// any recovery under injection came from one.
+				recovered = true
+				if inj := run(name, cfg, plan); inj.ParRecoveries == 0 {
+					t.Errorf("%s (profile=%v checks=%v): injected one-piece region never recovered (stats %+v)", name, cfg.UseProfile, cfg.UseChecks, inj)
+				}
 			}
 		}
+	}
+	if hostPar <= steal {
+		t.Errorf("default figure 7 ran no one-piece speculative region: HostParRegions %d, StealRegions %d", hostPar, steal)
+	}
+	if !recovered {
+		t.Error("no figure 7 run has only one-piece speculative regions; the injected-recovery check never ran")
 	}
 }

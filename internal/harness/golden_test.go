@@ -85,7 +85,7 @@ func TestGoldenOutput(t *testing.T) {
 // fixture byte for byte.
 func TestGoldenAcrossConfigurations(t *testing.T) {
 	if testing.Short() {
-		t.Skip("full-suite renders across six configurations; run without -short")
+		t.Skip("full-suite renders across five configurations; run without -short")
 	}
 	want := readGolden(t)
 	jobsN := max(runtime.NumCPU(), 4)
@@ -96,7 +96,6 @@ func TestGoldenAcrossConfigurations(t *testing.T) {
 	}{
 		{"jobs=1", func() Options { o := DefaultOptions(); o.Jobs = 1; return o }, 0},
 		{fmt.Sprintf("jobs=%d", jobsN), func() Options { o := DefaultOptions(); o.Jobs = jobsN; return o }, 0},
-		{"static-partition", func() Options { o := DefaultOptions(); o.StaticPartition = true; return o }, 0},
 		{"round-robin", func() Options { o := DefaultOptions(); o.SingleGoroutine = true; return o }, 0},
 		{"gomaxprocs=1", DefaultOptions, 1},
 		{fmt.Sprintf("gomaxprocs=%d", jobsN), DefaultOptions, jobsN},

@@ -7,9 +7,9 @@
 // bounded worker pool (see scheduler.go and RenderAll). Every figure
 // is computed from deterministic virtual cycles and folded back in a
 // fixed order, so the rendered output is byte-identical whatever the
-// Options engine selection (host-parallel or round-robin regions,
-// work-stealing or static partitioning), the Jobs bound, and the host
-// GOMAXPROCS; determinism_test.go and golden_test.go pin all of it.
+// Options engine selection (host-parallel or round-robin regions), the
+// Jobs bound, and the host GOMAXPROCS; determinism_test.go and
+// golden_test.go pin all of it.
 package harness
 
 import (
@@ -37,10 +37,9 @@ const DefaultThreads = 8
 // Options is one harness run's configuration. Experiments receive it
 // per call — nothing is process-global — so concurrent experiments
 // with different options cannot leak engine selection into each other.
-// The engine switches follow janus.Config's convention: the zero value
-// selects the default engines (host-parallel regions, work-stealing
-// partitioner), so a hand-built Options never silently downgrades to
-// the slow paths.
+// The engine switch follows janus.Config's convention: the zero value
+// selects the default engine (eligible regions on host goroutines), so
+// a hand-built Options never silently downgrades to the slow path.
 type Options struct {
 	// Threads is the guest thread count experiments measure at
 	// (figures 8/9 additionally sweep below it).
@@ -53,10 +52,6 @@ type Options struct {
 	// engine instead of running eligible regions on host goroutines
 	// (janus-bench -host-parallel=false).
 	SingleGoroutine bool
-	// StaticPartition forces static equal chunking inside
-	// host-parallel regions instead of the work-stealing partitioner
-	// (janus-bench -steal=false).
-	StaticPartition bool
 	// Inject arms deterministic fault injection inside speculative
 	// regions (janus-bench -inject). Injected faults recover onto the
 	// round-robin engine, so rendered output stays byte-identical; the
@@ -142,7 +137,6 @@ func launch[T any](ctx context.Context, o Options, f func(Options, *scheduler) (
 // plan to one Janus configuration.
 func (o Options) engineConfig(c janus.Config) janus.Config {
 	c.SingleGoroutine = o.SingleGoroutine
-	c.StaticPartition = o.StaticPartition
 	c.Inject = o.Inject
 	c.Cache = o.cache
 	if o.Recovery != nil {
@@ -153,7 +147,7 @@ func (o Options) engineConfig(c janus.Config) janus.Config {
 
 // compilerEngine is the same selection for the modelled compilers.
 func (o Options) compilerEngine() compilers.Engine {
-	return compilers.Engine{HostParallel: !o.SingleGoroutine, WorkStealing: !o.StaticPartition}
+	return compilers.Engine{HostParallel: !o.SingleGoroutine, WorkStealing: true}
 }
 
 // buildRef builds the ref-input O3 binary for a benchmark, through the

@@ -118,10 +118,9 @@ type Request struct {
 	// Threads and Jobs mirror harness.Options (zero = defaults).
 	Threads int `json:"threads,omitempty"`
 	Jobs    int `json:"jobs,omitempty"`
-	// SingleGoroutine / StaticPartition force the deterministic engine
-	// variants; rendered bytes are identical either way.
+	// SingleGoroutine forces the round-robin region engine; rendered
+	// bytes are identical either way.
 	SingleGoroutine bool `json:"single_goroutine,omitempty"`
-	StaticPartition bool `json:"static_partition,omitempty"`
 	// Inject arms region-level fault injection inside this request's
 	// renders (spec grammar of janus-bench -inject).
 	Inject string `json:"inject,omitempty"`
@@ -140,7 +139,6 @@ func (r Request) options(cacheDir string, rec *harness.RecoveryLog, onProgress f
 		o.Jobs = r.Jobs
 	}
 	o.SingleGoroutine = r.SingleGoroutine
-	o.StaticPartition = r.StaticPartition
 	o.CacheDir = cacheDir
 	o.Recovery = rec
 	o.OnProgress = onProgress
@@ -253,14 +251,17 @@ func (j *Job) finish(res *Response) {
 		res.State = StateDone
 	}
 	j.cancel()
+	// The terminal event is appended in the same critical section that
+	// publishes res: a streamer that observes the job finished must
+	// also observe its last line.
 	j.mu.Lock()
 	if j.res == nil {
 		j.res = res
 		j.state = res.State
 	}
+	j.events = append(j.events, "state "+res.State)
 	j.cond.Broadcast()
 	j.mu.Unlock()
-	j.event("state " + res.State)
 }
 
 // Wait blocks until the job finishes or ctx is done, returning the

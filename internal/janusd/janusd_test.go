@@ -488,7 +488,7 @@ func TestDrainDeadlineCancels(t *testing.T) {
 // are refused with typed 400s before touching the pool.
 func TestBadRequests(t *testing.T) {
 	s, base, _ := startServer(t, Config{Workers: 1})
-	for _, body := range []string{`{bad json`, `{"nope":1}`, `{"inject":"not-a-point"}`, `{"table":2,"cache_dir":"/tmp/x"}`} {
+	for _, body := range []string{`{bad json`, `{"nope":1}`, `{"inject":"not-a-point"}`, `{"table":2,"cache_dir":"/tmp/x"}`, `{"table":2,"static_partition":true}`} {
 		res, payload := postJSON(t, base+"/v1/render", body)
 		if res.StatusCode != http.StatusBadRequest {
 			t.Fatalf("body %q: status %d: %s", body, res.StatusCode, payload)

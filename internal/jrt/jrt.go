@@ -87,10 +87,11 @@ type Thread struct {
 	// (the only thread allowed to commit transactions).
 	Oldest bool
 
-	// Owner is the guest thread owning the subchunk this context is
-	// currently executing inside a work-stealing region (equal to ID
-	// outside such regions). Translation costs are charged per owner so
-	// folded counters match static chunking.
+	// Owner is the guest thread owning the piece this context is
+	// currently executing inside a speculative region (always the
+	// worker's own ID at one piece per thread; meaningless outside such
+	// regions). Translation costs are charged per owner so folded
+	// counters match the round-robin engine's.
 	Owner int
 
 	// Steps counts instructions executed by this thread since the DBM
@@ -157,7 +158,8 @@ func PartitionChunked(n int64, parts int) []Chunk {
 // StealFactor is the target number of work-stealing subchunks per
 // thread: PartitionStealing subdivides each static chunk into up to
 // this many pieces, giving idle host workers pieces to steal without
-// changing the guest-visible partition.
+// changing the guest-visible partition. The DBM's speculative engine
+// uses it for loops it can subdivide exactly and factor 1 for the rest.
 const StealFactor = 4
 
 // StealChunk is one work-stealing unit: a contiguous subrange of one
@@ -175,7 +177,8 @@ type StealChunk struct {
 // into up to factor equal pieces, returned in deterministic ascending
 // order (owner-major, then Lo). Empty pieces are omitted; the returned
 // ranges cover [0, n) exactly, and the union of one owner's pieces is
-// exactly that owner's PartitionChunked chunk.
+// exactly that owner's PartitionChunked chunk — so factor 1 yields the
+// non-empty PartitionChunked chunks themselves, one piece per owner.
 func PartitionStealing(n int64, parts, factor int) []StealChunk {
 	if factor < 1 {
 		factor = 1
