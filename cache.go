@@ -37,7 +37,7 @@ import (
 //	native baseline yes     native-v1
 //	train profile   yes     profile-v1
 //	train analysis  yes     —  (a Program is a live CFG/SSA graph)
-//	DBM run         —       dbm-v1  (key spans schedule and config)
+//	DBM run         —       dbm-v2  (key spans schedule and config)
 
 // memoLimit bounds each memory tier (the harness working set is far
 // smaller).
@@ -186,10 +186,13 @@ func decodeProfile(data []byte) (*ProfileResult, error) {
 }
 
 // dbmTier is used through Disk only: a DBM result's identity spans
-// the whole schedule and configuration, and no caller repeats one
-// within a process often enough to hold results in memory.
+// the whole schedule and configuration, and the one caller that repeats
+// runs within a process — the harness, whose figures share runs —
+// holds whole Reports in its per-render run table instead. v2: v1
+// results of binaries with a vector register live into a parallel loop
+// carry the DataHash of a run that dropped it.
 var dbmTier = artcache.Tier[struct{}, *dbm.Result]{
-	Kind:   "dbm-v1",
+	Kind:   "dbm-v2",
 	Encode: dbm.EncodeResult,
 	Decode: dbm.DecodeResult,
 }

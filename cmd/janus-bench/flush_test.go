@@ -52,26 +52,24 @@ func runBench(t *testing.T, args ...string) (string, string, int) {
 	return stdout.String(), stderr.String(), code
 }
 
-// TestCacheCounterLineOnFailedRun: a run that fails partway (here the
-// engine-snapshot write, after the cache-backed benchmarks ran) must
-// still print the artcache counter line to stderr.
+// TestCacheCounterLineOnFailedRun: a render-mode run that dies through
+// the fail path with a cache attached (here: an unparsable -inject
+// spec) must still print the artcache counter line to stderr.
 func TestCacheCounterLineOnFailedRun(t *testing.T) {
 	if testing.Short() {
 		t.Skip("drives the real binary; skipped in -short")
 	}
-	cacheDir := t.TempDir()
-	badPath := filepath.Join(t.TempDir(), "no", "such", "dir", "engine.json")
 	_, stderr, code := runBench(t,
-		"-cache-dir", cacheDir,
-		"-engine-json", badPath,
+		"-cache-dir", t.TempDir(),
+		"-inject", "no-such-point",
 	)
 	if code == 0 {
-		t.Fatalf("writing %s should have failed", badPath)
+		t.Fatal("an unknown injection point should have failed the run")
 	}
 	if !strings.Contains(stderr, "janus-bench: artcache:") {
 		t.Fatalf("failed run swallowed the cache counter line; stderr:\n%s", stderr)
 	}
-	if !strings.Contains(stderr, "engine.json") {
+	if !strings.Contains(stderr, "no-such-point") {
 		t.Fatalf("stderr lacks the underlying error:\n%s", stderr)
 	}
 }

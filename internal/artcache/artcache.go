@@ -25,10 +25,9 @@
 //     unlinks files; a concurrent reader that already opened the entry
 //     keeps its consistent view (POSIX), and one that lost the race
 //     simply misses.
-//   - Versioned invalidation follows the BENCH_engine.json schema-tag
-//     convention: the schema string is folded into every key digest,
-//     so bumping it orphans every old entry at once (the orphans age
-//     out through the LRU bound).
+//   - Versioned invalidation is by schema tag: the schema string is
+//     folded into every key digest, so bumping it orphans every old
+//     entry at once (the orphans age out through the LRU bound).
 package artcache
 
 import (

@@ -6,6 +6,7 @@ import (
 
 	"janus/internal/analyzer"
 	"janus/internal/asm"
+	"janus/internal/faultinject"
 	"janus/internal/guest"
 	"janus/internal/jrt"
 	"janus/internal/obj"
@@ -581,6 +582,89 @@ func TestOnePieceReductionPartialBitExact(t *testing.T) {
 	}
 	if spec.Output[0] != rr.Output[0] || spec.Cycles != rr.Cycles || spec.Insts != rr.Insts || spec.MemHash != rr.MemHash {
 		t.Errorf("speculative run differs from round-robin:\n round-robin %+v\n speculative %+v", rr.Result, spec.Result)
+	}
+}
+
+// TestVectorLiveInReachesRegionThreads: a broadcast hoisted out of the
+// loop (the O3AVX float-stream shape, c[i] = a[i]*w + b[i] four lanes
+// at a time) is a vector register live into the region. Every region
+// context — round-robin thread, speculative piece at either subdivision
+// factor, and the threads rebuilt after a recovery — must start from
+// the loop-entry vector state, so the stored image matches native; the
+// engines must still agree on virtual time.
+func TestVectorLiveInReachesRegionThreads(t *testing.T) {
+	b := asm.NewBuilder("vstream")
+	const n, threads = 256, 4
+	av, bv := make([]float64, n), make([]float64, n)
+	for i := range av {
+		av[i], bv[i] = float64(i)+0.5, float64(n-i)
+	}
+	b.DataF64("a", av)
+	b.DataF64("b", bv)
+	b.Data("c", n*8)
+	f := b.Func("main")
+	loop, done := f.NewLabel(), f.NewLabel()
+	f.MoviData(guest.R8, "a", 0)
+	f.MoviData(guest.R9, "b", 0)
+	f.MoviData(guest.R10, "c", 0)
+	f.MoviF(guest.R11, 0.75)
+	f.I(guest.NewInst(guest.VBCST, 2, guest.R11)) // w, live into the loop
+	f.Movi(guest.R1, 0)
+	f.Bind(loop)
+	f.Cmpi(guest.R1, n)
+	f.J(guest.JGE, done)
+	f.I(guest.NewInstM(guest.VLD, 0, guest.Mem{Base: guest.R8, Index: guest.R1, Scale: 8}))
+	f.I(guest.NewInstM(guest.VLD, 1, guest.Mem{Base: guest.R9, Index: guest.R1, Scale: 8}))
+	f.I(guest.NewInst(guest.VMUL, 0, 2))
+	f.I(guest.NewInst(guest.VADD, 0, 1))
+	f.I(guest.NewInstM(guest.VST, 0, guest.Mem{Base: guest.R10, Index: guest.R1, Scale: 8}))
+	f.OpI(guest.ADDI, guest.R1, 4)
+	f.J(guest.JMP, loop)
+	f.Bind(done)
+	f.Halt()
+	exe, err := b.Build()
+	if err != nil {
+		t.Fatal(err)
+	}
+	native := nativeOf(t, exe)
+	run := func(hostParallel, stealing bool, inject *faultinject.Plan) *Result {
+		cfg := DefaultConfig(threads)
+		cfg.HostParallel, cfg.WorkStealing, cfg.Inject = hostParallel, stealing, inject
+		res, _ := pipelineCfg(t, exe, cfg)
+		if res.Stats.ParRegions == 0 {
+			t.Fatalf("loop was not parallelised: %+v", res.Stats)
+		}
+		return res
+	}
+	rr := run(false, false, nil)
+	if rr.DataHash != native.DataHash {
+		t.Errorf("round-robin: final memory image differs from native")
+	}
+	for _, tc := range []struct {
+		name     string
+		stealing bool
+		inject   *faultinject.Plan
+	}{
+		{"factor-1", false, nil},
+		{"steal-factor", true, nil},
+		{"factor-1/recovered", false, &faultinject.Plan{Point: faultinject.WorkerPanic}},
+		{"steal-factor/recovered", true, &faultinject.Plan{Point: faultinject.WorkerPanic}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			res := run(true, tc.stealing, tc.inject)
+			if res.Stats.HostParRegions == 0 || (res.Stats.StealRegions > 0) != tc.stealing {
+				t.Fatalf("wrong engine shape: %+v", res.Stats)
+			}
+			if (res.Stats.ParRecoveries > 0) != (tc.inject != nil) {
+				t.Fatalf("recoveries = %d with injection %v", res.Stats.ParRecoveries, tc.inject)
+			}
+			if res.DataHash != native.DataHash {
+				t.Errorf("final memory image differs from native")
+			}
+			if res.Cycles != rr.Cycles || res.Insts != rr.Insts || res.MemHash != rr.MemHash {
+				t.Errorf("differs from round-robin:\n round-robin %+v\n speculative %+v", rr.Result, res.Result)
+			}
+		})
 	}
 }
 

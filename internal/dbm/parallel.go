@@ -66,6 +66,7 @@ func (ex *Executor) runParallelLoop(mainT *jrt.Thread, r rules.Rule) (*redirect,
 		PrivSlots:   map[int32]jrt.PrivSlot{},
 	}
 	copy(lc.EntryRegs[:], main.GPR[:])
+	lc.EntryVRegs = main.VReg
 	for slot, pd := range ex.privSlots[r.LoopID] {
 		lc.PrivSlots[slot] = jrt.PrivSlot{
 			SharedAddr: uint64(pd.SharedAddr.Eval(entry, 0)),

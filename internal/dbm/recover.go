@@ -85,10 +85,10 @@ func (ex *Executor) runRegionRecoverable(r rules.Rule, threads []*jrt.Thread, lc
 
 // initRegionCtx points ctx at the start of iteration lo of lc's loop as
 // guest thread (or host worker) id enters it: the loop-entry register
-// snapshot with id's TLS base and rebased stack, induction variables
-// (ivInit holds their loop-entry values) advanced to lo, reductions at
-// identity, vector registers, flags and clocks cleared, PC at the loop
-// head.
+// snapshot (vector registers included) with id's TLS base and rebased
+// stack, induction variables (ivInit holds their loop-entry values)
+// advanced to lo, reductions at identity, flags and clocks cleared, PC
+// at the loop head.
 func initRegionCtx(ctx *vm.Context, id int, lc *jrt.LoopCtx, ivInit []int64, lo int64) {
 	ctx.GPR = lc.EntryRegs
 	ctx.GPR[guest.RegTLS] = jrt.TLSFor(id)
@@ -101,7 +101,7 @@ func initRegionCtx(ctx *vm.Context, id int, lc *jrt.LoopCtx, ivInit []int64, lo 
 	for _, red := range lc.Init.Reductions {
 		ctx.SetReg(red.Reg, jrt.ReductionIdentity(red.Op))
 	}
-	ctx.VReg = [guest.NumVReg][guest.VLEN]float64{}
+	ctx.VReg = lc.EntryVRegs
 	ctx.ZF, ctx.LF = false, false
 	ctx.PC = lc.Init.LoopStart
 	ctx.Cycles, ctx.Insts = 0, 0

@@ -1,8 +1,7 @@
 // Package enginebench holds the shared fixtures for the execution-
-// engine micro-benchmarks. Both the repository go-test benchmarks
-// (internal/vm) and `janus-bench -engine-json` import them, so the
-// committed BENCH_engine.json snapshot measures exactly the workload
-// the in-tree benchmarks measure — the two cannot drift apart.
+// engine micro-benchmarks: one body per row, run through the thin
+// Benchmark* wrappers in internal/vm, internal/dbm and internal/stm
+// (`go test -bench`). The layer-by-layer ledger lives in bench/.
 package enginebench
 
 import (

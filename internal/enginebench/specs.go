@@ -10,10 +10,8 @@ import (
 	"janus/internal/workloads"
 )
 
-// Spec is one shared micro-benchmark: the same body backs the go-test
-// benchmarks (via thin Benchmark* wrappers) and `janus-bench
-// -engine-json`, so the committed snapshot and `go test -bench` cannot
-// measure different workloads.
+// Spec is one shared micro-benchmark body; the go-test benchmarks are
+// thin Benchmark* wrappers that look it up by name.
 type Spec struct {
 	Name string
 	Fn   func(b *testing.B)

@@ -65,6 +65,54 @@ func TestGoldenColdWarmOff(t *testing.T) {
 	if warm.BadEntries != 0 {
 		t.Errorf("store reported corrupt entries on a healthy run: %s", warm)
 	}
+
+	// A warm replay repeats the cold render's lookups one for one: what
+	// a render looks up is a function of the render alone, never of
+	// what the store happened to hold.
+	lookups := cold.Hits + cold.Misses
+	if got := warm.Hits - cold.Hits; got != lookups {
+		t.Errorf("warm render made %d lookups, cold made %d (cold %s, warm %s)", got, lookups, cold, warm)
+	}
+
+	// Every Janus run goes through the per-render run table, so each
+	// spec looks its DBM result up exactly once: per parallelisable
+	// benchmark the full configuration at 1..Threads on O3 (figures 8,
+	// 9, 10, 11, 12 and Table I share them), figure 7's two partial
+	// configurations, figure 12's O2 and O3AVX builds, and figure 7's
+	// bare-DBM run. The store's entry counts give the other kinds'
+	// lookups: each build, native baseline and profile is looked up once
+	// per key behind its memory tier, except that figure 6 and
+	// Parallelise profile the nine parallelisable train builds under
+	// different analyses and so each look that profile up.
+	names := int64(len(workloads.ParallelisableNames()))
+	entries := entriesByKind(t, dir)
+	var others int64
+	for kind, n := range entries {
+		if !strings.HasPrefix(kind, "dbm-") {
+			others += n
+		}
+	}
+	wantDBM := names*(DefaultThreads+2+2) + names
+	if got := lookups - others - names; got != wantDBM {
+		t.Errorf("cold render made %d DBM-result lookups, want %d — one per distinct run (store entries %v, cold %s)",
+			got, wantDBM, entries, cold)
+	}
+}
+
+// entriesByKind counts the store's artifacts per kind directory.
+func entriesByKind(t *testing.T, dir string) map[string]int64 {
+	t.Helper()
+	counts := map[string]int64{}
+	err := filepath.WalkDir(dir, func(path string, d os.DirEntry, err error) error {
+		if err == nil && !d.IsDir() && filepath.Ext(path) == ".art" {
+			counts[filepath.Base(filepath.Dir(path))]++
+		}
+		return err
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return counts
 }
 
 // TestCacheCorruptionHealsAcrossRender corrupts every on-disk artifact

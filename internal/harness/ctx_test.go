@@ -7,6 +7,9 @@ import (
 	"sync"
 	"testing"
 	"time"
+
+	"janus"
+	"janus/internal/workloads"
 )
 
 // TestRenderAllContextPreCanceled: a context cancelled before the
@@ -36,6 +39,57 @@ func TestRenderAllContextPreCanceled(t *testing.T) {
 	}
 	if elapsed := time.Since(start); elapsed > 30*time.Second {
 		t.Fatalf("cancelled render still took %v", elapsed)
+	}
+}
+
+// failedRunRender is a render whose run table already holds a failed
+// run of the one spec figures 7–12 and Table I all project from.
+func failedRunRender(ctx context.Context, bench string, cause error) *render {
+	o := DefaultOptions()
+	r := &render{o: o, s: newScheduler(ctx, o.Jobs, nil)}
+	r.runs.Do(nil, runSpec{bench, workloads.O3, o.Threads, full}, nil, func() (*janus.Report, error) {
+		return nil, cause
+	})
+	return r
+}
+
+// TestFailedSharedRunFailsEveryProjection: a run the table remembers
+// as failed marks every experiment that reads it with the same error,
+// while experiments that never ask for it render normally.
+func TestFailedSharedRunFailsEveryProjection(t *testing.T) {
+	if testing.Short() {
+		t.Skip("most of a full-suite render; run without -short")
+	}
+	boom := errors.New("boom")
+	out, err := renderAll(failedRunRender(context.Background(), "470.lbm", boom), 0, 0)
+	if !errors.Is(err, boom) {
+		t.Fatalf("render error %v does not wrap the failed run's", err)
+	}
+	for _, name := range []string{"fig7", "fig8", "fig9", "fig10", "fig11", "fig12", "tab1"} {
+		if marker := "[" + name + " failed: 470.lbm: boom]\n"; !strings.Contains(out, marker) {
+			t.Errorf("output lacks %q", marker)
+		}
+	}
+	for _, healthy := range []string{"Figure 6:", "Table II:"} {
+		if !strings.Contains(out, healthy) {
+			t.Errorf("%q should render beside the failed experiments", healthy)
+		}
+	}
+	if n := strings.Count(out, "failed:"); n != 7 {
+		t.Errorf("%d failure markers, want 7:\n%s", n, out)
+	}
+}
+
+// TestPreCanceledOutranksFailedRun: cancellation is decided before a
+// row consults the run table, so a dead context reports ErrCanceled
+// even when the table holds a failure for the run the row would read.
+func TestPreCanceledOutranksFailedRun(t *testing.T) {
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	boom := errors.New("boom")
+	_, err := renderAll(failedRunRender(ctx, "470.lbm", boom), 0, 0)
+	if !errors.Is(err, ErrCanceled) || errors.Is(err, boom) {
+		t.Fatalf("want ErrCanceled and no table error, got %v", err)
 	}
 }
 

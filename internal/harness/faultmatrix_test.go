@@ -15,7 +15,6 @@ import (
 	"runtime"
 	"testing"
 
-	"janus"
 	"janus/internal/dbm"
 	"janus/internal/faultinject"
 	"janus/internal/workloads"
@@ -60,20 +59,13 @@ func TestFaultInjectionMatrix(t *testing.T) {
 // region, StealRegions only the subdivided ones), and an injected fault
 // in such a region recovers like any other.
 func TestDefaultSuiteRunsOnePieceRegions(t *testing.T) {
-	o := DefaultOptions()
-	run := func(name string, cfg janus.Config, plan *faultinject.Plan) dbm.Stats {
+	// One render per injection plan: a render's run table holds each
+	// spec once, and the plan is a render-wide option.
+	run := func(name string, mode runMode, plan *faultinject.Plan) dbm.Stats {
 		t.Helper()
-		exe, libs, err := o.buildRef(name)
-		if err != nil {
-			t.Fatal(err)
-		}
-		trainExe, _, err := o.buildTrain(name)
-		if err != nil {
-			t.Fatal(err)
-		}
-		cfg = o.engineConfig(cfg)
-		cfg.Threads, cfg.Verify, cfg.TrainExe, cfg.Inject = o.Threads, true, trainExe, plan
-		rep, err := janus.Parallelise(exe, cfg, libs...)
+		o := DefaultOptions()
+		o.Inject = plan
+		rep, err := (&render{o: o}).janus(name, workloads.O3, o.Threads, mode)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -86,16 +78,16 @@ func TestDefaultSuiteRunsOnePieceRegions(t *testing.T) {
 	var hostPar, steal int64
 	recovered := false
 	for _, name := range workloads.ParallelisableNames() {
-		for _, cfg := range []janus.Config{{}, {UseProfile: true}, {UseProfile: true, UseChecks: true}} {
-			st := run(name, cfg, nil)
+		for _, mode := range []runMode{staticOnly, profiled, full} {
+			st := run(name, mode, nil)
 			hostPar += st.HostParRegions
 			steal += st.StealRegions
 			if !recovered && st.HostParRegions > 0 && st.StealRegions == 0 {
 				// Every speculative region of this run is one-piece, so
 				// any recovery under injection came from one.
 				recovered = true
-				if inj := run(name, cfg, plan); inj.ParRecoveries == 0 {
-					t.Errorf("%s (profile=%v checks=%v): injected one-piece region never recovered (stats %+v)", name, cfg.UseProfile, cfg.UseChecks, inj)
+				if inj := run(name, mode, plan); inj.ParRecoveries == 0 {
+					t.Errorf("%s (%s): injected one-piece region never recovered (stats %+v)", name, mode, inj)
 				}
 			}
 		}

@@ -4,7 +4,11 @@
 // janus-bench command and the repository-level benchmarks drive it.
 //
 // Experiments and their benchmark rows are schedulable units run on a
-// bounded worker pool (see scheduler.go and RenderAll). Every figure
+// bounded worker pool (see scheduler.go and RenderAll). Each distinct
+// Janus run — one binary flavour at one thread count under one
+// configuration — executes once per render, verified against native
+// execution, in the render's run table (render.janus); figures 7–12 and
+// Table I are projections over those shared reports. Every figure
 // is computed from deterministic virtual cycles and folded back in a
 // fixed order, so the rendered output is byte-identical whatever the
 // Options engine selection (host-parallel or round-robin regions), the
@@ -17,6 +21,7 @@ import (
 	"fmt"
 	"math"
 	"runtime"
+	"slices"
 	"sort"
 	"strings"
 	"sync/atomic"
@@ -27,7 +32,6 @@ import (
 	"janus/internal/compilers"
 	"janus/internal/dbm"
 	"janus/internal/faultinject"
-	"janus/internal/obj"
 	"janus/internal/workloads"
 )
 
@@ -74,11 +78,6 @@ type Options struct {
 	// with the cache off, cold, or warm; only wall-clock changes. The
 	// directory is safe to share between concurrent processes.
 	CacheDir string
-
-	// cache is the opened durable store (resolved from CacheDir by
-	// launch; OpenShared dedups per directory so every experiment and the
-	// owning command observe one counter set).
-	cache *artcache.Cache
 }
 
 // RecoveryLog aggregates speculation-recovery counters across the
@@ -110,55 +109,124 @@ func DefaultOptions() Options {
 	}
 }
 
+// render is one launch's shared state: the normalised options, the row
+// scheduler, the opened durable store and the run table every
+// experiment of the launch projects its rows from.
+type render struct {
+	o Options
+	s *scheduler
+	// cache is the durable store resolved from Options.CacheDir
+	// (OpenShared dedups per directory, so every experiment and the
+	// owning command observe one counter set); nil when caching is off.
+	cache *artcache.Cache
+	// runs is the per-render run table: each distinct Janus run executes
+	// once, concurrent askers join it, and a failure is remembered like a
+	// result, so every experiment needing a failed run reports the same
+	// error. It is a memory-only tier that lives and dies with the
+	// render — nothing outlives a request in a long-lived process.
+	runs artcache.Tier[runSpec, *janus.Report]
+}
+
 // launch is the one entry path of every experiment and of RenderAll: it
 // fills unset options with their defaults, opens the durable cache
 // when CacheDir is set — an open failure is returned, never silently
-// degraded to an uncached run — and hands f the scheduler all of its
-// rows share.
-func launch[T any](ctx context.Context, o Options, f func(Options, *scheduler) (T, error)) (T, error) {
+// degraded to an uncached run — and hands f the render state all of its
+// experiments share.
+func launch[T any](ctx context.Context, o Options, f func(*render) (T, error)) (T, error) {
 	if o.Threads <= 0 {
 		o.Threads = DefaultThreads
 	}
 	if o.Jobs <= 0 {
 		o.Jobs = 1
 	}
+	r := &render{o: o, s: newScheduler(ctx, o.Jobs, o.OnProgress)}
 	if o.CacheDir != "" {
 		c, err := artcache.OpenShared(o.CacheDir)
 		if err != nil {
 			var zero T
 			return zero, err
 		}
-		o.cache = c
+		r.cache = c
 	}
-	return f(o, newScheduler(ctx, o.Jobs, o.OnProgress))
+	return f(r)
 }
 
-// engineConfig applies the run's engine selection and fault-injection
-// plan to one Janus configuration.
-func (o Options) engineConfig(c janus.Config) janus.Config {
-	c.SingleGoroutine = o.SingleGoroutine
-	c.Inject = o.Inject
-	c.Cache = o.cache
-	if o.Recovery != nil {
-		c.OnStats = o.Recovery.Fold
+// runMode is how much of the Janus system a run enables: the three
+// parallelising bars of figure 7.
+type runMode uint8
+
+const (
+	staticOnly runMode = iota // statically-driven parallelisation
+	profiled                  // + profile-guided selection
+	full                      // + runtime checks and speculation
+)
+
+func (m runMode) String() string {
+	return [...]string{"static", "static+profile", "static+profile+checks"}[m]
+}
+
+// runSpec names one Janus run of a render: the ref-input build of bench
+// at opt (profiled on the train-input build of the same flavour),
+// parallelised under mode at threads guest threads.
+type runSpec struct {
+	bench   string
+	opt     workloads.OptLevel
+	threads int
+	mode    runMode
+}
+
+// janus returns the verified report of one run from the render's run
+// table, executing it on first request. It is the only place the
+// harness parallelises a binary: figures 7–12 and Table I are
+// projections over what it returns, and every run is checked against
+// native execution (outputs and final memory image) before any figure
+// may read it.
+func (r *render) janus(bench string, opt workloads.OptLevel, threads int, mode runMode) (*janus.Report, error) {
+	return r.runs.Do(nil, runSpec{bench, opt, threads, mode}, nil, func() (*janus.Report, error) {
+		exe, libs, err := workloads.BuildCached(r.cache, bench, workloads.Ref, opt)
+		if err != nil {
+			return nil, err
+		}
+		trainExe, _, err := workloads.BuildCached(r.cache, bench, workloads.Train, opt)
+		if err != nil {
+			return nil, err
+		}
+		rep, err := janus.Parallelise(exe, janus.Config{
+			Threads:         threads,
+			UseProfile:      mode >= profiled,
+			UseChecks:       mode == full,
+			Verify:          true,
+			TrainExe:        trainExe,
+			SingleGoroutine: r.o.SingleGoroutine,
+			Inject:          r.o.Inject,
+			Cache:           r.cache,
+		}, libs...)
+		if err != nil {
+			return nil, fmt.Errorf("%s, %d threads, %s: %w", opt, threads, mode, err)
+		}
+		if r.o.Recovery != nil {
+			r.o.Recovery.Fold(rep.Stats)
+		}
+		return rep, nil
+	})
+}
+
+// rows computes one row per name on the render's scheduler and returns
+// them in name order; a failing row's error is prefixed with its name.
+func rows[T any](r *render, names []string, row func(name string) (T, error)) ([]T, error) {
+	out := make([]T, len(names))
+	err := r.s.forEach(len(names), func(i int) error {
+		v, err := row(names[i])
+		if err != nil {
+			return fmt.Errorf("%s: %w", names[i], err)
+		}
+		out[i] = v
+		return nil
+	})
+	if err != nil {
+		return nil, err
 	}
-	return c
-}
-
-// compilerEngine is the same selection for the modelled compilers.
-func (o Options) compilerEngine() compilers.Engine {
-	return compilers.Engine{HostParallel: !o.SingleGoroutine, WorkStealing: true}
-}
-
-// buildRef builds the ref-input O3 binary for a benchmark, through the
-// durable cache when one is configured.
-func (o Options) buildRef(name string) (*obj.Executable, []*obj.Library, error) {
-	return workloads.BuildCached(o.cache, name, workloads.Ref, workloads.O3)
-}
-
-// buildTrain builds the train-input O3 binary.
-func (o Options) buildTrain(name string) (*obj.Executable, []*obj.Library, error) {
-	return workloads.BuildCached(o.cache, name, workloads.Train, workloads.O3)
+	return out, nil
 }
 
 // geomean of strictly positive values.
@@ -205,63 +273,48 @@ func Figure6(o Options) ([]Fig6Row, error) {
 	return launch(context.Background(), o, figure6)
 }
 
-func figure6(o Options, s *scheduler) ([]Fig6Row, error) {
-	names := workloads.Names()
-	rows := make([]Fig6Row, len(names))
-	err := s.forEach(len(names), func(i int) error {
-		row, err := figure6Row(names[i], o)
+func figure6(r *render) ([]Fig6Row, error) {
+	return rows(r, workloads.Names(), func(name string) (Fig6Row, error) {
+		row := Fig6Row{Bench: name}
+		exe, libs, err := workloads.BuildCached(r.cache, name, workloads.Train, workloads.O3)
 		if err != nil {
-			return fmt.Errorf("%s: %w", names[i], err)
+			return row, err
 		}
-		rows[i] = *row
-		return nil
+		prog, err := analyzer.Analyze(exe)
+		if err != nil {
+			return row, err
+		}
+		pr, err := janus.RunProfilingCached(r.cache, exe, prog, libs...)
+		if err != nil {
+			return row, err
+		}
+		prog.ApplyExclCoverage(pr.ExclCoverage)
+		prog.ApplyDependences(pr.Dependences)
+
+		n := float64(len(prog.Loops))
+		for _, li := range prog.Loops {
+			sf := 1.0 / n
+			df := li.ExclCoverage
+			switch li.Class {
+			case analyzer.ClassStaticDOALL:
+				row.Static.StaticDOALL += sf
+				row.Dynamic.StaticDOALL += df
+			case analyzer.ClassDynDOALL:
+				row.Static.DynDOALL += sf
+				row.Dynamic.DynDOALL += df
+			case analyzer.ClassStaticDep:
+				row.Static.StaticDep += sf
+				row.Dynamic.StaticDep += df
+			case analyzer.ClassDynDep:
+				row.Static.DynDep += sf
+				row.Dynamic.DynDep += df
+			default:
+				row.Static.Incompat += sf
+				row.Dynamic.Incompat += df
+			}
+		}
+		return row, nil
 	})
-	if err != nil {
-		return nil, err
-	}
-	return rows, nil
-}
-
-func figure6Row(name string, o Options) (*Fig6Row, error) {
-	exe, libs, err := o.buildTrain(name)
-	if err != nil {
-		return nil, err
-	}
-	prog, err := analyzer.Analyze(exe)
-	if err != nil {
-		return nil, err
-	}
-	pr, err := janus.RunProfilingCached(o.cache, exe, prog, libs...)
-	if err != nil {
-		return nil, err
-	}
-	prog.ApplyExclCoverage(pr.ExclCoverage)
-	prog.ApplyDependences(pr.Dependences)
-
-	row := Fig6Row{Bench: name}
-	n := float64(len(prog.Loops))
-	for _, li := range prog.Loops {
-		sf := 1.0 / n
-		df := li.ExclCoverage
-		switch li.Class {
-		case analyzer.ClassStaticDOALL:
-			row.Static.StaticDOALL += sf
-			row.Dynamic.StaticDOALL += df
-		case analyzer.ClassDynDOALL:
-			row.Static.DynDOALL += sf
-			row.Dynamic.DynDOALL += df
-		case analyzer.ClassStaticDep:
-			row.Static.StaticDep += sf
-			row.Dynamic.StaticDep += df
-		case analyzer.ClassDynDep:
-			row.Static.DynDep += sf
-			row.Dynamic.DynDep += df
-		default:
-			row.Static.Incompat += sf
-			row.Dynamic.Incompat += df
-		}
-	}
-	return &row, nil
 }
 
 // RenderFigure6 formats the rows as the two stacked-bar tables.
@@ -279,8 +332,8 @@ func RenderFigure6(rows []Fig6Row) string {
 }
 
 // ---------------------------------------------------------------------
-// Figure 7: whole-program speedup at 8 threads under four
-// configurations.
+// Figure 7: whole-program speedup at Options.Threads threads under
+// four configurations.
 // ---------------------------------------------------------------------
 
 // Fig7Row is one benchmark's four bars.
@@ -293,6 +346,7 @@ type Fig7Row struct {
 	PaperRef  float64 // paper's Janus bar for comparison
 	LoopsPar  int
 	ChecksRun int64
+	Threads   int // thread count the three Janus bars were measured at
 }
 
 // Figure7 measures the four configurations on the nine parallelisable
@@ -301,75 +355,46 @@ func Figure7(o Options) ([]Fig7Row, error) {
 	return launch(context.Background(), o, figure7)
 }
 
-func figure7(o Options, s *scheduler) ([]Fig7Row, error) {
-	names := workloads.ParallelisableNames()
-	rows := make([]Fig7Row, len(names))
-	err := s.forEach(len(names), func(i int) error {
-		row, err := figure7Row(names[i], o)
+func figure7(r *render) ([]Fig7Row, error) {
+	return rows(r, workloads.ParallelisableNames(), func(name string) (Fig7Row, error) {
+		row := Fig7Row{Bench: name, Threads: r.o.Threads}
+		exe, libs, err := workloads.BuildCached(r.cache, name, workloads.Ref, workloads.O3)
 		if err != nil {
-			return fmt.Errorf("%s: %w", names[i], err)
+			return row, err
 		}
-		rows[i] = *row
-		return nil
+		bare, err := janus.RunBareDBMCached(r.cache, exe, libs...)
+		if err != nil {
+			return row, err
+		}
+		static, err := r.janus(name, workloads.O3, r.o.Threads, staticOnly)
+		if err != nil {
+			return row, err
+		}
+		prof, err := r.janus(name, workloads.O3, r.o.Threads, profiled)
+		if err != nil {
+			return row, err
+		}
+		rep, err := r.janus(name, workloads.O3, r.o.Threads, full)
+		if err != nil {
+			return row, err
+		}
+		bm, _ := workloads.ByName(name)
+		row.DBMOnly = float64(rep.Native.Cycles) / float64(bare.Cycles)
+		row.Static, row.Profile, row.Janus = static.Speedup(), prof.Speedup(), rep.Speedup()
+		row.PaperRef = bm.PaperSpeedup8T
+		row.LoopsPar, row.ChecksRun = rep.Selected, rep.Stats.ChecksRun
+		return row, nil
 	})
-	if err != nil {
-		return nil, err
-	}
-	return rows, nil
-}
-
-func figure7Row(name string, o Options) (*Fig7Row, error) {
-	exe, libs, err := o.buildRef(name)
-	if err != nil {
-		return nil, err
-	}
-	trainExe, _, err := o.buildTrain(name)
-	if err != nil {
-		return nil, err
-	}
-	native, err := janus.RunNativeBaselineCached(o.cache, exe, libs...)
-	if err != nil {
-		return nil, err
-	}
-	bare, err := janus.RunBareDBMCached(o.cache, exe, libs...)
-	if err != nil {
-		return nil, err
-	}
-	run := func(cfg janus.Config) (*janus.Report, error) {
-		cfg.Threads = o.Threads
-		cfg.Verify = true
-		cfg.TrainExe = trainExe
-		return janus.Parallelise(exe, o.engineConfig(cfg), libs...)
-	}
-	static, err := run(janus.Config{})
-	if err != nil {
-		return nil, err
-	}
-	prof, err := run(janus.Config{UseProfile: true})
-	if err != nil {
-		return nil, err
-	}
-	full, err := run(janus.Config{UseProfile: true, UseChecks: true})
-	if err != nil {
-		return nil, err
-	}
-	bm, _ := workloads.ByName(name)
-	return &Fig7Row{
-		Bench:     name,
-		DBMOnly:   float64(native.Cycles) / float64(bare.Cycles),
-		Static:    static.Speedup(),
-		Profile:   prof.Speedup(),
-		Janus:     full.Speedup(),
-		PaperRef:  bm.PaperSpeedup8T,
-		LoopsPar:  full.Selected,
-		ChecksRun: full.Stats.ChecksRun,
-	}, nil
 }
 
 // RenderFigure7 formats the rows plus the geomean line.
 func RenderFigure7(rows []Fig7Row) string {
 	var b strings.Builder
-	fmt.Fprintf(&b, "Figure 7: speedup vs native, %d threads\n", DefaultThreads)
+	threads := DefaultThreads
+	if len(rows) > 0 {
+		threads = rows[0].Threads
+	}
+	fmt.Fprintf(&b, "Figure 7: speedup vs native, %d threads\n", threads)
 	fmt.Fprintf(&b, "%-16s %8s %8s %8s %8s   %s\n", "benchmark", "DBM", "static", "+prof", "Janus", "paper")
 	var d, s, p, j []float64
 	for _, r := range rows {
@@ -412,45 +437,21 @@ func Figure8(o Options) ([]Fig8Row, error) {
 	return launch(context.Background(), o, figure8)
 }
 
-func figure8(o Options, s *scheduler) ([]Fig8Row, error) {
-	names := workloads.ParallelisableNames()
-	rows := make([]Fig8Row, len(names))
-	err := s.forEach(len(names), func(i int) error {
-		name := names[i]
-		exe, libs, err := o.buildRef(name)
+func figure8(r *render) ([]Fig8Row, error) {
+	return rows(r, workloads.ParallelisableNames(), func(name string) (Fig8Row, error) {
+		row := Fig8Row{Bench: name, Threads: r.o.Threads}
+		one, err := r.janus(name, workloads.O3, 1, full)
 		if err != nil {
-			return err
+			return row, err
 		}
-		trainExe, _, err := o.buildTrain(name)
+		nt, err := r.janus(name, workloads.O3, r.o.Threads, full)
 		if err != nil {
-			return err
-		}
-		run := func(n int) (*janus.Report, error) {
-			return janus.Parallelise(exe, o.engineConfig(janus.Config{
-				Threads: n, UseProfile: true, UseChecks: true, Verify: false, TrainExe: trainExe,
-			}), libs...)
-		}
-		one, err := run(1)
-		if err != nil {
-			return fmt.Errorf("%s: %w", name, err)
-		}
-		nt, err := run(o.Threads)
-		if err != nil {
-			return fmt.Errorf("%s: %w", name, err)
+			return row, err
 		}
 		base := float64(one.DBM.Cycles)
-		rows[i] = Fig8Row{
-			Bench:   name,
-			One:     breakdownOf(one.DBM, base),
-			N:       breakdownOf(nt.DBM, base),
-			Threads: o.Threads,
-		}
-		return nil
+		row.One, row.N = breakdownOf(one.DBM, base), breakdownOf(nt.DBM, base)
+		return row, nil
 	})
-	if err != nil {
-		return nil, err
-	}
-	return rows, nil
 }
 
 func breakdownOf(res *dbm.Result, base float64) Breakdown {
@@ -499,36 +500,18 @@ func Figure9(o Options) ([]Fig9Row, error) {
 	return launch(context.Background(), o, figure9)
 }
 
-func figure9(o Options, s *scheduler) ([]Fig9Row, error) {
-	names := workloads.ParallelisableNames()
-	rows := make([]Fig9Row, len(names))
-	err := s.forEach(len(names), func(i int) error {
-		name := names[i]
-		exe, libs, err := o.buildRef(name)
-		if err != nil {
-			return err
-		}
-		trainExe, _, err := o.buildTrain(name)
-		if err != nil {
-			return err
-		}
+func figure9(r *render) ([]Fig9Row, error) {
+	return rows(r, workloads.ParallelisableNames(), func(name string) (Fig9Row, error) {
 		row := Fig9Row{Bench: name}
-		for n := 1; n <= o.Threads; n++ {
-			rep, err := janus.Parallelise(exe, o.engineConfig(janus.Config{
-				Threads: n, UseProfile: true, UseChecks: true, Verify: false, TrainExe: trainExe,
-			}), libs...)
+		for n := 1; n <= r.o.Threads; n++ {
+			rep, err := r.janus(name, workloads.O3, n, full)
 			if err != nil {
-				return fmt.Errorf("%s@%d: %w", name, n, err)
+				return row, err
 			}
 			row.Speedups = append(row.Speedups, rep.Speedup())
 		}
-		rows[i] = row
-		return nil
+		return row, nil
 	})
-	if err != nil {
-		return nil, err
-	}
-	return rows, nil
 }
 
 // RenderFigure9 formats the scaling table.
@@ -569,43 +552,25 @@ func Figure10(o Options) ([]Fig10Row, error) {
 	return launch(context.Background(), o, figure10)
 }
 
-func figure10(o Options, s *scheduler) ([]Fig10Row, error) {
-	names := workloads.ParallelisableNames()
-	rows := make([]Fig10Row, len(names))
-	err := s.forEach(len(names), func(i int) error {
-		name := names[i]
-		exe, libs, err := o.buildRef(name)
+func figure10(r *render) ([]Fig10Row, error) {
+	return rows(r, workloads.ParallelisableNames(), func(name string) (Fig10Row, error) {
+		rep, err := r.janus(name, workloads.O3, r.o.Threads, full)
 		if err != nil {
-			return err
-		}
-		trainExe, _, err := o.buildTrain(name)
-		if err != nil {
-			return err
-		}
-		rep, err := janus.Parallelise(exe, o.engineConfig(janus.Config{
-			Threads: o.Threads, UseProfile: true, UseChecks: true, Verify: false, TrainExe: trainExe,
-		}), libs...)
-		if err != nil {
-			return fmt.Errorf("%s: %w", name, err)
+			return Fig10Row{}, err
 		}
 		size := rep.Schedule.Size()
 		// Normalise against the code section: the paper's SPEC binaries
 		// read their reference inputs from files, whereas our synthetic
 		// binaries embed them in .data, which would deflate the ratio
 		// meaninglessly.
-		codeSize := len(exe.Code)
-		rows[i] = Fig10Row{
+		codeSize := len(rep.Program.Exe.Code)
+		return Fig10Row{
 			Bench:        name,
 			ScheduleSize: size,
 			BinarySize:   codeSize,
 			Fraction:     float64(size) / float64(codeSize),
-		}
-		return nil
+		}, nil
 	})
-	if err != nil {
-		return nil, err
-	}
-	return rows, nil
 }
 
 // RenderFigure10 formats the size table with the geomean.
@@ -640,60 +605,40 @@ func Figure11(o Options) ([]Fig11Row, error) {
 	return launch(context.Background(), o, figure11)
 }
 
-func figure11(o Options, s *scheduler) ([]Fig11Row, error) {
-	names := workloads.ParallelisableNames()
-	rows := make([]Fig11Row, len(names))
-	err := s.forEach(len(names), func(i int) error {
-		name := names[i]
-		gccExe, libs, err := workloads.BuildCached(o.cache, name, workloads.Ref, workloads.O3)
+func figure11(r *render) ([]Fig11Row, error) {
+	return rows(r, workloads.ParallelisableNames(), func(name string) (Fig11Row, error) {
+		row := Fig11Row{Bench: name}
+		// The modelled compilers run under the render's engine selection.
+		engine := compilers.Engine{HostParallel: !r.o.SingleGoroutine, WorkStealing: true}
+		auto := func(c compilers.Kind, opt workloads.OptLevel) (float64, error) {
+			exe, libs, err := workloads.BuildCached(r.cache, name, workloads.Ref, opt)
+			if err != nil {
+				return 0, err
+			}
+			res, err := compilers.Parallelise(c, exe, r.o.Threads, engine, libs...)
+			if err != nil {
+				return 0, fmt.Errorf("%s: %w", c, err)
+			}
+			return res.Speedup, nil
+		}
+		var err error
+		if row.GccAuto, err = auto(compilers.GCC, workloads.O3); err != nil {
+			return row, err
+		}
+		if row.IccAuto, err = auto(compilers.ICC, workloads.O3AVX); err != nil {
+			return row, err
+		}
+		jg, err := r.janus(name, workloads.O3, r.o.Threads, full)
 		if err != nil {
-			return err
+			return row, err
 		}
-		iccExe, _, err := workloads.BuildCached(o.cache, name, workloads.Ref, workloads.O3AVX)
+		ji, err := r.janus(name, workloads.O3AVX, r.o.Threads, full)
 		if err != nil {
-			return err
+			return row, err
 		}
-		gccTrain, _, err := workloads.BuildCached(o.cache, name, workloads.Train, workloads.O3)
-		if err != nil {
-			return err
-		}
-		iccTrain, _, err := workloads.BuildCached(o.cache, name, workloads.Train, workloads.O3AVX)
-		if err != nil {
-			return err
-		}
-		gccAuto, err := compilers.Parallelise(compilers.GCC, gccExe, o.Threads, o.compilerEngine(), libs...)
-		if err != nil {
-			return fmt.Errorf("%s gcc: %w", name, err)
-		}
-		iccAuto, err := compilers.Parallelise(compilers.ICC, iccExe, o.Threads, o.compilerEngine(), libs...)
-		if err != nil {
-			return fmt.Errorf("%s icc: %w", name, err)
-		}
-		jg, err := janus.Parallelise(gccExe, o.engineConfig(janus.Config{
-			Threads: o.Threads, UseProfile: true, UseChecks: true, Verify: false, TrainExe: gccTrain,
-		}), libs...)
-		if err != nil {
-			return fmt.Errorf("%s janus/gcc: %w", name, err)
-		}
-		ji, err := janus.Parallelise(iccExe, o.engineConfig(janus.Config{
-			Threads: o.Threads, UseProfile: true, UseChecks: true, Verify: false, TrainExe: iccTrain,
-		}), libs...)
-		if err != nil {
-			return fmt.Errorf("%s janus/icc: %w", name, err)
-		}
-		rows[i] = Fig11Row{
-			Bench:    name,
-			GccAuto:  gccAuto.Speedup,
-			JanusGcc: jg.Speedup(),
-			IccAuto:  iccAuto.Speedup,
-			JanusIcc: ji.Speedup(),
-		}
-		return nil
+		row.JanusGcc, row.JanusIcc = jg.Speedup(), ji.Speedup()
+		return row, nil
 	})
-	if err != nil {
-		return nil, err
-	}
-	return rows, nil
 }
 
 // RenderFigure11 formats the comparison.
@@ -728,43 +673,21 @@ func Figure12(o Options) ([]Fig12Row, error) {
 	return launch(context.Background(), o, figure12)
 }
 
-func figure12(o Options, s *scheduler) ([]Fig12Row, error) {
-	names := workloads.ParallelisableNames()
-	rows := make([]Fig12Row, len(names))
-	err := s.forEach(len(names), func(i int) error {
-		name := names[i]
+func figure12(r *render) ([]Fig12Row, error) {
+	return rows(r, workloads.ParallelisableNames(), func(name string) (Fig12Row, error) {
 		row := Fig12Row{Bench: name}
-		for _, opt := range []workloads.OptLevel{workloads.O2, workloads.O3, workloads.O3AVX} {
-			exe, libs, err := workloads.BuildCached(o.cache, name, workloads.Ref, opt)
+		for _, col := range []struct {
+			opt workloads.OptLevel
+			dst *float64
+		}{{workloads.O2, &row.O2}, {workloads.O3, &row.O3}, {workloads.O3AVX, &row.AVX}} {
+			rep, err := r.janus(name, col.opt, r.o.Threads, full)
 			if err != nil {
-				return err
+				return row, err
 			}
-			trainExe, _, err := workloads.BuildCached(o.cache, name, workloads.Train, opt)
-			if err != nil {
-				return err
-			}
-			rep, err := janus.Parallelise(exe, o.engineConfig(janus.Config{
-				Threads: o.Threads, UseProfile: true, UseChecks: true, Verify: false, TrainExe: trainExe,
-			}), libs...)
-			if err != nil {
-				return fmt.Errorf("%s@%s: %w", name, opt, err)
-			}
-			switch opt {
-			case workloads.O2:
-				row.O2 = rep.Speedup()
-			case workloads.O3:
-				row.O3 = rep.Speedup()
-			default:
-				row.AVX = rep.Speedup()
-			}
+			*col.dst = rep.Speedup()
 		}
-		rows[i] = row
-		return nil
+		return row, nil
 	})
-	if err != nil {
-		return nil, err
-	}
-	return rows, nil
 }
 
 // RenderFigure12 formats the optimisation-level table.
@@ -800,56 +723,34 @@ func TableI(o Options) ([]Tab1Row, error) {
 	return launch(context.Background(), o, tableI)
 }
 
-func tableI(o Options, s *scheduler) ([]Tab1Row, error) {
-	names := workloads.ParallelisableNames()
-	slots := make([]*Tab1Row, len(names))
-	err := s.forEach(len(names), func(i int) error {
-		name := names[i]
-		exe, libs, err := o.buildRef(name)
+func tableI(r *render) ([]Tab1Row, error) {
+	all, err := rows(r, workloads.ParallelisableNames(), func(name string) (Tab1Row, error) {
+		row := Tab1Row{Bench: name}
+		rep, err := r.janus(name, workloads.O3, r.o.Threads, full)
 		if err != nil {
-			return err
+			return row, err
 		}
-		trainExe, _, err := o.buildTrain(name)
-		if err != nil {
-			return err
-		}
-		rep, err := janus.Parallelise(exe, o.engineConfig(janus.Config{
-			Threads: o.Threads, UseProfile: true, UseChecks: true, Verify: false, TrainExe: trainExe,
-		}), libs...)
-		if err != nil {
-			return fmt.Errorf("%s: %w", name, err)
-		}
-		loops := 0
 		ranges := 0
-		for _, r := range rep.Schedule.Rules {
-			if d, ok := r.Data.(interface{ NumChecks() int }); ok {
-				loops++
+		for _, rule := range rep.Schedule.Rules {
+			if d, ok := rule.Data.(interface{ NumChecks() int }); ok {
+				row.Loops++
 				ranges += d.NumChecks()
 			}
 		}
-		if loops == 0 {
-			return nil // benchmarks without checks are absent from Table I
+		if row.Loops > 0 {
+			bm, _ := workloads.ByName(name)
+			row.AvgRanges = float64(ranges) / float64(row.Loops)
+			row.PaperRef = bm.PaperChecks
 		}
-		bm, _ := workloads.ByName(name)
-		slots[i] = &Tab1Row{
-			Bench:     name,
-			AvgRanges: float64(ranges) / float64(loops),
-			Loops:     loops,
-			PaperRef:  bm.PaperChecks,
-		}
-		return nil
+		return row, nil
 	})
 	if err != nil {
 		return nil, err
 	}
-	var rows []Tab1Row
-	for _, r := range slots {
-		if r != nil {
-			rows = append(rows, *r)
-		}
-	}
-	sort.Slice(rows, func(i, j int) bool { return rows[i].Bench < rows[j].Bench })
-	return rows, nil
+	// Benchmarks without checks are absent from Table I.
+	all = slices.DeleteFunc(all, func(r Tab1Row) bool { return r.Loops == 0 })
+	sort.Slice(all, func(i, j int) bool { return all[i].Bench < all[j].Bench })
+	return all, nil
 }
 
 // RenderTableI formats the check-count table.

@@ -57,6 +57,16 @@ func TestFigure6ShapeHolds(t *testing.T) {
 	}
 }
 
+// TestFigure7HeaderCarriesMeasuredThreads: the header names the thread
+// count the rows were measured at (TestFigure7ShapeHolds checks the
+// rows carry it), not the default.
+func TestFigure7HeaderCarriesMeasuredThreads(t *testing.T) {
+	out := RenderFigure7([]Fig7Row{{Bench: "470.lbm", Threads: 4}})
+	if head, _, _ := strings.Cut(out, "\n"); !strings.HasSuffix(head, ", 4 threads") {
+		t.Errorf("header %q over rows measured at 4 threads", head)
+	}
+}
+
 func TestFigure7ShapeHolds(t *testing.T) {
 	rows, err := Figure7(seqOptions())
 	if err != nil {
@@ -69,6 +79,9 @@ func TestFigure7ShapeHolds(t *testing.T) {
 	var dbmOnly []float64
 	for _, r := range rows {
 		byName[r.Bench] = r
+		if r.Threads != DefaultThreads {
+			t.Errorf("%s: row says it was measured at %d threads, want %d", r.Bench, r.Threads, DefaultThreads)
+		}
 		dbmOnly = append(dbmOnly, r.DBMOnly)
 		// Bare DBM never speeds things up in this model.
 		if r.DBMOnly > 1.05 {

@@ -14,17 +14,17 @@ import (
 type Experiment struct {
 	// Name is the artefact selector ("fig6".."fig12", "tab1", "tab2").
 	Name   string
-	render func(o Options, s *scheduler) (string, error)
+	render func(*render) (string, error)
 }
 
 // rendered pairs an experiment's row computation with its renderer.
-func rendered[T any](rows func(Options, *scheduler) (T, error), render func(T) string) func(Options, *scheduler) (string, error) {
-	return func(o Options, s *scheduler) (string, error) {
-		r, err := rows(o, s)
+func rendered[T any](rows func(*render) (T, error), text func(T) string) func(*render) (string, error) {
+	return func(r *render) (string, error) {
+		v, err := rows(r)
 		if err != nil {
 			return "", err
 		}
-		return render(r), nil
+		return text(v), nil
 	}
 }
 
@@ -39,7 +39,7 @@ func experiments() []Experiment {
 		{"fig11", rendered(figure11, RenderFigure11)},
 		{"fig12", rendered(figure12, RenderFigure12)},
 		{"tab1", rendered(tableI, RenderTableI)},
-		{"tab2", func(Options, *scheduler) (string, error) { return TableII(), nil }},
+		{"tab2", func(*render) (string, error) { return TableII(), nil }},
 	}
 }
 
@@ -68,12 +68,13 @@ func RenderAll(o Options, fig, table int) (string, error) {
 // service can bound how long a render request may run. Progress events
 // flow to Options.OnProgress when set.
 func RenderAllContext(ctx context.Context, o Options, fig, table int) (string, error) {
-	return launch(ctx, o, func(o Options, s *scheduler) (string, error) {
-		return renderAll(o, s, fig, table)
+	return launch(ctx, o, func(r *render) (string, error) {
+		return renderAll(r, fig, table)
 	})
 }
 
-func renderAll(o Options, s *scheduler, fig, table int) (string, error) {
+func renderAll(r *render, fig, table int) (string, error) {
+	s := r.s
 	runAll := fig == 0 && table == 0
 	var selected []Experiment
 	for _, e := range experiments() {
@@ -98,7 +99,7 @@ func renderAll(o Options, s *scheduler, fig, table int) (string, error) {
 				}
 			}()
 			s.emit(ProgressEvent{Experiment: e.Name, State: "start"})
-			outs[i], errs[i] = e.render(o, s)
+			outs[i], errs[i] = e.render(r)
 			if errs[i] != nil {
 				s.emit(ProgressEvent{Experiment: e.Name, State: "failed", Err: errs[i].Error()})
 			} else {

@@ -265,6 +265,10 @@ type LoopCtx struct {
 	// EntryRegs snapshots the main thread's registers at loop entry so
 	// symbolic expressions can be evaluated during the invocation.
 	EntryRegs [guest.NumGPR + 1]uint64
+	// EntryVRegs is the same snapshot of the vector registers: a
+	// loop-invariant vector live-in (a broadcast hoisted out of the
+	// loop) must reach every region thread.
+	EntryVRegs [guest.NumVReg][guest.VLEN]float64
 	// ExitTargets are the addresses that terminate a thread's chunk.
 	ExitTargets map[uint64]bool
 	// ExitPrimary is the lowest exit target: the single-exit fast path

@@ -8,8 +8,8 @@ import (
 	"janus/internal/vm"
 )
 
-// BenchmarkSTM delegates to the shared engine spec (also run by
-// janus-bench -engine-json), so the snapshot and go-test agree.
+// BenchmarkSTM delegates to the shared engine spec in
+// internal/enginebench.
 func BenchmarkSTM(b *testing.B) { enginebench.ByName("STM").Fn(b) }
 
 // BenchmarkSTMReadHeavy measures the buffered-read fast path (hits the

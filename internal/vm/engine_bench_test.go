@@ -1,9 +1,8 @@
 package vm_test
 
 // Thin wrappers over the shared engine micro-benchmark bodies in
-// internal/enginebench, which janus-bench -engine-json runs verbatim:
-// `go test -bench` and the committed BENCH_engine.json snapshot always
-// measure the same workloads.
+// internal/enginebench, so every package's `go test -bench` rows
+// measure one set of workloads.
 
 import (
 	"testing"

@@ -57,8 +57,9 @@ type Config struct {
 	// results (virtual cycles, figures, memory hashes); this knob only
 	// trades host wall-clock, for debugging and engine A/B runs.
 	SingleGoroutine bool
-	// Verify compares the DBM run's outputs and memory against native
-	// execution and fails on mismatch (default true via Parallelise).
+	// Verify compares the DBM run's outputs and final memory image
+	// against native execution and fails on mismatch. The zero value
+	// skips the comparison; the evaluation harness sets it on every run.
 	Verify bool
 	// Inject arms deterministic fault injection inside the DBM's
 	// speculative region engine (see internal/faultinject). Injected
@@ -67,11 +68,6 @@ type Config struct {
 	// records that the recovery path ran. Nil disables injection at
 	// zero cost.
 	Inject *faultinject.Plan
-	// OnStats, when non-nil, receives the final DBM stats of the
-	// parallelised run (before verification). It lets callers observe
-	// recovery counters (ParRecoveries, DemotedLoops) without plumbing
-	// them through every figure's return value.
-	OnStats func(dbm.Stats)
 	// Cache, when non-nil, is the durable artifact tier: native
 	// baselines, training profiles and DBM results are looked up on
 	// disk by content fingerprint before being recomputed, and
@@ -166,9 +162,6 @@ func Parallelise(exe *obj.Executable, cfg Config, libs ...*obj.Library) (*Report
 	res, err := runDBMCached(cfg.Cache, exe, sched, dcfg, libs...)
 	if err != nil {
 		return nil, fmt.Errorf("janus: DBM run: %w", err)
-	}
-	if cfg.OnStats != nil {
-		cfg.OnStats(res.Stats)
 	}
 
 	if cfg.Verify {

@@ -1,6 +1,7 @@
 package janus
 
 import (
+	"fmt"
 	"testing"
 
 	"janus/internal/workloads"
@@ -29,6 +30,46 @@ func TestParalleliseAllNineBenchmarks(t *testing.T) {
 			t.Logf("%s: %.2fx, %d loops selected, %d regions, %d checks run",
 				name, rep.Speedup(), rep.Selected, rep.Stats.ParRegions, rep.Stats.ChecksRun)
 		})
+	}
+}
+
+// TestVerifyAcrossOptLevelsThreadsEngines is the paper's promise over
+// every binary flavour the harness measures: the full configuration of
+// each parallelisable benchmark at O2, O3 and O3AVX, at 1 and 8
+// threads, under the speculative and the round-robin engine, is
+// indistinguishable from native execution. The O3AVX builds hoist a
+// vector broadcast out of their float-stream loops, so this is also the
+// suite-level check that vector live-ins reach region threads. Not
+// -short-skipped: the race job runs it on host goroutines.
+func TestVerifyAcrossOptLevelsThreadsEngines(t *testing.T) {
+	for _, name := range workloads.ParallelisableNames() {
+		for _, opt := range []workloads.OptLevel{workloads.O2, workloads.O3, workloads.O3AVX} {
+			exe, libs, err := workloads.Build(name, workloads.Ref, opt)
+			if err != nil {
+				t.Fatal(err)
+			}
+			trainExe, _, err := workloads.Build(name, workloads.Train, opt)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, threads := range []int{1, 8} {
+				for _, single := range []bool{false, true} {
+					t.Run(fmt.Sprintf("%s/%s/%dT/single=%t", name, opt, threads, single), func(t *testing.T) {
+						_, err := Parallelise(exe, Config{
+							Threads:         threads,
+							UseProfile:      true,
+							UseChecks:       true,
+							Verify:          true,
+							TrainExe:        trainExe,
+							SingleGoroutine: single,
+						}, libs...)
+						if err != nil {
+							t.Fatal(err)
+						}
+					})
+				}
+			}
+		}
 	}
 }
 
