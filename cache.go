@@ -30,14 +30,21 @@ import (
 // Memory keys are the *obj.Executable pointer plus the library set:
 // the workload build tier returns a stable executable per (name,
 // input, opt), so a pointer can never alias two different programs.
-// Disk keys are content fingerprints, so they survive the process.
-// The disk tier is Config.Cache; nil leaves the memory tier alone.
+// Disk keys are content fingerprints, so they survive the process;
+// hashing a ~10 MB image per lookup would cost more than the replay it
+// keys, so the fingerprint itself is a memory-only stage (identityTier)
+// computed once per executable. The disk tier is Config.Cache; nil
+// leaves the memory tier alone and never derives a disk key.
 //
-//	stage           memory  disk
-//	native baseline yes     native-v1
-//	train profile   yes     profile-v1
-//	train analysis  yes     —  (a Program is a live CFG/SSA graph)
-//	DBM run         —       dbm-v2  (key spans schedule and config)
+//	stage            memory  disk
+//	content identity yes     —  (it is the disk key of the rows below)
+//	native baseline  yes     native-v1
+//	train profile    yes     profile-v1
+//	train analysis   yes     —  (a Program is a live CFG/SSA graph)
+//	DBM run          —       dbm-v2  (key spans schedule and config)
+//	compiler model   —       native-v1 + dbm-v2  (RunScheduleCached under
+//	                         internal/compilers' own schedule and cost
+//	                         model; the baseline is the Janus rows')
 
 // memoLimit bounds each memory tier (the harness working set is far
 // smaller).
@@ -57,9 +64,43 @@ func libsKeyOf(libs []*obj.Library) (libsKey, bool) {
 	return k, true
 }
 
+// runKey is the memory key of a stage that depends on the binary alone.
+type runKey struct {
+	exe  *obj.Executable
+	libs libsKey
+}
+
+// identityLimit bounds identityTier. It sits above the 70 binaries a
+// full-suite render derives keys for, so a long-lived janusd never
+// wraps the bound and re-hashes its working set.
+const identityLimit = 4 * memoLimit
+
+// identityTier memoises binaryKey per (executable, library set), on
+// the contract every pointer-keyed tier here rests on: executables and
+// libraries are never mutated after construction. The memo lives
+// beside the binary rather than inside it — Strip copies the struct,
+// and a digest field would follow the copy into a binary with other
+// symbols. An entry keeps its executable reachable, which is why the
+// tier is bounded at all: the key itself is a few hundred bytes.
+var identityTier = artcache.Tier[runKey, string]{Limit: identityLimit}
+
 // binaryKey is the content identity of (executable, library set): the
-// fingerprint of every mapped image, in load order.
+// fingerprint of every mapped image, in load order, hashed at most
+// once per executable however many stages and configurations key
+// artifacts by it.
 func binaryKey(exe *obj.Executable, libs []*obj.Library) string {
+	lk, ok := libsKeyOf(libs)
+	if !ok {
+		return hashBinary(exe, libs)
+	}
+	k, _ := identityTier.Do(nil, runKey{exe: exe, libs: lk}, nil, func() (string, error) {
+		return hashBinary(exe, libs), nil
+	})
+	return k
+}
+
+// hashBinary computes what binaryKey memoises.
+func hashBinary(exe *obj.Executable, libs []*obj.Library) string {
 	var sb strings.Builder
 	sb.WriteString(exe.Fingerprint())
 	for _, l := range libs {
@@ -75,11 +116,6 @@ func binaryDiskKey(exe *obj.Executable, libs []*obj.Library) func() (artcache.Ke
 	return func() (artcache.Key, bool) {
 		return artcache.Key{Binary: binaryKey(exe, libs)}, true
 	}
-}
-
-type runKey struct {
-	exe  *obj.Executable
-	libs libsKey
 }
 
 var nativeTier = artcache.Tier[runKey, *vm.Result]{
@@ -246,6 +282,7 @@ func runDBMCached(c *artcache.Cache, exe *obj.Executable, sched *rules.Schedule,
 // use it to force the next run through the durable tier; in-flight
 // computations are unaffected.
 func ResetMemos() {
+	identityTier.Reset()
 	nativeTier.Reset()
 	analyzeTier.Reset()
 	profileTier.Reset()

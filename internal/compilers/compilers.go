@@ -17,7 +17,11 @@
 package compilers
 
 import (
+	"fmt"
+
+	"janus"
 	"janus/internal/analyzer"
+	"janus/internal/artcache"
 	"janus/internal/dbm"
 	"janus/internal/obj"
 	"janus/internal/vm"
@@ -78,6 +82,17 @@ type Engine struct {
 // Parallelise runs the modelled compiler over exe with the given thread
 // count and returns the achieved speedup.
 func Parallelise(kind Kind, exe *obj.Executable, threads int, eng Engine, libs ...*obj.Library) (*Result, error) {
+	return ParalleliseCached(nil, kind, exe, threads, eng, libs...)
+}
+
+// ParalleliseCached is Parallelise backed by a durable artifact cache.
+// The model owns only its loop selection and cost model; the native
+// baseline and the simulated run are janus's cached stages, so the
+// baseline is the one Janus's own rows of the same binary use, a warm
+// store replays the run instead of simulating it, and the run is
+// verified against native execution like every Janus run. Nil c is
+// exactly Parallelise.
+func ParalleliseCached(c *artcache.Cache, kind Kind, exe *obj.Executable, threads int, eng Engine, libs ...*obj.Library) (*Result, error) {
 	prog, err := analyzer.Analyze(exe)
 	if err != nil {
 		return nil, err
@@ -109,10 +124,6 @@ func Parallelise(kind Kind, exe *obj.Executable, threads int, eng Engine, libs .
 		return nil, err
 	}
 
-	native, err := vm.RunNative(exe, libs...)
-	if err != nil {
-		return nil, err
-	}
 	cfg := dbm.Config{
 		Threads:          threads,
 		Parallel:         true,
@@ -122,13 +133,12 @@ func Parallelise(kind Kind, exe *obj.Executable, threads int, eng Engine, libs .
 		MaxSteps:         vm.DefaultMaxSteps,
 		Cost:             staticCost(),
 	}
-	ex, err := dbm.New(exe, sched, cfg, libs...)
+	native, res, err := janus.RunScheduleCached(c, exe, sched, cfg, libs...)
 	if err != nil {
 		return nil, err
 	}
-	res, err := ex.Run()
-	if err != nil {
-		return nil, err
+	if err := janus.Verify(native, res); err != nil {
+		return nil, fmt.Errorf("compilers: %s model of %s: %w", kind, exe.Name, err)
 	}
 	selected := 0
 	for _, li := range prog.Loops {

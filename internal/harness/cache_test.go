@@ -78,12 +78,14 @@ func TestGoldenColdWarmOff(t *testing.T) {
 	// spec looks its DBM result up exactly once: per parallelisable
 	// benchmark the full configuration at 1..Threads on O3 (figures 8,
 	// 9, 10, 11, 12 and Table I share them), figure 7's two partial
-	// configurations, figure 12's O2 and O3AVX builds, and figure 7's
-	// bare-DBM run. The store's entry counts give the other kinds'
-	// lookups: each build, native baseline and profile is looked up once
-	// per key behind its memory tier, except that figure 6 and
-	// Parallelise profile the nine parallelisable train builds under
-	// different analyses and so each look that profile up.
+	// configurations, figure 12's O2 and O3AVX builds, figure 7's
+	// bare-DBM run, and figure 11's two modelled compilers, which are
+	// clients of the same dbm tier under their own schedule and cost
+	// model. The store's entry counts give the other kinds' lookups:
+	// each build, native baseline and profile is looked up once per key
+	// behind its memory tier, except that figure 6 and Parallelise
+	// profile the nine parallelisable train builds under different
+	// analyses and so each look that profile up.
 	names := int64(len(workloads.ParallelisableNames()))
 	entries := entriesByKind(t, dir)
 	var others int64
@@ -92,10 +94,75 @@ func TestGoldenColdWarmOff(t *testing.T) {
 			others += n
 		}
 	}
-	wantDBM := names*(DefaultThreads+2+2) + names
+	wantDBM := names*(DefaultThreads+2+2) + names + 2*names
 	if got := lookups - others - names; got != wantDBM {
 		t.Errorf("cold render made %d DBM-result lookups, want %d — one per distinct run (store entries %v, cold %s)",
 			got, wantDBM, entries, cold)
+	}
+	// The modelled compilers measure against the native baseline of the
+	// build they share with a Janus row (O3 for gcc, O3AVX for icc), so
+	// the baselines stay one per ref build of figure 12's three levels.
+	if got, want := entries["native-v1"], 3*names; got != want {
+		t.Errorf("store holds %d native baselines, want %d — one per parallelisable ref build (store entries %v)", got, want, entries)
+	}
+}
+
+// TestFigure11EnginesDoNotShareRuns: figure 11 — the Janus rows and the
+// modelled compilers alike — replays wholly from a warm store, and a
+// round-robin render of it replays everything but the DBM runs: the
+// engine selection is part of every dbm key, so one engine's stored
+// Stats are never served as the other's.
+func TestFigure11EnginesDoNotShareRuns(t *testing.T) {
+	if testing.Short() {
+		t.Skip("three figure-11 renders; run without -short")
+	}
+	dir := t.TempDir()
+	cache, err := artcache.OpenShared(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	o := DefaultOptions()
+	o.CacheDir = dir
+	fig11 := func(o Options) (string, artcache.Stats) {
+		t.Helper()
+		resetMemoryTiers()
+		before := cache.Stats()
+		rows, err := Figure11(o)
+		if err != nil {
+			t.Fatal(err)
+		}
+		after := cache.Stats()
+		return RenderFigure11(rows), artcache.Stats{Hits: after.Hits - before.Hits, Misses: after.Misses - before.Misses}
+	}
+
+	want, _ := fig11(o)
+	if !strings.Contains(readGolden(t), want) {
+		t.Fatal("figure 11 render not found inside the golden fixture")
+	}
+	stored := entriesByKind(t, dir)
+
+	got, warm := fig11(o)
+	if got != want || warm.Misses != 0 {
+		t.Errorf("warm figure 11 was not a replay (%s)", warm)
+	}
+
+	o.SingleGoroutine = true
+	got, rr := fig11(o)
+	if got != want {
+		t.Error("round-robin figure 11 renders differently")
+	}
+	if rr.Misses != stored["dbm-v2"] || rr.Hits != warm.Hits-stored["dbm-v2"] {
+		t.Errorf("round-robin render on the default engine's store: %s — want exactly the %d DBM runs missed", rr, stored["dbm-v2"])
+	}
+	now := entriesByKind(t, dir)
+	for kind, n := range stored {
+		want := n
+		if kind == "dbm-v2" {
+			want *= 2
+		}
+		if now[kind] != want {
+			t.Errorf("%s: %d entries after the second engine, want %d", kind, now[kind], want)
+		}
 	}
 }
 

@@ -615,7 +615,7 @@ func figure11(r *render) ([]Fig11Row, error) {
 			if err != nil {
 				return 0, err
 			}
-			res, err := compilers.Parallelise(c, exe, r.o.Threads, engine, libs...)
+			res, err := compilers.ParalleliseCached(r.cache, c, exe, r.o.Threads, engine, libs...)
 			if err != nil {
 				return 0, fmt.Errorf("%s: %w", c, err)
 			}

@@ -15,6 +15,7 @@ import (
 	"encoding/binary"
 	"encoding/hex"
 	"fmt"
+	"io"
 	"sort"
 
 	"janus/internal/guest"
@@ -174,36 +175,93 @@ func (l *Library) InCode(addr uint64) bool {
 
 const magic = "JEXE0001"
 
-// Save serialises the executable to a byte image (our "file format").
-func (e *Executable) Save() []byte {
-	var buf bytes.Buffer
-	buf.WriteString(magic)
-	writeStr(&buf, e.Name)
-	w64 := func(v uint64) { _ = binary.Write(&buf, binary.LittleEndian, v) }
-	w64(e.Entry)
-	w64(e.CodeBase)
-	w64(uint64(len(e.Code)))
-	buf.Write(e.Code)
-	w64(e.DataBase)
-	w64(uint64(len(e.Data)))
-	buf.Write(e.Data)
+// encoder writes the canonical little-endian encoding that Save and
+// both Fingerprints share. Its sinks — a byte counter, a pre-sized
+// buffer, a hash — never fail, so write errors are not carried.
+type encoder struct {
+	w   io.Writer
+	tmp [8]byte
+}
+
+func (enc *encoder) u8(v byte) {
+	enc.tmp[0] = v
+	enc.w.Write(enc.tmp[:1])
+}
+
+func (enc *encoder) u64(v uint64) {
+	binary.LittleEndian.PutUint64(enc.tmp[:], v)
+	enc.w.Write(enc.tmp[:])
+}
+
+func (enc *encoder) str(s string) {
+	enc.u64(uint64(len(s)))
+	io.WriteString(enc.w, s)
+}
+
+// section writes a mapped byte range: load address, length, bytes.
+func (enc *encoder) section(base uint64, b []byte) {
+	enc.u64(base)
+	enc.u64(uint64(len(b)))
+	enc.w.Write(b)
+}
+
+func (enc *encoder) symbols(syms []Symbol) {
+	enc.u64(uint64(len(syms)))
+	for _, s := range syms {
+		enc.str(s.Name)
+		enc.u64(s.Addr)
+		enc.u64(s.Size)
+		enc.u8(byte(s.Kind))
+	}
+}
+
+// encode streams the executable's file image into w.
+func (e *Executable) encode(w io.Writer) {
+	enc := encoder{w: w}
+	io.WriteString(w, magic)
+	enc.str(e.Name)
+	enc.u64(e.Entry)
+	enc.section(e.CodeBase, e.Code)
+	enc.section(e.DataBase, e.Data)
 	if e.Stripped {
-		buf.WriteByte(1)
+		enc.u8(1)
 	} else {
-		buf.WriteByte(0)
+		enc.u8(0)
 	}
-	w64(uint64(len(e.Symbols)))
-	for _, s := range e.Symbols {
-		writeStr(&buf, s.Name)
-		w64(s.Addr)
-		w64(s.Size)
-		buf.WriteByte(byte(s.Kind))
-	}
-	w64(uint64(len(e.Imports)))
+	enc.symbols(e.Symbols)
+	enc.u64(uint64(len(e.Imports)))
 	for _, im := range e.Imports {
-		writeStr(&buf, im.Name)
-		w64(im.PLT)
+		enc.str(im.Name)
+		enc.u64(im.PLT)
 	}
+}
+
+// encode streams the library's canonical encoding (name, base, code,
+// symbol table) into w.
+func (l *Library) encode(w io.Writer) {
+	enc := encoder{w: w}
+	enc.str(l.Name)
+	enc.section(l.Base, l.Code)
+	enc.symbols(l.Symbols)
+}
+
+// byteCount is the sink that measures an encoding without holding it.
+type byteCount int
+
+func (n *byteCount) Write(p []byte) (int, error) {
+	*n += byteCount(len(p))
+	return len(p), nil
+}
+
+// Save serialises the executable to a byte image (our "file format").
+// The image is measured first, so a ~10 MB build is written into one
+// allocation of exactly its length instead of through a doubling
+// buffer.
+func (e *Executable) Save() []byte {
+	var n byteCount
+	e.encode(&n)
+	buf := bytes.NewBuffer(make([]byte, 0, n))
+	e.encode(buf)
 	return buf.Bytes()
 }
 
@@ -290,39 +348,24 @@ func Load(img []byte) (*Executable, error) {
 	return e, nil
 }
 
-func writeStr(buf *bytes.Buffer, s string) {
-	_ = binary.Write(buf, binary.LittleEndian, uint64(len(s)))
-	buf.WriteString(s)
+// fingerprint hashes what encode streams, without materialising it.
+func fingerprint(encode func(io.Writer)) string {
+	h := sha256.New()
+	encode(h)
+	return hex.EncodeToString(h.Sum(nil))
 }
 
 // Fingerprint returns the hex SHA-256 of the executable's serialised
-// image: the content-address used by the durable artifact cache
+// image — sha256(Save()), streamed into the hasher rather than built
+// first: the content-address used by the durable artifact cache
 // (internal/artcache) to key every derived artifact (native baselines,
 // training profiles, DBM results) by the exact binary they came from.
 // Every semantic field of an Executable is part of Save, so two
 // executables with equal fingerprints are indistinguishable to the
 // analyser, the VM and the DBM.
-func (e *Executable) Fingerprint() string {
-	sum := sha256.Sum256(e.Save())
-	return hex.EncodeToString(sum[:])
-}
+func (e *Executable) Fingerprint() string { return fingerprint(e.encode) }
 
 // Fingerprint returns the hex SHA-256 of the library's canonical
 // encoding (name, base, code, symbol table), mirroring
 // Executable.Fingerprint for artifact-cache keys.
-func (l *Library) Fingerprint() string {
-	var buf bytes.Buffer
-	writeStr(&buf, l.Name)
-	_ = binary.Write(&buf, binary.LittleEndian, l.Base)
-	_ = binary.Write(&buf, binary.LittleEndian, uint64(len(l.Code)))
-	buf.Write(l.Code)
-	_ = binary.Write(&buf, binary.LittleEndian, uint64(len(l.Symbols)))
-	for _, s := range l.Symbols {
-		writeStr(&buf, s.Name)
-		_ = binary.Write(&buf, binary.LittleEndian, s.Addr)
-		_ = binary.Write(&buf, binary.LittleEndian, s.Size)
-		buf.WriteByte(byte(s.Kind))
-	}
-	sum := sha256.Sum256(buf.Bytes())
-	return hex.EncodeToString(sum[:])
-}
+func (l *Library) Fingerprint() string { return fingerprint(l.encode) }

@@ -148,24 +148,19 @@ func Parallelise(exe *obj.Executable, cfg Config, libs ...*obj.Library) (*Report
 		return nil, fmt.Errorf("janus: schedule generation: %w", err)
 	}
 
-	native, err := RunNativeBaselineCached(cfg.Cache, exe, libs...)
-	if err != nil {
-		return nil, fmt.Errorf("janus: native run: %w", err)
-	}
-
 	dcfg := dbm.DefaultConfig(cfg.Threads)
 	dcfg.HostParallel = !cfg.SingleGoroutine
 	dcfg.Inject = cfg.Inject
 	if cfg.Cost != nil {
 		dcfg.Cost = *cfg.Cost
 	}
-	res, err := runDBMCached(cfg.Cache, exe, sched, dcfg, libs...)
+	native, res, err := RunScheduleCached(cfg.Cache, exe, sched, dcfg, libs...)
 	if err != nil {
-		return nil, fmt.Errorf("janus: DBM run: %w", err)
+		return nil, err
 	}
 
 	if cfg.Verify {
-		if err := verify(native, res); err != nil {
+		if err := Verify(native, res); err != nil {
 			return nil, err
 		}
 	}
@@ -186,11 +181,31 @@ func Parallelise(exe *obj.Executable, cfg Config, libs ...*obj.Library) (*Report
 	}, nil
 }
 
-// verify compares the DBM result against native execution. It reads
-// res.DataHash rather than asking a live Executor: the two are the
-// same hash (Run records ex.DataHash() into the Result), and a
-// cache-replayed result has no Executor behind it.
-func verify(native *vm.Result, res *dbm.Result) error {
+// RunScheduleCached is the execution half of Parallelise, for callers
+// that bring their own rewrite schedule and DBM configuration (figure
+// 11's modelled compilers): exe's native baseline and its run under
+// sched and dcfg, each through its cached stage, so a binary shared
+// with a Janus run shares that run's baseline and a warm store replays
+// both. Nil c keeps the baseline's in-memory memo and always runs the
+// DBM.
+func RunScheduleCached(c *artcache.Cache, exe *obj.Executable, sched *rules.Schedule, dcfg dbm.Config, libs ...*obj.Library) (*vm.Result, *dbm.Result, error) {
+	native, err := RunNativeBaselineCached(c, exe, libs...)
+	if err != nil {
+		return nil, nil, fmt.Errorf("janus: native run: %w", err)
+	}
+	res, err := runDBMCached(c, exe, sched, dcfg, libs...)
+	if err != nil {
+		return nil, nil, fmt.Errorf("janus: DBM run: %w", err)
+	}
+	return native, res, nil
+}
+
+// Verify compares a DBM result against native execution of the same
+// binary: outputs and final memory image. It reads res.DataHash rather
+// than asking a live Executor: the two are the same hash (Run records
+// ex.DataHash() into the Result), and a cache-replayed result has no
+// Executor behind it.
+func Verify(native *vm.Result, res *dbm.Result) error {
 	if len(native.Output) != len(res.Output) {
 		return fmt.Errorf("janus: verification failed: %d outputs vs %d native", len(res.Output), len(native.Output))
 	}
