@@ -5,8 +5,9 @@ import (
 	"crypto/sha256"
 	"encoding/hex"
 	"encoding/json"
+	"errors"
 	"fmt"
-	"strings"
+	"slices"
 
 	"janus/internal/analyzer"
 	"janus/internal/artcache"
@@ -17,34 +18,42 @@ import (
 )
 
 // Cached stages. Native execution, the training profile, the train
-// analysis and a DBM run are deterministic functions of the binary
+// analysis, the plan (analysis → training → selection → rewrite
+// schedule) and a DBM run are deterministic functions of the binary
 // (plus schedule and configuration), and the evaluation harness asks
 // for the same ones many times: figure 9 alone replays one binary at
 // eight thread counts, each replay needing the identical native result
-// and train profile, and with the experiment scheduler several rows
-// ask concurrently. Each stage is therefore one artcache.Tier instance
-// — memory singleflight → disk → compute → publish, written once in
+// and plan, and with the experiment scheduler several rows ask
+// concurrently. Each stage is therefore one artcache.Tier instance —
+// memory singleflight → disk → compute → publish, written once in
 // internal/artcache — and this file only declares what distinguishes
 // them: the memory key, the disk key and the payload codec.
 //
-// Memory keys are the *obj.Executable pointer plus the library set:
-// the workload build tier returns a stable executable per (name,
-// input, opt), so a pointer can never alias two different programs.
-// Disk keys are content fingerprints, so they survive the process;
-// hashing a ~10 MB image per lookup would cost more than the replay it
-// keys, so the fingerprint itself is a memory-only stage (identityTier)
-// computed once per executable. The disk tier is Config.Cache; nil
-// leaves the memory tier alone and never derives a disk key.
+// Every stage takes the binary as an *obj.Binary handle. The handle
+// pointer is the memory key (workloads.Open returns a stable handle per
+// (name, input, opt), BinaryOf one per executable pointer, so a pointer
+// can never alias two different programs); the handle's ID — recorded
+// beside a stored build, or hashed once from a resident image — is the
+// content identity in every disk key; and the image is asked for only
+// inside a computation, so a stage replayed from the store never loads
+// it. The disk tier is Config.Cache; nil leaves the memory tier alone
+// and never derives a disk key, so no identity is ever hashed.
 //
 //	stage            memory  disk
-//	content identity yes     —  (it is the disk key of the rows below)
+//	binary handle    yes     ident-v1  (internal/workloads: identity + code
+//	                         size beside build-v1; BinaryOf's handles of
+//	                         resident images are memory-only)
 //	native baseline  yes     native-v1
 //	train profile    yes     profile-v1
 //	train analysis   yes     —  (a Program is a live CFG/SSA graph)
+//	plan             —       schedule-v1  (the rewrite schedule and the
+//	                         loop summary the figures read: the OFFLINE
+//	                         half; a hit skips analysis, profile and image)
 //	DBM run          —       dbm-v2  (key spans schedule and config)
-//	compiler model   —       native-v1 + dbm-v2  (RunScheduleCached under
-//	                         internal/compilers' own schedule and cost
-//	                         model; the baseline is the Janus rows')
+//	compiler model   —       schedule-v1 + native-v1 + dbm-v2  (the plan
+//	                         under internal/compilers' selection, then
+//	                         RunScheduleBinary under its cost model; the
+//	                         baseline is the Janus rows')
 
 // memoLimit bounds each memory tier (the harness working set is far
 // smaller).
@@ -53,8 +62,8 @@ const memoLimit = 64
 // libsKey folds a library pointer set into a comparable key.
 type libsKey [4]*obj.Library
 
-// libsKeyOf reports ok=false for a set too large to key; callers then
-// skip the memory tier instead of aliasing keys.
+// libsKeyOf reports ok=false for a set too large to key; BinaryOf then
+// hands out a fresh handle instead of aliasing keys.
 func libsKeyOf(libs []*obj.Library) (libsKey, bool) {
 	var k libsKey
 	if len(libs) > len(k) {
@@ -64,65 +73,108 @@ func libsKeyOf(libs []*obj.Library) (libsKey, bool) {
 	return k, true
 }
 
-// runKey is the memory key of a stage that depends on the binary alone.
+// runKey identifies a resident image: the executable pointer plus the
+// library set.
 type runKey struct {
 	exe  *obj.Executable
 	libs libsKey
 }
 
-// identityLimit bounds identityTier. It sits above the 70 binaries a
-// full-suite render derives keys for, so a long-lived janusd never
+// handleLimit bounds handleTier. It sits above the 70 binaries a
+// full-suite render derives keys for, so a long-lived process never
 // wraps the bound and re-hashes its working set.
-const identityLimit = 4 * memoLimit
+const handleLimit = 4 * memoLimit
 
-// identityTier memoises binaryKey per (executable, library set), on
+// handleTier maps (executable, library set) to its stable handle, on
 // the contract every pointer-keyed tier here rests on: executables and
-// libraries are never mutated after construction. The memo lives
+// libraries are never mutated after construction. The handle lives
 // beside the binary rather than inside it — Strip copies the struct,
 // and a digest field would follow the copy into a binary with other
 // symbols. An entry keeps its executable reachable, which is why the
-// tier is bounded at all: the key itself is a few hundred bytes.
-var identityTier = artcache.Tier[runKey, string]{Limit: identityLimit}
+// tier is bounded at all.
+var handleTier = artcache.Tier[runKey, *obj.Binary]{Limit: handleLimit}
 
-// binaryKey is the content identity of (executable, library set): the
-// fingerprint of every mapped image, in load order, hashed at most
-// once per executable however many stages and configurations key
-// artifacts by it.
-func binaryKey(exe *obj.Executable, libs []*obj.Library) string {
+// BinaryOf returns the handle of a resident image: the same one for the
+// same executable pointer and library set, so the (exe, libs...) entry
+// points share memory tiers and hash each binary at most once. A set of
+// more than four libraries is too wide to key and gets a fresh handle
+// per call, which no later call can share a memoised stage with.
+func BinaryOf(exe *obj.Executable, libs ...*obj.Library) *obj.Binary {
 	lk, ok := libsKeyOf(libs)
 	if !ok {
-		return hashBinary(exe, libs)
+		return obj.NewBinary(exe, libs...)
 	}
-	k, _ := identityTier.Do(nil, runKey{exe: exe, libs: lk}, nil, func() (string, error) {
-		return hashBinary(exe, libs), nil
+	b, _ := handleTier.Do(nil, runKey{exe: exe, libs: lk}, nil, func() (*obj.Binary, error) {
+		return obj.NewBinary(exe, libs...), nil
 	})
-	return k
+	return b
 }
 
-// hashBinary computes what binaryKey memoises.
-func hashBinary(exe *obj.Executable, libs []*obj.Library) string {
-	var sb strings.Builder
-	sb.WriteString(exe.Fingerprint())
-	for _, l := range libs {
-		sb.WriteByte('+')
-		sb.WriteString(l.Fingerprint())
+// errStaleIdentity fails a computation that was keyed by a recorded
+// identity its binary turned out not to have.
+var errStaleIdentity = errors.New("janus: artifact keyed by a stale binary identity")
+
+// onDisk is the disk lookup of every stage keyed by binary identities:
+// t.Disk under key(ids of bins), computing on a miss. A lazy handle's
+// identity is a record, re-checked when compute materialises the image;
+// if that corrected any of bins, the result belongs under another key —
+// publishing it here would plant one binary's artifact under another's
+// identity — so it is dropped and the lookup repeated under the
+// identities the images really have.
+func onDisk[K comparable, V any](t *artcache.Tier[K, V], c *artcache.Cache, bins []*obj.Binary, key func(ids []string) (artcache.Key, bool), compute func() (V, error)) (V, error) {
+	ids := func() []string {
+		out := make([]string, len(bins))
+		for i, b := range bins {
+			out[i] = b.ID()
+		}
+		return out
 	}
-	return sb.String()
+	lookup := func() (V, error) {
+		var keyed []string
+		return t.Disk(c, func() (artcache.Key, bool) {
+			keyed = ids()
+			return key(keyed)
+		}, func() (V, error) {
+			v, err := compute()
+			if err == nil && keyed != nil && !slices.Equal(keyed, ids()) {
+				err = errStaleIdentity
+			}
+			return v, err
+		})
+	}
+	v, err := lookup()
+	if errors.Is(err, errStaleIdentity) {
+		v, err = lookup()
+	}
+	return v, err
 }
 
 // binaryDiskKey is the disk key of a stage that depends on the binary
 // alone.
-func binaryDiskKey(exe *obj.Executable, libs []*obj.Library) func() (artcache.Key, bool) {
-	return func() (artcache.Key, bool) {
-		return artcache.Key{Binary: binaryKey(exe, libs)}, true
-	}
+func binaryDiskKey(ids []string) (artcache.Key, bool) {
+	return artcache.Key{Binary: ids[0]}, true
 }
 
-var nativeTier = artcache.Tier[runKey, *vm.Result]{
+var nativeTier = artcache.Tier[*obj.Binary, *vm.Result]{
 	Kind:   "native-v1",
 	Limit:  memoLimit,
 	Encode: vm.EncodeResult,
 	Decode: vm.DecodeResult,
+}
+
+// runNativeBaseline is the native-baseline stage: bin runs natively at
+// most once per handle even under concurrent callers, and not at all
+// when c holds its result.
+func runNativeBaseline(c *artcache.Cache, bin *obj.Binary) (*vm.Result, error) {
+	return nativeTier.Do(nil, bin, nil, func() (*vm.Result, error) {
+		return onDisk(&nativeTier, c, []*obj.Binary{bin}, binaryDiskKey, func() (*vm.Result, error) {
+			exe, libs, err := bin.Image()
+			if err != nil {
+				return nil, err
+			}
+			return vm.RunNative(exe, libs...)
+		})
+	})
 }
 
 // RunNativeBaselineCached is RunNativeBaseline backed by a durable
@@ -130,37 +182,34 @@ var nativeTier = artcache.Tier[runKey, *vm.Result]{
 // natively at most once per (executable, libraries) even under
 // concurrent callers.
 func RunNativeBaselineCached(c *artcache.Cache, exe *obj.Executable, libs ...*obj.Library) (*vm.Result, error) {
-	run := func() (*vm.Result, error) { return vm.RunNative(exe, libs...) }
-	dk := binaryDiskKey(exe, libs)
-	lk, ok := libsKeyOf(libs)
-	if !ok {
-		return nativeTier.Disk(c, dk, run)
-	}
-	return nativeTier.Do(c, runKey{exe: exe, libs: lk}, dk, run)
+	return runNativeBaseline(c, BinaryOf(exe, libs...))
 }
 
-var analyzeTier = artcache.Tier[*obj.Executable, *analyzer.Program]{Limit: memoLimit}
+var analyzeTier = artcache.Tier[*obj.Binary, *analyzer.Program]{Limit: memoLimit}
 
-// runAnalyzeMemo returns the static analysis of exe, running it at
-// most once per executable. The shared Program is read-only in the
+// runAnalyzeMemo returns the static analysis of bin, running it at
+// most once per handle. The shared Program is read-only in the
 // profiling path (GenProfileSchedule builds a fresh schedule; the
-// Apply* mutators are only ever called on per-run analyses).
-func runAnalyzeMemo(exe *obj.Executable) (*analyzer.Program, error) {
-	return analyzeTier.Do(nil, exe, nil, func() (*analyzer.Program, error) {
+// Apply* mutators are only ever called on per-plan analyses).
+func runAnalyzeMemo(bin *obj.Binary) (*analyzer.Program, error) {
+	return analyzeTier.Do(nil, bin, nil, func() (*analyzer.Program, error) {
+		exe, _, err := bin.Image()
+		if err != nil {
+			return nil, err
+		}
 		return analyzer.Analyze(exe)
 	})
 }
 
-// profileKey identifies one profiling run: the binary, the analysis it
-// was instrumented from (a different analysis of the same binary must
-// not reuse the profile), and the library set. The disk key omits
-// prog: every Program reaching the tier is a fresh deterministic
-// analysis of exe (the Apply* mutations happen downstream on ref
-// analyses), so the binary fingerprint subsumes it.
+// profileKey identifies one profiling run: the binary and the analysis
+// it was instrumented from (a different analysis of the same binary
+// must not reuse the profile). The disk key omits prog: every Program
+// reaching the tier is a fresh deterministic analysis of the binary
+// (the Apply* mutations happen downstream on ref analyses), so the
+// binary identity subsumes it.
 type profileKey struct {
-	exe  *obj.Executable
+	bin  *obj.Binary
 	prog *analyzer.Program
-	libs libsKey
 }
 
 var profileTier = artcache.Tier[profileKey, *ProfileResult]{
@@ -170,6 +219,21 @@ var profileTier = artcache.Tier[profileKey, *ProfileResult]{
 	Decode: decodeProfile,
 }
 
+// runProfiling is the train-profile stage: the profile of bin under
+// prog is taken at most once per (handle, analysis) even under
+// concurrent callers.
+func runProfiling(c *artcache.Cache, bin *obj.Binary, prog *analyzer.Program) (*ProfileResult, error) {
+	return profileTier.Do(nil, profileKey{bin: bin, prog: prog}, nil, func() (*ProfileResult, error) {
+		return onDisk(&profileTier, c, []*obj.Binary{bin}, binaryDiskKey, func() (*ProfileResult, error) {
+			exe, libs, err := bin.Image()
+			if err != nil {
+				return nil, err
+			}
+			return RunProfiling(exe, prog, libs...)
+		})
+	})
+}
+
 // RunProfilingCached is RunProfiling behind both tiers: the profile
 // for exe under prog is taken at most once per (executable, analysis,
 // libraries) even under concurrent callers. On a durable-cache hit
@@ -177,13 +241,7 @@ var profileTier = artcache.Tier[profileKey, *ProfileResult]{
 // Executor; callers needing the raw profiler state must use
 // RunProfiling directly.
 func RunProfilingCached(c *artcache.Cache, exe *obj.Executable, prog *analyzer.Program, libs ...*obj.Library) (*ProfileResult, error) {
-	run := func() (*ProfileResult, error) { return RunProfiling(exe, prog, libs...) }
-	dk := binaryDiskKey(exe, libs)
-	lk, ok := libsKeyOf(libs)
-	if !ok {
-		return profileTier.Disk(c, dk, run)
-	}
-	return profileTier.Do(c, profileKey{exe: exe, prog: prog, libs: lk}, dk, run)
+	return runProfiling(c, BinaryOf(exe, libs...), prog)
 }
 
 // profilePayload is the disk form of a ProfileResult: the four
@@ -258,18 +316,22 @@ func dbmConfigKey(c dbm.Config) string {
 		c.Threads, c.Parallel, c.HostParallel, c.WorkStealing, c.MinIterPerThread, c.MaxSteps, c.Cost)
 }
 
-// runDBMCached executes exe under the DBM. Fault-injected runs bypass
-// the cache unconditionally: their recovery counters must come from a
-// real execution, and a plan's effect is not part of the key.
-// Profiling runs go through the profile tier instead.
-func runDBMCached(c *artcache.Cache, exe *obj.Executable, sched *rules.Schedule, dcfg dbm.Config, libs ...*obj.Library) (*dbm.Result, error) {
+// runDBM executes bin under the DBM. Fault-injected runs bypass the
+// cache unconditionally: their recovery counters must come from a real
+// execution, and a plan's effect is not part of the key. Profiling runs
+// go through the profile tier instead.
+func runDBM(c *artcache.Cache, bin *obj.Binary, sched *rules.Schedule, dcfg dbm.Config) (*dbm.Result, error) {
 	if dcfg.Inject != nil || dcfg.Profile {
 		c = nil
 	}
-	return dbmTier.Disk(c, func() (artcache.Key, bool) {
+	return onDisk(&dbmTier, c, []*obj.Binary{bin}, func(ids []string) (artcache.Key, bool) {
 		sk, ok := scheduleKey(sched)
-		return artcache.Key{Binary: binaryKey(exe, libs), Input: sk, Config: dbmConfigKey(dcfg)}, ok
+		return artcache.Key{Binary: ids[0], Input: sk, Config: dbmConfigKey(dcfg)}, ok
 	}, func() (*dbm.Result, error) {
+		exe, libs, err := bin.Image()
+		if err != nil {
+			return nil, err
+		}
 		ex, err := dbm.New(exe, sched, dcfg, libs...)
 		if err != nil {
 			return nil, err
@@ -278,18 +340,26 @@ func runDBMCached(c *artcache.Cache, exe *obj.Executable, sched *rules.Schedule,
 	})
 }
 
-// ResetMemos drops every completed entry from the memory tiers. Tests
-// use it to force the next run through the durable tier; in-flight
-// computations are unaffected.
+// ResetMemos drops every completed entry from the memory tiers —
+// handles with their memoised identities and resident images included.
+// Tests use it to force the next run through the durable tier;
+// in-flight computations are unaffected.
 func ResetMemos() {
-	identityTier.Reset()
+	handleTier.Reset()
 	nativeTier.Reset()
 	analyzeTier.Reset()
 	profileTier.Reset()
 }
 
+// RunBareDBMBinary executes bin under the DBM with no rewrite schedule
+// (the "DynamoRIO only" baseline of figure 7), replayed from c when it
+// holds the run; nil c always executes.
+func RunBareDBMBinary(c *artcache.Cache, bin *obj.Binary) (*dbm.Result, error) {
+	return runDBM(c, bin, nil, dbm.Config{Threads: 1, Cost: dbm.DefaultCost(), MaxSteps: vm.DefaultMaxSteps})
+}
+
 // RunBareDBMCached is RunBareDBM backed by a durable artifact cache
 // (nil c recomputes every time, matching RunBareDBM).
 func RunBareDBMCached(c *artcache.Cache, exe *obj.Executable, libs ...*obj.Library) (*dbm.Result, error) {
-	return runDBMCached(c, exe, nil, dbm.Config{Threads: 1, Cost: dbm.DefaultCost(), MaxSteps: vm.DefaultMaxSteps}, libs...)
+	return RunBareDBMBinary(c, BinaryOf(exe, libs...))
 }

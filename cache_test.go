@@ -52,7 +52,11 @@ func flipBit(entry []byte) []byte {
 // digest, payload length, payload SHA-256, payload), the way a payload
 // written under an older layout of the same kind would look.
 func staleLayout(entry []byte) []byte {
-	payload := []byte("stale layout")
+	return staleLayoutWith(entry, []byte("stale layout"))
+}
+
+// staleLayoutWith reseals an entry around payload, keeping its key.
+func staleLayoutWith(entry, payload []byte) []byte {
 	out := append([]byte{}, entry[:40]...)
 	out = binary.LittleEndian.AppendUint64(out, uint64(len(payload)))
 	sum := sha256.Sum256(payload)
@@ -60,7 +64,7 @@ func staleLayout(entry []byte) []byte {
 	return append(out, payload...)
 }
 
-// TestTierInstances drives each of the five cached stages through its
+// TestTierInstances drives each of the six cached stages through its
 // production entry point and asserts what its artcache.Tier instance
 // promises. A computation is observable from outside as a cache miss
 // (or, for a verified but undecodable payload, a hit that yields a
@@ -107,9 +111,16 @@ func TestTierInstances(t *testing.T) {
 			ResetMemos,
 			func(v any) any { return encoded(encodeProfile(v.(*ProfileResult))) }},
 		{"analysis", true, false,
-			func(*artcache.Cache) (any, error) { return runAnalyzeMemo(exe) },
+			func(*artcache.Cache) (any, error) { return runAnalyzeMemo(BinaryOf(exe, libs...)) },
 			ResetMemos,
 			func(v any) any { return fmt.Sprint(v.(*analyzer.Program).ClassCounts()) }},
+		{"plan", false, true,
+			// Untrained, so the plan is the only stage looked up.
+			func(c *artcache.Cache) (any, error) {
+				return PlanCached(c, BinaryOf(exe, libs...), nil, Config{}.Selection())
+			},
+			func() {},
+			func(v any) any { return encoded(encodePlan(v.(*Plan))) }},
 		{"dbm", false, true,
 			func(c *artcache.Cache) (any, error) { return RunBareDBMCached(c, exe, libs...) },
 			func() {},
@@ -138,7 +149,7 @@ func TestTierInstances(t *testing.T) {
 			}
 			expect := func(what string, got, want artcache.Stats) {
 				t.Helper()
-				if got != want {
+				if got.String() != want.String() {
 					t.Fatalf("%s: store saw {%s}, want {%s}", what, got, want)
 				}
 			}

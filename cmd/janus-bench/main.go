@@ -42,12 +42,14 @@
 //	janus-bench -campaign-seed 1         campaign decision-stream seed; a
 //	                                     corpus dir remembers its seed and
 //	                                     refuses to resume under another
-//	janus-bench -cache-dir .janus-cache  store builds, native baselines,
-//	                                     profiles and DBM results in a
-//	                                     durable on-disk artifact cache;
-//	                                     a warm re-run replays them and
-//	                                     prints hit/miss counters to
-//	                                     stderr. Output is byte-identical
+//	janus-bench -cache-dir .janus-cache  store builds, rewrite schedules,
+//	                                     native baselines, profiles and
+//	                                     DBM results in a durable on-disk
+//	                                     artifact cache; a warm re-run
+//	                                     replays them without loading a
+//	                                     binary and prints hit/miss
+//	                                     counters (total, then per kind)
+//	                                     to stderr. Output is byte-identical
 //	                                     with the cache off, cold or warm.
 package main
 
@@ -104,7 +106,12 @@ func main() {
 	// exit path below; fail is exitOn with the counters flushed first.
 	flushCache := func() {
 		if cache != nil {
-			fmt.Fprintln(os.Stderr, "janus-bench: artcache:", cache.Stats())
+			st := cache.Stats()
+			fmt.Fprintln(os.Stderr, "janus-bench: artcache:", st)
+			// Per kind, hits/lookups: which stages a render read, observed.
+			if len(st.Kinds) > 0 {
+				fmt.Fprintln(os.Stderr, "janus-bench: artcache kinds:", st.KindsString())
+			}
 		}
 	}
 	fail := func(err error) {

@@ -5,6 +5,9 @@
 //	janus profile  -bench 470.lbm            statically-driven profiling
 //	janus schedule -bench 470.lbm -o x.jrs   emit the rewrite schedule
 //	janus run      -bench 470.lbm -threads 8 parallelise and execute
+//	janus run      -bench 470.lbm -schedule x.jrs
+//	                                         execute under a schedule file
+//	                                         (no analysis, no profiling)
 //	janus disasm   -bench 470.lbm            disassemble the binary
 //
 // With a janusd daemon running, the bench subcommand renders the
@@ -27,6 +30,10 @@ import (
 	"janus"
 	"janus/internal/analyzer"
 	"janus/internal/artcache"
+	"janus/internal/dbm"
+	"janus/internal/obj"
+	"janus/internal/rules"
+	"janus/internal/vm"
 	"janus/internal/workloads"
 )
 
@@ -46,6 +53,7 @@ func main() {
 	input := fs.String("input", "ref", "input set: train or ref")
 	opt := fs.String("opt", "O3", "optimisation level: O2, O3, O3avx")
 	out := fs.String("o", "", "output file for 'schedule'")
+	schedFile := fs.String("schedule", "", "for 'run': execute under this rewrite-schedule file (written by 'schedule -o') instead of analysing and profiling the binary")
 	noProfile := fs.Bool("no-profile", false, "disable profile-guided selection")
 	noChecks := fs.Bool("no-checks", false, "disable runtime checks and speculation")
 	cacheDir := fs.String("cache-dir", "", "durable artifact cache directory (empty = off); results are identical with the cache off, cold or warm")
@@ -77,11 +85,62 @@ func main() {
 			fatal(err)
 		}
 	}
-	exe, libs, err := workloads.BuildCached(cache, *bench, in, level)
+	// schedule and run work on the handle, so against a warm -cache-dir
+	// they replay without the image; the inspecting subcommands load it.
+	bin, err := workloads.Open(cache, *bench, in, level)
 	if err != nil {
 		fatal(err)
 	}
+	cfg := janus.Config{
+		Threads:    *threads,
+		UseProfile: !*noProfile,
+		UseChecks:  !*noChecks,
+		Cache:      cache,
+	}
+	switch cmd {
+	case "schedule":
+		rep, err := janus.ParalleliseBinary(bin, nil, cfg)
+		if err != nil {
+			fatal(err)
+		}
+		img, err := rep.Schedule.Save()
+		if err != nil {
+			fatal(err)
+		}
+		if *out != "" {
+			if err := os.WriteFile(*out, img, 0o644); err != nil {
+				fatal(err)
+			}
+			fmt.Printf("wrote %d bytes (%d rules) to %s\n", len(img), len(rep.Schedule.Rules), *out)
+		} else {
+			for _, r := range rep.Schedule.Rules {
+				fmt.Println(r)
+			}
+			// Against the code section, as figure 10 normalises: the
+			// synthetic binaries embed their inputs in .data.
+			fmt.Printf("# %d rules, %d bytes serialised (%.1f%% of binary)\n",
+				len(rep.Schedule.Rules), len(img), 100*float64(len(img))/float64(rep.CodeSize))
+		}
+		return
 
+	case "run":
+		if *schedFile != "" {
+			runSchedule(cache, bin, *schedFile, *threads)
+			return
+		}
+		cfg.Verify = true
+		rep, err := janus.ParalleliseBinary(bin, nil, cfg)
+		if err != nil {
+			fatal(err)
+		}
+		printRun(rep.Schedule, rep.Native, rep.DBM, rep.Selected, *threads)
+		return
+	}
+
+	exe, libs, err := bin.Image()
+	if err != nil {
+		fatal(err)
+	}
 	switch cmd {
 	case "analyze":
 		prog, err := analyzer.Analyze(exe)
@@ -127,55 +186,6 @@ func main() {
 			fmt.Printf("%-6d %9.2f%% %10.1f %-10s %s\n", id, 100*pr.Coverage[id], pr.AvgIters[id], dep, li.Class)
 		}
 
-	case "schedule":
-		rep, err := janus.Parallelise(exe, janus.Config{
-			Threads:    *threads,
-			UseProfile: !*noProfile,
-			UseChecks:  !*noChecks,
-			Cache:      cache,
-		}, libs...)
-		if err != nil {
-			fatal(err)
-		}
-		img, err := rep.Schedule.Save()
-		if err != nil {
-			fatal(err)
-		}
-		if *out != "" {
-			if err := os.WriteFile(*out, img, 0o644); err != nil {
-				fatal(err)
-			}
-			fmt.Printf("wrote %d bytes (%d rules) to %s\n", len(img), len(rep.Schedule.Rules), *out)
-		} else {
-			for _, r := range rep.Schedule.Rules {
-				fmt.Println(r)
-			}
-			fmt.Printf("# %d rules, %d bytes serialised (%.1f%% of binary)\n",
-				len(rep.Schedule.Rules), len(img), 100*float64(len(img))/float64(exe.Size()))
-		}
-
-	case "run":
-		rep, err := janus.Parallelise(exe, janus.Config{
-			Threads:    *threads,
-			UseProfile: !*noProfile,
-			UseChecks:  !*noChecks,
-			Verify:     true,
-			Cache:      cache,
-		}, libs...)
-		if err != nil {
-			fatal(err)
-		}
-		st := rep.Stats
-		fmt.Printf("%s: speedup %.2fx over native (%d threads)\n", exe.Name, rep.Speedup(), *threads)
-		fmt.Printf("  native cycles      %12d\n", rep.Native.Cycles)
-		fmt.Printf("  janus cycles       %12d\n", rep.DBM.Cycles)
-		fmt.Printf("  loops selected     %12d\n", rep.Selected)
-		fmt.Printf("  parallel regions   %12d (host-parallel %d, fallbacks %d)\n", st.ParRegions, st.HostParRegions, st.SeqFallbacks)
-		fmt.Printf("  checks run/failed  %9d/%d\n", st.ChecksRun, st.ChecksFailed)
-		fmt.Printf("  tx start/commit/abort %6d/%d/%d\n", st.TxStarted, st.TxCommits, st.TxAborts)
-		fmt.Printf("  blocks translated  %12d (%d insts)\n", st.TransBlocks, st.TransInsts)
-		fmt.Println("  verification       OK (outputs and memory match native)")
-
 	case "disasm":
 		insts, err := exe.Decode()
 		if err != nil {
@@ -190,6 +200,47 @@ func main() {
 		usage()
 		os.Exit(2)
 	}
+}
+
+// runSchedule is the online half alone: the schedule comes from a file
+// 'schedule -o' wrote, the binary is executed under it and held to
+// native execution. A file generated for another binary is refused by
+// the DBM (rules.ErrWrongBinary).
+func runSchedule(cache *artcache.Cache, bin *obj.Binary, file string, threads int) {
+	img, err := os.ReadFile(file)
+	if err != nil {
+		fatal(err)
+	}
+	sched, err := rules.Load(img)
+	if err != nil {
+		fatal(fmt.Errorf("%s: %w", file, err))
+	}
+	native, res, err := janus.RunScheduleBinary(cache, bin, sched, dbm.DefaultConfig(threads))
+	if err != nil {
+		fatal(fmt.Errorf("%s: %w", file, err))
+	}
+	if err := janus.Verify(native, res); err != nil {
+		fatal(err)
+	}
+	loops := map[int32]bool{}
+	for _, r := range sched.Rules {
+		loops[r.LoopID] = true
+	}
+	printRun(sched, native, res, len(loops), threads)
+}
+
+// printRun prints the report block of a verified run.
+func printRun(sched *rules.Schedule, native *vm.Result, res *dbm.Result, selected, threads int) {
+	st := res.Stats
+	fmt.Printf("%s: speedup %.2fx over native (%d threads)\n", sched.ExeName, float64(native.Cycles)/float64(res.Cycles), threads)
+	fmt.Printf("  native cycles      %12d\n", native.Cycles)
+	fmt.Printf("  janus cycles       %12d\n", res.Cycles)
+	fmt.Printf("  loops selected     %12d\n", selected)
+	fmt.Printf("  parallel regions   %12d (host-parallel %d, fallbacks %d)\n", st.ParRegions, st.HostParRegions, st.SeqFallbacks)
+	fmt.Printf("  checks run/failed  %9d/%d\n", st.ChecksRun, st.ChecksFailed)
+	fmt.Printf("  tx start/commit/abort %6d/%d/%d\n", st.TxStarted, st.TxCommits, st.TxAborts)
+	fmt.Printf("  blocks translated  %12d (%d insts)\n", st.TransBlocks, st.TransInsts)
+	fmt.Println("  verification       OK (outputs and memory match native)")
 }
 
 func usage() {

@@ -33,17 +33,18 @@ func registryBuilds(t *testing.T, f func(exe *obj.Executable, libs []*obj.Librar
 }
 
 // sameString reports whether a and b are one string value — the same
-// bytes in memory, not merely equal ones. hashBinary assembles a new
-// string on every call, so two keys are one value exactly when one
+// bytes in memory, not merely equal ones. obj.Identity assembles a new
+// string on every call, so two IDs are one value exactly when one
 // computation produced both.
 func sameString(a, b string) bool {
 	return len(a) == len(b) && unsafe.StringData(a) == unsafe.StringData(b)
 }
 
 // TestIdentityMemoMatchesFreshKey: for every registry build, with its
-// library set and without, the memoised key is the freshly hashed one,
-// a second lookup is the memo's own value, and the full working set
-// fits under the bound — a long-lived process never wraps it.
+// library set and without, the handle's memoised identity is the
+// freshly hashed one, a second lookup finds the same handle and its own
+// value, and the full working set fits under the bound — a long-lived
+// process never wraps it.
 func TestIdentityMemoMatchesFreshKey(t *testing.T) {
 	if testing.Short() {
 		t.Skip("assembles every registry build; run without -short")
@@ -57,31 +58,31 @@ func TestIdentityMemoMatchesFreshKey(t *testing.T) {
 			sets = append(sets, libs)
 		}
 		for _, ls := range sets {
-			got := binaryKey(exe, ls)
-			if want := hashBinary(exe, ls); got != want {
-				t.Fatalf("%s (%d libs): memoised key %s, fresh key %s", exe.Name, len(ls), got, want)
+			got := BinaryOf(exe, ls...).ID()
+			if want := obj.Identity(exe, ls); got != want {
+				t.Fatalf("%s (%d libs): memoised identity %s, fresh %s", exe.Name, len(ls), got, want)
 			}
 			if other, dup := keys[got]; dup {
-				t.Fatalf("%s (%d libs) and %s share key %s", exe.Name, len(ls), other, got)
+				t.Fatalf("%s (%d libs) and %s share identity %s", exe.Name, len(ls), other, got)
 			}
 			keys[got] = exe.Name
 		}
-		first[exe] = binaryKey(exe, libs)
+		first[exe] = BinaryOf(exe, libs...).ID()
 	})
 	if len(keys) == len(first) {
 		t.Fatal("no registry build links a library")
 	}
-	if len(keys) >= identityLimit {
-		t.Fatalf("the registry's %d keys do not fit under identityLimit %d", len(keys), identityLimit)
+	if len(keys) >= handleLimit {
+		t.Fatalf("the registry's %d handles do not fit under handleLimit %d", len(keys), handleLimit)
 	}
 	registryBuilds(t, func(exe *obj.Executable, libs []*obj.Library) {
-		if !sameString(binaryKey(exe, libs), first[exe]) {
-			t.Fatalf("%s: key was hashed again within the bound", exe.Name)
+		if !sameString(BinaryOf(exe, libs...).ID(), first[exe]) {
+			t.Fatalf("%s: binary was hashed again within the bound", exe.Name)
 		}
 	})
 }
 
-// TestIdentityMemoDoesNotFollowStrip: the memo is keyed by pointer and
+// TestIdentityMemoDoesNotFollowStrip: handles are found by pointer and
 // Strip returns a new one, so a memoised digest cannot ride the struct
 // copy into a binary with other symbols.
 func TestIdentityMemoDoesNotFollowStrip(t *testing.T) {
@@ -95,24 +96,25 @@ func TestIdentityMemoDoesNotFollowStrip(t *testing.T) {
 	full.Symbols = []obj.Symbol{{Name: "main", Addr: reg.Entry, Size: 8, Kind: obj.SymFunc}}
 	e := &full
 
-	ke := binaryKey(e, libs) // memoised before the copy is taken
+	ke := BinaryOf(e, libs...).ID() // memoised before the copy is taken
 	s := e.Strip()
-	ks := binaryKey(s, libs)
+	ks := BinaryOf(s, libs...).ID()
 	if ks == ke {
-		t.Fatal("a stripped copy got the key of the binary it was stripped from")
+		t.Fatal("a stripped copy got the identity of the binary it was stripped from")
 	}
-	if want := hashBinary(s, libs); ks != want {
-		t.Fatalf("stripped copy: memoised key %s, fresh key %s", ks, want)
+	if want := obj.Identity(s, libs); ks != want {
+		t.Fatalf("stripped copy: memoised identity %s, fresh %s", ks, want)
 	}
-	if kr := binaryKey(reg, libs); ks != kr {
-		t.Fatalf("stripping the symbols back off must restore the registry build's key: %s vs %s", ks, kr)
+	if kr := BinaryOf(reg, libs...).ID(); ks != kr {
+		t.Fatalf("stripping the symbols back off must restore the registry build's identity: %s vs %s", ks, kr)
 	}
 }
 
 // TestIdentityKeyStableAcrossProcessState: a build assembled in this
-// process state and the same build decoded from its build-v1 entry in a
-// state made to look like a new process get equal keys — what lets one
-// process replay the artifacts another one stored.
+// process state, the identity recorded beside it in the store, and the
+// same build decoded from its build-v1 entry in a state made to look
+// like a new process all agree — what lets one process replay the
+// artifacts another one stored, without the image.
 func TestIdentityKeyStableAcrossProcessState(t *testing.T) {
 	c, err := artcache.Open(t.TempDir(), artcache.Options{})
 	if err != nil {
@@ -121,31 +123,52 @@ func TestIdentityKeyStableAcrossProcessState(t *testing.T) {
 	for _, name := range []string{"462.libquantum", "410.bwaves"} { // without and with a library
 		workloads.ResetBuildCache()
 		ResetMemos()
-		assembled, libs, err := workloads.BuildCached(c, name, workloads.Ref, workloads.O3AVX)
+		assembled, err := workloads.Open(c, name, workloads.Ref, workloads.O3AVX)
 		if err != nil {
 			t.Fatal(err)
 		}
-		ka := binaryKey(assembled, libs)
+		ka := assembled.ID()
+		exeA, libsA, err := assembled.Image()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if want := obj.Identity(exeA, libsA); ka != want {
+			t.Fatalf("%s: assembled handle identity %s, fresh %s", name, ka, want)
+		}
 
 		workloads.ResetBuildCache()
 		ResetMemos()
-		hits := c.Stats().Hits
-		loaded, libs2, err := workloads.BuildCached(c, name, workloads.Ref, workloads.O3AVX)
+		before := c.Stats()
+		recorded, err := workloads.Open(c, name, workloads.Ref, workloads.O3AVX)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if loaded == assembled || c.Stats().Hits != hits+1 {
-			t.Fatalf("%s: second build was not decoded from the store (%s)", name, c.Stats())
+		kr, size := recorded.ID(), recorded.CodeSize()
+		after := c.Stats()
+		if recorded == assembled || after.Hits != before.Hits+1 || after.Kinds["ident-v1"].Hits != before.Kinds["ident-v1"].Hits+1 {
+			t.Fatalf("%s: second open did not come from the identity record alone (%s; %s)", name, after, after.KindsString())
 		}
-		if kl := binaryKey(loaded, libs2); kl != ka {
-			t.Fatalf("%s: assembled build keyed %s, its stored image %s", name, ka, kl)
+		if kr != ka || size != len(exeA.Code) {
+			t.Fatalf("%s: assembled build is %s with %d code bytes, its record says %s with %d", name, ka, len(exeA.Code), kr, size)
+		}
+
+		loaded, libs, err := recorded.Image()
+		if err != nil {
+			t.Fatal(err)
+		}
+		st := c.Stats()
+		if loaded == exeA || st.Kinds["build-v1"].Hits != after.Kinds["build-v1"].Hits+1 || st.BadEntries != 0 {
+			t.Fatalf("%s: image was not decoded from the store (%s; %s)", name, st, st.KindsString())
+		}
+		if kl := BinaryOf(loaded, libs...).ID(); kl != ka || recorded.ID() != ka {
+			t.Fatalf("%s: assembled build keyed %s, its stored image %s, the handle after loading it %s", name, ka, kl, recorded.ID())
 		}
 	}
 }
 
 // TestIdentityMemoComputesOnce: concurrent first users of one binary
-// share a single hash, later users get that same value, and ResetMemos
-// drops it.
+// share a single handle and a single hash, later users get that same
+// value, and ResetMemos drops both.
 func TestIdentityMemoComputesOnce(t *testing.T) {
 	exe, libs, err := workloads.Build("410.bwaves", workloads.Ref, workloads.O3)
 	if err != nil {
@@ -158,7 +181,7 @@ func TestIdentityMemoComputesOnce(t *testing.T) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			keys[i] = binaryKey(exe, libs)
+			keys[i] = BinaryOf(exe, libs...).ID()
 		}()
 	}
 	wg.Wait()
@@ -167,16 +190,21 @@ func TestIdentityMemoComputesOnce(t *testing.T) {
 			t.Fatalf("caller %d hashed the binary itself", i)
 		}
 	}
-	if !sameString(binaryKey(exe, libs), keys[0]) {
+	held := BinaryOf(exe, libs...)
+	if !sameString(held.ID(), keys[0]) {
 		t.Fatal("a later lookup hashed the binary again")
 	}
 
 	ResetMemos()
-	again := binaryKey(exe, libs)
+	fresh := BinaryOf(exe, libs...)
+	if fresh == held {
+		t.Fatal("ResetMemos kept the handle")
+	}
+	again := fresh.ID()
 	if again != keys[0] {
-		t.Fatalf("key changed across ResetMemos: %s vs %s", again, keys[0])
+		t.Fatalf("identity changed across ResetMemos: %s vs %s", again, keys[0])
 	}
 	if sameString(again, keys[0]) {
-		t.Fatal("ResetMemos kept the identity memo")
+		t.Fatal("ResetMemos kept the memoised identity")
 	}
 }

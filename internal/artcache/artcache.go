@@ -88,15 +88,45 @@ type Stats struct {
 	// Evictions counts entries removed by the size bound.
 	Evictions int64
 	// BadEntries counts entries rejected by verification (truncated,
-	// bit-flipped, foreign, or undecodable); each was treated as a
-	// miss and is also counted there.
+	// bit-flipped, foreign, or undecodable; each was treated as a
+	// miss and is also counted there) or found by their consumer to
+	// describe something else than what the store holds (Tier.Replace).
 	BadEntries int64
+	// Kinds splits Hits and Misses by artifact kind, so what a render
+	// read of each stage is observed rather than inferred from the
+	// totals. Nil on a store nothing has looked up yet.
+	Kinds map[string]KindStats
+}
+
+// KindStats are one artifact kind's lookup counters.
+type KindStats struct {
+	Hits   int64 `json:"hits"`
+	Misses int64 `json:"misses"`
 }
 
 // String renders the snapshot the way janus-bench prints it on stderr.
 func (s Stats) String() string {
 	return fmt.Sprintf("%d hits, %d misses, %d evictions, %d bad entries",
 		s.Hits, s.Misses, s.Evictions, s.BadEntries)
+}
+
+// KindsString renders the per-kind split as janus-bench prints it on its
+// second stderr line: "kind hits/lookups" in kind order.
+func (s Stats) KindsString() string {
+	kinds := make([]string, 0, len(s.Kinds))
+	for k := range s.Kinds {
+		kinds = append(kinds, k)
+	}
+	sort.Strings(kinds)
+	var b strings.Builder
+	for i, k := range kinds {
+		if i > 0 {
+			b.WriteString(", ")
+		}
+		ks := s.Kinds[k]
+		fmt.Fprintf(&b, "%s %d/%d", k, ks.Hits, ks.Hits+ks.Misses)
+	}
+	return b.String()
 }
 
 // Cache is an open artifact store rooted at one directory. It is safe
@@ -115,6 +145,27 @@ type Cache struct {
 	size int64
 
 	hits, misses, evictions, bad atomic.Int64
+
+	// kinds holds the per-kind hit/miss counters behind Stats.Kinds.
+	kindMu sync.Mutex
+	kinds  map[string]*kindCounters
+}
+
+type kindCounters struct{ hits, misses atomic.Int64 }
+
+// kind returns the counters of one artifact kind.
+func (c *Cache) kind(kind string) *kindCounters {
+	c.kindMu.Lock()
+	defer c.kindMu.Unlock()
+	kc := c.kinds[kind]
+	if kc == nil {
+		if c.kinds == nil {
+			c.kinds = map[string]*kindCounters{}
+		}
+		kc = &kindCounters{}
+		c.kinds[kind] = kc
+	}
+	return kc
 }
 
 // Open creates (if needed) and opens the store rooted at dir. The
@@ -178,12 +229,21 @@ func OpenShared(dir string) (*Cache, error) {
 
 // Stats snapshots the counters.
 func (c *Cache) Stats() Stats {
-	return Stats{
+	s := Stats{
 		Hits:       c.hits.Load(),
 		Misses:     c.misses.Load(),
 		Evictions:  c.evictions.Load(),
 		BadEntries: c.bad.Load(),
 	}
+	c.kindMu.Lock()
+	defer c.kindMu.Unlock()
+	if len(c.kinds) > 0 {
+		s.Kinds = make(map[string]KindStats, len(c.kinds))
+		for k, kc := range c.kinds {
+			s.Kinds[k] = KindStats{Hits: kc.hits.Load(), Misses: kc.misses.Load()}
+		}
+	}
+	return s
 }
 
 // Dir returns the root directory of the store.
@@ -285,19 +345,23 @@ func (c *Cache) decode(k Key, data []byte) ([]byte, error) {
 // heals the store.
 func (c *Cache) Get(k Key) ([]byte, bool) {
 	p := c.path(k)
+	kc := c.kind(k.Kind)
 	data, err := os.ReadFile(p)
 	if err != nil {
 		c.misses.Add(1)
+		kc.misses.Add(1)
 		return nil, false
 	}
 	payload, err := c.decode(k, data)
 	if err != nil {
 		c.bad.Add(1)
 		c.misses.Add(1)
+		kc.misses.Add(1)
 		c.removeEntry(p, int64(len(data)))
 		return nil, false
 	}
 	c.hits.Add(1)
+	kc.hits.Add(1)
 	// LRU touch. Best-effort: a raced eviction or another process's
 	// concurrent rewrite only perturbs recency, never contents.
 	now := c.now()

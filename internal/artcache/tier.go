@@ -128,6 +128,22 @@ func (t *Tier[K, V]) Disk(c *Cache, diskKey func() (Key, bool), compute func() (
 	return v, nil
 }
 
+// Replace overwrites the entry under k with v and counts the entry it
+// replaces as bad: for a consumer that found a verified payload to
+// describe something else than what the store holds (a recorded
+// identity that is not its image's), which no read-side check can see.
+// Like every publication it is best-effort; nil c is a no-op.
+func (t *Tier[K, V]) Replace(c *Cache, k Key, v V) {
+	if c == nil || t.Encode == nil {
+		return
+	}
+	c.bad.Add(1)
+	k.Kind = t.Kind
+	if data, err := t.Encode(v); err == nil {
+		_ = c.Put(k, data)
+	}
+}
+
 // Reset drops every completed memory entry, forcing the next Do
 // through the disk tier (or a fresh computation). In-flight lookups
 // are kept so concurrent callers still join them and the

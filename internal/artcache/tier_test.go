@@ -4,6 +4,8 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
+	"os"
+	"reflect"
 	"sync"
 	"testing"
 )
@@ -44,7 +46,7 @@ func TestTierDiskBypasses(t *testing.T) {
 			t.Fatalf("%s: compute ran %d times, want 2 (nothing may be cached)", name, runs)
 		}
 	}
-	if st := c.Stats(); st != (Stats{}) {
+	if st := c.Stats(); st.Kinds != nil || st.String() != (Stats{}).String() {
 		t.Fatalf("bypassed lookups touched the store: %s", st)
 	}
 }
@@ -118,5 +120,60 @@ func TestTierPanicWithDiskReleasesWaiters(t *testing.T) {
 	wg.Wait() // must not deadlock
 	if got, err := tier.Do(c, "k", keyFn(k), func() ([]byte, error) { return []byte("late"), nil }); err != nil || string(got) != "late" {
 		t.Fatalf("re-Do after panic = %q, %v", got, err)
+	}
+}
+
+// TestStatsSplitByKind: every lookup is counted under its kind as well
+// as in the totals, a rejected entry as a miss of its kind, and the
+// split renders in kind order as hits/lookups.
+func TestStatsSplitByKind(t *testing.T) {
+	c := mustOpen(t, t.TempDir(), Options{})
+	a, b := Key{Kind: "a-v1", Binary: "x"}, Key{Kind: "b-v1", Binary: "x"}
+	c.Get(a)
+	if err := c.Put(a, []byte("payload")); err != nil {
+		t.Fatal(err)
+	}
+	c.Get(a)
+	c.Get(a)
+	c.Get(b)
+	if err := c.Put(b, []byte("payload")); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(c.path(b), []byte("not an entry"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	c.Get(b)
+	st := c.Stats()
+	want := map[string]KindStats{"a-v1": {Hits: 2, Misses: 1}, "b-v1": {Misses: 2}}
+	if !reflect.DeepEqual(st.Kinds, want) || st.Hits != 2 || st.Misses != 3 || st.BadEntries != 1 {
+		t.Fatalf("stats %s, kinds %v; want kinds %v", st, st.Kinds, want)
+	}
+	if got := st.KindsString(); got != "a-v1 2/3, b-v1 0/2" {
+		t.Fatalf("KindsString() = %q", got)
+	}
+}
+
+// TestTierReplace: a consumer that found a verified entry to describe
+// something else overwrites it and has it counted as bad; the next
+// lookup is a hit on the replacement.
+func TestTierReplace(t *testing.T) {
+	c := mustOpen(t, t.TempDir(), Options{})
+	tier := Tier[struct{}, []byte]{
+		Kind:   "test-v1",
+		Encode: func(b []byte) ([]byte, error) { return b, nil },
+		Decode: func(b []byte) ([]byte, error) { return b, nil },
+	}
+	key := func() (Key, bool) { return Key{Binary: "x"}, true }
+	if _, err := tier.Disk(c, key, func() ([]byte, error) { return []byte("wrong"), nil }); err != nil {
+		t.Fatal(err)
+	}
+	tier.Replace(c, Key{Binary: "x"}, []byte("right"))
+	tier.Replace(nil, Key{Binary: "x"}, []byte("no store: no-op"))
+	got, err := tier.Disk(c, key, func() ([]byte, error) { return nil, errors.New("recomputed") })
+	if err != nil || string(got) != "right" {
+		t.Fatalf("lookup after Replace: %q, %v", got, err)
+	}
+	if st := c.Stats(); st.BadEntries != 1 || st.Hits != 1 || st.Misses != 1 {
+		t.Fatalf("stats after Replace: %s", st)
 	}
 }

@@ -85,45 +85,46 @@ func Parallelise(kind Kind, exe *obj.Executable, threads int, eng Engine, libs .
 	return ParalleliseCached(nil, kind, exe, threads, eng, libs...)
 }
 
-// ParalleliseCached is Parallelise backed by a durable artifact cache.
-// The model owns only its loop selection and cost model; the native
-// baseline and the simulated run are janus's cached stages, so the
-// baseline is the one Janus's own rows of the same binary use, a warm
-// store replays the run instead of simulating it, and the run is
-// verified against native execution like every Janus run. Nil c is
-// exactly Parallelise.
+// ParalleliseCached is ParalleliseBinary on the handle of (exe, libs).
+// Nil c is exactly Parallelise.
 func ParalleliseCached(c *artcache.Cache, kind Kind, exe *obj.Executable, threads int, eng Engine, libs ...*obj.Library) (*Result, error) {
-	prog, err := analyzer.Analyze(exe)
-	if err != nil {
-		return nil, err
-	}
-	// No profiling: compilers select on static heuristics alone.
-	// gcc: static DOALL only. icc: also runtime-checked multi-versioned
-	// loops (type C with constructible checks) — but never speculation,
-	// so loops with library calls stay sequential.
-	opts := analyzer.SelectOptions{UseChecks: kind == ICC}
-	prog.SelectLoops(opts)
-	if kind == ICC {
-		// icc cannot speculate on opaque library code: deselect loops
-		// that would need transactions.
-		for _, li := range prog.Loops {
-			if li.Selected && len(li.LibCalls) > 0 {
-				li.Selected = false
-			}
-		}
-	} else {
-		// gcc's tree-parallelizer gives up on loops with any call.
-		for _, li := range prog.Loops {
-			if li.Selected && (len(li.LibCalls) > 0 || len(li.Loop.CallTargets) > 0) {
-				li.Selected = false
-			}
-		}
-	}
-	sched, err := prog.GenParallelSchedule()
-	if err != nil {
-		return nil, err
-	}
+	return ParalleliseBinary(c, kind, janus.BinaryOf(exe, libs...), threads, eng)
+}
 
+// selection is the model's loop-selection policy. No profiling:
+// compilers select on static heuristics alone. gcc: static DOALL only.
+// icc: also runtime-checked multi-versioned loops (type C with
+// constructible checks) — but never speculation, so loops with library
+// calls stay sequential.
+func (k Kind) selection() janus.Selection {
+	return janus.Selection{
+		Key: "model=" + k.String(),
+		Select: func(prog *analyzer.Program) {
+			prog.SelectLoops(analyzer.SelectOptions{UseChecks: k == ICC})
+			for _, li := range prog.Loops {
+				// icc cannot speculate on opaque library code: it gives up
+				// on loops that would need transactions. gcc's
+				// tree-parallelizer gives up on loops with any call.
+				if li.Selected && (len(li.LibCalls) > 0 || k == GCC && len(li.Loop.CallTargets) > 0) {
+					li.Selected = false
+				}
+			}
+		},
+	}
+}
+
+// ParalleliseBinary runs the modelled compiler over bin, backed by a
+// durable artifact cache. The model owns only its loop selection and
+// cost model; the plan, the native baseline and the simulated run are
+// janus's cached stages, so the baseline is the one Janus's own rows of
+// the same binary use, a warm store replays plan and run instead of
+// analysing and simulating, and the run is verified against native
+// execution like every Janus run.
+func ParalleliseBinary(c *artcache.Cache, kind Kind, bin *obj.Binary, threads int, eng Engine) (*Result, error) {
+	plan, err := janus.PlanCached(c, bin, nil, kind.selection())
+	if err != nil {
+		return nil, err
+	}
 	cfg := dbm.Config{
 		Threads:          threads,
 		Parallel:         true,
@@ -133,21 +134,15 @@ func ParalleliseCached(c *artcache.Cache, kind Kind, exe *obj.Executable, thread
 		MaxSteps:         vm.DefaultMaxSteps,
 		Cost:             staticCost(),
 	}
-	native, res, err := janus.RunScheduleCached(c, exe, sched, cfg, libs...)
+	native, res, err := janus.RunScheduleBinary(c, bin, plan.Schedule, cfg)
 	if err != nil {
 		return nil, err
 	}
 	if err := janus.Verify(native, res); err != nil {
-		return nil, fmt.Errorf("compilers: %s model of %s: %w", kind, exe.Name, err)
-	}
-	selected := 0
-	for _, li := range prog.Loops {
-		if li.Selected {
-			selected++
-		}
+		return nil, fmt.Errorf("compilers: %s model of %s: %w", kind, plan.Schedule.ExeName, err)
 	}
 	return &Result{
 		Speedup:           float64(native.Cycles) / float64(res.Cycles),
-		LoopsParallelised: selected,
+		LoopsParallelised: plan.Selected(),
 	}, nil
 }

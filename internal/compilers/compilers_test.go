@@ -81,9 +81,9 @@ func artifacts(t *testing.T, dir string) map[string]int {
 
 // TestParalleliseCachedReplays: the uncached entry point, a cold store
 // and a warm store give the same Result for both models; the cold call
-// stores one baseline per binary and one run per model, and the warm
-// call — memos dropped, as in a new process — replays both without
-// simulating or publishing anything.
+// stores one baseline per binary and one plan and one run per model,
+// and the warm call — memos dropped, as in a new process — replays all
+// three without analysing, simulating or publishing anything.
 func TestParalleliseCachedReplays(t *testing.T) {
 	eng := Engine{HostParallel: true, WorkStealing: true}
 	// Two benchmarks on which the models select different loops: where
@@ -121,13 +121,13 @@ func TestParalleliseCachedReplays(t *testing.T) {
 			after, now := c.Stats(), artifacts(t, c.Dir())
 			hits, misses := after.Hits-before.Hits, after.Misses-before.Misses
 			if pass == "cold" {
-				// One baseline shared by both models, one run each.
-				if hits != 0 || misses != 3 || now["native-v1"] != 1 || now["dbm-v2"] != 2 || len(now) != 2 {
+				// One baseline shared by both models, one plan and one run each.
+				if hits != 0 || misses != 5 || now["native-v1"] != 1 || now["schedule-v1"] != 2 || now["dbm-v2"] != 2 || len(now) != 3 {
 					t.Errorf("%s, cold store: %d hits, %d misses, entries %v", bench, hits, misses, now)
 				}
 				continue
 			}
-			if hits != 3 || misses != 0 || after.BadEntries != 0 {
+			if hits != 5 || misses != 0 || after.BadEntries != 0 {
 				t.Errorf("%s, warm store: %d hits, %d misses, %d bad entries — want a pure replay", bench, hits, misses, after.BadEntries)
 			}
 			if !reflect.DeepEqual(now, stored) {
@@ -147,8 +147,8 @@ func TestParalleliseCachedReplays(t *testing.T) {
 		if *res != want[GCC] {
 			t.Errorf("%s: round-robin engine gave %+v, default engine %+v", bench, *res, want[GCC])
 		}
-		if hits, misses := after.Hits-before.Hits, after.Misses-before.Misses; hits != 1 || misses != 1 {
-			t.Errorf("%s, round-robin engine on the default engine's store: %d hits, %d misses — want the baseline replayed and the run simulated", bench, hits, misses)
+		if hits, misses := after.Hits-before.Hits, after.Misses-before.Misses; hits != 2 || misses != 1 {
+			t.Errorf("%s, round-robin engine on the default engine's store: %d hits, %d misses — want plan and baseline replayed and the run simulated", bench, hits, misses)
 		}
 		if n := artifacts(t, c.Dir())["dbm-v2"]; n != 3 {
 			t.Errorf("%s: %d dbm-v2 entries after a second engine, want 3", bench, n)

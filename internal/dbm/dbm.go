@@ -291,8 +291,15 @@ type Executor struct {
 }
 
 // New creates an executor for exe+libs under schedule s (which may be
-// nil for a bare "DynamoRIO only" run).
+// nil for a bare "DynamoRIO only" run). A schedule generated for
+// another executable is refused with an error wrapping
+// rules.ErrWrongBinary.
 func New(exe *obj.Executable, s *rules.Schedule, cfg Config, libs ...*obj.Library) (*Executor, error) {
+	if s != nil {
+		if err := s.CheckFor(exe.Name, uint64(exe.Size())); err != nil {
+			return nil, err
+		}
+	}
 	m, err := vm.NewMachine(exe, libs...)
 	if err != nil {
 		return nil, err

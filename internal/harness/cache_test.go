@@ -7,8 +7,12 @@ package harness
 // from disk (nonzero hit counter) rather than quietly recomputing.
 
 import (
+	"crypto/sha256"
+	"encoding/binary"
+	"encoding/json"
 	"os"
 	"path/filepath"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -24,6 +28,24 @@ import (
 func resetMemoryTiers() {
 	janus.ResetMemos()
 	workloads.ResetBuildCache()
+}
+
+// statsDelta is how the store's counters moved between two snapshots,
+// per kind included.
+func statsDelta(before, after artcache.Stats) artcache.Stats {
+	d := artcache.Stats{
+		Hits:       after.Hits - before.Hits,
+		Misses:     after.Misses - before.Misses,
+		BadEntries: after.BadEntries - before.BadEntries,
+		Kinds:      map[string]artcache.KindStats{},
+	}
+	for kind, a := range after.Kinds {
+		b := before.Kinds[kind]
+		if a != b {
+			d.Kinds[kind] = artcache.KindStats{Hits: a.Hits - b.Hits, Misses: a.Misses - b.Misses}
+		}
+	}
+	return d
 }
 
 func TestGoldenColdWarmOff(t *testing.T) {
@@ -44,6 +66,9 @@ func TestGoldenColdWarmOff(t *testing.T) {
 
 	resetMemoryTiers()
 	diffGolden(t, "cache off", renderSuite(t, DefaultOptions()), want)
+	if st := cache.Stats(); st.Hits+st.Misses != 0 {
+		t.Fatalf("a render with the cache off consulted the store: %s", st)
+	}
 
 	resetMemoryTiers()
 	diffGolden(t, "cold cache", renderSuite(t, withCache()), want)
@@ -54,56 +79,83 @@ func TestGoldenColdWarmOff(t *testing.T) {
 
 	resetMemoryTiers()
 	diffGolden(t, "warm cache", renderSuite(t, withCache()), want)
-	warm := cache.Stats()
-	if warm.Hits <= cold.Hits {
-		t.Fatalf("warm render recorded no new hits: cold %s, warm %s", cold, warm)
+	warm := statsDelta(cold, cache.Stats())
+	if warm.Hits == 0 {
+		t.Fatalf("warm render recorded no hits: cold %s, warm %s", cold, warm)
 	}
-	if warm.Misses != cold.Misses {
-		t.Errorf("warm render missed %d times beyond the cold run: some artifact key is unstable across runs (cold %s, warm %s)",
-			warm.Misses-cold.Misses, cold, warm)
+	if warm.Misses != 0 {
+		t.Errorf("warm render missed %d times: some artifact key is unstable across runs (cold %s; warm %s; %s)",
+			warm.Misses, cold, warm, warm.KindsString())
 	}
-	if warm.BadEntries != 0 {
-		t.Errorf("store reported corrupt entries on a healthy run: %s", warm)
-	}
-
-	// A warm replay repeats the cold render's lookups one for one: what
-	// a render looks up is a function of the render alone, never of
-	// what the store happened to hold.
-	lookups := cold.Hits + cold.Misses
-	if got := warm.Hits - cold.Hits; got != lookups {
-		t.Errorf("warm render made %d lookups, cold made %d (cold %s, warm %s)", got, lookups, cold, warm)
+	if warm.BadEntries != 0 || cold.BadEntries != 0 {
+		t.Errorf("store reported corrupt entries on a healthy run: cold %s, warm %s", cold, warm)
 	}
 
-	// Every Janus run goes through the per-render run table, so each
-	// spec looks its DBM result up exactly once: per parallelisable
-	// benchmark the full configuration at 1..Threads on O3 (figures 8,
-	// 9, 10, 11, 12 and Table I share them), figure 7's two partial
-	// configurations, figure 12's O2 and O3AVX builds, figure 7's
-	// bare-DBM run, and figure 11's two modelled compilers, which are
-	// clients of the same dbm tier under their own schedule and cost
-	// model. The store's entry counts give the other kinds' lookups:
-	// each build, native baseline and profile is looked up once per key
-	// behind its memory tier, except that figure 6 and Parallelise
-	// profile the nine parallelisable train builds under different
-	// analyses and so each look that profile up.
-	names := int64(len(workloads.ParallelisableNames()))
+	// What the store holds after one render, per kind. all counts the
+	// registry (figure 6 plans the train-O3 build of every benchmark),
+	// names the parallelisable benchmarks, each built at figure 12's
+	// three levels for ref and train inputs (the O3 train builds are
+	// figure 6's). Every build has its identity beside it. Plans: one
+	// per figure-6 row, five per parallelisable benchmark (the three
+	// modes on O3, the full one on O2 and O3AVX — thread count is not
+	// part of a plan) and the two modelled compilers. Baselines: one per
+	// parallelisable ref build. Profiles: one per train build.
+	all, names := int64(len(workloads.Names())), int64(len(workloads.ParallelisableNames()))
 	entries := entriesByKind(t, dir)
-	var others int64
-	for kind, n := range entries {
-		if !strings.HasPrefix(kind, "dbm-") {
-			others += n
+	builds := all + 5*names
+	for kind, n := range map[string]int64{
+		"build-v1":    builds,
+		"ident-v1":    builds,
+		"schedule-v1": all + 5*names + 2*names,
+		"native-v1":   3 * names,
+		"profile-v1":  all + 2*names,
+	} {
+		if entries[kind] != n {
+			t.Errorf("store holds %d %s entries, want %d (store entries %v)", entries[kind], kind, n, entries)
 		}
 	}
-	wantDBM := names*(DefaultThreads+2+2) + names + 2*names
-	if got := lookups - others - names; got != wantDBM {
-		t.Errorf("cold render made %d DBM-result lookups, want %d — one per distinct run (store entries %v, cold %s)",
-			got, wantDBM, entries, cold)
+
+	// A warm replay does NOT repeat the cold render's lookups, by
+	// design: what a stage looks up beneath a hit is skipped. A handle
+	// opened from its identity record never looks the image up, and a
+	// replayed plan never looks up the profile that trained it (nor
+	// analyses, nor loads either binary). What remains is observed per
+	// kind: one identity per build; one plan per Janus run (every spec
+	// of the run table: per parallelisable benchmark the full
+	// configuration at 1..Threads on O3, figure 7's two partial
+	// configurations, figure 12's O2 and O3AVX builds), per figure-6 row
+	// and per modelled compiler; one baseline per ref build behind its
+	// memory tier; and one DBM result per distinct run — the Janus runs,
+	// figure 7's bare-DBM run, and figure 11's two modelled compilers,
+	// which are clients of the same dbm tier under their own schedule
+	// and cost model.
+	janusRuns := names * (DefaultThreads + 2 + 2)
+	wantWarm := map[string]artcache.KindStats{
+		"ident-v1":    {Hits: builds},
+		"schedule-v1": {Hits: janusRuns + all + 2*names},
+		"native-v1":   {Hits: 3 * names},
+		"dbm-v2":      {Hits: janusRuns + names + 2*names},
 	}
-	// The modelled compilers measure against the native baseline of the
-	// build they share with a Janus row (O3 for gcc, O3AVX for icc), so
-	// the baselines stay one per ref build of figure 12's three levels.
-	if got, want := entries["native-v1"], 3*names; got != want {
-		t.Errorf("store holds %d native baselines, want %d — one per parallelisable ref build (store entries %v)", got, want, entries)
+	if !reflect.DeepEqual(warm.Kinds, wantWarm) {
+		t.Errorf("warm render looked up %s, want %s", warm.KindsString(), artcache.Stats{Kinds: wantWarm}.KindsString())
+	}
+	coldLookups := cold.Hits + cold.Misses
+	if warm.Hits >= coldLookups {
+		t.Errorf("warm render made %d lookups, cold %d — a replay must skip the build and profile lookups beneath its hits", warm.Hits, coldLookups)
+	}
+	// The cold render looks up everything the warm one does, plus each
+	// build once behind its identity miss, plus each profile once per
+	// (train build, analysis): once for the memoised train analysis the
+	// Janus plans of a flavour share, and once more where figure 6
+	// trains the same build on its own analysis.
+	coldKinds := map[string]int64{"build-v1": builds, "profile-v1": 3*names + all}
+	for kind, ks := range wantWarm {
+		coldKinds[kind] = ks.Hits
+	}
+	for kind, n := range coldKinds {
+		if got := cold.Kinds[kind].Hits + cold.Kinds[kind].Misses; got != n {
+			t.Errorf("cold render made %d %s lookups, want %d (%s)", got, kind, n, cold.KindsString())
+		}
 	}
 }
 
@@ -111,7 +163,8 @@ func TestGoldenColdWarmOff(t *testing.T) {
 // modelled compilers alike — replays wholly from a warm store, and a
 // round-robin render of it replays everything but the DBM runs: the
 // engine selection is part of every dbm key, so one engine's stored
-// Stats are never served as the other's.
+// Stats are never served as the other's — while the plans, which no
+// engine knob enters, all hit.
 func TestFigure11EnginesDoNotShareRuns(t *testing.T) {
 	if testing.Short() {
 		t.Skip("three figure-11 renders; run without -short")
@@ -131,8 +184,7 @@ func TestFigure11EnginesDoNotShareRuns(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		after := cache.Stats()
-		return RenderFigure11(rows), artcache.Stats{Hits: after.Hits - before.Hits, Misses: after.Misses - before.Misses}
+		return RenderFigure11(rows), statsDelta(before, cache.Stats())
 	}
 
 	want, _ := fig11(o)
@@ -142,8 +194,11 @@ func TestFigure11EnginesDoNotShareRuns(t *testing.T) {
 	stored := entriesByKind(t, dir)
 
 	got, warm := fig11(o)
-	if got != want || warm.Misses != 0 {
-		t.Errorf("warm figure 11 was not a replay (%s)", warm)
+	if got != want || warm.Misses != 0 || warm.BadEntries != 0 {
+		t.Errorf("warm figure 11 was not a replay (%s; %s)", warm, warm.KindsString())
+	}
+	if ks := warm.Kinds["schedule-v1"]; ks.Hits != stored["schedule-v1"] || warm.Kinds["build-v1"].Hits+warm.Kinds["profile-v1"].Hits != 0 {
+		t.Errorf("warm figure 11 did not replay its %d plans image-free: %s", stored["schedule-v1"], warm.KindsString())
 	}
 
 	o.SingleGoroutine = true
@@ -151,8 +206,17 @@ func TestFigure11EnginesDoNotShareRuns(t *testing.T) {
 	if got != want {
 		t.Error("round-robin figure 11 renders differently")
 	}
-	if rr.Misses != stored["dbm-v2"] || rr.Hits != warm.Hits-stored["dbm-v2"] {
-		t.Errorf("round-robin render on the default engine's store: %s — want exactly the %d DBM runs missed", rr, stored["dbm-v2"])
+	// The missed runs execute, so their binaries are materialised: one
+	// build-v1 hit each, beneath the identity that opened them.
+	rrWant := map[string]artcache.KindStats{}
+	for kind, ks := range warm.Kinds {
+		rrWant[kind] = ks
+	}
+	rrWant["dbm-v2"] = artcache.KindStats{Misses: stored["dbm-v2"]}
+	rrWant["build-v1"] = artcache.KindStats{Hits: stored["native-v1"]}
+	if !reflect.DeepEqual(rr.Kinds, rrWant) {
+		t.Errorf("round-robin render on the default engine's store looked up %s, want %s — exactly the %d DBM runs missed, every plan hit",
+			rr.KindsString(), artcache.Stats{Kinds: rrWant}.KindsString(), stored["dbm-v2"])
 	}
 	now := entriesByKind(t, dir)
 	for kind, n := range stored {
@@ -205,6 +269,12 @@ func TestCacheCorruptionHealsAcrossRender(t *testing.T) {
 		t.Fatal(err)
 	}
 	first := RenderFigure7(rows)
+	stored := entriesByKind(t, dir)
+	for _, kind := range []string{"build-v1", "ident-v1", "schedule-v1", "native-v1", "profile-v1", "dbm-v2"} {
+		if stored[kind] == 0 {
+			t.Fatalf("figure 7 stored no %s entry to corrupt (store entries %v)", kind, stored)
+		}
+	}
 
 	// Flip a byte in every artifact.
 	n := 0
@@ -268,5 +338,144 @@ func TestUnopenableCacheDirIsAnError(t *testing.T) {
 	}
 	if out != "" {
 		t.Fatalf("RenderAll rendered despite the open failure:\n%s", out)
+	}
+}
+
+// artifactsOf lists the store's entry files of one kind.
+func artifactsOf(t *testing.T, dir, kind string) []string {
+	t.Helper()
+	files, err := filepath.Glob(filepath.Join(dir, kind, "*.art"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(files) == 0 {
+		t.Fatalf("store holds no %s entries", kind)
+	}
+	return files
+}
+
+// reseal rewrites the entry at path to carry payload under its own key
+// digest (artcache entry format: magic, key digest, payload length,
+// payload SHA-256, payload): a well-formed entry only its consumer can
+// find fault with.
+func reseal(t *testing.T, path string, payload []byte) {
+	t.Helper()
+	entry, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	out := append([]byte{}, entry[:40]...)
+	out = binary.LittleEndian.AppendUint64(out, uint64(len(payload)))
+	sum := sha256.Sum256(payload)
+	out = append(out, sum[:]...)
+	if err := os.WriteFile(path, append(out, payload...), 0o644); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestImageFreeReplay pins what makes a warm replay image-free and what
+// it costs nothing in safety: after one cold render the build images
+// can be deleted outright, an identity record that lies about its image
+// is caught the moment the image is needed, an evicted image is
+// reassembled to the identity on record, and the memory resets leave
+// nothing behind that a fresh process would not have.
+func TestImageFreeReplay(t *testing.T) {
+	if testing.Short() {
+		t.Skip("one cold and six warm full-suite renders; run without -short")
+	}
+	want := readGolden(t)
+	dir := t.TempDir()
+	cache, err := artcache.OpenShared(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	o := DefaultOptions()
+	o.CacheDir = dir
+	replay := func(label string) artcache.Stats {
+		t.Helper()
+		resetMemoryTiers()
+		before := cache.Stats()
+		diffGolden(t, label, renderSuite(t, o), want)
+		return statsDelta(before, cache.Stats())
+	}
+	replay("cold")
+
+	// (f) The two resets are a fresh process: a second warm render
+	// re-reads the store lookup for lookup, so no handle, identity or
+	// plan survived them in memory.
+	first := replay("warm")
+	again := replay("warm again")
+	if first.Misses != 0 || first.BadEntries != 0 || first.Hits == 0 || !reflect.DeepEqual(first, again) {
+		t.Fatalf("warm renders after the memory resets differ or recompute: first %s (%s), again %s (%s)",
+			first, first.KindsString(), again, again.KindsString())
+	}
+
+	// (a) No image is read: the whole build kind can go.
+	if err := os.RemoveAll(filepath.Join(dir, "build-v1")); err != nil {
+		t.Fatal(err)
+	}
+	if d := replay("build-v1 deleted"); !reflect.DeepEqual(d, first) {
+		t.Fatalf("render without build-v1 was not the same pure replay: %s (%s), want %s", d, d.KindsString(), first.KindsString())
+	}
+
+	// (c) Image evicted, identity on record, one downstream result gone:
+	// the run executes on a reassembled image, which hashes to the
+	// record — nothing is bad, one build is republished.
+	if err := os.Remove(artifactsOf(t, dir, "dbm-v2")[0]); err != nil {
+		t.Fatal(err)
+	}
+	d := replay("build-v1 evicted, one run missing")
+	if d.BadEntries != 0 || d.Kinds["dbm-v2"].Misses == 0 || d.Kinds["build-v1"] != (artcache.KindStats{Misses: 1}) || d.Misses != d.Kinds["dbm-v2"].Misses+1 {
+		t.Fatalf("want the missing run executed on one reassembled image and nothing else recomputed: %s (%s)", d, d.KindsString())
+	}
+	if n := entriesByKind(t, dir)["build-v1"]; n != 1 {
+		t.Fatalf("%d build-v1 entries republished, want 1", n)
+	}
+	if d := replay("healed"); !reflect.DeepEqual(d, first) {
+		t.Fatalf("store did not heal to a pure replay: %s (%s)", d, d.KindsString())
+	}
+
+	// (b) A well-formed identity record naming another binary. Replays
+	// keyed by it find nothing, so its image is materialised — and seen
+	// not to be the binary on record. The record is counted bad and
+	// rewritten, nothing is published under the wrong identity, and the
+	// render is golden.
+	record := artifactsOf(t, dir, "ident-v1")[0]
+	honest, err := os.ReadFile(record)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var rec struct {
+		ID       string
+		CodeSize int
+	}
+	if err := json.Unmarshal(honest[80:], &rec); err != nil {
+		t.Fatal(err)
+	}
+	rec.ID = strings.Repeat("0", len(rec.ID))
+	lie, err := json.Marshal(rec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	reseal(t, record, lie)
+	if err := os.Remove(artifactsOf(t, dir, "dbm-v2")[0]); err != nil {
+		t.Fatal(err)
+	}
+	stored := entriesByKind(t, dir)
+	d = replay("lying identity record")
+	if d.BadEntries != 1 {
+		t.Fatalf("lying identity record: %d bad entries counted, want 1 (%s; %s)", d.BadEntries, d, d.KindsString())
+	}
+	if healed, err := os.ReadFile(record); err != nil || string(healed) != string(honest) {
+		t.Fatalf("identity record was not rewritten from its image (%v)", err)
+	}
+	now := entriesByKind(t, dir)
+	now["build-v1"], stored["build-v1"] = 0, 0 // reassembled for the check
+	now["dbm-v2"]--                            // the removed run, re-executed
+	if !reflect.DeepEqual(now, stored) {
+		t.Fatalf("artifacts were published under the wrong identity: entries %v, were %v", now, stored)
+	}
+	if d := replay("healed record"); !reflect.DeepEqual(d, first) {
+		t.Fatalf("store did not heal to a pure replay: %s (%s)", d, d.KindsString())
 	}
 }

@@ -72,11 +72,12 @@ type Options struct {
 	// observation never changes rendered bytes.
 	OnProgress func(ProgressEvent)
 	// CacheDir, when non-empty, enables the durable artifact cache
-	// (janus-bench -cache-dir): workload builds, native baselines,
-	// training profiles and DBM results are stored on disk there and
-	// replayed on subsequent runs. Rendered output is byte-identical
-	// with the cache off, cold, or warm; only wall-clock changes. The
-	// directory is safe to share between concurrent processes.
+	// (janus-bench -cache-dir): workload builds and their identities,
+	// plans (rewrite schedules), native baselines, training profiles and
+	// DBM results are stored on disk there and replayed on subsequent
+	// runs. Rendered output is byte-identical with the cache off, cold,
+	// or warm; only wall-clock changes. The directory is safe to share
+	// between concurrent processes.
 	CacheDir string
 }
 
@@ -183,24 +184,23 @@ type runSpec struct {
 // may read it.
 func (r *render) janus(bench string, opt workloads.OptLevel, threads int, mode runMode) (*janus.Report, error) {
 	return r.runs.Do(nil, runSpec{bench, opt, threads, mode}, nil, func() (*janus.Report, error) {
-		exe, libs, err := workloads.BuildCached(r.cache, bench, workloads.Ref, opt)
+		ref, err := workloads.Open(r.cache, bench, workloads.Ref, opt)
 		if err != nil {
 			return nil, err
 		}
-		trainExe, _, err := workloads.BuildCached(r.cache, bench, workloads.Train, opt)
+		train, err := workloads.Open(r.cache, bench, workloads.Train, opt)
 		if err != nil {
 			return nil, err
 		}
-		rep, err := janus.Parallelise(exe, janus.Config{
+		rep, err := janus.ParalleliseBinary(ref, train, janus.Config{
 			Threads:         threads,
 			UseProfile:      mode >= profiled,
 			UseChecks:       mode == full,
 			Verify:          true,
-			TrainExe:        trainExe,
 			SingleGoroutine: r.o.SingleGoroutine,
 			Inject:          r.o.Inject,
 			Cache:           r.cache,
-		}, libs...)
+		})
 		if err != nil {
 			return nil, fmt.Errorf("%s, %d threads, %s: %w", opt, threads, mode, err)
 		}
@@ -273,26 +273,27 @@ func Figure6(o Options) ([]Fig6Row, error) {
 	return launch(context.Background(), o, figure6)
 }
 
+// figure6Selection is the full Janus policy; figure 6 reads only the
+// loop summary of the plan it yields (classes after dependence
+// profiling, exclusive coverage), which no selection knob influences.
+var figure6Selection = janus.Config{UseProfile: true, UseChecks: true}.Selection()
+
 func figure6(r *render) ([]Fig6Row, error) {
 	return rows(r, workloads.Names(), func(name string) (Fig6Row, error) {
 		row := Fig6Row{Bench: name}
-		exe, libs, err := workloads.BuildCached(r.cache, name, workloads.Train, workloads.O3)
+		// The train-input build, trained on itself: a projection over its
+		// plan, which a warm store replays without the image.
+		bin, err := workloads.Open(r.cache, name, workloads.Train, workloads.O3)
 		if err != nil {
 			return row, err
 		}
-		prog, err := analyzer.Analyze(exe)
+		plan, err := janus.PlanCached(r.cache, bin, nil, figure6Selection)
 		if err != nil {
 			return row, err
 		}
-		pr, err := janus.RunProfilingCached(r.cache, exe, prog, libs...)
-		if err != nil {
-			return row, err
-		}
-		prog.ApplyExclCoverage(pr.ExclCoverage)
-		prog.ApplyDependences(pr.Dependences)
 
-		n := float64(len(prog.Loops))
-		for _, li := range prog.Loops {
+		n := float64(len(plan.Loops))
+		for _, li := range plan.Loops {
 			sf := 1.0 / n
 			df := li.ExclCoverage
 			switch li.Class {
@@ -358,11 +359,11 @@ func Figure7(o Options) ([]Fig7Row, error) {
 func figure7(r *render) ([]Fig7Row, error) {
 	return rows(r, workloads.ParallelisableNames(), func(name string) (Fig7Row, error) {
 		row := Fig7Row{Bench: name, Threads: r.o.Threads}
-		exe, libs, err := workloads.BuildCached(r.cache, name, workloads.Ref, workloads.O3)
+		ref, err := workloads.Open(r.cache, name, workloads.Ref, workloads.O3)
 		if err != nil {
 			return row, err
 		}
-		bare, err := janus.RunBareDBMCached(r.cache, exe, libs...)
+		bare, err := janus.RunBareDBMBinary(r.cache, ref)
 		if err != nil {
 			return row, err
 		}
@@ -563,12 +564,11 @@ func figure10(r *render) ([]Fig10Row, error) {
 		// read their reference inputs from files, whereas our synthetic
 		// binaries embed them in .data, which would deflate the ratio
 		// meaninglessly.
-		codeSize := len(rep.Program.Exe.Code)
 		return Fig10Row{
 			Bench:        name,
 			ScheduleSize: size,
-			BinarySize:   codeSize,
-			Fraction:     float64(size) / float64(codeSize),
+			BinarySize:   rep.CodeSize,
+			Fraction:     float64(size) / float64(rep.CodeSize),
 		}, nil
 	})
 }
@@ -611,11 +611,11 @@ func figure11(r *render) ([]Fig11Row, error) {
 		// The modelled compilers run under the render's engine selection.
 		engine := compilers.Engine{HostParallel: !r.o.SingleGoroutine, WorkStealing: true}
 		auto := func(c compilers.Kind, opt workloads.OptLevel) (float64, error) {
-			exe, libs, err := workloads.BuildCached(r.cache, name, workloads.Ref, opt)
+			bin, err := workloads.Open(r.cache, name, workloads.Ref, opt)
 			if err != nil {
 				return 0, err
 			}
-			res, err := compilers.ParalleliseCached(r.cache, c, exe, r.o.Threads, engine, libs...)
+			res, err := compilers.ParalleliseBinary(r.cache, c, bin, r.o.Threads, engine)
 			if err != nil {
 				return 0, fmt.Errorf("%s: %w", c, err)
 			}

@@ -585,6 +585,10 @@ type Stats struct {
 	CacheHits   int64 `json:"cache_hits,omitempty"`
 	CacheMisses int64 `json:"cache_misses,omitempty"`
 	CacheBad    int64 `json:"cache_bad,omitempty"`
+	// CacheKinds splits hits and misses by artifact kind (build-v1,
+	// ident-v1, schedule-v1, native-v1, profile-v1, dbm-v2): which
+	// stages requests replayed and which they recomputed.
+	CacheKinds map[string]artcache.KindStats `json:"cache_kinds,omitempty"`
 }
 
 // Snapshot returns current daemon stats.
@@ -597,6 +601,7 @@ func (s *Server) Snapshot() Stats {
 		CacheHits:   cs.Hits,
 		CacheMisses: cs.Misses,
 		CacheBad:    cs.BadEntries,
+		CacheKinds:  cs.Kinds,
 		PID:         os.Getpid(),
 		UptimeMS:    time.Since(s.started).Milliseconds(),
 		Cap:         s.pool.Cap(),

@@ -20,7 +20,9 @@ import (
 	"testing"
 	"time"
 
+	"janus"
 	"janus/internal/artcache"
+	"janus/internal/workloads"
 )
 
 // TestHelperReplicaDaemon is not a test: re-exec'd by
@@ -50,7 +52,11 @@ func TestReplicasShareCache(t *testing.T) {
 	}
 	dir := t.TempDir()
 
-	// Replica A, in-process, warms the shared cache with one full run.
+	// Replica A, in-process, warms the shared cache with one full run —
+	// from a fresh process state: what an earlier test left in the memory
+	// tiers would be served from there and never published to this store.
+	janus.ResetMemos()
+	workloads.ResetBuildCache()
 	_, baseA, _ := startServer(t, Config{Workers: 2, CacheDir: dir})
 	cA := &Client{Base: baseA}
 	warm, err := cA.Render(context.Background(), Request{})
@@ -137,6 +143,16 @@ func TestReplicasShareCache(t *testing.T) {
 	}
 	if stB.CacheHits == 0 {
 		t.Fatal("replica B never hit the shared cache — the directory was not actually shared")
+	}
+	// B's process rendered only against the store A warmed: statusz says
+	// per kind what it replayed — plans and runs — and that it never
+	// read, let alone reassembled, a build image.
+	kinds := stB.CacheKinds
+	if kinds["schedule-v1"].Hits == 0 || kinds["dbm-v2"].Hits == 0 || kinds["ident-v1"].Hits == 0 {
+		t.Fatalf("replica B's statusz does not show a replay per kind: %v", kinds)
+	}
+	if b := kinds["build-v1"]; b.Hits+b.Misses != 0 {
+		t.Fatalf("replica B's warm render looked up %d build images: %v", b.Hits+b.Misses, kinds)
 	}
 }
 

@@ -9,7 +9,10 @@
 // adding a rule ID here and a handler in internal/dbm.
 package rules
 
-import "fmt"
+import (
+	"errors"
+	"fmt"
+)
 
 // ID selects the DBM handler for a rule.
 type ID uint16
@@ -92,11 +95,33 @@ func (r Rule) String() string {
 type Schedule struct {
 	// ExeName identifies the executable the schedule was generated for.
 	ExeName string
-	// ExeSize is the image size at generation time (consistency check).
+	// ExeSize is the image size (code + data) at generation time.
+	// CheckFor holds both against the executable a schedule is about to
+	// be applied to; zero (a hand-built schedule) matches any size.
 	ExeSize uint64
 	// Rules in static-analyser order; rules sharing an address are
 	// applied in this order (paper §II-A2).
 	Rules []Rule
+}
+
+// ErrWrongBinary is what CheckFor's error wraps: the schedule was
+// generated for another executable.
+var ErrWrongBinary = errors.New("rules: schedule was generated for another binary")
+
+// CheckFor reports whether the schedule may be applied to the
+// executable of that name and image size. Rules are attached to code
+// addresses, so a schedule applied to any other binary rewrites
+// arbitrary instructions; schedules arrive from files and stores, and
+// the DBM refuses such a pairing rather than run it. An empty recorded
+// name or a zero recorded size is not checked.
+func (s *Schedule) CheckFor(exeName string, exeSize uint64) error {
+	if s.ExeName != "" && s.ExeName != exeName {
+		return fmt.Errorf("%w: schedule names %q, executable is %q", ErrWrongBinary, s.ExeName, exeName)
+	}
+	if s.ExeSize != 0 && s.ExeSize != exeSize {
+		return fmt.Errorf("%w: schedule records a %d-byte image of %q, executable has %d", ErrWrongBinary, s.ExeSize, s.ExeName, exeSize)
+	}
+	return nil
 }
 
 // Append adds a rule.

@@ -1,6 +1,7 @@
 package rules
 
 import (
+	"errors"
 	"math/rand"
 	"reflect"
 	"testing"
@@ -163,5 +164,31 @@ func TestTripSpecCount(t *testing.T) {
 	unk := TripSpec{}
 	if _, ok := unk.Count(func(guest.Reg) uint64 { return 0 }); ok {
 		t.Fatal("unknown trip must not count")
+	}
+}
+
+// TestCheckFor: a schedule may only be applied to the executable it
+// records; an unrecorded name or size (a hand-built schedule) matches
+// anything, and both mismatches are errors.Is-able.
+func TestCheckFor(t *testing.T) {
+	s := &Schedule{ExeName: "bench", ExeSize: 4096}
+	if err := s.CheckFor("bench", 4096); err != nil {
+		t.Fatalf("own binary refused: %v", err)
+	}
+	for _, tc := range []struct {
+		name string
+		size uint64
+	}{{"other", 4096}, {"bench", 4097}, {"", 0}} {
+		if err := s.CheckFor(tc.name, tc.size); !errors.Is(err, ErrWrongBinary) {
+			t.Errorf("CheckFor(%q, %d) = %v, want ErrWrongBinary", tc.name, tc.size, err)
+		}
+	}
+	for _, handBuilt := range []*Schedule{{}, {ExeName: "bench"}, {ExeSize: 4096}} {
+		if err := handBuilt.CheckFor("bench", 4096); err != nil {
+			t.Errorf("%+v refused: %v", handBuilt, err)
+		}
+	}
+	if err := (&Schedule{ExeName: "bench"}).CheckFor("other", 1); !errors.Is(err, ErrWrongBinary) {
+		t.Errorf("a recorded name is checked even without a size: %v", err)
 	}
 }

@@ -1,6 +1,7 @@
 package workloads
 
 import (
+	"encoding/json"
 	"fmt"
 	"sort"
 	"sync"
@@ -489,33 +490,115 @@ func Build(name string, in Input, opt OptLevel) (*obj.Executable, []*obj.Library
 	return BuildCached(nil, name, in, opt)
 }
 
+// buildDiskKey is the disk key of one registry build, shared by the
+// image (build-v1) and its identity sidecar (ident-v1).
+// Generated-corpus benchmarks (buildExt) report ok=false: their
+// libraries are supplied by the generator and have no serialised form
+// here, so they always assemble.
+func buildDiskKey(bm Benchmark, in Input, opt OptLevel) (artcache.Key, bool) {
+	return artcache.Key{
+		Binary: bm.Name,
+		Input:  fmt.Sprintf("%s", in),
+		Config: fmt.Sprintf("opt=%s schema=%s", opt, BuildSchema),
+	}, bm.buildExt == nil
+}
+
 // BuildCached is Build backed by a durable artifact cache: on an
 // in-memory miss the serialised executable is looked up on disk
-// before being assembled, and published after. Generated-corpus
-// benchmarks (buildExt) always assemble — their libraries are
-// supplied by the generator and have no serialised form here. Nil c
-// is exactly Build.
+// before being assembled, and published after. Nil c is exactly Build.
 func BuildCached(c *artcache.Cache, name string, in Input, opt OptLevel) (*obj.Executable, []*obj.Library, error) {
 	bm, ok := ByName(name)
 	if !ok {
 		return nil, nil, fmt.Errorf("workloads: unknown benchmark %q", name)
 	}
-	b, err := buildTier.Do(c, buildKey{name: name, in: in, opt: opt}, func() (artcache.Key, bool) {
-		return artcache.Key{
-			Binary: name,
-			Input:  fmt.Sprintf("%s", in),
-			Config: fmt.Sprintf("opt=%s schema=%s", opt, BuildSchema),
-		}, bm.buildExt == nil
-	}, func() (built, error) { return build(bm, in, opt) })
+	b, err := buildTier.Do(c, buildKey{name: name, in: in, opt: opt},
+		func() (artcache.Key, bool) { return buildDiskKey(bm, in, opt) },
+		func() (built, error) { return build(bm, in, opt) })
 	return b.exe, b.libs, err
 }
 
+// ident is what a stored build is known by without its image: the
+// content identity every downstream artifact is keyed by, and the
+// code-section size figure 10 normalises against.
+type ident struct {
+	ID       string
+	CodeSize int
+}
+
+// identTier is the sidecar of buildTier, used through Disk only (the
+// handles made from it live in openTier). A record is stored under the
+// key of the image it describes, so it is trusted exactly as much as
+// that image entry is; obj.Lazy re-checks it whenever the image is
+// actually loaded.
+var identTier = artcache.Tier[struct{}, ident]{
+	Kind:   "ident-v1",
+	Encode: func(id ident) ([]byte, error) { return json.Marshal(id) },
+	Decode: func(data []byte) (ident, error) {
+		var id ident
+		if err := json.Unmarshal(data, &id); err != nil {
+			return ident{}, err
+		}
+		if id.ID == "" || id.CodeSize <= 0 {
+			return ident{}, fmt.Errorf("workloads: empty identity record")
+		}
+		return id, nil
+	},
+}
+
+// openTier holds one handle per (name, input, opt), so concurrent
+// experiments share the downstream per-binary tiers the way Build's
+// stable executable pointer lets them.
+var openTier artcache.Tier[buildKey, *obj.Binary]
+
+// Open returns the handle of the named build. With a store, a build
+// whose identity record is there is opened without its image — a lazy
+// handle whose loader is BuildCached — so a caller replaying every
+// downstream stage from the store reads a few hundred bytes instead of
+// the ~10 MB image; a missing record is computed from the build and
+// published beside it. A record that turns out not to describe the
+// image it sits beside is counted as a bad entry and rewritten from the
+// image. Without a store the handle is eager and no identity is hashed
+// unless a caller asks for one.
+func Open(c *artcache.Cache, name string, in Input, opt OptLevel) (*obj.Binary, error) {
+	bm, ok := ByName(name)
+	if !ok {
+		return nil, fmt.Errorf("workloads: unknown benchmark %q", name)
+	}
+	return openTier.Do(nil, buildKey{name: name, in: in, opt: opt}, nil, func() (*obj.Binary, error) {
+		load := func() (*obj.Executable, []*obj.Library, error) { return BuildCached(c, name, in, opt) }
+		key, keyed := buildDiskKey(bm, in, opt)
+		if c == nil || !keyed {
+			exe, libs, err := load()
+			if err != nil {
+				return nil, err
+			}
+			return obj.NewBinary(exe, libs...), nil
+		}
+		var eager *obj.Binary
+		rec, err := identTier.Disk(c, func() (artcache.Key, bool) { return key, true }, func() (ident, error) {
+			exe, libs, err := load()
+			if err != nil {
+				return ident{}, err
+			}
+			eager = obj.NewBinary(exe, libs...)
+			return ident{ID: eager.ID(), CodeSize: eager.CodeSize()}, nil
+		})
+		if err != nil || eager != nil {
+			return eager, err
+		}
+		return obj.Lazy(rec.ID, rec.CodeSize, load, func(id string, codeSize int) {
+			identTier.Replace(c, key, ident{ID: id, CodeSize: codeSize})
+		}), nil
+	})
+}
+
 // ResetBuildCache drops every completed entry from the in-memory
-// build tier, forcing the next Build through the durable tier (or a
-// fresh assembly). Tests use it to exercise cold/warm paths in one
-// process.
+// build tier and every handle Open has handed out, forcing the next
+// Build or Open through the durable tier (or a fresh assembly). Tests
+// use it to exercise cold/warm paths in one process.
 func ResetBuildCache() {
 	buildTier.Reset()
+	openTier.Reset()
 }
 
 // build performs the uncached assembly of one benchmark binary.

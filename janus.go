@@ -49,7 +49,8 @@ type Config struct {
 	Cost *dbm.CostModel
 	// TrainExe, when non-nil, is a build of the same program with
 	// training inputs used for the profiling stage (the paper profiles
-	// with train inputs and evaluates with ref inputs).
+	// with train inputs and evaluates with ref inputs). Parallelise
+	// reads it; ParalleliseBinary takes the train binary as a handle.
 	TrainExe *obj.Executable
 	// SingleGoroutine forces the deterministic round-robin engine for
 	// every parallel region instead of running eligible regions on host
@@ -68,17 +69,22 @@ type Config struct {
 	// records that the recovery path ran. Nil disables injection at
 	// zero cost.
 	Inject *faultinject.Plan
-	// Cache, when non-nil, is the durable artifact tier: native
-	// baselines, training profiles and DBM results are looked up on
-	// disk by content fingerprint before being recomputed, and
-	// published after. Results are byte-identical with or without it
-	// (fault-injected runs bypass it, see cache.go). Nil disables the
-	// tier; the in-memory memos still apply.
+	// Cache, when non-nil, is the durable artifact tier: plans (the
+	// rewrite schedule with its loop summary), native baselines,
+	// training profiles and DBM results are looked up on disk by
+	// content identity before being recomputed, and published after.
+	// Results are byte-identical with or without it (fault-injected
+	// runs bypass it, see cache.go), except that a replayed plan leaves
+	// Report.Program nil. Nil disables the tier; the in-memory memos
+	// still apply.
 	Cache *artcache.Cache
 }
 
 // Report is the outcome of a full Janus run.
 type Report struct {
+	// Program is the live analysis behind Schedule. It is nil when the
+	// plan was replayed from Config.Cache (see Plan.Program): read
+	// Selected and CodeSize instead, which are set either way.
 	Program  *analyzer.Program
 	Schedule *rules.Schedule
 	Native   *vm.Result
@@ -86,6 +92,9 @@ type Report struct {
 	Stats    dbm.Stats
 	// Selected is the number of loops parallelised.
 	Selected int
+	// CodeSize is the size of the binary's code section in bytes (what
+	// figure 10 normalises Schedule.Size against).
+	CodeSize int
 }
 
 // Speedup returns native-cycles / DBM-cycles (the paper's headline
@@ -97,55 +106,30 @@ func (r *Report) Speedup() float64 {
 	return float64(r.Native.Cycles) / float64(r.DBM.Cycles)
 }
 
-// Parallelise runs the complete Janus flow on exe.
+// Parallelise runs the complete Janus flow on exe: ParalleliseBinary on
+// the handles of (exe, libs) and, when set, (cfg.TrainExe, libs).
 func Parallelise(exe *obj.Executable, cfg Config, libs ...*obj.Library) (*Report, error) {
+	var train *obj.Binary
+	if cfg.TrainExe != nil {
+		train = BinaryOf(cfg.TrainExe, libs...)
+	}
+	return ParalleliseBinary(BinaryOf(exe, libs...), train, cfg)
+}
+
+// ParalleliseBinary runs the complete Janus flow on ref in its two
+// halves: the plan (PlanCached: static analysis, the optional training
+// stage on train — nil profiles ref itself — loop selection and
+// schedule generation) and its execution (RunScheduleBinary), validated
+// against native execution when cfg.Verify. With cfg.Cache warm both
+// halves replay and neither binary's image is loaded. cfg.TrainExe is
+// not read: train is its handle form.
+func ParalleliseBinary(ref, train *obj.Binary, cfg Config) (*Report, error) {
 	if cfg.Threads <= 0 {
 		cfg.Threads = 8
 	}
-	if cfg.MinCoverage == 0 {
-		cfg.MinCoverage = analyzer.DefaultMinCoverage
-	}
-
-	prog, err := analyzer.Analyze(exe)
+	plan, err := PlanCached(cfg.Cache, ref, train, cfg.Selection())
 	if err != nil {
-		return nil, fmt.Errorf("janus: static analysis: %w", err)
-	}
-
-	// Training stage (optional, figure 1(a) left).
-	if cfg.UseProfile || cfg.UseChecks {
-		trainExe := cfg.TrainExe
-		trainProg := prog
-		if trainExe == nil {
-			trainExe = exe
-		} else {
-			// Memoised: the train binary is re-analysed identically for
-			// every configuration that profiles it, and the profiling
-			// path never mutates the Program.
-			trainProg, err = runAnalyzeMemo(trainExe)
-			if err != nil {
-				return nil, fmt.Errorf("janus: train analysis: %w", err)
-			}
-		}
-		pr, err := RunProfilingCached(cfg.Cache, trainExe, trainProg, libs...)
-		if err != nil {
-			return nil, fmt.Errorf("janus: profiling: %w", err)
-		}
-		// Loop IDs are assigned deterministically from the same binary
-		// layout, so train results map directly onto ref analysis.
-		prog.ApplyCoverage(pr.Coverage)
-		prog.ApplyExclCoverage(pr.ExclCoverage)
-		prog.ApplyAvgIters(pr.AvgIters)
-		prog.ApplyDependences(pr.Dependences)
-	}
-
-	prog.SelectLoops(analyzer.SelectOptions{
-		UseProfile:  cfg.UseProfile,
-		MinCoverage: cfg.MinCoverage,
-		UseChecks:   cfg.UseChecks,
-	})
-	sched, err := prog.GenParallelSchedule()
-	if err != nil {
-		return nil, fmt.Errorf("janus: schedule generation: %w", err)
+		return nil, err
 	}
 
 	dcfg := dbm.DefaultConfig(cfg.Threads)
@@ -154,7 +138,7 @@ func Parallelise(exe *obj.Executable, cfg Config, libs ...*obj.Library) (*Report
 	if cfg.Cost != nil {
 		dcfg.Cost = *cfg.Cost
 	}
-	native, res, err := RunScheduleCached(cfg.Cache, exe, sched, dcfg, libs...)
+	native, res, err := RunScheduleBinary(cfg.Cache, ref, plan.Schedule, dcfg)
 	if err != nil {
 		return nil, err
 	}
@@ -164,40 +148,39 @@ func Parallelise(exe *obj.Executable, cfg Config, libs ...*obj.Library) (*Report
 			return nil, err
 		}
 	}
-
-	selected := 0
-	for _, li := range prog.Loops {
-		if li.Selected {
-			selected++
-		}
-	}
 	return &Report{
-		Program:  prog,
-		Schedule: sched,
+		Program:  plan.Program,
+		Schedule: plan.Schedule,
 		Native:   native,
 		DBM:      res,
 		Stats:    res.Stats,
-		Selected: selected,
+		Selected: plan.Selected(),
+		CodeSize: ref.CodeSize(),
 	}, nil
 }
 
-// RunScheduleCached is the execution half of Parallelise, for callers
-// that bring their own rewrite schedule and DBM configuration (figure
-// 11's modelled compilers): exe's native baseline and its run under
-// sched and dcfg, each through its cached stage, so a binary shared
-// with a Janus run shares that run's baseline and a warm store replays
-// both. Nil c keeps the baseline's in-memory memo and always runs the
-// DBM.
-func RunScheduleCached(c *artcache.Cache, exe *obj.Executable, sched *rules.Schedule, dcfg dbm.Config, libs ...*obj.Library) (*vm.Result, *dbm.Result, error) {
-	native, err := RunNativeBaselineCached(c, exe, libs...)
+// RunScheduleBinary is the online half of a Janus run, for callers that
+// bring their own rewrite schedule and DBM configuration (a plan
+// replayed from the store, figure 11's modelled compilers, `janus run
+// -schedule`): bin's native baseline and its run under sched and dcfg,
+// each through its cached stage, so a binary shared with a Janus run
+// shares that run's baseline and a warm store replays both. Nil c keeps
+// the baseline's in-memory memo and always runs the DBM.
+func RunScheduleBinary(c *artcache.Cache, bin *obj.Binary, sched *rules.Schedule, dcfg dbm.Config) (*vm.Result, *dbm.Result, error) {
+	native, err := runNativeBaseline(c, bin)
 	if err != nil {
 		return nil, nil, fmt.Errorf("janus: native run: %w", err)
 	}
-	res, err := runDBMCached(c, exe, sched, dcfg, libs...)
+	res, err := runDBM(c, bin, sched, dcfg)
 	if err != nil {
 		return nil, nil, fmt.Errorf("janus: DBM run: %w", err)
 	}
 	return native, res, nil
+}
+
+// RunScheduleCached is RunScheduleBinary on the handle of (exe, libs).
+func RunScheduleCached(c *artcache.Cache, exe *obj.Executable, sched *rules.Schedule, dcfg dbm.Config, libs ...*obj.Library) (*vm.Result, *dbm.Result, error) {
+	return RunScheduleBinary(c, BinaryOf(exe, libs...), sched, dcfg)
 }
 
 // Verify compares a DBM result against native execution of the same
