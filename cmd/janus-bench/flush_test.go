@@ -1,14 +1,9 @@
 package main
 
-// Failure-path stderr contract: the -cache-dir counter line and the
-// -campaign stats line are part of janus-bench's observable surface
-// and must be emitted even when a run dies partway, so operators can
-// see what the failed run actually did. These tests drive the real
-// binary, since the flush logic lives in main.
-//
-// The campaign failure is manufactured with -campaign-plant: a planted
-// mis-classification guarantees a divergence, so the run exits nonzero
-// on a deterministic path that still accumulated stats.
+// Failure-path stderr contract: the -cache-dir counter line is part of
+// janus-bench's observable surface and must be emitted even when a run
+// dies partway, so operators can see what the failed run actually did.
+// The test drives the real binary, since the flush logic lives in main.
 
 import (
 	"os"
@@ -71,32 +66,5 @@ func TestCacheCounterLineOnFailedRun(t *testing.T) {
 	}
 	if !strings.Contains(stderr, "no-such-point") {
 		t.Fatalf("stderr lacks the underlying error:\n%s", stderr)
-	}
-}
-
-// TestCampaignStatsLineOnFailedRun: a campaign that exits nonzero (a
-// planted divergence) still prints its stats line to stdout and the
-// cache counter line to stderr.
-func TestCampaignStatsLineOnFailedRun(t *testing.T) {
-	if testing.Short() {
-		t.Skip("drives the real binary; skipped in -short")
-	}
-	stdout, stderr, code := runBench(t,
-		"-campaign", t.TempDir(),
-		"-campaign-plant",
-		"-campaign-secs", "60", // stop-on-divergence ends it far sooner
-		"-cache-dir", t.TempDir(),
-	)
-	if code == 0 {
-		t.Fatalf("planted campaign must exit nonzero; stdout:\n%s\nstderr:\n%s", stdout, stderr)
-	}
-	if !strings.Contains(stdout, "campaign: iters=") {
-		t.Fatalf("failing campaign swallowed its stats line; stdout:\n%s", stdout)
-	}
-	if !strings.Contains(stdout, "divergences=") || strings.Contains(stdout, "divergences=0") {
-		t.Fatalf("planted campaign reported no divergences; stdout:\n%s", stdout)
-	}
-	if !strings.Contains(stderr, "janus-bench: artcache:") {
-		t.Fatalf("failing campaign swallowed the cache counter line; stderr:\n%s", stderr)
 	}
 }

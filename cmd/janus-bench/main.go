@@ -24,24 +24,6 @@
 //	                                     run (figures gain gen/* rows;
 //	                                     default output is unchanged when
 //	                                     the flag is absent)
-//	janus-bench -campaign CORPUSDIR      run a resumable shape-vector fuzz
-//	                                     campaign: breed shapes from the
-//	                                     persisted corpus, keep the ones
-//	                                     that cover new coverage cells, and
-//	                                     graduate divergence-finding shapes
-//	                                     into regression fixtures. Safe to
-//	                                     kill -9 and re-run: the corpus
-//	                                     directory is published atomically
-//	                                     and the campaign resumes where it
-//	                                     stopped. Prints a stats line and
-//	                                     exits nonzero on divergence; the
-//	                                     default figure/table output is not
-//	                                     produced in this mode.
-//	janus-bench -campaign-secs 30        campaign time budget in seconds
-//	                                     (default 30; used with -campaign)
-//	janus-bench -campaign-seed 1         campaign decision-stream seed; a
-//	                                     corpus dir remembers its seed and
-//	                                     refuses to resume under another
 //	janus-bench -cache-dir .janus-cache  store builds, rewrite schedules,
 //	                                     native baselines, profiles and
 //	                                     DBM results in a durable on-disk
@@ -57,7 +39,6 @@ import (
 	"flag"
 	"fmt"
 	"os"
-	"time"
 
 	"janus/internal/artcache"
 	"janus/internal/faultinject"
@@ -74,10 +55,6 @@ func main() {
 	hostParallel := flag.Bool("host-parallel", !def.SingleGoroutine, "run eligible parallel regions on host goroutines; false forces the single-goroutine round-robin engine (figure/table outputs are bit-identical either way)")
 	inject := flag.String("inject", "", "arm deterministic fault injection in speculative regions, spec point[@every][#seed] with point one of scan-defeat, worker-panic, stall, budget (recovery keeps stdout byte-identical; summary on stderr)")
 	genCorpus := flag.Int("gen-corpus", 0, "screen N seeded generated kernels against the differential oracle and graduate interesting ones into this run's benchmark corpus (0 = off; the default suite and its golden output are unchanged)")
-	campaign := flag.String("campaign", "", "run a resumable shape-vector fuzz campaign persisting its corpus in this directory (skips figure/table rendering; exits nonzero on divergence)")
-	campaignSecs := flag.Int("campaign-secs", 30, "campaign time budget in seconds (with -campaign)")
-	campaignSeed := flag.Uint64("campaign-seed", 1, "campaign decision-stream seed (with -campaign); a corpus dir refuses to resume under a different seed")
-	campaignPlant := flag.Bool("campaign-plant", false, "plant a deliberate mis-classification in every campaign oracle run (fuzzer self-test: the campaign must catch it, graduate a regression, and exit nonzero at the first divergence)")
 	cacheDir := flag.String("cache-dir", "", "durable artifact cache directory (empty = off); figure/table outputs are byte-identical with the cache off, cold or warm, and the directory is safe to share between processes")
 	flag.Parse()
 
@@ -101,9 +78,8 @@ func main() {
 	}
 	// The stderr counter lines are part of the tool's contract even when
 	// a run dies partway: a failed run with a cache attached still
-	// reports its hit/miss counters, and a campaign that errors mid-run
-	// still prints the stats it accumulated. flushCache runs on every
-	// exit path below; fail is exitOn with the counters flushed first.
+	// reports its hit/miss counters. flushCache runs on every exit path
+	// below; fail exits 1 with the counters flushed first.
 	flushCache := func() {
 		if cache != nil {
 			st := cache.Stats()
@@ -125,39 +101,6 @@ func main() {
 			fail(err)
 		}
 		opts.Inject = plan
-	}
-
-	if *campaign != "" {
-		// Campaign mode replaces figure/table rendering entirely: the
-		// default suite, its registry and the golden output are untouched.
-		stats, err := genkern.RunCampaign(genkern.CampaignConfig{
-			Dir:      *campaign,
-			Seed:     *campaignSeed,
-			Duration: time.Duration(*campaignSecs) * time.Second,
-			Threads:  opts.Threads,
-			Plant:    *campaignPlant,
-			// A planted campaign exists to prove the loop catches bugs;
-			// the first graduated divergence is the proof, so stop there.
-			StopOnDivergence: *campaignPlant,
-			Log:              os.Stderr,
-		})
-		if stats != nil {
-			// RunCampaign returns the stats it accumulated alongside a
-			// mid-run error; the line is emitted either way.
-			fmt.Println(stats)
-		}
-		if err != nil {
-			fail(err)
-		}
-		if len(stats.Divergences) > 0 {
-			for _, d := range stats.Divergences {
-				fmt.Fprintln(os.Stderr, "janus-bench:", d.Err)
-			}
-			flushCache()
-			os.Exit(1)
-		}
-		flushCache()
-		return
 	}
 
 	if *genCorpus > 0 {

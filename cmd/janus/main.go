@@ -19,6 +19,11 @@
 // Shed (429) and draining (503) answers are retried with seeded
 // jittered exponential backoff; the rendered bytes land on stdout
 // exactly as a local janus-bench run would print them.
+//
+// The fuzz subcommand runs a resumable shape-vector campaign over
+// generated kernels (see fuzz.go):
+//
+//	janus fuzz -campaign CORPUSDIR -campaign-secs 30    breed, screen, graduate
 package main
 
 import (
@@ -31,6 +36,7 @@ import (
 	"janus/internal/analyzer"
 	"janus/internal/artcache"
 	"janus/internal/dbm"
+	"janus/internal/guest"
 	"janus/internal/obj"
 	"janus/internal/rules"
 	"janus/internal/vm"
@@ -43,8 +49,12 @@ func main() {
 		os.Exit(2)
 	}
 	cmd := os.Args[1]
-	if cmd == "bench" {
+	switch cmd {
+	case "bench":
 		benchClient(os.Args[2:])
+		return
+	case "fuzz":
+		fuzzCampaign(os.Args[2:])
 		return
 	}
 	fs := flag.NewFlagSet(cmd, flag.ExitOnError)
@@ -66,16 +76,25 @@ func main() {
 		return
 	}
 
-	in := workloads.Ref
-	if *input == "train" {
+	var in workloads.Input
+	switch *input {
+	case "ref":
+		in = workloads.Ref
+	case "train":
 		in = workloads.Train
+	default:
+		usageError("unknown -input %q (want train or ref)", *input)
 	}
-	level := workloads.O3
+	var level workloads.OptLevel
 	switch *opt {
 	case "O2":
 		level = workloads.O2
+	case "O3":
+		level = workloads.O3
 	case "O3avx":
 		level = workloads.O3AVX
+	default:
+		usageError("unknown -opt %q (want O2, O3 or O3avx)", *opt)
 	}
 	var cache *artcache.Cache
 	if *cacheDir != "" {
@@ -192,7 +211,7 @@ func main() {
 			fatal(err)
 		}
 		for i, in := range insts {
-			addr := exe.CodeBase + uint64(i)*24
+			addr := exe.CodeBase + uint64(i)*guest.InstSize
 			fmt.Printf("%#x\t%s\n", addr, in)
 		}
 
@@ -244,7 +263,14 @@ func printRun(sched *rules.Schedule, native *vm.Result, res *dbm.Result, selecte
 }
 
 func usage() {
-	fmt.Fprintln(os.Stderr, `usage: janus <analyze|profile|schedule|run|disasm|list|bench> [flags]`)
+	fmt.Fprintln(os.Stderr, `usage: janus <analyze|profile|schedule|run|disasm|list|bench|fuzz> [flags]`)
+}
+
+// usageError reports a command line the tool cannot act on and exits 2.
+func usageError(format string, args ...any) {
+	fmt.Fprintf(os.Stderr, "janus: "+format+"\n", args...)
+	usage()
+	os.Exit(2)
 }
 
 func fatal(err error) {

@@ -1,0 +1,120 @@
+package main
+
+// Command-line contract tests through the real binary: what `janus`
+// refuses (exit 2 and a usage line, not a silent default), and the
+// failure path of `janus fuzz`, whose stats line must reach stdout even
+// when the campaign exits nonzero.
+
+import (
+	"os"
+	"os/exec"
+	"path/filepath"
+	"strings"
+	"testing"
+)
+
+// janusBin is the real binary, compiled once per test binary run.
+var janusBin string
+
+func TestMain(m *testing.M) {
+	dir, err := os.MkdirTemp("", "janus-test")
+	if err != nil {
+		panic(err)
+	}
+	janusBin = filepath.Join(dir, "janus")
+	out, err := exec.Command("go", "build", "-o", janusBin, ".").CombinedOutput()
+	if err != nil {
+		panic("building janus: " + err.Error() + "\n" + string(out))
+	}
+	code := m.Run()
+	os.RemoveAll(dir)
+	os.Exit(code)
+}
+
+// runJanus runs the binary and returns stdout, stderr and the exit code.
+func runJanus(t *testing.T, args ...string) (string, string, int) {
+	t.Helper()
+	cmd := exec.Command(janusBin, args...)
+	var stdout, stderr strings.Builder
+	cmd.Stdout = &stdout
+	cmd.Stderr = &stderr
+	err := cmd.Run()
+	code := 0
+	if ee, ok := err.(*exec.ExitError); ok {
+		code = ee.ExitCode()
+	} else if err != nil {
+		t.Fatal(err)
+	}
+	return stdout.String(), stderr.String(), code
+}
+
+// TestRejectsUnknownOptAndInput: an unknown -opt or -input is a usage
+// error naming the value, never a silent O3 / ref run.
+func TestRejectsUnknownOptAndInput(t *testing.T) {
+	if testing.Short() {
+		t.Skip("drives the real binary; skipped in -short")
+	}
+	for _, tc := range []struct {
+		name string
+		args []string
+		code int
+		want string // substring of stderr (code 2) or stdout (code 0)
+	}{
+		{"unknown opt", []string{"schedule", "-bench", "470.lbm", "-input", "train", "-opt", "O1"}, 2, `unknown -opt "O1"`},
+		{"opt is case sensitive", []string{"run", "-bench", "470.lbm", "-input", "train", "-opt", "o3"}, 2, `unknown -opt "o3"`},
+		{"unknown input", []string{"run", "-bench", "470.lbm", "-input", "test"}, 2, `unknown -input "test"`},
+		{"empty input", []string{"analyze", "-bench", "470.lbm", "-input", ""}, 2, `unknown -input ""`},
+		{"fuzz without a corpus dir", []string{"fuzz"}, 2, "usage: janus fuzz -campaign"},
+		{"known values still run", []string{"run", "-bench", "470.lbm", "-input", "train", "-opt", "O3avx", "-threads", "2"}, 0, "verification       OK"},
+		{"defaults still run", []string{"schedule", "-bench", "470.lbm", "-input", "train"}, 0, "# "},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			stdout, stderr, code := runJanus(t, tc.args...)
+			if code != tc.code {
+				t.Fatalf("exit %d, want %d; stderr:\n%s", code, tc.code, stderr)
+			}
+			got := stdout
+			if tc.code != 0 {
+				got = stderr
+				if !strings.Contains(stderr, "usage: janus") {
+					t.Errorf("stderr lacks a usage line:\n%s", stderr)
+				}
+				if stdout != "" {
+					t.Errorf("a rejected command line printed to stdout:\n%s", stdout)
+				}
+			}
+			if !strings.Contains(got, tc.want) {
+				t.Errorf("output lacks %q:\n%s", tc.want, got)
+			}
+		})
+	}
+}
+
+// TestCampaignStatsLineOnFailedRun: a campaign that exits nonzero still
+// prints its stats line to stdout. The failure is manufactured with
+// -campaign-plant: a planted mis-classification guarantees a
+// divergence, so the run exits nonzero on a deterministic path that
+// still accumulated stats.
+func TestCampaignStatsLineOnFailedRun(t *testing.T) {
+	if testing.Short() {
+		t.Skip("drives the real binary; skipped in -short")
+	}
+	stdout, stderr, code := runJanus(t,
+		"fuzz",
+		"-campaign", t.TempDir(),
+		"-campaign-plant",
+		"-campaign-secs", "60", // stop-on-divergence ends it far sooner
+	)
+	if code == 0 {
+		t.Fatalf("planted campaign must exit nonzero; stdout:\n%s\nstderr:\n%s", stdout, stderr)
+	}
+	if !strings.Contains(stdout, "campaign: iters=") {
+		t.Fatalf("failing campaign swallowed its stats line; stdout:\n%s", stdout)
+	}
+	if !strings.Contains(stdout, "divergences=") || strings.Contains(stdout, "divergences=0") {
+		t.Fatalf("planted campaign reported no divergences; stdout:\n%s", stdout)
+	}
+	if !strings.Contains(stderr, "janus: ") {
+		t.Fatalf("stderr does not name the divergence:\n%s", stderr)
+	}
+}

@@ -82,13 +82,7 @@ type Engine struct {
 // Parallelise runs the modelled compiler over exe with the given thread
 // count and returns the achieved speedup.
 func Parallelise(kind Kind, exe *obj.Executable, threads int, eng Engine, libs ...*obj.Library) (*Result, error) {
-	return ParalleliseCached(nil, kind, exe, threads, eng, libs...)
-}
-
-// ParalleliseCached is ParalleliseBinary on the handle of (exe, libs).
-// Nil c is exactly Parallelise.
-func ParalleliseCached(c *artcache.Cache, kind Kind, exe *obj.Executable, threads int, eng Engine, libs ...*obj.Library) (*Result, error) {
-	return ParalleliseBinary(c, kind, janus.BinaryOf(exe, libs...), threads, eng)
+	return ParalleliseBinary(nil, kind, janus.BinaryOf(exe, libs...), threads, eng)
 }
 
 // selection is the model's loop-selection policy. No profiling:

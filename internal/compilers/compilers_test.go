@@ -110,7 +110,7 @@ func TestParalleliseCachedReplays(t *testing.T) {
 			janus.ResetMemos()
 			before, stored := c.Stats(), artifacts(t, c.Dir())
 			for _, kind := range []Kind{GCC, ICC} {
-				res, err := ParalleliseCached(c, kind, exe, 8, eng, libs...)
+				res, err := ParalleliseBinary(c, kind, janus.BinaryOf(exe, libs...), 8, eng)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -139,7 +139,7 @@ func TestParalleliseCachedReplays(t *testing.T) {
 		// render must not replay a host-parallel run's stored Stats.
 		janus.ResetMemos()
 		before := c.Stats()
-		res, err := ParalleliseCached(c, GCC, exe, 8, Engine{}, libs...)
+		res, err := ParalleliseBinary(c, GCC, janus.BinaryOf(exe, libs...), 8, Engine{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -170,7 +170,7 @@ func TestModelRunIsVerified(t *testing.T) {
 		t.Fatal(err)
 	}
 	janus.ResetMemos()
-	if _, err := ParalleliseCached(c, GCC, exe, 8, eng, libs...); err != nil {
+	if _, err := ParalleliseBinary(c, GCC, janus.BinaryOf(exe, libs...), 8, eng); err != nil {
 		t.Fatal(err)
 	}
 	// Swap in the baseline of another program under this binary's key:
@@ -195,7 +195,7 @@ func TestModelRunIsVerified(t *testing.T) {
 		t.Fatal(err)
 	}
 	janus.ResetMemos()
-	_, err = ParalleliseCached(c, GCC, exe, 8, eng, libs...)
+	_, err = ParalleliseBinary(c, GCC, janus.BinaryOf(exe, libs...), 8, eng)
 	if err == nil {
 		t.Fatal("a run that differs from its native baseline passed the model")
 	}

@@ -1,7 +1,10 @@
 // Package dbm is the Janus dynamic binary modifier: the DynamoRIO-like
 // layer that translates basic blocks just-in-time into per-thread code
 // caches, consults the rewrite-schedule hash table before caching, and
-// invokes the rule handlers that transform the code (figure 2(b)).
+// invokes the rule handlers that transform the code (figure 2(b)). A
+// block's translation is charged to guest thread t the first time t
+// dispatches it since the last modelled flush, wherever the translation
+// physically lives.
 //
 // Execution is deterministic and the elapsed time of a parallel region
 // is always the maximum thread virtual-cycle clock plus orchestration
@@ -197,20 +200,15 @@ type Executor struct {
 
 	Stats Stats
 
-	// caches[t] is thread t's private code cache.
+	// caches[t] is thread t's private code cache: guest thread t on
+	// the sequential and round-robin paths, host worker t inside a
+	// speculative region, whichever owner's piece it is running.
 	caches []map[uint64]*tblock
-	// charged[t] records the blocks whose translation cost has been
-	// charged to guest thread t. On the sequential and round-robin
-	// paths a block is charged when thread t first translates it into
-	// caches[t]; the speculative engine executes blocks from
-	// worker-private stealCaches and charges owners deterministically
-	// through this set instead (see steal.go).
+	// charged[t] is guest thread t's translation ledger: a block is
+	// charged to t the first time t dispatches it since the last
+	// modelled flush, wherever its translation physically lives (see
+	// chargeTranslation).
 	charged []map[uint64]bool
-	// stealCaches[w] is worker w's code cache for speculative regions,
-	// kept separate from caches so the charged sets above stay exactly
-	// "the blocks a round-robin run would have translated" whichever
-	// worker ran which owner's piece.
-	stealCaches []map[uint64]*tblock
 	// stealMu guards the charged sets and the charge journal while a
 	// speculative region runs (they are single-goroutine otherwise).
 	stealMu sync.Mutex
@@ -277,7 +275,7 @@ type Executor struct {
 	// chargeUndo[t] journals the block addresses first charged to guest
 	// thread t inside the active speculative region, so a recovery can
 	// undo exactly those charges. Appended under stealMu by
-	// chargeStealOwner; drained on the orchestrating goroutine.
+	// chargeTranslation; drained on the orchestrating goroutine.
 	chargeUndo [][]uint64
 
 	// Per-thread transaction state (index = thread ID). txSpare keeps a
@@ -320,7 +318,6 @@ func New(exe *obj.Executable, s *rules.Schedule, cfg Config, libs ...*obj.Librar
 		Cfg:         cfg,
 		caches:      make([]map[uint64]*tblock, cfg.Threads),
 		charged:     make([]map[uint64]bool, cfg.Threads),
-		stealCaches: make([]map[uint64]*tblock, cfg.Threads),
 		lastBlk:     make([]*tblock, cfg.Threads),
 		views:       make([]*vm.MemView, cfg.Threads),
 		hostParScan: map[int32]map[uint64]bool{},
@@ -343,7 +340,6 @@ func New(exe *obj.Executable, s *rules.Schedule, cfg Config, libs ...*obj.Librar
 	for i := range ex.caches {
 		ex.caches[i] = map[uint64]*tblock{}
 		ex.charged[i] = map[uint64]bool{}
-		ex.stealCaches[i] = map[uint64]*tblock{}
 		ex.views[i] = m.Mem.NewView()
 	}
 	for _, r := range s.Rules {

@@ -43,8 +43,8 @@ func (ex *Executor) stepBlock(t *jrt.Thread) error {
 			}
 			return ErrScanEscaped
 		}
-		ex.chargeStealOwner(t, b)
 	}
+	ex.chargeTranslation(t, b)
 	ex.lastBlk[t.ID] = b
 	t.Ctx.Cycles += ex.Cfg.Cost.Dispatch
 	for i := range b.items {

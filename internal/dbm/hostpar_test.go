@@ -16,12 +16,14 @@ import (
 
 	"janus/internal/analyzer"
 	"janus/internal/dbm"
+	"janus/internal/obj"
+	"janus/internal/rules"
 	"janus/internal/workloads"
 )
 
-// runConfig executes one workload's statically-selected parallel
-// schedule under the DBM with the given configuration.
-func runConfig(t *testing.T, name string, cfg dbm.Config) *dbm.Result {
+// staticSchedule builds one workload's train binary and its
+// statically-selected parallel schedule.
+func staticSchedule(t testing.TB, name string) (*obj.Executable, []*obj.Library, *rules.Schedule) {
 	t.Helper()
 	exe, libs, err := workloads.Build(name, workloads.Train, workloads.O3)
 	if err != nil {
@@ -36,6 +38,14 @@ func runConfig(t *testing.T, name string, cfg dbm.Config) *dbm.Result {
 	if err != nil {
 		t.Fatal(err)
 	}
+	return exe, libs, sched
+}
+
+// runConfig executes one workload's statically-selected parallel
+// schedule under the DBM with the given configuration.
+func runConfig(t testing.TB, name string, cfg dbm.Config) *dbm.Result {
+	t.Helper()
+	exe, libs, sched := staticSchedule(t, name)
 	ex, err := dbm.New(exe, sched, cfg, libs...)
 	if err != nil {
 		t.Fatal(err)

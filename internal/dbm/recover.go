@@ -40,14 +40,15 @@ import (
 //     jrt.Threads are dropped unfolded and rebuilt from the loop-entry
 //     snapshot, so no counter or register from the failed attempt
 //     survives.
-//   - Translation charges: chargeStealOwner journals every
+//   - Translation charges: chargeTranslation journals every
 //     (thread, block) pair first charged inside the region; rollback
 //     deletes exactly those entries, so the re-execution re-charges
 //     them just as a from-scratch round-robin run would.
-//   - Code caches: cleared wholesale (selective eviction is unsound —
-//     sibling blocks' inline link caches bypass the cache map).
-//     Harmless to virtual time: re-translating an already-charged
-//     block adds zero cycles, and the charged sets are preserved.
+//   - Code caches: cleared wholesale, since their blocks' chargeMask
+//     stamps memoise the ledger entries just deleted (selective
+//     eviction is unsound — sibling blocks' inline link caches bypass
+//     the cache map). Harmless to virtual time: the ledger decides a
+//     charge, not a cache miss, and its older entries are preserved.
 //   - Executor stats, profilers, transactions, output: unreachable
 //     from inside a speculative region by construction (profilers
 //     are ineligible, syscalls/TX trip the allowlist before running).
@@ -121,7 +122,7 @@ func (ex *Executor) buildRegionThreads(lc *jrt.LoopCtx, ubd rules.UpdateBoundDat
 			return nil, err
 		}
 		lc.BoundValue[i] = bv
-		th := &jrt.Thread{ID: i, Ctx: ctx, Lo: chunks[i].Lo, Hi: chunks[i].Hi, State: jrt.StateScheduled}
+		th := &jrt.Thread{ID: i, Owner: i, Ctx: ctx, Lo: chunks[i].Lo, Hi: chunks[i].Hi, State: jrt.StateScheduled}
 		if chunks[i].Lo >= chunks[i].Hi {
 			th.State = jrt.StateDone
 		}
@@ -158,7 +159,6 @@ func (ex *Executor) rollbackCharges() {
 func (ex *Executor) clearRegionCaches() {
 	for i := range ex.caches {
 		ex.caches[i] = map[uint64]*tblock{}
-		ex.stealCaches[i] = map[uint64]*tblock{}
 		ex.lastBlk[i] = nil
 	}
 }

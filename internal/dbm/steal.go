@@ -45,11 +45,10 @@ import (
 //     owner's last piece whichever worker runs it.
 //   - Cycles: dispatch and instruction costs are additive over
 //     iterations, so summing a chunk's pieces equals running it
-//     whole. Translation is charged once per (owner thread, block)
-//     through the executor's charged sets (chargeStealOwner) — the
-//     identical total the round-robin engine charges when the owner
-//     first translates the block — no matter which worker, or how
-//     many, actually translated it into their private steal caches.
+//     whole. Translation is charged to a piece's owner the first
+//     time that guest thread dispatches the block since the last
+//     modelled flush (chargeTranslation) — the rule every execution
+//     mode charges by — whichever worker's cache holds the translation.
 //   - Reductions: an owner's first partial is taken verbatim and the
 //     rest are merged into it in ascending iteration order. Integer
 //     ADD is associative, so the merged value matches the chunk's
@@ -94,40 +93,6 @@ func (ex *Executor) stealFactor(loopID int32, ld rules.LoopInitData) int {
 		}
 	}
 	return jrt.StealFactor
-}
-
-// chargeStealOwner charges block b's translation cost to the guest
-// thread owning t's current piece, the first time any worker executes
-// it for that owner. The owner's charged set accumulates exactly the
-// blocks a round-robin run of the same region sequence would have
-// translated into the owner's cache, so the folded translation
-// counters — and hence virtual cycles — are bit-identical to it
-// whichever worker reaches a block first.
-func (ex *Executor) chargeStealOwner(t *jrt.Thread, b *tblock) {
-	// chargeMask has one bit for each of the first 64 owners; owners
-	// beyond it take the locked lookup on every block.
-	var bit uint64
-	if t.Owner < 64 {
-		bit = 1 << uint(t.Owner)
-		if b.chargeMask&bit != 0 {
-			return
-		}
-	}
-	ex.stealMu.Lock()
-	set := ex.charged[t.Owner]
-	if !set[b.start] {
-		set[b.start] = true
-		// Journal for recovery rollback (stealMu serialises appends to
-		// the same owner's list from racing workers).
-		ex.chargeUndo[t.Owner] = append(ex.chargeUndo[t.Owner], b.start)
-		t.TransBlocks++
-		t.TransInsts += int64(len(b.items))
-		cost := int64(len(b.items)) * ex.Cfg.Cost.TransPerInst
-		t.TransCycles += cost
-		t.Ctx.Cycles += cost
-	}
-	ex.stealMu.Unlock()
-	b.chargeMask |= bit
 }
 
 // stealDeques is the shared work pool: one deque of piece indices per
@@ -247,21 +212,8 @@ func (ex *Executor) runRegionSpeculative(loopID int32, threads []*jrt.Thread, lc
 	var failed atomic.Bool
 	errs := make([]error, len(threads))
 
-	// Block linking must not leak between the sequential/round-robin
-	// caches and the steal caches: clear the anchors on both sides of
-	// the region (link caches only skip map lookups, so this has no
-	// virtual-cycle effect).
-	clearLinks := func() {
-		for i := range ex.lastBlk {
-			ex.lastBlk[i] = nil
-		}
-	}
-	clearLinks()
 	ex.specSet = scanned
-	defer func() {
-		ex.specSet = nil
-		clearLinks()
-	}()
+	defer func() { ex.specSet = nil }()
 
 	deques := newStealDeques(ex.Cfg.Threads, chunks, factor > 1)
 	var wg sync.WaitGroup

@@ -61,8 +61,8 @@ type tblock struct {
 	scanOK   bool
 	// chargeMask caches, one bit per guest-thread owner, that this
 	// block's translation cost has already been charged to that owner
-	// (work-stealing regions only; see chargeStealOwner). Blocks are
-	// thread-private, so stamping needs no synchronisation.
+	// (see chargeTranslation). Blocks are thread-private, so stamping
+	// needs no synchronisation.
 	chargeMask uint64
 	// linkPC/linkBlk form a two-entry inline cache mapping this block's
 	// observed successor addresses to their translated blocks (the
@@ -77,7 +77,8 @@ const maxBlockLen = 128
 
 // blockFor returns thread t's translated block at addr, translating and
 // caching it on a miss (the just-in-time recompilation step of figure
-// 1(b)).
+// 1(b)). It only looks up, translates and links; what a translation
+// costs, and whom, is chargeTranslation's business.
 func (ex *Executor) blockFor(t *jrt.Thread, addr uint64) (*tblock, error) {
 	// Block linking: the previous block's inline cache resolves its
 	// common successors without touching the code-cache map.
@@ -91,9 +92,6 @@ func (ex *Executor) blockFor(t *jrt.Thread, addr uint64) (*tblock, error) {
 		}
 	}
 	cache := ex.caches[t.ID]
-	if ex.specSet != nil {
-		cache = ex.stealCaches[t.ID]
-	}
 	b, ok := cache[addr]
 	if !ok {
 		var err error
@@ -102,22 +100,6 @@ func (ex *Executor) blockFor(t *jrt.Thread, addr uint64) (*tblock, error) {
 			return nil, err
 		}
 		cache[addr] = b
-		// Translation stats accumulate on the thread and are folded into
-		// ex.Stats at deterministic points. The charged set keeps the
-		// charge unique per guest thread even when a speculative region
-		// already charged this owner for the block (in which case a
-		// round-robin run would have found it warm in the owner's
-		// cache). Speculative regions fill worker-private stealCaches
-		// uncharged here and charge owners deterministically in
-		// chargeStealOwner instead.
-		if ex.specSet == nil && !ex.charged[t.ID][addr] {
-			ex.charged[t.ID][addr] = true
-			t.TransBlocks++
-			t.TransInsts += int64(len(b.items))
-			cost := int64(len(b.items)) * ex.Cfg.Cost.TransPerInst
-			t.TransCycles += cost
-			t.Ctx.Cycles += cost
-		}
 	}
 	if prev != nil {
 		if prev.linkBlk[0] == nil {
@@ -127,6 +109,43 @@ func (ex *Executor) blockFor(t *jrt.Thread, addr uint64) (*tblock, error) {
 		}
 	}
 	return b, nil
+}
+
+// chargeTranslation charges block b's translation cost to guest thread
+// t.Owner the first time that thread dispatches b since the last
+// modelled flush, wherever b's translation physically lives: t.Owner is
+// t itself except inside a stolen piece, where a worker executes from
+// its own cache on the owner's account. The totals are therefore the
+// same whichever engine ran which region and whichever worker reached
+// a block first. Translation stats accumulate on the thread and are
+// folded into ex.Stats at deterministic points.
+func (ex *Executor) chargeTranslation(t *jrt.Thread, b *tblock) {
+	// chargeMask has one bit for each of the first 64 owners; owners
+	// beyond it take the locked lookup on every block.
+	var bit uint64
+	if t.Owner < 64 {
+		bit = 1 << uint(t.Owner)
+		if b.chargeMask&bit != 0 {
+			return
+		}
+	}
+	ex.stealMu.Lock()
+	set := ex.charged[t.Owner]
+	if !set[b.start] {
+		set[b.start] = true
+		if ex.specSet != nil {
+			// Journal for recovery rollback (stealMu serialises appends
+			// to the same owner's list from racing workers).
+			ex.chargeUndo[t.Owner] = append(ex.chargeUndo[t.Owner], b.start)
+		}
+		t.TransBlocks++
+		t.TransInsts += int64(len(b.items))
+		cost := int64(len(b.items)) * ex.Cfg.Cost.TransPerInst
+		t.TransCycles += cost
+		t.Ctx.Cycles += cost
+	}
+	ex.stealMu.Unlock()
+	b.chargeMask |= bit
 }
 
 // translate decodes one basic block starting at addr and applies the
@@ -220,7 +239,6 @@ func (ex *Executor) applyRule(it *titem, r rules.Rule) {
 func (ex *Executor) flushCaches() {
 	for i := range ex.caches {
 		ex.caches[i] = map[uint64]*tblock{}
-		ex.stealCaches[i] = map[uint64]*tblock{}
 		ex.charged[i] = map[uint64]bool{}
 		ex.lastBlk[i] = nil
 	}

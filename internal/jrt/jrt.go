@@ -1,16 +1,14 @@
-// Package jrt is the Janus runtime: the thread pool, per-thread loop
+// Package jrt is the Janus runtime: guest threads, per-thread loop
 // contexts and private resources (stack, TLS, private storage slots),
-// iteration-space partitioning for the chunked, work-stealing and
-// round-robin scheduling policies, and reduction identity/merge
-// arithmetic.
+// iteration-space partitioning into static chunks and stealable pieces,
+// and reduction identity/merge arithmetic.
 //
 // The paper's runtime keeps a pool of OS threads that wait for
 // THREAD_SCHEDULE and return on THREAD_YIELD. Here threads are
-// deterministic simulated contexts driven by the DBM executor — either
-// stepped round-robin on one goroutine or, for loops whose bodies are
-// provably free of cross-thread interaction, run concurrently on real
-// host goroutines; the pool states and scheduling policies are
-// modelled faithfully and results are reproducible under both engines
+// deterministic simulated contexts the DBM executor builds per region —
+// either stepped round-robin on one goroutine or, for loops whose bodies
+// are provably free of cross-thread interaction, run concurrently on
+// real host goroutines; results are reproducible under both engines
 // (see ARCHITECTURE.md for the substitution rationale).
 package jrt
 
@@ -58,11 +56,11 @@ func PrivAddr(id int, slot int32) uint64 {
 	return TLSFor(id) + PrivSlotOff + uint64(slot)*PrivSlotSize
 }
 
-// State is a pool thread's lifecycle state.
+// State is a guest thread's lifecycle state.
 type State uint8
 
 const (
-	// StateIdle: waiting in the pool.
+	// StateIdle: not running a region.
 	StateIdle State = iota
 	// StateScheduled: directed at a code address, not yet running.
 	StateScheduled
@@ -76,7 +74,7 @@ func (s State) String() string {
 	return [...]string{"idle", "scheduled", "running", "done"}[s]
 }
 
-// Thread is one Janus thread: a VM context plus pool bookkeeping.
+// Thread is one Janus thread: a VM context plus region bookkeeping.
 type Thread struct {
 	ID    int
 	Ctx   *vm.Context
@@ -87,11 +85,11 @@ type Thread struct {
 	// (the only thread allowed to commit transactions).
 	Oldest bool
 
-	// Owner is the guest thread owning the piece this context is
-	// currently executing inside a speculative region (always the
-	// worker's own ID at one piece per thread; meaningless outside such
-	// regions). Translation costs are charged per owner so folded
-	// counters match the round-robin engine's.
+	// Owner is the guest thread this context's work is accounted to:
+	// the thread's own ID everywhere except while a speculative-region
+	// worker runs a piece stolen from a sibling's chunk. Translation
+	// costs are charged per owner, so folded counters are the same
+	// whichever worker ran which piece.
 	Owner int
 
 	// Steps counts instructions executed by this thread since the DBM
@@ -106,29 +104,6 @@ type Thread struct {
 	TransInsts  int64
 	TransCycles int64
 }
-
-// Pool is the Janus thread pool.
-type Pool struct {
-	Threads []*Thread
-}
-
-// NewPool creates n threads (thread 0 wraps the main context).
-func NewPool(n int, mainCtx *vm.Context) *Pool {
-	p := &Pool{}
-	for i := 0; i < n; i++ {
-		t := &Thread{ID: i}
-		if i == 0 {
-			t.Ctx = mainCtx
-		} else {
-			t.Ctx = &vm.Context{ID: i}
-		}
-		p.Threads = append(p.Threads, t)
-	}
-	return p
-}
-
-// Size returns the thread count.
-func (p *Pool) Size() int { return len(p.Threads) }
 
 // Chunk is one contiguous iteration range assigned to a thread.
 type Chunk struct{ Lo, Hi int64 }
@@ -206,28 +181,6 @@ func PartitionStealing(n int64, parts, factor int) []StealChunk {
 	return out
 }
 
-// RoundRobinChunks yields the k-th chunk of fixed size for a thread in
-// round-robin order: thread t's j-th chunk covers
-// [ (j*parts + t)*size, +size ).
-func RoundRobinChunks(n, size int64, parts, thread int) []Chunk {
-	var out []Chunk
-	if size <= 0 {
-		size = 1
-	}
-	for j := int64(0); ; j++ {
-		lo := (j*int64(parts) + int64(thread)) * size
-		if lo >= n {
-			break
-		}
-		hi := lo + size
-		if hi > n {
-			hi = n
-		}
-		out = append(out, Chunk{Lo: lo, Hi: hi})
-	}
-	return out
-}
-
 // ReductionIdentity returns the register bit pattern that initialises a
 // thread-private reduction accumulator.
 func ReductionIdentity(op guest.Op) uint64 {
@@ -292,14 +245,6 @@ type PrivSlot struct {
 // chunk-completion condition cannot diverge between them.
 func (lc *LoopCtx) IsExit(pc uint64) bool {
 	return pc == lc.ExitPrimary || (len(lc.ExitTargets) > 1 && lc.ExitTargets[pc])
-}
-
-// EntryReg reads a loop-entry register value.
-func (lc *LoopCtx) EntryReg(r guest.Reg) uint64 {
-	if r == guest.RegNone {
-		return 0
-	}
-	return lc.EntryRegs[r]
 }
 
 // PatchedBound computes the compare-bound value that makes thread t

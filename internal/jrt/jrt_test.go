@@ -182,26 +182,6 @@ func TestPartitionStealingFactorOne(t *testing.T) {
 	}
 }
 
-func TestRoundRobinChunksCoverAll(t *testing.T) {
-	const n, size, parts = 103, 4, 3
-	seen := map[int64]int{}
-	for th := 0; th < parts; th++ {
-		for _, c := range RoundRobinChunks(n, size, parts, th) {
-			for i := c.Lo; i < c.Hi; i++ {
-				seen[i]++
-			}
-		}
-	}
-	if len(seen) != n {
-		t.Fatalf("covered %d of %d", len(seen), n)
-	}
-	for i, cnt := range seen {
-		if cnt != 1 {
-			t.Fatalf("iteration %d covered %d times", i, cnt)
-		}
-	}
-}
-
 func TestReductionIdentities(t *testing.T) {
 	if ReductionIdentity(guest.ADD) != 0 {
 		t.Error("int add identity")
@@ -300,20 +280,5 @@ func TestPatchedBound(t *testing.T) {
 	d.ExitOp = guest.ADD
 	if _, err := PatchedBound(d, entry, 1); err == nil {
 		t.Fatal("expected error for bad leave-op")
-	}
-}
-
-func TestPoolStates(t *testing.T) {
-	p := NewPool(4, nil)
-	if p.Size() != 4 {
-		t.Fatal("pool size")
-	}
-	if p.Threads[0].State != StateIdle {
-		t.Fatal("threads must start idle")
-	}
-	for _, s := range []State{StateIdle, StateScheduled, StateRunning, StateDone} {
-		if s.String() == "" {
-			t.Fatal("state has no name")
-		}
 	}
 }

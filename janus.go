@@ -178,11 +178,6 @@ func RunScheduleBinary(c *artcache.Cache, bin *obj.Binary, sched *rules.Schedule
 	return native, res, nil
 }
 
-// RunScheduleCached is RunScheduleBinary on the handle of (exe, libs).
-func RunScheduleCached(c *artcache.Cache, exe *obj.Executable, sched *rules.Schedule, dcfg dbm.Config, libs ...*obj.Library) (*vm.Result, *dbm.Result, error) {
-	return RunScheduleBinary(c, BinaryOf(exe, libs...), sched, dcfg)
-}
-
 // Verify compares a DBM result against native execution of the same
 // binary: outputs and final memory image. It reads res.DataHash rather
 // than asking a live Executor: the two are the same hash (Run records

@@ -207,7 +207,7 @@ func TestScheduleForAnotherBinaryIsRefused(t *testing.T) {
 	}
 	dcfg := dbm.DefaultConfig(4)
 
-	native, res, err := RunScheduleCached(nil, a, loaded, dcfg, aLibs...)
+	native, res, err := RunScheduleBinary(nil, BinaryOf(a, aLibs...), loaded, dcfg)
 	if err != nil {
 		t.Fatalf("the schedule's own binary refused it: %v", err)
 	}
@@ -220,7 +220,7 @@ func TestScheduleForAnotherBinaryIsRefused(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, store := range []*artcache.Cache{nil, c} {
-		_, res, err := RunScheduleCached(store, b, loaded, dcfg, bLibs...)
+		_, res, err := RunScheduleBinary(store, BinaryOf(b, bLibs...), loaded, dcfg)
 		if !errors.Is(err, rules.ErrWrongBinary) {
 			t.Fatalf("store %v: benchmark A's schedule on benchmark B: result %v, error %v — want rules.ErrWrongBinary", store != nil, res, err)
 		}
