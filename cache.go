@@ -88,9 +88,9 @@ const handleLimit = 4 * memoLimit
 // handleTier maps (executable, library set) to its stable handle, on
 // the contract every pointer-keyed tier here rests on: executables and
 // libraries are never mutated after construction. The handle lives
-// beside the binary rather than inside it — Strip copies the struct,
-// and a digest field would follow the copy into a binary with other
-// symbols. An entry keeps its executable reachable, which is why the
+// beside the binary rather than inside it: it describes an executable
+// *and* a library set, and the executable alone cannot know the
+// second. An entry keeps its executable reachable, which is why the
 // tier is bounded at all.
 var handleTier = artcache.Tier[runKey, *obj.Binary]{Limit: handleLimit}
 

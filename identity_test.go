@@ -83,18 +83,21 @@ func TestIdentityMemoMatchesFreshKey(t *testing.T) {
 }
 
 // TestIdentityMemoDoesNotFollowStrip: handles are found by pointer and
-// Strip returns a new one, so a memoised digest cannot ride the struct
-// copy into a binary with other symbols.
+// Strip returns a new executable, so a memoised digest cannot follow
+// the shared sections into a binary with other symbols.
 func TestIdentityMemoDoesNotFollowStrip(t *testing.T) {
 	reg, libs, err := workloads.Build("462.libquantum", workloads.Train, workloads.O3)
 	if err != nil {
 		t.Fatal(err)
 	}
 	// Registry builds are already stripped; give one its symbols back.
-	full := *reg
-	full.Stripped = false
-	full.Symbols = []obj.Symbol{{Name: "main", Addr: reg.Entry, Size: 8, Kind: obj.SymFunc}}
-	e := &full
+	e := &obj.Executable{
+		Name: reg.Name, Entry: reg.Entry,
+		CodeBase: reg.CodeBase, Code: reg.Code,
+		DataBase: reg.DataBase, Data: reg.Data,
+		Imports: reg.Imports,
+		Symbols: []obj.Symbol{{Name: "main", Addr: reg.Entry, Size: 8, Kind: obj.SymFunc}},
+	}
 
 	ke := BinaryOf(e, libs...).ID() // memoised before the copy is taken
 	s := e.Strip()

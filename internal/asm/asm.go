@@ -44,14 +44,29 @@ type FuncBuilder struct {
 	b      *Builder
 }
 
+// dataChunk is the initialised bytes of one data symbol, placed at off
+// in the data section.
+type dataChunk struct {
+	off   int
+	bytes []byte
+}
+
 // Builder accumulates a whole program.
 type Builder struct {
-	name      string
-	codeBase  uint64
-	dataBase  uint64
-	funcs     []*FuncBuilder
-	byName    map[string]*FuncBuilder
-	data      []byte
+	name     string
+	codeBase uint64
+	dataBase uint64
+	funcs    []*FuncBuilder
+	byName   map[string]*FuncBuilder
+	// The data section is held as its length plus one chunk per
+	// initialised symbol; zeroed reservations hold no bytes at all.
+	// Build lays the section out once, at its final size, so growing a
+	// ~10 MB section never re-copies what was already emitted.
+	dataLen    int
+	dataChunks []dataChunk
+	// built is set by Build, which hands the section bytes to the
+	// executable it returns.
+	built     bool
 	dataSyms  []obj.Symbol
 	dataAddr  map[string]uint64
 	imports   []string
@@ -93,29 +108,35 @@ func (b *Builder) Import(name string) {
 // Data reserves size bytes of zeroed data under name and returns its
 // virtual address.
 func (b *Builder) Data(name string, size int) uint64 {
-	addr := b.dataBase + uint64(len(b.data))
-	b.data = append(b.data, make([]byte, size)...)
+	addr := b.dataBase + uint64(b.dataLen)
+	b.dataLen += size
 	b.dataSyms = append(b.dataSyms, obj.Symbol{Name: name, Addr: addr, Size: uint64(size), Kind: obj.SymData})
 	b.dataAddr[name] = addr
 	return addr
 }
 
+// DataWords emits an array of n little-endian 64-bit words, word(i) at
+// index i, written straight into the symbol's bytes: a generator never
+// has to materialise its values as a slice first.
+func (b *Builder) DataWords(name string, n int, word func(i int) uint64) uint64 {
+	off := b.dataLen
+	addr := b.Data(name, n*8)
+	chunk := make([]byte, n*8)
+	for i := 0; i < n; i++ {
+		binary.LittleEndian.PutUint64(chunk[i*8:], word(i))
+	}
+	b.dataChunks = append(b.dataChunks, dataChunk{off: off, bytes: chunk})
+	return addr
+}
+
 // DataF64 emits a float64 array initialised with vals.
 func (b *Builder) DataF64(name string, vals []float64) uint64 {
-	addr := b.Data(name, len(vals)*8)
-	for i, v := range vals {
-		binary.LittleEndian.PutUint64(b.data[addr-b.dataBase+uint64(i*8):], math.Float64bits(v))
-	}
-	return addr
+	return b.DataWords(name, len(vals), func(i int) uint64 { return math.Float64bits(vals[i]) })
 }
 
 // DataI64 emits an int64 array initialised with vals.
 func (b *Builder) DataI64(name string, vals []int64) uint64 {
-	addr := b.Data(name, len(vals)*8)
-	for i, v := range vals {
-		binary.LittleEndian.PutUint64(b.data[addr-b.dataBase+uint64(i*8):], uint64(v))
-	}
-	return addr
+	return b.DataWords(name, len(vals), func(i int) uint64 { return uint64(vals[i]) })
 }
 
 // DataAddr returns the address of a previously defined data symbol.
@@ -252,8 +273,14 @@ func (f *FuncBuilder) Nop() *FuncBuilder {
 func (f *FuncBuilder) Len() int { return len(f.items) }
 
 // Build lays out all functions and the PLT, resolves relocations and
-// returns the finished executable.
+// returns the finished executable. The data section is laid out here,
+// once, and belongs to the executable from then on (executables are
+// immutable, and the loader maps these very bytes into every machine),
+// so a builder builds one executable: a second Build is an error.
 func (b *Builder) Build() (*obj.Executable, error) {
+	if b.built {
+		return nil, fmt.Errorf("asm: program %q was already built", b.name)
+	}
 	// Assign addresses: functions in definition order, then PLT stubs.
 	funcAddr := map[string]uint64{}
 	addr := b.codeBase
@@ -269,12 +296,12 @@ func (b *Builder) Build() (*obj.Executable, error) {
 		addr += guest.InstSize
 	}
 
-	var code []byte
+	code := make([]byte, 0, addr-b.codeBase)
 	var symbols []obj.Symbol
 	for _, f := range b.funcs {
 		base := funcAddr[f.name]
 		symbols = append(symbols, obj.Symbol{Name: f.name, Addr: base, Size: uint64(len(f.items) * guest.InstSize), Kind: obj.SymFunc})
-		for idx, it := range f.items {
+		for _, it := range f.items {
 			in := it.inst
 			switch it.kind {
 			case relocLabel:
@@ -306,7 +333,6 @@ func (b *Builder) Build() (*obj.Executable, error) {
 			}
 			eb := guest.Encode(in)
 			code = append(code, eb[:]...)
-			_ = idx
 		}
 	}
 	// PLT stubs: a single JMP each; target patched by the loader.
@@ -323,13 +349,18 @@ func (b *Builder) Build() (*obj.Executable, error) {
 	if f, ok := b.byName["main"]; ok {
 		entry = funcAddr[f.name]
 	}
+	data := make([]byte, b.dataLen)
+	for _, c := range b.dataChunks {
+		copy(data[c.off:], c.bytes)
+	}
+	b.built, b.dataChunks = true, nil
 	return &obj.Executable{
 		Name:     b.name,
 		Entry:    entry,
 		CodeBase: b.codeBase,
 		Code:     code,
 		DataBase: b.dataBase,
-		Data:     append([]byte(nil), b.data...),
+		Data:     data,
 		Symbols:  symbols,
 		Imports:  imports,
 	}, nil

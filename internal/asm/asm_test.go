@@ -1,6 +1,7 @@
 package asm
 
 import (
+	"encoding/binary"
 	"testing"
 
 	"janus/internal/guest"
@@ -81,6 +82,44 @@ func TestDataLayout(t *testing.T) {
 	// Initialised values present in the image.
 	if got := exe.Data[a2-obj.DefaultDataBase]; got != 1 {
 		t.Fatalf("data[0] of b = %d", got)
+	}
+}
+
+// TestDataSectionLaidOutOnce pins what Build hands over: reservations
+// are zero, DataWords' values sit at their symbols whatever order they
+// were emitted in, the section is exactly as long as what was reserved,
+// and — because the executable now owns those bytes and the loader maps
+// them into every machine — the builder refuses to build a second
+// executable over them.
+func TestDataSectionLaidOutOnce(t *testing.T) {
+	b := NewBuilder("once")
+	w1 := b.DataWords("w1", 3, func(i int) uint64 { return uint64(10 + i) })
+	z := b.Data("z", 40)
+	w2 := b.DataWords("w2", 2, func(i int) uint64 { return ^uint64(i) })
+	b.Func("main").Halt()
+	exe, err := b.Build()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(exe.Data) != 3*8+40+2*8 {
+		t.Fatalf("data section is %d bytes", len(exe.Data))
+	}
+	word := func(addr uint64) uint64 {
+		return binary.LittleEndian.Uint64(exe.Data[addr-exe.DataBase:])
+	}
+	if word(w1) != 10 || word(w1+16) != 12 || word(w2) != ^uint64(0) || word(w2+8) != ^uint64(1) {
+		t.Fatal("DataWords values are not at their symbols")
+	}
+	for _, c := range exe.Data[z-exe.DataBase : z-exe.DataBase+40] {
+		if c != 0 {
+			t.Fatal("a zeroed reservation holds data")
+		}
+	}
+	if s, ok := exe.SymbolByName("w2"); !ok || s.Addr != w2 || s.Size != 16 {
+		t.Fatalf("symbol w2 = %+v", s)
+	}
+	if again, err := b.Build(); err == nil || again != nil {
+		t.Fatal("a second Build on one builder did not fail")
 	}
 }
 

@@ -230,6 +230,15 @@ type Executor struct {
 	// main is the program's main context.
 	main *vm.Context
 
+	// regionThreads are the guest threads of a parallel region and
+	// workerThreads the speculative engine's per-worker threads (a
+	// worker runs pieces of any owner's chunk on its own context and
+	// folds them into the owner's region thread). Both sets are
+	// allocated at the first region that needs them and re-initialised
+	// in full by every later one (initRegionCtx), never reallocated.
+	regionThreads []*jrt.Thread
+	workerThreads []*jrt.Thread
+
 	// loop is the active parallel-region state (nil outside regions).
 	loop       *jrt.LoopCtx
 	inParallel bool

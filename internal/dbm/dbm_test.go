@@ -2,6 +2,7 @@ package dbm
 
 import (
 	"math"
+	"reflect"
 	"testing"
 
 	"janus/internal/analyzer"
@@ -690,5 +691,50 @@ func TestStealDequesOnePieceNoTheft(t *testing.T) {
 	// The same pool with stealing on hands worker 3 a sibling's piece.
 	if _, ok := newStealDeques(4, chunks, true).next(3); !ok {
 		t.Fatal("worker 3 found nothing to steal with stealing on")
+	}
+}
+
+// TestInitRegionCtxLeavesNothingBehind: region contexts belong to the
+// executor and are reused by every region, so initRegionCtx has to
+// assign every field — a context that ended its last region halted,
+// with an exit code, flags, clocks, a memory hook and a transaction's
+// bus must come out identical to one that was never used.
+func TestInitRegionCtxLeavesNothingBehind(t *testing.T) {
+	b := asm.NewBuilder("ctx")
+	b.Func("main").Halt()
+	exe, err := b.Build()
+	if err != nil {
+		t.Fatal(err)
+	}
+	ex, err := New(exe, nil, DefaultConfig(4))
+	if err != nil {
+		t.Fatal(err)
+	}
+	lc := &jrt.LoopCtx{Init: rules.LoopInitData{LoopStart: exe.Entry}}
+	lc.EntryRegs[guest.R3] = 7
+	lc.EntryVRegs[1][2] = 1.5
+
+	fresh := &vm.Context{}
+	ex.initRegionCtx(fresh, 2, lc, nil, 0)
+	if fresh.PC != exe.Entry || fresh.ID != 2 || fresh.Bus != vm.Bus(ex.views[2]) || fresh.GPR[guest.R3] != 7 || fresh.VReg[1][2] != 1.5 {
+		t.Fatalf("fresh context wrong: %+v", fresh)
+	}
+
+	used := &vm.Context{
+		ZF: true, LF: true, PC: 1, Halted: true, Exit: 9, Cycles: 5, Insts: 6, ID: 3,
+		Bus:   ex.M.Mem,
+		OnMem: func(uint64, bool, int64) {},
+	}
+	for i := range used.GPR {
+		used.GPR[i] = ^uint64(0)
+	}
+	for i := range used.VReg {
+		for j := range used.VReg[i] {
+			used.VReg[i][j] = math.Inf(1)
+		}
+	}
+	ex.initRegionCtx(used, 2, lc, nil, 0)
+	if !reflect.DeepEqual(used, fresh) {
+		t.Fatalf("a reused context kept state from its last region:\n reused %+v\n  fresh %+v", used, fresh)
 	}
 }

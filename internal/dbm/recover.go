@@ -37,7 +37,8 @@ import (
 //
 //   - Guest memory: restored exactly by the checkpoint.
 //   - Thread contexts (registers, cycles, BoundValue): the attempt's
-//     jrt.Threads are dropped unfolded and rebuilt from the loop-entry
+//     jrt.Threads are never folded; buildRegionThreads re-initialises
+//     every field of them (and of their contexts) from the loop-entry
 //     snapshot, so no counter or register from the failed attempt
 //     survives.
 //   - Translation charges: chargeTranslation journals every
@@ -89,9 +90,11 @@ func (ex *Executor) runRegionRecoverable(r rules.Rule, threads []*jrt.Thread, lc
 // snapshot (vector registers included) with id's TLS base and rebased
 // stack, induction variables (ivInit holds their loop-entry values)
 // advanced to lo, reductions at identity, flags and clocks cleared, PC
-// at the loop head.
-func initRegionCtx(ctx *vm.Context, id int, lc *jrt.LoopCtx, ivInit []int64, lo int64) {
-	ctx.GPR = lc.EntryRegs
+// at the loop head, memory through id's own view. Contexts are reused
+// from region to region, so every field is assigned here — nothing a
+// previous region left (a halt, an open transaction's bus) survives.
+func (ex *Executor) initRegionCtx(ctx *vm.Context, id int, lc *jrt.LoopCtx, ivInit []int64, lo int64) {
+	*ctx = vm.Context{ID: id, Bus: ex.views[id], GPR: lc.EntryRegs, VReg: lc.EntryVRegs, PC: lc.Init.LoopStart}
 	ctx.GPR[guest.RegTLS] = jrt.TLSFor(id)
 	if id != 0 {
 		ctx.SetReg(guest.SP, jrt.StackTopFor(id))
@@ -102,33 +105,42 @@ func initRegionCtx(ctx *vm.Context, id int, lc *jrt.LoopCtx, ivInit []int64, lo 
 	for _, red := range lc.Init.Reductions {
 		ctx.SetReg(red.Reg, jrt.ReductionIdentity(red.Op))
 	}
-	ctx.VReg = lc.EntryVRegs
-	ctx.ZF, ctx.LF = false, false
-	ctx.PC = lc.Init.LoopStart
-	ctx.Cycles, ctx.Insts = 0, 0
 }
 
-// buildRegionThreads constructs the region's guest threads, one per
+// newThreadSet allocates one guest thread and context per configured
+// thread, each its own object so concurrently running workers do not
+// share cache lines.
+func (ex *Executor) newThreadSet() []*jrt.Thread {
+	set := make([]*jrt.Thread, ex.Cfg.Threads)
+	for i := range set {
+		set[i] = &jrt.Thread{Ctx: &vm.Context{}}
+	}
+	return set
+}
+
+// buildRegionThreads sets up the region's guest threads, one per
 // static chunk, each initialised at its chunk base (initRegionCtx) with
-// its patched bound written into lc.BoundValue. Recovery calls it a
-// second time to rebuild untainted threads.
+// its patched bound written into lc.BoundValue. The threads are the
+// executor's own, allocated at the first region and re-initialised in
+// full for every later one. Recovery calls it a second time, which
+// wipes whatever the failed attempt left in them.
 func (ex *Executor) buildRegionThreads(lc *jrt.LoopCtx, ubd rules.UpdateBoundData, entry func(guest.Reg) uint64, ivInit []int64, chunks []jrt.Chunk) ([]*jrt.Thread, error) {
-	threads := make([]*jrt.Thread, ex.Cfg.Threads)
-	for i := 0; i < ex.Cfg.Threads; i++ {
-		ctx := &vm.Context{ID: i, Bus: ex.views[i]}
-		initRegionCtx(ctx, i, lc, ivInit, chunks[i].Lo)
+	if ex.regionThreads == nil {
+		ex.regionThreads = ex.newThreadSet()
+	}
+	for i, th := range ex.regionThreads {
+		ex.initRegionCtx(th.Ctx, i, lc, ivInit, chunks[i].Lo)
 		bv, err := jrt.PatchedBound(ubd, entry, chunks[i].Hi)
 		if err != nil {
 			return nil, err
 		}
 		lc.BoundValue[i] = bv
-		th := &jrt.Thread{ID: i, Owner: i, Ctx: ctx, Lo: chunks[i].Lo, Hi: chunks[i].Hi, State: jrt.StateScheduled}
+		*th = jrt.Thread{ID: i, Owner: i, Ctx: th.Ctx, Lo: chunks[i].Lo, Hi: chunks[i].Hi, State: jrt.StateScheduled}
 		if chunks[i].Lo >= chunks[i].Hi {
 			th.State = jrt.StateDone
 		}
-		threads[i] = th
 	}
-	return threads, nil
+	return ex.regionThreads, nil
 }
 
 // commitCharges drops the charge journal after a successful speculative

@@ -9,7 +9,6 @@ import (
 	"janus/internal/guest"
 	"janus/internal/jrt"
 	"janus/internal/rules"
-	"janus/internal/vm"
 )
 
 // Speculative region execution: the one engine that runs a
@@ -216,6 +215,9 @@ func (ex *Executor) runRegionSpeculative(loopID int32, threads []*jrt.Thread, lc
 	defer func() { ex.specSet = nil }()
 
 	deques := newStealDeques(ex.Cfg.Threads, chunks, factor > 1)
+	if ex.workerThreads == nil {
+		ex.workerThreads = ex.newThreadSet()
+	}
 	var wg sync.WaitGroup
 	for w := 0; w < ex.Cfg.Threads; w++ {
 		wg.Add(1)
@@ -302,12 +304,13 @@ func (ex *Executor) runRegionSpeculative(loopID int32, threads []*jrt.Thread, lc
 
 // runStealWorker drives worker w: take (or steal) pieces until the
 // pool holds none for it, running each from the loop head to its
-// patched-bound exit on a context that is re-initialised from the
-// loop-entry snapshot per piece.
+// patched-bound exit on the worker's own context (ex.workerThreads[w]),
+// which is re-initialised from the loop-entry snapshot per piece.
 func (ex *Executor) runStealWorker(w int, loopID int32, lc *jrt.LoopCtx, chunks []jrt.StealChunk, bounds []uint64, ivInit []int64, ownerLast []int, deques *stealDeques, results []stealResult, budget *atomic.Int64, failed *atomic.Bool, done func(idx int, th *jrt.Thread)) error {
 	ld := lc.Init
-	ctx := &vm.Context{ID: w, Bus: ex.views[w]}
-	th := &jrt.Thread{ID: w, Ctx: ctx, State: jrt.StateRunning}
+	th := ex.workerThreads[w]
+	ctx := th.Ctx
+	*th = jrt.Thread{ID: w, Ctx: ctx, State: jrt.StateRunning}
 	for {
 		if failed.Load() {
 			return nil
@@ -318,7 +321,7 @@ func (ex *Executor) runStealWorker(w int, loopID int32, lc *jrt.LoopCtx, chunks 
 		}
 		sc := chunks[idx]
 		th.Owner = sc.Owner
-		initRegionCtx(ctx, w, lc, ivInit, sc.Lo)
+		ex.initRegionCtx(ctx, w, lc, ivInit, sc.Lo)
 		lc.BoundValue[w] = bounds[idx]
 
 		for {

@@ -21,6 +21,7 @@ package genkern
 
 import (
 	"fmt"
+	"math"
 
 	"janus/internal/asm"
 	"janus/internal/guest"
@@ -396,20 +397,12 @@ func (e *emitter) counting(iv guest.Reg, n int64, kind SegKind, carried, ambiguo
 // feed the checksum and memory-hash oracles non-trivially.
 func (e *emitter) dataI64(name string, n int64) {
 	m := int64(e.r.next()%251 + 3)
-	vals := make([]int64, n)
-	for i := range vals {
-		vals[i] = int64(i)*m%1021 + 1
-	}
-	e.b.DataI64(name, vals)
+	e.b.DataWords(name, int(n), func(i int) uint64 { return uint64(int64(i)*m%1021 + 1) })
 }
 
 func (e *emitter) dataF64(name string, n int64) {
 	m := float64(e.r.next()%97+1) * 0.0625
-	vals := make([]float64, n)
-	for i := range vals {
-		vals[i] = float64(i%911)*m + 0.5
-	}
-	e.b.DataF64(name, vals)
+	e.b.DataWords(name, int(n), func(i int) uint64 { return math.Float64bits(float64(i%911)*m + 0.5) })
 }
 
 // doallConst: dst[i] = src[i]*3 + 7 over constant bases. Type A.
@@ -633,15 +626,12 @@ func (e *emitter) libcall(n int64) {
 // without, idx is the identity and the loop is independent.
 func (e *emitter) indexChase(n int64, collide bool) {
 	idx, data := e.sym("idx"), e.sym("chase")
-	vals := make([]int64, n)
-	for i := range vals {
+	e.b.DataWords(idx, int(n), func(i int) uint64 {
 		if collide && i%2 == 1 {
-			vals[i] = int64(i - 1)
-		} else {
-			vals[i] = int64(i)
+			return uint64(i - 1)
 		}
-	}
-	e.b.DataI64(idx, vals)
+		return uint64(i)
+	})
 	e.b.Data(data, int(n*8))
 	f := e.f
 	f.MoviData(guest.R8, idx, 0)

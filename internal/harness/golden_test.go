@@ -21,6 +21,9 @@ import (
 	"runtime"
 	"strings"
 	"testing"
+
+	"janus/internal/obj"
+	"janus/internal/workloads"
 )
 
 var update = flag.Bool("update", false, "rewrite testdata/janus-bench.golden from a fresh render")
@@ -68,8 +71,62 @@ func readGolden(t *testing.T) string {
 	return string(data)
 }
 
+// suiteBinary is one build the full render loads machines from.
+type suiteBinary struct {
+	name string
+	in   workloads.Input
+	opt  workloads.OptLevel
+	exe  *obj.Executable
+	libs []*obj.Library
+	id   string
+}
+
+// suiteBinaries builds (through the shared build cache, so the render
+// that follows runs on these very executables) every binary the suite
+// uses — figure 6's train builds of all benchmarks and each
+// parallelisable benchmark at every input and optimisation level — and
+// hashes each one.
+func suiteBinaries(t *testing.T) []suiteBinary {
+	t.Helper()
+	var bins []suiteBinary
+	add := func(name string, in workloads.Input, opt workloads.OptLevel) {
+		exe, libs, err := workloads.Build(name, in, opt)
+		if err != nil {
+			t.Fatal(err)
+		}
+		bins = append(bins, suiteBinary{name, in, opt, exe, libs, obj.NewBinary(exe, libs...).ID()})
+	}
+	parallel := map[string]bool{}
+	for _, name := range workloads.ParallelisableNames() {
+		parallel[name] = true
+		for _, in := range []workloads.Input{workloads.Train, workloads.Ref} {
+			for _, opt := range []workloads.OptLevel{workloads.O2, workloads.O3, workloads.O3AVX} {
+				add(name, in, opt)
+			}
+		}
+	}
+	for _, name := range workloads.Names() {
+		if !parallel[name] {
+			add(name, workloads.Train, workloads.O3)
+		}
+	}
+	return bins
+}
+
 func TestGoldenOutput(t *testing.T) {
+	bins := suiteBinaries(t)
 	got := renderSuite(t, DefaultOptions())
+	// Machines map an executable's section bytes instead of copying
+	// them, so hundreds of runs have just executed over these bytes:
+	// every binary must still be, bit for bit, the one that was built.
+	for _, b := range bins {
+		if exe, _, err := workloads.Build(b.name, b.in, b.opt); err != nil || exe != b.exe {
+			t.Fatalf("%s %s %s: the render ran on another build (%v)", b.name, b.in, b.opt, err)
+		}
+		if id := obj.NewBinary(b.exe, b.libs...).ID(); id != b.id {
+			t.Errorf("%s %s %s: identity after the render %s, before it %s: a run wrote through to its executable", b.name, b.in, b.opt, id, b.id)
+		}
+	}
 	if *update {
 		if err := os.WriteFile(filepath.FromSlash(goldenPath), []byte(got), 0o644); err != nil {
 			t.Fatal(err)

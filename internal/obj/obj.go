@@ -17,6 +17,7 @@ import (
 	"fmt"
 	"io"
 	"sort"
+	"sync"
 
 	"janus/internal/guest"
 )
@@ -58,6 +59,13 @@ type Import struct {
 }
 
 // Executable is a loadable guest program image.
+//
+// An executable is immutable once constructed: nothing may write to
+// Code, Data, Symbols or Imports afterwards. Every consumer relies on
+// it — the memoised identity (Binary), the pointer-keyed stage caches,
+// and the loader, which maps Data's bytes into every machine it loads
+// instead of copying them (vm.NewMachine). Because it carries the
+// loader's once-built image, an Executable must not be copied by value.
 type Executable struct {
 	Name     string
 	Entry    uint64
@@ -71,6 +79,21 @@ type Executable struct {
 	// analyser must recover functions from the entry point and call
 	// targets alone.
 	Stripped bool
+
+	// loaded is what the loader derived from the sections the first
+	// time this executable was loaded (see Loaded). It belongs to this
+	// executable alone and is collected with it.
+	loadOnce sync.Once
+	loaded   any
+}
+
+// Loaded returns the loader's view of e's sections: the value build
+// returned on the first call, built at most once however many machines
+// load e concurrently. The value lives exactly as long as e, so a
+// process that drops an executable drops its loaded image with it.
+func (e *Executable) Loaded(build func() any) any {
+	e.loadOnce.Do(func() { e.loaded = build() })
+	return e.loaded
 }
 
 // CodeEnd returns the first address past the code section.
@@ -134,16 +157,24 @@ func (e *Executable) SymbolByName(name string) (Symbol, bool) {
 	return Symbol{}, false
 }
 
-// Strip returns a copy with local function symbols removed, keeping only
-// what a stripped dynamic binary retains: entry, section bounds, imports.
+// Strip returns a stripped view of e: local function symbols removed,
+// keeping only what a stripped dynamic binary retains — entry, section
+// bounds, imports. The sections and the import table are shared with e,
+// not copied: executables are immutable (see Executable), and a ~10 MB
+// image per build is exactly the copy that contract exists to avoid.
+// The result is built field by field so e's loaded image does not
+// follow it; the stripped executable builds its own on first load.
 func (e *Executable) Strip() *Executable {
-	cp := *e
-	cp.Symbols = nil
-	cp.Stripped = true
-	cp.Code = append([]byte(nil), e.Code...)
-	cp.Data = append([]byte(nil), e.Data...)
-	cp.Imports = append([]Import(nil), e.Imports...)
-	return &cp
+	return &Executable{
+		Name:     e.Name,
+		Entry:    e.Entry,
+		CodeBase: e.CodeBase,
+		Code:     e.Code,
+		DataBase: e.DataBase,
+		Data:     e.Data,
+		Imports:  e.Imports,
+		Stripped: true,
+	}
 }
 
 // Size returns the total image size in bytes (code + data), the figure

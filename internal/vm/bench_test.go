@@ -20,8 +20,9 @@ func BenchmarkMemoryReadWriteStride(b *testing.B) {
 	_ = sink
 }
 
-// BenchmarkMemoryWriteBytes measures the bulk image-load path
-// (dominates machine construction).
+// BenchmarkMemoryWriteBytes measures the bulk page-span store path
+// (privatised-cell re-homing; machines map their image and no longer
+// load it through here).
 func BenchmarkMemoryWriteBytes(b *testing.B) {
 	m := NewMemory()
 	buf := make([]byte, 64*pageSize)

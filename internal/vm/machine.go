@@ -108,7 +108,9 @@ type Machine struct {
 	Output []uint64
 }
 
-// NewMachine loads exe and libs: copies the data section into memory,
+// NewMachine loads exe and libs: maps the executable's data section
+// into memory copy-on-write (the section's bytes are shared with every
+// other machine loaded from exe and are never written; see image.go),
 // resolves PLT stubs against library exports, and pre-decodes all
 // executable and library code.
 func NewMachine(exe *obj.Executable, libs ...*obj.Library) (*Machine, error) {
@@ -116,7 +118,7 @@ func NewMachine(exe *obj.Executable, libs ...*obj.Library) (*Machine, error) {
 	m := &Machine{
 		Exe:       exe,
 		Libs:      libs,
-		Mem:       NewMemory(),
+		Mem:       newMemoryOver(imageOf(exe)),
 		exeInsts:  make([]guest.Inst, nInst),
 		exeOK:     make([]bool, nInst),
 		libInsts:  make([][]guest.Inst, len(libs)),
@@ -124,7 +126,6 @@ func NewMachine(exe *obj.Executable, libs ...*obj.Library) (*Machine, error) {
 		pltTarget: make(map[uint64]uint64),
 	}
 	m.heapNext.Store(obj.DefaultHeapBase)
-	m.Mem.WriteBytes(exe.DataBase, exe.Data)
 	for _, im := range exe.Imports {
 		resolved := false
 		for _, lib := range libs {

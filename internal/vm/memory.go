@@ -16,6 +16,16 @@
 // path. Structural changes (page and leaf allocation) are serialised by
 // a mutex on the miss path, and page-table slots are atomic pointers so
 // lock-free readers never observe a torn update.
+//
+// A machine does not copy its executable's data section: the section is
+// laid out once per executable as an immutable page image (image.go)
+// whose full pages are the executable's own bytes, and every Memory
+// loaded from it maps those pages copy-on-write. A page table entry is
+// a per-Memory header (page) that points at the bytes; the first store
+// to a mapped page swaps a private copy in behind the header. Views
+// cache headers, never byte pointers, so a page that one thread
+// privatises is seen by every other view on its next access — there is
+// no TLB shoot-down to get wrong.
 package vm
 
 import (
@@ -35,6 +45,15 @@ const (
 	// once per 4 KiB page.
 	leafBits = 10
 	leafMask = (1 << leafBits) - 1
+
+	// tlbBits sizes the per-view software TLB: direct-mapped, indexed by
+	// the page number folded onto itself so arrays a power of two apart
+	// (the usual layout of a kernel's operands) do not share a slot. 64
+	// entries hold a loop streaming several arrays plus its stack; the
+	// size is a constant, not a setting.
+	tlbBits = 6
+	tlbSize = 1 << tlbBits
+	tlbMask = tlbSize - 1
 )
 
 // FNV-1a constants, folded 64 bits at a time over page contents.
@@ -47,13 +66,38 @@ const (
 // it (addresses are 64-bit, page numbers at most 52-bit).
 const noPage = ^uint64(0)
 
-// page is one 4 KiB block plus its cached digest state. digest and
-// nonzero are valid only while dirty is zero; every write path sets
-// dirty and the hash routines refresh lazily. dirty is accessed
+// pageData is the bytes of one page.
+type pageData [pageSize]byte
+
+// Page states (page.dirty). A store is allowed only in pageDirty, so
+// every store path is one load and one compare whatever else a page can
+// be.
+const (
+	// pageClean: private bytes, digest and nonzero valid.
+	pageClean = iota
+	// pageDirty: private bytes, written since the digest was taken.
+	pageDirty
+	// pageShared: the bytes are the loaded image's (img) and have never
+	// been written through this Memory; digest and nonzero are the
+	// image's.
+	pageShared
+)
+
+// page is one Memory's header for one 4 KiB block: where its bytes are,
+// and its cached digest state. digest and nonzero are valid unless the
+// state is pageDirty; every write path moves the page to pageDirty first
+// and the hash routines refresh lazily. data and dirty are accessed
 // atomically because host-parallel guest threads writing disjoint words
-// of the same page mark it dirty concurrently.
+// of the same page privatise it and mark it dirty concurrently.
 type page struct {
-	data    [pageSize]byte
+	// data points at the page's current bytes: img while the page is
+	// shared, a private block from the first store on. It changes at
+	// that first store and when a checkpoint puts a saved block back.
+	data atomic.Pointer[pageData]
+	// img is the loaded image's block this page was mapped from, nil
+	// for a page the Memory allocated itself. Never written through,
+	// never reassigned.
+	img     *pageData
 	key     uint64 // addr >> pageShift
 	digest  uint64
 	nonzero bool
@@ -63,28 +107,47 @@ type page struct {
 	snapEpoch atomic.Uint64
 }
 
-// markDirty invalidates the cached digest. The common case (page
-// already dirty) is a single atomic load, which on the hot store path
-// costs no more than a plain load on mainstream architectures.
+// markDirty makes the page writable and invalidates the cached digest.
+// The common case (page already dirty) is a single atomic load, which
+// on the hot store path costs no more than a plain load on mainstream
+// architectures. Callers load p.data only after it returns.
 func (p *page) markDirty() {
-	if p.dirty.Load() == 0 {
-		p.dirty.Store(1)
+	if p.dirty.Load() != pageDirty {
+		p.setDirty()
 	}
 }
 
-// refresh recomputes the digest and nonzero flag in one pass over the
-// page, folding 64-bit words FNV-1a style.
-func (p *page) refresh() {
+// setDirty is markDirty's slow path: the first store to a clean page,
+// or to a shared one, which gets its private copy here. Two threads may
+// first-write disjoint words of one shared page at once: each copies
+// the (immutable) image block, one compare-and-swap from img wins, and
+// both then store into the winner's block — the swap can only ever
+// leave img, so a late copier cannot replace a block already written to.
+func (p *page) setDirty() {
+	if p.dirty.Load() == pageShared && p.data.Load() == p.img {
+		cp := *p.img
+		p.data.CompareAndSwap(p.img, &cp)
+	}
+	p.dirty.Store(pageDirty)
+}
+
+// digestOf folds a page's 64-bit words FNV-1a style and reports whether
+// any byte is nonzero, in one pass.
+func digestOf(d *pageData) (digest uint64, nonzero bool) {
 	h := uint64(fnvOffset)
 	var nz uint64
 	for i := 0; i < pageSize; i += 8 {
-		w := binary.LittleEndian.Uint64(p.data[i:])
+		w := binary.LittleEndian.Uint64(d[i:])
 		nz |= w
 		h = (h ^ w) * fnvPrime
 	}
-	p.digest = h
-	p.nonzero = nz != 0
-	p.dirty.Store(0)
+	return h, nz != 0
+}
+
+// refresh recomputes the digest and nonzero flag of a written page.
+func (p *page) refresh() {
+	p.digest, p.nonzero = digestOf(p.data.Load())
+	p.dirty.Store(pageClean)
 }
 
 // leaf is one directory entry: an array of page slots covering a 4 MiB
@@ -134,12 +197,42 @@ type Memory struct {
 	// ckptEpoch numbers checkpoints so page stamps from released
 	// checkpoints never alias a live one.
 	ckptEpoch uint64
+	// spare holds the blocks released checkpoints no longer need, for
+	// the next checkpoint's pre-images (see checkpoint.go). Only
+	// blocks that already existed come here (a pre-image copy at
+	// Discard, what a failed region wrote at Restore), so the list
+	// recycles the Memory's footprint and never adds to it. Touched only under the active checkpoint's mutex or, between
+	// regions, by the orchestrating goroutine.
+	spare []*pageData
 }
 
 // NewMemory returns an empty address space.
 func NewMemory() *Memory {
 	m := &Memory{leaves: make(map[uint64]*leaf)}
 	m.view.init(m)
+	return m
+}
+
+// newMemoryOver returns an address space with img mapped copy-on-write:
+// one header per image page, all from one allocation, pointing at the
+// image's bytes. Nothing is copied until a page is first stored to.
+func newMemoryOver(img *image) *Memory {
+	m := NewMemory()
+	hdrs := make([]page, len(img.pages))
+	m.all = make([]*page, len(hdrs))
+	var lf *leaf
+	for i := range img.pages {
+		ip, p := &img.pages[i], &hdrs[i]
+		p.key, p.img, p.digest, p.nonzero = ip.key, ip.data, ip.digest, true
+		p.data.Store(ip.data)
+		p.dirty.Store(pageShared)
+		if lf == nil || ip.key>>leafBits != img.pages[i-1].key>>leafBits {
+			lf = m.leafFor(ip.key>>leafBits, true)
+		}
+		lf.pages[ip.key&leafMask].Store(p)
+		m.all[i] = p
+	}
+	m.sorted = true // image pages ascend by key
 	return m
 }
 
@@ -179,8 +272,11 @@ func (m *Memory) addPage(lf *leaf, key uint64) *page {
 	if p := slot.Load(); p != nil {
 		return p
 	}
+	// A fresh page is clean and all zero (nonzero false, so its digest
+	// is never consulted), which is what lets a checkpoint save it
+	// without copying it.
 	p := &page{key: key}
-	p.dirty.Store(1)
+	p.data.Store(new(pageData))
 	m.all = append(m.all, p)
 	m.sorted = false
 	slot.Store(p)
@@ -188,42 +284,47 @@ func (m *Memory) addPage(lf *leaf, key uint64) *page {
 }
 
 // MemView is one thread's access port onto a shared Memory: the
-// thread-private software TLB (the last two distinct pages touched) and
-// the last-leaf cache (the directory entry of the most recent TLB miss,
-// so misses within the same 4 MiB span skip the directory map). Views
-// hold no guest state of their own — dropping or recreating a view
+// thread-private software TLB (a direct-mapped table of page headers)
+// and the last-leaf cache (the directory entry of the most recent TLB
+// miss, so misses within the same 4 MiB span skip the directory map).
+// Views hold no guest state of their own — dropping or recreating a view
 // never changes simulated results, only host-side locality.
 type MemView struct {
 	mem *Memory
 
-	// Software TLB: the last two distinct pages touched, most recent
-	// first.
-	tlbKey  [2]uint64
-	tlbPage [2]*page
+	// tlb is the software TLB, filled by walk. An entry caches a page's
+	// header, never its bytes, so it stays right when the page is
+	// privatised or restored behind it.
+	tlb [tlbSize]tlbEntry
 
 	// lastLeaf caches the directory entry of the most recent TLB miss.
 	lastLeafKey uint64
 	lastLeaf    *leaf
 }
 
+// tlbEntry maps one page number to its header; key is noPage when empty.
+type tlbEntry struct {
+	key uint64
+	p   *page
+}
+
+// tlbSlot folds a page number onto the TLB's index bits.
+func tlbSlot(key uint64) uint64 { return (key ^ key>>tlbBits) & tlbMask }
+
 func (v *MemView) init(m *Memory) {
 	v.mem = m
-	v.tlbKey = [2]uint64{noPage, noPage}
+	for i := range v.tlb {
+		v.tlb[i] = tlbEntry{key: noPage}
+	}
 	v.lastLeafKey = noPage
 	v.lastLeaf = nil
-	v.tlbPage = [2]*page{}
 }
 
 // find returns the resident page containing addr, or nil.
 func (v *MemView) find(addr uint64) *page {
 	key := addr >> pageShift
-	if key == v.tlbKey[0] {
-		return v.tlbPage[0]
-	}
-	if key == v.tlbKey[1] {
-		v.tlbKey[0], v.tlbKey[1] = v.tlbKey[1], v.tlbKey[0]
-		v.tlbPage[0], v.tlbPage[1] = v.tlbPage[1], v.tlbPage[0]
-		return v.tlbPage[0]
+	if e := &v.tlb[tlbSlot(key)]; e.key == key {
+		return e.p
 	}
 	return v.walk(key, false)
 }
@@ -231,13 +332,8 @@ func (v *MemView) find(addr uint64) *page {
 // ensure returns the page containing addr, allocating it if absent.
 func (v *MemView) ensure(addr uint64) *page {
 	key := addr >> pageShift
-	if key == v.tlbKey[0] {
-		return v.tlbPage[0]
-	}
-	if key == v.tlbKey[1] {
-		v.tlbKey[0], v.tlbKey[1] = v.tlbKey[1], v.tlbKey[0]
-		v.tlbPage[0], v.tlbPage[1] = v.tlbPage[1], v.tlbPage[0]
-		return v.tlbPage[0]
+	if e := &v.tlb[tlbSlot(key)]; e.key == key {
+		return e.p
 	}
 	return v.walk(key, true)
 }
@@ -264,8 +360,7 @@ func (v *MemView) walk(key uint64, create bool) *page {
 		}
 		p = v.mem.addPage(lf, key)
 	}
-	v.tlbKey[1], v.tlbPage[1] = v.tlbKey[0], v.tlbPage[0]
-	v.tlbKey[0], v.tlbPage[0] = key, p
+	v.tlb[tlbSlot(key)] = tlbEntry{key: key, p: p}
 	return p
 }
 
@@ -289,7 +384,7 @@ func (v *MemView) Load8(addr uint64) byte {
 	if p == nil {
 		return 0
 	}
-	return p.data[addr&pageMask]
+	return p.data.Load()[addr&pageMask]
 }
 
 // Store8 sets the byte at addr.
@@ -300,16 +395,24 @@ func (v *MemView) Store8(addr uint64, b byte) {
 	} else {
 		p.markDirty()
 	}
-	p.data[addr&pageMask] = b
+	p.data.Load()[addr&pageMask] = b
 }
 
-// Read64 loads a little-endian 64-bit word from addr.
+// Read64 loads a little-endian 64-bit word from addr. Like Write64 it
+// probes the TLB itself instead of calling find: find and ensure are
+// over the inlining budget, and on these two paths — every guest load
+// and store — the call costs more than the probe (≈ 0.5 ns of 2.5).
 func (v *MemView) Read64(addr uint64) uint64 {
 	if off := addr & pageMask; off <= pageSize-8 {
-		if p := v.find(addr); p != nil {
-			return binary.LittleEndian.Uint64(p.data[off : off+8])
+		key := addr >> pageShift
+		e := &v.tlb[tlbSlot(key)]
+		p := e.p
+		if e.key != key {
+			if p = v.walk(key, false); p == nil {
+				return 0
+			}
 		}
-		return 0
+		return binary.LittleEndian.Uint64(p.data.Load()[off : off+8])
 	}
 	return v.read64Cross(addr)
 }
@@ -325,13 +428,18 @@ func (v *MemView) read64Cross(addr uint64) uint64 {
 // Write64 stores a little-endian 64-bit word at addr.
 func (v *MemView) Write64(addr uint64, x uint64) {
 	if off := addr & pageMask; off <= pageSize-8 {
-		p := v.ensure(addr)
+		key := addr >> pageShift
+		e := &v.tlb[tlbSlot(key)]
+		p := e.p
+		if e.key != key {
+			p = v.walk(key, true)
+		}
 		if v.mem.ckpt != nil {
 			v.touchCkpt(p)
 		} else {
 			p.markDirty()
 		}
-		binary.LittleEndian.PutUint64(p.data[off:off+8], x)
+		binary.LittleEndian.PutUint64(p.data.Load()[off:off+8], x)
 		return
 	}
 	v.write64Cross(addr, x)
@@ -353,7 +461,7 @@ func (v *MemView) WriteBytes(addr uint64, b []byte) {
 		} else {
 			p.markDirty()
 		}
-		n := copy(p.data[addr&pageMask:], b)
+		n := copy(p.data.Load()[addr&pageMask:], b)
 		b = b[n:]
 		addr += uint64(n)
 	}
@@ -369,7 +477,7 @@ func (v *MemView) ReadInto(addr uint64, dst []byte) {
 			span = len(dst)
 		}
 		if p := v.find(addr); p != nil {
-			copy(dst[:span], p.data[off:])
+			copy(dst[:span], p.data.Load()[off:])
 		} else {
 			clear(dst[:span])
 		}
@@ -398,10 +506,11 @@ func (v *MemView) Copy(dst, src uint64, n int) {
 			dp.markDirty()
 		}
 		do := dst & pageMask
+		dd := dp.data.Load()[do : int(do)+span]
 		if sp := v.find(src); sp != nil {
-			copy(dp.data[do:int(do)+span], sp.data[src&pageMask:])
+			copy(dd, sp.data.Load()[src&pageMask:])
 		} else {
-			clear(dp.data[do : int(do)+span])
+			clear(dd)
 		}
 		src += uint64(span)
 		dst += uint64(span)
@@ -442,7 +551,9 @@ func (m *Memory) Copy(dst, src uint64, n int) { m.view.Copy(dst, src, n) }
 // memory images between native and parallelised executions. Zero pages
 // that were never touched do not contribute, and pages that contain only
 // zeroes hash identically to absent pages. Per-page digests are cached
-// and only pages written since the last call are re-hashed.
+// and only pages written since the last call are re-hashed; a page
+// still shared with the loaded image carries the image's digest and is
+// never hashed here at all.
 //
 // Hash must not run concurrently with guest writes; the runtime only
 // hashes between regions, when a single goroutine owns the memory.
@@ -470,7 +581,7 @@ func (m *Memory) hashBelow(limit uint64) uint64 {
 		if p.key<<pageShift >= limit {
 			break
 		}
-		if p.dirty.Load() != 0 {
+		if p.dirty.Load() == pageDirty {
 			p.refresh()
 		}
 		if !p.nonzero {

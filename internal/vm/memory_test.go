@@ -140,9 +140,15 @@ func TestTLBSharedAcrossContexts(t *testing.T) {
 	c1 := &Context{ID: 0, Bus: m}
 	c2 := &Context{ID: 1, Bus: m}
 
-	// Touch three pages alternately so the two-entry TLB cycles through
-	// fill, hit-swap and eviction.
-	pages := []uint64{0x1000, 0x2000, 0x3000}
+	// Three pages that fold onto one slot of the direct-mapped TLB,
+	// touched alternately, so every access after the first evicts its
+	// predecessor: fill, hit and eviction all happen.
+	pages := []uint64{1 << pageShift, 64 << pageShift, 4097 << pageShift}
+	for _, base := range pages[1:] {
+		if tlbSlot(base>>pageShift) != tlbSlot(pages[0]>>pageShift) {
+			t.Fatalf("page %#x does not share a TLB slot with %#x", base, pages[0])
+		}
+	}
 	for round := uint64(0); round < 8; round++ {
 		for i, base := range pages {
 			a := base + 8*round

@@ -15,6 +15,7 @@ package workloads
 
 import (
 	"fmt"
+	"math"
 
 	"janus/internal/asm"
 	"janus/internal/guest"
@@ -79,20 +80,12 @@ func (k *kctx) sym(prefix string) string {
 // dataI64 reserves a seeded integer array so kernels compute on
 // non-trivial values (results feed the verification memory hash).
 func (k *kctx) dataI64(name string, n int64) {
-	vals := make([]int64, n)
-	for i := range vals {
-		vals[i] = int64(i)*2654435761%1009 + 1
-	}
-	k.b.DataI64(name, vals)
+	k.b.DataWords(name, int(n), func(i int) uint64 { return uint64(int64(i)*2654435761%1009 + 1) })
 }
 
 // dataF64 reserves a seeded float array.
 func (k *kctx) dataF64(name string, n int64) {
-	vals := make([]float64, n)
-	for i := range vals {
-		vals[i] = float64(i%977)*0.125 + 0.5
-	}
-	k.b.DataF64(name, vals)
+	k.b.DataWords(name, int(n), func(i int) uint64 { return math.Float64bits(float64(i%977)*0.125 + 0.5) })
 }
 
 // counting emits the standard loop skeleton
@@ -263,15 +256,12 @@ func (k *kctx) carriedStencil(n int64) {
 func (k *kctx) pointerChase(n int64, aliasing bool) {
 	idx := k.sym("idx")
 	data := k.sym("chase")
-	vals := make([]int64, n)
-	for i := range vals {
+	k.b.DataWords(idx, int(n), func(i int) uint64 {
 		if aliasing && i%2 == 1 {
-			vals[i] = int64(i - 1) // collide with previous iteration
-		} else {
-			vals[i] = int64(i)
+			return uint64(i - 1) // collide with previous iteration
 		}
-	}
-	k.b.DataI64(idx, vals)
+		return uint64(i)
+	})
 	k.b.Data(data, int(n*8))
 	f := k.f
 	f.MoviData(guest.R8, idx, 0)

@@ -2,8 +2,11 @@ package janus
 
 import (
 	"fmt"
+	"runtime"
 	"testing"
 
+	"janus/internal/dbm"
+	"janus/internal/vm"
 	"janus/internal/workloads"
 )
 
@@ -119,5 +122,46 @@ func TestBareDBMOverheadBounded(t *testing.T) {
 	}
 	if ratio > 2.0 {
 		t.Fatalf("bare DBM overhead out of range: %.3f", ratio)
+	}
+}
+
+// TestRunAllocationBudget is the tier-1 guard on the zero-copy loader:
+// one suite binary with a 10 MB data section, run natively and under
+// the 8-thread DBM — two machines. Both map the executable's section
+// bytes, so the two runs allocate the pages they write, their decode
+// tables and the DBM's bookkeeping: ≈ 7.7 MB where this was written.
+// A loader that copied the section again would add 10 MB per machine
+// (27.8 MB before machines mapped their images), so the 12 MB budget
+// fails on the first re-introduced copy without the benchmark being
+// run.
+func TestRunAllocationBudget(t *testing.T) {
+	const budget = 12 << 20
+	exe, libs, err := workloads.Build("470.lbm", workloads.Ref, workloads.O3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// The plan, and the executable's page image, are built outside the
+	// measured window.
+	rep, err := Parallelise(exe, Config{Threads: 8, Verify: true}, libs...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	if _, err := vm.RunNative(exe, libs...); err != nil {
+		t.Fatal(err)
+	}
+	ex, err := dbm.New(exe, rep.Schedule, dbm.DefaultConfig(8), libs...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := ex.Run(); err != nil {
+		t.Fatal(err)
+	}
+	runtime.ReadMemStats(&after)
+	got := after.TotalAlloc - before.TotalAlloc
+	t.Logf("470.lbm ref O3: %d KiB of data, native + 8-thread DBM run allocated %d KiB", len(exe.Data)>>10, got>>10)
+	if got > budget {
+		t.Fatalf("native + 8-thread DBM run of 470.lbm allocated %d bytes, budget %d: has a copy of the %d-byte data section come back?", got, budget, len(exe.Data))
 	}
 }
