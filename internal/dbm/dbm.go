@@ -1,10 +1,14 @@
 // Package dbm is the Janus dynamic binary modifier: the DynamoRIO-like
 // layer that translates basic blocks just-in-time into per-thread code
 // caches, consults the rewrite-schedule hash table before caching, and
-// invokes the rule handlers that transform the code (figure 2(b)). A
-// block's translation is charged to guest thread t the first time t
-// dispatches it since the last modelled flush, wherever the translation
-// physically lives.
+// invokes the rule handlers that transform the code (figure 2(b)). What
+// the rules decide is decided at translation: a translated block is its
+// decoded instructions, held once, plus an ordered list of sites — the
+// instructions a surviving rule attaches a handler or a rewritten access
+// to — and everything between two sites is a run that executes through
+// vm.ExecRun with no per-instruction test. A block's translation is
+// charged to guest thread t the first time t dispatches it since the
+// last modelled flush, wherever the translation physically lives.
 //
 // Execution is deterministic and the elapsed time of a parallel region
 // is always the maximum thread virtual-cycle clock plus orchestration

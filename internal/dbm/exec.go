@@ -46,114 +46,123 @@ func (ex *Executor) stepBlock(t *jrt.Thread) error {
 	}
 	ex.chargeTranslation(t, b)
 	ex.lastBlk[t.ID] = b
-	t.Ctx.Cycles += ex.Cfg.Cost.Dispatch
-	for i := range b.items {
-		it := &b.items[i]
-		// Rule handlers attached before the instruction.
-		for _, r := range it.pre {
-			rd, err := ex.runHandler(t, it, r)
-			if err != nil {
-				return err
-			}
-			if rd != nil {
-				t.Ctx.PC = rd.pc
-				return nil
-			}
+	c := t.Ctx
+	c.Cycles += ex.Cfg.Cost.Dispatch
+	// Alternate runs and sites. Every mode a step depends on — profiling,
+	// this loop's parallel region, an open transaction, an active
+	// external call — is fixed per executor or changes only in a handler,
+	// i.e. at a site, so it is decided once per step, never per
+	// instruction, and each step is accounted for in one go.
+	for i, si := 0, 0; i < len(b.insts); {
+		pc := b.start + uint64(i)*guest.InstSize
+		stop := len(b.insts)
+		if si < len(b.sites) {
+			stop = b.sites[si].idx
 		}
-		next, err := ex.execItem(t, it)
-		t.Steps++
+		n := 1
+		var next uint64
+		var err error
+		if i < stop {
+			if ex.tx[t.ID] != nil {
+				// Every access inside a transaction is charged, so a
+				// run goes one instruction per step there.
+				stop = i + 1
+				ex.chargeTxAccess(t, &b.insts[i])
+			}
+			n, next, err = vm.ExecRun(ex.M, c, b.insts[i:stop], pc)
+		} else {
+			s := &b.sites[si]
+			si++
+			for _, r := range s.pre {
+				rd, err := ex.runHandler(t, &b.insts[i], pc, r)
+				if err != nil {
+					return err
+				}
+				if rd != nil {
+					c.PC = rd.pc
+					return nil
+				}
+			}
+			next, err = ex.execSite(t, s, &b.insts[i], pc+guest.InstSize)
+		}
+		t.Steps += int64(n)
 		if ex.Cfg.Profile {
-			ex.Cov.Step(1)
+			ex.Cov.Step(int64(n))
 			if ex.Ex.Active() {
-				ex.Ex.StepInst()
+				ex.Ex.Step(int64(n))
 			}
 		}
 		if err != nil {
 			return err
 		}
-		if next != it.addr+guest.InstSize {
-			t.Ctx.PC = next
+		i += n
+		if next != b.start+uint64(i)*guest.InstSize {
+			c.PC = next
 			return nil
 		}
 	}
-	t.Ctx.PC = b.end
+	c.PC = b.end
 	return nil
 }
 
-// execItem executes one translated instruction with its transformation.
-func (ex *Executor) execItem(t *jrt.Thread, it *titem) (uint64, error) {
+// chargeTxAccess charges instruction in, about to execute inside thread
+// t's transaction, for the memory access it makes, if any.
+func (ex *Executor) chargeTxAccess(t *jrt.Thread, in *guest.Inst) {
+	writes := in.WritesMem()
+	if !writes && !in.ReadsMem() {
+		return
+	}
+	t.Ctx.Cycles += ex.Cfg.Cost.TxPerAccess
+	ex.Stats.SpecInsts++
+	if ex.Cfg.Profile && ex.Ex.Active() {
+		ex.Ex.RecordMem(writes)
+	}
+}
+
+// execSite executes site s's instruction in (fall-through address next)
+// with the site's transformation, which applies only inside the parallel
+// region of the loop whose rule made it.
+func (ex *Executor) execSite(t *jrt.Thread, s *site, in *guest.Inst, next uint64) (uint64, error) {
 	c := t.Ctx
-	next := it.addr + guest.InstSize
-	if it.touchesMem && ex.tx[t.ID] != nil {
-		c.Cycles += ex.Cfg.Cost.TxPerAccess
-		ex.Stats.SpecInsts++
-		if ex.Cfg.Profile && ex.Ex.Active() {
-			ex.Ex.RecordMem(it.writesMem)
+	if ex.tx[t.ID] != nil {
+		ex.chargeTxAccess(t, in)
+	}
+	if lc := ex.loop; s.kind != execNormal && ex.inParallel && lc != nil && s.loopID == lc.LoopID {
+		switch s.kind {
+		case execPrivatise:
+			// MEM_PRIVATISE: the access goes to the thread's TLS slot.
+			in = &s.inst
+		case execMainStack:
+			// MEM_MAIN_STACK: a read-only stack access goes to the main
+			// thread's frame. The access' symbolic offset from the entry
+			// SP equals its current dynamic offset, so the address is
+			// mainSP + (effaddr - threadSP-at-entry); worker SPs are
+			// rebased at LOOP_INIT, so the entry SP is simply the
+			// worker's SP base.
+			entrySP := lc.MainSP
+			if t.ID != 0 {
+				entrySP = jrt.StackTopFor(t.ID)
+			}
+			s.inst.M.Disp = int64(lc.MainSP + (c.EffAddr(in.M) - entrySP))
+			in = &s.inst
+		case execBound:
+			// LOOP_UPDATE_BOUND: the exit compare tests the thread's
+			// chunk bound instead of the original loop bound (per-thread
+			// code caches let every thread see its own bound).
+			c.Cycles += in.Op.Cycles()
+			c.Insts++
+			iv := int64(c.Reg(s.bound.IVReg))
+			bound := int64(lc.BoundValue[t.ID])
+			c.ZF, c.LF = iv == bound, iv < bound
+			return next, nil
 		}
 	}
-	switch it.kind {
-	case execPrivatise:
-		if ex.inParallel && ex.loop != nil && it.loopID == ex.loop.LoopID {
-			return ex.execPrivatised(t, it, next)
-		}
-	case execMainStack:
-		if ex.inParallel && ex.loop != nil && it.loopID == ex.loop.LoopID {
-			return ex.execMainStackRead(t, it, next)
-		}
-	case execBound:
-		if ex.inParallel && ex.loop != nil && it.loopID == ex.loop.LoopID {
-			return ex.execPatchedBound(t, it, next)
-		}
-	}
-	return vm.ExecInst(ex.M, c, &it.inst, next)
-}
-
-// execPrivatised redirects the access to the thread's TLS slot
-// (MEM_PRIVATISE handler: "re-encoded into a direct memory access to a
-// specific private storage location").
-func (ex *Executor) execPrivatised(t *jrt.Thread, it *titem, next uint64) (uint64, error) {
-	priv := jrt.PrivAddr(t.ID, it.priv.Slot)
-	in := it.inst
-	in.M = guest.Mem{Base: guest.RegNone, Index: guest.RegNone, Scale: 1, Disp: int64(priv)}
-	return vm.ExecInst(ex.M, t.Ctx, &in, next)
-}
-
-// execMainStackRead redirects a read-only stack access to the main
-// thread's stack frame (MEM_MAIN_STACK handler). The access' symbolic
-// offset from the entry SP equals its current dynamic offset, so the
-// address is mainSP + (effaddr - threadSP-at-entry); worker SPs are
-// rebased at LOOP_INIT, so the entry SP is simply the worker's SP base.
-func (ex *Executor) execMainStackRead(t *jrt.Thread, it *titem, next uint64) (uint64, error) {
-	lc := ex.loop
-	eff := t.Ctx.EffAddr(it.inst.M)
-	var entrySP uint64
-	if t.ID == 0 {
-		entrySP = lc.MainSP
-	} else {
-		entrySP = jrt.StackTopFor(t.ID)
-	}
-	addr := lc.MainSP + (eff - entrySP)
-	in := it.inst
-	in.M = guest.Mem{Base: guest.RegNone, Index: guest.RegNone, Scale: 1, Disp: int64(addr)}
-	return vm.ExecInst(ex.M, t.Ctx, &in, next)
-}
-
-// execPatchedBound executes the exit compare against the thread's
-// chunk bound instead of the original loop bound (LOOP_UPDATE_BOUND
-// handler; per-thread code caches let every thread see its own bound).
-func (ex *Executor) execPatchedBound(t *jrt.Thread, it *titem, next uint64) (uint64, error) {
-	lc := ex.loop
-	c := t.Ctx
-	c.Cycles += it.inst.Op.Cycles()
-	c.Insts++
-	iv := int64(c.Reg(it.bound.IVReg))
-	bound := int64(lc.BoundValue[t.ID])
-	c.ZF, c.LF = iv == bound, iv < bound
-	return next, nil
+	return vm.ExecInst(ex.M, c, in, next)
 }
 
 // runHandler executes one pre-instruction rule handler.
-func (ex *Executor) runHandler(t *jrt.Thread, it *titem, r rules.Rule) (*redirect, error) {
+// in is the instruction the rule is attached to and addr its address.
+func (ex *Executor) runHandler(t *jrt.Thread, in *guest.Inst, addr uint64, r rules.Rule) (*redirect, error) {
 	switch r.ID {
 	case rules.PROF_LOOP_ITER:
 		first := !ex.Cov.IsActive(int(r.LoopID))
@@ -162,7 +171,6 @@ func (ex *Executor) runHandler(t *jrt.Thread, it *titem, r rules.Rule) (*redirec
 	case rules.PROF_LOOP_FINISH:
 		ex.Cov.Finish(int(r.LoopID))
 	case rules.PROF_MEM_ACCESS:
-		in := it.inst
 		if in.Op.HasMem() {
 			ex.Dep.Record(int(r.LoopID), t.Ctx.EffAddr(in.M), in.AccessWidth(), in.WritesMem())
 		}
@@ -203,7 +211,7 @@ func (ex *Executor) runHandler(t *jrt.Thread, it *titem, r rules.Rule) (*redirec
 			return nil, ErrScanTx
 		}
 		if ex.inParallel && ex.tx[t.ID] == nil && !ex.suppressTx[t.ID] {
-			cp := stm.Checkpoint{GPR: t.Ctx.GPR, ZF: t.Ctx.ZF, LF: t.Ctx.LF, PC: it.addr}
+			cp := stm.Checkpoint{GPR: t.Ctx.GPR, ZF: t.Ctx.ZF, LF: t.Ctx.LF, PC: addr}
 			if spare := ex.txSpare[t.ID]; spare != nil {
 				spare.Reset(ex.M.Mem, cp)
 				ex.tx[t.ID] = spare
@@ -211,7 +219,7 @@ func (ex *Executor) runHandler(t *jrt.Thread, it *titem, r rules.Rule) (*redirec
 			} else {
 				ex.tx[t.ID] = stm.Begin(ex.M.Mem, cp)
 			}
-			ex.txStartAddr[t.ID] = it.addr
+			ex.txStartAddr[t.ID] = addr
 			t.Ctx.Bus = ex.tx[t.ID]
 			t.Ctx.Cycles += ex.Cfg.Cost.TxStart
 			ex.Stats.TxStarted++

@@ -7,6 +7,7 @@ import (
 	"janus/internal/asm"
 	"janus/internal/guest"
 	"janus/internal/obj"
+	"janus/internal/rules"
 )
 
 // TestSpeculationAbortAndRetry exercises the full abort path of the
@@ -159,5 +160,58 @@ func TestSpeculationManyThreads(t *testing.T) {
 	}
 	if res.Output[0] != 3*n {
 		t.Fatalf("counter = %d, want %d", res.Output[0], 3*n)
+	}
+}
+
+// TestTransactionInStraightLineCodePinned wraps the middle of a DOALL
+// loop's straight-line body — LD, IMULI, ST — in a transaction that
+// commits before the induction step, and pins what the transaction
+// machinery counted to values captured before blocks were split into
+// runs and sites. The LD is the TX_START site; IMULI and ST form a run
+// that executes inside the transaction, so a run that skipped the
+// per-access charge there would lower SpecInsts and the cycle count.
+func TestTransactionInStraightLineCodePinned(t *testing.T) {
+	const n = 256
+	exe := buildScale(t, n)
+	p, err := analyzer.Analyze(exe)
+	if err != nil {
+		t.Fatal(err)
+	}
+	p.SelectLoops(analyzer.SelectOptions{UseChecks: true})
+	sched, err := p.GenParallelSchedule()
+	if err != nil {
+		t.Fatal(err)
+	}
+	ld := exe.Entry
+	for in, err := exe.InstAt(ld); in.Op != guest.LD; in, err = exe.InstAt(ld) {
+		if err != nil {
+			t.Fatal(err)
+		}
+		ld += guest.InstSize
+	}
+	loopID := int32(-1)
+	for _, r := range sched.Rules {
+		if r.ID == rules.LOOP_INIT && loopID < 0 {
+			loopID = r.LoopID
+		}
+	}
+	sched.Append(rules.Rule{Addr: ld, ID: rules.TX_START, LoopID: loopID, Data: rules.TxData{CallTarget: ld}})
+	sched.Append(rules.Rule{Addr: ld + 3*guest.InstSize, ID: rules.TX_FINISH, LoopID: loopID, Data: rules.TxData{}})
+
+	ex, err := New(exe, sched, DefaultConfig(4))
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := ex.Run()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if native := nativeOf(t, exe); res.Output[0] != native.Output[0] || res.DataHash != native.DataHash {
+		t.Fatalf("output %d, native %d (or data differs)", res.Output[0], native.Output[0])
+	}
+	got := [...]int64{ex.Stats.TxStarted, ex.Stats.TxCommits, ex.Stats.TxAborts, ex.Stats.SpecInsts, ex.Stats.SpecReads, ex.Stats.SpecWrites, res.Cycles, res.Insts}
+	want := [...]int64{n, n, 0, 2 * n, n, n, 31752, 3355}
+	if got != want {
+		t.Fatalf("started, commits, aborts, SpecInsts, reads, writes, cycles, insts = %v, want %v", got, want)
 	}
 }

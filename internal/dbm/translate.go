@@ -6,7 +6,7 @@ import (
 	"janus/internal/rules"
 )
 
-// execKind says how an instruction in a translated block executes.
+// execKind says how a site's instruction executes.
 type execKind uint8
 
 const (
@@ -20,31 +20,36 @@ const (
 	execBound
 )
 
-// titem is one instruction in a translated block: the original
-// instruction plus the transformations the rewrite rules attached.
-type titem struct {
-	addr uint64
-	inst guest.Inst
-	// pre are the rules whose handlers run before the instruction.
-	pre []rules.Rule
+// site is one instruction of a translated block that a surviving
+// rewrite rule touches: handlers that run before it, a transformed
+// access, or both. Everything a rule decided lives here; the
+// instructions between two sites form a run that executes with no
+// per-instruction test at all.
+type site struct {
+	// idx is the instruction's index in the block's insts.
+	idx int
 	// kind selects the execution transformation.
 	kind execKind
-	// priv carries MEM_PRIVATISE parameters.
-	priv rules.MemPrivatiseData
-	// bound carries LOOP_UPDATE_BOUND parameters.
-	bound rules.UpdateBoundData
 	// loopID of the transforming rule (for kind != execNormal).
 	loopID int32
-	// touchesMem and writesMem cache inst.ReadsMem()/WritesMem() so the
-	// per-instruction dispatch loop never re-derives them.
-	touchesMem bool
-	writesMem  bool
+	// pre are the rules whose handlers run before the instruction.
+	pre []rules.Rule
+	// bound carries LOOP_UPDATE_BOUND parameters.
+	bound rules.UpdateBoundData
+	// inst is the rewritten instruction for execPrivatise (the cache
+	// owner's private slot, fixed at translation) and execMainStack
+	// (absolute operand; its displacement is patched per execution,
+	// which is safe because blocks are thread-private).
+	inst guest.Inst
 }
 
 // tblock is one translated basic block in a thread's code cache.
 type tblock struct {
 	start uint64
-	items []titem
+	// insts is the block's decoded instructions, the only copy; sites
+	// are the ones a rule touches, ascending by index.
+	insts []guest.Inst
+	sites []site
 	// end is the fall-through address after the block.
 	end uint64
 	// hasSyscall marks blocks containing a SYSCALL: the speculative
@@ -95,7 +100,7 @@ func (ex *Executor) blockFor(t *jrt.Thread, addr uint64) (*tblock, error) {
 	b, ok := cache[addr]
 	if !ok {
 		var err error
-		b, err = ex.translate(addr)
+		b, err = ex.translate(t.ID, addr)
 		if err != nil {
 			return nil, err
 		}
@@ -139,8 +144,8 @@ func (ex *Executor) chargeTranslation(t *jrt.Thread, b *tblock) {
 			ex.chargeUndo[t.Owner] = append(ex.chargeUndo[t.Owner], b.start)
 		}
 		t.TransBlocks++
-		t.TransInsts += int64(len(b.items))
-		cost := int64(len(b.items)) * ex.Cfg.Cost.TransPerInst
+		t.TransInsts += int64(len(b.insts))
+		cost := int64(len(b.insts)) * ex.Cfg.Cost.TransPerInst
 		t.TransCycles += cost
 		t.Ctx.Cycles += cost
 	}
@@ -148,15 +153,17 @@ func (ex *Executor) chargeTranslation(t *jrt.Thread, b *tblock) {
 	b.chargeMask |= bit
 }
 
-// translate decodes one basic block starting at addr and applies the
-// rewrite rules found in the schedule hash table (figure 2(b)).
-func (ex *Executor) translate(addr uint64) (*tblock, error) {
+// translate decodes one basic block starting at addr for the code
+// cache of thread tid and applies the rewrite rules found in the
+// schedule hash table (figure 2(b)): an instruction a surviving rule
+// touches becomes a site, the rest stay plain members of insts.
+func (ex *Executor) translate(tid int, addr uint64) (*tblock, error) {
 	b := &tblock{start: addr, scanLoop: -1}
 	a := addr
-	for len(b.items) < maxBlockLen {
+	for len(b.insts) < maxBlockLen {
 		in, err := ex.M.FetchInst(a)
 		if err != nil {
-			if len(b.items) > 0 {
+			if len(b.insts) > 0 {
 				// Lazy decoding: stop at the first undecodable byte;
 				// execution never falls through here (e.g. an exit
 				// syscall precedes it).
@@ -164,15 +171,19 @@ func (ex *Executor) translate(addr uint64) (*tblock, error) {
 			}
 			return nil, err
 		}
-		it := titem{addr: a, inst: in, writesMem: in.WritesMem()}
-		it.touchesMem = it.writesMem || in.ReadsMem()
 		if in.Op == guest.SYSCALL {
 			b.hasSyscall = true
 		}
-		for _, r := range ex.Ix.At(a) {
-			ex.applyRule(&it, r)
+		if rs := ex.Ix.At(a); len(rs) > 0 {
+			s := site{idx: len(b.insts)}
+			for _, r := range rs {
+				ex.applyRule(&s, tid, &in, r)
+			}
+			if s.kind != execNormal || len(s.pre) > 0 {
+				b.sites = append(b.sites, s)
+			}
 		}
-		b.items = append(b.items, it)
+		b.insts = append(b.insts, in)
 		a += guest.InstSize
 		if in.Op.IsBlockEnd() {
 			break
@@ -190,44 +201,53 @@ func (ex *Executor) translate(addr uint64) (*tblock, error) {
 	return b, nil
 }
 
+// absolute returns in with its memory operand replaced by the absolute
+// address addr.
+func absolute(in *guest.Inst, addr uint64) guest.Inst {
+	out := *in
+	out.M = guest.Mem{Base: guest.RegNone, Index: guest.RegNone, Scale: 1, Disp: int64(addr)}
+	return out
+}
+
 // applyRule is the rewrite-rule interpreter: each rule ID has a handler
-// that transforms the instruction (figure 2(b)'s handler table). Rules
-// are applied in schedule order.
-func (ex *Executor) applyRule(it *titem, r rules.Rule) {
+// that transforms the instruction in at site s of thread tid's cache
+// (figure 2(b)'s handler table). Rules are applied in schedule order; a
+// rule the configuration filters out leaves the site untouched.
+func (ex *Executor) applyRule(s *site, tid int, in *guest.Inst, r rules.Rule) {
 	switch r.ID {
 	case rules.MEM_PRIVATISE:
 		if !ex.Cfg.Parallel {
 			return
 		}
-		it.kind = execPrivatise
-		it.priv = r.Data.(rules.MemPrivatiseData)
-		it.loopID = r.LoopID
+		// "Re-encoded into a direct memory access to a specific private
+		// storage location": the slot address is fixed for this cache.
+		s.kind = execPrivatise
+		s.inst = absolute(in, jrt.PrivAddr(tid, r.Data.(rules.MemPrivatiseData).Slot))
+		s.loopID = r.LoopID
 	case rules.MEM_MAIN_STACK:
 		if !ex.Cfg.Parallel {
 			return
 		}
-		it.kind = execMainStack
-		it.loopID = r.LoopID
+		s.kind = execMainStack
+		s.inst = absolute(in, 0)
+		s.loopID = r.LoopID
 	case rules.LOOP_UPDATE_BOUND:
 		if !ex.Cfg.Parallel {
 			return
 		}
-		it.kind = execBound
-		it.bound = r.Data.(rules.UpdateBoundData)
-		it.loopID = r.LoopID
+		s.kind = execBound
+		s.bound = r.Data.(rules.UpdateBoundData)
+		s.loopID = r.LoopID
 	case rules.PROF_LOOP_ITER, rules.PROF_LOOP_FINISH, rules.PROF_MEM_ACCESS,
 		rules.PROF_LOOP_START, rules.PROF_EXCALL_START, rules.PROF_EXCALL_FINISH:
 		if ex.Cfg.Profile {
-			it.pre = append(it.pre, r)
+			s.pre = append(s.pre, r)
 		}
 	case rules.MEM_BOUNDS_CHECK, rules.THREAD_SCHEDULE, rules.THREAD_YIELD,
-		rules.LOOP_INIT, rules.LOOP_FINISH, rules.TX_START, rules.TX_FINISH:
+		rules.LOOP_INIT, rules.LOOP_FINISH, rules.TX_START, rules.TX_FINISH,
+		rules.MEM_SPILL_REG, rules.MEM_RECOVER_REG:
 		if ex.Cfg.Parallel {
-			it.pre = append(it.pre, r)
-		}
-	case rules.MEM_SPILL_REG, rules.MEM_RECOVER_REG:
-		if ex.Cfg.Parallel {
-			it.pre = append(it.pre, r)
+			s.pre = append(s.pre, r)
 		}
 	}
 }

@@ -7,7 +7,7 @@
 //
 // Loop IDs are small dense integers assigned by the analyzer, so all
 // per-loop state lives in index-grown slices rather than maps: the
-// per-instruction recording paths (Step, Record, StepInst) do no map
+// per-instruction recording paths (Step, Record) do no map
 // operations.
 //
 // Profilers are not goroutine-safe and never need to be: profiling
@@ -300,10 +300,10 @@ func (e *Excall) Finish() { e.activeSite = 0; e.active = nil }
 // Active reports whether an external call is being profiled.
 func (e *Excall) Active() bool { return e.activeSite != 0 }
 
-// StepInst attributes an executed instruction to the active call.
-func (e *Excall) StepInst() {
+// Step attributes n executed instructions to the active call.
+func (e *Excall) Step(n int64) {
 	if e.active != nil {
-		e.active.Insts++
+		e.active.Insts += n
 	}
 }
 

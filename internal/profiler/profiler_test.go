@@ -161,7 +161,7 @@ func TestExcallProfile(t *testing.T) {
 		t.Fatal("not active after Start")
 	}
 	for i := 0; i < 49; i++ {
-		e.StepInst()
+		e.Step(1)
 	}
 	for i := 0; i < 11; i++ {
 		e.RecordMem(false)
@@ -173,7 +173,7 @@ func TestExcallProfile(t *testing.T) {
 	}
 	// Second call accumulates.
 	e.Start(0x400940)
-	e.StepInst()
+	e.Step(1)
 	e.Finish()
 	if st.Calls != 2 || st.Insts != 50 {
 		t.Fatalf("accumulation wrong: %+v", st)

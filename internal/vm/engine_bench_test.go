@@ -45,8 +45,9 @@ func buildProgram() (*obj.Executable, error) {
 	return b.Build()
 }
 
-// instMix is the arithmetic/memory/branch mix the ExecInst benchmark
-// and TestExecInstZeroAlloc dispatch over.
+// instMix is the arithmetic/memory/branch mix the ExecInst and ExecRun
+// benchmarks and TestExecInstZeroAlloc dispatch over; its closing branch
+// is taken, so as one run it executes whole.
 func instMix() []guest.Inst {
 	return []guest.Inst{
 		guest.NewInstI(guest.MOVI, guest.R1, 7),
@@ -125,6 +126,29 @@ func BenchmarkExecInst(b *testing.B) {
 	}
 }
 
+// BenchmarkExecRun measures the same mix dispatched as one run per
+// pass, reported per instruction so the row compares with ExecInst's.
+// Must report 0 B/op.
+func BenchmarkExecRun(b *testing.B) {
+	exe, err := buildProgram()
+	if err != nil {
+		b.Fatal(err)
+	}
+	m, err := vm.NewMachine(exe)
+	if err != nil {
+		b.Fatal(err)
+	}
+	c := m.NewContext(0, 0x7fff_0000)
+	insts := instMix()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i += len(insts) {
+		if n, _, err := vm.ExecRun(m, c, insts, 0x400000); n != len(insts) || err != nil {
+			b.Fatal(n, err)
+		}
+	}
+}
+
 // BenchmarkRunNative measures whole-program interpretation throughput
 // (fetch + dispatch + memory) on the shared reduction loop.
 func BenchmarkRunNative(b *testing.B) {
@@ -143,7 +167,8 @@ func BenchmarkRunNative(b *testing.B) {
 
 // TestExecInstZeroAlloc asserts the dispatch loop allocates nothing in
 // steady state: the shared arithmetic/memory/branch mix re-executed
-// over a warm machine must report zero allocations per run.
+// over a warm machine, instruction by instruction and as one run, must
+// report zero allocations per run.
 func TestExecInstZeroAlloc(t *testing.T) {
 	exe, err := buildProgram()
 	if err != nil {
@@ -168,5 +193,13 @@ func TestExecInstZeroAlloc(t *testing.T) {
 	})
 	if allocs != 0 {
 		t.Fatalf("ExecInst steady state allocates %.1f objects per run, want 0", allocs)
+	}
+	allocs = testing.AllocsPerRun(100, func() {
+		if n, _, err := vm.ExecRun(m, c, insts, 0x400000); n != len(insts) || err != nil {
+			t.Fatal(n, err)
+		}
+	})
+	if allocs != 0 {
+		t.Fatalf("ExecRun steady state allocates %.1f objects per run, want 0", allocs)
 	}
 }

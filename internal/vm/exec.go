@@ -82,7 +82,9 @@ func ExecInst(m *Machine, c *Context, in *guest.Inst, next uint64) (uint64, erro
 	case guest.IDIV:
 		d := int64(c.Reg(in.Rs))
 		if d == 0 {
-			return 0, fmt.Errorf("vm: integer divide by zero at %#x", c.PC)
+			// The instruction's own address: c.PC is only the start of
+			// the block (DBM) or run (native) it executes in.
+			return 0, fmt.Errorf("vm: integer divide by zero at %#x", next-guest.InstSize)
 		}
 		c.SetReg(in.Rd, uint64(int64(c.Reg(in.Rd))/d))
 	case guest.AND:
@@ -240,6 +242,23 @@ func ExecInst(m *Machine, c *Context, in *guest.Inst, next uint64) (uint64, erro
 		return 0, fmt.Errorf("vm: unimplemented opcode %s", in.Op)
 	}
 	return next, nil
+}
+
+// ExecRun executes ins, the instructions at consecutive application
+// addresses from pc on, through ExecInst until the first error, the
+// first control transfer, or the end of the slice. n counts every
+// instruction executed, a failing or transferring one included; next is
+// the address execution continues at. It is the one dispatch loop under
+// both the native runner and the DBM's straight-line runs.
+func ExecRun(m *Machine, c *Context, ins []guest.Inst, pc uint64) (n int, next uint64, err error) {
+	for i := range ins {
+		pc += guest.InstSize
+		next, err = ExecInst(m, c, &ins[i], pc)
+		if err != nil || next != pc {
+			return i + 1, next, err
+		}
+	}
+	return len(ins), pc, nil
 }
 
 func execSyscall(m *Machine, c *Context) error {

@@ -1,6 +1,8 @@
 // Package vm implements the guest machine: paged memory, per-thread
-// execution contexts, single-instruction semantics with a virtual cycle
-// cost model, and a native (unmodified) runner.
+// execution contexts, instruction semantics with a virtual cycle cost
+// model (ExecInst), and the one dispatch loop over them (ExecRun) that
+// both the native runner and the DBM's straight-line runs execute
+// slices of decoded instructions through.
 //
 // The virtual cycle clock substitutes for wall-clock measurement on real
 // hardware: every instruction charges its cost-model latency to the

@@ -48,17 +48,42 @@ func RunNative(exe *obj.Executable, libs ...*obj.Library) (*Result, error) {
 }
 
 // RunContext drives a context until HALT/exit or the step bound.
+// Executable code runs through ExecRun over slices of the machine's
+// pre-decoded instructions, clipped to the remaining budget so the bound
+// trips after exactly maxSteps instructions. [lo, hi) is the stretch of
+// decodable slots around the last executable fetch that fell outside it
+// (exeOK is scanned only then: once per run for an executable with no
+// undecodable slot). Library and misaligned fetches take one FetchInst.
 func RunContext(m *Machine, c *Context, maxSteps int64) error {
-	for steps := int64(0); steps < maxSteps; steps++ {
-		in, err := m.FetchInst(c.PC)
-		if err != nil {
-			return err
+	var lo, hi uint64
+	var one [1]guest.Inst
+	for left := maxSteps; left > 0; {
+		pc := c.PC
+		ins := one[:]
+		off := pc - m.Exe.CodeBase
+		if idx := off / guest.InstSize; off%guest.InstSize == 0 && idx < uint64(len(m.exeOK)) && m.exeOK[idx] {
+			if idx < lo || idx >= hi {
+				for lo = idx; lo > 0 && m.exeOK[lo-1]; lo-- {
+				}
+				for hi = idx + 1; hi < uint64(len(m.exeOK)) && m.exeOK[hi]; hi++ {
+				}
+			}
+			ins = m.exeInsts[idx:min(hi, idx+uint64(left))]
+		} else {
+			var err error
+			if one[0], err = m.FetchInst(pc); err != nil {
+				return err
+			}
 		}
-		next, err := ExecInst(m, c, &in, c.PC+guest.InstSize)
-		if err == ErrExited {
-			return nil
-		}
+		n, next, err := ExecRun(m, c, ins, pc)
+		left -= int64(n)
 		if err != nil {
+			// Leave PC on the exiting or failing instruction, not on
+			// the start of its run.
+			c.PC = pc + uint64(n-1)*guest.InstSize
+			if err == ErrExited {
+				return nil
+			}
 			return err
 		}
 		c.PC = next
