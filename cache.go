@@ -358,8 +358,8 @@ func RunBareDBMBinary(c *artcache.Cache, bin *obj.Binary) (*dbm.Result, error) {
 	return runDBM(c, bin, nil, dbm.Config{Threads: 1, Cost: dbm.DefaultCost(), MaxSteps: vm.DefaultMaxSteps})
 }
 
-// RunBareDBMCached is RunBareDBM backed by a durable artifact cache
-// (nil c recomputes every time, matching RunBareDBM).
+// RunBareDBMCached is RunBareDBMBinary over the handle BinaryOf
+// memoises for exe and libs.
 func RunBareDBMCached(c *artcache.Cache, exe *obj.Executable, libs ...*obj.Library) (*dbm.Result, error) {
 	return RunBareDBMBinary(c, BinaryOf(exe, libs...))
 }

@@ -11,6 +11,8 @@ import (
 	"path/filepath"
 	"strings"
 	"testing"
+
+	"janus/internal/rules"
 )
 
 // janusBin is the real binary, compiled once per test binary run.
@@ -116,5 +118,66 @@ func TestCampaignStatsLineOnFailedRun(t *testing.T) {
 	}
 	if !strings.Contains(stderr, "janus: ") {
 		t.Fatalf("stderr does not name the divergence:\n%s", stderr)
+	}
+}
+
+// TestRunScheduleSurvivesHostileLoopIDs: a loop ID in a schedule file
+// is outside input. Consistent rules under any ID run verified; a
+// LOOP_INIT whose loop has no exit target left exits 1 with the typed
+// error on one line, never a stack trace.
+func TestRunScheduleSurvivesHostileLoopIDs(t *testing.T) {
+	if testing.Short() {
+		t.Skip("drives the real binary; skipped in -short")
+	}
+	dir := t.TempDir()
+	file := filepath.Join(dir, "lbm.jrs")
+	bench := []string{"-bench", "470.lbm", "-input", "train"}
+	if _, stderr, code := runJanus(t, append([]string{"schedule", "-o", file}, bench...)...); code != 0 {
+		t.Fatalf("janus schedule: exit %d:\n%s", code, stderr)
+	}
+	img, err := os.ReadFile(file)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sched, err := rules.Load(img)
+	if err != nil {
+		t.Fatal(err)
+	}
+	victim := sched.Rules[0].LoopID
+	for _, tc := range []struct {
+		name string
+		id   int32
+		only rules.ID // 0: renumber every rule of the victim loop
+		code int
+		want string
+	}{
+		{"negative", -7, 0, 0, "verification       OK"},
+		{"huge", 1 << 30, 0, 0, "verification       OK"},
+		{"finish rules only", 1 << 30, rules.LOOP_FINISH, 1, "has no exit targets: inconsistent rewrite schedule"},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			hostile := &rules.Schedule{ExeName: sched.ExeName, ExeSize: sched.ExeSize}
+			for _, r := range sched.Rules {
+				if r.LoopID == victim && (tc.only == 0 || r.ID == tc.only) {
+					r.LoopID = tc.id
+				}
+				hostile.Append(r)
+			}
+			img, err := hostile.Save()
+			if err != nil {
+				t.Fatal(err)
+			}
+			f := filepath.Join(dir, tc.name+".jrs")
+			if err := os.WriteFile(f, img, 0o644); err != nil {
+				t.Fatal(err)
+			}
+			stdout, stderr, code := runJanus(t, append([]string{"run", "-schedule", f, "-threads", "4"}, bench...)...)
+			if code != tc.code || strings.Contains(stderr, "goroutine ") || strings.Count(stderr, "\n") > 1 {
+				t.Fatalf("exit %d, want %d; stderr:\n%s", code, tc.code, stderr)
+			}
+			if got := stdout + stderr; !strings.Contains(got, tc.want) {
+				t.Errorf("output lacks %q:\n%s", tc.want, got)
+			}
+		})
 	}
 }

@@ -10,6 +10,9 @@
 // charged to guest thread t the first time t dispatches it since the
 // last modelled flush, wherever the translation physically lives.
 //
+// Run-time state lives in two record types built once by New: a
+// threadRec per guest thread and a loopRec per loop the schedule names.
+//
 // Execution is deterministic and the elapsed time of a parallel region
 // is always the maximum thread virtual-cycle clock plus orchestration
 // overheads (see ARCHITECTURE.md). Two region engines produce that
@@ -188,11 +191,97 @@ type Stats struct {
 	SpecInsts  int64
 }
 
-// checkKey locates the MEM_BOUNDS_CHECK rules guarding one loop at one
-// LOOP_INIT site.
-type checkKey struct {
-	addr   uint64
-	loopID int32
+// threadRec is everything the DBM keeps for one guest thread. Each record
+// is its own allocation, and the words its thread writes per block lead
+// it while the ones only a region boundary touches trail it, so no word
+// written per block shares a cache line with another thread's.
+type threadRec struct {
+	// lastBlk is the block the thread executed last, the anchor for
+	// block linking in blockFor.
+	lastBlk *tblock
+	// blocks counts the blocks the thread has dispatched as a worker of
+	// the active speculative region (see specRegion.limit).
+	blocks int64
+	// bound is the patched compare bound of the chunk, or piece, the
+	// thread is running.
+	bound uint64
+	// tx is the thread's open transaction; suppressTx marks the
+	// non-speculative re-execution that follows an abort.
+	tx         *stm.Tx
+	suppressTx bool
+	// view is the thread's private memory view (software TLB + last-leaf
+	// cache) over the shared machine memory.
+	view *vm.MemView
+	// cache is the thread's private code cache: guest thread t on the
+	// sequential and round-robin paths, host worker t inside a
+	// speculative region, whichever owner's piece it is running.
+	cache map[uint64]*tblock
+	// worker is the speculative engine's per-worker thread (a worker runs
+	// pieces of any owner's chunk on it and folds them into the owner's
+	// region thread) and region the guest thread of a parallel region.
+	// Their contexts are allocated at the first region that needs them
+	// and re-initialised in full by every later one (initRegionCtx).
+	worker, region jrt.Thread
+	// charged is the translation ledger: a block is charged to the thread
+	// the first time it dispatches it since the last modelled flush,
+	// wherever its translation physically lives (see chargeTranslation).
+	// chargeUndo journals the addresses first charged inside the active
+	// speculative region, so a recovery can undo exactly those. Both are
+	// guarded by Executor.stealMu while a speculative region runs.
+	charged    map[uint64]bool
+	chargeUndo []uint64
+	// txSpare keeps a finished transaction for buffer reuse.
+	txSpare *stm.Tx
+}
+
+// reset drops the thread's code cache and dispatch anchor. A modelled
+// flush also forgets every translation charge; a rollback forgets only
+// those journaled since the region began (see recover.go for why the
+// cache has to go with them, and why that costs no virtual time).
+func (r *threadRec) reset(flush bool) {
+	if flush {
+		r.charged = map[uint64]bool{}
+	}
+	for _, addr := range r.chargeUndo {
+		delete(r.charged, addr)
+	}
+	r.chargeUndo = r.chargeUndo[:0]
+	r.cache = map[uint64]*tblock{}
+	r.lastBlk = nil
+}
+
+// loopRec is everything the DBM keeps for one loop the schedule names.
+type loopRec struct {
+	id int32
+	// From the schedule, fixed by New: the LOOP_FINISH addresses and the
+	// smallest of them (the deterministic resume address), the first
+	// LOOP_FINISH payload in schedule order, the LOOP_UPDATE_BOUND
+	// payload, the MEM_PRIVATISE payloads by slot and the
+	// MEM_BOUNDS_CHECK payloads by LOOP_INIT address.
+	exits    map[uint64]bool
+	exit     uint64
+	finish   rules.LoopFinishData
+	bound    rules.UpdateBoundData
+	hasBound bool
+	priv     map[int32]rules.MemPrivatiseData
+	checks   map[uint64][]rules.BoundsCheckData
+	// scan is the host-parallel eligibility verdict, valid once scanned
+	// (the body is static, so one scan per run suffices): the statically
+	// reachable body addresses of an eligible loop, nil otherwise.
+	scan    map[uint64]bool
+	scanned bool
+	// seq latches the loop into sequential fallback for the current
+	// invocation, so LOOP_INIT does not re-fire on every header
+	// execution; demoted latches it onto the round-robin engine for the
+	// rest of the run after a speculation recovery (see recover.go).
+	seq, demoted bool
+	// lc is the loop context, ivInit the inductions' loop-entry values
+	// and spec the speculative engine's scratch: allocated at the first
+	// region that needs them, re-initialised in full by every later one
+	// (enter, specRegion.init).
+	lc     *jrt.LoopCtx
+	ivInit []int64
+	spec   *specRegion
 }
 
 // Executor runs one program under the DBM.
@@ -204,48 +293,20 @@ type Executor struct {
 
 	Stats Stats
 
-	// caches[t] is thread t's private code cache: guest thread t on
-	// the sequential and round-robin paths, host worker t inside a
-	// speculative region, whichever owner's piece it is running.
-	caches []map[uint64]*tblock
-	// charged[t] is guest thread t's translation ledger: a block is
-	// charged to t the first time t dispatches it since the last
-	// modelled flush, wherever its translation physically lives (see
-	// chargeTranslation).
-	charged []map[uint64]bool
-	// stealMu guards the charged sets and the charge journal while a
-	// speculative region runs (they are single-goroutine otherwise).
+	// threads holds one record per configured guest thread and loops one
+	// per loop ID a parallelisation rule of the schedule names, so its
+	// size is bounded by the rule count whatever IDs a file carries.
+	threads []*threadRec
+	loops   map[int32]*loopRec
+	// stealMu guards the charge ledgers and journals while a speculative
+	// region runs (they are single-goroutine otherwise).
 	stealMu sync.Mutex
-	// lastBlk[t] is the block thread t executed last, the anchor for
-	// block linking in blockFor. Entries are only ever touched by the
-	// owning thread, so host-parallel threads never contend.
-	lastBlk []*tblock
-
-	// views[t] is thread t's private memory view (software TLB +
-	// last-leaf cache) over the shared machine memory.
-	views []*vm.MemView
-
-	// hostParScan caches the per-loop host-parallel eligibility verdict
-	// (the loop body is static, so one scan per loop suffices): the set
-	// of statically reachable body addresses for an eligible loop, nil
-	// for an ineligible one.
-	hostParScan map[int32]map[uint64]bool
 
 	// main is the program's main context.
 	main *vm.Context
 
-	// regionThreads are the guest threads of a parallel region and
-	// workerThreads the speculative engine's per-worker threads (a
-	// worker runs pieces of any owner's chunk on its own context and
-	// folds them into the owner's region thread). Both sets are
-	// allocated at the first region that needs them and re-initialised
-	// in full by every later one (initRegionCtx), never reallocated.
-	regionThreads []*jrt.Thread
-	workerThreads []*jrt.Thread
-
-	// loop is the active parallel-region state (nil outside regions).
-	loop       *jrt.LoopCtx
-	inParallel bool
+	// loop is the active parallel region's loop (nil outside regions).
+	loop *loopRec
 	// specSet is non-nil exactly while a speculative region's workers
 	// run on host goroutines, and holds the active loop's scanned
 	// address set. Written only by the main thread before spawning and
@@ -255,48 +316,14 @@ type Executor struct {
 	// could reach — failing loudly instead of racing.
 	specSet map[uint64]bool
 
-	// Per-loop metadata precomputed from the schedule.
-	exitTargets map[int32]map[uint64]bool
-	boundData   map[int32]rules.UpdateBoundData
-	privSlots   map[int32]map[int32]rules.MemPrivatiseData
-	// exitPrimary is the loop's deterministic resume address: the
-	// smallest LOOP_FINISH target.
-	exitPrimary map[int32]uint64
-	// finishData is the first LOOP_FINISH payload per loop, in schedule
-	// order.
-	finishData map[int32]rules.LoopFinishData
-	// checksAt indexes MEM_BOUNDS_CHECK payloads by (rule address,
-	// loop), replacing the per-invocation scan over the address index.
-	checksAt map[checkKey][]rules.BoundsCheckData
-
 	// Profiling state.
 	Cov *profiler.Coverage
 	Dep *profiler.Dependence
 	Ex  *profiler.Excall
 
-	// seqLoop marks loops currently running sequentially (fallback), so
-	// LOOP_INIT does not re-fire on every header execution. Indexed by
-	// loop ID (dense small ints from the analyzer).
-	seqLoop []bool
-	// demotedLoop latches loops onto the round-robin engine after a
-	// speculation recovery (see recover.go). Same indexing as seqLoop.
-	demotedLoop []bool
-
 	// inj is the armed fault injector (nil unless Config.Inject is
 	// set; nil-safe everywhere it is consulted).
 	inj *faultinject.Injector
-	// chargeUndo[t] journals the block addresses first charged to guest
-	// thread t inside the active speculative region, so a recovery can
-	// undo exactly those charges. Appended under stealMu by
-	// chargeTranslation; drained on the orchestrating goroutine.
-	chargeUndo [][]uint64
-
-	// Per-thread transaction state (index = thread ID). txSpare keeps a
-	// finished transaction per thread for buffer reuse.
-	tx          []*stm.Tx
-	txSpare     []*stm.Tx
-	suppressTx  []bool
-	txStartAddr []uint64
 
 	steps int64
 }
@@ -325,69 +352,63 @@ func New(exe *obj.Executable, s *rules.Schedule, cfg Config, libs ...*obj.Librar
 		s = &rules.Schedule{ExeName: exe.Name}
 	}
 	ex := &Executor{
-		M:           m,
-		Sched:       s,
-		Ix:          rules.BuildIndex(s),
-		Cfg:         cfg,
-		caches:      make([]map[uint64]*tblock, cfg.Threads),
-		charged:     make([]map[uint64]bool, cfg.Threads),
-		lastBlk:     make([]*tblock, cfg.Threads),
-		views:       make([]*vm.MemView, cfg.Threads),
-		hostParScan: map[int32]map[uint64]bool{},
-		exitTargets: map[int32]map[uint64]bool{},
-		boundData:   map[int32]rules.UpdateBoundData{},
-		privSlots:   map[int32]map[int32]rules.MemPrivatiseData{},
-		exitPrimary: map[int32]uint64{},
-		finishData:  map[int32]rules.LoopFinishData{},
-		checksAt:    map[checkKey][]rules.BoundsCheckData{},
-		Cov:         profiler.NewCoverage(),
-		Dep:         profiler.NewDependence(),
-		Ex:          profiler.NewExcall(),
-		tx:          make([]*stm.Tx, cfg.Threads),
-		txSpare:     make([]*stm.Tx, cfg.Threads),
-		suppressTx:  make([]bool, cfg.Threads),
-		txStartAddr: make([]uint64, cfg.Threads),
-		inj:         faultinject.NewInjector(cfg.Inject),
-		chargeUndo:  make([][]uint64, cfg.Threads),
+		M:       m,
+		Sched:   s,
+		Ix:      rules.BuildIndex(s),
+		Cfg:     cfg,
+		threads: make([]*threadRec, cfg.Threads),
+		loops:   map[int32]*loopRec{},
+		Cov:     profiler.NewCoverage(),
+		Dep:     profiler.NewDependence(),
+		Ex:      profiler.NewExcall(),
+		inj:     faultinject.NewInjector(cfg.Inject),
 	}
-	for i := range ex.caches {
-		ex.caches[i] = map[uint64]*tblock{}
-		ex.charged[i] = map[uint64]bool{}
-		ex.views[i] = m.Mem.NewView()
+	for i := range ex.threads {
+		ex.threads[i] = &threadRec{cache: map[uint64]*tblock{}, charged: map[uint64]bool{}, view: m.Mem.NewView()}
 	}
 	for _, r := range s.Rules {
-		switch r.ID {
-		case rules.LOOP_FINISH:
-			set := ex.exitTargets[r.LoopID]
-			if set == nil {
-				set = map[uint64]bool{}
-				ex.exitTargets[r.LoopID] = set
+		switch d := r.Data.(type) {
+		case rules.LoopInitData:
+			ex.loopFor(r.LoopID)
+		case rules.LoopFinishData:
+			l := ex.loopFor(r.LoopID)
+			if l.exits == nil {
+				l.exits, l.exit, l.finish = map[uint64]bool{}, r.Addr, d
 			}
-			set[r.Addr] = true
-			if prev, ok := ex.exitPrimary[r.LoopID]; !ok || r.Addr < prev {
-				ex.exitPrimary[r.LoopID] = r.Addr
+			l.exits[r.Addr] = true
+			l.exit = min(l.exit, r.Addr)
+		case rules.UpdateBoundData:
+			l := ex.loopFor(r.LoopID)
+			l.bound, l.hasBound = d, true
+		case rules.MemPrivatiseData:
+			l := ex.loopFor(r.LoopID)
+			if l.priv == nil {
+				l.priv = map[int32]rules.MemPrivatiseData{}
 			}
-			if _, ok := ex.finishData[r.LoopID]; !ok {
-				ex.finishData[r.LoopID] = r.Data.(rules.LoopFinishData)
+			l.priv[d.Slot] = d
+		case rules.BoundsCheckData:
+			l := ex.loopFor(r.LoopID)
+			if l.checks == nil {
+				l.checks = map[uint64][]rules.BoundsCheckData{}
 			}
-		case rules.LOOP_UPDATE_BOUND:
-			ex.boundData[r.LoopID] = r.Data.(rules.UpdateBoundData)
-		case rules.MEM_PRIVATISE:
-			m := ex.privSlots[r.LoopID]
-			if m == nil {
-				m = map[int32]rules.MemPrivatiseData{}
-				ex.privSlots[r.LoopID] = m
-			}
-			d := r.Data.(rules.MemPrivatiseData)
-			m[d.Slot] = d
-		case rules.MEM_BOUNDS_CHECK:
-			k := checkKey{addr: r.Addr, loopID: r.LoopID}
-			ex.checksAt[k] = append(ex.checksAt[k], r.Data.(rules.BoundsCheckData))
+			l.checks[r.Addr] = append(l.checks[r.Addr], d)
 		}
 	}
 	ex.main = m.NewContext(0, obj.DefaultStackTop)
 	ex.main.GPR[guest.RegTLS] = jrt.TLSFor(0)
 	return ex, nil
+}
+
+// loopFor returns the record of loop id, adding it to the table the
+// first time a rule names it. Only New adds; a loop ID is outside input
+// (a schedule file carries any int32), so it is only ever a key.
+func (ex *Executor) loopFor(id int32) *loopRec {
+	l := ex.loops[id]
+	if l == nil {
+		l = &loopRec{id: id}
+		ex.loops[id] = l
+	}
+	return l
 }
 
 // Result is the outcome of a DBM execution.
@@ -444,23 +465,4 @@ func (ex *Executor) Run() (*Result, error) {
 // would otherwise differ).
 func (ex *Executor) DataHash() uint64 {
 	return ex.M.Mem.HashBelow(vm.DataHashLimit)
-}
-
-// seqLatched reports whether a loop is latched into sequential
-// fallback for the current invocation.
-func (ex *Executor) seqLatched(loopID int32) bool {
-	return int(loopID) < len(ex.seqLoop) && ex.seqLoop[loopID]
-}
-
-// setSeqLatch sets or clears the sequential-fallback latch.
-func (ex *Executor) setSeqLatch(loopID int32, v bool) {
-	if int(loopID) >= len(ex.seqLoop) {
-		if !v {
-			return
-		}
-		grown := make([]bool, loopID+1, 2*(loopID+1))
-		copy(grown, ex.seqLoop)
-		ex.seqLoop = grown
-	}
-	ex.seqLoop[loopID] = v
 }

@@ -25,16 +25,7 @@ func pipeline(t *testing.T, exe *obj.Executable, threads int, libs ...*obj.Libra
 // pipelineCfg is pipeline under an explicit DBM configuration.
 func pipelineCfg(t *testing.T, exe *obj.Executable, cfg Config, libs ...*obj.Library) (*Result, *Executor) {
 	t.Helper()
-	p, err := analyzer.Analyze(exe)
-	if err != nil {
-		t.Fatal(err)
-	}
-	p.SelectLoops(analyzer.SelectOptions{UseChecks: true})
-	sched, err := p.GenParallelSchedule()
-	if err != nil {
-		t.Fatal(err)
-	}
-	ex, err := New(exe, sched, cfg, libs...)
+	ex, err := New(exe, scheduleOf(t, exe), cfg, libs...)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -676,7 +667,8 @@ func TestVectorLiveInReachesRegionThreads(t *testing.T) {
 func TestStealDequesOnePieceNoTheft(t *testing.T) {
 	// 3 iterations over 4 workers: worker 3's chunk is empty.
 	chunks := jrt.PartitionStealing(3, 4, 1)
-	d := newStealDeques(4, chunks, false)
+	var d stealDeques
+	d.init(4, chunks, false)
 	if idx, ok := d.next(3); ok {
 		t.Fatalf("worker 3 stole piece %d with stealing off", idx)
 	}
@@ -689,7 +681,8 @@ func TestStealDequesOnePieceNoTheft(t *testing.T) {
 		}
 	}
 	// The same pool with stealing on hands worker 3 a sibling's piece.
-	if _, ok := newStealDeques(4, chunks, true).next(3); !ok {
+	d.init(4, chunks, true)
+	if _, ok := d.next(3); !ok {
 		t.Fatal("worker 3 found nothing to steal with stealing on")
 	}
 }
@@ -713,10 +706,11 @@ func TestInitRegionCtxLeavesNothingBehind(t *testing.T) {
 	lc := &jrt.LoopCtx{Init: rules.LoopInitData{LoopStart: exe.Entry}}
 	lc.EntryRegs[guest.R3] = 7
 	lc.EntryVRegs[1][2] = 1.5
+	l := &loopRec{lc: lc}
 
 	fresh := &vm.Context{}
-	ex.initRegionCtx(fresh, 2, lc, nil, 0)
-	if fresh.PC != exe.Entry || fresh.ID != 2 || fresh.Bus != vm.Bus(ex.views[2]) || fresh.GPR[guest.R3] != 7 || fresh.VReg[1][2] != 1.5 {
+	ex.initRegionCtx(fresh, 2, l, 0)
+	if fresh.PC != exe.Entry || fresh.ID != 2 || fresh.Bus != vm.Bus(ex.threads[2].view) || fresh.GPR[guest.R3] != 7 || fresh.VReg[1][2] != 1.5 {
 		t.Fatalf("fresh context wrong: %+v", fresh)
 	}
 
@@ -733,7 +727,7 @@ func TestInitRegionCtxLeavesNothingBehind(t *testing.T) {
 			used.VReg[i][j] = math.Inf(1)
 		}
 	}
-	ex.initRegionCtx(used, 2, lc, nil, 0)
+	ex.initRegionCtx(used, 2, l, 0)
 	if !reflect.DeepEqual(used, fresh) {
 		t.Fatalf("a reused context kept state from its last region:\n reused %+v\n  fresh %+v", used, fresh)
 	}

@@ -24,6 +24,10 @@ var (
 	// ErrWorkerPanic reports a panic recovered inside a region worker;
 	// the RegionError carries the captured stack.
 	ErrWorkerPanic = errors.New("region worker panicked")
+	// ErrBadSchedule reports a schedule whose parallelisation rules do
+	// not add up: a loop entered through LOOP_INIT that has no
+	// LOOP_UPDATE_BOUND rule or no LOOP_FINISH exit target.
+	ErrBadSchedule = errors.New("inconsistent rewrite schedule")
 	// ErrStepBudget reports the executor-wide instruction budget
 	// (Config.MaxSteps) exhausted outside any parallel region.
 	ErrStepBudget = errors.New("step budget exceeded")

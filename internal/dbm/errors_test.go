@@ -62,23 +62,20 @@ func TestPanicErrClassifiesAsWorkerPanic(t *testing.T) {
 	}
 }
 
-// The demotion latch: grows on demand, counts each loop once, never
-// releases.
+// The demotion latch: counts each loop once, never releases.
 func TestDemotionLatch(t *testing.T) {
 	ex := &Executor{}
-	if ex.demoted(12) {
-		t.Error("loop demoted before any demotion")
+	a, b, c := &loopRec{id: 12}, &loopRec{id: 3}, &loopRec{id: 13}
+	ex.demote(a)
+	if !a.demoted || b.demoted || c.demoted {
+		t.Error("latch imprecise after demoting loop 12")
 	}
-	ex.demote(12)
-	if !ex.demoted(12) || ex.demoted(11) || ex.demoted(13) {
-		t.Error("latch imprecise after demote(12)")
-	}
-	ex.demote(12)
-	ex.demote(3)
+	ex.demote(a)
+	ex.demote(b)
 	if got := ex.Stats.DemotedLoops; got != 2 {
 		t.Errorf("DemotedLoops = %d after demoting loops {12, 3}, want 2", got)
 	}
-	if !ex.demoted(12) || !ex.demoted(3) {
+	if !a.demoted || !b.demoted {
 		t.Error("latch released")
 	}
 }

@@ -18,7 +18,8 @@ type redirect struct {
 // stepBlock translates (or fetches) and executes one basic block for
 // thread t.
 func (ex *Executor) stepBlock(t *jrt.Thread) error {
-	b, err := ex.blockFor(t, t.Ctx.PC)
+	rec := ex.threads[t.ID]
+	b, err := ex.blockFor(rec, t.ID, t.Ctx.PC)
 	if err != nil {
 		return err
 	}
@@ -33,8 +34,8 @@ func (ex *Executor) stepBlock(t *jrt.Thread) error {
 			// outside the scanned set.
 			return ErrScanEscaped
 		}
-		if b.scanLoop != ex.loop.LoopID {
-			b.scanLoop = ex.loop.LoopID
+		if b.scanLoop != ex.loop.id {
+			b.scanLoop = ex.loop.id
 			b.scanOK = !b.hasSyscall && ex.specSet[b.start]
 		}
 		if !b.scanOK {
@@ -45,7 +46,7 @@ func (ex *Executor) stepBlock(t *jrt.Thread) error {
 		}
 	}
 	ex.chargeTranslation(t, b)
-	ex.lastBlk[t.ID] = b
+	rec.lastBlk = b
 	c := t.Ctx
 	c.Cycles += ex.Cfg.Cost.Dispatch
 	// Alternate runs and sites. Every mode a step depends on — profiling,
@@ -63,7 +64,7 @@ func (ex *Executor) stepBlock(t *jrt.Thread) error {
 		var next uint64
 		var err error
 		if i < stop {
-			if ex.tx[t.ID] != nil {
+			if rec.tx != nil {
 				// Every access inside a transaction is charged, so a
 				// run goes one instruction per step there.
 				stop = i + 1
@@ -73,8 +74,8 @@ func (ex *Executor) stepBlock(t *jrt.Thread) error {
 		} else {
 			s := &b.sites[si]
 			si++
-			for _, r := range s.pre {
-				rd, err := ex.runHandler(t, &b.insts[i], pc, r)
+			for k := range s.pre {
+				rd, err := ex.runHandler(t, rec, &b.insts[i], pc, &s.pre[k])
 				if err != nil {
 					return err
 				}
@@ -83,7 +84,7 @@ func (ex *Executor) stepBlock(t *jrt.Thread) error {
 					return nil
 				}
 			}
-			next, err = ex.execSite(t, s, &b.insts[i], pc+guest.InstSize)
+			next, err = ex.execSite(t, rec, s, &b.insts[i], pc+guest.InstSize)
 		}
 		t.Steps += int64(n)
 		if ex.Cfg.Profile {
@@ -122,12 +123,13 @@ func (ex *Executor) chargeTxAccess(t *jrt.Thread, in *guest.Inst) {
 // execSite executes site s's instruction in (fall-through address next)
 // with the site's transformation, which applies only inside the parallel
 // region of the loop whose rule made it.
-func (ex *Executor) execSite(t *jrt.Thread, s *site, in *guest.Inst, next uint64) (uint64, error) {
+func (ex *Executor) execSite(t *jrt.Thread, rec *threadRec, s *site, in *guest.Inst, next uint64) (uint64, error) {
 	c := t.Ctx
-	if ex.tx[t.ID] != nil {
+	if rec.tx != nil {
 		ex.chargeTxAccess(t, in)
 	}
-	if lc := ex.loop; s.kind != execNormal && ex.inParallel && lc != nil && s.loopID == lc.LoopID {
+	if l := ex.loop; s.kind != execNormal && l != nil && s.loopID == l.id {
+		lc := l.lc
 		switch s.kind {
 		case execPrivatise:
 			// MEM_PRIVATISE: the access goes to the thread's TLS slot.
@@ -152,7 +154,7 @@ func (ex *Executor) execSite(t *jrt.Thread, s *site, in *guest.Inst, next uint64
 			c.Cycles += in.Op.Cycles()
 			c.Insts++
 			iv := int64(c.Reg(s.bound.IVReg))
-			bound := int64(lc.BoundValue[t.ID])
+			bound := int64(rec.bound)
 			c.ZF, c.LF = iv == bound, iv < bound
 			return next, nil
 		}
@@ -160,9 +162,10 @@ func (ex *Executor) execSite(t *jrt.Thread, s *site, in *guest.Inst, next uint64
 	return vm.ExecInst(ex.M, c, in, next)
 }
 
-// runHandler executes one pre-instruction rule handler.
-// in is the instruction the rule is attached to and addr its address.
-func (ex *Executor) runHandler(t *jrt.Thread, in *guest.Inst, addr uint64, r rules.Rule) (*redirect, error) {
+// runHandler executes one pre-instruction rule handler. in is the
+// instruction the rule is attached to and addr its address.
+func (ex *Executor) runHandler(t *jrt.Thread, rec *threadRec, in *guest.Inst, addr uint64, h *handler) (*redirect, error) {
+	r := &h.rule
 	switch r.ID {
 	case rules.PROF_LOOP_ITER:
 		first := !ex.Cov.IsActive(int(r.LoopID))
@@ -184,20 +187,18 @@ func (ex *Executor) runHandler(t *jrt.Thread, in *guest.Inst, addr uint64, r rul
 		// handlers; the rules themselves cost nothing extra.
 
 	case rules.LOOP_INIT:
-		if !ex.inParallel && t.ID == 0 && !ex.seqLatched(r.LoopID) {
-			rd, err := ex.runParallelLoop(t, r)
-			if err == nil && rd == nil {
-				// Sequential fallback: latch so the handler does not
-				// re-fire on every header execution of this invocation.
-				ex.setSeqLatch(r.LoopID, true)
-			}
+		if ex.loop == nil && t.ID == 0 && !h.loop.seq {
+			rd, err := ex.runParallelLoop(t, r, h.loop)
+			// Sequential fallback: latch so the handler does not re-fire
+			// on every header execution of this invocation.
+			h.loop.seq = err == nil && rd == nil
 			return rd, err
 		}
 	case rules.LOOP_FINISH:
 		// Reached sequentially (fallback path): release the latch so
 		// the next invocation re-attempts parallelisation.
-		if !ex.inParallel {
-			ex.setSeqLatch(r.LoopID, false)
+		if ex.loop == nil {
+			h.loop.seq = false
 		}
 
 	case rules.MEM_BOUNDS_CHECK:
@@ -210,26 +211,23 @@ func (ex *Executor) runHandler(t *jrt.Thread, in *guest.Inst, addr uint64, r rul
 			// commit order.
 			return nil, ErrScanTx
 		}
-		if ex.inParallel && ex.tx[t.ID] == nil && !ex.suppressTx[t.ID] {
+		if ex.loop != nil && rec.tx == nil && !rec.suppressTx {
 			cp := stm.Checkpoint{GPR: t.Ctx.GPR, ZF: t.Ctx.ZF, LF: t.Ctx.LF, PC: addr}
-			if spare := ex.txSpare[t.ID]; spare != nil {
-				spare.Reset(ex.M.Mem, cp)
-				ex.tx[t.ID] = spare
-				ex.txSpare[t.ID] = nil
+			if rec.tx, rec.txSpare = rec.txSpare, nil; rec.tx != nil {
+				rec.tx.Reset(ex.M.Mem, cp)
 			} else {
-				ex.tx[t.ID] = stm.Begin(ex.M.Mem, cp)
+				rec.tx = stm.Begin(ex.M.Mem, cp)
 			}
-			ex.txStartAddr[t.ID] = addr
-			t.Ctx.Bus = ex.tx[t.ID]
+			t.Ctx.Bus = rec.tx
 			t.Ctx.Cycles += ex.Cfg.Cost.TxStart
 			ex.Stats.TxStarted++
 		}
 	case rules.TX_FINISH:
-		if tx := ex.tx[t.ID]; tx != nil {
-			return ex.finishTx(t, tx)
+		if rec.tx != nil {
+			return ex.finishTx(t, rec)
 		}
 		// Non-speculative re-execution completed.
-		ex.suppressTx[t.ID] = false
+		rec.suppressTx = false
 
 	case rules.MEM_SPILL_REG, rules.MEM_RECOVER_REG:
 		// Register stealing is unnecessary in this DBM: handlers access
@@ -240,17 +238,16 @@ func (ex *Executor) runHandler(t *jrt.Thread, in *guest.Inst, addr uint64, r rul
 
 // finishTx validates and commits (or aborts) thread t's transaction
 // (TX_FINISH handler, figure 5).
-func (ex *Executor) finishTx(t *jrt.Thread, tx *stm.Tx) (*redirect, error) {
-	c := t.Ctx
+func (ex *Executor) finishTx(t *jrt.Thread, rec *threadRec) (*redirect, error) {
+	c, tx := t.Ctx, rec.tx
+	rec.tx, rec.txSpare = nil, tx
+	c.Bus = rec.view
 	c.Cycles += int64(tx.ReadSetSize()) * ex.Cfg.Cost.TxValidatePerWord
 	ex.Stats.SpecReads += tx.NumReads
 	ex.Stats.SpecWrites += tx.NumWrites
 	if tx.Validate() {
 		c.Cycles += int64(tx.WriteSetSize()) * ex.Cfg.Cost.TxCommitPerWord
 		tx.Commit()
-		ex.tx[t.ID] = nil
-		ex.txSpare[t.ID] = tx
-		c.Bus = ex.views[t.ID]
 		ex.Stats.TxCommits++
 		return nil, nil
 	}
@@ -260,10 +257,7 @@ func (ex *Executor) finishTx(t *jrt.Thread, tx *stm.Tx) (*redirect, error) {
 	cp := tx.Checkpoint()
 	c.GPR = cp.GPR
 	c.ZF, c.LF = cp.ZF, cp.LF
-	ex.tx[t.ID] = nil
-	ex.txSpare[t.ID] = tx
-	c.Bus = ex.views[t.ID]
-	ex.suppressTx[t.ID] = true
+	rec.suppressTx = true
 	t.Oldest = false // cleared; scheduler recomputes
 	ex.Stats.TxAborts++
 	return &redirect{pc: cp.PC}, nil

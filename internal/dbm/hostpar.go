@@ -42,36 +42,30 @@ import (
 // conservatively use the round-robin engine.
 const hostParScanCap = 1 << 15
 
-// hostParEligible returns the scanned body-address set if the loop
-// starting at start may run its region on host goroutines under the
+// hostParEligible returns the scanned body-address set if loop l,
+// starting at start, may run its region on host goroutines under the
 // current configuration, or nil if it must use the round-robin engine.
-func (ex *Executor) hostParEligible(loopID int32, start uint64) map[uint64]bool {
-	if !ex.Cfg.HostParallel || ex.Cfg.Profile || ex.Cfg.Threads <= 1 {
-		return nil
-	}
+func (ex *Executor) hostParEligible(l *loopRec, start uint64) map[uint64]bool {
 	// A loop demoted by a speculation recovery stays on the round-robin
 	// engine for the rest of the run (see recover.go); the cached scan
-	// verdict below remains valid, it just stops being consulted.
-	if ex.demoted(loopID) {
+	// verdict remains valid, it just stops being consulted.
+	if !ex.Cfg.HostParallel || ex.Cfg.Profile || ex.Cfg.Threads <= 1 || l.demoted {
 		return nil
 	}
-	if set, seen := ex.hostParScan[loopID]; seen {
-		return set
+	if !l.scanned {
+		l.scan, l.scanned = ex.scanHostParBody(l.exits, start), true
 	}
-	set := ex.scanHostParBody(loopID, start)
-	ex.hostParScan[loopID] = set
-	return set
+	return l.scan
 }
 
 // scanHostParBody walks the statically reachable code of one loop body
-// and, if it is free of schedule-dependent effects, returns the set of
-// visited addresses (nil otherwise). The set doubles as the runtime
-// allowlist: a speculative-engine worker refuses any block starting
-// outside it, so even control flow the scan cannot see (a redirected
-// return address) fails deterministically instead of executing
-// unscanned code concurrently.
-func (ex *Executor) scanHostParBody(loopID int32, start uint64) map[uint64]bool {
-	exits := ex.exitTargets[loopID]
+// up to its exit targets and, if it is free of schedule-dependent
+// effects, returns the set of visited addresses (nil otherwise). The
+// set doubles as the runtime allowlist: a speculative-engine worker
+// refuses any block starting outside it, so even control flow the scan
+// cannot see (a redirected return address) fails deterministically
+// instead of executing unscanned code concurrently.
+func (ex *Executor) scanHostParBody(exits map[uint64]bool, start uint64) map[uint64]bool {
 	// site distinguishes code reached at loop level (topLevel: a RET
 	// here would pop a frame pushed before the region and escape it)
 	// from code reached through a scanned CALL (inCall: its RET

@@ -7,13 +7,14 @@ import (
 	"janus/internal/guest"
 	"janus/internal/jrt"
 	"janus/internal/rules"
+	"janus/internal/vm"
 )
 
 // runParallelLoop is the LOOP_INIT handler on the main thread: it
 // evaluates the guarding bounds check, partitions the iteration space,
 // spins up the thread pool on the loop, steps the threads round-robin
 // to completion, and merges the loop contexts (LOOP_FINISH).
-func (ex *Executor) runParallelLoop(mainT *jrt.Thread, r rules.Rule) (*redirect, error) {
+func (ex *Executor) runParallelLoop(mainT *jrt.Thread, r *rules.Rule, l *loopRec) (*redirect, error) {
 	ld := r.Data.(rules.LoopInitData)
 	main := mainT.Ctx
 	ex.Stats.Invocations++
@@ -34,7 +35,7 @@ func (ex *Executor) runParallelLoop(mainT *jrt.Thread, r rules.Rule) (*redirect,
 	// Runtime array-base check (§II-E1): all ranges written must be
 	// disjoint from every other range. The applicable rules were indexed
 	// at construction time.
-	for _, d := range ex.checksAt[checkKey{addr: r.Addr, loopID: r.LoopID}] {
+	for _, d := range l.checks[r.Addr] {
 		ex.Stats.ChecksRun++
 		main.Cycles += int64(len(d.Ranges)) * ex.Cfg.Cost.CheckPerRange
 		ex.Stats.CheckCycles += int64(len(d.Ranges)) * ex.Cfg.Cost.CheckPerRange
@@ -49,42 +50,18 @@ func (ex *Executor) runParallelLoop(mainT *jrt.Thread, r rules.Rule) (*redirect,
 		}
 	}
 
-	ubd, haveBound := ex.boundData[r.LoopID]
-	if !haveBound {
-		return nil, fmt.Errorf("dbm: loop %d has no LOOP_UPDATE_BOUND rule", r.LoopID)
+	if !l.hasBound {
+		return nil, fmt.Errorf("dbm: loop %d has no LOOP_UPDATE_BOUND rule: %w", l.id, ErrBadSchedule)
+	}
+	if len(l.exits) == 0 {
+		return nil, fmt.Errorf("dbm: loop %d has no exit targets: %w", l.id, ErrBadSchedule)
 	}
 
-	// Build the loop context.
-	lc := &jrt.LoopCtx{
-		LoopID:      r.LoopID,
-		Init:        ld,
-		Trip:        n,
-		MainSP:      main.Reg(guest.SP),
-		ExitTargets: ex.exitTargets[r.LoopID],
-		ExitPrimary: ex.exitPrimary[r.LoopID],
-		BoundValue:  make([]uint64, ex.Cfg.Threads),
-		PrivSlots:   map[int32]jrt.PrivSlot{},
-	}
-	copy(lc.EntryRegs[:], main.GPR[:])
-	lc.EntryVRegs = main.VReg
-	for slot, pd := range ex.privSlots[r.LoopID] {
-		lc.PrivSlots[slot] = jrt.PrivSlot{
-			SharedAddr: uint64(pd.SharedAddr.Eval(entry, 0)),
-			Size:       pd.Size,
-		}
-	}
-	if len(lc.ExitTargets) == 0 {
-		return nil, fmt.Errorf("dbm: loop %d has no exit targets", r.LoopID)
-	}
-
-	// Partition and launch.
-	ivInit := make([]int64, len(ld.Inductions))
-	for j, iv := range ld.Inductions {
-		ivInit[j] = iv.Init.Eval(entry, 0)
-	}
+	// Build the loop context, partition and launch.
+	l.enter(ld, n, main, entry)
+	lc := l.lc
 	chunks := jrt.PartitionChunked(n, ex.Cfg.Threads)
-	threads, err := ex.buildRegionThreads(lc, ubd, entry, ivInit, chunks)
-	if err != nil {
+	if err := ex.buildRegionThreads(l, entry, chunks); err != nil {
 		return nil, err
 	}
 
@@ -96,24 +73,27 @@ func (ex *Executor) runParallelLoop(mainT *jrt.Thread, r rules.Rule) (*redirect,
 	// undo log and falls back to round-robin on any failure (see
 	// recover.go), so a recovered region renders exactly what a pure
 	// round-robin run renders.
-	ex.loop = lc
-	ex.inParallel = true
+	ex.loop = l
 	ex.Stats.ParRegions++
-	defer func() { ex.loop = nil; ex.inParallel = false }()
+	defer func() { ex.loop = nil }()
 
 	var engineErr error
-	if scanned := ex.hostParEligible(r.LoopID, ld.LoopStart); scanned != nil {
+	if scanned := ex.hostParEligible(l, ld.LoopStart); scanned != nil {
 		ex.Stats.HostParRegions++
-		threads, engineErr = ex.runRegionRecoverable(r, threads, lc, ubd, entry, ivInit, n, chunks, scanned)
+		engineErr = ex.runRegionRecoverable(l, entry, chunks, scanned)
 	} else {
-		engineErr = ex.runRegionRoundRobin(r.LoopID, threads, lc)
+		engineErr = ex.runRegionRoundRobin(l)
 	}
 	// Fold thread-local counters in thread-ID order — a deterministic
 	// schedule-independent point, identical for both engines. A failed
-	// speculative attempt's threads were dropped unfolded; only the
-	// threads that produced the region's result reach this point.
-	for _, th := range threads {
-		ex.fold(th)
+	// speculative attempt's counters were wiped unfolded when recovery
+	// rebuilt the threads; only what produced the region's result
+	// reaches this point.
+	var maxCycles, totalInsts int64
+	for _, rec := range ex.threads {
+		ex.fold(&rec.region)
+		maxCycles = max(maxCycles, rec.region.Ctx.Cycles)
+		totalInsts += rec.region.Ctx.Insts
 	}
 	if engineErr != nil {
 		return nil, engineErr
@@ -121,38 +101,26 @@ func (ex *Executor) runParallelLoop(mainT *jrt.Thread, r rules.Rule) (*redirect,
 
 	// Virtual time: the region took as long as its slowest thread, plus
 	// init/finish orchestration.
-	var maxCycles int64
-	for _, th := range threads {
-		if th.Ctx.Cycles > maxCycles {
-			maxCycles = th.Ctx.Cycles
-		}
-	}
 	initFinish := ex.Cfg.Cost.LoopInitBase + ex.Cfg.Cost.LoopFinishBase +
 		int64(ex.Cfg.Threads)*(ex.Cfg.Cost.LoopInitPerThread+ex.Cfg.Cost.LoopFinishPerThread)
 	main.Cycles += maxCycles + initFinish
 	ex.Stats.ParCycles += maxCycles
 	ex.Stats.InitFinishCycles += initFinish
-	var totalInsts int64
-	for _, th := range threads {
-		totalInsts += th.Ctx.Insts
-	}
 	main.Insts += totalInsts
 
 	// LOOP_FINISH: combine loop contexts from all threads.
-	last := lastNonEmpty(threads)
 	for j, iv := range ld.Inductions {
-		main.SetReg(iv.Reg, uint64(ivInit[j]+iv.Step*n))
+		main.SetReg(iv.Reg, uint64(l.ivInit[j]+iv.Step*n))
 	}
-	finish := ex.finishData[r.LoopID]
-	for _, red := range finish.Reductions {
+	for _, red := range l.finish.Reductions {
 		acc := main.Reg(red.Reg) // initial value flows through main
-		for _, th := range threads {
-			acc = jrt.MergeReduction(red.Op, acc, th.Ctx.Reg(red.Reg))
+		for _, rec := range ex.threads {
+			acc = jrt.MergeReduction(red.Op, acc, rec.region.Ctx.Reg(red.Reg))
 		}
 		main.SetReg(red.Reg, acc)
 	}
-	if last != nil {
-		for _, lo := range finish.LiveOut {
+	if last := ex.lastNonEmpty(); last != nil {
+		for _, lo := range l.finish.LiveOut {
 			main.SetReg(lo, last.Ctx.Reg(lo))
 		}
 		main.ZF, main.LF = last.Ctx.ZF, last.Ctx.LF
@@ -167,7 +135,39 @@ func (ex *Executor) runParallelLoop(mainT *jrt.Thread, r rules.Rule) (*redirect,
 	// Resume sequential execution at the loop's primary exit target
 	// (the smallest LOOP_FINISH address, fixed at construction time so
 	// the resume point never depends on map iteration order).
-	return &redirect{pc: ex.exitPrimary[r.LoopID]}, nil
+	return &redirect{pc: l.exit}, nil
+}
+
+// enter re-initialises the loop's context for an invocation of n
+// iterations entered with main's registers. The context is reused from
+// region to region, so every field is assigned here.
+func (l *loopRec) enter(ld rules.LoopInitData, n int64, main *vm.Context, entry func(guest.Reg) uint64) {
+	if l.lc == nil {
+		l.lc = &jrt.LoopCtx{}
+	}
+	privs := l.lc.PrivSlots
+	if privs == nil {
+		privs = make(map[int32]jrt.PrivSlot, len(l.priv))
+	}
+	clear(privs)
+	for slot, pd := range l.priv {
+		privs[slot] = jrt.PrivSlot{SharedAddr: uint64(pd.SharedAddr.Eval(entry, 0)), Size: pd.Size}
+	}
+	*l.lc = jrt.LoopCtx{
+		LoopID:      l.id,
+		Init:        ld,
+		Trip:        n,
+		MainSP:      main.Reg(guest.SP),
+		EntryVRegs:  main.VReg,
+		ExitTargets: l.exits,
+		ExitPrimary: l.exit,
+		PrivSlots:   privs,
+	}
+	copy(l.lc.EntryRegs[:], main.GPR[:])
+	l.ivInit = l.ivInit[:0]
+	for _, iv := range ld.Inductions {
+		l.ivInit = append(l.ivInit, iv.Init.Eval(entry, 0))
+	}
 }
 
 // runRegionRoundRobin steps the region's threads round-robin at basic-
@@ -175,7 +175,7 @@ func (ex *Executor) runParallelLoop(mainT *jrt.Thread, r rules.Rule) (*redirect,
 // engine: the deterministic schedule orders speculative commits (oldest
 // thread first) and serialises syscalls, so every loop can run under
 // it.
-func (ex *Executor) runRegionRoundRobin(loopID int32, threads []*jrt.Thread, lc *jrt.LoopCtx) (err error) {
+func (ex *Executor) runRegionRoundRobin(l *loopRec) (err error) {
 	// The round-robin engine runs on the orchestrating goroutine, so a
 	// panicking handler or guest bug would otherwise unwind the whole
 	// process; contain it as a fatal RegionError (this engine is the
@@ -183,48 +183,49 @@ func (ex *Executor) runRegionRoundRobin(loopID int32, threads []*jrt.Thread, lc 
 	cur := -1
 	defer func() {
 		if p := recover(); p != nil {
-			err = panicErr(loopID, cur, p, debug.Stack())
+			err = panicErr(l.id, cur, p, debug.Stack())
 		}
 	}()
 	active := 0
-	for _, th := range threads {
-		if th.State != jrt.StateDone {
+	for _, rec := range ex.threads {
+		if th := &rec.region; th.State != jrt.StateDone {
 			th.State = jrt.StateRunning
 			active++
 		}
 	}
 	guard := ex.Cfg.MaxSteps
 	for active > 0 {
-		oldest := oldestRunning(threads)
+		oldest := ex.oldestRunning()
 		progressed := false
-		for _, th := range threads {
+		for _, rec := range ex.threads {
+			th := &rec.region
 			if th.State != jrt.StateRunning {
 				continue
 			}
 			// An aborted speculative thread waits until it is oldest
 			// before re-executing non-speculatively.
-			if ex.suppressTx[th.ID] && th.ID != oldest {
+			if rec.suppressTx && th.ID != oldest {
 				continue
 			}
-			// Per-block guard check, the same boundary the speculative
-			// engine's shared budget enforces: a runaway region fails
-			// after MaxSteps blocks under either engine.
+			// Per-block guard check, the boundary the speculative
+			// engine's block budget enforces too: a region fails iff it
+			// dispatches more than MaxSteps blocks, under either engine.
 			if guard <= 0 {
-				return regionErr(loopID, -1, ErrRegionStuck)
+				return regionErr(l.id, -1, ErrRegionStuck)
 			}
 			th.Oldest = th.ID == oldest
 			cur = th.ID
 			if err := ex.stepBlock(th); err != nil {
-				return regionErr(loopID, th.ID, err)
+				return regionErr(l.id, th.ID, err)
 			}
 			progressed = true
 			guard--
-			if lc.IsExit(th.Ctx.PC) {
+			if l.lc.IsExit(th.Ctx.PC) {
 				th.State = jrt.StateDone
-				if ex.tx[th.ID] != nil {
+				if rec.tx != nil {
 					// A transaction left open across the chunk end:
 					// validate/commit now.
-					if rd, err := ex.finishTx(th, ex.tx[th.ID]); err != nil {
+					if rd, err := ex.finishTx(th, rec); err != nil {
 						return err
 					} else if rd != nil {
 						th.Ctx.PC = rd.pc
@@ -236,7 +237,7 @@ func (ex *Executor) runRegionRoundRobin(loopID int32, threads []*jrt.Thread, lc 
 			}
 		}
 		if !progressed {
-			return regionErr(loopID, -1, ErrRegionStuck)
+			return regionErr(l.id, -1, ErrRegionStuck)
 		}
 	}
 	return nil
@@ -267,19 +268,23 @@ func boundsCheckPasses(d rules.BoundsCheckData, entry func(guest.Reg) uint64, tr
 	return true
 }
 
-func oldestRunning(threads []*jrt.Thread) int {
-	for _, th := range threads {
-		if th.State == jrt.StateRunning {
-			return th.ID
+// oldestRunning returns the ID of the lowest running region thread, -1
+// if none runs.
+func (ex *Executor) oldestRunning() int {
+	for _, rec := range ex.threads {
+		if rec.region.State == jrt.StateRunning {
+			return rec.region.ID
 		}
 	}
 	return -1
 }
 
-func lastNonEmpty(threads []*jrt.Thread) *jrt.Thread {
-	for i := len(threads) - 1; i >= 0; i-- {
-		if threads[i].Hi > threads[i].Lo {
-			return threads[i]
+// lastNonEmpty returns the region thread that ran the loop's final
+// iteration, nil if every chunk is empty.
+func (ex *Executor) lastNonEmpty() *jrt.Thread {
+	for i := len(ex.threads) - 1; i >= 0; i-- {
+		if th := &ex.threads[i].region; th.Hi > th.Lo {
+			return th
 		}
 	}
 	return nil

@@ -2,13 +2,14 @@ package dbm
 
 import (
 	"runtime/debug"
+	"slices"
 	"sync"
 	"sync/atomic"
 
 	"janus/internal/faultinject"
 	"janus/internal/guest"
 	"janus/internal/jrt"
-	"janus/internal/rules"
+	"janus/internal/vm"
 )
 
 // Speculative region execution: the one engine that runs a
@@ -16,20 +17,11 @@ import (
 //
 // The region's static chunks (jrt.PartitionChunked) are subdivided
 // into `factor` pieces per guest thread and run by one host worker per
-// guest thread from a shared set of per-worker deques:
-//
-//   - factor 1 is plain static chunking: jrt.PartitionStealing yields
-//     exactly the PartitionChunked chunks, worker w runs guest thread
-//     w's chunk from the loop head to its chunk exit on w's own stack
-//     and TLS, and nothing is stolen. Every loop shape and every
-//     reduction operator runs here.
-//   - factor jrt.StealFactor adds work stealing. Static equal chunking
-//     hands every guest thread the same number of iterations, but
-//     iterations need not cost the same: a data-dependent branch or a
-//     library call can make one chunk several times more expensive
-//     than its siblings, and the cheap workers idle while the
-//     expensive one finishes. With several pieces per thread, idle
-//     workers steal pieces from their siblings' deques.
+// guest thread from a shared set of per-worker deques. Factor 1 is
+// plain static chunking: worker w runs guest thread w's chunk on w's own
+// stack and TLS and nothing is stolen; every loop shape and reduction
+// operator runs here. Factor jrt.StealFactor lets idle workers steal
+// pieces from siblings whose iterations turned out more expensive.
 //
 // The determinism contract is hostpar.go's, and stronger: simulated
 // results must be bit-identical to factor 1 (and hence to the
@@ -65,15 +57,23 @@ import (
 //     to every figure, but they make MemHash schedule-dependent — the
 //     one simulated field work stealing does not pin.
 //
-// The folded result is written back into the per-owner thread
-// structures, so LOOP_FINISH (reduction merge, live-outs, privatised
-// copy-back) runs the same code as the round-robin engine.
+//   - Blocks: a region fails iff it dispatches more than MaxSteps
+//     blocks, the round-robin engine's guard. A worker counts its blocks
+//     in its own record (threadRec.blocks), an interior piece's discarded
+//     exit check left out, so the join's sum is the static chunks' count.
+//
+// The folded result is written back into the per-owner region threads,
+// so LOOP_FINISH (reduction merge, live-outs, privatised copy-back)
+// runs the same code as the round-robin engine. Everything a worker
+// writes per block — its thread and context, dispatch anchor, block
+// count, memory view, code cache — hangs off its own threadRec: no word
+// written per block is shared between guest threads.
 
 // stealFactor returns the number of pieces each guest thread's static
-// chunk is subdivided into for an eligible region of this loop:
+// chunk is subdivided into for an eligible region of loop l:
 // jrt.StealFactor when work stealing is on and the loop can be
 // subdivided exactly, 1 (static chunks, no theft) otherwise.
-func (ex *Executor) stealFactor(loopID int32, ld rules.LoopInitData) int {
+func (ex *Executor) stealFactor(l *loopRec) int {
 	if !ex.Cfg.WorkStealing {
 		return 1
 	}
@@ -83,10 +83,10 @@ func (ex *Executor) stealFactor(loopID int32, ld rules.LoopInitData) int {
 	// the next piece re-executes (and charges, if ever) on entry, and
 	// the only way out of a piece must be that patched bound. Any other
 	// shape keeps static chunks.
-	if ex.boundData[loopID].CmpAddr != ld.LoopStart || len(ex.exitTargets[loopID]) != 1 {
+	if l.bound.CmpAddr != l.lc.Init.LoopStart || len(l.exits) != 1 {
 		return 1
 	}
-	for _, red := range ld.Reductions {
+	for _, red := range l.lc.Init.Reductions {
 		if red.Op != guest.ADD {
 			return 1
 		}
@@ -100,20 +100,26 @@ func (ex *Executor) stealFactor(loopID int32, ld rules.LoopInitData) int {
 // locality) and, when the region is subdivided, steal from victims
 // back-to-front.
 type stealDeques struct {
-	mu     sync.Mutex
-	queues [][]int
+	mu sync.Mutex
+	// queues[w] is the half-open range of piece indices worker w's deque
+	// still holds (pieces are owner-major, so an owner's are contiguous).
+	queues [][2]int
 	// steal is false at one piece per thread: a worker whose own queue
 	// is empty must not run a sibling's whole chunk on its own stack
 	// and TLS.
 	steal bool
 }
 
-func newStealDeques(workers int, chunks []jrt.StealChunk, steal bool) *stealDeques {
-	d := &stealDeques{queues: make([][]int, workers), steal: steal}
+// init seeds the pool with chunks, owner by owner.
+func (d *stealDeques) init(workers int, chunks []jrt.StealChunk, steal bool) {
+	d.queues, d.steal = append(d.queues[:0], make([][2]int, workers)...), steal
 	for i, sc := range chunks {
-		d.queues[sc.Owner] = append(d.queues[sc.Owner], i)
+		if q := &d.queues[sc.Owner]; q[1] == 0 {
+			*q = [2]int{i, i + 1}
+		} else {
+			q[1] = i + 1
+		}
 	}
-	return d
 }
 
 // next returns the next piece index for worker w: its own front, or,
@@ -122,21 +128,15 @@ func newStealDeques(workers int, chunks []jrt.StealChunk, steal bool) *stealDequ
 func (d *stealDeques) next(w int) (int, bool) {
 	d.mu.Lock()
 	defer d.mu.Unlock()
-	if q := d.queues[w]; len(q) > 0 {
-		idx := q[0]
-		d.queues[w] = q[1:]
-		return idx, true
-	}
-	if !d.steal {
-		return 0, false
+	if q := &d.queues[w]; q[0] < q[1] {
+		q[0]++
+		return q[0] - 1, true
 	}
 	n := len(d.queues)
-	for off := 1; off < n; off++ {
-		v := (w + off) % n
-		if q := d.queues[v]; len(q) > 0 {
-			idx := q[len(q)-1]
-			d.queues[v] = q[:len(q)-1]
-			return idx, true
+	for off := 1; d.steal && off < n; off++ {
+		if q := &d.queues[(w+off)%n]; q[0] < q[1] {
+			q[1]--
+			return q[1], true
 		}
 	}
 	return 0, false
@@ -147,114 +147,144 @@ func (d *stealDeques) next(w int) (int, bool) {
 type stealResult struct {
 	cycles, insts, steps              int64
 	transBlocks, transInsts, transCyc int64
-	// red[j] is the partial for ld.Reductions[j], accumulated from the
-	// reduction identity over this piece's iterations.
+	// red[j] is the partial for the loop's j-th reduction, accumulated
+	// from the reduction identity over this piece's iterations.
 	red []uint64
 }
 
-// runRegionSpeculative executes the region on host goroutines over
-// factor pieces per guest thread and folds the results back into the
-// per-owner threads, so the shared LOOP_FINISH path (parallel.go) sees
-// exactly what the round-robin engine would have produced.
-func (ex *Executor) runRegionSpeculative(loopID int32, threads []*jrt.Thread, lc *jrt.LoopCtx, ubd rules.UpdateBoundData, entry func(guest.Reg) uint64, ivInit []int64, n int64, factor int, scanned map[uint64]bool) error {
-	ld := lc.Init
-	chunks := jrt.PartitionStealing(n, ex.Cfg.Threads, factor)
-	if len(chunks) == 0 {
-		return nil
-	}
-	// Deterministic per-piece bounds, evaluated on the main thread so
+// budgetQuantum is how many blocks a worker dispatches between two
+// reconciliations of its own count with the region-wide one.
+const budgetQuantum = 1 << 10
+
+// specRegion is the speculative engine's scratch for one region of a
+// loop. The orchestrating goroutine re-initialises it in full before
+// spawning the workers (init); while they run, a worker writes its own
+// errs element and the results of the pieces it runs, takes deques.mu
+// once per piece and adds to used once per budgetQuantum blocks —
+// nothing here is written per block, so failed, which every worker
+// reads per block, stays in every core's cache until a worker fails.
+type specRegion struct {
+	// failed cancels the siblings of a failing worker: any error sends
+	// the whole region to recovery, so their remaining work is wasted.
+	// Which workers record an error can depend on host scheduling; the
+	// region's success or failure never does, and the round-robin
+	// re-execution, not the message, determines the run's outcome.
+	failed atomic.Bool
+	// limit is the region's block budget (Config.MaxSteps, the
+	// round-robin engine's guard): the region fails iff its workers
+	// dispatch more than limit blocks between them. A worker counts its
+	// blocks in its own record, adds them to used a quantum at a time —
+	// which stops a runaway region within a quantum per worker of the
+	// limit — and the join adds up the exact counts.
+	limit int64
+	used  atomic.Int64
+	// chunks are the region's pieces in ascending iteration order and
+	// bounds their patched bounds, evaluated on the main thread so
 	// workers never touch the main context.
-	bounds := make([]uint64, len(chunks))
-	for i, sc := range chunks {
-		bv, err := jrt.PatchedBound(ubd, entry, sc.Hi)
-		if err != nil {
-			return err
-		}
-		bounds[i] = bv
-	}
+	chunks []jrt.StealChunk
+	bounds []uint64
 	// ownerLast[o] is the index of owner o's final piece (-1 if the
 	// owner's chunk is empty): the only pieces whose failing exit check
 	// a whole chunk also executes — interior pieces discard theirs (see
-	// runStealWorker). The last entry overall holds the loop's final
+	// runStealWorker). The last piece overall holds the loop's final
 	// iteration.
-	ownerLast := make([]int, len(threads))
-	for o := range ownerLast {
-		ownerLast[o] = -1
-	}
-	for i, sc := range chunks {
-		ownerLast[sc.Owner] = i
-	}
-	final := len(chunks) - 1
-
-	results := make([]stealResult, len(chunks))
+	ownerLast []int
+	results   []stealResult
+	errs      []error
+	// acc[o] accumulates owner o's reduction partials at the fold.
+	acc    [][]uint64
+	deques stealDeques
 	// privEnd[slot] snapshots the privatised cells as written by the
 	// loop's final iteration, read from the executing worker's TLS the
 	// moment the final piece completes.
-	privEnd := make(map[int32][]byte, len(lc.PrivSlots))
+	privEnd map[int32][]byte
+}
 
-	// One region-wide block budget shared by all workers, matching the
-	// round-robin engine's single per-block guard exactly, so a runaway
-	// region trips after the same MaxSteps total under either engine.
-	var budget atomic.Int64
-	budget.Store(ex.Cfg.MaxSteps)
+// init sets the scratch up for a region of loop l over factor pieces
+// per guest thread, every field assigned.
+func (s *specRegion) init(l *loopRec, threads int, limit int64, entry func(guest.Reg) uint64, factor int) error {
+	s.failed.Store(false)
+	s.limit = limit
+	s.used.Store(0)
+	s.chunks = jrt.PartitionStealing(l.lc.Trip, threads, factor)
+	s.bounds = s.bounds[:0]
+	s.ownerLast = s.ownerLast[:0]
+	for o := 0; o < threads; o++ {
+		s.ownerLast = append(s.ownerLast, -1)
+	}
+	for i, sc := range s.chunks {
+		bv, err := jrt.PatchedBound(l.bound, entry, sc.Hi)
+		if err != nil {
+			return err
+		}
+		s.bounds = append(s.bounds, bv)
+		s.ownerLast[sc.Owner] = i
+	}
+	s.results = slices.Grow(s.results[:0], len(s.chunks))[:len(s.chunks)]
+	clear(s.results)
+	s.errs = append(s.errs[:0], make([]error, threads)...)
+	s.acc = append(s.acc[:0], make([][]uint64, threads)...)
+	s.deques.init(threads, s.chunks, factor > 1)
+	if s.privEnd == nil {
+		s.privEnd = map[int32][]byte{}
+	}
+	clear(s.privEnd)
+	return nil
+}
+
+// runRegionSpeculative executes loop l's region on host goroutines over
+// factor pieces per guest thread and folds the results back into the
+// per-owner region threads, so the shared LOOP_FINISH path (parallel.go)
+// sees exactly what the round-robin engine would have produced.
+func (ex *Executor) runRegionSpeculative(l *loopRec, entry func(guest.Reg) uint64, factor int, scanned map[uint64]bool) error {
+	if l.spec == nil {
+		l.spec = &specRegion{}
+	}
+	s := l.spec
+	limit := ex.Cfg.MaxSteps
 	if ex.inj.Fire(faultinject.BudgetExhaust) {
 		// Forced budget exhaustion: every worker trips the runaway
 		// backstop on its first block.
-		budget.Store(0)
+		limit = 0
 	}
-	// failed cancels the siblings of a failing worker: any error sends
-	// the whole region to recovery, so their remaining work is wasted.
-	// Which workers record an error can depend on host scheduling (a
-	// sibling may finish or notice the flag first); the region's
-	// success/failure never does, and the round-robin re-execution —
-	// not the specific message — is what determines the run's outcome.
-	var failed atomic.Bool
-	errs := make([]error, len(threads))
+	if err := s.init(l, ex.Cfg.Threads, limit, entry, factor); err != nil {
+		return err
+	}
+	if len(s.chunks) == 0 {
+		return nil
+	}
 
 	ex.specSet = scanned
 	defer func() { ex.specSet = nil }()
 
-	deques := newStealDeques(ex.Cfg.Threads, chunks, factor > 1)
-	if ex.workerThreads == nil {
-		ex.workerThreads = ex.newThreadSet()
-	}
 	var wg sync.WaitGroup
-	for w := 0; w < ex.Cfg.Threads; w++ {
+	for w := range ex.threads {
 		wg.Add(1)
-		go func(w int) {
+		go func() {
 			defer wg.Done()
 			// Contain worker panics: a bug (or injected fault) in one
 			// region must fail that region, never the process.
 			defer func() {
 				if p := recover(); p != nil {
-					failed.Store(true)
-					errs[w] = panicErr(loopID, w, p, debug.Stack())
+					s.failed.Store(true)
+					s.errs[w] = panicErr(l.id, w, p, debug.Stack())
 				}
 			}()
-			errs[w] = ex.runStealWorker(w, loopID, lc, chunks, bounds, ivInit, ownerLast, deques, results, &budget, &failed, func(idx int, th *jrt.Thread) {
-				if o := chunks[idx].Owner; idx == ownerLast[o] {
-					// The owner's ending registers and flags (single
-					// writer: whichever worker runs its final piece).
-					end := threads[o].Ctx
-					end.GPR = th.Ctx.GPR
-					end.ZF, end.LF = th.Ctx.ZF, th.Ctx.LF
-				}
-				if idx == final {
-					for slot, ps := range lc.PrivSlots {
-						buf := make([]byte, ps.Size)
-						ex.M.Mem.ReadInto(jrt.PrivAddr(w, slot), buf)
-						privEnd[slot] = buf
-					}
-				}
-			})
-		}(w)
+			s.errs[w] = ex.runStealWorker(w, l)
+		}()
 	}
 	wg.Wait()
-	// Report the lowest-ID recorded error.
-	for _, err := range errs {
+	// Report the lowest-ID recorded error; failing that, hold the exact
+	// block count to the budget.
+	var blocks int64
+	for w, err := range s.errs {
 		if err != nil {
 			return err
 		}
+		blocks += ex.threads[w].blocks
+	}
+	if blocks > s.limit {
+		return regionErr(l.id, -1, ErrRegionStuck)
 	}
 
 	// Fold piece results into the per-owner threads in deterministic
@@ -262,70 +292,75 @@ func (ex *Executor) runRegionSpeculative(loopID int32, threads []*jrt.Thread, lc
 	// verbatim — merging it into the identity would not preserve every
 	// bit pattern (0.0 + -0.0, NaN payloads) — and only a subdivided
 	// (integer ADD) chunk has further partials to merge into it.
-	acc := make([][]uint64, len(threads))
-	for i := range chunks {
-		o := chunks[i].Owner
-		th := threads[o]
-		rec := &results[i]
+	reds := l.lc.Init.Reductions
+	for i, sc := range s.chunks {
+		o := sc.Owner
+		th := &ex.threads[o].region
+		rec := &s.results[i]
 		th.Ctx.Cycles += rec.cycles
 		th.Ctx.Insts += rec.insts
 		th.Steps += rec.steps
 		th.TransBlocks += rec.transBlocks
 		th.TransInsts += rec.transInsts
 		th.TransCycles += rec.transCyc
-		if acc[o] == nil {
-			acc[o] = rec.red
+		if s.acc[o] == nil {
+			s.acc[o] = rec.red
 			continue
 		}
-		for j, red := range ld.Reductions {
-			acc[o][j] = jrt.MergeReduction(red.Op, acc[o][j], rec.red[j])
+		for j, red := range reds {
+			s.acc[o][j] = jrt.MergeReduction(red.Op, s.acc[o][j], rec.red[j])
 		}
 	}
-	for o, th := range threads {
-		if ownerLast[o] < 0 {
+	for o, rec := range ex.threads {
+		if s.ownerLast[o] < 0 {
 			continue // empty chunk: keep the as-initialised context
 		}
-		for j, red := range ld.Reductions {
-			th.Ctx.SetReg(red.Reg, acc[o][j])
+		for j, red := range reds {
+			rec.region.Ctx.SetReg(red.Reg, s.acc[o][j])
 		}
-		th.State = jrt.StateDone
+		rec.region.State = jrt.StateDone
 	}
 	// Re-home the final iteration's privatised cells to the owning
 	// thread's TLS so the shared copy-back in LOOP_FINISH (which reads
 	// lastNonEmpty's slots) sees the deterministic values.
-	if len(privEnd) > 0 {
-		last := lastNonEmpty(threads)
-		for slot, buf := range privEnd {
+	if len(s.privEnd) > 0 {
+		last := ex.lastNonEmpty()
+		for slot, buf := range s.privEnd {
 			ex.M.Mem.WriteBytes(jrt.PrivAddr(last.ID, slot), buf)
 		}
 	}
 	return nil
 }
 
-// runStealWorker drives worker w: take (or steal) pieces until the
-// pool holds none for it, running each from the loop head to its
-// patched-bound exit on the worker's own context (ex.workerThreads[w]),
-// which is re-initialised from the loop-entry snapshot per piece.
-func (ex *Executor) runStealWorker(w int, loopID int32, lc *jrt.LoopCtx, chunks []jrt.StealChunk, bounds []uint64, ivInit []int64, ownerLast []int, deques *stealDeques, results []stealResult, budget *atomic.Int64, failed *atomic.Bool, done func(idx int, th *jrt.Thread)) error {
-	ld := lc.Init
-	th := ex.workerThreads[w]
+// runStealWorker drives worker w of loop l's region: take (or steal)
+// pieces until the pool holds none for it, running each from the loop
+// head to its patched-bound exit on the worker's own thread and context
+// (its record's), re-initialised from the loop-entry snapshot per piece.
+func (ex *Executor) runStealWorker(w int, l *loopRec) error {
+	s, lc, rec := l.spec, l.lc, ex.threads[w]
+	th := &rec.worker
+	if th.Ctx == nil {
+		th.Ctx = &vm.Context{}
+	}
 	ctx := th.Ctx
 	*th = jrt.Thread{ID: w, Ctx: ctx, State: jrt.StateRunning}
+	rec.blocks = 0
 	for {
-		if failed.Load() {
+		if s.failed.Load() {
 			return nil
 		}
-		idx, ok := deques.next(w)
+		idx, ok := s.deques.next(w)
 		if !ok {
 			return nil
 		}
-		sc := chunks[idx]
+		sc := s.chunks[idx]
+		last := idx == s.ownerLast[sc.Owner]
 		th.Owner = sc.Owner
-		ex.initRegionCtx(ctx, w, lc, ivInit, sc.Lo)
-		lc.BoundValue[w] = bounds[idx]
+		ex.initRegionCtx(ctx, w, l, sc.Lo)
+		rec.bound = s.bounds[idx]
 
 		for {
-			if failed.Load() {
+			if s.failed.Load() {
 				return nil
 			}
 			if ex.inj.Fire(faultinject.WorkerPanic) {
@@ -334,49 +369,62 @@ func (ex *Executor) runStealWorker(w int, loopID int32, lc *jrt.LoopCtx, chunks 
 			if ex.inj.Fire(faultinject.Stall) {
 				// Forced stall: report the region wedged, as a livelocked
 				// worker eventually would.
-				failed.Store(true)
-				return regionErr(loopID, w, ErrRegionStuck)
-			}
-			if budget.Add(-1) < 0 {
-				if failed.Load() {
-					return nil // a failing sibling may have drained the budget
-				}
-				failed.Store(true)
-				return regionErr(loopID, w, ErrRegionStuck)
+				s.failed.Store(true)
+				return regionErr(l.id, w, ErrRegionStuck)
 			}
 			preCycles, preInsts, preSteps := ctx.Cycles, ctx.Insts, th.Steps
 			if err := ex.stepBlock(th); err != nil {
-				failed.Store(true)
-				return regionErr(loopID, w, err)
+				s.failed.Store(true)
+				return regionErr(l.id, w, err)
 			}
-			if lc.IsExit(ctx.PC) {
-				if idx != ownerLast[sc.Owner] {
-					// Interior piece: its failing exit check is an artefact
-					// of the subdivision — a whole chunk flows straight
-					// from this iteration into the next piece's first,
-					// executing the head check once (which the next piece
-					// re-executes as its entry check). Discard the extra
-					// execution — and refund its budget charge — so folded
-					// costs and the runaway threshold match static
-					// chunking exactly. The discarded block is the loop
-					// head (stealFactor pins the shape), which this
-					// piece already executed at entry, so no translation
-					// charge can hide in the discarded delta.
-					ctx.Cycles, ctx.Insts, th.Steps = preCycles, preInsts, preSteps
-					budget.Add(1)
-				}
+			exit := lc.IsExit(ctx.PC)
+			if exit && !last {
+				// Interior piece: its failing exit check is an artefact
+				// of the subdivision — a whole chunk flows straight
+				// from this iteration into the next piece's first,
+				// executing the head check once (which the next piece
+				// re-executes as its entry check). Discard the extra
+				// execution — and leave it out of the block count — so
+				// folded costs and the runaway threshold match static
+				// chunking exactly. The discarded block is the loop
+				// head (stealFactor pins the shape), which this
+				// piece already executed at entry, so no translation
+				// charge can hide in the discarded delta.
+				ctx.Cycles, ctx.Insts, th.Steps = preCycles, preInsts, preSteps
+				break
+			}
+			// The budget: this worker's own count, or what all of them
+			// have published, is over the limit.
+			rec.blocks++
+			if rec.blocks > s.limit || (rec.blocks%budgetQuantum == 0 && s.used.Add(budgetQuantum) > s.limit) {
+				s.failed.Store(true)
+				return regionErr(l.id, w, ErrRegionStuck)
+			}
+			if exit {
 				break
 			}
 		}
-		rec := &results[idx]
-		rec.cycles, rec.insts = ctx.Cycles, ctx.Insts
-		rec.steps = th.Steps
-		rec.transBlocks, rec.transInsts, rec.transCyc = th.TransBlocks, th.TransInsts, th.TransCycles
+		res := &s.results[idx]
+		res.cycles, res.insts = ctx.Cycles, ctx.Insts
+		res.steps = th.Steps
+		res.transBlocks, res.transInsts, res.transCyc = th.TransBlocks, th.TransInsts, th.TransCycles
 		th.Steps, th.TransBlocks, th.TransInsts, th.TransCycles = 0, 0, 0, 0
-		rec.red = make([]uint64, len(ld.Reductions))
-		for j, red := range ld.Reductions {
-			rec.red[j] = ctx.Reg(red.Reg)
+		for _, red := range lc.Init.Reductions {
+			res.red = append(res.red, ctx.Reg(red.Reg))
 		}
-		done(idx, th)
+		if last {
+			// The owner's ending registers and flags (single writer:
+			// whichever worker runs its final piece).
+			end := ex.threads[sc.Owner].region.Ctx
+			end.GPR = ctx.GPR
+			end.ZF, end.LF = ctx.ZF, ctx.LF
+		}
+		if idx == len(s.chunks)-1 {
+			for slot, ps := range lc.PrivSlots {
+				buf := make([]byte, ps.Size)
+				ex.M.Mem.ReadInto(jrt.PrivAddr(w, slot), buf)
+				s.privEnd[slot] = buf
+			}
+		}
 	}
 }

@@ -33,7 +33,7 @@ type site struct {
 	// loopID of the transforming rule (for kind != execNormal).
 	loopID int32
 	// pre are the rules whose handlers run before the instruction.
-	pre []rules.Rule
+	pre []handler
 	// bound carries LOOP_UPDATE_BOUND parameters.
 	bound rules.UpdateBoundData
 	// inst is the rewritten instruction for execPrivatise (the cache
@@ -41,6 +41,13 @@ type site struct {
 	// (absolute operand; its displacement is patched per execution,
 	// which is safe because blocks are thread-private).
 	inst guest.Inst
+}
+
+// handler is a rule whose handler runs at a site, with the record of the
+// loop it names (nil if the schedule's parallelisation rules name none).
+type handler struct {
+	rule rules.Rule
+	loop *loopRec
 }
 
 // tblock is one translated basic block in a thread's code cache.
@@ -80,14 +87,15 @@ type tblock struct {
 // maxBlockLen caps translated block length.
 const maxBlockLen = 128
 
-// blockFor returns thread t's translated block at addr, translating and
-// caching it on a miss (the just-in-time recompilation step of figure
-// 1(b)). It only looks up, translates and links; what a translation
-// costs, and whom, is chargeTranslation's business.
-func (ex *Executor) blockFor(t *jrt.Thread, addr uint64) (*tblock, error) {
+// blockFor returns thread tid's translated block at addr (rec is its
+// record), translating and caching it on a miss (the just-in-time
+// recompilation step of figure 1(b)). It only looks up, translates and
+// links; what a translation costs, and whom, is chargeTranslation's
+// business.
+func (ex *Executor) blockFor(rec *threadRec, tid int, addr uint64) (*tblock, error) {
 	// Block linking: the previous block's inline cache resolves its
 	// common successors without touching the code-cache map.
-	prev := ex.lastBlk[t.ID]
+	prev := rec.lastBlk
 	if prev != nil {
 		if prev.linkPC[0] == addr && prev.linkBlk[0] != nil {
 			return prev.linkBlk[0], nil
@@ -96,15 +104,14 @@ func (ex *Executor) blockFor(t *jrt.Thread, addr uint64) (*tblock, error) {
 			return prev.linkBlk[1], nil
 		}
 	}
-	cache := ex.caches[t.ID]
-	b, ok := cache[addr]
+	b, ok := rec.cache[addr]
 	if !ok {
 		var err error
-		b, err = ex.translate(t.ID, addr)
+		b, err = ex.translate(tid, addr)
 		if err != nil {
 			return nil, err
 		}
-		cache[addr] = b
+		rec.cache[addr] = b
 	}
 	if prev != nil {
 		if prev.linkBlk[0] == nil {
@@ -135,13 +142,13 @@ func (ex *Executor) chargeTranslation(t *jrt.Thread, b *tblock) {
 		}
 	}
 	ex.stealMu.Lock()
-	set := ex.charged[t.Owner]
-	if !set[b.start] {
-		set[b.start] = true
+	owner := ex.threads[t.Owner]
+	if !owner.charged[b.start] {
+		owner.charged[b.start] = true
 		if ex.specSet != nil {
 			// Journal for recovery rollback (stealMu serialises appends
 			// to the same owner's list from racing workers).
-			ex.chargeUndo[t.Owner] = append(ex.chargeUndo[t.Owner], b.start)
+			owner.chargeUndo = append(owner.chargeUndo, b.start)
 		}
 		t.TransBlocks++
 		t.TransInsts += int64(len(b.insts))
@@ -241,26 +248,22 @@ func (ex *Executor) applyRule(s *site, tid int, in *guest.Inst, r rules.Rule) {
 	case rules.PROF_LOOP_ITER, rules.PROF_LOOP_FINISH, rules.PROF_MEM_ACCESS,
 		rules.PROF_LOOP_START, rules.PROF_EXCALL_START, rules.PROF_EXCALL_FINISH:
 		if ex.Cfg.Profile {
-			s.pre = append(s.pre, r)
+			s.pre = append(s.pre, handler{rule: r})
 		}
 	case rules.MEM_BOUNDS_CHECK, rules.THREAD_SCHEDULE, rules.THREAD_YIELD,
 		rules.LOOP_INIT, rules.LOOP_FINISH, rules.TX_START, rules.TX_FINISH,
 		rules.MEM_SPILL_REG, rules.MEM_RECOVER_REG:
 		if ex.Cfg.Parallel {
-			s.pre = append(s.pre, r)
+			s.pre = append(s.pre, handler{rule: r, loop: ex.loops[r.LoopID]})
 		}
 	}
 }
 
 // flushCaches models the paper's code-cache flush when a failed runtime
-// check forces the original sequential code to be reloaded. Dispatch
-// state referencing flushed blocks (the per-thread last block driving
-// block linking) is dropped with them.
+// check forces the original sequential code to be reloaded.
 func (ex *Executor) flushCaches() {
-	for i := range ex.caches {
-		ex.caches[i] = map[uint64]*tblock{}
-		ex.charged[i] = map[uint64]bool{}
-		ex.lastBlk[i] = nil
+	for _, rec := range ex.threads {
+		rec.reset(true)
 	}
 	ex.Stats.CacheFlushes++
 }

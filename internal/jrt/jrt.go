@@ -227,8 +227,6 @@ type LoopCtx struct {
 	// ExitPrimary is the lowest exit target: the single-exit fast path
 	// for chunk-completion checks, and the deterministic resume point.
 	ExitPrimary uint64
-	// BoundValue[t] is the patched compare bound for thread t.
-	BoundValue []uint64
 	// PrivSlots maps slot -> shared cell address + size for copy-back.
 	PrivSlots map[int32]PrivSlot
 }

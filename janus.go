@@ -74,18 +74,13 @@ type Config struct {
 	// training profiles and DBM results are looked up on disk by
 	// content identity before being recomputed, and published after.
 	// Results are byte-identical with or without it (fault-injected
-	// runs bypass it, see cache.go), except that a replayed plan leaves
-	// Report.Program nil. Nil disables the tier; the in-memory memos
-	// still apply.
+	// runs bypass it, see cache.go). Nil disables the tier; the
+	// in-memory memos still apply.
 	Cache *artcache.Cache
 }
 
 // Report is the outcome of a full Janus run.
 type Report struct {
-	// Program is the live analysis behind Schedule. It is nil when the
-	// plan was replayed from Config.Cache (see Plan.Program): read
-	// Selected and CodeSize instead, which are set either way.
-	Program  *analyzer.Program
 	Schedule *rules.Schedule
 	Native   *vm.Result
 	DBM      *dbm.Result
@@ -149,7 +144,6 @@ func ParalleliseBinary(ref, train *obj.Binary, cfg Config) (*Report, error) {
 		}
 	}
 	return &Report{
-		Program:  plan.Program,
 		Schedule: plan.Schedule,
 		Native:   native,
 		DBM:      res,
@@ -251,10 +245,4 @@ func RunProfiling(exe *obj.Executable, prog *analyzer.Program, libs ...*obj.Libr
 // repeated baseline runs of the same binary return the cached result.
 func RunNativeBaseline(exe *obj.Executable, libs ...*obj.Library) (*vm.Result, error) {
 	return RunNativeBaselineCached(nil, exe, libs...)
-}
-
-// RunBareDBM executes exe under the DBM with no rewrite schedule (the
-// "DynamoRIO only" baseline of figure 7).
-func RunBareDBM(exe *obj.Executable, libs ...*obj.Library) (*dbm.Result, error) {
-	return RunBareDBMCached(nil, exe, libs...)
 }

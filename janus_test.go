@@ -112,7 +112,7 @@ func TestBareDBMOverheadBounded(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	bare, err := RunBareDBM(exe, libs...)
+	bare, err := RunBareDBMCached(nil, exe, libs...)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -23,10 +23,6 @@ type Plan struct {
 	Schedule *rules.Schedule
 	// Loops summarises every analysed loop, indexed by loop ID.
 	Loops []LoopSummary
-	// Program is the live analysis the plan was generated from. It is
-	// nil on a plan replayed from the store: a Program is a CFG/SSA
-	// graph over the image and has no stored form.
-	Program *analyzer.Program
 }
 
 // LoopSummary is what the figures read of one analysed loop.
@@ -162,7 +158,7 @@ func computePlan(c *artcache.Cache, ref, train *obj.Binary, sel Selection) (*Pla
 	for i, li := range prog.Loops {
 		loops[i] = LoopSummary{Class: li.Class, ExclCoverage: li.ExclCoverage, Selected: li.Selected}
 	}
-	return &Plan{Schedule: sched, Loops: loops, Program: prog}, nil
+	return &Plan{Schedule: sched, Loops: loops}, nil
 }
 
 // Plan payload: u32 schedule length, the schedule in its own file
