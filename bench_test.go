@@ -1,145 +1,22 @@
-// Benchmarks that regenerate every table and figure of the paper's
-// evaluation (one benchmark per artefact), plus ablation benchmarks for
-// the design decisions ARCHITECTURE.md calls out. Run with:
+// Ablation benchmarks for the design decisions ARCHITECTURE.md calls
+// out. Run with:
 //
 //	go test -bench=. -benchmem
 //
-// Each benchmark reports the headline metric of its figure as custom
-// units (speedups, fractions) so `go test -bench` output doubles as the
-// numeric results table.
+// Each reports its headline metric as custom units (speedups). Plans
+// and results are memoised per process, so every iteration starts from
+// empty memos: the time is a run's, not a lookup's. The figures and
+// tables themselves are timed by bench/ (harness.figN_s, suite_off).
 package janus_test
 
 import (
-	"math"
 	"testing"
 
 	"janus"
 
 	"janus/internal/dbm"
-	"janus/internal/harness"
 	"janus/internal/workloads"
 )
-
-func BenchmarkFigure6_LoopCoverage(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		rows, err := harness.Figure6(harness.DefaultOptions())
-		if err != nil {
-			b.Fatal(err)
-		}
-		var doall float64
-		for _, r := range rows {
-			doall += r.Dynamic.StaticDOALL + r.Dynamic.DynDOALL
-		}
-		b.ReportMetric(doall/float64(len(rows)), "mean-doall-fraction")
-	}
-}
-
-func BenchmarkFigure7_Speedup8T(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		rows, err := harness.Figure7(harness.DefaultOptions())
-		if err != nil {
-			b.Fatal(err)
-		}
-		var g []float64
-		for _, r := range rows {
-			g = append(g, r.Janus)
-		}
-		b.ReportMetric(geomeanOf(g), "geomean-speedup")
-	}
-}
-
-func BenchmarkFigure8_Breakdown(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		rows, err := harness.Figure8(harness.DefaultOptions())
-		if err != nil {
-			b.Fatal(err)
-		}
-		var seq float64
-		for _, r := range rows {
-			seq += r.N.Sequential
-		}
-		b.ReportMetric(seq/float64(len(rows)), "mean-seq-fraction-8t")
-	}
-}
-
-func BenchmarkFigure9_ThreadScaling(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		rows, err := harness.Figure9(harness.DefaultOptions())
-		if err != nil {
-			b.Fatal(err)
-		}
-		// Report lbm's 8-thread point, the paper's best scaler.
-		for _, r := range rows {
-			if r.Bench == "470.lbm" {
-				b.ReportMetric(r.Speedups[7], "lbm-8t-speedup")
-			}
-		}
-	}
-}
-
-func BenchmarkFigure10_ScheduleSize(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		rows, err := harness.Figure10(harness.DefaultOptions())
-		if err != nil {
-			b.Fatal(err)
-		}
-		var fr []float64
-		for _, r := range rows {
-			fr = append(fr, r.Fraction)
-		}
-		b.ReportMetric(100*geomeanOf(fr), "schedule-size-%")
-	}
-}
-
-func BenchmarkFigure11_CompilerComparison(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		rows, err := harness.Figure11(harness.DefaultOptions())
-		if err != nil {
-			b.Fatal(err)
-		}
-		var jg, gc []float64
-		for _, r := range rows {
-			jg = append(jg, r.JanusGcc)
-			gc = append(gc, r.GccAuto)
-		}
-		b.ReportMetric(geomeanOf(jg), "janus-on-gcc")
-		b.ReportMetric(geomeanOf(gc), "gcc-auto")
-	}
-}
-
-func BenchmarkFigure12_OptLevels(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		rows, err := harness.Figure12(harness.DefaultOptions())
-		if err != nil {
-			b.Fatal(err)
-		}
-		var o3, avx []float64
-		for _, r := range rows {
-			o3 = append(o3, r.O3)
-			avx = append(avx, r.AVX)
-		}
-		b.ReportMetric(geomeanOf(o3), "o3-geomean")
-		b.ReportMetric(geomeanOf(avx), "avx-geomean")
-	}
-}
-
-func BenchmarkTableI_BoundsChecks(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		rows, err := harness.TableI(harness.DefaultOptions())
-		if err != nil {
-			b.Fatal(err)
-		}
-		var avg float64
-		for _, r := range rows {
-			avg += r.AvgRanges
-		}
-		b.ReportMetric(avg/float64(len(rows)), "mean-ranges-per-check")
-	}
-}
-
-// ---------------------------------------------------------------------
-// Ablation benchmarks for ARCHITECTURE.md's design decisions.
-// ---------------------------------------------------------------------
 
 // BenchmarkAblation_NoProfile measures the cost of skipping the
 // training stage (static selection only) on a small-loop benchmark.
@@ -149,6 +26,7 @@ func BenchmarkAblation_NoProfile(b *testing.B) {
 		b.Fatal(err)
 	}
 	for i := 0; i < b.N; i++ {
+		janus.ResetMemos()
 		static, err := janus.Parallelise(exe, janus.Config{Threads: 8}, libs...)
 		if err != nil {
 			b.Fatal(err)
@@ -170,6 +48,7 @@ func BenchmarkAblation_NoChecks(b *testing.B) {
 		b.Fatal(err)
 	}
 	for i := 0; i < b.N; i++ {
+		janus.ResetMemos()
 		off, err := janus.Parallelise(exe, janus.Config{Threads: 8, UseProfile: true}, libs...)
 		if err != nil {
 			b.Fatal(err)
@@ -196,6 +75,7 @@ func BenchmarkAblation_TranslationCost(b *testing.B) {
 		b.Fatal(err)
 	}
 	for i := 0; i < b.N; i++ {
+		janus.ResetMemos()
 		for _, cost := range []int64{0, 60, 240} {
 			cm := dbm.DefaultCost()
 			cm.TransPerInst = cost
@@ -204,6 +84,7 @@ func BenchmarkAblation_TranslationCost(b *testing.B) {
 				b.Fatal(err)
 			}
 			res, err := ex.Run()
+			ex.Close()
 			if err != nil {
 				b.Fatal(err)
 			}
@@ -211,33 +92,4 @@ func BenchmarkAblation_TranslationCost(b *testing.B) {
 				map[int64]string{0: "free-translation", 60: "default", 240: "4x-translation"}[cost])
 		}
 	}
-}
-
-// BenchmarkPipeline_EndToEnd measures wall-clock cost of the whole
-// Janus pipeline on one benchmark (host performance, not guest cycles).
-func BenchmarkPipeline_EndToEnd(b *testing.B) {
-	exe, libs, err := workloads.Build("462.libquantum", workloads.Train, workloads.O3)
-	if err != nil {
-		b.Fatal(err)
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := janus.Parallelise(exe, janus.Config{Threads: 8, UseProfile: true, UseChecks: true}, libs...); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-func geomeanOf(vals []float64) float64 {
-	if len(vals) == 0 {
-		return 0
-	}
-	s := 0.0
-	for _, v := range vals {
-		if v <= 0 {
-			return 0
-		}
-		s += math.Log(v)
-	}
-	return math.Exp(s / float64(len(vals)))
 }

@@ -39,24 +39,28 @@ import (
 // it. The disk tier is Config.Cache; nil leaves the memory tier alone
 // and never derives a disk key, so no identity is ever hashed.
 //
-//	stage            memory  disk
-//	binary handle    yes     ident-v1  (internal/workloads: identity + code
-//	                         size beside build-v1; BinaryOf's handles of
-//	                         resident images are memory-only)
-//	native baseline  yes     native-v1
-//	train profile    yes     profile-v1
-//	train analysis   yes     —  (a Program is a live CFG/SSA graph)
-//	plan             —       schedule-v1  (the rewrite schedule and the
-//	                         loop summary the figures read: the OFFLINE
-//	                         half; a hit skips analysis, profile and image)
-//	DBM run          —       dbm-v2  (key spans schedule and config)
-//	compiler model   —       schedule-v1 + native-v1 + dbm-v2  (the plan
-//	                         under internal/compilers' selection, then
-//	                         RunScheduleBinary under its cost model; the
-//	                         baseline is the Janus rows')
+// Every stage's memory key names exactly what its disk key names
+// (handles for identities), so a render with the cache off computes
+// precisely the artifacts a cold one stores, and a second render in the
+// same process computes nothing.
+//
+//	stage            memory key                  disk
+//	binary handle    (exe, libs) pointers        ident-v1  (internal/workloads:
+//	                 identity + code size beside build-v1; BinaryOf's handles of
+//	                 resident images are memory-only)
+//	native baseline  handle                      native-v1
+//	train profile    handle                      profile-v1
+//	train analysis   handle                      —  (a live CFG/SSA graph)
+//	plan             ref, train, Selection.Key   schedule-v1  (the OFFLINE half:
+//	                 schedule and loop summary; a hit skips analysis, profile
+//	                 and image)
+//	DBM run          handle, digest, dbm.Config  dbm-v2
+//	compiler model   —  (internal/compilers: the plan under its selection, then
+//	                 RunPlanBinary under its cost model, on the Janus rows'
+//	                 baseline)
 
-// memoLimit bounds each memory tier (the harness working set is far
-// smaller).
+// memoLimit bounds the memory tiers a render holds at most one entry
+// per binary in (the harness working set is far smaller).
 const memoLimit = 64
 
 // libsKey folds a library pointer set into a comparable key.
@@ -80,9 +84,10 @@ type runKey struct {
 	libs libsKey
 }
 
-// handleLimit bounds handleTier. It sits above the 70 binaries a
-// full-suite render derives keys for, so a long-lived process never
-// wraps the bound and re-hashes its working set.
+// handleLimit bounds handleTier and the plan and DBM tiers. It sits
+// above the 70 binaries a full-suite render derives keys for, its 88
+// plans and its 127 runs, so a long-lived process never wraps a bound
+// and recomputes its working set.
 const handleLimit = 4 * memoLimit
 
 // handleTier maps (executable, library set) to its stable handle, on
@@ -114,45 +119,47 @@ func BinaryOf(exe *obj.Executable, libs ...*obj.Library) *obj.Binary {
 // identity its binary turned out not to have.
 var errStaleIdentity = errors.New("janus: artifact keyed by a stale binary identity")
 
-// onDisk is the disk lookup of every stage keyed by binary identities:
-// t.Disk under key(ids of bins), computing on a miss. A lazy handle's
-// identity is a record, re-checked when compute materialises the image;
-// if that corrected any of bins, the result belongs under another key —
-// publishing it here would plant one binary's artifact under another's
-// identity — so it is dropped and the lookup repeated under the
-// identities the images really have.
-func onDisk[K comparable, V any](t *artcache.Tier[K, V], c *artcache.Cache, bins []*obj.Binary, key func(ids []string) (artcache.Key, bool), compute func() (V, error)) (V, error) {
-	ids := func() []string {
-		out := make([]string, len(bins))
-		for i, b := range bins {
-			out[i] = b.ID()
-		}
-		return out
-	}
-	lookup := func() (V, error) {
-		var keyed []string
-		return t.Disk(c, func() (artcache.Key, bool) {
-			keyed = ids()
-			return key(keyed)
-		}, func() (V, error) {
-			v, err := compute()
-			if err == nil && keyed != nil && !slices.Equal(keyed, ids()) {
-				err = errStaleIdentity
+// staged is the lookup of every stage keyed by binary identities: t's
+// memory tier under memKey, then t.Disk under key(ids of bins),
+// computing on a miss. A lazy handle's identity is a record, re-checked
+// when compute materialises the image; if that corrected any of bins,
+// the result belongs under another key — publishing it here would plant
+// one binary's artifact under another's identity — so it is dropped and
+// the disk lookup repeated under the identities the images really have.
+func staged[K comparable, V any](t *artcache.Tier[K, V], c *artcache.Cache, memKey K, bins []*obj.Binary, key func(ids []string) artcache.Key, compute func() (V, error)) (V, error) {
+	return t.Memo(memKey, func() (V, error) {
+		ids := func() []string {
+			out := make([]string, len(bins))
+			for i, b := range bins {
+				out[i] = b.ID()
 			}
-			return v, err
-		})
-	}
-	v, err := lookup()
-	if errors.Is(err, errStaleIdentity) {
-		v, err = lookup()
-	}
-	return v, err
+			return out
+		}
+		lookup := func() (V, error) {
+			var keyed []string
+			return t.Disk(c, func() (artcache.Key, bool) {
+				keyed = ids()
+				return key(keyed), true
+			}, func() (V, error) {
+				v, err := compute()
+				if err == nil && keyed != nil && !slices.Equal(keyed, ids()) {
+					err = errStaleIdentity
+				}
+				return v, err
+			})
+		}
+		v, err := lookup()
+		if errors.Is(err, errStaleIdentity) {
+			v, err = lookup()
+		}
+		return v, err
+	})
 }
 
 // binaryDiskKey is the disk key of a stage that depends on the binary
 // alone.
-func binaryDiskKey(ids []string) (artcache.Key, bool) {
-	return artcache.Key{Binary: ids[0]}, true
+func binaryDiskKey(ids []string) artcache.Key {
+	return artcache.Key{Binary: ids[0]}
 }
 
 var nativeTier = artcache.Tier[*obj.Binary, *vm.Result]{
@@ -166,14 +173,12 @@ var nativeTier = artcache.Tier[*obj.Binary, *vm.Result]{
 // most once per handle even under concurrent callers, and not at all
 // when c holds its result.
 func runNativeBaseline(c *artcache.Cache, bin *obj.Binary) (*vm.Result, error) {
-	return nativeTier.Do(nil, bin, nil, func() (*vm.Result, error) {
-		return onDisk(&nativeTier, c, []*obj.Binary{bin}, binaryDiskKey, func() (*vm.Result, error) {
-			exe, libs, err := bin.Image()
-			if err != nil {
-				return nil, err
-			}
-			return vm.RunNative(exe, libs...)
-		})
+	return staged(&nativeTier, c, bin, []*obj.Binary{bin}, binaryDiskKey, func() (*vm.Result, error) {
+		exe, libs, err := bin.Image()
+		if err != nil {
+			return nil, err
+		}
+		return vm.RunNative(exe, libs...)
 	})
 }
 
@@ -201,53 +206,41 @@ func runAnalyzeMemo(bin *obj.Binary) (*analyzer.Program, error) {
 	})
 }
 
-// profileKey identifies one profiling run: the binary and the analysis
-// it was instrumented from (a different analysis of the same binary
-// must not reuse the profile). The disk key omits prog: every Program
-// reaching the tier is a fresh deterministic analysis of the binary
+// profileTier is keyed by the binary alone, in memory as on disk: every
+// Program reaching it is a fresh deterministic analysis of that binary
 // (the Apply* mutations happen downstream on ref analyses), so the
-// binary identity subsumes it.
-type profileKey struct {
-	bin  *obj.Binary
-	prog *analyzer.Program
-}
-
-var profileTier = artcache.Tier[profileKey, *ProfileResult]{
+// binary subsumes it, and the plans that train on one build — under the
+// memoised train analysis or, figure 6, under the build's own — share
+// one profile.
+var profileTier = artcache.Tier[*obj.Binary, *ProfileResult]{
 	Kind:   "profile-v1",
 	Limit:  memoLimit,
 	Encode: encodeProfile,
 	Decode: decodeProfile,
 }
 
-// runProfiling is the train-profile stage: the profile of bin under
-// prog is taken at most once per (handle, analysis) even under
-// concurrent callers.
+// runProfiling is the train-profile stage: the profile of bin is taken
+// at most once per handle even under concurrent callers; prog, an
+// unmodified analysis of bin, instruments the run when there is one.
 func runProfiling(c *artcache.Cache, bin *obj.Binary, prog *analyzer.Program) (*ProfileResult, error) {
-	return profileTier.Do(nil, profileKey{bin: bin, prog: prog}, nil, func() (*ProfileResult, error) {
-		return onDisk(&profileTier, c, []*obj.Binary{bin}, binaryDiskKey, func() (*ProfileResult, error) {
-			exe, libs, err := bin.Image()
-			if err != nil {
-				return nil, err
-			}
-			return RunProfiling(exe, prog, libs...)
-		})
+	return staged(&profileTier, c, bin, []*obj.Binary{bin}, binaryDiskKey, func() (*ProfileResult, error) {
+		exe, libs, err := bin.Image()
+		if err != nil {
+			return nil, err
+		}
+		return RunProfiling(exe, prog, libs...)
 	})
 }
 
 // RunProfilingCached is RunProfiling behind both tiers: the profile
-// for exe under prog is taken at most once per (executable, analysis,
-// libraries) even under concurrent callers. On a durable-cache hit
-// the returned ProfileResult carries the four profile maps but a nil
-// Executor; callers needing the raw profiler state must use
-// RunProfiling directly.
+// for exe is taken at most once per (executable, libraries) even under
+// concurrent callers, and a replayed one equals a computed one. prog
+// must be an unmodified analysis of exe.
 func RunProfilingCached(c *artcache.Cache, exe *obj.Executable, prog *analyzer.Program, libs ...*obj.Library) (*ProfileResult, error) {
 	return runProfiling(c, BinaryOf(exe, libs...), prog)
 }
 
-// profilePayload is the disk form of a ProfileResult: the four
-// deterministic profile maps. The Executor is process-local state
-// (raw coverage tables, dependence sets) and is nil on a cache load;
-// nothing downstream of the tier reads it.
+// profilePayload is the disk form of a ProfileResult.
 type profilePayload struct {
 	Coverage     map[int]float64
 	ExclCoverage map[int]float64
@@ -279,55 +272,55 @@ func decodeProfile(data []byte) (*ProfileResult, error) {
 	}, nil
 }
 
-// dbmTier is used through Disk only: a DBM result's identity spans
-// the whole schedule and configuration, and the one caller that repeats
-// runs within a process — the harness, whose figures share runs —
-// holds whole Reports in its per-render run table instead. v2: v1
-// results of binaries with a vector register live into a parallel loop
-// carry the DataHash of a run that dropped it.
-var dbmTier = artcache.Tier[struct{}, *dbm.Result]{
+// dbmKey is what a DBM result is a function of: the binary, the
+// schedule (by digest) and every Config field that can influence a
+// Result. Inject and Profile are always zero in it, because injected
+// and profiling runs never reach the tier.
+type dbmKey struct {
+	bin   *obj.Binary
+	sched string
+	cfg   dbm.Config
+}
+
+// dbmTier holds whole results beneath the harness's per-render run
+// table: distinct runs whose schedules hash equal, and every run of a
+// later render in the same process, are answered here. v2: v1 results
+// of binaries with a vector register live into a parallel loop carry
+// the DataHash of a run that dropped it.
+var dbmTier = artcache.Tier[dbmKey, *dbm.Result]{
 	Kind:   "dbm-v2",
+	Limit:  handleLimit,
 	Encode: dbm.EncodeResult,
 	Decode: dbm.DecodeResult,
 }
 
-// scheduleKey hashes a rewrite schedule's serialised form. ok=false
-// (unserialisable schedule) means the run must bypass the cache — a
-// shared sentinel key would alias distinct schedules.
-func scheduleKey(sched *rules.Schedule) (string, bool) {
-	if sched == nil {
-		return "none", true
-	}
-	img, err := sched.Save()
-	if err != nil {
-		return "", false
-	}
+// scheduleDigest names a rewrite schedule by the SHA-256 of its
+// serialised form, which is what keys a DBM result in memory and on
+// disk. Plans carry theirs (plan.go); this is for the bytes at hand.
+func scheduleDigest(img []byte) string {
 	sum := sha256.Sum256(img)
-	return hex.EncodeToString(sum[:]), true
+	return hex.EncodeToString(sum[:])
 }
 
-// dbmConfigKey folds every Config field that can influence a Result —
-// including the engine-selection knobs, which leave virtual cycles
-// untouched but are attributed in Stats (HostParRegions,
-// StealRegions) — into a canonical string. Inject and Profile are
-// absent because injected and profiling runs never reach the cache.
+// noSchedule is the digest of a bare run (no rewrite schedule).
+const noSchedule = "none"
+
+// dbmConfigKey is a dbmKey's configuration as the disk key spells it —
+// engine-selection knobs included, which leave virtual cycles untouched
+// but are attributed in Stats (HostParRegions, StealRegions).
 func dbmConfigKey(c dbm.Config) string {
 	return fmt.Sprintf("threads=%d parallel=%t hostpar=%t steal=%t miniter=%d maxsteps=%d cost=%+v",
 		c.Threads, c.Parallel, c.HostParallel, c.WorkStealing, c.MinIterPerThread, c.MaxSteps, c.Cost)
 }
 
-// runDBM executes bin under the DBM. Fault-injected runs bypass the
-// cache unconditionally: their recovery counters must come from a real
-// execution, and a plan's effect is not part of the key. Profiling runs
-// go through the profile tier instead.
-func runDBM(c *artcache.Cache, bin *obj.Binary, sched *rules.Schedule, dcfg dbm.Config) (*dbm.Result, error) {
-	if dcfg.Inject != nil || dcfg.Profile {
-		c = nil
-	}
-	return onDisk(&dbmTier, c, []*obj.Binary{bin}, func(ids []string) (artcache.Key, bool) {
-		sk, ok := scheduleKey(sched)
-		return artcache.Key{Binary: ids[0], Input: sk, Config: dbmConfigKey(dcfg)}, ok
-	}, func() (*dbm.Result, error) {
+// runDBM executes bin under the DBM and sched, the schedule digest
+// names. Fault-injected runs bypass both tiers: their recovery counters
+// must come from a real execution, and a plan's effect is not part of
+// the key. Profiling runs go through the profile tier instead, and a
+// schedule with no digest (unserialisable, hand-built plan) has nothing
+// to be keyed by.
+func runDBM(c *artcache.Cache, bin *obj.Binary, sched *rules.Schedule, digest string, dcfg dbm.Config) (*dbm.Result, error) {
+	compute := func() (*dbm.Result, error) {
 		exe, libs, err := bin.Image()
 		if err != nil {
 			return nil, err
@@ -336,8 +329,15 @@ func runDBM(c *artcache.Cache, bin *obj.Binary, sched *rules.Schedule, dcfg dbm.
 		if err != nil {
 			return nil, err
 		}
+		defer ex.Close()
 		return ex.Run()
-	})
+	}
+	if dcfg.Inject != nil || dcfg.Profile || digest == "" {
+		return dbmTier.Disk(nil, nil, compute)
+	}
+	return staged(&dbmTier, c, dbmKey{bin, digest, dcfg}, []*obj.Binary{bin}, func(ids []string) artcache.Key {
+		return artcache.Key{Binary: ids[0], Input: digest, Config: dbmConfigKey(dcfg)}
+	}, compute)
 }
 
 // ResetMemos drops every completed entry from the memory tiers —
@@ -349,13 +349,27 @@ func ResetMemos() {
 	nativeTier.Reset()
 	analyzeTier.Reset()
 	profileTier.Reset()
+	planTier.Reset()
+	dbmTier.Reset()
+}
+
+// TierStats reports the memory-tier counters of the stages declared
+// here, by artifact kind (artcache.Stats.WithTiers puts them beside the
+// store's).
+func TierStats() map[string]artcache.TierStats {
+	return map[string]artcache.TierStats{
+		nativeTier.Kind:  nativeTier.Stats(),
+		profileTier.Kind: profileTier.Stats(),
+		planTier.Kind:    planTier.Stats(),
+		dbmTier.Kind:     dbmTier.Stats(),
+	}
 }
 
 // RunBareDBMBinary executes bin under the DBM with no rewrite schedule
 // (the "DynamoRIO only" baseline of figure 7), replayed from c when it
 // holds the run; nil c always executes.
 func RunBareDBMBinary(c *artcache.Cache, bin *obj.Binary) (*dbm.Result, error) {
-	return runDBM(c, bin, nil, dbm.Config{Threads: 1, Cost: dbm.DefaultCost(), MaxSteps: vm.DefaultMaxSteps})
+	return runDBM(c, bin, nil, noSchedule, dbm.Config{Threads: 1, Cost: dbm.DefaultCost(), MaxSteps: vm.DefaultMaxSteps})
 }
 
 // RunBareDBMCached is RunBareDBMBinary over the handle BinaryOf

@@ -13,7 +13,9 @@ import (
 	"janus/internal/analyzer"
 	"janus/internal/artcache"
 	"janus/internal/dbm"
+	"janus/internal/faultinject"
 	"janus/internal/obj"
+	"janus/internal/rules"
 	"janus/internal/vm"
 	"janus/internal/workloads"
 )
@@ -68,8 +70,11 @@ func staleLayoutWith(entry, payload []byte) []byte {
 // production entry point and asserts what its artcache.Tier instance
 // promises. A computation is observable from outside as a cache miss
 // (or, for a verified but undecodable payload, a hit that yields a
-// fresh result), a memory hit as the identical pointer with the store
-// untouched.
+// fresh result) and on the tier's own counter, a memory hit as the
+// identical pointer with the store untouched and nothing computed.
+// Every stage has a memory tier: the plan and the DBM run are keyed in
+// memory by what their disk keys name, so a repeat never reaches the
+// store.
 func TestTierInstances(t *testing.T) {
 	const bench = "462.libquantum"
 	exe, libs, err := workloads.Build(bench, workloads.Train, workloads.O3)
@@ -80,6 +85,7 @@ func TestTierInstances(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	planBin := BinaryOf(exe, libs...)
 	// encoded views a result through its production codec, so equality
 	// is equality of everything a cache replay must preserve.
 	encoded := func(data []byte, err error) any {
@@ -89,41 +95,48 @@ func TestTierInstances(t *testing.T) {
 		return string(data)
 	}
 	for _, in := range []struct {
-		name      string
-		mem, disk bool
-		lookup    func(c *artcache.Cache) (any, error)
-		reset     func()
-		view      func(any) any
+		name   string
+		disk   bool
+		lookup func(c *artcache.Cache) (any, error)
+		reset  func()
+		stats  func() artcache.TierStats
+		view   func(any) any
 	}{
-		{"build", true, true,
+		{"build", true,
 			func(c *artcache.Cache) (any, error) {
 				e, _, err := workloads.BuildCached(c, bench, workloads.Train, workloads.O3)
 				return e, err
 			},
 			workloads.ResetBuildCache,
+			func() artcache.TierStats { return workloads.TierStats()["build-v1"] },
 			func(v any) any { return string(v.(*obj.Executable).Save()) }},
-		{"native", true, true,
+		{"native", true,
 			func(c *artcache.Cache) (any, error) { return RunNativeBaselineCached(c, exe, libs...) },
 			ResetMemos,
+			nativeTier.Stats,
 			func(v any) any { return encoded(vm.EncodeResult(v.(*vm.Result))) }},
-		{"profile", true, true,
+		{"profile", true,
 			func(c *artcache.Cache) (any, error) { return RunProfilingCached(c, exe, prog, libs...) },
 			ResetMemos,
+			profileTier.Stats,
 			func(v any) any { return encoded(encodeProfile(v.(*ProfileResult))) }},
-		{"analysis", true, false,
+		{"analysis", false,
 			func(*artcache.Cache) (any, error) { return runAnalyzeMemo(BinaryOf(exe, libs...)) },
 			ResetMemos,
+			analyzeTier.Stats,
 			func(v any) any { return fmt.Sprint(v.(*analyzer.Program).ClassCounts()) }},
-		{"plan", false, true,
-			// Untrained, so the plan is the only stage looked up.
-			func(c *artcache.Cache) (any, error) {
-				return PlanCached(c, BinaryOf(exe, libs...), nil, Config{}.Selection())
-			},
-			func() {},
+		{"plan", true,
+			// Untrained, so the plan is the only stage looked up. The
+			// handle is held across resets: a fresh one would be another
+			// memory key, which is not what the repeat step is about.
+			func(c *artcache.Cache) (any, error) { return PlanCached(c, planBin, nil, Config{}.Selection()) },
+			ResetMemos,
+			planTier.Stats,
 			func(v any) any { return encoded(encodePlan(v.(*Plan))) }},
-		{"dbm", false, true,
-			func(c *artcache.Cache) (any, error) { return RunBareDBMCached(c, exe, libs...) },
-			func() {},
+		{"dbm", true,
+			func(c *artcache.Cache) (any, error) { return RunBareDBMBinary(c, planBin) },
+			ResetMemos,
+			dbmTier.Stats,
 			func(v any) any { return encoded(dbm.EncodeResult(v.(*dbm.Result))) }},
 	} {
 		t.Run(in.name, func(t *testing.T) {
@@ -133,18 +146,28 @@ func TestTierInstances(t *testing.T) {
 			}
 			// step runs one lookup and reports its result with what it
 			// did to the store.
+			// computed is how many computations the last step ran, by
+			// the tier's own counter; memHits likewise.
+			var computed, memHits int64
 			step := func(what string) (any, artcache.Stats) {
 				t.Helper()
-				before := c.Stats()
+				before, tb := c.Stats(), in.stats()
 				v, err := in.lookup(c)
 				if err != nil {
 					t.Fatalf("%s: %v", what, err)
 				}
-				after := c.Stats()
+				after, ta := c.Stats(), in.stats()
+				computed, memHits = ta.Computed-tb.Computed, ta.MemHits-tb.MemHits
 				return v, artcache.Stats{
 					Hits:       after.Hits - before.Hits,
 					Misses:     after.Misses - before.Misses,
 					BadEntries: after.BadEntries - before.BadEntries,
+				}
+			}
+			counted := func(what string, wantComputed, wantMemHits int64) {
+				t.Helper()
+				if computed != wantComputed || memHits != wantMemHits {
+					t.Fatalf("%s: tier counted %d computations and %d memory hits, want %d and %d", what, computed, memHits, wantComputed, wantMemHits)
 				}
 			}
 			expect := func(what string, got, want artcache.Stats) {
@@ -161,21 +184,22 @@ func TestTierInstances(t *testing.T) {
 			in.reset() // other tests may hold this key in memory
 			first, d := step("cold")
 			expect("cold lookup computes", d, miss)
+			counted("cold lookup", 1, 0)
 			want := in.view(first)
 
 			again, d := step("repeat")
-			if in.mem {
-				expect("memory hit computes 0x", d, none)
-				if again != first {
-					t.Fatal("memory hit returned a different pointer: the stage ran again")
-				}
-			} else {
-				expect("disk-only stage replays from disk", d, hit)
+			expect("memory hit computes 0x", d, none)
+			counted("memory hit", 0, 1)
+			if again != first {
+				t.Fatal("memory hit returned a different pointer: the stage ran again")
 			}
 
 			in.reset()
 			replayed, d := step("after Reset")
 			expect("disk hit computes 0x", d, hit)
+			if in.disk {
+				counted("disk hit", 0, 0)
+			}
 			if replayed == first {
 				t.Fatal("Reset kept the memory entry")
 			}
@@ -211,14 +235,12 @@ func TestTierInstances(t *testing.T) {
 				return entry
 			})
 
-			if !in.mem {
-				return // no memory tier: concurrent callers are not promised to share
-			}
 			c, err = artcache.Open(t.TempDir(), artcache.Options{})
 			if err != nil {
 				t.Fatal(err)
 			}
 			in.reset()
+			before := in.stats()
 			results := make([]any, 8)
 			var wg sync.WaitGroup
 			for i := range results {
@@ -234,11 +256,148 @@ func TestTierInstances(t *testing.T) {
 			}
 			wg.Wait()
 			expect("concurrent callers share one compute", c.Stats(), miss)
+			if ts := in.stats(); ts.Computed-before.Computed != 1 || ts.MemHits-before.MemHits != 7 {
+				t.Fatalf("8 concurrent callers: tier counted %+v, was %+v; want 1 computation and 7 memory hits", ts, before)
+			}
 			for i, v := range results {
 				if v != results[0] {
 					t.Fatalf("caller %d got its own result", i)
 				}
 			}
 		})
+	}
+}
+
+// TestInjectedAndProfilingRunsBypassBothTiers: a fault-injected run and
+// a profiling run execute every time they are asked for — their
+// counters must come from a real execution, and neither an injection
+// plan nor the profiling switch is part of any key — so the DBM tier
+// counts one computation per call, answers none from memory, and its
+// kind is never looked up in, or published to, the store.
+func TestInjectedAndProfilingRunsBypassBothTiers(t *testing.T) {
+	c, err := artcache.Open(t.TempDir(), artcache.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	exe, libs, err := workloads.Build("410.bwaves", workloads.Train, workloads.O3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	bin := BinaryOf(exe, libs...)
+	executes := func(what string, run func() error) {
+		t.Helper()
+		for i := 0; i < 2; i++ {
+			before := dbmTier.Stats()
+			if err := run(); err != nil {
+				t.Fatalf("%s: %v", what, err)
+			}
+			after := dbmTier.Stats()
+			if after.Computed != before.Computed+1 || after.MemHits != before.MemHits {
+				t.Fatalf("%s, call %d: tier counted %+v, was %+v; want one computation and no memory hit", what, i, after, before)
+			}
+		}
+	}
+
+	inject, err := faultinject.ParsePlan("scan-defeat")
+	if err != nil {
+		t.Fatal(err)
+	}
+	executes("injected run", func() error {
+		_, err := ParalleliseBinary(bin, nil, Config{Threads: 4, UseProfile: true, UseChecks: true, Verify: true, Inject: inject, Cache: c})
+		return err
+	})
+
+	prog, err := analyzer.Analyze(exe)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sched := prog.GenProfileSchedule()
+	img, err := sched.Save()
+	if err != nil {
+		t.Fatal(err)
+	}
+	executes("profiling run", func() error {
+		_, err := runDBM(c, bin, sched, scheduleDigest(img), dbm.Config{Threads: 1, Profile: true, Cost: dbm.DefaultCost(), MaxSteps: vm.DefaultMaxSteps})
+		return err
+	})
+
+	// The plan, baseline and profile beneath the injected run are cached
+	// as ever; the runs themselves left no trace.
+	st := c.Stats()
+	if _, looked := st.Kinds["dbm-v2"]; looked || st.Kinds["schedule-v1"].Misses != 1 {
+		t.Fatalf("store saw %s", st.KindsString())
+	}
+	if stored, _ := filepath.Glob(filepath.Join(c.Dir(), "dbm-v2", "*.art")); len(stored) != 0 {
+		t.Fatalf("%d bypassing runs were stored", len(stored))
+	}
+}
+
+// TestSharedPlansAndResultsStayImmutable: memoised plans, schedules and
+// results are handed to every caller that asks, concurrently, and are
+// never copied — so nothing downstream may write to one. Eight
+// concurrent runs at two thread counts share one plan (whose schedule
+// four DBMs index at once), one baseline and, per thread count, one
+// result; each report must equal what a process with empty memos
+// computes. The race detector sees any write.
+func TestSharedPlansAndResultsStayImmutable(t *testing.T) {
+	ref, libs, err := workloads.Build("470.lbm", workloads.Ref, workloads.O3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	trainExe, _, err := workloads.Build("470.lbm", workloads.Train, workloads.O3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	bin, train := BinaryOf(ref, libs...), BinaryOf(trainExe, libs...)
+	run := func(threads int) (*Report, error) {
+		return ParalleliseBinary(bin, train, Config{Threads: threads, UseProfile: true, UseChecks: true, Verify: true})
+	}
+	threadsOf := func(i int) int { return 4 + 4*(i%2) }
+
+	ResetMemos()
+	plans := planTier.Stats()
+	reports := make([]*Report, 8)
+	var wg sync.WaitGroup
+	for i := range reports {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			rep, err := run(threadsOf(i))
+			if err != nil {
+				t.Error(err)
+				return
+			}
+			// What readers do with a report.
+			if _, err := rep.Schedule.Save(); err != nil {
+				t.Error(err)
+			}
+			_ = rules.BuildIndex(rep.Schedule)
+			_ = rep.Speedup()
+			reports[i] = rep
+		}()
+	}
+	wg.Wait()
+	if t.Failed() {
+		return
+	}
+	if d := planTier.Stats(); d.Computed != plans.Computed+1 || d.MemHits != plans.MemHits+7 {
+		t.Fatalf("eight runs did not share one plan: tier counted %+v, was %+v", d, plans)
+	}
+	for i, rep := range reports {
+		if rep.Schedule != reports[0].Schedule || rep.Native != reports[0].Native || rep.DBM != reports[i%2].DBM {
+			t.Fatalf("run %d was handed its own plan, baseline or result", i)
+		}
+	}
+	for i := 0; i < 2; i++ {
+		ResetMemos()
+		fresh, err := run(threadsOf(i))
+		if err != nil {
+			t.Fatal(err)
+		}
+		for j := i; j < len(reports); j += 2 {
+			if fresh.DBM == reports[j].DBM || !reflect.DeepEqual(reports[j], fresh) {
+				t.Fatalf("%d threads: shared report %d differs from a fresh computation:\n got %+v\nwant %+v", threadsOf(i), j, reports[j], fresh)
+			}
+		}
 	}
 }

@@ -84,8 +84,11 @@ func main() {
 		if cache != nil {
 			st := cache.Stats()
 			fmt.Fprintln(os.Stderr, "janus-bench: artcache:", st)
-			// Per kind, hits/lookups: which stages a render read, observed.
+			// Per kind, hits/lookups and what the memory tier above the
+			// store answered or computed: which stages a render read,
+			// observed.
 			if len(st.Kinds) > 0 {
+				st = st.WithTiers(harness.TierStats())
 				fmt.Fprintln(os.Stderr, "janus-bench: artcache kinds:", st.KindsString())
 			}
 		}

@@ -98,10 +98,29 @@ type Stats struct {
 	Kinds map[string]KindStats
 }
 
-// KindStats are one artifact kind's lookup counters.
+// KindStats are one artifact kind's lookup counters: the store's, and —
+// once WithTiers folded them in — those of the stage's memory tier.
 type KindStats struct {
 	Hits   int64 `json:"hits"`
 	Misses int64 `json:"misses"`
+	TierStats
+}
+
+// WithTiers returns s with each stage's process-wide memory-tier
+// counters beside its kind's store counters, so lookups that never
+// reached the store are on the same line as those that did.
+func (s Stats) WithTiers(tiers map[string]TierStats) Stats {
+	kinds := make(map[string]KindStats, len(s.Kinds)+len(tiers))
+	for k, ks := range s.Kinds {
+		kinds[k] = ks
+	}
+	for k, ts := range tiers {
+		ks := kinds[k]
+		ks.TierStats = ts
+		kinds[k] = ks
+	}
+	s.Kinds = kinds
+	return s
 }
 
 // String renders the snapshot the way janus-bench prints it on stderr.
@@ -111,7 +130,8 @@ func (s Stats) String() string {
 }
 
 // KindsString renders the per-kind split as janus-bench prints it on its
-// second stderr line: "kind hits/lookups" in kind order.
+// second stderr line: "kind hits/lookups" in kind order, followed by the
+// memory tier's counters where WithTiers supplied any.
 func (s Stats) KindsString() string {
 	kinds := make([]string, 0, len(s.Kinds))
 	for k := range s.Kinds {
@@ -125,6 +145,9 @@ func (s Stats) KindsString() string {
 		}
 		ks := s.Kinds[k]
 		fmt.Fprintf(&b, "%s %d/%d", k, ks.Hits, ks.Hits+ks.Misses)
+		if ks.TierStats != (TierStats{}) {
+			fmt.Fprintf(&b, " (mem %d, computed %d)", ks.MemHits, ks.Computed)
+		}
 	}
 	return b.String()
 }

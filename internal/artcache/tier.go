@@ -3,6 +3,7 @@ package artcache
 import (
 	"errors"
 	"sync"
+	"sync/atomic"
 )
 
 // Tier is the one lookup every cached pipeline stage goes through:
@@ -42,6 +43,25 @@ type Tier[K comparable, V any] struct {
 
 	mu    sync.Mutex
 	calls map[K]*call[V]
+
+	memHits, computed atomic.Int64
+}
+
+// TierStats are one tier's memory-side counters since the process
+// started: beside the store's hits and misses they say where every
+// lookup of a stage ended.
+type TierStats struct {
+	// MemHits counts lookups answered from memory, by a completed entry
+	// or by joining one in flight.
+	MemHits int64 `json:"mem_hits,omitempty"`
+	// Computed counts the computations run: lookups that neither memory
+	// nor the store could answer, bypasses included.
+	Computed int64 `json:"computed,omitempty"`
+}
+
+// Stats snapshots the tier's counters. Reset does not clear them.
+func (t *Tier[K, V]) Stats() TierStats {
+	return TierStats{MemHits: t.memHits.Load(), Computed: t.computed.Load()}
 }
 
 // call is one in-flight or completed lookup.
@@ -58,12 +78,20 @@ var errPanicked = errors.New("artcache: shared computation panicked")
 // in-flight lookup, or by running Disk(c, diskKey, compute) exactly
 // once and remembering what it returned.
 func (t *Tier[K, V]) Do(c *Cache, memKey K, diskKey func() (Key, bool), compute func() (V, error)) (V, error) {
+	return t.Memo(memKey, func() (V, error) { return t.Disk(c, diskKey, compute) })
+}
+
+// Memo is the memory tier alone, around whatever lookup the stage makes
+// beneath it (Do's is one Disk call; a stage that may have to repeat
+// its disk lookup brings its own).
+func (t *Tier[K, V]) Memo(memKey K, lookup func() (V, error)) (V, error) {
 	t.mu.Lock()
 	if t.calls == nil {
 		t.calls = map[K]*call[V]{}
 	}
 	if cl, ok := t.calls[memKey]; ok {
 		t.mu.Unlock()
+		t.memHits.Add(1)
 		<-cl.done
 		return cl.val, cl.err
 	}
@@ -87,7 +115,7 @@ func (t *Tier[K, V]) Do(c *Cache, memKey K, diskKey func() (Key, bool), compute 
 		cl.err = errPanicked
 		close(cl.done)
 	}()
-	cl.val, cl.err = t.Disk(c, diskKey, compute)
+	cl.val, cl.err = lookup()
 	completed = true
 	close(cl.done)
 	return cl.val, cl.err
@@ -103,23 +131,24 @@ func (t *Tier[K, V]) Do(c *Cache, memKey K, diskKey func() (Key, bool), compute 
 // disk) are swallowed — the cache must never turn a computable
 // artifact into an error.
 func (t *Tier[K, V]) Disk(c *Cache, diskKey func() (Key, bool), compute func() (V, error)) (V, error) {
-	if c == nil || t.Decode == nil {
-		return compute()
+	var k Key
+	keyed := c != nil && t.Decode != nil
+	if keyed {
+		k, keyed = diskKey()
 	}
-	k, ok := diskKey()
-	if !ok {
-		return compute()
-	}
-	k.Kind = t.Kind
-	if data, hit := c.Get(k); hit {
-		if v, err := t.Decode(data); err == nil {
-			return v, nil
+	if keyed {
+		k.Kind = t.Kind
+		if data, hit := c.Get(k); hit {
+			if v, err := t.Decode(data); err == nil {
+				return v, nil
+			}
+			// Verified entry with an undecodable payload: a schema skew the
+			// kind tag failed to capture. Recompute and overwrite.
 		}
-		// Verified entry with an undecodable payload: a schema skew the
-		// kind tag failed to capture. Recompute and overwrite.
 	}
+	t.computed.Add(1)
 	v, err := compute()
-	if err != nil {
+	if err != nil || !keyed {
 		return v, err
 	}
 	if data, err := t.Encode(v); err == nil {

@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"os"
 	"reflect"
+	"runtime"
 	"sync"
 	"testing"
 )
@@ -175,5 +176,67 @@ func TestTierReplace(t *testing.T) {
 	}
 	if st := c.Stats(); st.BadEntries != 1 || st.Hits != 1 || st.Misses != 1 {
 		t.Fatalf("stats after Replace: %s", st)
+	}
+}
+
+// TestTierStats: every lookup of a tier ends in exactly one of three
+// places, and each is counted where it ends — memory (a completed entry
+// or an in-flight one joined), the store (the Cache's own hit counter),
+// or a computation, whichever of the bypasses led there. Reset drops
+// entries, not counts, and the counters render beside their kind's.
+func TestTierStats(t *testing.T) {
+	c := mustOpen(t, t.TempDir(), Options{})
+	tier := Tier[string, []byte]{
+		Kind:   "test-v1",
+		Encode: func(b []byte) ([]byte, error) { return b, nil },
+		Decode: func(b []byte) ([]byte, error) { return b, nil },
+	}
+	key := func() (Key, bool) { return Key{Binary: "x"}, true }
+	compute := func() ([]byte, error) { return []byte("v"), nil }
+	expect := func(what string, want TierStats) {
+		t.Helper()
+		if got := tier.Stats(); got != want {
+			t.Fatalf("%s: %+v, want %+v", what, got, want)
+		}
+	}
+	expect("unused tier", TierStats{})
+	tier.Do(c, "k", key, compute)
+	expect("miss everywhere computes", TierStats{Computed: 1})
+	tier.Do(c, "k", key, compute)
+	expect("memory hit", TierStats{MemHits: 1, Computed: 1})
+	tier.Reset()
+	tier.Do(c, "k", key, compute)
+	expect("store hit is the Cache's to count", TierStats{MemHits: 1, Computed: 1})
+	tier.Disk(nil, key, compute)
+	tier.Disk(c, func() (Key, bool) { return Key{}, false }, compute)
+	tier.Disk(c, key, func() ([]byte, error) { return nil, errors.New("not reached") })
+	expect("both bypasses compute, a store hit does not", TierStats{MemHits: 1, Computed: 3})
+	tier.Disk(nil, nil, func() ([]byte, error) { return nil, errors.New("failed") })
+	expect("a failed computation is one", TierStats{MemHits: 1, Computed: 4})
+
+	// An in-flight lookup joined is a memory hit.
+	started, release := make(chan struct{}), make(chan struct{})
+	var wg sync.WaitGroup
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		tier.Do(nil, "slow", nil, func() ([]byte, error) { close(started); <-release; return nil, nil })
+	}()
+	<-started
+	wg.Add(1)
+	go func() { defer wg.Done(); tier.Do(nil, "slow", nil, compute) }()
+	for tier.Stats().MemHits != 2 {
+		runtime.Gosched()
+	}
+	close(release)
+	wg.Wait()
+	expect("joined in flight", TierStats{MemHits: 2, Computed: 5})
+
+	st := c.Stats().WithTiers(map[string]TierStats{"test-v1": tier.Stats(), "other-v1": {Computed: 2}})
+	if got := st.KindsString(); got != "other-v1 0/0 (mem 0, computed 2), test-v1 2/3 (mem 2, computed 5)" {
+		t.Fatalf("KindsString() = %q", got)
+	}
+	if c.Stats().Kinds["test-v1"].TierStats != (TierStats{}) {
+		t.Fatal("WithTiers wrote through to the store's own counters")
 	}
 }

@@ -8,6 +8,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"math"
+	"slices"
 
 	"janus/internal/guest"
 	"janus/internal/obj"
@@ -44,11 +45,11 @@ type FuncBuilder struct {
 	b      *Builder
 }
 
-// dataChunk is the initialised bytes of one data symbol, placed at off
-// in the data section.
+// dataChunk is one initialised data symbol: n words at off in the data
+// section, word(i) at index i.
 type dataChunk struct {
-	off   int
-	bytes []byte
+	off, n int
+	word   func(i int) uint64
 }
 
 // Builder accumulates a whole program.
@@ -58,10 +59,10 @@ type Builder struct {
 	dataBase uint64
 	funcs    []*FuncBuilder
 	byName   map[string]*FuncBuilder
-	// The data section is held as its length plus one chunk per
-	// initialised symbol; zeroed reservations hold no bytes at all.
-	// Build lays the section out once, at its final size, so growing a
-	// ~10 MB section never re-copies what was already emitted.
+	// The data section is held as its length plus one generator per
+	// initialised symbol; nothing holds bytes before Build, which
+	// evaluates the generators in declaration order straight into the
+	// section at its final size, so a ~10 MB section is written once.
 	dataLen    int
 	dataChunks []dataChunk
 	// built is set by Build, which hands the section bytes to the
@@ -116,26 +117,23 @@ func (b *Builder) Data(name string, size int) uint64 {
 }
 
 // DataWords emits an array of n little-endian 64-bit words, word(i) at
-// index i, written straight into the symbol's bytes: a generator never
-// has to materialise its values as a slice first.
+// index i. word is kept and called by Build — once per index, symbols
+// in declaration order — so it must be a pure function of i over values
+// fixed when DataWords returns.
 func (b *Builder) DataWords(name string, n int, word func(i int) uint64) uint64 {
-	off := b.dataLen
-	addr := b.Data(name, n*8)
-	chunk := make([]byte, n*8)
-	for i := 0; i < n; i++ {
-		binary.LittleEndian.PutUint64(chunk[i*8:], word(i))
-	}
-	b.dataChunks = append(b.dataChunks, dataChunk{off: off, bytes: chunk})
-	return addr
+	b.dataChunks = append(b.dataChunks, dataChunk{off: b.dataLen, n: n, word: word})
+	return b.Data(name, n*8)
 }
 
-// DataF64 emits a float64 array initialised with vals.
+// DataF64 emits a float64 array initialised with a copy of vals.
 func (b *Builder) DataF64(name string, vals []float64) uint64 {
+	vals = slices.Clone(vals)
 	return b.DataWords(name, len(vals), func(i int) uint64 { return math.Float64bits(vals[i]) })
 }
 
-// DataI64 emits an int64 array initialised with vals.
+// DataI64 emits an int64 array initialised with a copy of vals.
 func (b *Builder) DataI64(name string, vals []int64) uint64 {
+	vals = slices.Clone(vals)
 	return b.DataWords(name, len(vals), func(i int) uint64 { return uint64(vals[i]) })
 }
 
@@ -351,7 +349,9 @@ func (b *Builder) Build() (*obj.Executable, error) {
 	}
 	data := make([]byte, b.dataLen)
 	for _, c := range b.dataChunks {
-		copy(data[c.off:], c.bytes)
+		for i := 0; i < c.n; i++ {
+			binary.LittleEndian.PutUint64(data[c.off+i*8:], c.word(i))
+		}
 	}
 	b.built, b.dataChunks = true, nil
 	return &obj.Executable{

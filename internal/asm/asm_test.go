@@ -2,6 +2,7 @@ package asm
 
 import (
 	"encoding/binary"
+	"runtime"
 	"testing"
 
 	"janus/internal/guest"
@@ -90,7 +91,11 @@ func TestDataLayout(t *testing.T) {
 // were emitted in, the section is exactly as long as what was reserved,
 // and — because the executable now owns those bytes and the loader maps
 // them into every machine — the builder refuses to build a second
-// executable over them.
+// executable over them. The section is also written once: DataWords
+// keeps its generator and Build evaluates it — symbols in declaration
+// order, one call per index — straight into the final bytes, so a
+// builder never holds a second copy of a symbol's data. DataF64 and
+// DataI64 take their values when called, not when built.
 func TestDataSectionLaidOutOnce(t *testing.T) {
 	b := NewBuilder("once")
 	w1 := b.DataWords("w1", 3, func(i int) uint64 { return uint64(10 + i) })
@@ -120,6 +125,44 @@ func TestDataSectionLaidOutOnce(t *testing.T) {
 	}
 	if again, err := b.Build(); err == nil || again != nil {
 		t.Fatal("a second Build on one builder did not fail")
+	}
+
+	const words = 1 << 17 // a 1 MiB symbol
+	b = NewBuilder("big")
+	var order []string
+	vals := []int64{5, 6}
+	var before, declared, built runtime.MemStats
+	runtime.ReadMemStats(&before)
+	b.DataWords("big", words, func(i int) uint64 {
+		if i == 0 {
+			order = append(order, "big")
+		}
+		return uint64(i)
+	})
+	vi := b.DataI64("vals", vals)
+	b.DataWords("tail", 1, func(int) uint64 { order = append(order, "tail"); return 1 })
+	vals[0] = 99 // the builder copied them
+	b.Func("main").Halt()
+	runtime.ReadMemStats(&declared)
+	exe, err = b.Build()
+	runtime.ReadMemStats(&built)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := declared.TotalAlloc - before.TotalAlloc; got >= 64<<10 {
+		t.Errorf("declaring a %d-byte symbol allocated %d bytes: its data was materialised before Build", words*8, got)
+	}
+	if got := built.TotalAlloc - declared.TotalAlloc; got >= words*8*5/4 {
+		t.Errorf("Build allocated %d bytes for a %d-byte section: the section was written more than once", got, len(exe.Data))
+	}
+	if len(order) != 2 || order[0] != "big" || order[1] != "tail" {
+		t.Errorf("generators ran as %v, want each once in declaration order", order)
+	}
+	if got := binary.LittleEndian.Uint64(exe.Data[vi-exe.DataBase:]); got != 5 {
+		t.Errorf("DataI64 read its slice at Build: first value %d, want 5", got)
+	}
+	if got := binary.LittleEndian.Uint64(exe.Data[(words-1)*8:]); got != words-1 {
+		t.Errorf("last generated word is %d", got)
 	}
 }
 

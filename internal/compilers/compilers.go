@@ -128,7 +128,7 @@ func ParalleliseBinary(c *artcache.Cache, kind Kind, bin *obj.Binary, threads in
 		MaxSteps:         vm.DefaultMaxSteps,
 		Cost:             staticCost(),
 	}
-	native, res, err := janus.RunScheduleBinary(c, bin, plan.Schedule, cfg)
+	native, res, err := janus.RunPlanBinary(c, bin, plan, cfg)
 	if err != nil {
 		return nil, err
 	}

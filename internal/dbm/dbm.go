@@ -460,6 +460,11 @@ func (ex *Executor) Run() (*Result, error) {
 	}, nil
 }
 
+// Close recycles the machine's memory for the next run (vm.Machine.Close).
+// The Result, the Stats and the profiles stay readable; memory, and so
+// DataHash, does not.
+func (ex *Executor) Close() { ex.M.Close() }
+
 // DataHash hashes memory below the runtime-private regions, for
 // correctness comparison against native runs (worker stacks and TLS
 // would otherwise differ).

@@ -305,10 +305,11 @@ func RunDiff(k *Kernel, o Options) (*Report, error) {
 			return nil, k.failf("%s: DBM construction: %v", ec.name, err)
 		}
 		res, err := ex.Run()
+		ex.Close()
 		if err != nil {
 			return nil, k.failf("%s: DBM run: %v", ec.name, err)
 		}
-		run := EngineRun{Name: ec.name, Cycles: res.Cycles, DataHash: ex.DataHash(), Stats: res.Stats}
+		run := EngineRun{Name: ec.name, Cycles: res.Cycles, DataHash: res.DataHash, Stats: res.Stats}
 		rep.Engines = append(rep.Engines, run)
 
 		// Lattice invariant 4 (execution): byte-identical behaviour.

@@ -18,6 +18,7 @@ import (
 
 	"janus"
 	"janus/internal/artcache"
+	"janus/internal/rules"
 	"janus/internal/workloads"
 )
 
@@ -48,6 +49,16 @@ func statsDelta(before, after artcache.Stats) artcache.Stats {
 	return d
 }
 
+// tierDelta is how the memory-tier counters moved between two
+// snapshots of TierStats.
+func tierDelta(before, after map[string]artcache.TierStats) map[string]artcache.TierStats {
+	d := map[string]artcache.TierStats{}
+	for kind, a := range after {
+		d[kind] = artcache.TierStats{MemHits: a.MemHits - before[kind].MemHits, Computed: a.Computed - before[kind].Computed}
+	}
+	return d
+}
+
 func TestGoldenColdWarmOff(t *testing.T) {
 	if testing.Short() {
 		t.Skip("three full-suite renders; run without -short")
@@ -73,13 +84,11 @@ func TestGoldenColdWarmOff(t *testing.T) {
 	resetMemoryTiers()
 	diffGolden(t, "cold cache", renderSuite(t, withCache()), want)
 	cold := cache.Stats()
-	if cold.Misses == 0 {
-		t.Fatalf("cold render recorded no misses (%s): the cache was not consulted", cold)
-	}
 
 	resetMemoryTiers()
+	saves, tiers := rules.Saves(), TierStats()
 	diffGolden(t, "warm cache", renderSuite(t, withCache()), want)
-	warm := statsDelta(cold, cache.Stats())
+	warm, warmTiers := statsDelta(cold, cache.Stats()), tierDelta(tiers, TierStats())
 	if warm.Hits == 0 {
 		t.Fatalf("warm render recorded no hits: cold %s, warm %s", cold, warm)
 	}
@@ -89,6 +98,11 @@ func TestGoldenColdWarmOff(t *testing.T) {
 	}
 	if warm.BadEntries != 0 || cold.BadEntries != 0 {
 		t.Errorf("store reported corrupt entries on a healthy run: cold %s, warm %s", cold, warm)
+	}
+	// A replayed plan brings its schedule's bytes, digest and size with
+	// it: keying 127 runs and sizing figure 10 serialises nothing.
+	if n := rules.Saves() - saves; n != 0 {
+		t.Errorf("warm render serialised %d schedules, want 0", n)
 	}
 
 	// What the store holds after one render, per kind. all counts the
@@ -115,46 +129,100 @@ func TestGoldenColdWarmOff(t *testing.T) {
 		}
 	}
 
+	// Every stage's memory key names what its disk key names, so the
+	// cold render looks each artifact up exactly once — a miss — and
+	// every later asker is answered from memory: no hits at all, and per
+	// kind as many lookups as there are entries (425 in total: 70 / 70 /
+	// 88 / 27 / 43 / 127).
+	wantCold := map[string]artcache.KindStats{}
+	for kind, n := range entries {
+		wantCold[kind] = artcache.KindStats{Misses: n}
+	}
+	if cold.Hits != 0 || !reflect.DeepEqual(cold.Kinds, wantCold) {
+		t.Errorf("cold render: %s, looked up %s; want each stored artifact missed once: %s",
+			cold, cold.KindsString(), artcache.Stats{Kinds: wantCold}.KindsString())
+	}
+
 	// A warm replay does NOT repeat the cold render's lookups, by
 	// design: what a stage looks up beneath a hit is skipped. A handle
 	// opened from its identity record never looks the image up, and a
 	// replayed plan never looks up the profile that trained it (nor
-	// analyses, nor loads either binary). What remains is observed per
-	// kind: one identity per build; one plan per Janus run (every spec
-	// of the run table: per parallelisable benchmark the full
-	// configuration at 1..Threads on O3, figure 7's two partial
-	// configurations, figure 12's O2 and O3AVX builds), per figure-6 row
-	// and per modelled compiler; one baseline per ref build behind its
-	// memory tier; and one DBM result per distinct run — the Janus runs,
-	// figure 7's bare-DBM run, and figure 11's two modelled compilers,
-	// which are clients of the same dbm tier under their own schedule
-	// and cost model.
-	janusRuns := names * (DefaultThreads + 2 + 2)
+	// analyses, nor loads either binary). What remains is one hit per
+	// identity, plan, baseline and run in the store (312: 70 / 88 / 27 /
+	// 127).
 	wantWarm := map[string]artcache.KindStats{
 		"ident-v1":    {Hits: builds},
-		"schedule-v1": {Hits: janusRuns + all + 2*names},
+		"schedule-v1": {Hits: entries["schedule-v1"]},
 		"native-v1":   {Hits: 3 * names},
-		"dbm-v2":      {Hits: janusRuns + names + 2*names},
+		"dbm-v2":      {Hits: entries["dbm-v2"]},
 	}
 	if !reflect.DeepEqual(warm.Kinds, wantWarm) {
 		t.Errorf("warm render looked up %s, want %s", warm.KindsString(), artcache.Stats{Kinds: wantWarm}.KindsString())
 	}
-	coldLookups := cold.Hits + cold.Misses
-	if warm.Hits >= coldLookups {
-		t.Errorf("warm render made %d lookups, cold %d — a replay must skip the build and profile lookups beneath its hits", warm.Hits, coldLookups)
+
+	// The store no longer sees how often a stage was ASKED; the memory
+	// tier does. One plan per Janus run (every spec of the run table: per
+	// parallelisable benchmark the full configuration at 1..Threads on
+	// O3, figure 7's two partial configurations, figure 12's O2 and
+	// O3AVX builds), per figure-6 row and per modelled compiler; one DBM
+	// result per Janus run, per bare-DBM run of figure 7 and per
+	// modelled compiler, which is a client of the same dbm tier under
+	// its own schedule and cost model. A figure that parallelises a
+	// binary itself instead of reading the render's run table asks again,
+	// and fails here.
+	janusRuns := names * (DefaultThreads + 2 + 2)
+	for kind, asked := range map[string]int64{
+		"schedule-v1": janusRuns + all + 2*names,
+		"dbm-v2":      janusRuns + names + 2*names,
+	} {
+		ts := warmTiers[kind]
+		if got := warm.Kinds[kind].Hits + ts.MemHits; got != asked || ts.Computed != 0 {
+			t.Errorf("warm render asked the %s stage %d times (%d from memory) and computed %d, want %d and 0",
+				kind, got, ts.MemHits, ts.Computed, asked)
+		}
 	}
-	// The cold render looks up everything the warm one does, plus each
-	// build once behind its identity miss, plus each profile once per
-	// (train build, analysis): once for the memoised train analysis the
-	// Janus plans of a flavour share, and once more where figure 6
-	// trains the same build on its own analysis.
-	coldKinds := map[string]int64{"build-v1": builds, "profile-v1": 3*names + all}
-	for kind, ks := range wantWarm {
-		coldKinds[kind] = ks.Hits
+}
+
+// TestCacheOffComputesWhatColdStores: cache off, cache cold and a warm
+// process are the same amount of work for the same bytes. A render with
+// the cache off computes, per stage, exactly as many artifacts as a cold
+// render stores of that kind — nothing is computed twice — and a second
+// identical render in the same process computes nothing at all.
+func TestCacheOffComputesWhatColdStores(t *testing.T) {
+	if testing.Short() {
+		t.Skip("three full-suite renders; run without -short")
 	}
-	for kind, n := range coldKinds {
-		if got := cold.Kinds[kind].Hits + cold.Kinds[kind].Misses; got != n {
-			t.Errorf("cold render made %d %s lookups, want %d (%s)", got, kind, n, cold.KindsString())
+	want := readGolden(t)
+	rendered := func(label string, o Options) map[string]artcache.TierStats {
+		t.Helper()
+		before := TierStats()
+		diffGolden(t, label, renderSuite(t, o), want)
+		return tierDelta(before, TierStats())
+	}
+	resetMemoryTiers()
+	off := rendered("cache off", DefaultOptions())
+	for kind, ts := range rendered("cache off, again", DefaultOptions()) {
+		if ts.Computed != 0 {
+			t.Errorf("a second render in one process computed %d %s artifacts, want 0", ts.Computed, kind)
+		}
+	}
+
+	o := DefaultOptions()
+	o.CacheDir = t.TempDir()
+	resetMemoryTiers()
+	cold := rendered("cold cache", o)
+	entries := entriesByKind(t, o.CacheDir)
+	if len(entries) != 6 {
+		t.Fatalf("cold store holds kinds %v, want six", entries)
+	}
+	for kind, n := range entries {
+		// An identity record is derived only where there is a store to
+		// key into; every other stage is the same work either way.
+		if kind != "ident-v1" && off[kind].Computed != n {
+			t.Errorf("cache off computed %d %s artifacts, a cold store holds %d", off[kind].Computed, kind, n)
+		}
+		if cold[kind].Computed != n {
+			t.Errorf("cache cold computed %d %s artifacts and stored %d", cold[kind].Computed, kind, n)
 		}
 	}
 }

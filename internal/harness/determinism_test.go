@@ -16,20 +16,23 @@ import (
 	"testing"
 )
 
-// renderFigure7 regenerates figure 7 and renders it to text. The
-// byte-comparison pairs below are skipped under -short (each renders
-// the figure twice); the -race CI job runs -short and still exercises
-// the concurrent machinery through TestGoldenOutput and the dbm engine
-// tests.
+// renderFigure7 regenerates figure 7 — executing its runs, not
+// replaying the other leg's from memory (freshRuns) — and renders it to
+// text. The byte-comparison pairs below are skipped under -short (each
+// renders the figure twice); the -race CI job runs -short and still
+// exercises the concurrent machinery through TestGoldenOutput and the
+// dbm engine tests.
 func renderFigure7(t *testing.T, o Options) string {
 	t.Helper()
 	if testing.Short() {
 		t.Skip("renders figure 7 twice; run without -short")
 	}
+	executed := freshRuns(t)
 	rows, err := Figure7(o)
 	if err != nil {
 		t.Fatal(err)
 	}
+	executed()
 	return RenderFigure7(rows)
 }
 

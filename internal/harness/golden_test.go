@@ -22,6 +22,7 @@ import (
 	"strings"
 	"testing"
 
+	"janus"
 	"janus/internal/obj"
 	"janus/internal/workloads"
 )
@@ -29,6 +30,22 @@ import (
 var update = flag.Bool("update", false, "rewrite testdata/janus-bench.golden from a fresh render")
 
 const goldenPath = "testdata/janus-bench.golden"
+
+// freshRuns drops the process's memoised plans and results, so the next
+// render executes its DBM runs instead of being handed the previous
+// cell's — a matrix cell that compares a memo with itself pins nothing —
+// and returns a check, to be called after the render, that it did.
+func freshRuns(t *testing.T) (executed func()) {
+	t.Helper()
+	janus.ResetMemos()
+	before := janus.TierStats()["dbm-v2"].Computed
+	return func() {
+		t.Helper()
+		if janus.TierStats()["dbm-v2"].Computed == before {
+			t.Fatal("the render executed no DBM run: it replayed another configuration's memoised results")
+		}
+	}
+}
 
 // renderSuite regenerates the full suite under o.
 func renderSuite(t *testing.T, o Options) string {
@@ -163,7 +180,9 @@ func TestGoldenAcrossConfigurations(t *testing.T) {
 				prev := runtime.GOMAXPROCS(tc.gomaxprocs)
 				defer runtime.GOMAXPROCS(prev)
 			}
+			executed := freshRuns(t)
 			diffGolden(t, tc.name, renderSuite(t, tc.opts()), want)
+			executed()
 		})
 	}
 }

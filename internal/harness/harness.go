@@ -152,6 +152,18 @@ func launch[T any](ctx context.Context, o Options, f func(*render) (T, error)) (
 	return f(r)
 }
 
+// TierStats reports the memory-tier counters of every cached stage a
+// render goes through, by artifact kind: what janus-bench and janusd
+// print beside the store's per-kind hits and misses, so a lookup that
+// never reached the store is accounted for too.
+func TierStats() map[string]artcache.TierStats {
+	out := janus.TierStats()
+	for kind, ts := range workloads.TierStats() {
+		out[kind] = ts
+	}
+	return out
+}
+
 // runMode is how much of the Janus system a run enables: the three
 // parallelising bars of figure 7.
 type runMode uint8
@@ -559,7 +571,7 @@ func figure10(r *render) ([]Fig10Row, error) {
 		if err != nil {
 			return Fig10Row{}, err
 		}
-		size := rep.Schedule.Size()
+		size := rep.ScheduleSize
 		// Normalise against the code section: the paper's SPEC binaries
 		// read their reference inputs from files, whereas our synthetic
 		// binaries embed them in .data, which would deflate the ratio

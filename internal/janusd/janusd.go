@@ -586,8 +586,10 @@ type Stats struct {
 	CacheMisses int64 `json:"cache_misses,omitempty"`
 	CacheBad    int64 `json:"cache_bad,omitempty"`
 	// CacheKinds splits hits and misses by artifact kind (build-v1,
-	// ident-v1, schedule-v1, native-v1, profile-v1, dbm-v2): which
-	// stages requests replayed and which they recomputed.
+	// ident-v1, schedule-v1, native-v1, profile-v1, dbm-v2), with each
+	// stage's memory-tier hits and computations since the process
+	// started: which stages requests replayed, from where, and which
+	// they recomputed.
 	CacheKinds map[string]artcache.KindStats `json:"cache_kinds,omitempty"`
 }
 
@@ -597,6 +599,7 @@ func (s *Server) Snapshot() Stats {
 	if s.cache != nil {
 		cs = s.cache.Stats()
 	}
+	cs = cs.WithTiers(harness.TierStats())
 	return Stats{
 		CacheHits:   cs.Hits,
 		CacheMisses: cs.Misses,

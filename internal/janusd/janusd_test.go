@@ -16,6 +16,7 @@ import (
 	"testing"
 	"time"
 
+	"janus"
 	"janus/internal/faultinject"
 	"janus/internal/harness"
 )
@@ -545,6 +546,12 @@ func TestGoldenThroughService(t *testing.T) {
 	}
 	s, base, _ := startServer(t, Config{Workers: 1, QueueDepth: -1})
 
+	// The first render must execute its runs, not be handed the results
+	// an earlier test of this process memoised; the daemon's own status
+	// says whether it did. The concurrent clients below are then served
+	// from memory, which is what a long-lived daemon is for.
+	janus.ResetMemos()
+	executed := s.Snapshot().CacheKinds["dbm-v2"].Computed
 	c := &Client{Base: base, Backoff: Backoff{Base: 20 * time.Millisecond, Max: 300 * time.Millisecond, Retries: 100, Seed: 1}}
 	warm, err := c.Render(context.Background(), Request{})
 	if err != nil {
@@ -552,6 +559,9 @@ func TestGoldenThroughService(t *testing.T) {
 	}
 	if warm.Output != string(golden) {
 		t.Fatalf("service render differs from golden fixture (%d vs %d bytes)", len(warm.Output), len(golden))
+	}
+	if s.Snapshot().CacheKinds["dbm-v2"].Computed == executed {
+		t.Fatal("/statusz counts no DBM run executed by the first render: it compared memoised results with the fixture")
 	}
 
 	const n = 3

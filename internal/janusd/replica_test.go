@@ -154,6 +154,12 @@ func TestReplicasShareCache(t *testing.T) {
 	if b := kinds["build-v1"]; b.Hits+b.Misses != 0 {
 		t.Fatalf("replica B's warm render looked up %d build images: %v", b.Hits+b.Misses, kinds)
 	}
+	// The memory-tier counters beside them are B's whole life: it never
+	// planned or executed anything, and what its concurrent requests
+	// asked for twice came from memory.
+	if kinds["schedule-v1"].Computed+kinds["dbm-v2"].Computed != 0 || kinds["dbm-v2"].MemHits == 0 {
+		t.Fatalf("replica B's statusz shows computations, or no memory hit, on a warm store: %v", kinds)
+	}
 }
 
 // longClient returns an HTTP client that tolerates full-suite renders.

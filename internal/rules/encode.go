@@ -5,6 +5,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"sort"
+	"sync/atomic"
 
 	"janus/internal/guest"
 	"janus/internal/sym"
@@ -329,8 +330,17 @@ func decodePayload(r *rd, id ID, n int) (Payload, error) {
 	return p, r.err
 }
 
+// saves counts Save calls (Saves).
+var saves atomic.Int64
+
+// Saves reports how many schedules this process has serialised. A
+// replayed plan brings its bytes with it, so a render from a warm store
+// must leave the count where it was.
+func Saves() int64 { return saves.Load() }
+
 // Save serialises the schedule.
 func (s *Schedule) Save() ([]byte, error) {
+	saves.Add(1)
 	w := &wr{}
 	w.b.WriteString(scheduleMagic)
 	w.str(s.ExeName)
@@ -378,6 +388,11 @@ func Load(img []byte) (*Schedule, error) {
 	}
 	if r.err != nil {
 		return nil, r.err
+	}
+	if r.off != len(img) {
+		// Callers name schedules by the digest of their image, which
+		// must therefore be one schedule and nothing else.
+		return nil, fmt.Errorf("rules: %d trailing bytes after the last rule", len(img)-r.off)
 	}
 	return s, nil
 }

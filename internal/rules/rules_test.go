@@ -99,6 +99,11 @@ func TestLoadRejectsCorruptImages(t *testing.T) {
 	if _, err := Load(nil); err == nil {
 		t.Error("nil image should fail")
 	}
+	// A schedule is named by the digest of its image: bytes past the
+	// last rule would give one schedule two names.
+	if _, err := Load(append(img, 0)); err == nil {
+		t.Error("an image with a trailing byte should fail")
+	}
 }
 
 func TestIndexOrderPreserved(t *testing.T) {

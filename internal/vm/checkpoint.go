@@ -95,15 +95,15 @@ func (c *Checkpoint) save(p *page) {
 	c.mu.Unlock()
 }
 
-// takeSpare returns a block for a pre-image, reusing one a released
-// checkpoint gave back when there is one.
+// takeSpare returns a block for a pre-image (the caller overwrites it in
+// full), reusing one a released checkpoint gave back when there is one.
 func (m *Memory) takeSpare() *pageData {
 	if n := len(m.spare); n > 0 {
 		buf := m.spare[n-1]
 		m.spare = m.spare[:n-1]
 		return buf
 	}
-	return new(pageData)
+	return takeBlock()
 }
 
 // Restore puts every page dirtied since Snapshot back to its saved

@@ -2,6 +2,7 @@ package vm
 
 import (
 	"bytes"
+	"encoding/binary"
 	"math/rand"
 	"runtime"
 	"sync"
@@ -135,14 +136,32 @@ func TestImageConcurrentFirstWrites(t *testing.T) {
 	}
 }
 
+// poisonPool fills the block pool with n blocks of 0xFF, the way closed
+// machines fill it with whatever their runs wrote.
+func poisonPool(n int) {
+	for i := 0; i < n; i++ {
+		d := new(pageData)
+		for j := range d {
+			d[j] = 0xFF
+		}
+		blockPool.Put(d)
+	}
+}
+
 // TestImagePropertyMatchesWriteBytes checks the mapped image against
 // the loader it replaced: for random sections — all-zero pages, ragged
 // ends, unaligned bases, no data at all — a Memory mapped over the image
 // and a reference Memory filled by WriteBytes must agree on Hash,
 // HashBelow and every byte, before and after the same random stores.
+// Both take their blocks from a pool poisoned with 0xFF and with what
+// the previous round's memories held when they were closed, and both
+// are held to a plain byte-slice model of the same stores: a fresh page
+// must read zero and a privatised one must equal its image, whatever
+// the block underneath held before.
 func TestImagePropertyMatchesWriteBytes(t *testing.T) {
 	rng := rand.New(rand.NewSource(20))
 	for round := 0; round < 60; round++ {
+		poisonPool(32)
 		base := uint64(obj.DefaultDataBase)
 		if round%3 == 1 {
 			base += uint64(rng.Intn(pageSize))
@@ -169,6 +188,8 @@ func TestImagePropertyMatchesWriteBytes(t *testing.T) {
 		got, ref := newMemoryOver(buildImage(base, data)), NewMemory()
 		ref.WriteBytes(base, data)
 		lo, span := base-pageSize, size+3*pageSize
+		model := make([]byte, span)
+		copy(model[base-lo:], data)
 		compare := func(when string) {
 			t.Helper()
 			if got.Hash() != ref.Hash() {
@@ -181,22 +202,29 @@ func TestImagePropertyMatchesWriteBytes(t *testing.T) {
 			if !bytes.Equal(got.ReadBytes(lo, span), ref.ReadBytes(lo, span)) {
 				t.Fatalf("round %d %s: bytes differ from the reference", round, when)
 			}
+			if !bytes.Equal(got.ReadBytes(lo, span), model) {
+				t.Fatalf("round %d %s: bytes differ from the model: a recycled block showed through", round, when)
+			}
 		}
 		compare("after load")
-		store := func(i int, mems ...*Memory) {
+		// store applies one random store to mems, and to the model when
+		// modelled.
+		store := func(i int, modelled bool, mems ...*Memory) {
 			addr := lo + uint64(rng.Intn(span-64))
+			var buf []byte
 			switch rng.Intn(4) {
 			case 0:
-				x := rng.Uint64()
+				buf = binary.LittleEndian.AppendUint64(nil, rng.Uint64())
 				for _, m := range mems {
-					m.Write64(addr, x)
+					m.Write64(addr, binary.LittleEndian.Uint64(buf))
 				}
 			case 1:
+				buf = []byte{byte(i)}
 				for _, m := range mems {
 					m.Store8(addr, byte(i))
 				}
 			case 2:
-				buf := make([]byte, rng.Intn(2*pageSize))
+				buf = make([]byte, rng.Intn(2*pageSize))
 				if rng.Intn(2) == 0 {
 					rng.Read(buf) // else zeroes: a zeroed page must drop out of the hash
 				}
@@ -206,13 +234,17 @@ func TestImagePropertyMatchesWriteBytes(t *testing.T) {
 				}
 			case 3:
 				src := lo + uint64(rng.Intn(span-64))
+				buf = bytes.Clone(model[src-lo : src-lo+64])
 				for _, m := range mems {
 					m.Copy(addr, src, 64)
 				}
 			}
+			if modelled {
+				copy(model[addr-lo:], buf)
+			}
 		}
 		for i := 0; i < 40; i++ {
-			store(i, got, ref)
+			store(i, true, got, ref)
 			if i%8 == 7 {
 				compare("mid-sequence")
 			}
@@ -221,15 +253,17 @@ func TestImagePropertyMatchesWriteBytes(t *testing.T) {
 				// undone by the checkpoint.
 				c := got.Snapshot()
 				for j := 0; j < 10; j++ {
-					store(j, got)
+					store(j, false, got)
 				}
 				c.Restore()
 				compare("after Restore")
 			}
 		}
 		compare("after stores")
+		got.Close()
+		ref.Close()
 		if !bytes.Equal(data, pristine) {
-			t.Fatalf("round %d: a store reached the section bytes", round)
+			t.Fatalf("round %d: a store or a recycled block reached the section bytes", round)
 		}
 	}
 }

@@ -168,6 +168,10 @@ func NewMachine(exe *obj.Executable, libs ...*obj.Library) (*Machine, error) {
 	return m, nil
 }
 
+// Close recycles the machine's memory (Memory.Close) once its run is
+// over and everything read of it — hashes, Output — has been taken.
+func (m *Machine) Close() { m.Mem.Close() }
+
 // NewContext returns a fresh context with its stack at top and PC at the
 // program entry.
 func (m *Machine) NewContext(id int, stackTop uint64) *Context {

@@ -28,6 +28,11 @@
 // cache headers, never byte pointers, so a page that one thread
 // privatises is seen by every other view on its next access — there is
 // no TLB shoot-down to get wrong.
+//
+// The private blocks a run writes outlive it: Close hands them to a
+// package-level pool the next machine's pages come from. A block is
+// recycled only after Close and is zeroed, or overwritten in full,
+// before it is mapped.
 package vm
 
 import (
@@ -71,6 +76,20 @@ const noPage = ^uint64(0)
 // pageData is the bytes of one page.
 type pageData [pageSize]byte
 
+// blockPool recycles private blocks between machines (Memory.Close puts,
+// the three allocation sites below and in checkpoint.go get). It is
+// touched only when a page is allocated and at Close, never per access.
+var blockPool sync.Pool
+
+// takeBlock returns a block whose contents are arbitrary: the caller
+// overwrites it in full or clears it.
+func takeBlock() *pageData {
+	if d, _ := blockPool.Get().(*pageData); d != nil {
+		return d
+	}
+	return new(pageData)
+}
+
 // Page states (page.dirty). A store is allowed only in pageDirty, so
 // every store path is one load and one compare whatever else a page can
 // be.
@@ -94,7 +113,8 @@ const (
 type page struct {
 	// data points at the page's current bytes: img while the page is
 	// shared, a private block from the first store on. It changes at
-	// that first store and when a checkpoint puts a saved block back.
+	// that first store, when a checkpoint puts a saved block back, and
+	// to nil at Close.
 	data atomic.Pointer[pageData]
 	// img is the loaded image's block this page was mapped from, nil
 	// for a page the Memory allocated itself. Never written through,
@@ -127,8 +147,11 @@ func (p *page) markDirty() {
 // leave img, so a late copier cannot replace a block already written to.
 func (p *page) setDirty() {
 	if p.dirty.Load() == pageShared && p.data.Load() == p.img {
-		cp := *p.img
-		p.data.CompareAndSwap(p.img, &cp)
+		cp := takeBlock()
+		*cp = *p.img
+		if !p.data.CompareAndSwap(p.img, cp) {
+			blockPool.Put(cp) // never published
+		}
 	}
 	p.dirty.Store(pageDirty)
 }
@@ -247,12 +270,40 @@ func (m *Memory) NewView() *MemView {
 	return v
 }
 
+// Close ends the Memory's life and recycles every block it owns — the
+// pages it allocated, its private copies of image pages, checkpoint
+// pre-images and spares. The page table is dropped and every header
+// loses its bytes, so a view that outlived the Memory faults on its next
+// access instead of reading another run's data. No guest thread may be
+// running; a second Close is a no-op.
+func (m *Memory) Close() {
+	if m.ckpt != nil {
+		m.ckpt.Discard() // its pre-images become spares
+	}
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	for _, p := range m.all {
+		if d := p.data.Swap(nil); d != nil && d != p.img {
+			blockPool.Put(d)
+		}
+	}
+	for _, d := range m.spare {
+		blockPool.Put(d)
+	}
+	m.leaves, m.all, m.spare = nil, nil, nil
+	m.view.init(m)
+}
+
 // leafFor returns the directory leaf covering leafKey, allocating it if
 // absent and create is set.
 func (m *Memory) leafFor(leafKey uint64, create bool) *leaf {
 	m.mu.RLock()
-	lf := m.leaves[leafKey]
+	leaves := m.leaves
+	lf := leaves[leafKey]
 	m.mu.RUnlock()
+	if leaves == nil {
+		panic("vm: memory used after Close")
+	}
 	if lf != nil || !create {
 		return lf
 	}
@@ -278,7 +329,9 @@ func (m *Memory) addPage(lf *leaf, key uint64) *page {
 	// is never consulted), which is what lets a checkpoint save it
 	// without copying it.
 	p := &page{key: key}
-	p.data.Store(new(pageData))
+	d := takeBlock()
+	*d = pageData{}
+	p.data.Store(d)
 	m.all = append(m.all, p)
 	m.sorted = false
 	slot.Store(p)

@@ -33,6 +33,7 @@ func RunNative(exe *obj.Executable, libs ...*obj.Library) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
+	defer m.Close()
 	c := m.NewContext(0, obj.DefaultStackTop)
 	if err := RunContext(m, c, DefaultMaxSteps); err != nil {
 		return nil, err

@@ -601,6 +601,16 @@ func ResetBuildCache() {
 	openTier.Reset()
 }
 
+// TierStats reports the memory-tier counters of the build and identity
+// stages by artifact kind (see janus.TierStats). Handles are memoised
+// above both, so a memory hit on a handle shows as no lookup at all.
+func TierStats() map[string]artcache.TierStats {
+	return map[string]artcache.TierStats{
+		buildTier.Kind: buildTier.Stats(),
+		identTier.Kind: identTier.Stats(),
+	}
+}
+
 // build performs the uncached assembly of one benchmark binary.
 func build(bm Benchmark, in Input, opt OptLevel) (built, error) {
 	if bm.buildExt != nil {

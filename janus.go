@@ -85,6 +85,9 @@ type Report struct {
 	Native   *vm.Result
 	DBM      *dbm.Result
 	Stats    dbm.Stats
+	// ScheduleSize is Schedule's serialised size in bytes (figure 10's
+	// numerator).
+	ScheduleSize int
 	// Selected is the number of loops parallelised.
 	Selected int
 	// CodeSize is the size of the binary's code section in bytes (what
@@ -114,7 +117,7 @@ func Parallelise(exe *obj.Executable, cfg Config, libs ...*obj.Library) (*Report
 // ParalleliseBinary runs the complete Janus flow on ref in its two
 // halves: the plan (PlanCached: static analysis, the optional training
 // stage on train — nil profiles ref itself — loop selection and
-// schedule generation) and its execution (RunScheduleBinary), validated
+// schedule generation) and its execution (RunPlanBinary), validated
 // against native execution when cfg.Verify. With cfg.Cache warm both
 // halves replay and neither binary's image is loaded. cfg.TrainExe is
 // not read: train is its handle form.
@@ -133,7 +136,7 @@ func ParalleliseBinary(ref, train *obj.Binary, cfg Config) (*Report, error) {
 	if cfg.Cost != nil {
 		dcfg.Cost = *cfg.Cost
 	}
-	native, res, err := RunScheduleBinary(cfg.Cache, ref, plan.Schedule, dcfg)
+	native, res, err := RunPlanBinary(cfg.Cache, ref, plan, dcfg)
 	if err != nil {
 		return nil, err
 	}
@@ -144,28 +147,46 @@ func ParalleliseBinary(ref, train *obj.Binary, cfg Config) (*Report, error) {
 		}
 	}
 	return &Report{
-		Schedule: plan.Schedule,
-		Native:   native,
-		DBM:      res,
-		Stats:    res.Stats,
-		Selected: plan.Selected(),
-		CodeSize: ref.CodeSize(),
+		Schedule:     plan.Schedule,
+		Native:       native,
+		DBM:          res,
+		Stats:        res.Stats,
+		ScheduleSize: len(plan.image),
+		Selected:     plan.Selected(),
+		CodeSize:     ref.CodeSize(),
 	}, nil
 }
 
-// RunScheduleBinary is the online half of a Janus run, for callers that
-// bring their own rewrite schedule and DBM configuration (a plan
-// replayed from the store, figure 11's modelled compilers, `janus run
-// -schedule`): bin's native baseline and its run under sched and dcfg,
-// each through its cached stage, so a binary shared with a Janus run
-// shares that run's baseline and a warm store replays both. Nil c keeps
-// the baseline's in-memory memo and always runs the DBM.
+// RunPlanBinary is the online half of a Janus run: bin's native baseline
+// and its run under plan's schedule and dcfg, each through its cached
+// stage, so a binary shared with another run shares that run's baseline,
+// a run asked for twice executes once, and a warm store replays both.
+// The run is keyed by the digest a plan of PlanCached's carries, so
+// nothing is serialised or hashed here; any other plan runs uncached.
+func RunPlanBinary(c *artcache.Cache, bin *obj.Binary, plan *Plan, dcfg dbm.Config) (*vm.Result, *dbm.Result, error) {
+	return runSchedule(c, bin, plan.Schedule, plan.digest, dcfg)
+}
+
+// RunScheduleBinary is RunPlanBinary for callers that bring a bare
+// rewrite schedule (`janus run -schedule`): sched is serialised and
+// hashed once per call to key the run; one that does not serialise runs
+// uncached.
 func RunScheduleBinary(c *artcache.Cache, bin *obj.Binary, sched *rules.Schedule, dcfg dbm.Config) (*vm.Result, *dbm.Result, error) {
+	var digest string // stays empty if sched does not serialise
+	if sched == nil {
+		digest = noSchedule
+	} else if img, err := sched.Save(); err == nil {
+		digest = scheduleDigest(img)
+	}
+	return runSchedule(c, bin, sched, digest, dcfg)
+}
+
+func runSchedule(c *artcache.Cache, bin *obj.Binary, sched *rules.Schedule, digest string, dcfg dbm.Config) (*vm.Result, *dbm.Result, error) {
 	native, err := runNativeBaseline(c, bin)
 	if err != nil {
 		return nil, nil, fmt.Errorf("janus: native run: %w", err)
 	}
-	res, err := runDBM(c, bin, sched, dcfg)
+	res, err := runDBM(c, bin, sched, digest, dcfg)
 	if err != nil {
 		return nil, nil, fmt.Errorf("janus: DBM run: %w", err)
 	}
@@ -204,8 +225,6 @@ type ProfileResult struct {
 	// Dependences records, for each ambiguous loop that executed,
 	// whether a cross-iteration dependence was observed.
 	Dependences map[int]bool
-	// Executor exposes the raw profiles (Excall statistics etc.).
-	Executor *dbm.Executor
 }
 
 // RunProfiling executes the statically-driven profiling stage (figure
@@ -217,6 +236,7 @@ func RunProfiling(exe *obj.Executable, prog *analyzer.Program, libs ...*obj.Libr
 	if err != nil {
 		return nil, err
 	}
+	defer ex.Close()
 	if _, err := ex.Run(); err != nil {
 		return nil, err
 	}
@@ -236,7 +256,6 @@ func RunProfiling(exe *obj.Executable, prog *analyzer.Program, libs ...*obj.Libr
 		ExclCoverage: ex.Cov.ExclusiveFractions(),
 		AvgIters:     ex.Cov.AvgIters(),
 		Dependences:  confirmed,
-		Executor:     ex,
 	}, nil
 }
 

@@ -23,6 +23,15 @@ type Plan struct {
 	Schedule *rules.Schedule
 	// Loops summarises every analysed loop, indexed by loop ID.
 	Loops []LoopSummary
+
+	// image is Schedule in its file format and digest names those bytes
+	// (scheduleDigest). Both are taken once, where the bytes exist
+	// anyway — computePlan's Save, decodePlan's payload — and serve
+	// every later use: the stored payload, figure 10's size, and the key
+	// of each run under the plan. A plan is shared between every caller
+	// that asks for it and is never modified.
+	image  []byte
+	digest string
 }
 
 // LoopSummary is what the figures read of one analysed loop.
@@ -82,35 +91,47 @@ func (cfg Config) Selection() Selection {
 	}
 }
 
-// planTier is used through Disk only: a plan's identity spans two
-// binaries and a policy, and within a process the harness's run table
-// already holds every report a plan went into.
-var planTier = artcache.Tier[struct{}, *Plan]{
+// planKey names a plan as its disk key does: the two binaries and the
+// policy. train is nil when the policy does not train or trains on ref
+// itself.
+type planKey struct {
+	ref, train *obj.Binary
+	sel        string
+	trains     bool
+}
+
+// planTier holds whole plans: every thread count of a Janus run, and
+// every later render in the same process, asks for the same one.
+var planTier = artcache.Tier[planKey, *Plan]{
 	Kind:   "schedule-v1",
+	Limit:  handleLimit,
 	Encode: encodePlan,
 	Decode: decodePlan,
 }
 
-// PlanCached returns the plan of ref under sel: from c when it holds
-// one for (ref identity, train identity or "self"/"none", sel.Key) — in which case
-// neither binary is analysed, profiled or loaded — and otherwise by
-// analysing ref, training on train when sel.Train (nil train profiles
-// ref itself; the profile is the profile-v1 stage), selecting and
-// generating the schedule, then publishing it. Nil c always computes.
+// PlanCached returns the plan of ref under sel: from memory, from c when
+// it holds one for (ref identity, train identity or "self"/"none",
+// sel.Key) — in which case neither binary is analysed, profiled or
+// loaded — and otherwise by analysing ref, training on train when
+// sel.Train (nil train profiles ref itself; the profile is the
+// profile-v1 stage), selecting and generating the schedule, then
+// publishing it. Nil c keeps the memory tier alone.
 func PlanCached(c *artcache.Cache, ref, train *obj.Binary, sel Selection) (*Plan, error) {
 	bins, trainedOn := []*obj.Binary{ref}, "none"
-	if sel.Train {
+	switch {
+	case !sel.Train:
+		train = nil
+	case train == nil:
 		trainedOn = "self"
-		if train != nil {
-			bins = append(bins, train)
-		}
+	default:
+		bins = append(bins, train)
 	}
-	return onDisk(&planTier, c, bins, func(ids []string) (artcache.Key, bool) {
+	return staged(&planTier, c, planKey{ref, train, sel.Key, sel.Train}, bins, func(ids []string) artcache.Key {
 		k := artcache.Key{Binary: ids[0], Input: trainedOn, Config: sel.Key}
 		if len(ids) > 1 {
 			k.Input = ids[1]
 		}
-		return k, true
+		return k
 	}, func() (*Plan, error) { return computePlan(c, ref, train, sel) })
 }
 
@@ -154,11 +175,15 @@ func computePlan(c *artcache.Cache, ref, train *obj.Binary, sel Selection) (*Pla
 	if err != nil {
 		return nil, fmt.Errorf("janus: schedule generation: %w", err)
 	}
+	img, err := sched.Save()
+	if err != nil {
+		return nil, fmt.Errorf("janus: schedule generation: %w", err)
+	}
 	loops := make([]LoopSummary, len(prog.Loops))
 	for i, li := range prog.Loops {
 		loops[i] = LoopSummary{Class: li.Class, ExclCoverage: li.ExclCoverage, Selected: li.Selected}
 	}
-	return &Plan{Schedule: sched, Loops: loops}, nil
+	return &Plan{Schedule: sched, Loops: loops, image: img, digest: scheduleDigest(img)}, nil
 }
 
 // Plan payload: u32 schedule length, the schedule in its own file
@@ -168,10 +193,7 @@ func computePlan(c *artcache.Cache, ref, train *obj.Binary, sel Selection) (*Pla
 const loopSummarySize = 1 + 8 + 1
 
 func encodePlan(p *Plan) ([]byte, error) {
-	img, err := p.Schedule.Save()
-	if err != nil {
-		return nil, err
-	}
+	img := p.image // every plan reaching the tier is computePlan's
 	out := make([]byte, 0, 8+len(img)+loopSummarySize*len(p.Loops))
 	out = binary.LittleEndian.AppendUint32(out, uint32(len(img)))
 	out = append(out, img...)
@@ -200,7 +222,10 @@ func decodePlan(data []byte) (*Plan, error) {
 	if n > len(data)-4 {
 		return bad("schedule length past the payload")
 	}
-	sched, err := rules.Load(data[:n])
+	// Load accepts exactly one schedule's bytes, so the digest below
+	// covers nothing but what was parsed.
+	img := data[:n:n]
+	sched, err := rules.Load(img)
 	if err != nil {
 		return nil, fmt.Errorf("janus: decode cached plan: %w", err)
 	}
@@ -219,5 +244,5 @@ func decodePlan(data []byte) (*Plan, error) {
 			Selected:     rec[9] == 1,
 		}
 	}
-	return &Plan{Schedule: sched, Loops: loops}, nil
+	return &Plan{Schedule: sched, Loops: loops, image: img, digest: scheduleDigest(img)}, nil
 }

@@ -2,6 +2,7 @@ package janus
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"os"
@@ -25,9 +26,12 @@ var figure7Modes = []Config{
 
 // TestReplayedPlanEqualsGenerated: for every registry benchmark under
 // every mode, the plan decoded from its schedule-v1 entry carries the
-// byte-identical schedule — the DBM result's key hashes those bytes, so
-// anything less would turn a warm replay into misses — and the same
-// loop summary.
+// byte-identical schedule and the same loop summary, and the digest it
+// took of the stored bytes — which keys every run under the plan, and
+// is never recomputed — is the SHA-256 of that schedule's serialised
+// form: anything else would turn a warm replay's runs into misses. The
+// memory tier is reset between the two lookups; without that the second
+// one is the first one's pointer and compares a plan with itself.
 func TestReplayedPlanEqualsGenerated(t *testing.T) {
 	c, err := artcache.Open(t.TempDir(), artcache.Options{})
 	if err != nil {
@@ -41,16 +45,18 @@ func TestReplayedPlanEqualsGenerated(t *testing.T) {
 		bin := BinaryOf(exe, libs...)
 		for _, cfg := range figure7Modes {
 			sel := cfg.Selection()
+			ResetMemos() // a plan another test memoised was never published here
 			gen, err := PlanCached(c, bin, nil, sel)
 			if err != nil {
 				t.Fatalf("%s, %s: %v", name, sel.Key, err)
 			}
+			ResetMemos()
 			before := c.Stats()
 			got, err := PlanCached(c, bin, nil, sel)
 			if err != nil {
 				t.Fatalf("%s, %s: %v", name, sel.Key, err)
 			}
-			if d := c.Stats(); d.Hits != before.Hits+1 || d.Misses != before.Misses {
+			if d := c.Stats(); d.Hits != before.Hits+1 || d.Misses != before.Misses || got == gen {
 				t.Fatalf("%s, %s: second plan was not one store hit (%s, was %s)", name, sel.Key, d, before)
 			}
 			want, err := gen.Schedule.Save()
@@ -63,6 +69,9 @@ func TestReplayedPlanEqualsGenerated(t *testing.T) {
 			}
 			if !bytes.Equal(have, want) {
 				t.Errorf("%s, %s: replayed schedule serialises to %d bytes that differ from the generated %d", name, sel.Key, len(have), len(want))
+			}
+			if d := scheduleDigest(have); got.digest != d || gen.digest != d || !bytes.Equal(got.image, have) {
+				t.Errorf("%s, %s: digests %s (replayed) and %s (generated), schedule hashes to %s", name, sel.Key, got.digest, gen.digest, d)
 			}
 			if !reflect.DeepEqual(got.Loops, gen.Loops) || got.Selected() != gen.Selected() || len(gen.Loops) == 0 {
 				t.Errorf("%s, %s: replayed loop summary %v, generated %v", name, sel.Key, got.Loops, gen.Loops)
@@ -127,6 +136,7 @@ func TestUnloadablePlanIsRecomputed(t *testing.T) {
 		t.Fatal(err)
 	}
 	bin, sel := BinaryOf(exe, libs...), Config{}.Selection()
+	ResetMemos()
 	gen, err := PlanCached(c, bin, nil, sel)
 	if err != nil {
 		t.Fatal(err)
@@ -146,6 +156,7 @@ func TestUnloadablePlanIsRecomputed(t *testing.T) {
 		}
 		return staleLayoutWith(entry, payload)
 	})
+	ResetMemos() // the generated plan is in memory; the store is what is under test
 	before := c.Stats()
 	got, err := PlanCached(c, bin, nil, sel)
 	if err != nil {
@@ -163,6 +174,40 @@ func TestUnloadablePlanIsRecomputed(t *testing.T) {
 		}
 		return entry
 	})
+}
+
+// TestPlanDigestCoversExactlyTheSchedule: the digest is taken of the
+// payload's schedule slice as stored, so those bytes must be one
+// schedule and nothing else. A payload whose slice carries bytes past
+// the last rule — which would parse to the same schedule under another
+// digest — is refused, as is one with bytes past the loop summary.
+func TestPlanDigestCoversExactlyTheSchedule(t *testing.T) {
+	exe, libs, err := workloads.Build("470.lbm", workloads.Train, workloads.O3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	plan, err := PlanCached(nil, BinaryOf(exe, libs...), nil, Config{}.Selection())
+	if err != nil {
+		t.Fatal(err)
+	}
+	good, err := encodePlan(plan)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if back, err := decodePlan(good); err != nil || back.digest != plan.digest {
+		t.Fatalf("round trip: %v", err)
+	}
+	n := binary.LittleEndian.Uint32(good)
+	padded := binary.LittleEndian.AppendUint32(nil, n+3)
+	padded = append(padded, good[4:4+n]...)
+	padded = append(padded, "xyz"...)
+	padded = append(padded, good[4+n:]...)
+	if p, err := decodePlan(padded); err == nil {
+		t.Fatalf("a schedule slice with trailing bytes decoded under digest %s (honest %s)", p.digest, plan.digest)
+	}
+	if _, err := decodePlan(append(bytes.Clone(good), 0)); err == nil {
+		t.Fatal("a payload with a byte past its loop summary decoded")
+	}
 }
 
 // TestScheduleForAnotherBinaryIsRefused: a schedule that went through
