@@ -52,6 +52,20 @@ type dataChunk struct {
 	word   func(i int) uint64
 }
 
+// chunkSpan is where a dataChunk sits, without its generator.
+type chunkSpan struct{ off, n int }
+
+// Section is a data section generated from one builder's declarations,
+// together with the layout that generated it. Builders that declare
+// the same layout — every optimisation level of one workload does —
+// can build over one Section (BuildOver), so the section is generated
+// once and all their executables alias its bytes.
+type Section struct {
+	sec    *obj.Section
+	syms   []obj.Symbol
+	chunks []chunkSpan
+}
+
 // Builder accumulates a whole program.
 type Builder struct {
 	name     string
@@ -270,14 +284,64 @@ func (f *FuncBuilder) Nop() *FuncBuilder {
 // Len returns the number of instructions emitted so far.
 func (f *FuncBuilder) Len() int { return len(f.items) }
 
+// Section evaluates the builder's data generators — symbols in
+// declaration order, one call per index — straight into a new section
+// at its final size, and records the layout it came from.
+func (b *Builder) Section() *Section {
+	data := make([]byte, b.dataLen)
+	spans := make([]chunkSpan, len(b.dataChunks))
+	for i, c := range b.dataChunks {
+		for j := 0; j < c.n; j++ {
+			binary.LittleEndian.PutUint64(data[c.off+j*8:], c.word(j))
+		}
+		spans[i] = chunkSpan{off: c.off, n: c.n}
+	}
+	return &Section{
+		sec:    &obj.Section{Base: b.dataBase, Bytes: data},
+		syms:   slices.Clone(b.dataSyms),
+		chunks: spans,
+	}
+}
+
+// sameLayout reports whether sec was generated from exactly b's data
+// declarations: base, symbol names, offsets and sizes, and where each
+// initialised symbol's words sit.
+func (b *Builder) sameLayout(sec *Section) bool {
+	if sec.sec.Base != b.dataBase || len(sec.sec.Bytes) != b.dataLen || !slices.Equal(sec.syms, b.dataSyms) || len(sec.chunks) != len(b.dataChunks) {
+		return false
+	}
+	for i, c := range b.dataChunks {
+		if sec.chunks[i] != (chunkSpan{off: c.off, n: c.n}) {
+			return false
+		}
+	}
+	return true
+}
+
 // Build lays out all functions and the PLT, resolves relocations and
-// returns the finished executable. The data section is laid out here,
-// once, and belongs to the executable from then on (executables are
-// immutable, and the loader maps these very bytes into every machine),
-// so a builder builds one executable: a second Build is an error.
+// returns the finished executable over a data section of its own
+// (Section). The section belongs to the executable from then on
+// (executables are immutable, and the loader maps these very bytes into
+// every machine), so a builder builds one executable: a second Build is
+// an error.
 func (b *Builder) Build() (*obj.Executable, error) {
 	if b.built {
 		return nil, fmt.Errorf("asm: program %q was already built", b.name)
+	}
+	return b.BuildOver(b.Section())
+}
+
+// BuildOver is Build over sec instead of a freshly generated section:
+// the executable aliases sec's bytes and shares the loader's view of
+// them with every other executable built over sec. sec must have been
+// generated from a data layout equal to b's (Section); otherwise
+// BuildOver returns an error. b's own generators are never called.
+func (b *Builder) BuildOver(sec *Section) (*obj.Executable, error) {
+	if b.built {
+		return nil, fmt.Errorf("asm: program %q was already built", b.name)
+	}
+	if !b.sameLayout(sec) {
+		return nil, fmt.Errorf("asm: program %q: data section was generated from another layout", b.name)
 	}
 	// Assign addresses: functions in definition order, then PLT stubs.
 	funcAddr := map[string]uint64{}
@@ -347,23 +411,17 @@ func (b *Builder) Build() (*obj.Executable, error) {
 	if f, ok := b.byName["main"]; ok {
 		entry = funcAddr[f.name]
 	}
-	data := make([]byte, b.dataLen)
-	for _, c := range b.dataChunks {
-		for i := 0; i < c.n; i++ {
-			binary.LittleEndian.PutUint64(data[c.off+i*8:], c.word(i))
-		}
-	}
 	b.built, b.dataChunks = true, nil
-	return &obj.Executable{
+	exe := &obj.Executable{
 		Name:     b.name,
 		Entry:    entry,
 		CodeBase: b.codeBase,
 		Code:     code,
-		DataBase: b.dataBase,
-		Data:     data,
 		Symbols:  symbols,
 		Imports:  imports,
-	}, nil
+	}
+	exe.ShareSection(sec.sec)
+	return exe, nil
 }
 
 // BuildLibrary assembles a shared library from the builder's functions.

@@ -270,3 +270,76 @@ func TestEmptyProgramFails(t *testing.T) {
 		t.Fatal("empty program must fail")
 	}
 }
+
+// TestSectionLayoutMismatchRefused: a builder builds over a pre-generated
+// section only if the section came from the same data layout — base,
+// symbol names, offsets and sizes, and where each initialised symbol's
+// words sit — and then aliases its bytes without calling a generator.
+// Any other layout is an error, not an executable over foreign data.
+func TestSectionLayoutMismatchRefused(t *testing.T) {
+	declare := func(b *Builder) {
+		b.DataWords("a", 4, func(i int) uint64 { return uint64(i) + 1 })
+		b.Data("z", 16)
+		b.DataI64("c", []int64{7, 8})
+		b.Func("main").Halt()
+	}
+	gen := NewBuilder("gen")
+	declare(gen)
+	sec := gen.Section()
+
+	same := NewBuilder("same")
+	same.DataWords("a", 4, func(int) uint64 { panic("generator called over a shared section") })
+	same.Data("z", 16)
+	same.DataI64("c", []int64{7, 8})
+	same.Func("main").Halt()
+	exe, err := same.BuildOver(sec)
+	if err != nil {
+		t.Fatalf("same layout refused: %v", err)
+	}
+	own, err := gen.Build()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if &exe.Data[0] != &sec.sec.Bytes[0] || exe.DataSection() != sec.sec {
+		t.Fatal("BuildOver copied the section")
+	}
+	if string(exe.Data) != string(own.Data) {
+		t.Fatal("shared section differs from the generating builder's own build")
+	}
+
+	for name, mk := range map[string]func(b *Builder){
+		"symbol name": func(b *Builder) {
+			b.DataWords("A", 4, func(i int) uint64 { return 0 })
+			b.Data("z", 16)
+			b.DataI64("c", []int64{7, 8})
+		},
+		"symbol size": func(b *Builder) {
+			b.DataWords("a", 4, func(i int) uint64 { return 0 })
+			b.Data("z", 24)
+			b.DataI64("c", []int64{7, 8})
+		},
+		"symbol order": func(b *Builder) {
+			b.Data("z", 16)
+			b.DataWords("a", 4, func(i int) uint64 { return 0 })
+			b.DataI64("c", []int64{7, 8})
+		},
+		"chunk offset": func(b *Builder) {
+			// Same symbols, offsets and sizes; "z" is initialised
+			// and "a" is not, so the words sit elsewhere.
+			b.Data("a", 32)
+			b.DataWords("z", 2, func(i int) uint64 { return 0 })
+			b.DataI64("c", []int64{7, 8})
+		},
+		"extra symbol": func(b *Builder) {
+			declare(b)
+			b.Data("tail", 8)
+		},
+	} {
+		b := NewBuilder("other")
+		mk(b)
+		b.Func("main").Halt()
+		if exe, err := b.BuildOver(sec); err == nil || exe != nil {
+			t.Errorf("%s: a section of another layout was accepted", name)
+		}
+	}
+}

@@ -460,10 +460,14 @@ func (ex *Executor) Run() (*Result, error) {
 	}, nil
 }
 
-// Close recycles the machine's memory for the next run (vm.Machine.Close).
-// The Result, the Stats and the profiles stay readable; memory, and so
-// DataHash, does not.
-func (ex *Executor) Close() { ex.M.Close() }
+// Close recycles the machine's memory (vm.Machine.Close) and the
+// dependence profile's tables (profiler.Dependence.Close) for the next
+// run. The Result, the Stats, the coverage and external-call profiles
+// stay readable; memory, and so DataHash, and Dep do not.
+func (ex *Executor) Close() {
+	ex.M.Close()
+	ex.Dep.Close()
+}
 
 // DataHash hashes memory below the runtime-private regions, for
 // correctness comparison against native runs (worker stacks and TLS

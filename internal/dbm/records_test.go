@@ -22,7 +22,7 @@ import (
 )
 
 // scheduleOf is exe's parallel schedule, runtime checks allowed.
-func scheduleOf(t *testing.T, exe *obj.Executable) *rules.Schedule {
+func scheduleOf(t testing.TB, exe *obj.Executable) *rules.Schedule {
 	t.Helper()
 	p, err := analyzer.Analyze(exe)
 	if err != nil {

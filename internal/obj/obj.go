@@ -58,14 +58,36 @@ type Import struct {
 	PLT  uint64
 }
 
+// Section is one data section: its load address and bytes, plus the
+// loader's view of them (see Loaded). Several executables may alias one
+// section — every optimisation level of one (benchmark, input) does
+// (asm.Builder.BuildOver) — and then share what the loader derives from
+// it. A section is immutable and, like an Executable, must not be
+// copied by value.
+type Section struct {
+	Base  uint64
+	Bytes []byte
+
+	loadOnce sync.Once
+	loaded   any
+}
+
+// Loaded returns the loader's view of s: the value build returned on
+// the first call, built at most once however many machines load an
+// executable over s concurrently. It lives exactly as long as s.
+func (s *Section) Loaded(build func() any) any {
+	s.loadOnce.Do(func() { s.loaded = build() })
+	return s.loaded
+}
+
 // Executable is a loadable guest program image.
 //
 // An executable is immutable once constructed: nothing may write to
 // Code, Data, Symbols or Imports afterwards. Every consumer relies on
 // it — the memoised identity (Binary), the pointer-keyed stage caches,
 // and the loader, which maps Data's bytes into every machine it loads
-// instead of copying them (vm.NewMachine). Because it carries the
-// loader's once-built image, an Executable must not be copied by value.
+// instead of copying them (vm.NewMachine). Because it carries
+// once-built derived state, an Executable must not be copied by value.
 type Executable struct {
 	Name     string
 	Entry    uint64
@@ -80,20 +102,83 @@ type Executable struct {
 	// targets alone.
 	Stripped bool
 
-	// loaded is what the loader derived from the sections the first
-	// time this executable was loaded (see Loaded). It belongs to this
+	// section is the data section Data and DataBase alias: shared with
+	// other executables when set at construction (ShareSection), made
+	// private to this executable on first use otherwise (DataSection).
+	sectionOnce sync.Once
+	section     *Section
+	// decoded is the code section decoded once (Decoded).
+	decodeOnce sync.Once
+	decoded    *Decoded
+	// loaded is what the loader linked from the code the first time
+	// this executable was loaded (see Loaded). It belongs to this
 	// executable alone and is collected with it.
 	loadOnce sync.Once
 	loaded   any
 }
 
-// Loaded returns the loader's view of e's sections: the value build
+// ShareSection makes s e's data section: Data and DataBase become s's,
+// and every executable sharing s shares the loader's view of it. It is
+// part of construction and must precede any other use of e.
+func (e *Executable) ShareSection(s *Section) {
+	e.section, e.DataBase, e.Data = s, s.Base, s.Bytes
+}
+
+// DataSection returns e's data section: the shared one if e was built
+// over one (ShareSection), otherwise a section private to e, made on
+// first use — the behaviour of an executable that shares nothing.
+func (e *Executable) DataSection() *Section {
+	e.sectionOnce.Do(func() {
+		if e.section == nil {
+			e.section = &Section{Base: e.DataBase, Bytes: e.Data}
+		}
+	})
+	return e.section
+}
+
+// Loaded returns the loader's linked view of e's code: the value build
 // returned on the first call, built at most once however many machines
 // load e concurrently. The value lives exactly as long as e, so a
-// process that drops an executable drops its loaded image with it.
+// process that drops an executable drops it with it.
 func (e *Executable) Loaded(build func() any) any {
 	e.loadOnce.Do(func() { e.loaded = build() })
 	return e.loaded
+}
+
+// Decoded is an executable's code section decoded once and shared by
+// every reader (the loader, the CFG builder, disassembly): nothing may
+// write to it.
+type Decoded struct {
+	// Insts[i] is the instruction at CodeBase + i*guest.InstSize when
+	// OK[i]; an undecodable slot is zero and not OK. A ragged trailing
+	// fragment has no slot.
+	Insts []guest.Inst
+	OK    []bool
+	// Err is what guest.DecodeAll reports for the section: nil exactly
+	// when every slot decodes and no fragment trails.
+	Err error
+}
+
+// Decoded returns e's code section decoded, decoding it on first use.
+func (e *Executable) Decoded() *Decoded {
+	e.decodeOnce.Do(func() {
+		n := len(e.Code) / guest.InstSize
+		d := &Decoded{Insts: make([]guest.Inst, n), OK: make([]bool, n)}
+		bad := len(e.Code)%guest.InstSize != 0
+		for i := range n {
+			in, err := guest.Decode(e.Code[i*guest.InstSize:])
+			if err != nil {
+				bad = true
+				continue
+			}
+			d.Insts[i], d.OK[i] = in, true
+		}
+		if bad {
+			_, d.Err = guest.DecodeAll(e.Code)
+		}
+		e.decoded = d
+	})
+	return e.decoded
 }
 
 // CodeEnd returns the first address past the code section.
@@ -108,9 +193,14 @@ func (e *Executable) InCode(addr uint64) bool {
 }
 
 // Decode disassembles the full code section. Instruction i sits at
-// address CodeBase + i*guest.InstSize.
+// address CodeBase + i*guest.InstSize. The slice is e's shared decoded
+// form (Decoded): callers must not write to it.
 func (e *Executable) Decode() ([]guest.Inst, error) {
-	return guest.DecodeAll(e.Code)
+	d := e.Decoded()
+	if d.Err != nil {
+		return nil, d.Err
+	}
+	return d.Insts, nil
 }
 
 // InstAt decodes the single instruction at addr.
@@ -162,10 +252,12 @@ func (e *Executable) SymbolByName(name string) (Symbol, bool) {
 // bounds, imports. The sections and the import table are shared with e,
 // not copied: executables are immutable (see Executable), and a ~10 MB
 // image per build is exactly the copy that contract exists to avoid.
-// The result is built field by field so e's loaded image does not
-// follow it; the stripped executable builds its own on first load.
+// The result is built field by field: a shared data section follows it,
+// but e's decoded and linked code do not — the stripped executable
+// builds its own on first use.
 func (e *Executable) Strip() *Executable {
 	return &Executable{
+		section:  e.section,
 		Name:     e.Name,
 		Entry:    e.Entry,
 		CodeBase: e.CodeBase,

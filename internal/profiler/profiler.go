@@ -16,7 +16,11 @@
 // disabled whenever profiling is on).
 package profiler
 
-import "janus/internal/wordmap"
+import (
+	"sync"
+
+	"janus/internal/wordmap"
+)
 
 // grown returns s extended (zero-filled) so that index id is valid.
 func grown[T any](s []T, id int) []T {
@@ -179,7 +183,8 @@ type depRecord struct {
 // instrumented accesses of each profiled loop.
 type Dependence struct {
 	// last[loopID] records, per word address, the last iteration that
-	// touched it and whether it was a write.
+	// touched it and whether it was a write. Tables come from tables
+	// and go back there at Close.
 	last []*wordmap.Table[depRecord]
 	// iter[loopID] is the current iteration ordinal of the invocation.
 	iter []int64
@@ -187,25 +192,44 @@ type Dependence struct {
 	observed []bool
 	// conflicts counts dependence events per loop.
 	conflicts []int64
+	// closed is set by Close; any later use panics.
+	closed bool
 }
+
+// tables recycles dependence tables, with their backing arrays, from
+// closed profiles to new ones, so a profiling run of a binary whose
+// predecessor has closed allocates no table storage once warm.
+var tables = sync.Pool{New: func() any { return new(wordmap.Table[depRecord]) }}
 
 // NewDependence returns an empty dependence profile.
 func NewDependence() *Dependence {
 	return &Dependence{}
 }
 
-// EnterIter advances the loop to its next iteration (and resets
-// tracking state on a fresh invocation, identified by first=true).
-func (d *Dependence) EnterIter(loopID int, first bool) {
+// table returns loop loopID's table, growing the per-loop state to
+// cover it and taking the table from the pool — emptied and at its
+// initial size — on the loop's first use.
+func (d *Dependence) table(loopID int) *wordmap.Table[depRecord] {
+	d.live()
 	d.last = grown(d.last, loopID)
 	d.iter = grown(d.iter, loopID)
 	d.observed = grown(d.observed, loopID)
 	d.conflicts = grown(d.conflicts, loopID)
+	t := d.last[loopID]
+	if t == nil {
+		t = tables.Get().(*wordmap.Table[depRecord])
+		t.Recycle()
+		d.last[loopID] = t
+	}
+	return t
+}
+
+// EnterIter advances the loop to its next iteration (and resets
+// tracking state on a fresh invocation, identified by first=true).
+func (d *Dependence) EnterIter(loopID int, first bool) {
+	t := d.table(loopID)
 	if first {
-		if d.last[loopID] == nil {
-			d.last[loopID] = &wordmap.Table[depRecord]{}
-		}
-		d.last[loopID].Reset()
+		t.Reset()
 		d.iter[loopID] = 0
 		return
 	}
@@ -217,15 +241,7 @@ func (d *Dependence) EnterIter(loopID int, first bool) {
 // least one access is a write (word-granularity, like the paper's
 // word-based tracking).
 func (d *Dependence) Record(loopID int, addr uint64, width int64, write bool) {
-	d.last = grown(d.last, loopID)
-	d.iter = grown(d.iter, loopID)
-	d.observed = grown(d.observed, loopID)
-	d.conflicts = grown(d.conflicts, loopID)
-	t := d.last[loopID]
-	if t == nil {
-		t = &wordmap.Table[depRecord]{}
-		d.last[loopID] = t
-	}
+	t := d.table(loopID)
 	cur := d.iter[loopID]
 	for off := int64(0); off < width; off += 8 {
 		w := (addr + uint64(off)) &^ 7 // word granularity
@@ -240,9 +256,25 @@ func (d *Dependence) Record(loopID int, addr uint64, width int64, write bool) {
 	}
 }
 
+// Close returns the profile's tables to the pool for the next profile.
+// What Observed and Conflicts report must be read before; any use after
+// Close panics. A second Close is a no-op.
+func (d *Dependence) Close() {
+	if d.closed {
+		return
+	}
+	for _, t := range d.last {
+		if t != nil {
+			tables.Put(t)
+		}
+	}
+	*d = Dependence{closed: true}
+}
+
 // Observed returns the loops with at least one profiled cross-iteration
 // dependence.
 func (d *Dependence) Observed() map[int]bool {
+	d.live()
 	out := make(map[int]bool)
 	for id, o := range d.observed {
 		if o {
@@ -254,10 +286,18 @@ func (d *Dependence) Observed() map[int]bool {
 
 // Conflicts returns the dependence event count for a loop.
 func (d *Dependence) Conflicts(loopID int) int64 {
+	d.live()
 	if loopID >= len(d.conflicts) {
 		return 0
 	}
 	return d.conflicts[loopID]
+}
+
+// live panics if d was closed.
+func (d *Dependence) live() {
+	if d.closed {
+		panic("profiler: Dependence used after Close")
+	}
 }
 
 // ExcallStats aggregates PROF_EXCALL profiling: instruction and memory

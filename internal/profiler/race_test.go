@@ -1,0 +1,5 @@
+//go:build race
+
+package profiler
+
+const raceEnabled = true

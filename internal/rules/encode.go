@@ -120,6 +120,18 @@ func (r *rd) str() string {
 
 func (r *rd) boolean() bool { return r.u8() == 1 }
 
+// reg reads a register operand: a general-purpose register, the TLS
+// pseudo-register or RegNone. Anything else would index past a
+// context's register file, so it fails the load.
+func (r *rd) reg() guest.Reg {
+	off := r.off
+	reg := guest.Reg(r.u8())
+	if r.err == nil && reg > guest.RegTLS && reg != guest.RegNone {
+		r.err = fmt.Errorf("rules: bad register %d at offset %d", reg, off)
+	}
+	return reg
+}
+
 func (r *rd) expr() sym.Expr {
 	e := sym.Expr{}
 	e.Unknown = r.boolean()
@@ -127,7 +139,7 @@ func (r *rd) expr() sym.Expr {
 	e.Iter = r.i64()
 	n := int(r.u16())
 	for i := 0; i < n; i++ {
-		reg := guest.Reg(r.u8())
+		reg := r.reg()
 		coeff := r.i64()
 		if e.Regs == nil {
 			e.Regs = map[guest.Reg]int64{}
@@ -225,14 +237,14 @@ func decodePayload(r *rd, id ID, n int) (Payload, error) {
 		niv := int(r.u16())
 		for i := 0; i < niv; i++ {
 			var iv InductionSpec
-			iv.Reg = guest.Reg(r.u8())
+			iv.Reg = r.reg()
 			iv.Init = r.expr()
 			iv.Step = r.i64()
 			d.Inductions = append(d.Inductions, iv)
 		}
 		nred := int(r.u16())
 		for i := 0; i < nred; i++ {
-			d.Reductions = append(d.Reductions, ReductionSpec{Reg: guest.Reg(r.u8()), Op: guest.Op(r.u8())})
+			d.Reductions = append(d.Reductions, ReductionSpec{Reg: r.reg(), Op: guest.Op(r.u8())})
 		}
 		d.Trip.Known = r.boolean()
 		d.Trip.Num = r.expr()
@@ -247,26 +259,26 @@ func decodePayload(r *rd, id ID, n int) (Payload, error) {
 		niv := int(r.u16())
 		for i := 0; i < niv; i++ {
 			var iv InductionSpec
-			iv.Reg = guest.Reg(r.u8())
+			iv.Reg = r.reg()
 			iv.Init = r.expr()
 			iv.Step = r.i64()
 			d.Inductions = append(d.Inductions, iv)
 		}
 		nred := int(r.u16())
 		for i := 0; i < nred; i++ {
-			d.Reductions = append(d.Reductions, ReductionSpec{Reg: guest.Reg(r.u8()), Op: guest.Op(r.u8())})
+			d.Reductions = append(d.Reductions, ReductionSpec{Reg: r.reg(), Op: guest.Op(r.u8())})
 		}
 		nlo := int(r.u16())
 		for i := 0; i < nlo; i++ {
-			d.LiveOut = append(d.LiveOut, guest.Reg(r.u8()))
+			d.LiveOut = append(d.LiveOut, r.reg())
 		}
 		p = d
 	case LOOP_UPDATE_BOUND:
 		var d UpdateBoundData
 		d.CmpAddr = r.u64()
 		d.IsImm = r.boolean()
-		d.BoundReg = guest.Reg(r.u8())
-		d.IVReg = guest.Reg(r.u8())
+		d.BoundReg = r.reg()
+		d.IVReg = r.reg()
 		d.Step = r.i64()
 		d.Init = r.expr()
 		d.ExitOp = guest.Op(r.u8())
@@ -296,7 +308,7 @@ func decodePayload(r *rd, id ID, n int) (Payload, error) {
 		var d SpillRegData
 		nr := int(r.u16())
 		for i := 0; i < nr; i++ {
-			d.Regs = append(d.Regs, guest.Reg(r.u8()))
+			d.Regs = append(d.Regs, r.reg())
 		}
 		p = d
 	case TX_START, TX_FINISH:

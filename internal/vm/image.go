@@ -4,22 +4,25 @@ import "janus/internal/obj"
 
 // Loaded images.
 //
-// An executable's data section is laid out as guest pages once, the
-// first time any machine loads it, and every machine loaded from that
-// executable maps the result copy-on-write (newMemoryOver). Pages that
-// lie wholly inside the section are the section's own bytes — nothing
-// is copied, which is sound because executables are immutable after
-// construction (see obj.Executable) and a Memory never writes through a
-// shared page. The ragged first and last pages are copied into padded
-// blocks. All-zero pages are left out: an absent page reads as zero and
-// hashes as nothing, exactly like a resident zero page. Each page's
-// digest is taken here, so a run never hashes a page it did not write.
+// A data section is laid out as guest pages once, the first time any
+// machine loads an executable over it, and every machine loaded over
+// that section maps the result copy-on-write (newMemoryOver). Sections
+// are shared: every optimisation level of one (benchmark, input) aliases
+// one (obj.Section), so its image and page digests are built once per
+// distinct section, not once per executable. Pages that lie wholly
+// inside the section are the section's own bytes — nothing is copied,
+// which is sound because sections are immutable after construction and
+// a Memory never writes through a shared page. The ragged first and
+// last pages are copied into padded blocks. All-zero pages are left
+// out: an absent page reads as zero and hashes as nothing, exactly like
+// a resident zero page. Each page's digest is taken here, so a run
+// never hashes a page it did not write.
 //
-// The image is owned by its executable (obj.Executable.Loaded) and is
+// The image is owned by its section (obj.Section.Loaded) and is
 // collected with it; there is no table of images anywhere else.
 
-// image is one executable's data section as guest pages, ascending by
-// key. Immutable once built.
+// image is one data section as guest pages, ascending by key.
+// Immutable once built.
 type image struct {
 	pages []imagePage
 }
@@ -31,9 +34,11 @@ type imagePage struct {
 	digest uint64
 }
 
-// imageOf returns exe's loaded image, building it on first use.
+// imageOf returns the loaded image of exe's data section, building it
+// on first use.
 func imageOf(exe *obj.Executable) *image {
-	return exe.Loaded(func() any { return buildImage(exe.DataBase, exe.Data) }).(*image)
+	sec := exe.DataSection()
+	return sec.Loaded(func() any { return buildImage(sec.Base, sec.Bytes) }).(*image)
 }
 
 // buildImage lays data out at base as pages.

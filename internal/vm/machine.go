@@ -2,6 +2,7 @@ package vm
 
 import (
 	"fmt"
+	"slices"
 	"sync/atomic"
 
 	"janus/internal/guest"
@@ -83,19 +84,9 @@ type Machine struct {
 	Libs []*obj.Library
 	Mem  *Memory
 
-	// exeInsts caches decoded executable instructions by code index
-	// (flat slice, no hashing on the fetch fast path); exeOK marks
-	// valid entries. Both are immutable after NewMachine.
-	exeInsts []guest.Inst
-	exeOK    []bool
-	// libInsts/libOK cache decoded library instructions per library,
-	// indexed by instruction slot. Immutable after NewMachine.
-	libInsts [][]guest.Inst
-	libOK    [][]bool
-
-	// pltTarget maps a PLT stub address to its resolved library address.
-	// Immutable after NewMachine.
-	pltTarget map[uint64]uint64
+	// linked is the code this machine fetches from, shared with every
+	// machine loaded from Exe against the same libraries (linkedFor).
+	linked
 
 	// heapNext is the bump-allocation frontier for SysAlloc, advanced
 	// atomically. Guest allocation from inside a host-parallel region is
@@ -108,63 +99,109 @@ type Machine struct {
 	Output []uint64
 }
 
-// NewMachine loads exe and libs: maps the executable's data section
-// into memory copy-on-write (the section's bytes are shared with every
-// other machine loaded from exe and are never written; see image.go),
-// resolves PLT stubs against library exports, and pre-decodes all
-// executable and library code.
-func NewMachine(exe *obj.Executable, libs ...*obj.Library) (*Machine, error) {
-	nInst := len(exe.Code) / guest.InstSize
-	m := &Machine{
-		Exe:       exe,
-		Libs:      libs,
-		Mem:       newMemoryOver(imageOf(exe)),
-		exeInsts:  make([]guest.Inst, nInst),
-		exeOK:     make([]bool, nInst),
+// linked is an executable's code decoded and linked against one
+// library set. It is immutable once built and shared by every machine
+// that loads that executable against those libraries.
+type linked struct {
+	// libs are the library pointers the PLT stubs were resolved against.
+	libs []*obj.Library
+	// exeInsts holds decoded executable instructions by code index
+	// (flat slice, no hashing on the fetch fast path), PLT stubs patched
+	// to their library targets; exeOK marks valid entries. Without
+	// imports both are the executable's own decoded form (obj.Decoded).
+	exeInsts []guest.Inst
+	exeOK    []bool
+	// libInsts/libOK hold decoded library instructions per library,
+	// indexed by instruction slot.
+	libInsts [][]guest.Inst
+	libOK    [][]bool
+	// pltTarget maps a PLT stub address to its resolved library address.
+	pltTarget map[uint64]uint64
+	// err is the link failure (an unresolved import), if any.
+	err error
+}
+
+// linkedFor returns exe's code linked against libs. The executable
+// keeps the form linked against the libraries its first load used
+// (obj.Executable.Loaded); a load with the same library pointers reuses
+// it, and any other library set is linked privately.
+func linkedFor(exe *obj.Executable, libs []*obj.Library) *linked {
+	if l := exe.Loaded(func() any { return link(exe, libs) }).(*linked); slices.Equal(l.libs, libs) {
+		return l
+	}
+	return link(exe, libs)
+}
+
+// link resolves exe's PLT stubs against the exports of libs, patches
+// them into a copy of the executable's decoded code, and decodes the
+// libraries.
+func link(exe *obj.Executable, libs []*obj.Library) *linked {
+	d := exe.Decoded()
+	l := &linked{
+		libs:      slices.Clone(libs),
+		exeInsts:  d.Insts,
+		exeOK:     d.OK,
 		libInsts:  make([][]guest.Inst, len(libs)),
 		libOK:     make([][]bool, len(libs)),
 		pltTarget: make(map[uint64]uint64),
 	}
-	m.heapNext.Store(obj.DefaultHeapBase)
 	for _, im := range exe.Imports {
 		resolved := false
 		for _, lib := range libs {
 			if s, ok := lib.SymbolByName(im.Name); ok {
-				m.pltTarget[im.PLT] = s.Addr
+				l.pltTarget[im.PLT] = s.Addr
 				resolved = true
 				break
 			}
 		}
 		if !resolved {
-			return nil, fmt.Errorf("vm: unresolved import %q", im.Name)
+			l.err = fmt.Errorf("vm: unresolved import %q", im.Name)
+			return l
 		}
 	}
-	for idx := 0; idx < nInst; idx++ {
-		addr := exe.CodeBase + uint64(idx)*guest.InstSize
-		in, err := guest.Decode(exe.Code[uint64(idx)*guest.InstSize:])
-		if err != nil {
-			continue // undecodable slot: FetchInst reports the error lazily
+	if len(l.pltTarget) > 0 {
+		// Loader-patched PLT stubs, in a copy: the decoded form is shared.
+		l.exeInsts = slices.Clone(d.Insts)
+		for addr, target := range l.pltTarget {
+			off := addr - exe.CodeBase
+			if idx := off / guest.InstSize; addr >= exe.CodeBase && off%guest.InstSize == 0 && idx < uint64(len(d.OK)) && d.OK[idx] {
+				l.exeInsts[idx] = guest.NewInstI(guest.JMP, guest.RegNone, int64(target))
+			}
 		}
-		if target, ok := m.pltTarget[addr]; ok {
-			// Loader-patched PLT stub.
-			in = guest.NewInstI(guest.JMP, guest.RegNone, int64(target))
-		}
-		m.exeInsts[idx] = in
-		m.exeOK[idx] = true
 	}
 	for li, lib := range libs {
 		n := len(lib.Code) / guest.InstSize
-		m.libInsts[li] = make([]guest.Inst, n)
-		m.libOK[li] = make([]bool, n)
+		l.libInsts[li] = make([]guest.Inst, n)
+		l.libOK[li] = make([]bool, n)
 		for idx := 0; idx < n; idx++ {
 			in, err := guest.Decode(lib.Code[uint64(idx)*guest.InstSize:])
 			if err != nil {
 				continue
 			}
-			m.libInsts[li][idx] = in
-			m.libOK[li][idx] = true
+			l.libInsts[li][idx] = in
+			l.libOK[li][idx] = true
 		}
 	}
+	return l
+}
+
+// NewMachine loads exe and libs: maps the executable's data section
+// into memory copy-on-write (the section's bytes are shared with every
+// other machine loaded over that section and are never written; see
+// image.go), and takes the executable's code linked against libs —
+// decoded and PLT-patched once, not once per machine (linkedFor).
+func NewMachine(exe *obj.Executable, libs ...*obj.Library) (*Machine, error) {
+	l := linkedFor(exe, libs)
+	if l.err != nil {
+		return nil, l.err
+	}
+	m := &Machine{
+		Exe:    exe,
+		Libs:   libs,
+		Mem:    newMemoryOver(imageOf(exe)),
+		linked: *l,
+	}
+	m.heapNext.Store(obj.DefaultHeapBase)
 	return m, nil
 }
 

@@ -429,6 +429,21 @@ func byNameLocked(name string) (Benchmark, bool) {
 	return Benchmark{}, false
 }
 
+// sectionKey identifies one data section: a registry benchmark's data
+// layout and contents depend on its name and input alone, never on the
+// optimisation level.
+type sectionKey struct {
+	name string
+	in   Input
+}
+
+// sectionTier generates each (name, input) data section once, in memory
+// only: every optimisation level's executable aliases it, so the loader
+// lays its image out once too. asm.Builder.BuildOver refuses a section
+// whose layout is not the builder's, so a level whose data declarations
+// ever diverged would fail its build rather than run over foreign data.
+var sectionTier artcache.Tier[sectionKey, *asm.Section]
+
 // buildKey identifies one deterministic build.
 type buildKey struct {
 	name string
@@ -593,10 +608,11 @@ func Open(c *artcache.Cache, name string, in Input, opt OptLevel) (*obj.Binary, 
 }
 
 // ResetBuildCache drops every completed entry from the in-memory
-// build tier and every handle Open has handed out, forcing the next
+// section and build tiers and every handle Open has handed out, forcing the next
 // Build or Open through the durable tier (or a fresh assembly). Tests
 // use it to exercise cold/warm paths in one process.
 func ResetBuildCache() {
+	sectionTier.Reset()
 	buildTier.Reset()
 	openTier.Reset()
 }
@@ -611,12 +627,24 @@ func TierStats() map[string]artcache.TierStats {
 	}
 }
 
-// build performs the uncached assembly of one benchmark binary.
+// build performs the uncached assembly of one benchmark binary over
+// its (name, input) data section, generated once (sectionTier).
 func build(bm Benchmark, in Input, opt OptLevel) (built, error) {
 	if bm.buildExt != nil {
 		exe, libs, err := bm.buildExt(in)
 		return built{exe: exe, libs: libs}, err
 	}
+	b := assemble(bm, in, opt)
+	sec, _ := sectionTier.Memo(sectionKey{name: bm.Name, in: in}, func() (*asm.Section, error) { return b.Section(), nil })
+	exe, err := b.BuildOver(sec)
+	if err != nil {
+		return built{}, fmt.Errorf("workloads: %s: %w", bm.Name, err)
+	}
+	return linked(exe.Strip()), nil
+}
+
+// assemble emits one registry benchmark's program into a new builder.
+func assemble(bm Benchmark, in Input, opt OptLevel) *asm.Builder {
 	b := asm.NewBuilder(fmt.Sprintf("%s-%s-%s", bm.Name, in, opt))
 	k := &kctx{b: b, f: b.Func("main"), opt: opt}
 	bm.build(k, in)
@@ -628,11 +656,7 @@ func build(bm Benchmark, in Input, opt OptLevel) (built, error) {
 	// amount of cold support code (unreachable from main, so neither
 	// the analyser nor the DBM ever touches it).
 	emitColdRuntime(b, 36, 32)
-	exe, err := b.Build()
-	if err != nil {
-		return built{}, fmt.Errorf("workloads: %s: %w", bm.Name, err)
-	}
-	return linked(exe.Strip()), nil
+	return b
 }
 
 // emitColdRuntime appends nFuncs unreferenced support functions of
