@@ -276,6 +276,9 @@ func TestTierInstances(t *testing.T) {
 // counts one computation per call, answers none from memory, and its
 // kind is never looked up in, or published to, the store.
 func TestInjectedAndProfilingRunsBypassBothTiers(t *testing.T) {
+	// The schedule lookup counted below must reach this store, not a
+	// plan an earlier test memoised.
+	ResetMemos()
 	c, err := artcache.Open(t.TempDir(), artcache.Options{})
 	if err != nil {
 		t.Fatal(err)

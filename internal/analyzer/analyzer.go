@@ -238,7 +238,7 @@ func (p *Program) analyzeLoop(li *LoopInfo) {
 // callSiteFor finds the address of the call instruction in l targeting
 // the given address.
 func (p *Program) callSiteFor(l *cfg.Loop, target uint64) uint64 {
-	for b := range l.Body {
+	for _, b := range l.Blocks() {
 		for i, in := range b.Insts {
 			if in.Op == guest.CALL && uint64(in.Imm) == target {
 				return b.InstAddr(i)
@@ -249,7 +249,7 @@ func (p *Program) callSiteFor(l *cfg.Loop, target uint64) uint64 {
 }
 
 func (p *Program) loopHasSyscall(l *cfg.Loop) bool {
-	for b := range l.Body {
+	for _, b := range l.Blocks() {
 		for _, in := range b.Insts {
 			if in.Op == guest.SYSCALL {
 				return true

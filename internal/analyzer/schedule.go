@@ -169,16 +169,16 @@ func (p *Program) genLoopRules(s *rules.Schedule, li *LoopInfo) error {
 // liveOutNonIV lists live-out registers that are not induction or
 // reduction registers (those are reconstructed analytically).
 func liveOutNonIV(la *sym.Analysis) []guest.Reg {
-	skip := map[guest.Reg]bool{}
+	var skip guest.RegSet
 	for _, iv := range la.Inductions {
-		skip[iv.Reg] = true
+		skip = skip.With(iv.Reg)
 	}
 	for _, rd := range la.Reductions {
-		skip[rd.Reg] = true
+		skip = skip.With(rd.Reg)
 	}
 	var out []guest.Reg
 	for _, r := range la.LiveOutRegs {
-		if !skip[r] {
+		if !skip.Has(r) {
 			out = append(out, r)
 		}
 	}

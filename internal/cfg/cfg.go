@@ -7,7 +7,7 @@ package cfg
 
 import (
 	"fmt"
-	"sort"
+	"slices"
 
 	"janus/internal/guest"
 	"janus/internal/obj"
@@ -44,8 +44,8 @@ type Func struct {
 	Entry *Block
 	// Blocks in reverse postorder from the entry.
 	Blocks []*Block
-	// BlockAt maps a code address to the block starting there.
-	BlockAt map[uint64]*Block
+	// byAddr holds the blocks themselves, in address order (BlockAt).
+	byAddr []Block
 	// Calls lists direct call targets (addresses, may include PLT stubs).
 	Calls []uint64
 	// HasIndirect is set when the function contains an indirect jump or
@@ -85,13 +85,7 @@ func Build(exe *obj.Executable) (*Program, error) {
 	for _, im := range exe.Imports {
 		p.PLTNames[im.PLT] = im.Name
 	}
-
-	instAt := func(addr uint64) (guest.Inst, bool) {
-		if !exe.InCode(addr) || (addr-exe.CodeBase)%guest.InstSize != 0 {
-			return guest.Inst{}, false
-		}
-		return insts[(addr-exe.CodeBase)/guest.InstSize], true
-	}
+	c := newCode(exe.CodeBase, insts)
 
 	// Seed function starts.
 	starts := map[uint64]string{exe.Entry: "entry"}
@@ -118,7 +112,7 @@ func Build(exe *obj.Executable) (*Program, error) {
 		if _, isPLT := p.PLTNames[fa]; isPLT {
 			continue
 		}
-		for _, target := range scanCalls(fa, instAt, p.PLTNames) {
+		for _, target := range c.scanCalls(fa, p.PLTNames) {
 			if _, ok := starts[target]; !ok {
 				starts[target] = fmt.Sprintf("fn_%x", target)
 			}
@@ -132,13 +126,13 @@ func Build(exe *obj.Executable) (*Program, error) {
 			addrs = append(addrs, a)
 		}
 	}
-	sort.Slice(addrs, func(i, j int) bool { return addrs[i] < addrs[j] })
+	slices.Sort(addrs)
 	for _, fa := range addrs {
 		name := starts[fa]
 		if sym, ok := symbolAt(exe, fa); ok {
 			name = sym
 		}
-		fn, err := buildFunc(name, fa, instAt, p.PLTNames)
+		fn, err := c.buildFunc(name, fa)
 		if err != nil {
 			return nil, err
 		}
@@ -161,74 +155,134 @@ func symbolAt(exe *obj.Executable, addr uint64) (string, bool) {
 	return "", false
 }
 
+// Per-instruction flags of the code walks (code.flags).
+const (
+	flagReach  uint8 = 1 << iota // reached by buildFunc
+	flagLeader                   // starts a block in buildFunc
+	flagSeen                     // visited by scanCalls
+)
+
+// code is the decoded code section with one flag byte per instruction,
+// the scratch every walk over one function's instructions marks and
+// clears again, so recovering a program's functions allocates no
+// per-instruction state.
+type code struct {
+	base  uint64
+	insts []guest.Inst
+	flags []uint8
+	// lo and hi bound the flagged indices (lo > hi when none are).
+	lo, hi int
+	work   []int
+}
+
+func newCode(base uint64, insts []guest.Inst) *code {
+	return &code{base: base, insts: insts, flags: make([]uint8, len(insts)), lo: len(insts), hi: -1}
+}
+
+// index returns the instruction index of addr, or false when addr is
+// outside the section or not instruction-aligned.
+func (c *code) index(addr uint64) (int, bool) {
+	off := addr - c.base
+	if addr < c.base || off%guest.InstSize != 0 || off/guest.InstSize >= uint64(len(c.insts)) {
+		return 0, false
+	}
+	return int(off / guest.InstSize), true
+}
+
+func (c *code) addr(i int) uint64 { return c.base + uint64(i)*guest.InstSize }
+
+// set sets flag f on instruction i.
+func (c *code) set(i int, f uint8) {
+	c.flags[i] |= f
+	c.lo, c.hi = min(c.lo, i), max(c.hi, i)
+}
+
+// mark sets flag f on the instruction at addr, if there is one.
+func (c *code) mark(addr uint64, f uint8) {
+	if i, ok := c.index(addr); ok {
+		c.set(i, f)
+	}
+}
+
+// clear drops every flag the last walk set.
+func (c *code) clear() {
+	if c.lo <= c.hi {
+		clear(c.flags[c.lo : c.hi+1])
+	}
+	c.lo, c.hi = len(c.insts), -1
+}
+
+// push queues the instruction at addr for a walk, if there is one.
+func (c *code) push(addr uint64) {
+	if i, ok := c.index(addr); ok {
+		c.work = append(c.work, i)
+	}
+}
+
 // scanCalls walks reachable instructions from fa and collects direct
 // call targets that are not PLT stubs.
-func scanCalls(fa uint64, instAt func(uint64) (guest.Inst, bool), plt map[uint64]string) []uint64 {
+func (c *code) scanCalls(fa uint64, plt map[uint64]string) []uint64 {
+	defer c.clear()
 	var targets []uint64
-	seen := map[uint64]bool{}
-	work := []uint64{fa}
-	for len(work) > 0 {
-		a := work[len(work)-1]
-		work = work[:len(work)-1]
-		if seen[a] {
+	c.work = c.work[:0]
+	c.push(fa)
+	for len(c.work) > 0 {
+		i := c.work[len(c.work)-1]
+		c.work = c.work[:len(c.work)-1]
+		if c.flags[i]&flagSeen != 0 {
 			continue
 		}
-		seen[a] = true
-		in, ok := instAt(a)
-		if !ok {
-			continue
-		}
-		next := a + guest.InstSize
+		c.set(i, flagSeen)
+		in, next := c.insts[i], c.addr(i+1)
 		switch {
 		case in.Op == guest.CALL:
 			if _, isPLT := plt[uint64(in.Imm)]; !isPLT {
 				targets = append(targets, uint64(in.Imm))
 			}
-			work = append(work, next)
+			c.push(next)
 		case in.Op == guest.JMP:
-			work = append(work, uint64(in.Imm))
+			c.push(uint64(in.Imm))
 		case in.Op.IsCondBranch():
-			work = append(work, uint64(in.Imm), next)
+			c.push(uint64(in.Imm))
+			c.push(next)
 		case in.Op == guest.RET, in.Op == guest.HALT, in.Op == guest.JMPI:
 			// stop
 		default:
-			work = append(work, next)
+			c.push(next)
 		}
 	}
 	return targets
 }
 
 // buildFunc discovers the blocks reachable from fa and links the CFG.
-func buildFunc(name string, fa uint64, instAt func(uint64) (guest.Inst, bool), plt map[uint64]string) (*Func, error) {
-	fn := &Func{Name: name, BlockAt: make(map[uint64]*Block)}
+func (c *code) buildFunc(name string, fa uint64) (*Func, error) {
+	defer c.clear()
+	fn := &Func{Name: name}
 
-	// Pass 1: find reachable instruction addresses and block leaders.
-	leaders := map[uint64]bool{fa: true}
-	reachable := map[uint64]bool{}
+	// Pass 1: find reachable instructions and block leaders. A path
+	// that falls through into undecodable bytes (section end, data
+	// padding) ends there, as a disassembler would.
 	var callTargets []uint64
-	work := []uint64{fa}
-	for len(work) > 0 {
-		a := work[len(work)-1]
-		work = work[:len(work)-1]
-		if reachable[a] {
+	c.mark(fa, flagLeader)
+	c.work = c.work[:0]
+	c.push(fa)
+	for len(c.work) > 0 {
+		i := c.work[len(c.work)-1]
+		c.work = c.work[:len(c.work)-1]
+		if c.flags[i]&flagReach != 0 {
 			continue
 		}
-		in, ok := instAt(a)
-		if !ok {
-			// Fall-through into undecodable bytes (section end, data
-			// padding): terminate the path, as a disassembler would.
-			continue
-		}
-		reachable[a] = true
-		next := a + guest.InstSize
+		c.set(i, flagReach)
+		in, next := c.insts[i], c.addr(i+1)
 		switch {
 		case in.Op == guest.JMP:
-			leaders[uint64(in.Imm)] = true
-			work = append(work, uint64(in.Imm))
+			c.mark(uint64(in.Imm), flagLeader)
+			c.push(uint64(in.Imm))
 		case in.Op.IsCondBranch():
-			leaders[uint64(in.Imm)] = true
-			leaders[next] = true
-			work = append(work, uint64(in.Imm), next)
+			c.mark(uint64(in.Imm), flagLeader)
+			c.mark(next, flagLeader)
+			c.push(uint64(in.Imm))
+			c.push(next)
 		case in.Op.IsCall():
 			if in.Op == guest.CALL {
 				callTargets = append(callTargets, uint64(in.Imm))
@@ -236,8 +290,8 @@ func buildFunc(name string, fa uint64, instAt func(uint64) (guest.Inst, bool), p
 				fn.HasIndirect = true
 			}
 			// A call ends the block; execution resumes at next.
-			leaders[next] = true
-			work = append(work, next)
+			c.mark(next, flagLeader)
+			c.push(next)
 		case in.Op == guest.RET || in.Op == guest.HALT:
 			// stop
 		case in.Op == guest.JMPI:
@@ -247,91 +301,147 @@ func buildFunc(name string, fa uint64, instAt func(uint64) (guest.Inst, bool), p
 			if in.Op == guest.SYSCALL {
 				fn.HasSyscall = true
 			}
-			work = append(work, next)
+			c.push(next)
 		}
 	}
 	fn.Calls = callTargets
 
-	// Pass 2: materialise blocks between leaders.
-	leaderList := make([]uint64, 0, len(leaders))
-	for a := range leaders {
-		if reachable[a] {
-			leaderList = append(leaderList, a)
+	// Pass 2: materialise blocks between reachable leaders, in address
+	// order, as slices of the shared decoded code.
+	const start = flagReach | flagLeader
+	n := 0
+	for i := c.lo; i <= c.hi; i++ {
+		if c.flags[i]&start == start {
+			n++
 		}
 	}
-	sort.Slice(leaderList, func(i, j int) bool { return leaderList[i] < leaderList[j] })
-	for _, la := range leaderList {
-		b := &Block{Addr: la, Fn: fn}
-		for a := la; reachable[a]; a += guest.InstSize {
-			if a != la && leaders[a] {
-				break
-			}
-			in, _ := instAt(a)
-			b.Insts = append(b.Insts, in)
-			if in.Op.IsBlockEnd() {
-				break
-			}
-		}
-		if len(b.Insts) == 0 {
+	fn.byAddr = make([]Block, 0, n)
+	for i := c.lo; i <= c.hi; i++ {
+		if c.flags[i]&start != start {
 			continue
 		}
-		fn.BlockAt[la] = b
-	}
-
-	// Pass 3: successor edges.
-	for _, b := range fn.BlockAt {
-		last := b.Last()
-		link := func(target uint64) {
-			if t, ok := fn.BlockAt[target]; ok {
-				b.Succs = append(b.Succs, t)
-				t.Preds = append(t.Preds, b)
+		j := i
+		for j < len(c.insts) && c.flags[j]&flagReach != 0 && (j == i || c.flags[j]&flagLeader == 0) {
+			j++
+			if c.insts[j-1].Op.IsBlockEnd() {
+				break
 			}
 		}
-		switch {
-		case last.Op == guest.JMP:
-			link(uint64(last.Imm))
-		case last.Op.IsCondBranch():
-			link(b.End()) // fall-through first
-			link(uint64(last.Imm))
-		case last.Op.IsCall():
-			link(b.End()) // calls return to the next block
-		case last.Op == guest.RET, last.Op == guest.HALT, last.Op == guest.JMPI:
-			// no intra-procedural successors
-		default:
-			link(b.End())
+		fn.byAddr = append(fn.byAddr, Block{Addr: c.addr(i), Insts: c.insts[i:j:j], Fn: fn})
+	}
+
+	// Pass 3: successor edges, linked in address order so that every
+	// block's Preds — and the phi arguments and dominance frontiers that
+	// follow them — come out the same on every build. Succs and Preds
+	// are carved from one array.
+	nSuccs := make([]int, len(fn.byAddr))
+	nPreds := make([]int, len(fn.byAddr))
+	total := 0
+	for i := range fn.byAddr {
+		targets, k := succTargets(&fn.byAddr[i])
+		for _, t := range targets[:k] {
+			if ti := fn.blockIndex(t); ti >= 0 {
+				nSuccs[i]++
+				nPreds[ti]++
+				total++
+			}
+		}
+	}
+	edges := make([]*Block, 2*total)
+	for i := range fn.byAddr {
+		b := &fn.byAddr[i]
+		b.Succs, edges = edges[:0:nSuccs[i]], edges[nSuccs[i]:]
+		b.Preds, edges = edges[:0:nPreds[i]], edges[nPreds[i]:]
+	}
+	for i := range fn.byAddr {
+		b := &fn.byAddr[i]
+		targets, k := succTargets(b)
+		for _, t := range targets[:k] {
+			if ti := fn.blockIndex(t); ti >= 0 {
+				tb := &fn.byAddr[ti]
+				b.Succs = append(b.Succs, tb)
+				tb.Preds = append(tb.Preds, b)
+			}
 		}
 	}
 
-	entry, ok := fn.BlockAt[fa]
-	if !ok {
+	entry := fn.BlockAt(fa)
+	if entry == nil {
 		return nil, fmt.Errorf("cfg: %s: entry block missing", name)
 	}
 	fn.Entry = entry
-	fn.Blocks = reversePostorder(entry)
+	fn.Blocks = reversePostorder(fn)
 	for i, b := range fn.Blocks {
 		b.Index = i
 	}
 	return fn, nil
 }
 
-func reversePostorder(entry *Block) []*Block {
-	var order []*Block
-	seen := map[*Block]bool{}
+// succTargets returns the addresses b's last instruction may continue
+// at within the function, fall-through first.
+func succTargets(b *Block) (t [2]uint64, n int) {
+	last := b.Last()
+	switch {
+	case last.Op == guest.JMP:
+		return [2]uint64{uint64(last.Imm)}, 1
+	case last.Op.IsCondBranch():
+		return [2]uint64{b.End(), uint64(last.Imm)}, 2
+	case last.Op == guest.RET, last.Op == guest.HALT, last.Op == guest.JMPI:
+		// no intra-procedural successors
+		return t, 0
+	default:
+		// Calls return to the next block; anything else falls through.
+		return [2]uint64{b.End()}, 1
+	}
+}
+
+// blockIndex returns the position in fn.byAddr of the block starting at
+// addr, or -1.
+func (fn *Func) blockIndex(addr uint64) int {
+	lo, hi := 0, len(fn.byAddr)
+	for lo < hi {
+		m := int(uint(lo+hi) >> 1)
+		if fn.byAddr[m].Addr < addr {
+			lo = m + 1
+		} else {
+			hi = m
+		}
+	}
+	if lo < len(fn.byAddr) && fn.byAddr[lo].Addr == addr {
+		return lo
+	}
+	return -1
+}
+
+// BlockAt returns the block starting at addr, or nil.
+func (fn *Func) BlockAt(addr uint64) *Block {
+	if i := fn.blockIndex(addr); i >= 0 {
+		return &fn.byAddr[i]
+	}
+	return nil
+}
+
+// reversePostorder orders fn's blocks from the entry along Succs. It
+// numbers each block by its position in fn.byAddr while it walks.
+func reversePostorder(fn *Func) []*Block {
+	order := make([]*Block, 0, len(fn.byAddr))
+	seen := make([]bool, len(fn.byAddr))
+	for i := range fn.byAddr {
+		fn.byAddr[i].Index = i
+	}
 	var dfs func(*Block)
 	dfs = func(b *Block) {
-		if seen[b] {
+		if seen[b.Index] {
 			return
 		}
-		seen[b] = true
+		seen[b.Index] = true
 		for _, s := range b.Succs {
 			dfs(s)
 		}
 		order = append(order, b)
 	}
-	dfs(entry)
-	for i, j := 0, len(order)-1; i < j; i, j = i+1, j-1 {
-		order[i], order[j] = order[j], order[i]
-	}
+	dfs(fn.Entry)
+	slices.Reverse(order)
 	return order
 }
 
@@ -404,9 +514,9 @@ func (fn *Func) Dominates(a, b *Block) bool {
 }
 
 // DominanceFrontier computes the dominance frontier of every block,
-// needed for SSA phi placement.
-func (fn *Func) DominanceFrontier() map[*Block][]*Block {
-	df := make(map[*Block][]*Block, len(fn.Blocks))
+// needed for SSA phi placement: df[b.Index] is b's frontier.
+func (fn *Func) DominanceFrontier() [][]*Block {
+	df := make([][]*Block, len(fn.Blocks))
 	for _, b := range fn.Blocks {
 		if len(b.Preds) < 2 {
 			continue
@@ -414,8 +524,8 @@ func (fn *Func) DominanceFrontier() map[*Block][]*Block {
 		for _, p := range b.Preds {
 			runner := p
 			for runner != nil && runner != fn.idom[b.Index] {
-				if !contains(df[runner], b) {
-					df[runner] = append(df[runner], b)
+				if !containsBlock(df[runner.Index], b) {
+					df[runner.Index] = append(df[runner.Index], b)
 				}
 				if runner == fn.Entry {
 					break
@@ -425,13 +535,4 @@ func (fn *Func) DominanceFrontier() map[*Block][]*Block {
 		}
 	}
 	return df
-}
-
-func contains(bs []*Block, b *Block) bool {
-	for _, x := range bs {
-		if x == b {
-			return true
-		}
-	}
-	return false
 }

@@ -1,11 +1,14 @@
 package cfg
 
 import (
+	"fmt"
+	"strings"
 	"testing"
 
 	"janus/internal/asm"
 	"janus/internal/guest"
 	"janus/internal/obj"
+	"janus/internal/workloads"
 )
 
 // buildNestedLoops assembles:
@@ -112,7 +115,7 @@ func TestLoopNesting(t *testing.T) {
 	if inner.Depth != 2 {
 		t.Errorf("inner depth = %d", inner.Depth)
 	}
-	if !outer.Body[inner.Header] {
+	if !outer.Contains(inner.Header) {
 		t.Error("outer body must contain inner header")
 	}
 	if inner.Outermost() != outer {
@@ -129,12 +132,12 @@ func TestLoopExits(t *testing.T) {
 			t.Errorf("loop at %#x has no exits", l.Header.Addr)
 		}
 		for _, e := range l.Exits {
-			if !l.Body[e] {
+			if !l.Contains(e) {
 				t.Error("exit block must be inside loop")
 			}
 		}
 		for _, et := range l.ExitTargets {
-			if l.Body[et] {
+			if l.Contains(et) {
 				t.Error("exit target must be outside loop")
 			}
 		}
@@ -159,7 +162,7 @@ func TestDominators(t *testing.T) {
 	}
 	// A loop header dominates every block in its body.
 	for _, l := range main.Loops {
-		for b := range l.Body {
+		for _, b := range l.Blocks() {
 			if !main.Dominates(l.Header, b) {
 				t.Errorf("header %#x must dominate body %#x", l.Header.Addr, b.Addr)
 			}
@@ -282,5 +285,48 @@ func TestMultiExitLoop(t *testing.T) {
 	}
 	if len(main.Loops[0].Exits) != 2 {
 		t.Fatalf("multi-exit loop should have 2 exit blocks, got %d", len(main.Loops[0].Exits))
+	}
+}
+
+// predsOrder renders every block's predecessors, by address, in order.
+func predsOrder(p *Program) string {
+	var sb strings.Builder
+	for _, fn := range p.Funcs {
+		for _, b := range fn.byAddr {
+			fmt.Fprintf(&sb, "%#x<-", b.Addr)
+			for _, pr := range b.Preds {
+				fmt.Fprintf(&sb, "%#x,", pr.Addr)
+			}
+			sb.WriteByte('\n')
+		}
+	}
+	return sb.String()
+}
+
+// TestPredsOrderStable: every block's Preds — which fix phi argument
+// order and dominance-frontier order downstream — come out in the same
+// order on every rebuild of every registry binary.
+func TestPredsOrderStable(t *testing.T) {
+	for _, name := range workloads.Names() {
+		for _, in := range []workloads.Input{workloads.Train, workloads.Ref} {
+			for _, opt := range []workloads.OptLevel{workloads.O2, workloads.O3, workloads.O3AVX} {
+				exe, _, err := workloads.Build(name, in, opt)
+				if err != nil {
+					t.Fatal(err)
+				}
+				var first string
+				for i := 0; i < 20; i++ {
+					p, err := Build(exe)
+					if err != nil {
+						t.Fatal(err)
+					}
+					if got := predsOrder(p); i == 0 {
+						first = got
+					} else if got != first {
+						t.Fatalf("%s/%s/%s: rebuild %d links predecessors in another order", name, in, opt, i)
+					}
+				}
+			}
+		}
 	}
 }

@@ -1,7 +1,8 @@
 package cfg
 
 import (
-	"sort"
+	"cmp"
+	"slices"
 
 	"janus/internal/guest"
 )
@@ -14,8 +15,10 @@ type Loop struct {
 	Fn *Func
 	// Header is the single entry block of the loop.
 	Header *Block
-	// Body is the set of blocks in the loop, including the header.
-	Body map[*Block]bool
+	// body[i] is set when Fn.Blocks[i] belongs to the loop; blocks is
+	// the same set in Blocks order.
+	body   []bool
+	blocks []*Block
 	// Latches are the blocks with a back edge to the header.
 	Latches []*Block
 	// Exits are blocks inside the loop with a successor outside.
@@ -34,31 +37,19 @@ type Loop struct {
 	HasIndirect bool
 }
 
-// Blocks returns the loop body sorted by address, header first.
-func (l *Loop) Blocks() []*Block {
-	out := make([]*Block, 0, len(l.Body))
-	for b := range l.Body {
-		out = append(out, b)
-	}
-	sort.Slice(out, func(i, j int) bool {
-		if out[i] == l.Header {
-			return true
-		}
-		if out[j] == l.Header {
-			return false
-		}
-		return out[i].Addr < out[j].Addr
-	})
-	return out
-}
+// Blocks returns the loop body sorted by address, header first. The
+// slice is shared: callers must not modify it.
+func (l *Loop) Blocks() []*Block { return l.blocks }
 
 // Contains reports whether block b belongs to the loop body.
-func (l *Loop) Contains(b *Block) bool { return l.Body[b] }
+func (l *Loop) Contains(b *Block) bool {
+	return b != nil && b.Fn == l.Fn && b.Index < len(l.body) && l.body[b.Index]
+}
 
 // InstCount returns the static number of instructions in the loop body.
 func (l *Loop) InstCount() int {
 	n := 0
-	for b := range l.Body {
+	for _, b := range l.blocks {
 		n += len(b.Insts)
 	}
 	return n
@@ -75,33 +66,46 @@ func (l *Loop) Outermost() *Loop {
 // findLoops discovers natural loops in fn and builds the nesting forest.
 // Loops sharing a header are merged, as is conventional.
 func findLoops(fn *Func) {
-	byHeader := map[*Block]*Loop{}
+	byHeader := make([]*Loop, len(fn.Blocks))
+	var loops []*Loop
 	for _, b := range fn.Blocks {
 		for _, s := range b.Succs {
 			if fn.Dominates(s, b) {
 				// Back edge b -> s.
-				l := byHeader[s]
+				l := byHeader[s.Index]
 				if l == nil {
-					l = &Loop{Fn: fn, Header: s, Body: map[*Block]bool{s: true}}
-					byHeader[s] = l
+					l = &Loop{Fn: fn, Header: s, body: make([]bool, len(fn.Blocks))}
+					l.body[s.Index] = true
+					byHeader[s.Index] = l
+					loops = append(loops, l)
 				}
 				l.Latches = append(l.Latches, b)
 				collectBody(l, b)
 			}
 		}
 	}
-	var loops []*Loop
-	for _, l := range byHeader {
-		loops = append(loops, l)
-	}
-	sort.Slice(loops, func(i, j int) bool { return loops[i].Header.Addr < loops[j].Header.Addr })
+	slices.SortFunc(loops, func(a, b *Loop) int { return cmp.Compare(a.Header.Addr, b.Header.Addr) })
 
-	// Exits, calls and indirection.
+	// Body lists, exits, calls and indirection.
 	for _, l := range loops {
-		for _, b := range l.Blocks() {
+		for _, b := range fn.Blocks {
+			if l.body[b.Index] {
+				l.blocks = append(l.blocks, b)
+			}
+		}
+		slices.SortFunc(l.blocks, func(a, b *Block) int {
+			switch {
+			case a == l.Header:
+				return -1
+			case b == l.Header:
+				return 1
+			}
+			return cmp.Compare(a.Addr, b.Addr)
+		})
+		for _, b := range l.blocks {
 			isExit := false
 			for _, s := range b.Succs {
-				if !l.Body[s] {
+				if !l.body[s.Index] {
 					isExit = true
 					if !containsBlock(l.ExitTargets, s) {
 						l.ExitTargets = append(l.ExitTargets, s)
@@ -130,10 +134,10 @@ func findLoops(fn *Func) {
 	for _, a := range loops {
 		var parent *Loop
 		for _, b := range loops {
-			if a == b || !b.Body[a.Header] {
+			if a == b || !b.body[a.Header.Index] {
 				continue
 			}
-			if parent == nil || len(b.Body) < len(parent.Body) {
+			if parent == nil || len(b.blocks) < len(parent.blocks) {
 				parent = b
 			}
 		}
@@ -157,13 +161,11 @@ func collectBody(l *Loop, latch *Block) {
 	for len(work) > 0 {
 		b := work[len(work)-1]
 		work = work[:len(work)-1]
-		if l.Body[b] {
+		if l.body[b.Index] {
 			continue
 		}
-		l.Body[b] = true
-		for _, p := range b.Preds {
-			work = append(work, p)
-		}
+		l.body[b.Index] = true
+		work = append(work, b.Preds...)
 	}
 }
 

@@ -170,6 +170,8 @@ func TestModelRunIsVerified(t *testing.T) {
 		t.Fatal(err)
 	}
 	janus.ResetMemos()
+	// The foreign baseline planted below must not outlive the test.
+	t.Cleanup(janus.ResetMemos)
 	if _, err := ParalleliseBinary(c, GCC, janus.BinaryOf(exe, libs...), 8, eng); err != nil {
 		t.Fatal(err)
 	}

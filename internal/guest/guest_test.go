@@ -268,3 +268,49 @@ func hasFlags(ls []Loc) bool {
 	}
 	return false
 }
+
+// TestRegSetsMatchLocs: UseRegs and DefRegs equal Uses and Defs
+// filtered to LocReg, for every opcode and every combination of
+// register or RegNone in Rd, Rs, base and index. A register outside the
+// GPRs and RegTLS (RegNone read as a register by CMOVE, JMPI or CALLI)
+// is not a set member.
+func TestRegSetsMatchLocs(t *testing.T) {
+	regs := []Reg{RegNone}
+	for r := Reg(0); r <= RegTLS; r++ {
+		regs = append(regs, r)
+	}
+	filter := func(locs []Loc) RegSet {
+		var s RegSet
+		for _, l := range locs {
+			if l.Kind == LocReg {
+				s = s.With(l.Reg)
+			}
+		}
+		return s
+	}
+	for op := Op(0); op <= opMax; op++ {
+		for _, rd := range regs {
+			for _, rs := range regs {
+				for _, base := range regs {
+					for _, index := range regs {
+						in := Inst{Op: op, Rd: rd, Rs: rs, M: Mem{Base: base, Index: index, Scale: 8}}
+						if got, want := in.UseRegs(), filter(in.Uses()); got != want {
+							t.Fatalf("%v: UseRegs %#x, Uses %v", in, got, in.Uses())
+						}
+						if got, want := in.DefRegs(), filter(in.Defs()); got != want {
+							t.Fatalf("%v: DefRegs %#x, Defs %v", in, got, in.Defs())
+						}
+					}
+				}
+			}
+		}
+	}
+}
+
+func TestRegSet(t *testing.T) {
+	var s RegSet
+	s = s.With(R0).With(RegTLS).With(RegNone).With(R0)
+	if !s.Has(R0) || !s.Has(RegTLS) || s.Has(R1) || s.Has(RegNone) || s.Len() != 2 {
+		t.Fatalf("set %#x: want {r0, tls}", s)
+	}
+}

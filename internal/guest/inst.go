@@ -2,6 +2,7 @@ package guest
 
 import (
 	"fmt"
+	"math/bits"
 	"strings"
 )
 
@@ -287,4 +288,79 @@ func (in Inst) AccessWidth() int64 {
 		return 8 * VLEN
 	}
 	return 0
+}
+
+// RegSet is a set of the registers SSA versions: the GPRs and RegTLS,
+// one bit each. Registers outside that range are never members.
+type RegSet uint32
+
+// With returns s plus r; r outside the GPRs and RegTLS leaves s as is.
+func (s RegSet) With(r Reg) RegSet {
+	if r > RegTLS {
+		return s
+	}
+	return s | 1<<r
+}
+
+// Has reports whether r is in s.
+func (s RegSet) Has(r Reg) bool { return r <= RegTLS && s&(1<<r) != 0 }
+
+// Len returns the number of registers in s.
+func (s RegSet) Len() int { return bits.OnesCount32(uint32(s)) }
+
+// callArgSet is callArgRegs as a set.
+const callArgSet RegSet = 1<<R1 | 1<<R2 | 1<<R3 | 1<<R4 | 1<<R5
+
+// UseRegs returns the GPRs and RegTLS the instruction reads: Uses
+// restricted to LocReg, without allocating.
+func (in Inst) UseRegs() RegSet {
+	var s RegSet
+	op := in.Op
+	switch op {
+	case ADD, SUB, IMUL, IDIV, AND, OR, XOR, SHL, SHR,
+		FADD, FSUB, FMUL, FDIV,
+		ADDI, SUBI, IMULI, ANDI, ORI, XORI, SHLI, SHRI,
+		INC, DEC, NEG, CMP, CMPI, TEST, FCMP,
+		CMOVE, CMOVNE, JMPI:
+		s = s.With(in.Rd)
+	case CALLI:
+		s = s.With(in.Rd) | callArgSet
+	case SYSCALL:
+		s = 1<<R0 | 1<<R1 | 1<<R2
+	case PUSH, POP, RET:
+		s = 1 << SP
+	case CALL:
+		s = callArgSet
+	}
+	if op.HasRs() && !(op == VADD || op == VMUL || op == VST) {
+		s = s.With(in.Rs)
+	}
+	if op.HasMem() {
+		s = s.With(in.M.Base).With(in.M.Index)
+	}
+	return s
+}
+
+// DefRegs returns the GPRs and RegTLS the instruction writes: Defs
+// restricted to LocReg, without allocating.
+func (in Inst) DefRegs() RegSet {
+	var s RegSet
+	op := in.Op
+	if op.HasRd() {
+		switch op {
+		case CMP, CMPI, TEST, FCMP, JMPI, VLD, VADD, VMUL, VBCST:
+			// A pure source, or a vector register.
+		default:
+			s = s.With(in.Rd)
+		}
+	}
+	switch op {
+	case PUSH, POP, RET:
+		s = s.With(SP)
+	case CALL, CALLI:
+		s |= 1<<R0 | callArgSet
+	case SYSCALL:
+		s = s.With(R0)
+	}
+	return s
 }

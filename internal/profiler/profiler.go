@@ -17,8 +17,7 @@
 package profiler
 
 import (
-	"sync"
-
+	"janus/internal/freelist"
 	"janus/internal/wordmap"
 )
 
@@ -182,58 +181,72 @@ type depRecord struct {
 // Dependence detects cross-iteration memory dependences for the
 // instrumented accesses of each profiled loop.
 type Dependence struct {
-	// last[loopID] records, per word address, the last iteration that
-	// touched it and whether it was a write. Tables come from tables
-	// and go back there at Close.
-	last []*wordmap.Table[depRecord]
-	// iter[loopID] is the current iteration ordinal of the invocation.
-	iter []int64
-	// observed[loopID] is set once a cross-iteration dependence occurs.
-	observed []bool
-	// conflicts counts dependence events per loop.
-	conflicts []int64
+	// loops[loopID] is each profiled loop's state. Its tables come from
+	// the free list below on first use and go back there at Close.
+	loops []loopDep
 	// closed is set by Close; any later use panics.
 	closed bool
 }
 
+// loopDep is one profiled loop's dependence state.
+type loopDep struct {
+	// last records, per word address, the last iteration that touched
+	// it and whether it was a write.
+	last *wordmap.Table[depRecord]
+	// iter is the current iteration ordinal of the invocation.
+	iter int64
+	// observed is set once a cross-iteration dependence occurs.
+	observed bool
+	// conflicts counts dependence events.
+	conflicts int64
+}
+
+// maxFreeTables bounds the recycled tables a process keeps. One table
+// serves one profiled loop of one run; a cache-off janus-bench render
+// peaks at 9 to 15 tables on the list and a pipeline_gen sweep at 10.
+const maxFreeTables = 16
+
+// maxRecycledSlots bounds the backing a recycled table keeps: 1<<16
+// slots of 25 bytes, 1.56 MiB. A cache-off render's tables grow to at
+// most 32 768 slots. Close leaves a larger table to the garbage
+// collector, so the list holds at most maxFreeTables × 1.56 MiB whatever
+// a run profiled.
+const maxRecycledSlots = 1 << 16
+
 // tables recycles dependence tables, with their backing arrays, from
 // closed profiles to new ones, so a profiling run of a binary whose
 // predecessor has closed allocates no table storage once warm.
-var tables = sync.Pool{New: func() any { return new(wordmap.Table[depRecord]) }}
+var tables = freelist.New[wordmap.Table[depRecord]](maxFreeTables)
 
 // NewDependence returns an empty dependence profile.
 func NewDependence() *Dependence {
 	return &Dependence{}
 }
 
-// table returns loop loopID's table, growing the per-loop state to
-// cover it and taking the table from the pool — emptied and at its
+// loop returns loop loopID's state, growing the per-loop state to cover
+// it and taking the loop's table from the free list — emptied and at its
 // initial size — on the loop's first use.
-func (d *Dependence) table(loopID int) *wordmap.Table[depRecord] {
+func (d *Dependence) loop(loopID int) *loopDep {
 	d.live()
-	d.last = grown(d.last, loopID)
-	d.iter = grown(d.iter, loopID)
-	d.observed = grown(d.observed, loopID)
-	d.conflicts = grown(d.conflicts, loopID)
-	t := d.last[loopID]
-	if t == nil {
-		t = tables.Get().(*wordmap.Table[depRecord])
-		t.Recycle()
-		d.last[loopID] = t
+	d.loops = grown(d.loops, loopID)
+	l := &d.loops[loopID]
+	if l.last == nil {
+		l.last = tables.Get()
+		l.last.Recycle()
 	}
-	return t
+	return l
 }
 
 // EnterIter advances the loop to its next iteration (and resets
 // tracking state on a fresh invocation, identified by first=true).
 func (d *Dependence) EnterIter(loopID int, first bool) {
-	t := d.table(loopID)
+	l := d.loop(loopID)
 	if first {
-		t.Reset()
-		d.iter[loopID] = 0
+		l.last.Reset()
+		l.iter = 0
 		return
 	}
-	d.iter[loopID]++
+	l.iter++
 }
 
 // Record notes an instrumented access of width bytes. A dependence is
@@ -241,14 +254,14 @@ func (d *Dependence) EnterIter(loopID int, first bool) {
 // least one access is a write (word-granularity, like the paper's
 // word-based tracking).
 func (d *Dependence) Record(loopID int, addr uint64, width int64, write bool) {
-	t := d.table(loopID)
-	cur := d.iter[loopID]
+	l := d.loop(loopID)
+	t, cur := l.last, l.iter
 	for off := int64(0); off < width; off += 8 {
 		w := (addr + uint64(off)) &^ 7 // word granularity
 		rec, ok := t.Get(w)
 		if ok && rec.iter != cur && (rec.write || write) {
-			d.observed[loopID] = true
-			d.conflicts[loopID]++
+			l.observed = true
+			l.conflicts++
 		}
 		if !ok || rec.iter != cur || write || rec.write {
 			t.Put(w, depRecord{iter: cur, write: write || (ok && rec.write && rec.iter == cur)})
@@ -256,16 +269,17 @@ func (d *Dependence) Record(loopID int, addr uint64, width int64, write bool) {
 	}
 }
 
-// Close returns the profile's tables to the pool for the next profile.
-// What Observed and Conflicts report must be read before; any use after
-// Close panics. A second Close is a no-op.
+// Close returns the profile's tables of at most maxRecycledSlots to the
+// free list for the next profile. What Observed and Conflicts report
+// must be read before; any use after Close panics. A second Close is a
+// no-op.
 func (d *Dependence) Close() {
 	if d.closed {
 		return
 	}
-	for _, t := range d.last {
-		if t != nil {
-			tables.Put(t)
+	for _, l := range d.loops {
+		if l.last != nil && l.last.Slots() <= maxRecycledSlots {
+			tables.Put(l.last)
 		}
 	}
 	*d = Dependence{closed: true}
@@ -276,8 +290,8 @@ func (d *Dependence) Close() {
 func (d *Dependence) Observed() map[int]bool {
 	d.live()
 	out := make(map[int]bool)
-	for id, o := range d.observed {
-		if o {
+	for id, l := range d.loops {
+		if l.observed {
 			out[id] = true
 		}
 	}
@@ -287,10 +301,10 @@ func (d *Dependence) Observed() map[int]bool {
 // Conflicts returns the dependence event count for a loop.
 func (d *Dependence) Conflicts(loopID int) int64 {
 	d.live()
-	if loopID >= len(d.conflicts) {
+	if loopID < 0 || loopID >= len(d.loops) {
 		return 0
 	}
-	return d.conflicts[loopID]
+	return d.loops[loopID].conflicts
 }
 
 // live panics if d was closed.

@@ -105,3 +105,24 @@ func TestDependenceUseAfterClosePanics(t *testing.T) {
 		}()
 	}
 }
+
+// TestOversizedTableNotRecycled: Close leaves a table grown past
+// maxRecycledSlots to the garbage collector, so the next profile draws
+// a table within the bound.
+func TestOversizedTableNotRecycled(t *testing.T) {
+	d := NewDependence()
+	d.EnterIter(0, true)
+	for w := 0; w <= maxRecycledSlots/2; w++ {
+		d.Record(0, uint64(0x10000+w*8), 8, true)
+	}
+	if got := d.loops[0].last.Slots(); got <= maxRecycledSlots {
+		t.Fatalf("table grew to %d slots, want > %d", got, maxRecycledSlots)
+	}
+	d.Close()
+	d = NewDependence()
+	d.EnterIter(0, true)
+	if got := d.loops[0].last.Slots(); got > maxRecycledSlots {
+		t.Fatalf("next profile drew a table of %d slots, want <= %d", got, maxRecycledSlots)
+	}
+	d.Close()
+}

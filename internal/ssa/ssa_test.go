@@ -38,12 +38,12 @@ func TestStraightLineDefUse(t *testing.T) {
 	// The MOV at index 1 must use the MOVI's def.
 	movRef := InstRef{Block: entry, Idx: 1}
 	v := s.UseOf(movRef, guest.R1)
-	if v == nil || v.Kind != InstDef || v.Inst.Op != guest.MOVI {
+	if v == nil || v.Kind != InstDef || v.Inst().Op != guest.MOVI {
 		t.Fatalf("use of r1 at mov: %v", v)
 	}
 	// The ADD uses both r2 (from MOV) and r1 (from MOVI).
 	addRef := InstRef{Block: entry, Idx: 2}
-	if u := s.UseOf(addRef, guest.R2); u == nil || u.Inst.Op != guest.MOV {
+	if u := s.UseOf(addRef, guest.R2); u == nil || u.Inst().Op != guest.MOV {
 		t.Fatalf("use of r2 at add: %v", u)
 	}
 	if d := s.DefOfReg(addRef, guest.R2); d == nil {
@@ -95,10 +95,10 @@ func TestPhiAtLoopHeader(t *testing.T) {
 		if a == nil {
 			t.Fatal("nil phi arg")
 		}
-		if a.Kind == InstDef && a.Inst.Op == guest.MOVI {
+		if a.Kind == InstDef && a.Inst().Op == guest.MOVI {
 			sawInit = true
 		}
-		if a.Kind == InstDef && a.Inst.Op == guest.ADDI {
+		if a.Kind == InstDef && a.Inst().Op == guest.ADDI {
 			sawLatch = true
 		}
 	}
@@ -155,9 +155,9 @@ func TestEntryStateSnapshots(t *testing.T) {
 		f.Halt()
 	})
 	header := fn.Loops[0].Header
-	entry := s.EntryState[header]
+	entry := s.EntryOf(header)
 	// r9 is invariant: its header entry value is the MOVI def.
-	if v := entry[guest.R9]; v == nil || v.Kind != InstDef || v.Inst.Imm != 42 {
+	if v := entry[guest.R9]; v == nil || v.Kind != InstDef || v.Inst().Imm != 42 {
 		t.Fatalf("entry r9 = %v", v)
 	}
 	// r1 has a phi: the entry value must be the phi itself.
@@ -217,7 +217,7 @@ func TestCallClobbersBreakChains(t *testing.T) {
 	}
 	ref := InstRef{Block: afterCall, Idx: 0}
 	v := s.UseOf(ref, guest.R0)
-	if v == nil || v.Kind != InstDef || !v.Inst.Op.IsCall() {
+	if v == nil || v.Kind != InstDef || !v.Inst().Op.IsCall() {
 		t.Fatalf("use of r0 after call should be the call clobber, got %v", v)
 	}
 }

@@ -2,7 +2,6 @@ package sym
 
 import (
 	"fmt"
-	"sort"
 
 	"janus/internal/cfg"
 	"janus/internal/guest"
@@ -95,9 +94,9 @@ type Analysis struct {
 	// Preheader is the unique out-of-loop predecessor of the header
 	// (nil when the header has several outside predecessors).
 	Preheader *cfg.Block
-	// EntryVals maps each register to the SSA value it holds when the
-	// loop is entered from outside.
-	EntryVals map[guest.Reg]*ssa.Value
+	// EntryVals gives, per register, the SSA value it holds when the
+	// loop is entered from outside (nil when unknown).
+	EntryVals [guest.NumGPR]*ssa.Value
 
 	Inductions []Induction
 	Reductions []Reduction
@@ -132,22 +131,31 @@ type Analysis struct {
 	Irregular bool
 	Reason    string
 
-	exprCache map[*ssa.Value]Expr
-	visiting  map[*ssa.Value]bool
-	indByPhi  map[*ssa.Value]*Induction
-	redByPhi  map[*ssa.Value]bool
+	// memo is per-value state indexed by ssa.Value.ID; exprs holds
+	// the expressions it refers to.
+	memo  []valMemo
+	exprs []Expr
 }
+
+// valMemo is what one loop's analysis knows of one SSA value.
+type valMemo struct {
+	// expr is 1 + the index of the value's expression in exprs, 0 when
+	// not yet computed, and visiting while it is being computed.
+	expr int32
+	// ind is 1 + the index of the induction the value is the phi of.
+	ind int32
+	// red marks a reduction phi.
+	red bool
+}
+
+const visiting = -1
 
 // Analyze builds the symbolic summary of loop under s.
 func Analyze(loop *cfg.Loop, s *ssa.SSA) *Analysis {
 	a := &Analysis{
-		Loop:      loop,
-		S:         s,
-		EntryVals: map[guest.Reg]*ssa.Value{},
-		exprCache: map[*ssa.Value]Expr{},
-		visiting:  map[*ssa.Value]bool{},
-		indByPhi:  map[*ssa.Value]*Induction{},
-		redByPhi:  map[*ssa.Value]bool{},
+		Loop: loop,
+		S:    s,
+		memo: make([]valMemo, s.NumValues()+1),
 	}
 	a.findPreheader()
 	a.findEntryVals()
@@ -171,7 +179,7 @@ func (a *Analysis) fail(reason string) {
 func (a *Analysis) findPreheader() {
 	var outside []*cfg.Block
 	for _, p := range a.Loop.Header.Preds {
-		if !a.Loop.Body[p] {
+		if !a.Loop.Contains(p) {
 			outside = append(outside, p)
 		}
 	}
@@ -185,7 +193,7 @@ func (a *Analysis) findPreheader() {
 // header has a phi for that register, otherwise the header entry value.
 func (a *Analysis) findEntryVals() {
 	header := a.Loop.Header
-	entry := a.S.EntryState[header]
+	entry := a.S.EntryOf(header)
 	for r := guest.Reg(0); r < guest.NumGPR; r++ {
 		v := entry[r]
 		if phi := a.S.PhiFor(header, r); phi != nil {
@@ -198,9 +206,7 @@ func (a *Analysis) findEntryVals() {
 				}
 			}
 		}
-		if v != nil {
-			a.EntryVals[r] = v
-		}
+		a.EntryVals[r] = v
 	}
 }
 
@@ -209,7 +215,7 @@ func (a *Analysis) findEntryVals() {
 func (a *Analysis) latchArg(phi *ssa.Value) *ssa.Value {
 	var got *ssa.Value
 	for i, p := range a.Loop.Header.Preds {
-		if a.Loop.Body[p] {
+		if a.Loop.Contains(p) {
 			arg := phi.Args[i]
 			if got != nil && got != arg {
 				return nil
@@ -224,7 +230,7 @@ func (a *Analysis) latchArg(phi *ssa.Value) *ssa.Value {
 func (a *Analysis) initArg(phi *ssa.Value) *ssa.Value {
 	var got *ssa.Value
 	for i, p := range a.Loop.Header.Preds {
-		if !a.Loop.Body[p] {
+		if !a.Loop.Contains(p) {
 			arg := phi.Args[i]
 			if got != nil && got != arg {
 				return nil
@@ -236,7 +242,7 @@ func (a *Analysis) initArg(phi *ssa.Value) *ssa.Value {
 }
 
 func (a *Analysis) findInductionsAndReductions() {
-	for _, phi := range a.S.Phis[a.Loop.Header] {
+	for _, phi := range a.S.PhisAt(a.Loop.Header) {
 		if phi.IsFlags {
 			continue
 		}
@@ -249,19 +255,22 @@ func (a *Analysis) findInductionsAndReductions() {
 			init := a.exprOfOutside(initV)
 			ind := Induction{Phi: phi, Reg: phi.Reg, Init: init, Step: step}
 			a.Inductions = append(a.Inductions, ind)
-			a.indByPhi[phi] = &a.Inductions[len(a.Inductions)-1]
+			a.memo[phi.ID].ind = int32(len(a.Inductions))
 			continue
 		}
 		if op, ok := a.reductionOf(latch, phi); ok {
 			a.Reductions = append(a.Reductions, Reduction{Phi: phi, Reg: phi.Reg, Op: op})
-			a.redByPhi[phi] = true
+			a.memo[phi.ID].red = true
 		}
 	}
-	// Fix dangling pointers after slice growth.
-	a.indByPhi = map[*ssa.Value]*Induction{}
-	for i := range a.Inductions {
-		a.indByPhi[a.Inductions[i].Phi] = &a.Inductions[i]
+}
+
+// inductionOf returns the induction whose phi v is, or nil.
+func (a *Analysis) inductionOf(v *ssa.Value) *Induction {
+	if i := a.memo[v.ID].ind; i > 0 {
+		return &a.Inductions[i-1]
 	}
+	return nil
 }
 
 // stepOf reports whether value v equals phi + k for a constant k,
@@ -273,11 +282,11 @@ func (a *Analysis) stepOf(v, phi *ssa.Value, depth int) (int64, bool) {
 	if v == phi {
 		return 0, true
 	}
-	if v.Kind != ssa.InstDef || !a.Loop.Body[v.Block] {
+	if v.Kind != ssa.InstDef || !a.Loop.Contains(v.Block) {
 		return 0, false
 	}
 	ref := ssa.InstRef{Block: v.Block, Idx: v.InstIdx}
-	in := v.Inst
+	in := v.Inst()
 	use := func(r guest.Reg) *ssa.Value { return a.S.UseOf(ref, r) }
 	switch in.Op {
 	case guest.MOV:
@@ -319,11 +328,11 @@ func (a *Analysis) stepOf(v, phi *ssa.Value, depth int) (int64, bool) {
 
 // reductionOf recognises latch values of the form acc = acc ⊕ x.
 func (a *Analysis) reductionOf(v, phi *ssa.Value) (guest.Op, bool) {
-	if v == nil || v.Kind != ssa.InstDef || !a.Loop.Body[v.Block] {
+	if v == nil || v.Kind != ssa.InstDef || !a.Loop.Contains(v.Block) {
 		return 0, false
 	}
 	ref := ssa.InstRef{Block: v.Block, Idx: v.InstIdx}
-	in := v.Inst
+	in := v.Inst()
 	switch in.Op {
 	case guest.MOV:
 		return a.reductionOf(a.S.UseOf(ref, in.Rs), phi)
@@ -350,9 +359,9 @@ func (a *Analysis) reachesPhi(v, phi *ssa.Value, depth int) bool {
 	if v == phi {
 		return true
 	}
-	if v.Kind == ssa.InstDef && a.Loop.Body[v.Block] && v.Inst.Op == guest.MOV {
+	if v.Kind == ssa.InstDef && a.Loop.Contains(v.Block) && v.Inst().Op == guest.MOV {
 		ref := ssa.InstRef{Block: v.Block, Idx: v.InstIdx}
-		return a.reachesPhi(a.S.UseOf(ref, v.Inst.Rs), phi, depth+1)
+		return a.reachesPhi(a.S.UseOf(ref, v.Inst().Rs), phi, depth+1)
 	}
 	return false
 }
@@ -368,7 +377,7 @@ func (a *Analysis) exprOfOutside(v *ssa.Value) Expr {
 	// static initial value even though r1 is also the entry register).
 	if v.Kind == ssa.InstDef {
 		ref := ssa.InstRef{Block: v.Block, Idx: v.InstIdx}
-		in := v.Inst
+		in := v.Inst()
 		var e Expr = UnknownExpr()
 		switch in.Op {
 		case guest.MOVI:
@@ -404,32 +413,34 @@ func (a *Analysis) ExprOf(v *ssa.Value) Expr {
 	if v == nil {
 		return UnknownExpr()
 	}
-	if e, ok := a.exprCache[v]; ok {
-		return e
-	}
-	if a.visiting[v] {
+	m := &a.memo[v.ID]
+	switch m.expr {
+	case 0:
+	case visiting:
 		return UnknownExpr()
+	default:
+		return a.exprs[m.expr-1]
 	}
-	a.visiting[v] = true
+	m.expr = visiting
 	e := a.exprOf(v)
-	delete(a.visiting, v)
-	a.exprCache[v] = e
+	a.exprs = append(a.exprs, e)
+	m.expr = int32(len(a.exprs))
 	return e
 }
 
 func (a *Analysis) exprOf(v *ssa.Value) Expr {
 	// Header phi of this loop.
 	if v.Kind == ssa.PhiDef && v.Block == a.Loop.Header {
-		if ind := a.indByPhi[v]; ind != nil {
+		if ind := a.inductionOf(v); ind != nil {
 			return ind.Init.Add(IterExpr(ind.Step))
 		}
-		if a.redByPhi[v] {
+		if a.memo[v.ID].red {
 			return UnknownExpr()
 		}
 		return a.phiArgsEqual(v)
 	}
 	// Defined outside the loop: invariant atom.
-	if v.Kind == ssa.Param || (v.Block != nil && !a.Loop.Body[v.Block]) {
+	if v.Kind == ssa.Param || (v.Block != nil && !a.Loop.Contains(v.Block)) {
 		return a.exprOfOutside(v)
 	}
 	if v.Kind == ssa.PhiDef {
@@ -439,7 +450,7 @@ func (a *Analysis) exprOf(v *ssa.Value) Expr {
 		return a.phiArgsEqual(v)
 	}
 	ref := ssa.InstRef{Block: v.Block, Idx: v.InstIdx}
-	in := v.Inst
+	in := v.Inst()
 	use := func(r guest.Reg) Expr { return a.ExprOf(a.S.UseOf(ref, r)) }
 	switch in.Op {
 	case guest.MOVI:
@@ -629,8 +640,8 @@ func (a *Analysis) solveExit(exit *cfg.Block) (exitSolution, bool) {
 
 	// Determine the leave-loop condition.
 	op := last.Op
-	taken := a.blockAt(uint64(last.Imm))
-	leavesOnTaken := taken == nil || !a.Loop.Body[taken]
+	taken := a.Loop.Fn.BlockAt(uint64(last.Imm))
+	leavesOnTaken := taken == nil || !a.Loop.Contains(taken)
 	if !leavesOnTaken {
 		op = guest.InvertCond(op)
 	}
@@ -712,15 +723,11 @@ func (a *Analysis) inductionFor(e Expr) *Induction {
 	return nil
 }
 
-func (a *Analysis) blockAt(addr uint64) *cfg.Block {
-	return a.Loop.Fn.BlockAt[addr]
-}
-
 // findCarriedAndLiveOut classifies the remaining header phis and the
 // registers needing final-value reconstruction.
 func (a *Analysis) findCarriedAndLiveOut() {
-	for _, phi := range a.S.Phis[a.Loop.Header] {
-		if phi.IsFlags || a.indByPhi[phi] != nil || a.redByPhi[phi] {
+	for _, phi := range a.S.PhisAt(a.Loop.Header) {
+		if phi.IsFlags || a.inductionOf(phi) != nil || a.memo[phi.ID].red {
 			continue
 		}
 		// Minimal SSA places phis for registers merely redefined in the
@@ -736,31 +743,25 @@ func (a *Analysis) findCarriedAndLiveOut() {
 		}
 		a.CarriedRegs = append(a.CarriedRegs, phi.Reg)
 	}
-	defined := map[guest.Reg]bool{}
-	for b := range a.Loop.Body {
+	var defined guest.RegSet
+	for _, b := range a.Loop.Blocks() {
 		for _, in := range b.Insts {
-			for _, d := range in.Defs() {
-				if d.Kind == guest.LocReg && d.Reg < guest.NumGPR {
-					defined[d.Reg] = true
-				}
-			}
+			defined |= in.DefRegs()
 		}
 	}
-	seen := map[guest.Reg]bool{}
+	// Each exit target's registers are emitted in register order, so
+	// LiveOutRegs — and everything serialised from it, like the
+	// LOOP_FINISH rules the artifact cache hashes — is identical across
+	// runs.
+	var seen guest.RegSet
 	for _, t := range a.Loop.ExitTargets {
-		// liveInto returns a set; emit its members in register order so
-		// LiveOutRegs — and everything serialised from it, like the
-		// LOOP_FINISH rules the artifact cache hashes — is identical
-		// across runs.
-		var regs []guest.Reg
-		for r := range liveInto(a.S, t) {
-			if defined[r] && !seen[r] {
-				seen[r] = true
-				regs = append(regs, r)
+		live := liveInto(a.S, t) & defined &^ seen
+		seen |= live
+		for r := guest.Reg(0); r < guest.NumGPR; r++ {
+			if live.Has(r) {
+				a.LiveOutRegs = append(a.LiveOutRegs, r)
 			}
 		}
-		sort.Slice(regs, func(i, j int) bool { return regs[i] < regs[j] })
-		a.LiveOutRegs = append(a.LiveOutRegs, regs...)
 	}
 }
 
@@ -770,15 +771,13 @@ func (a *Analysis) findCarriedAndLiveOut() {
 // and a callee reading an argument the caller never set is undefined
 // behaviour under the calling convention, not a loop-carried value.
 func (a *Analysis) phiUsedInLoop(phi *ssa.Value) bool {
-	for b := range a.Loop.Body {
-		for i := range b.Insts {
-			ref := ssa.InstRef{Block: b, Idx: i}
-			in := b.Insts[i]
-			for r, v := range a.S.RegUse[ref] {
-				if v != phi {
+	for _, b := range a.Loop.Blocks() {
+		for i, in := range b.Insts {
+			for _, u := range a.S.UsesAt(ssa.InstRef{Block: b, Idx: i}) {
+				if u.Value != phi {
 					continue
 				}
-				if in.Op.IsCall() && r >= guest.R1 && r <= guest.R5 {
+				if in.Op.IsCall() && u.Reg >= guest.R1 && u.Reg <= guest.R5 {
 					continue
 				}
 				return true
@@ -790,27 +789,13 @@ func (a *Analysis) phiUsedInLoop(phi *ssa.Value) bool {
 
 // liveInto approximates the registers live at entry to block b: those
 // read in b before being written, plus everything live out of b.
-func liveInto(s *ssa.SSA, b *cfg.Block) map[guest.Reg]bool {
-	out := map[guest.Reg]bool{}
-	written := map[guest.Reg]bool{}
+func liveInto(s *ssa.SSA, b *cfg.Block) guest.RegSet {
+	var live, written guest.RegSet
 	for _, in := range b.Insts {
-		for _, u := range in.Uses() {
-			if u.Kind == guest.LocReg && !written[u.Reg] {
-				out[u.Reg] = true
-			}
-		}
-		for _, d := range in.Defs() {
-			if d.Kind == guest.LocReg {
-				written[d.Reg] = true
-			}
-		}
+		live |= in.UseRegs() &^ written
+		written |= in.DefRegs()
 	}
-	for r := range s.LiveOut[b] {
-		if !written[r] {
-			out[r] = true
-		}
-	}
-	return out
+	return live | s.LiveOutSet(b)&^written
 }
 
 // String summarises the analysis for diagnostics.

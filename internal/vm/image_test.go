@@ -144,7 +144,7 @@ func poisonPool(n int) {
 		for j := range d {
 			d[j] = 0xFF
 		}
-		blockPool.Put(d)
+		blocks.Put(d)
 	}
 }
 

@@ -30,7 +30,7 @@
 // no TLB shoot-down to get wrong.
 //
 // The private blocks a run writes outlive it: Close hands them to a
-// package-level pool the next machine's pages come from. A block is
+// package-level free list the next machine's pages come from. A block is
 // recycled only after Close and is zeroed, or overwritten in full,
 // before it is mapped.
 package vm
@@ -40,6 +40,8 @@ import (
 	"sort"
 	"sync"
 	"sync/atomic"
+
+	"janus/internal/freelist"
 )
 
 const (
@@ -76,19 +78,21 @@ const noPage = ^uint64(0)
 // pageData is the bytes of one page.
 type pageData [pageSize]byte
 
-// blockPool recycles private blocks between machines (Memory.Close puts,
+// maxFreeBlocks bounds the recycled blocks a process keeps, at 16 MiB.
+// A cache-off janus-bench render peaks at 2 096 blocks on the list and
+// a pipeline_gen sweep at under 32, so the bound is about twice the
+// render's peak: steady renders allocate no block, and an idle process
+// holds no more than this.
+const maxFreeBlocks = 4096
+
+// blocks recycles private blocks between machines (Memory.Close puts,
 // the three allocation sites below and in checkpoint.go get). It is
 // touched only when a page is allocated and at Close, never per access.
-var blockPool sync.Pool
+var blocks = freelist.New[pageData](maxFreeBlocks)
 
 // takeBlock returns a block whose contents are arbitrary: the caller
 // overwrites it in full or clears it.
-func takeBlock() *pageData {
-	if d, _ := blockPool.Get().(*pageData); d != nil {
-		return d
-	}
-	return new(pageData)
-}
+func takeBlock() *pageData { return blocks.Get() }
 
 // Page states (page.dirty). A store is allowed only in pageDirty, so
 // every store path is one load and one compare whatever else a page can
@@ -150,7 +154,7 @@ func (p *page) setDirty() {
 		cp := takeBlock()
 		*cp = *p.img
 		if !p.data.CompareAndSwap(p.img, cp) {
-			blockPool.Put(cp) // never published
+			blocks.Put(cp) // never published
 		}
 	}
 	p.dirty.Store(pageDirty)
@@ -284,11 +288,11 @@ func (m *Memory) Close() {
 	defer m.mu.Unlock()
 	for _, p := range m.all {
 		if d := p.data.Swap(nil); d != nil && d != p.img {
-			blockPool.Put(d)
+			blocks.Put(d)
 		}
 	}
 	for _, d := range m.spare {
-		blockPool.Put(d)
+		blocks.Put(d)
 	}
 	m.leaves, m.all, m.spare = nil, nil, nil
 	m.view.init(m)

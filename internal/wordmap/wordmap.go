@@ -80,6 +80,10 @@ func (t *Table[V]) Recycle() {
 // Len returns the number of stored keys.
 func (t *Table[V]) Len() int { return t.n }
 
+// Slots returns the number of slots in the table's backing arrays: what
+// its memory is proportional to, which Recycle does not shrink.
+func (t *Table[V]) Slots() int { return len(t.keys) }
+
 func (t *Table[V]) slot(addr uint64) int {
 	mask := uint64(t.size - 1)
 	i := Mix(addr) & mask

@@ -195,3 +195,22 @@ func TestRecycleKeepsBacking(t *testing.T) {
 		t.Fatalf("refilling a recycled table allocated %v times, want 0", allocs)
 	}
 }
+
+// TestSlotsCountsBacking: Slots is the backing's length, which growth
+// doubles and Recycle keeps.
+func TestSlotsCountsBacking(t *testing.T) {
+	var m Table[uint64]
+	if got := m.Slots(); got != 0 {
+		t.Fatalf("zero table has %d slots, want 0", got)
+	}
+	for i := uint64(0); i < minCap; i++ {
+		m.Put(i*8, i)
+	}
+	if got := m.Slots(); got != 4*minCap {
+		t.Fatalf("%d keys: %d slots, want %d", minCap, got, 4*minCap)
+	}
+	m.Recycle()
+	if got := m.Slots(); got != 4*minCap {
+		t.Fatalf("recycled table has %d slots, want %d", got, 4*minCap)
+	}
+}

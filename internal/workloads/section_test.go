@@ -12,6 +12,9 @@ import (
 // backing array, one loaded image — whose bytes equal what a fresh,
 // unshared assembly generates.
 func TestRegistrySectionsShared(t *testing.T) {
+	// An Open test may have left an image decoded from a store in the
+	// build tier, which shares no section with a registry build.
+	ResetBuildCache()
 	for _, bm := range registry {
 		if bm.buildExt != nil {
 			continue
