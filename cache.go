@@ -46,8 +46,8 @@ import (
 //
 //	stage            memory key                  disk
 //	binary handle    (exe, libs) pointers        ident-v1  (internal/workloads:
-//	                 identity + code size beside build-v1; BinaryOf's handles of
-//	                 resident images are memory-only)
+//	                 identity + code size; the build itself is assembled, and
+//	                 BinaryOf's handles of resident images are memory-only)
 //	native baseline  handle                      native-v1
 //	train profile    handle                      profile-v1
 //	train analysis   handle                      —  (a live CFG/SSA graph)

@@ -103,14 +103,14 @@ func TestTierInstances(t *testing.T) {
 		stats  func() artcache.TierStats
 		view   func(any) any
 	}{
-		{"build", true,
-			func(c *artcache.Cache) (any, error) {
-				e, _, err := workloads.BuildCached(c, bench, workloads.Train, workloads.O3)
+		{"build", false,
+			func(*artcache.Cache) (any, error) {
+				e, _, err := workloads.Build(bench, workloads.Train, workloads.O3)
 				return e, err
 			},
 			workloads.ResetBuildCache,
-			func() artcache.TierStats { return workloads.TierStats()["build-v1"] },
-			func(v any) any { return string(v.(*obj.Executable).Save()) }},
+			func() artcache.TierStats { return workloads.TierStats()["build"] },
+			func(v any) any { return v.(*obj.Executable).Fingerprint() }},
 		{"native", true,
 			func(c *artcache.Cache) (any, error) { return RunNativeBaselineCached(c, exe, libs...) },
 			ResetMemos,

@@ -24,15 +24,19 @@
 //	                                     run (figures gain gen/* rows;
 //	                                     default output is unchanged when
 //	                                     the flag is absent)
-//	janus-bench -cache-dir .janus-cache  store builds, rewrite schedules,
-//	                                     native baselines, profiles and
-//	                                     DBM results in a durable on-disk
-//	                                     artifact cache; a warm re-run
-//	                                     replays them without loading a
-//	                                     binary and prints hit/miss
-//	                                     counters (total, then per kind)
-//	                                     to stderr. Output is byte-identical
-//	                                     with the cache off, cold or warm.
+//	janus-bench -cache-dir .janus-cache  store build identities, rewrite
+//	                                     schedules, native baselines,
+//	                                     profiles and DBM results in a
+//	                                     durable on-disk artifact cache;
+//	                                     a warm re-run replays them
+//	                                     without building a binary and
+//	                                     prints hit/miss counters (total,
+//	                                     then per kind) to stderr. Output
+//	                                     is byte-identical with the cache
+//	                                     off, cold or warm.
+//
+// Every run ends its stderr with the free lists' counters: page blocks
+// and dependence tables allocated fresh and recycled.
 package main
 
 import (
@@ -78,9 +82,11 @@ func main() {
 	}
 	// The stderr counter lines are part of the tool's contract even when
 	// a run dies partway: a failed run with a cache attached still
-	// reports its hit/miss counters. flushCache runs on every exit path
-	// below; fail exits 1 with the counters flushed first.
-	flushCache := func() {
+	// reports its hit/miss counters. flushCounters runs on every exit path
+	// below; fail exits 1 with the counters flushed first. The free
+	// lists' line follows, cache or not: how many page blocks and
+	// dependence tables the render allocated and how many it recycled.
+	flushCounters := func() {
 		if cache != nil {
 			st := cache.Stats()
 			fmt.Fprintln(os.Stderr, "janus-bench: artcache:", st)
@@ -92,9 +98,10 @@ func main() {
 				fmt.Fprintln(os.Stderr, "janus-bench: artcache kinds:", st.KindsString())
 			}
 		}
+		fmt.Fprintln(os.Stderr, "janus-bench: free lists:", harness.FreeListStats())
 	}
 	fail := func(err error) {
-		flushCache()
+		flushCounters()
 		fmt.Fprintln(os.Stderr, "janus-bench:", err)
 		os.Exit(1)
 	}
@@ -125,7 +132,7 @@ func main() {
 	if opts.Inject != nil || opts.Recovery.ParRecoveries.Load() > 0 {
 		fmt.Fprintln(os.Stderr, "janus-bench:", opts.Recovery.Summary())
 	}
-	flushCache()
+	flushCounters()
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "janus-bench:", err)
 		os.Exit(1)

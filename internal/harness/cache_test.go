@@ -109,7 +109,8 @@ func TestGoldenColdWarmOff(t *testing.T) {
 	// registry (figure 6 plans the train-O3 build of every benchmark),
 	// names the parallelisable benchmarks, each built at figure 12's
 	// three levels for ref and train inputs (the O3 train builds are
-	// figure 6's). Every build has its identity beside it. Plans: one
+	// figure 6's). Every build has its identity recorded; the builds
+	// themselves are assembled, never stored. Plans: one
 	// per figure-6 row, five per parallelisable benchmark (the three
 	// modes on O3, the full one on O2 and O3AVX — thread count is not
 	// part of a plan) and the two modelled compilers. Baselines: one per
@@ -118,7 +119,6 @@ func TestGoldenColdWarmOff(t *testing.T) {
 	entries := entriesByKind(t, dir)
 	builds := all + 5*names
 	for kind, n := range map[string]int64{
-		"build-v1":    builds,
 		"ident-v1":    builds,
 		"schedule-v1": all + 5*names + 2*names,
 		"native-v1":   3 * names,
@@ -132,8 +132,8 @@ func TestGoldenColdWarmOff(t *testing.T) {
 	// Every stage's memory key names what its disk key names, so the
 	// cold render looks each artifact up exactly once — a miss — and
 	// every later asker is answered from memory: no hits at all, and per
-	// kind as many lookups as there are entries (425 in total: 70 / 70 /
-	// 88 / 27 / 43 / 127).
+	// kind as many lookups as there are entries (355 in total: 70 / 88 /
+	// 27 / 43 / 127).
 	wantCold := map[string]artcache.KindStats{}
 	for kind, n := range entries {
 		wantCold[kind] = artcache.KindStats{Misses: n}
@@ -212,8 +212,8 @@ func TestCacheOffComputesWhatColdStores(t *testing.T) {
 	resetMemoryTiers()
 	cold := rendered("cold cache", o)
 	entries := entriesByKind(t, o.CacheDir)
-	if len(entries) != 6 {
-		t.Fatalf("cold store holds kinds %v, want six", entries)
+	if len(entries) != 5 {
+		t.Fatalf("cold store holds kinds %v, want five", entries)
 	}
 	for kind, n := range entries {
 		// An identity record is derived only where there is a store to
@@ -225,6 +225,12 @@ func TestCacheOffComputesWhatColdStores(t *testing.T) {
 			t.Errorf("cache cold computed %d %s artifacts and stored %d", cold[kind].Computed, kind, n)
 		}
 	}
+	// Builds are not stored: each is assembled once, with or without a
+	// store, and has its identity recorded.
+	if off["build"].Computed != entries["ident-v1"] || cold["build"].Computed != entries["ident-v1"] {
+		t.Errorf("cache off assembled %d builds, cache cold %d; the cold store records %d identities",
+			off["build"].Computed, cold["build"].Computed, entries["ident-v1"])
+	}
 }
 
 // TestFigure11EnginesDoNotShareRuns: figure 11 — the Janus rows and the
@@ -232,7 +238,8 @@ func TestCacheOffComputesWhatColdStores(t *testing.T) {
 // round-robin render of it replays everything but the DBM runs: the
 // engine selection is part of every dbm key, so one engine's stored
 // Stats are never served as the other's — while the plans, which no
-// engine knob enters, all hit.
+// engine knob enters, all hit. Only the binaries of the missed runs are
+// assembled.
 func TestFigure11EnginesDoNotShareRuns(t *testing.T) {
 	if testing.Short() {
 		t.Skip("three figure-11 renders; run without -short")
@@ -244,14 +251,17 @@ func TestFigure11EnginesDoNotShareRuns(t *testing.T) {
 	}
 	o := DefaultOptions()
 	o.CacheDir = dir
+	// builds is how many binaries the last fig11 assembled.
+	var builds int64
 	fig11 := func(o Options) (string, artcache.Stats) {
 		t.Helper()
 		resetMemoryTiers()
-		before := cache.Stats()
+		before, assembled := cache.Stats(), TierStats()["build"].Computed
 		rows, err := Figure11(o)
 		if err != nil {
 			t.Fatal(err)
 		}
+		builds = TierStats()["build"].Computed - assembled
 		return RenderFigure11(rows), statsDelta(before, cache.Stats())
 	}
 
@@ -265,8 +275,8 @@ func TestFigure11EnginesDoNotShareRuns(t *testing.T) {
 	if got != want || warm.Misses != 0 || warm.BadEntries != 0 {
 		t.Errorf("warm figure 11 was not a replay (%s; %s)", warm, warm.KindsString())
 	}
-	if ks := warm.Kinds["schedule-v1"]; ks.Hits != stored["schedule-v1"] || warm.Kinds["build-v1"].Hits+warm.Kinds["profile-v1"].Hits != 0 {
-		t.Errorf("warm figure 11 did not replay its %d plans image-free: %s", stored["schedule-v1"], warm.KindsString())
+	if ks := warm.Kinds["schedule-v1"]; ks.Hits != stored["schedule-v1"] || warm.Kinds["profile-v1"].Hits != 0 || builds != 0 {
+		t.Errorf("warm figure 11 did not replay its %d plans image-free: %s, %d builds assembled", stored["schedule-v1"], warm.KindsString(), builds)
 	}
 
 	o.SingleGoroutine = true
@@ -275,13 +285,15 @@ func TestFigure11EnginesDoNotShareRuns(t *testing.T) {
 		t.Error("round-robin figure 11 renders differently")
 	}
 	// The missed runs execute, so their binaries are materialised: one
-	// build-v1 hit each, beneath the identity that opened them.
+	// assembly each, beneath the identity that opened them.
+	if builds != stored["native-v1"] {
+		t.Errorf("round-robin render assembled %d binaries, want one per baseline: %d", builds, stored["native-v1"])
+	}
 	rrWant := map[string]artcache.KindStats{}
 	for kind, ks := range warm.Kinds {
 		rrWant[kind] = ks
 	}
 	rrWant["dbm-v2"] = artcache.KindStats{Misses: stored["dbm-v2"]}
-	rrWant["build-v1"] = artcache.KindStats{Hits: stored["native-v1"]}
 	if !reflect.DeepEqual(rr.Kinds, rrWant) {
 		t.Errorf("round-robin render on the default engine's store looked up %s, want %s — exactly the %d DBM runs missed, every plan hit",
 			rr.KindsString(), artcache.Stats{Kinds: rrWant}.KindsString(), stored["dbm-v2"])
@@ -338,7 +350,7 @@ func TestCacheCorruptionHealsAcrossRender(t *testing.T) {
 	}
 	first := RenderFigure7(rows)
 	stored := entriesByKind(t, dir)
-	for _, kind := range []string{"build-v1", "ident-v1", "schedule-v1", "native-v1", "profile-v1", "dbm-v2"} {
+	for _, kind := range []string{"ident-v1", "schedule-v1", "native-v1", "profile-v1", "dbm-v2"} {
 		if stored[kind] == 0 {
 			t.Fatalf("figure 7 stored no %s entry to corrupt (store entries %v)", kind, stored)
 		}
@@ -442,11 +454,11 @@ func reseal(t *testing.T, path string, payload []byte) {
 }
 
 // TestImageFreeReplay pins what makes a warm replay image-free and what
-// it costs nothing in safety: after one cold render the build images
-// can be deleted outright, an identity record that lies about its image
-// is caught the moment the image is needed, an evicted image is
-// reassembled to the identity on record, and the memory resets leave
-// nothing behind that a fresh process would not have.
+// it costs nothing in safety: build images left in a store by older
+// releases are never read, an identity record that lies about its image
+// is caught the moment the image is needed, an image needed by a missing
+// result is assembled to the identity on record, and the memory resets
+// leave nothing behind that a fresh process would not have.
 func TestImageFreeReplay(t *testing.T) {
 	if testing.Short() {
 		t.Skip("one cold and six warm full-suite renders; run without -short")
@@ -478,26 +490,44 @@ func TestImageFreeReplay(t *testing.T) {
 			first, first.KindsString(), again, again.KindsString())
 	}
 
-	// (a) No image is read: the whole build kind can go.
-	if err := os.RemoveAll(filepath.Join(dir, "build-v1")); err != nil {
-		t.Fatal(err)
+	// (a) A store written by a release that still stored build images
+	// under "build-v1" replays the same: that directory is never read.
+	// Plant one entry per build under the key that release used.
+	const imageKind = "build-v1"
+	planted := 0
+	for _, name := range workloads.Names() {
+		for _, in := range []workloads.Input{workloads.Train, workloads.Ref} {
+			for _, opt := range []workloads.OptLevel{workloads.O2, workloads.O3, workloads.O3AVX} {
+				k := artcache.Key{
+					Kind:   imageKind,
+					Binary: name,
+					Input:  in.String(),
+					Config: "opt=" + opt.String() + " schema=" + workloads.BuildSchema,
+				}
+				if err := cache.Put(k, []byte("JEXE0001 "+name)); err != nil {
+					t.Fatal(err)
+				}
+				planted++
+			}
+		}
 	}
-	if d := replay("build-v1 deleted"); !reflect.DeepEqual(d, first) {
-		t.Fatalf("render without build-v1 was not the same pure replay: %s (%s), want %s", d, d.KindsString(), first.KindsString())
+	if d := replay("image entries planted"); !reflect.DeepEqual(d, first) {
+		t.Fatalf("render beside stored images was not the same pure replay: %s (%s), want %s", d, d.KindsString(), first.KindsString())
 	}
 
-	// (c) Image evicted, identity on record, one downstream result gone:
-	// the run executes on a reassembled image, which hashes to the
-	// record — nothing is bad, one build is republished.
+	// (c) Identity on record, one downstream result gone: the run
+	// executes on an assembled image, which hashes to the record —
+	// nothing is bad, one build is assembled, none is stored.
 	if err := os.Remove(artifactsOf(t, dir, "dbm-v2")[0]); err != nil {
 		t.Fatal(err)
 	}
-	d := replay("build-v1 evicted, one run missing")
-	if d.BadEntries != 0 || d.Kinds["dbm-v2"].Misses == 0 || d.Kinds["build-v1"] != (artcache.KindStats{Misses: 1}) || d.Misses != d.Kinds["dbm-v2"].Misses+1 {
-		t.Fatalf("want the missing run executed on one reassembled image and nothing else recomputed: %s (%s)", d, d.KindsString())
+	assembled := TierStats()["build"].Computed
+	d := replay("one run missing")
+	if builds := TierStats()["build"].Computed - assembled; d.BadEntries != 0 || d.Kinds["dbm-v2"].Misses == 0 || d.Misses != d.Kinds["dbm-v2"].Misses || builds != 1 {
+		t.Fatalf("want the missing run executed on one assembled image and nothing else recomputed: %s (%s), %d builds assembled", d, d.KindsString(), builds)
 	}
-	if n := entriesByKind(t, dir)["build-v1"]; n != 1 {
-		t.Fatalf("%d build-v1 entries republished, want 1", n)
+	if n := entriesByKind(t, dir)[imageKind]; n != int64(planted) {
+		t.Fatalf("%d %s entries after the replay, %d planted", n, imageKind, planted)
 	}
 	if d := replay("healed"); !reflect.DeepEqual(d, first) {
 		t.Fatalf("store did not heal to a pure replay: %s (%s)", d, d.KindsString())
@@ -538,8 +568,7 @@ func TestImageFreeReplay(t *testing.T) {
 		t.Fatalf("identity record was not rewritten from its image (%v)", err)
 	}
 	now := entriesByKind(t, dir)
-	now["build-v1"], stored["build-v1"] = 0, 0 // reassembled for the check
-	now["dbm-v2"]--                            // the removed run, re-executed
+	now["dbm-v2"]-- // the removed run, re-executed
 	if !reflect.DeepEqual(now, stored) {
 		t.Fatalf("artifacts were published under the wrong identity: entries %v, were %v", now, stored)
 	}

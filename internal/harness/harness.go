@@ -32,6 +32,8 @@ import (
 	"janus/internal/compilers"
 	"janus/internal/dbm"
 	"janus/internal/faultinject"
+	"janus/internal/profiler"
+	"janus/internal/vm"
 	"janus/internal/workloads"
 )
 
@@ -162,6 +164,35 @@ func TierStats() map[string]artcache.TierStats {
 		out[kind] = ts
 	}
 	return out
+}
+
+// Recycled counts one free list's takes since the process started:
+// those that allocated and those served a value an earlier run
+// returned.
+type Recycled struct {
+	Fresh  int64 `json:"fresh"`
+	Reused int64 `json:"reused"`
+}
+
+// FreeLists are the counters of the process-wide free lists a render
+// draws from: the VM's page blocks and the profiler's dependence tables.
+type FreeLists struct {
+	VMBlocks       Recycled `json:"vm_blocks"`
+	ProfilerTables Recycled `json:"profiler_tables"`
+}
+
+// FreeListStats snapshots the free lists' counters.
+func FreeListStats() FreeLists {
+	var f FreeLists
+	f.VMBlocks.Fresh, f.VMBlocks.Reused = vm.BlockStats()
+	f.ProfilerTables.Fresh, f.ProfilerTables.Reused = profiler.TableStats()
+	return f
+}
+
+// String renders the counters the way janus-bench prints them on stderr.
+func (f FreeLists) String() string {
+	return fmt.Sprintf("vm blocks %d fresh, %d reused; profiler tables %d fresh, %d reused",
+		f.VMBlocks.Fresh, f.VMBlocks.Reused, f.ProfilerTables.Fresh, f.ProfilerTables.Reused)
 }
 
 // runMode is how much of the Janus system a run enables: the three

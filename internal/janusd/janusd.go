@@ -585,12 +585,15 @@ type Stats struct {
 	CacheHits   int64 `json:"cache_hits,omitempty"`
 	CacheMisses int64 `json:"cache_misses,omitempty"`
 	CacheBad    int64 `json:"cache_bad,omitempty"`
-	// CacheKinds splits hits and misses by artifact kind (build-v1,
-	// ident-v1, schedule-v1, native-v1, profile-v1, dbm-v2), with each
-	// stage's memory-tier hits and computations since the process
-	// started: which stages requests replayed, from where, and which
-	// they recomputed.
+	// CacheKinds splits hits and misses by artifact kind (ident-v1,
+	// schedule-v1, native-v1, profile-v1, dbm-v2), with each stage's
+	// memory-tier hits and computations since the process started:
+	// which stages requests replayed, from where, and which they
+	// recomputed. "build" is the builds assembled, which are not stored.
 	CacheKinds map[string]artcache.KindStats `json:"cache_kinds,omitempty"`
+	// FreeLists counts the page blocks and dependence tables renders
+	// allocated fresh and took recycled since the process started.
+	FreeLists harness.FreeLists `json:"free_lists"`
 }
 
 // Snapshot returns current daemon stats.
@@ -605,6 +608,7 @@ func (s *Server) Snapshot() Stats {
 		CacheMisses: cs.Misses,
 		CacheBad:    cs.BadEntries,
 		CacheKinds:  cs.Kinds,
+		FreeLists:   harness.FreeListStats(),
 		PID:         os.Getpid(),
 		UptimeMS:    time.Since(s.started).Milliseconds(),
 		Cap:         s.pool.Cap(),

@@ -645,3 +645,35 @@ func TestUnopenableCacheDegradesOnce(t *testing.T) {
 }
 
 var _ = fmt.Sprintf // keep fmt import if assertions above change
+
+// TestStatuszShowsFreeListReuse: /statusz reports the free lists a
+// render draws from, and a second render of the same figure — its
+// results dropped from memory, so its machines and profiles run again —
+// takes page blocks and dependence tables the first one returned.
+func TestStatuszShowsFreeListReuse(t *testing.T) {
+	_, base, _ := startServer(t, Config{Workers: 1})
+	statusz := func() harness.FreeLists {
+		t.Helper()
+		res, payload := getBody(t, base+"/statusz")
+		var st Stats
+		if err := json.Unmarshal(payload, &st); err != nil || res.StatusCode != http.StatusOK {
+			t.Fatalf("statusz: %d %v: %s", res.StatusCode, err, payload)
+		}
+		return st.FreeLists
+	}
+	c := &Client{Base: base}
+	render := func() {
+		t.Helper()
+		janus.ResetMemos()
+		if _, err := c.Render(context.Background(), Request{Fig: 7}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	render()
+	first := statusz()
+	render()
+	second := statusz()
+	if second.VMBlocks.Reused <= first.VMBlocks.Reused || second.ProfilerTables.Reused <= first.ProfilerTables.Reused {
+		t.Fatalf("second render reused nothing: after the first %+v, after the second %+v", first, second)
+	}
+}

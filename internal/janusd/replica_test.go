@@ -146,13 +146,13 @@ func TestReplicasShareCache(t *testing.T) {
 	}
 	// B's process rendered only against the store A warmed: statusz says
 	// per kind what it replayed — plans and runs — and that it never
-	// read, let alone reassembled, a build image.
+	// assembled a build image.
 	kinds := stB.CacheKinds
 	if kinds["schedule-v1"].Hits == 0 || kinds["dbm-v2"].Hits == 0 || kinds["ident-v1"].Hits == 0 {
 		t.Fatalf("replica B's statusz does not show a replay per kind: %v", kinds)
 	}
-	if b := kinds["build-v1"]; b.Hits+b.Misses != 0 {
-		t.Fatalf("replica B's warm render looked up %d build images: %v", b.Hits+b.Misses, kinds)
+	if b, ok := kinds["build"]; !ok || b.Computed != 0 {
+		t.Fatalf("replica B's warm render assembled %d builds, or does not count them: %v", b.Computed, kinds)
 	}
 	// The memory-tier counters beside them are B's whole life: it never
 	// planned or executed anything, and what its concurrent requests

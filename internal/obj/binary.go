@@ -24,13 +24,13 @@ func Identity(exe *Executable, libs []*Library) string {
 // libraries it is loaded with — that can be addressed without its image
 // being resident. Cached pipeline stages key their memory tier by the
 // handle pointer and their disk tier by ID, and call Image only inside
-// a computation, so a stage replayed from a store never loads the
-// ~10 MB image it derives from.
+// a computation, so a stage replayed from a store never materialises
+// the image it derives from.
 //
 // A handle is either eager (NewBinary: the image is there, the identity
 // is hashed on first demand and at most once) or lazy (Lazy: the
-// identity was recorded when the image was stored, the image is loaded
-// on first demand and at most once). Executables and libraries are
+// identity was recorded in a store, the image is produced on first
+// demand and at most once). Executables and libraries are
 // never mutated after construction, which is what makes a memoised
 // identity and a shared image sound. A Binary is safe for concurrent
 // use.

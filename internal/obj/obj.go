@@ -10,7 +10,6 @@
 package obj
 
 import (
-	"bytes"
 	"crypto/sha256"
 	"encoding/binary"
 	"encoding/hex"
@@ -298,9 +297,9 @@ func (l *Library) InCode(addr uint64) bool {
 
 const magic = "JEXE0001"
 
-// encoder writes the canonical little-endian encoding that Save and
-// both Fingerprints share. Its sinks — a byte counter, a pre-sized
-// buffer, a hash — never fail, so write errors are not carried.
+// encoder writes the canonical little-endian encoding that both
+// Fingerprints hash. Its sink, a hash, never fails, so write errors are
+// not carried.
 type encoder struct {
 	w   io.Writer
 	tmp [8]byte
@@ -338,7 +337,8 @@ func (enc *encoder) symbols(syms []Symbol) {
 	}
 }
 
-// encode streams the executable's file image into w.
+// encode streams the executable's canonical image (magic, name, entry,
+// sections, strip flag, symbols, imports) into w.
 func (e *Executable) encode(w io.Writer) {
 	enc := encoder{w: w}
 	io.WriteString(w, magic)
@@ -368,109 +368,6 @@ func (l *Library) encode(w io.Writer) {
 	enc.symbols(l.Symbols)
 }
 
-// byteCount is the sink that measures an encoding without holding it.
-type byteCount int
-
-func (n *byteCount) Write(p []byte) (int, error) {
-	*n += byteCount(len(p))
-	return len(p), nil
-}
-
-// Save serialises the executable to a byte image (our "file format").
-// The image is measured first, so a ~10 MB build is written into one
-// allocation of exactly its length instead of through a doubling
-// buffer.
-func (e *Executable) Save() []byte {
-	var n byteCount
-	e.encode(&n)
-	buf := bytes.NewBuffer(make([]byte, 0, n))
-	e.encode(buf)
-	return buf.Bytes()
-}
-
-// Load parses an image produced by Save.
-func Load(img []byte) (*Executable, error) {
-	r := bytes.NewReader(img)
-	got := make([]byte, len(magic))
-	if _, err := r.Read(got); err != nil || string(got) != magic {
-		return nil, fmt.Errorf("obj: bad magic")
-	}
-	e := &Executable{}
-	var err error
-	rd64 := func() uint64 {
-		var v uint64
-		if err == nil {
-			err = binary.Read(r, binary.LittleEndian, &v)
-		}
-		return v
-	}
-	rdStr := func() string {
-		n := rd64()
-		if err != nil || n > uint64(r.Len()) {
-			if err == nil {
-				err = fmt.Errorf("obj: truncated string")
-			}
-			return ""
-		}
-		b := make([]byte, n)
-		_, err = r.Read(b)
-		return string(b)
-	}
-	rdBytes := func() []byte {
-		n := rd64()
-		if err != nil || n > uint64(r.Len()) {
-			if err == nil {
-				err = fmt.Errorf("obj: truncated section")
-			}
-			return nil
-		}
-		b := make([]byte, n)
-		_, err = r.Read(b)
-		return b
-	}
-	e.Name = rdStr()
-	e.Entry = rd64()
-	e.CodeBase = rd64()
-	e.Code = rdBytes()
-	e.DataBase = rd64()
-	e.Data = rdBytes()
-	var sb [1]byte
-	if err == nil {
-		_, err = r.Read(sb[:])
-	}
-	e.Stripped = sb[0] == 1
-	nsym := rd64()
-	if err == nil && nsym > uint64(r.Len()) {
-		return nil, fmt.Errorf("obj: corrupt symbol count")
-	}
-	for i := uint64(0); i < nsym && err == nil; i++ {
-		var s Symbol
-		s.Name = rdStr()
-		s.Addr = rd64()
-		s.Size = rd64()
-		var kb [1]byte
-		if err == nil {
-			_, err = r.Read(kb[:])
-		}
-		s.Kind = SymKind(kb[0])
-		e.Symbols = append(e.Symbols, s)
-	}
-	nimp := rd64()
-	if err == nil && nimp > uint64(r.Len()) {
-		return nil, fmt.Errorf("obj: corrupt import count")
-	}
-	for i := uint64(0); i < nimp && err == nil; i++ {
-		var im Import
-		im.Name = rdStr()
-		im.PLT = rd64()
-		e.Imports = append(e.Imports, im)
-	}
-	if err != nil {
-		return nil, fmt.Errorf("obj: load: %w", err)
-	}
-	return e, nil
-}
-
 // fingerprint hashes what encode streams, without materialising it.
 func fingerprint(encode func(io.Writer)) string {
 	h := sha256.New()
@@ -478,14 +375,14 @@ func fingerprint(encode func(io.Writer)) string {
 	return hex.EncodeToString(h.Sum(nil))
 }
 
-// Fingerprint returns the hex SHA-256 of the executable's serialised
-// image — sha256(Save()), streamed into the hasher rather than built
-// first: the content-address used by the durable artifact cache
-// (internal/artcache) to key every derived artifact (native baselines,
-// training profiles, DBM results) by the exact binary they came from.
-// Every semantic field of an Executable is part of Save, so two
-// executables with equal fingerprints are indistinguishable to the
-// analyser, the VM and the DBM.
+// Fingerprint returns the hex SHA-256 of the executable's canonical
+// image, streamed into the hasher rather than built first: the
+// content-address used by the durable artifact cache (internal/artcache)
+// to key every derived artifact (native baselines, training profiles,
+// DBM results) by the exact binary they came from. Every semantic field
+// of an Executable is part of the image, so two executables with equal
+// fingerprints are indistinguishable to the analyser, the VM and the
+// DBM.
 func (e *Executable) Fingerprint() string { return fingerprint(e.encode) }
 
 // Fingerprint returns the hex SHA-256 of the library's canonical

@@ -104,32 +104,6 @@ func TestStripKeepsDynamicInfo(t *testing.T) {
 	}
 }
 
-func TestSaveLoadFull(t *testing.T) {
-	e := sampleExe()
-	back, err := Load(e.Save())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if back.Name != e.Name || back.Entry != e.Entry {
-		t.Fatal("header mismatch")
-	}
-	if len(back.Symbols) != 2 || len(back.Imports) != 1 {
-		t.Fatalf("tables mismatch: %d syms %d imports", len(back.Symbols), len(back.Imports))
-	}
-	if back.Symbols[0] != e.Symbols[0] || back.Imports[0] != e.Imports[0] {
-		t.Fatal("entries mismatch")
-	}
-}
-
-func TestLoadTruncationsFail(t *testing.T) {
-	img := sampleExe().Save()
-	for _, n := range []int{0, 4, 8, 20, len(img) / 2, len(img) - 1} {
-		if _, err := Load(img[:n]); err == nil {
-			t.Errorf("truncation at %d accepted", n)
-		}
-	}
-}
-
 func TestLibraryLookups(t *testing.T) {
 	lib := &Library{
 		Name: "libm", Base: DefaultLibBase,

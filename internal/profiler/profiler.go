@@ -218,6 +218,10 @@ const maxRecycledSlots = 1 << 16
 // predecessor has closed allocates no table storage once warm.
 var tables = freelist.New[wordmap.Table[depRecord]](maxFreeTables)
 
+// TableStats reports how many dependence tables profiles of this
+// process have allocated fresh and how many they were handed recycled.
+func TableStats() (fresh, reused int64) { return tables.Stats() }
+
 // NewDependence returns an empty dependence profile.
 func NewDependence() *Dependence {
 	return &Dependence{}

@@ -94,6 +94,10 @@ var blocks = freelist.New[pageData](maxFreeBlocks)
 // overwrites it in full or clears it.
 func takeBlock() *pageData { return blocks.Get() }
 
+// BlockStats reports how many page blocks machines of this process have
+// allocated fresh and how many they were handed recycled.
+func BlockStats() (fresh, reused int64) { return blocks.Stats() }
+
 // Page states (page.dirty). A store is allowed only in pageDirty, so
 // every store path is one load and one compare whatever else a page can
 // be.

@@ -266,29 +266,6 @@ func TestDivideByZeroTraps(t *testing.T) {
 	}
 }
 
-func TestObjSaveLoadRoundTrip(t *testing.T) {
-	exe := buildSumProgram(t, 10)
-	img := exe.Save()
-	back, err := obj.Load(img)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if back.Name != exe.Name || back.Entry != exe.Entry || len(back.Code) != len(exe.Code) {
-		t.Fatalf("header mismatch: %+v vs %+v", back, exe)
-	}
-	res1, err := RunNative(exe)
-	if err != nil {
-		t.Fatal(err)
-	}
-	res2, err := RunNative(back)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res1.MemHash != res2.MemHash || res1.Output[0] != res2.Output[0] {
-		t.Fatal("reloaded executable behaves differently")
-	}
-}
-
 func TestStrippedExecutableStillRuns(t *testing.T) {
 	exe := buildSumProgram(t, 16)
 	st := exe.Strip()
@@ -301,15 +278,6 @@ func TestStrippedExecutableStillRuns(t *testing.T) {
 	}
 	if len(res.Output) != 1 {
 		t.Fatal("stripped run broken")
-	}
-}
-
-func TestObjLoadRejectsGarbage(t *testing.T) {
-	if _, err := obj.Load([]byte("not an executable")); err == nil {
-		t.Fatal("expected error")
-	}
-	if _, err := obj.Load(nil); err == nil {
-		t.Fatal("expected error on empty")
 	}
 }
 

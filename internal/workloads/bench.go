@@ -457,59 +457,53 @@ type built struct {
 	libs []*obj.Library
 }
 
-// linked completes a registry build: the library set is not part of
-// the disk payload because it is a pure function of the binary — the
-// shared math library iff the binary imports from it — so an
-// assembled and a replayed executable are completed the same way.
-func linked(exe *obj.Executable) built {
-	b := built{exe: exe}
-	if len(exe.Imports) > 0 {
-		b.libs = []*obj.Library{MathLib()}
-	}
-	return b
-}
-
-// BuildSchema versions the on-disk build artifact. It must be bumped
-// whenever kernel emission changes in any way — generator kernels,
-// the cold-runtime padding, the assembler encoding — otherwise a warm
-// cache replays stale binaries. The golden-output test catches a
-// forgotten bump: a stale binary produces stale figures.
+// BuildSchema versions the build's identity record (ident-v1): it is
+// part of every record's key, so it must be bumped whenever kernel
+// emission changes in any way — generator kernels, the cold-runtime
+// padding, the assembler encoding — otherwise a warm cache replays
+// artifacts keyed by the identities of stale binaries. The
+// golden-output test catches a forgotten bump: a stale identity
+// replays stale figures.
 const BuildSchema = "workloads-build/v1"
 
-// buildTier caches builds per (name, input, opt): concurrent
+// buildTier memoises builds per (name, input, opt): concurrent
 // experiments asking for the same binary share one build — and,
 // because the returned *obj.Executable pointer is stable, they also
 // share the downstream per-executable tiers (native baseline, train
-// profile). The key space is bounded by the registry, so the memory
-// tier is unbounded. Verified bytes that no longer parse (schema
-// skew) reassemble and overwrite.
-var buildTier = artcache.Tier[buildKey, built]{
-	Kind:   "build-v1",
-	Encode: func(b built) ([]byte, error) { return b.exe.Save(), nil },
-	Decode: func(data []byte) (built, error) {
-		exe, err := obj.Load(data)
-		if err != nil {
-			return built{}, err
-		}
-		return linked(exe), nil
-	},
-}
+// profile). It is memory-only: assembling a registry build is faster
+// than reading its ~1.3 MB image back from a store, and everything
+// downstream is keyed by its identity record (identTier), never by the
+// image. The key space is bounded by the registry, so the
+// tier is unbounded.
+var buildTier artcache.Tier[buildKey, built]
 
 // Build assembles the named benchmark at the given input size and
 // optimisation level, returning the executable and any libraries it
 // links against. The executable is stripped, as the paper targets
-// stripped binaries. Builds are deterministic and cached (buildTier);
+// stripped binaries. Builds are deterministic and memoised (buildTier);
 // executables and libraries are never mutated after construction, so
 // sharing them is safe under concurrency.
 func Build(name string, in Input, opt OptLevel) (*obj.Executable, []*obj.Library, error) {
-	return BuildCached(nil, name, in, opt)
+	bm, ok := ByName(name)
+	if !ok {
+		return nil, nil, fmt.Errorf("workloads: unknown benchmark %q", name)
+	}
+	b, err := buildTier.Do(nil, buildKey{name: name, in: in, opt: opt}, nil,
+		func() (built, error) { return build(bm, in, opt) })
+	return b.exe, b.libs, err
 }
 
-// buildDiskKey is the disk key of one registry build, shared by the
-// image (build-v1) and its identity sidecar (ident-v1).
-// Generated-corpus benchmarks (buildExt) report ok=false: their
-// libraries are supplied by the generator and have no serialised form
-// here, so they always assemble.
+// BuildCached is Build; c is ignored, because builds are no longer
+// stored. It stays only for the benchmark module, which still calls it,
+// and can go once that caller does.
+func BuildCached(c *artcache.Cache, name string, in Input, opt OptLevel) (*obj.Executable, []*obj.Library, error) {
+	return Build(name, in, opt)
+}
+
+// buildDiskKey is the disk key of one registry build's identity record
+// (ident-v1). Generated-corpus benchmarks (buildExt) report ok=false:
+// their libraries are supplied by the generator, so they have no
+// record and are always opened eagerly.
 func buildDiskKey(bm Benchmark, in Input, opt OptLevel) (artcache.Key, bool) {
 	return artcache.Key{
 		Binary: bm.Name,
@@ -518,21 +512,7 @@ func buildDiskKey(bm Benchmark, in Input, opt OptLevel) (artcache.Key, bool) {
 	}, bm.buildExt == nil
 }
 
-// BuildCached is Build backed by a durable artifact cache: on an
-// in-memory miss the serialised executable is looked up on disk
-// before being assembled, and published after. Nil c is exactly Build.
-func BuildCached(c *artcache.Cache, name string, in Input, opt OptLevel) (*obj.Executable, []*obj.Library, error) {
-	bm, ok := ByName(name)
-	if !ok {
-		return nil, nil, fmt.Errorf("workloads: unknown benchmark %q", name)
-	}
-	b, err := buildTier.Do(c, buildKey{name: name, in: in, opt: opt},
-		func() (artcache.Key, bool) { return buildDiskKey(bm, in, opt) },
-		func() (built, error) { return build(bm, in, opt) })
-	return b.exe, b.libs, err
-}
-
-// ident is what a stored build is known by without its image: the
+// ident is what a build is known by in a store, without its image: the
 // content identity every downstream artifact is keyed by, and the
 // code-section size figure 10 normalises against.
 type ident struct {
@@ -540,11 +520,10 @@ type ident struct {
 	CodeSize int
 }
 
-// identTier is the sidecar of buildTier, used through Disk only (the
-// handles made from it live in openTier). A record is stored under the
-// key of the image it describes, so it is trusted exactly as much as
-// that image entry is; obj.Lazy re-checks it whenever the image is
-// actually loaded.
+// identTier records what each registry build is known by, used through
+// Disk only (the handles made from it live in openTier). A record is
+// trusted exactly as much as its verified entry is; obj.Lazy re-checks
+// it against the assembled image whenever the image is actually needed.
 var identTier = artcache.Tier[struct{}, ident]{
 	Kind:   "ident-v1",
 	Encode: func(id ident) ([]byte, error) { return json.Marshal(id) },
@@ -567,20 +546,20 @@ var openTier artcache.Tier[buildKey, *obj.Binary]
 
 // Open returns the handle of the named build. With a store, a build
 // whose identity record is there is opened without its image — a lazy
-// handle whose loader is BuildCached — so a caller replaying every
-// downstream stage from the store reads a few hundred bytes instead of
-// the ~10 MB image; a missing record is computed from the build and
-// published beside it. A record that turns out not to describe the
-// image it sits beside is counted as a bad entry and rewritten from the
-// image. Without a store the handle is eager and no identity is hashed
-// unless a caller asks for one.
+// handle whose loader is Build — so a caller replaying every
+// downstream stage from the store reads a few hundred bytes and
+// assembles nothing; a missing record is computed from the build and
+// published. A record that turns out not to describe the build is
+// counted as a bad entry and rewritten from the build. Without a store
+// the handle is eager and no identity is hashed unless a caller asks
+// for one.
 func Open(c *artcache.Cache, name string, in Input, opt OptLevel) (*obj.Binary, error) {
 	bm, ok := ByName(name)
 	if !ok {
 		return nil, fmt.Errorf("workloads: unknown benchmark %q", name)
 	}
 	return openTier.Do(nil, buildKey{name: name, in: in, opt: opt}, nil, func() (*obj.Binary, error) {
-		load := func() (*obj.Executable, []*obj.Library, error) { return BuildCached(c, name, in, opt) }
+		load := func() (*obj.Executable, []*obj.Library, error) { return Build(name, in, opt) }
 		key, keyed := buildDiskKey(bm, in, opt)
 		if c == nil || !keyed {
 			exe, libs, err := load()
@@ -608,21 +587,24 @@ func Open(c *artcache.Cache, name string, in Input, opt OptLevel) (*obj.Binary, 
 }
 
 // ResetBuildCache drops every completed entry from the in-memory
-// section and build tiers and every handle Open has handed out, forcing the next
-// Build or Open through the durable tier (or a fresh assembly). Tests
-// use it to exercise cold/warm paths in one process.
+// section and build tiers and every handle Open has handed out, forcing
+// the next Open through the identity record (or a fresh assembly) and
+// the next Build to assemble. Tests use it to exercise cold/warm paths
+// in one process.
 func ResetBuildCache() {
 	sectionTier.Reset()
 	buildTier.Reset()
 	openTier.Reset()
 }
 
-// TierStats reports the memory-tier counters of the build and identity
-// stages by artifact kind (see janus.TierStats). Handles are memoised
-// above both, so a memory hit on a handle shows as no lookup at all.
+// TierStats reports the memory-tier counters of the identity stage by
+// artifact kind (see janus.TierStats), and the build tier's under
+// "build": every assembly this process ran, since builds are not
+// stored. Handles are memoised above both, so a memory hit on a handle
+// shows as no lookup at all.
 func TierStats() map[string]artcache.TierStats {
 	return map[string]artcache.TierStats{
-		buildTier.Kind: buildTier.Stats(),
+		"build":        buildTier.Stats(),
 		identTier.Kind: identTier.Stats(),
 	}
 }
@@ -640,7 +622,13 @@ func build(bm Benchmark, in Input, opt OptLevel) (built, error) {
 	if err != nil {
 		return built{}, fmt.Errorf("workloads: %s: %w", bm.Name, err)
 	}
-	return linked(exe.Strip()), nil
+	out := built{exe: exe.Strip()}
+	if len(exe.Imports) > 0 {
+		// The library set is the shared math library iff the binary
+		// imports from it.
+		out.libs = []*obj.Library{MathLib()}
+	}
+	return out, nil
 }
 
 // assemble emits one registry benchmark's program into a new builder.

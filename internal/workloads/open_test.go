@@ -36,10 +36,10 @@ func TestOpenWithoutStoreIsEager(t *testing.T) {
 }
 
 // TestOpenReadsTheRecordNotTheImage: the first Open against a store
-// publishes the build and its identity record under one key; a later
+// assembles the build and publishes its identity record; a later
 // process state opens from the record alone — same identity, same code
-// size, no build-v1 lookup — and loads the image only when asked, which
-// then checks out against the record.
+// size, nothing assembled — and assembles the image only when asked,
+// which then checks out against the record.
 func TestOpenReadsTheRecordNotTheImage(t *testing.T) {
 	c, err := artcache.Open(t.TempDir(), artcache.Options{})
 	if err != nil {
@@ -52,7 +52,7 @@ func TestOpenReadsTheRecordNotTheImage(t *testing.T) {
 	}
 	exe, libs, _ := cold.Image()
 	st := c.Stats()
-	if want := map[string]artcache.KindStats{"ident-v1": {Misses: 1}, "build-v1": {Misses: 1}}; !reflect.DeepEqual(st.Kinds, want) {
+	if want := map[string]artcache.KindStats{"ident-v1": {Misses: 1}}; !reflect.DeepEqual(st.Kinds, want) {
 		t.Fatalf("cold Open looked up %s", st.KindsString())
 	}
 	if cold.ID() != obj.Identity(exe, libs) {
@@ -60,6 +60,7 @@ func TestOpenReadsTheRecordNotTheImage(t *testing.T) {
 	}
 
 	ResetBuildCache()
+	assembled := buildTier.Stats().Computed
 	warm, err := Open(c, "410.bwaves", Ref, O3)
 	if err != nil {
 		t.Fatal(err)
@@ -68,16 +69,18 @@ func TestOpenReadsTheRecordNotTheImage(t *testing.T) {
 		t.Fatalf("record says %s with %d code bytes, build is %s with %d", warm.ID(), warm.CodeSize(), cold.ID(), len(exe.Code))
 	}
 	st = c.Stats()
-	if want := map[string]artcache.KindStats{"ident-v1": {Hits: 1, Misses: 1}, "build-v1": {Misses: 1}}; !reflect.DeepEqual(st.Kinds, want) {
-		t.Fatalf("warm Open looked up %s — want the record alone", st.KindsString())
+	want := map[string]artcache.KindStats{"ident-v1": {Hits: 1, Misses: 1}}
+	if !reflect.DeepEqual(st.Kinds, want) || buildTier.Stats().Computed != assembled {
+		t.Fatalf("warm Open looked up %s and assembled %d builds — want the record alone", st.KindsString(), buildTier.Stats().Computed-assembled)
 	}
-	loaded, _, err := warm.Image()
+	loaded, libs, err := warm.Image()
 	if err != nil {
 		t.Fatal(err)
 	}
 	st = c.Stats()
-	if loaded == exe || st.Kinds["build-v1"].Hits != 1 || st.BadEntries != 0 || warm.ID() != cold.ID() {
-		t.Fatalf("image was not decoded from the store and accepted: %s (%s)", st, st.KindsString())
+	if loaded == exe || buildTier.Stats().Computed != assembled+1 || obj.Identity(loaded, libs) != cold.ID() ||
+		st.BadEntries != 0 || warm.ID() != cold.ID() || !reflect.DeepEqual(st.Kinds, want) {
+		t.Fatalf("image was not assembled anew and accepted: %s (%s)", st, st.KindsString())
 	}
 }
 
