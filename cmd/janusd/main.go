@@ -1,6 +1,6 @@
 // Command janusd runs the Janus pipeline as a long-lived service: the
 // whole build → profile → analyze → parallelise → simulate suite is
-// served over HTTP/JSON on one listener, with a bounded worker pool,
+// served over HTTP/JSON on one listener, with bounded concurrent jobs,
 // per-request deadlines, load shedding, graceful drain on SIGTERM, and
 // zero-downtime hot restart on SIGHUP.
 //
@@ -10,7 +10,8 @@
 //
 //	-addr string      listen address (default "127.0.0.1:7117")
 //	-workers int      max concurrently running jobs (default GOMAXPROCS)
-//	-queue int        queued jobs beyond workers before shedding (default 16)
+//	-queue int        queued jobs beyond workers before shedding
+//	                  (default 16; 0 = none, shed whenever every worker is busy)
 //	-cache-dir dir    durable artifact cache every request renders through
 //	-deadline dur     default per-request deadline (0 = none)
 //	-drain dur        graceful drain budget on SIGTERM/SIGHUP (default 60s)
@@ -50,7 +51,7 @@ func run(args []string) int {
 	fs := flag.NewFlagSet("janusd", flag.ExitOnError)
 	addr := fs.String("addr", "127.0.0.1:7117", "listen address")
 	workers := fs.Int("workers", 0, "max concurrently running jobs (0 = GOMAXPROCS)")
-	queue := fs.Int("queue", 16, "queued jobs beyond workers before shedding")
+	queue := fs.Int("queue", 16, "queued jobs beyond workers before shedding (0 = none)")
 	cacheDir := fs.String("cache-dir", "", "durable artifact cache directory")
 	deadline := fs.Duration("deadline", 0, "default per-request deadline (0 = none)")
 	drain := fs.Duration("drain", 60*time.Second, "graceful drain budget")
@@ -64,6 +65,9 @@ func run(args []string) int {
 		logger = nil
 	}
 
+	if *queue == 0 {
+		*queue = -1 // Config's zero value means the default depth; -1 means none
+	}
 	cfg := janusd.Config{
 		Workers:         *workers,
 		QueueDepth:      *queue,

@@ -142,6 +142,27 @@ func fetchResult(base, id string) (*janusd.Response, error) {
 	return &r, nil
 }
 
+// TestQueueZeroSheds: -queue 0 means no queue, not the default depth:
+// with the one worker wedged, the next request is shed with 429.
+func TestQueueZeroSheds(t *testing.T) {
+	logPath := t.TempDir() + "/daemon.log"
+	startDaemon(t, logPath,
+		"-addr 127.0.0.1:0 -workers 1 -queue 0 -inject slow-worker@1 -stall 30s -quiet")
+	m := waitLog(t, logPath, readyRe)
+	base := "http://" + m[2]
+
+	waitRunning(t, base, submitJob(t, base))
+	res, err := http.Post(base+"/v1/jobs", "application/json", strings.NewReader(`{"table":2}`))
+	if err != nil {
+		t.Fatal(err)
+	}
+	payload, _ := io.ReadAll(res.Body)
+	res.Body.Close()
+	if res.StatusCode != http.StatusTooManyRequests {
+		t.Fatalf("second request with -queue 0: status %d, want 429: %s", res.StatusCode, payload)
+	}
+}
+
 // TestSIGTERMGracefulDrain: a daemon with a request in flight, sent
 // SIGTERM, completes and delivers the request, refuses new work, and
 // exits 0.

@@ -6,8 +6,6 @@ import (
 	"fmt"
 	"net/http"
 	"strconv"
-
-	"janus/internal/pool"
 )
 
 // Handler returns the daemon's full HTTP surface. One mux serves the
@@ -33,7 +31,7 @@ func (s *Server) Handler() http.Handler {
 		fmt.Fprintln(w, "ok")
 	})
 	mux.HandleFunc("GET /readyz", func(w http.ResponseWriter, r *http.Request) {
-		if s.draining.Load() {
+		if s.Draining() {
 			http.Error(w, "draining", http.StatusServiceUnavailable)
 			return
 		}
@@ -71,7 +69,7 @@ func submitFailure(err error) *Response {
 	switch {
 	case errors.Is(err, errDraining):
 		kind = KindDraining
-	case errors.Is(err, pool.ErrOverloaded):
+	case errors.Is(err, errShed):
 		kind = KindShed
 	}
 	return &Response{State: StateFailed, Err: err.Error(), ErrKind: kind}

@@ -1,8 +1,9 @@
 // Package janusd is the analysis-as-a-service layer: a long-lived
 // daemon that serves the whole build → profile → analyze →
-// parallelise → simulate pipeline over HTTP/JSON. Requests are
-// promoted into jobs on a bounded worker pool (internal/pool); each
-// job carries its own harness.Options, gets an ID, streams progress
+// parallelise → simulate pipeline over HTTP/JSON. Each admitted
+// request becomes a job on its own goroutine, admitted by a count of
+// unfinished jobs and run when it takes one of Workers slots; each job
+// carries its own harness.Options, gets an ID, streams progress
 // events, and renders byte-identically to janus-bench, so the golden
 // fixture pins the service path too.
 //
@@ -10,8 +11,10 @@
 //
 //   - per-request deadlines propagate as context cancellation into the
 //     harness scheduler, so an expired job aborts its pending rows
-//     instead of running the suite to completion;
-//   - submissions beyond the pool's admission bound are shed with
+//     instead of running the suite to completion, and a queued job's
+//     deadline ends its wait for a slot;
+//   - submissions beyond the admission bound (Workers+QueueDepth
+//     unfinished jobs) are shed with
 //     HTTP 429 + Retry-After (the janus thin client retries them with
 //     seeded jittered exponential backoff);
 //   - a panicking job is contained to a structured error response —
@@ -34,18 +37,16 @@ import (
 	"runtime"
 	"strings"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"janus/internal/artcache"
 	"janus/internal/faultinject"
 	"janus/internal/harness"
-	"janus/internal/pool"
 )
 
 // Config configures one daemon instance.
 type Config struct {
-	// Workers bounds how many jobs render concurrently (the pool cap).
+	// Workers bounds how many jobs render concurrently (the run slots).
 	// Default GOMAXPROCS.
 	Workers int
 	// QueueDepth bounds how many admitted jobs may wait beyond the
@@ -71,9 +72,6 @@ type Config struct {
 	// StallDelay is how long queue-stall and slow-worker injections
 	// delay an armed job. Default 100ms; tests shrink it.
 	StallDelay time.Duration
-	// KeepJobs bounds how many finished jobs stay queryable. Default
-	// 256.
-	KeepJobs int
 	// Log receives lifecycle events; nil discards them.
 	Log *log.Logger
 }
@@ -93,9 +91,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.StallDelay <= 0 {
 		c.StallDelay = 100 * time.Millisecond
-	}
-	if c.KeepJobs <= 0 {
-		c.KeepJobs = 256
 	}
 	if c.Log == nil {
 		c.Log = log.New(nowhere{}, "", 0)
@@ -321,18 +316,24 @@ func (j *Job) Events(ctx context.Context, yield func(line string) bool) {
 // Server is one daemon instance. Create with New, serve with Serve,
 // stop with Drain (graceful) or Close (hard).
 type Server struct {
-	cfg  Config
-	pool *pool.Pool
+	cfg Config
 
-	injMu sync.Mutex
-	inj   *faultinject.Injector
+	// slots holds one token per running job; a job takes one before it
+	// starts and gives it back when it ends, so at most Workers run.
+	slots chan struct{}
 
-	mu       sync.Mutex
-	jobs     map[string]*Job
-	finished []string // finish order, for bounded retention
-	nextID   atomic.Int64
+	// mu serialises admission: the draining check, the injection
+	// arming, the admission bound and inflight.Add happen under it, so
+	// Drain's inflight.Wait never races an Add.
+	mu         sync.Mutex
+	draining   bool // set by Drain or Close; refuses every later submission
+	inj        *faultinject.Injector
+	jobs       map[string]*Job
+	finished   []string // finish order, for bounded retention
+	unfinished int      // admitted jobs not yet retired, queued or running
+	admitted   int64    // jobs admitted over the server's lifetime; the last ID
+	shed       int64    // submissions rejected with KindShed
 
-	draining atomic.Bool
 	inflight sync.WaitGroup
 
 	baseCtx    context.Context
@@ -341,10 +342,10 @@ type Server struct {
 	http    *http.Server
 	cache   *artcache.Cache // cfg.CacheDir's handle, for statusz
 	started time.Time
-
-	served atomic.Int64 // jobs admitted over the server's lifetime
-	shed   atomic.Int64 // submissions rejected with KindShed
 }
+
+// keepJobs bounds how many finished jobs stay queryable.
+const keepJobs = 256
 
 // New returns an idle daemon; Serve starts it on a listener.
 func New(cfg Config) *Server {
@@ -352,7 +353,7 @@ func New(cfg Config) *Server {
 	ctx, cancel := context.WithCancel(context.Background())
 	s := &Server{
 		cfg:        cfg,
-		pool:       pool.New(cfg.Workers, cfg.QueueDepth),
+		slots:      make(chan struct{}, cfg.Workers),
 		inj:        faultinject.NewInjector(cfg.Inject),
 		jobs:       map[string]*Job{},
 		baseCtx:    ctx,
@@ -371,29 +372,23 @@ func New(cfg Config) *Server {
 			s.cfg.CacheDir = ""
 		}
 	}
-	s.pool.OnPanic = func(v any, stack []byte) {
-		// Backstop only: runJob contains its own panics into structured
-		// responses. Reaching here means the containment glue itself
-		// broke; log loudly but keep the worker.
-		cfg.Log.Printf("janusd: pool backstop caught panic: %v\n%s", v, stack)
-	}
 	s.http = &http.Server{Handler: s.Handler()}
 	return s
 }
 
-// errDraining is the typed submit error the HTTP layer maps to
-// KindDraining.
-var errDraining = errors.New("janusd: draining, not accepting work")
+// Typed submit errors; the HTTP layer maps them to KindDraining and
+// KindShed.
+var (
+	errDraining = errors.New("janusd: draining, not accepting work")
+	errShed     = errors.New("janusd: queue full")
+)
 
-// Submit admits req as a job, or fails fast: pool.ErrOverloaded when
-// the admission bound is hit (shed), errDraining during drain, or a
-// validation error.
+// Submit admits req as a job, or fails fast: errShed when
+// Workers+QueueDepth jobs are unfinished, errDraining during drain, or
+// a validation error.
 func (s *Server) Submit(req Request) (*Job, error) {
-	if s.draining.Load() {
-		return nil, errDraining
-	}
 	// Validate the region-level inject spec before admission so a bad
-	// request never occupies a pool slot.
+	// request never counts against the bound.
 	if req.Inject != "" {
 		if _, err := faultinject.ParsePlan(req.Inject); err != nil {
 			return nil, err
@@ -403,49 +398,52 @@ func (s *Server) Submit(req Request) (*Job, error) {
 	if deadline <= 0 {
 		deadline = s.cfg.DefaultDeadline
 	}
-	ctx := s.baseCtx
-	var cancel context.CancelFunc
-	if deadline > 0 {
-		ctx, cancel = context.WithTimeout(ctx, deadline)
-	} else {
-		ctx, cancel = context.WithCancel(ctx)
-	}
-
-	id := fmt.Sprintf("job-%d", s.nextID.Add(1))
-	j := newJob(id, req, ctx, cancel)
-
-	// Service-level injection: the Arm/Fire pair is serialised here so
-	// the n-th admitted job is the armed one, deterministically.
-	s.injMu.Lock()
-	s.inj.Arm()
-	j.injPanic = s.inj.Fire(faultinject.HandlerPanic)
-	j.injStall = s.inj.Fire(faultinject.QueueStall)
-	j.injSlow = s.inj.Fire(faultinject.SlowWorker)
-	s.injMu.Unlock()
 
 	s.mu.Lock()
-	s.jobs[id] = j
+	if s.draining {
+		s.mu.Unlock()
+		return nil, errDraining
+	}
+	// Service-level injection is armed per submission, in submission
+	// order, so the n-th submission is the armed one deterministically.
+	s.inj.Arm()
+	injPanic := s.inj.Fire(faultinject.HandlerPanic)
+	injStall := s.inj.Fire(faultinject.QueueStall)
+	injSlow := s.inj.Fire(faultinject.SlowWorker)
+	if s.unfinished >= s.cfg.Workers+s.cfg.QueueDepth {
+		s.shed++
+		s.mu.Unlock()
+		return nil, errShed
+	}
+	s.unfinished++
+	s.admitted++
+	var ctx context.Context
+	var cancel context.CancelFunc
+	if deadline > 0 {
+		ctx, cancel = context.WithTimeout(s.baseCtx, deadline)
+	} else {
+		ctx, cancel = context.WithCancel(s.baseCtx)
+	}
+	j := newJob(fmt.Sprintf("job-%d", s.admitted), req, ctx, cancel)
+	j.injPanic, j.injStall, j.injSlow = injPanic, injStall, injSlow
+	s.jobs[j.ID] = j
+	s.inflight.Add(1)
+	running, queued := s.loadLocked()
 	s.mu.Unlock()
 
-	s.inflight.Add(1)
-	if err := s.pool.Submit(func() { s.runJob(j) }); err != nil {
-		s.inflight.Done()
-		cancel()
-		s.mu.Lock()
-		delete(s.jobs, id)
-		s.mu.Unlock()
-		if errors.Is(err, pool.ErrOverloaded) {
-			s.shed.Add(1)
-		}
-		if errors.Is(err, pool.ErrClosed) {
-			return nil, errDraining
-		}
-		return nil, err
-	}
-	s.served.Add(1)
-	j.event(fmt.Sprintf("accepted %s", id))
-	s.cfg.Log.Printf("janusd: %s accepted (queued %d, running %d)", id, s.pool.Queued(), s.pool.Running())
+	j.event("accepted " + j.ID)
+	go s.runJob(j)
+	s.cfg.Log.Printf("janusd: %s accepted (queued %d, running %d)", j.ID, queued, running)
 	return j, nil
+}
+
+// loadLocked returns how many unfinished jobs hold a slot and how many
+// wait for one. s.mu must be held: a job takes its slot after it is
+// counted and gives it back before it is retired, so under the lock
+// running never exceeds unfinished.
+func (s *Server) loadLocked() (running, queued int) {
+	running = len(s.slots)
+	return running, s.unfinished - running
 }
 
 // Job returns a live or retained job by ID.
@@ -456,12 +454,13 @@ func (s *Server) Job(id string) (*Job, bool) {
 	return j, ok
 }
 
-// runJob executes one admitted job on a pool worker. Every exit path
-// publishes a terminal Response; a panic anywhere in the render is
-// contained into a structured failure and the worker survives.
+// runJob is an admitted job's goroutine: it waits for a slot (or its
+// deadline), runs the job, and retires it. The one recover, deferred
+// before anything else that can panic, turns a panic anywhere in the
+// job — its slot release and retire included — into a structured
+// failure, so no job can take the daemon down.
 func (s *Server) runJob(j *Job) {
 	defer s.inflight.Done()
-	defer s.retire(j.ID)
 	defer func() {
 		if v := recover(); v != nil {
 			s.cfg.Log.Printf("janusd: %s panicked: %v", j.ID, v)
@@ -471,10 +470,25 @@ func (s *Server) runJob(j *Job) {
 			})
 		}
 	}()
+	defer s.retire(j.ID)
 
+	select {
+	case s.slots <- struct{}{}:
+	case <-j.ctx.Done():
+		err := j.ctx.Err()
+		j.finish(classify(fmt.Errorf("expired while queued: %w", err), err))
+		return
+	}
+	defer func() { <-s.slots }()
+	s.run(j)
+}
+
+// run executes a job that holds a slot. Every exit path publishes a
+// terminal Response.
+func (s *Server) run(j *Job) {
 	if j.injStall {
-		// The job wedges while still queued: deadline and shedding
-		// behaviour under a stalled dispense path.
+		// The job wedges between taking its slot and starting: deadline
+		// and shedding behaviour under a stalled dispense path.
 		j.event("fault: queue-stall")
 		s.sleep(j.ctx, s.cfg.StallDelay)
 	}
@@ -528,12 +542,14 @@ func (s *Server) runJob(j *Job) {
 	j.finish(res)
 }
 
-// retire bounds the finished-job registry.
+// retire frees the job's place under the admission bound and bounds
+// the finished-job registry.
 func (s *Server) retire(id string) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
+	s.unfinished--
 	s.finished = append(s.finished, id)
-	for len(s.finished) > s.cfg.KeepJobs {
+	for len(s.finished) > keepJobs {
 		delete(s.jobs, s.finished[0])
 		s.finished = s.finished[1:]
 	}
@@ -565,7 +581,11 @@ func (s *Server) sleep(ctx context.Context, d time.Duration) {
 }
 
 // Draining reports whether the daemon has stopped accepting work.
-func (s *Server) Draining() bool { return s.draining.Load() }
+func (s *Server) Draining() bool {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return s.draining
+}
 
 // Stats is the statusz snapshot.
 type Stats struct {
@@ -574,7 +594,6 @@ type Stats struct {
 	Cap      int   `json:"cap"`
 	Queued   int   `json:"queued"`
 	Running  int   `json:"running"`
-	Idle     int   `json:"idle"`
 	Served   int64 `json:"served"`
 	Shed     int64 `json:"shed"`
 	Draining bool  `json:"draining"`
@@ -603,6 +622,10 @@ func (s *Server) Snapshot() Stats {
 		cs = s.cache.Stats()
 	}
 	cs = cs.WithTiers(harness.TierStats())
+	s.mu.Lock()
+	running, queued := s.loadLocked()
+	served, shed, draining := s.admitted, s.shed, s.draining
+	s.mu.Unlock()
 	return Stats{
 		CacheHits:   cs.Hits,
 		CacheMisses: cs.Misses,
@@ -611,13 +634,12 @@ func (s *Server) Snapshot() Stats {
 		FreeLists:   harness.FreeListStats(),
 		PID:         os.Getpid(),
 		UptimeMS:    time.Since(s.started).Milliseconds(),
-		Cap:         s.pool.Cap(),
-		Queued:      s.pool.Queued(),
-		Running:     s.pool.Running(),
-		Idle:        s.pool.Idle(),
-		Served:      s.served.Load(),
-		Shed:        s.shed.Load(),
-		Draining:    s.draining.Load(),
+		Cap:         s.cfg.Workers,
+		Queued:      queued,
+		Running:     running,
+		Served:      served,
+		Shed:        shed,
+		Draining:    draining,
 	}
 }
 

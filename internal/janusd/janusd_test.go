@@ -486,7 +486,7 @@ func TestDrainDeadlineCancels(t *testing.T) {
 
 // TestBadRequests: malformed bodies, inject specs and the retired
 // cache_dir field (a client may not choose where the daemon writes)
-// are refused with typed 400s before touching the pool.
+// are refused with typed 400s before admission.
 func TestBadRequests(t *testing.T) {
 	s, base, _ := startServer(t, Config{Workers: 1})
 	for _, body := range []string{`{bad json`, `{"nope":1}`, `{"inject":"not-a-point"}`, `{"table":2,"cache_dir":"/tmp/x"}`, `{"table":2,"static_partition":true}`} {
@@ -675,5 +675,352 @@ func TestStatuszShowsFreeListReuse(t *testing.T) {
 	second := statusz()
 	if second.VMBlocks.Reused <= first.VMBlocks.Reused || second.ProfilerTables.Reused <= first.ProfilerTables.Reused {
 		t.Fatalf("second render reused nothing: after the first %+v, after the second %+v", first, second)
+	}
+}
+
+// TestQueuedDeadlineEndsWait: a job waiting for a slot behind a busy
+// worker answers 504 at its own deadline, not once the job ahead of it
+// finishes.
+func TestQueuedDeadlineEndsWait(t *testing.T) {
+	s, base, _ := startServer(t, Config{
+		Workers:    1,
+		QueueDepth: 1,
+		Inject:     mustPlan(t, "slow-worker@1"),
+		StallDelay: 2 * time.Second,
+	})
+	res, payload := postJSON(t, base+"/v1/jobs", `{"table":2}`)
+	var acc Response
+	if err := json.Unmarshal(payload, &acc); err != nil || res.StatusCode != http.StatusAccepted {
+		t.Fatalf("submit: %d %s", res.StatusCode, payload)
+	}
+	first, _ := s.Job(acc.ID)
+	waitFor(t, "first job running", func() bool { return first.State() == StateRunning })
+
+	start := time.Now()
+	res, payload = postJSON(t, base+"/v1/render", `{"table":2,"deadline_ms":100}`)
+	if res.StatusCode != http.StatusGatewayTimeout {
+		t.Fatalf("status %d, want 504: %s", res.StatusCode, payload)
+	}
+	var r Response
+	if err := json.Unmarshal(payload, &r); err != nil || r.ErrKind != KindDeadline {
+		t.Fatalf("kind %q err %v: %s", r.ErrKind, err, payload)
+	}
+	if first.State() != StateRunning {
+		t.Fatalf("the queued job's 504 came after %v, once the job ahead of it had finished", time.Since(start))
+	}
+}
+
+// TestAdmissionBoundExact pins the shedding contract: with Workers W
+// and QueueDepth D, exactly W+D wedged jobs are admitted, W of them
+// running and D queued; the next submission is shed with 429 +
+// Retry-After; admission reopens once a job finishes; and Drain lets
+// every queued job complete.
+func TestAdmissionBoundExact(t *testing.T) {
+	const workers, depth = 2, 3
+	s, base, _ := startServer(t, Config{
+		Workers:    workers,
+		QueueDepth: depth,
+		Inject:     mustPlan(t, "slow-worker@1"),
+		StallDelay: time.Second,
+	})
+	submit := func() (*http.Response, Response) {
+		t.Helper()
+		res, payload := postJSON(t, base+"/v1/jobs", `{"table":2}`)
+		var r Response
+		if err := json.Unmarshal(payload, &r); err != nil {
+			t.Fatalf("submit: %d %s", res.StatusCode, payload)
+		}
+		return res, r
+	}
+	var ids []string
+	for i := 0; i < workers+depth; i++ {
+		res, r := submit()
+		if res.StatusCode != http.StatusAccepted {
+			t.Fatalf("submission %d: status %d (%s %s)", i, res.StatusCode, r.ErrKind, r.Err)
+		}
+		ids = append(ids, r.ID)
+	}
+	waitFor(t, "both workers busy", func() bool { return s.Snapshot().Running == workers })
+	if st := s.Snapshot(); st.Queued != depth || st.Cap != workers {
+		t.Fatalf("snapshot %+v, want cap %d, queued %d", st, workers, depth)
+	}
+	res, r := submit()
+	if res.StatusCode != http.StatusTooManyRequests || r.ErrKind != KindShed {
+		t.Fatalf("over-bound submission: status %d kind %q, want 429 shed", res.StatusCode, r.ErrKind)
+	}
+	if res.Header.Get("Retry-After") == "" {
+		t.Fatal("429 without Retry-After")
+	}
+
+	waitFor(t, "capacity to free", func() bool {
+		st := s.Snapshot()
+		return st.Running+st.Queued < workers+depth
+	})
+	res, r = submit()
+	if res.StatusCode != http.StatusAccepted {
+		t.Fatalf("submission after capacity freed: status %d (%s %s)", res.StatusCode, r.ErrKind, r.Err)
+	}
+	ids = append(ids, r.ID)
+
+	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
+	defer cancel()
+	if err := s.Drain(ctx); err != nil {
+		t.Fatalf("drain: %v", err)
+	}
+	for _, id := range ids {
+		j, ok := s.Job(id)
+		if !ok {
+			t.Fatalf("job %s vanished", id)
+		}
+		final, err := j.Wait(context.Background())
+		if err != nil {
+			t.Fatal(err)
+		}
+		if final.State != StateDone || final.Output != tab2Expected(t) {
+			t.Fatalf("job %s: state %s err %s", id, final.State, final.Err)
+		}
+	}
+	if st := s.Snapshot(); st.Running != 0 || st.Queued != 0 || st.Served != int64(len(ids)) || st.Shed != 1 {
+		t.Fatalf("snapshot after drain %+v, want 0 running, 0 queued, %d served, 1 shed", st, len(ids))
+	}
+}
+
+// TestSubmitRacingDrain: submissions from eight goroutines race Drain.
+// Every accepted job reaches exactly one terminal response, every
+// refusal is typed shed or draining, and no Add races Drain's Wait.
+func TestSubmitRacingDrain(t *testing.T) {
+	want := tab2Expected(t)
+	s, _, _ := startServer(t, Config{Workers: 2, QueueDepth: 2})
+	var (
+		mu       sync.Mutex
+		accepted []*Job
+		wg       sync.WaitGroup
+	)
+	for g := 0; g < 8; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for {
+				j, err := s.Submit(Request{Table: 2})
+				if err == nil {
+					mu.Lock()
+					accepted = append(accepted, j)
+					mu.Unlock()
+					continue
+				}
+				switch kind := submitFailure(err).ErrKind; kind {
+				case KindShed:
+					time.Sleep(100 * time.Microsecond)
+				case KindDraining:
+					return
+				default:
+					t.Errorf("refusal of kind %q: %v", kind, err)
+					return
+				}
+			}
+		}()
+	}
+	waitFor(t, "admissions before the drain", func() bool {
+		mu.Lock()
+		defer mu.Unlock()
+		return len(accepted) >= 16
+	})
+	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
+	defer cancel()
+	if err := s.Drain(ctx); err != nil {
+		t.Fatalf("drain: %v", err)
+	}
+	wg.Wait()
+
+	for _, j := range accepted {
+		j.mu.Lock()
+		res, terminal := j.res, 0
+		for _, line := range j.events {
+			if line == "state "+StateDone || line == "state "+StateFailed {
+				terminal++
+			}
+		}
+		j.mu.Unlock()
+		if res == nil || terminal != 1 {
+			t.Fatalf("%s after drain: response %v, %d terminal events", j.ID, res, terminal)
+		}
+		if res.State != StateDone || res.Output != want {
+			t.Fatalf("%s: state %s err %s", j.ID, res.State, res.Err)
+		}
+	}
+	if st := s.Snapshot(); st.Running != 0 || st.Queued != 0 || st.Served != int64(len(accepted)) {
+		t.Fatalf("snapshot after drain %+v, want 0 running, 0 queued, %d served", st, len(accepted))
+	}
+}
+
+// waitJob waits (bounded) for j's terminal response.
+func waitJob(t *testing.T, j *Job) *Response {
+	t.Helper()
+	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
+	defer cancel()
+	res, err := j.Wait(ctx)
+	if err != nil {
+		t.Fatalf("%s: %v", j.ID, err)
+	}
+	return res
+}
+
+// TestSubmitRunsTasks: every job admitted within the bound runs to
+// exactly the bytes a local render produces, and the daemon's load
+// returns to zero once they finish.
+func TestSubmitRunsTasks(t *testing.T) {
+	want := tab2Expected(t)
+	const n = 100
+	s, _, _ := startServer(t, Config{Workers: 4, QueueDepth: n})
+	jobs := make([]*Job, 0, n)
+	for i := 0; i < n; i++ {
+		j, err := s.Submit(Request{Table: 2})
+		if err != nil {
+			t.Fatalf("submit %d: %v", i, err)
+		}
+		jobs = append(jobs, j)
+	}
+	for _, j := range jobs {
+		if res := waitJob(t, j); res.State != StateDone || res.Output != want {
+			t.Fatalf("%s: state %s err %s", j.ID, res.State, res.Err)
+		}
+	}
+	waitFor(t, "load to return to zero", func() bool {
+		st := s.Snapshot()
+		return st.Running == 0 && st.Queued == 0
+	})
+	if st := s.Snapshot(); st.Served != n || st.Shed != 0 {
+		t.Fatalf("snapshot %+v, want %d served, 0 shed", st, n)
+	}
+}
+
+// TestCloseRejectsAndDrains: Drain refuses new work with the typed
+// draining error while every job already queued behind the one
+// running worker still runs to completion.
+func TestCloseRejectsAndDrains(t *testing.T) {
+	want := tab2Expected(t)
+	s, _, _ := startServer(t, Config{
+		Workers:    1,
+		QueueDepth: 8,
+		Inject:     mustPlan(t, "slow-worker@1"),
+		StallDelay: 150 * time.Millisecond,
+	})
+	var jobs []*Job
+	for i := 0; i < 4; i++ {
+		j, err := s.Submit(Request{Table: 2})
+		if err != nil {
+			t.Fatalf("submit %d: %v", i, err)
+		}
+		jobs = append(jobs, j)
+	}
+	waitFor(t, "one job running, three queued", func() bool {
+		st := s.Snapshot()
+		return st.Running == 1 && st.Queued == 3
+	})
+
+	drainErr := make(chan error, 1)
+	go func() {
+		ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
+		defer cancel()
+		drainErr <- s.Drain(ctx)
+	}()
+	waitFor(t, "draining", s.Draining)
+	if _, err := s.Submit(Request{Table: 2}); submitFailure(err).ErrKind != KindDraining {
+		t.Fatalf("submit while draining: got %v, want the draining refusal", err)
+	}
+	if err := <-drainErr; err != nil {
+		t.Fatalf("drain: %v", err)
+	}
+	for _, j := range jobs {
+		if res := waitJob(t, j); res.State != StateDone || res.Output != want {
+			t.Fatalf("queued job dropped by drain: %s state %s err %s", j.ID, res.State, res.Err)
+		}
+	}
+}
+
+// TestPanicKeepsWorkerAlive: a job that panics gives back its run slot,
+// so with a single worker the job after it still runs and renders.
+func TestPanicKeepsWorkerAlive(t *testing.T) {
+	want := tab2Expected(t)
+	s, _, _ := startServer(t, Config{
+		Workers: 1,
+		Inject:  mustPlan(t, "handler-panic@2"),
+	})
+	// One submission in every two panics. Run four in sequence, each
+	// after the last has finished, so every panic is followed by a job
+	// that needs the slot the panicking job held.
+	var kinds []string
+	for i := 0; i < 4; i++ {
+		j, err := s.Submit(Request{Table: 2})
+		if err != nil {
+			t.Fatalf("submit %d: %v", i, err)
+		}
+		res := waitJob(t, j)
+		switch {
+		case res.ErrKind == KindPanic && strings.Contains(res.Err, "handler-panic"):
+		case res.State == StateDone && res.Output == want:
+		default:
+			t.Fatalf("%s: state %s kind %q err %s", j.ID, res.State, res.ErrKind, res.Err)
+		}
+		kinds = append(kinds, res.ErrKind)
+	}
+	panics := 0
+	for i, k := range kinds {
+		if k != KindPanic {
+			continue
+		}
+		panics++
+		if i+1 < len(kinds) && kinds[i+1] == KindPanic {
+			t.Fatalf("two panics in a row %v: the plan arms one submission in two", kinds)
+		}
+	}
+	if panics != 2 {
+		t.Fatalf("%d panics in %v, want 2", panics, kinds)
+	}
+	waitFor(t, "the slot to be free", func() bool { return s.Snapshot().Running == 0 })
+}
+
+// TestConcurrentChurn hammers Submit from many goroutines under the
+// race detector: every refusal is the typed shed error, every admitted
+// job runs exactly once, and the daemon's counters agree.
+func TestConcurrentChurn(t *testing.T) {
+	want := tab2Expected(t)
+	s, _, _ := startServer(t, Config{Workers: 4, QueueDepth: 16})
+	var (
+		mu       sync.Mutex
+		accepted []*Job
+		shed     int64
+		wg       sync.WaitGroup
+	)
+	for g := 0; g < 8; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < 50; i++ {
+				j, err := s.Submit(Request{Table: 2})
+				mu.Lock()
+				if err == nil {
+					accepted = append(accepted, j)
+				} else if submitFailure(err).ErrKind == KindShed {
+					shed++
+				} else {
+					t.Errorf("submit: %v", err)
+				}
+				mu.Unlock()
+			}
+		}()
+	}
+	wg.Wait()
+	for _, j := range accepted {
+		if res := waitJob(t, j); res.State != StateDone || res.Output != want {
+			t.Fatalf("%s: state %s err %s", j.ID, res.State, res.Err)
+		}
+	}
+	waitFor(t, "load to return to zero", func() bool {
+		st := s.Snapshot()
+		return st.Running == 0 && st.Queued == 0
+	})
+	if st := s.Snapshot(); st.Served != int64(len(accepted)) || st.Shed != shed {
+		t.Fatalf("snapshot %+v, want %d served, %d shed", st, len(accepted), shed)
 	}
 }

@@ -21,12 +21,16 @@ func (s *Server) Serve(ln net.Listener) error {
 // contexts so they flush typed cancellation errors instead of being
 // dropped mid-render — clients always see a terminal response.
 func (s *Server) Drain(ctx context.Context) error {
-	if !s.draining.CompareAndSwap(false, true) {
+	s.mu.Lock()
+	first := !s.draining
+	s.draining = true
+	running, queued := s.loadLocked()
+	s.mu.Unlock()
+	if !first {
 		return nil // second drain is a no-op; the first owns shutdown
 	}
 	s.cfg.Log.Printf("janusd: pid %d draining (%d queued, %d running)",
-		os.Getpid(), s.pool.Queued(), s.pool.Running())
-	s.pool.Close()
+		os.Getpid(), queued, running)
 	done := make(chan struct{})
 	go func() {
 		s.inflight.Wait()
@@ -51,8 +55,9 @@ func (s *Server) Drain(ctx context.Context) error {
 // Close hard-stops the daemon: jobs are cancelled and connections
 // closed without waiting. Tests use it; production paths should Drain.
 func (s *Server) Close() error {
-	s.draining.Store(true)
+	s.mu.Lock()
+	s.draining = true
+	s.mu.Unlock()
 	s.baseCancel()
-	s.pool.Close()
 	return s.http.Close()
 }
