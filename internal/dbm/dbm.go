@@ -6,9 +6,14 @@
 // decoded instructions, held once, plus an ordered list of sites — the
 // instructions a surviving rule attaches a handler or a rewritten access
 // to — and everything between two sites is a run that executes through
-// vm.ExecRun with no per-instruction test. A block's translation is
-// charged to guest thread t the first time t dispatches it since the
-// last modelled flush, wherever the translation physically lives.
+// vm.ExecRun with no per-instruction test. ExecRun is the one dispatch
+// function: a site's instruction goes through it too (as itself, or as
+// its rewritten copy through vm.ExecInst); it charges a run's cycles
+// from a local flushed at a SYSCALL and at run end, and resolves the
+// thread's memory bus (view or transaction) once per run. A block's
+// translation is charged to guest thread t the first time t dispatches
+// it since the last modelled flush, wherever the translation physically
+// lives.
 //
 // Run-time state lives in two record types built once by New: a
 // threadRec per guest thread and a loopRec per loop the schedule names.

@@ -690,8 +690,8 @@ func TestStealDequesOnePieceNoTheft(t *testing.T) {
 // TestInitRegionCtxLeavesNothingBehind: region contexts belong to the
 // executor and are reused by every region, so initRegionCtx has to
 // assign every field — a context that ended its last region halted,
-// with an exit code, flags, clocks, a memory hook and a transaction's
-// bus must come out identical to one that was never used.
+// with an exit code, flags, clocks and a transaction's bus must come out
+// identical to one that was never used.
 func TestInitRegionCtxLeavesNothingBehind(t *testing.T) {
 	b := asm.NewBuilder("ctx")
 	b.Func("main").Halt()
@@ -716,8 +716,7 @@ func TestInitRegionCtxLeavesNothingBehind(t *testing.T) {
 
 	used := &vm.Context{
 		ZF: true, LF: true, PC: 1, Halted: true, Exit: 9, Cycles: 5, Insts: 6, ID: 3,
-		Bus:   ex.M.Mem,
-		OnMem: func(uint64, bool, int64) {},
+		Bus: ex.M.Mem,
 	}
 	for i := range used.GPR {
 		used.GPR[i] = ^uint64(0)

@@ -84,7 +84,7 @@ func (ex *Executor) stepBlock(t *jrt.Thread) error {
 					return nil
 				}
 			}
-			next, err = ex.execSite(t, rec, s, &b.insts[i], pc+guest.InstSize)
+			next, err = ex.execSite(t, rec, s, b.insts[i:i+1], pc)
 		}
 		t.Steps += int64(n)
 		if ex.Cfg.Profile {
@@ -120,11 +120,11 @@ func (ex *Executor) chargeTxAccess(t *jrt.Thread, in *guest.Inst) {
 	}
 }
 
-// execSite executes site s's instruction in (fall-through address next)
-// with the site's transformation, which applies only inside the parallel
-// region of the loop whose rule made it.
-func (ex *Executor) execSite(t *jrt.Thread, rec *threadRec, s *site, in *guest.Inst, next uint64) (uint64, error) {
-	c := t.Ctx
+// execSite executes site s's instruction, the one element of ins at
+// address pc, with the site's transformation, which applies only inside
+// the parallel region of the loop whose rule made it.
+func (ex *Executor) execSite(t *jrt.Thread, rec *threadRec, s *site, ins []guest.Inst, pc uint64) (uint64, error) {
+	c, in, next := t.Ctx, &ins[0], pc+guest.InstSize
 	if rec.tx != nil {
 		ex.chargeTxAccess(t, in)
 	}
@@ -133,7 +133,7 @@ func (ex *Executor) execSite(t *jrt.Thread, rec *threadRec, s *site, in *guest.I
 		switch s.kind {
 		case execPrivatise:
 			// MEM_PRIVATISE: the access goes to the thread's TLS slot.
-			in = &s.inst
+			return vm.ExecInst(ex.M, c, &s.inst, next)
 		case execMainStack:
 			// MEM_MAIN_STACK: a read-only stack access goes to the main
 			// thread's frame. The access' symbolic offset from the entry
@@ -146,7 +146,7 @@ func (ex *Executor) execSite(t *jrt.Thread, rec *threadRec, s *site, in *guest.I
 				entrySP = jrt.StackTopFor(t.ID)
 			}
 			s.inst.M.Disp = int64(lc.MainSP + (c.EffAddr(in.M) - entrySP))
-			in = &s.inst
+			return vm.ExecInst(ex.M, c, &s.inst, next)
 		case execBound:
 			// LOOP_UPDATE_BOUND: the exit compare tests the thread's
 			// chunk bound instead of the original loop bound (per-thread
@@ -159,7 +159,8 @@ func (ex *Executor) execSite(t *jrt.Thread, rec *threadRec, s *site, in *guest.I
 			return next, nil
 		}
 	}
-	return vm.ExecInst(ex.M, c, in, next)
+	_, next, err := vm.ExecRun(ex.M, c, ins, pc)
+	return next, err
 }
 
 // runHandler executes one pre-instruction rule handler. in is the

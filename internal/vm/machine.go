@@ -10,7 +10,11 @@ import (
 )
 
 // Context is one hardware thread's architectural state plus its virtual
-// clock and instrumentation hooks.
+// clock. ExecRun, the one dispatch routine, keeps a run's cycle charge
+// in a local, flushed into Cycles before a SYSCALL and when the run
+// ends, adds the run's length to Insts when it ends, and resolves Bus
+// once per run. So Cycles is current between runs and at every syscall,
+// Insts between runs, and Bus may change only between runs.
 type Context struct {
 	// GPR holds the general-purpose registers; index guest.RegTLS (16)
 	// is the thread-local-storage base pseudo-register.
@@ -35,10 +39,6 @@ type Context struct {
 	// host-parallel runtime substitutes a per-thread MemView, and the
 	// STM substitutes a buffering bus during speculation.
 	Bus Bus
-
-	// OnMem, when non-nil, observes every data memory access with its
-	// effective address. The dependence profiler hooks here.
-	OnMem func(addr uint64, write bool, width int64)
 
 	// ID is the Janus thread id (0 = main).
 	ID int

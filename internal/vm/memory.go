@@ -1,8 +1,7 @@
 // Package vm implements the guest machine: paged memory, per-thread
-// execution contexts, instruction semantics with a virtual cycle cost
-// model (ExecInst), and the one dispatch loop over them (ExecRun) that
-// both the native runner and the DBM's straight-line runs execute
-// slices of decoded instructions through.
+// execution contexts, and instruction semantics with a virtual cycle
+// cost model in one dispatch routine (ExecRun) through which the native
+// runner and the DBM's runs and sites execute decoded instructions.
 //
 // The virtual cycle clock substitutes for wall-clock measurement on real
 // hardware: every instruction charges its cost-model latency to the
@@ -665,7 +664,8 @@ func (m *Memory) Pages() int {
 
 // Bus is the memory interface instructions execute against. The plain
 // machine memory and per-thread MemViews implement it; the STM wraps it
-// with buffering during speculative execution.
+// with buffering during speculative execution. ExecRun calls a *Memory
+// or *MemView bus directly and any other through this interface.
 type Bus interface {
 	Read64(addr uint64) uint64
 	Write64(addr uint64, v uint64)
