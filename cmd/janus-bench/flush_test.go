@@ -68,3 +68,21 @@ func TestCacheCounterLineOnFailedRun(t *testing.T) {
 		t.Fatalf("stderr lacks the underlying error:\n%s", stderr)
 	}
 }
+
+// TestNoSuchExperimentFails: a selection naming no figure or table
+// renders nothing and exits through the fail path — nonzero, with the
+// error and the counter lines on stderr — instead of printing nothing
+// and reporting success.
+func TestNoSuchExperimentFails(t *testing.T) {
+	for _, args := range [][]string{{"-fig", "99"}, {"-table", "5"}} {
+		stdout, stderr, code := runBench(t, append(args, "-cache-dir", t.TempDir())...)
+		if code == 0 || stdout != "" {
+			t.Fatalf("%v: exit %d, stdout %q; want a nonzero exit and nothing rendered", args, code, stdout)
+		}
+		for _, want := range []string{"no such experiment", "janus-bench: artcache:", "janus-bench: free lists:"} {
+			if !strings.Contains(stderr, want) {
+				t.Fatalf("%v: stderr lacks %q:\n%s", args, want, stderr)
+			}
+		}
+	}
+}

@@ -7,8 +7,6 @@
 //	janus-bench -jobs 4                  run up to 4 benchmark rows
 //	                                     concurrently (output is
 //	                                     byte-identical at any value)
-//	janus-bench -host-parallel=false     force the single-goroutine region
-//	                                     engine (outputs are byte-identical)
 //	janus-bench -inject scan-defeat      arm deterministic fault injection
 //	                                     in speculative regions; recovery
 //	                                     re-executes them round-robin, so
@@ -56,18 +54,16 @@ func main() {
 	table := flag.Int("table", 0, "regenerate one table (1 or 2); 0 = all")
 	threads := flag.Int("threads", def.Threads, "guest thread count")
 	jobs := flag.Int("jobs", def.Jobs, "how many benchmark rows run concurrently across the suite (figure/table outputs are byte-identical at any value)")
-	hostParallel := flag.Bool("host-parallel", !def.SingleGoroutine, "run eligible parallel regions on host goroutines; false forces the single-goroutine round-robin engine (figure/table outputs are bit-identical either way)")
 	inject := flag.String("inject", "", "arm deterministic fault injection in speculative regions, spec point[@every][#seed] with point one of scan-defeat, worker-panic, stall, budget (recovery keeps stdout byte-identical; summary on stderr)")
 	genCorpus := flag.Int("gen-corpus", 0, "screen N seeded generated kernels against the differential oracle and graduate interesting ones into this run's benchmark corpus (0 = off; the default suite and its golden output are unchanged)")
 	cacheDir := flag.String("cache-dir", "", "durable artifact cache directory (empty = off); figure/table outputs are byte-identical with the cache off, cold or warm, and the directory is safe to share between processes")
 	flag.Parse()
 
 	opts := harness.Options{
-		Threads:         *threads,
-		Jobs:            *jobs,
-		SingleGoroutine: !*hostParallel,
-		Recovery:        &harness.RecoveryLog{},
-		CacheDir:        *cacheDir,
+		Threads:  *threads,
+		Jobs:     *jobs,
+		Recovery: &harness.RecoveryLog{},
+		CacheDir: *cacheDir,
 	}
 	// Open the store here too: OpenShared dedups per directory, so this
 	// handle observes the same counters the harness increments.
@@ -132,9 +128,8 @@ func main() {
 	if opts.Inject != nil || opts.Recovery.ParRecoveries.Load() > 0 {
 		fmt.Fprintln(os.Stderr, "janus-bench:", opts.Recovery.Summary())
 	}
-	flushCounters()
 	if err != nil {
-		fmt.Fprintln(os.Stderr, "janus-bench:", err)
-		os.Exit(1)
+		fail(err)
 	}
+	flushCounters()
 }

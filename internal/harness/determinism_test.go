@@ -3,13 +3,12 @@ package harness
 // The load-bearing invariant of the concurrent harness: every figure
 // is computed from virtual cycles and folded back in a fixed order, so
 // the rendered janus-bench output must be byte-identical whatever the
-// host concurrency — GOMAXPROCS=1 vs all cores, row scheduling at any
-// -jobs bound, and host-parallel vs single-goroutine round-robin
-// regions. golden_test.go pins the whole suite against the committed
-// fixture; these tests pin one figure across the engine axes for a
-// fast, focused signal. (The speculative engine's subdivision factor
-// is not a harness option; internal/dbm's steal and recovery tests and
-// the genkern oracle pin factor 1 against jrt.StealFactor.)
+// host concurrency — GOMAXPROCS=1 vs all cores and row scheduling at
+// any -jobs bound. golden_test.go pins the whole suite against the
+// committed fixture; these tests pin one figure across both axes for a
+// fast, focused signal. (The region engine is not a harness option;
+// the root package's TestVerifyAcrossOptLevelsThreadsEngines, the dbm
+// engine tests and the genkern oracle pin its equivalence.)
 
 import (
 	"runtime"
@@ -46,15 +45,6 @@ func TestFigure7ByteIdenticalAcrossGOMAXPROCS(t *testing.T) {
 	many := renderFigure7(t, DefaultOptions())
 	if one != many {
 		t.Errorf("figure 7 output differs across GOMAXPROCS:\n--- GOMAXPROCS=1 ---\n%s\n--- GOMAXPROCS=n ---\n%s", one, many)
-	}
-}
-
-func TestFigure7ByteIdenticalAcrossEngines(t *testing.T) {
-	hp := DefaultOptions()
-	rr := DefaultOptions()
-	rr.SingleGoroutine = true
-	if got, want := renderFigure7(t, rr), renderFigure7(t, hp); got != want {
-		t.Errorf("figure 7 output differs between engines:\n--- host-parallel ---\n%s\n--- round-robin ---\n%s", want, got)
 	}
 }
 

@@ -4,10 +4,8 @@ package harness
 // canonical full `janus-bench` text output (every figure and table, in
 // print order). A fresh render must match it byte for byte — under the
 // default configuration and under every axis the determinism contract
-// pins: -jobs 1 vs N, work-stealing vs static partitioning,
-// host-parallel vs round-robin regions, GOMAXPROCS 1 vs N. Any
-// scheduler, partitioner or engine change that perturbs a single
-// figure byte fails here loudly.
+// pins: -jobs 1 vs N, GOMAXPROCS 1 vs N. Any scheduler, partitioner or
+// engine change that perturbs a single figure byte fails here loudly.
 //
 // Regenerate the fixture after an intentional output change with:
 //
@@ -159,7 +157,7 @@ func TestGoldenOutput(t *testing.T) {
 // fixture byte for byte.
 func TestGoldenAcrossConfigurations(t *testing.T) {
 	if testing.Short() {
-		t.Skip("full-suite renders across five configurations; run without -short")
+		t.Skip("full-suite renders across four configurations; run without -short")
 	}
 	want := readGolden(t)
 	jobsN := max(runtime.NumCPU(), 4)
@@ -170,7 +168,6 @@ func TestGoldenAcrossConfigurations(t *testing.T) {
 	}{
 		{"jobs=1", func() Options { o := DefaultOptions(); o.Jobs = 1; return o }, 0},
 		{fmt.Sprintf("jobs=%d", jobsN), func() Options { o := DefaultOptions(); o.Jobs = jobsN; return o }, 0},
-		{"round-robin", func() Options { o := DefaultOptions(); o.SingleGoroutine = true; return o }, 0},
 		{"gomaxprocs=1", DefaultOptions, 1},
 		{fmt.Sprintf("gomaxprocs=%d", jobsN), DefaultOptions, jobsN},
 	}

@@ -11,9 +11,8 @@
 // Table I are projections over those shared reports. Every figure
 // is computed from deterministic virtual cycles and folded back in a
 // fixed order, so the rendered output is byte-identical whatever the
-// Options engine selection (host-parallel or round-robin regions), the
-// Jobs bound, and the host GOMAXPROCS; determinism_test.go and
-// golden_test.go pin all of it.
+// Jobs bound and the host GOMAXPROCS; determinism_test.go and
+// golden_test.go pin both.
 package harness
 
 import (
@@ -42,10 +41,7 @@ const DefaultThreads = 8
 
 // Options is one harness run's configuration. Experiments receive it
 // per call — nothing is process-global — so concurrent experiments
-// with different options cannot leak engine selection into each other.
-// The engine switch follows janus.Config's convention: the zero value
-// selects the default engine (eligible regions on host goroutines), so
-// a hand-built Options never silently downgrades to the slow path.
+// with different options cannot leak into each other.
 type Options struct {
 	// Threads is the guest thread count experiments measure at
 	// (figures 8/9 additionally sweep below it).
@@ -54,10 +50,6 @@ type Options struct {
 	// whole suite (janus-bench's -jobs flag; 1 = fully sequential).
 	// Rendered output is byte-identical at any value.
 	Jobs int
-	// SingleGoroutine forces the single-goroutine round-robin region
-	// engine instead of running eligible regions on host goroutines
-	// (janus-bench -host-parallel=false).
-	SingleGoroutine bool
 	// Inject arms deterministic fault injection inside speculative
 	// regions (janus-bench -inject). Injected faults recover onto the
 	// round-robin engine, so rendered output stays byte-identical; the
@@ -236,13 +228,12 @@ func (r *render) janus(bench string, opt workloads.OptLevel, threads int, mode r
 			return nil, err
 		}
 		rep, err := janus.ParalleliseBinary(ref, train, janus.Config{
-			Threads:         threads,
-			UseProfile:      mode >= profiled,
-			UseChecks:       mode == full,
-			Verify:          true,
-			SingleGoroutine: r.o.SingleGoroutine,
-			Inject:          r.o.Inject,
-			Cache:           r.cache,
+			Threads:    threads,
+			UseProfile: mode >= profiled,
+			UseChecks:  mode == full,
+			Verify:     true,
+			Inject:     r.o.Inject,
+			Cache:      r.cache,
 		})
 		if err != nil {
 			return nil, fmt.Errorf("%s, %d threads, %s: %w", opt, threads, mode, err)
@@ -651,8 +642,7 @@ func Figure11(o Options) ([]Fig11Row, error) {
 func figure11(r *render) ([]Fig11Row, error) {
 	return rows(r, workloads.ParallelisableNames(), func(name string) (Fig11Row, error) {
 		row := Fig11Row{Bench: name}
-		// The modelled compilers run under the render's engine selection.
-		engine := compilers.Engine{HostParallel: !r.o.SingleGoroutine, WorkStealing: true}
+		engine := compilers.Engine{HostParallel: true, WorkStealing: true}
 		auto := func(c compilers.Kind, opt workloads.OptLevel) (float64, error) {
 			bin, err := workloads.Open(r.cache, name, workloads.Ref, opt)
 			if err != nil {

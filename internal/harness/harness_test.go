@@ -1,6 +1,7 @@
 package harness
 
 import (
+	"errors"
 	"strings"
 	"testing"
 )
@@ -12,6 +13,23 @@ func seqOptions() Options {
 	o := DefaultOptions()
 	o.Jobs = 2
 	return o
+}
+
+// TestSelectionNamesAnExperiment: a fig or table naming no experiment
+// renders nothing and is an ErrNoExperiment, not an empty success; a
+// valid selection beside it does not rescue it.
+func TestSelectionNamesAnExperiment(t *testing.T) {
+	for _, sel := range [][2]int{{99, 0}, {5, 0}, {0, 3}, {0, -1}, {7, 5}} {
+		out, err := RenderAll(seqOptions(), sel[0], sel[1])
+		if !errors.Is(err, ErrNoExperiment) || out != "" {
+			t.Errorf("fig %d, table %d: err %v, %d bytes rendered; want ErrNoExperiment and nothing", sel[0], sel[1], err, len(out))
+		}
+	}
+	for _, sel := range [][2]int{{0, 0}, {6, 0}, {12, 0}, {0, 1}, {7, 2}} {
+		if _, err := Experiments(sel[0], sel[1]); err != nil {
+			t.Errorf("fig %d, table %d: %v", sel[0], sel[1], err)
+		}
+	}
 }
 
 func TestFigure6ShapeHolds(t *testing.T) {

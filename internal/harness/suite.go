@@ -28,29 +28,55 @@ func rendered[T any](rows func(*render) (T, error), text func(T) string) func(*r
 	}
 }
 
-// experiments lists the whole suite in print order.
-func experiments() []Experiment {
-	return []Experiment{
-		{"fig6", rendered(figure6, RenderFigure6)},
-		{"fig7", rendered(figure7, RenderFigure7)},
-		{"fig8", rendered(figure8, RenderFigure8)},
-		{"fig9", rendered(figure9, RenderFigure9)},
-		{"fig10", rendered(figure10, RenderFigure10)},
-		{"fig11", rendered(figure11, RenderFigure11)},
-		{"fig12", rendered(figure12, RenderFigure12)},
-		{"tab1", rendered(tableI, RenderTableI)},
-		{"tab2", func(*render) (string, error) { return TableII(), nil }},
+// suite lists every experiment in print order.
+var suite = []Experiment{
+	{"fig6", rendered(figure6, RenderFigure6)},
+	{"fig7", rendered(figure7, RenderFigure7)},
+	{"fig8", rendered(figure8, RenderFigure8)},
+	{"fig9", rendered(figure9, RenderFigure9)},
+	{"fig10", rendered(figure10, RenderFigure10)},
+	{"fig11", rendered(figure11, RenderFigure11)},
+	{"fig12", rendered(figure12, RenderFigure12)},
+	{"tab1", rendered(tableI, RenderTableI)},
+	{"tab2", func(*render) (string, error) { return TableII(), nil }},
+}
+
+// ErrNoExperiment is returned, wrapped, for a selection naming a
+// figure outside 6..12 or a table outside 1..2.
+var ErrNoExperiment = errors.New("no such experiment")
+
+// Experiments returns the experiments fig and table select, in print
+// order: both zero select everything, otherwise each nonzero one must
+// name an experiment. A service calls it to refuse a request that names
+// no experiment without admitting it.
+func Experiments(fig, table int) ([]Experiment, error) {
+	names := map[string]bool{}
+	if fig != 0 {
+		names[fmt.Sprintf("fig%d", fig)] = true
 	}
+	if table != 0 {
+		names[fmt.Sprintf("tab%d", table)] = true
+	}
+	var selected []Experiment
+	for _, e := range suite {
+		if len(names) == 0 || names[e.Name] {
+			selected = append(selected, e)
+		}
+	}
+	if len(selected) < len(names) {
+		return nil, fmt.Errorf("harness: fig %d, table %d: %w (figures 6..12, tables 1..2)", fig, table, ErrNoExperiment)
+	}
+	return selected, nil
 }
 
 // RenderAll regenerates the selected experiments — fig/table of 0
-// select everything, otherwise a single figure (6..12) or table (1..2)
-// — and returns the concatenated text output exactly as janus-bench
-// prints it. All experiments run concurrently, their benchmark rows
-// scheduled on one worker pool bounded by Options.Jobs, and the
-// results are folded back in the fixed suite order: the returned bytes
-// are identical at any Jobs value, any GOMAXPROCS, and under every
-// engine selection.
+// select everything, otherwise a single figure (6..12) or table (1..2);
+// any other value is an ErrNoExperiment — and returns the concatenated
+// text output exactly as janus-bench prints it. All experiments run
+// concurrently, their benchmark rows scheduled on one worker pool
+// bounded by Options.Jobs, and the results are folded back in the fixed
+// suite order: the returned bytes are identical at any Jobs value and
+// any GOMAXPROCS.
 //
 // Failure is partial: an experiment that errors (or panics — the
 // scheduler and RenderAll both recover) is replaced in the output by a
@@ -74,14 +100,11 @@ func RenderAllContext(ctx context.Context, o Options, fig, table int) (string, e
 }
 
 func renderAll(r *render, fig, table int) (string, error) {
-	s := r.s
-	runAll := fig == 0 && table == 0
-	var selected []Experiment
-	for _, e := range experiments() {
-		if runAll || e.Name == fmt.Sprintf("fig%d", fig) || e.Name == fmt.Sprintf("tab%d", table) {
-			selected = append(selected, e)
-		}
+	selected, err := Experiments(fig, table)
+	if err != nil {
+		return "", err
 	}
+	s := r.s
 
 	outs := make([]string, len(selected))
 	errs := make([]error, len(selected))

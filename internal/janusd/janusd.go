@@ -107,15 +107,12 @@ func (nowhere) Write(p []byte) (int, error) { return len(p), nil }
 // The zero value renders the full suite with default engines.
 type Request struct {
 	// Fig/Table select one figure (6..12) or table (1..2); both zero
-	// renders everything, exactly like janus-bench.
+	// renders everything, exactly like janus-bench. Any other value is
+	// refused before admission.
 	Fig   int `json:"fig,omitempty"`
 	Table int `json:"table,omitempty"`
-	// Threads and Jobs mirror harness.Options (zero = defaults).
+	// Threads mirrors harness.Options (zero = default).
 	Threads int `json:"threads,omitempty"`
-	Jobs    int `json:"jobs,omitempty"`
-	// SingleGoroutine forces the round-robin region engine; rendered
-	// bytes are identical either way.
-	SingleGoroutine bool `json:"single_goroutine,omitempty"`
 	// Inject arms region-level fault injection inside this request's
 	// renders (spec grammar of janus-bench -inject).
 	Inject string `json:"inject,omitempty"`
@@ -124,27 +121,18 @@ type Request struct {
 	DeadlineMS int64 `json:"deadline_ms,omitempty"`
 }
 
-// options translates the request into per-run harness options.
-func (r Request) options(cacheDir string, rec *harness.RecoveryLog, onProgress func(harness.ProgressEvent)) (harness.Options, error) {
+// options translates the request, its Inject spec parsed at admission,
+// into per-run harness options.
+func (r Request) options(inject *faultinject.Plan, cacheDir string, rec *harness.RecoveryLog, onProgress func(harness.ProgressEvent)) harness.Options {
 	o := harness.DefaultOptions()
 	if r.Threads > 0 {
 		o.Threads = r.Threads
 	}
-	if r.Jobs > 0 {
-		o.Jobs = r.Jobs
-	}
-	o.SingleGoroutine = r.SingleGoroutine
+	o.Inject = inject
 	o.CacheDir = cacheDir
 	o.Recovery = rec
 	o.OnProgress = onProgress
-	if r.Inject != "" {
-		plan, err := faultinject.ParsePlan(r.Inject)
-		if err != nil {
-			return o, err
-		}
-		o.Inject = plan
-	}
-	return o, nil
+	return o
 }
 
 // Error kinds carried by Response.ErrKind. Every failed request is
@@ -203,6 +191,8 @@ type Job struct {
 
 	// armed service faults (at most one; decided at admission).
 	injPanic, injStall, injSlow bool
+	// inject is Req.Inject, parsed at admission.
+	inject *faultinject.Plan
 }
 
 func newJob(id string, req Request, ctx context.Context, cancel context.CancelFunc) *Job {
@@ -387,10 +377,15 @@ var (
 // Workers+QueueDepth jobs are unfinished, errDraining during drain, or
 // a validation error.
 func (s *Server) Submit(req Request) (*Job, error) {
-	// Validate the region-level inject spec before admission so a bad
-	// request never counts against the bound.
+	// Validate the selection and the region-level inject spec before
+	// admission so a bad request never counts against the bound.
+	if _, err := harness.Experiments(req.Fig, req.Table); err != nil {
+		return nil, err
+	}
+	var inject *faultinject.Plan
 	if req.Inject != "" {
-		if _, err := faultinject.ParsePlan(req.Inject); err != nil {
+		var err error
+		if inject, err = faultinject.ParsePlan(req.Inject); err != nil {
 			return nil, err
 		}
 	}
@@ -425,7 +420,7 @@ func (s *Server) Submit(req Request) (*Job, error) {
 		ctx, cancel = context.WithCancel(s.baseCtx)
 	}
 	j := newJob(fmt.Sprintf("job-%d", s.admitted), req, ctx, cancel)
-	j.injPanic, j.injStall, j.injSlow = injPanic, injStall, injSlow
+	j.injPanic, j.injStall, j.injSlow, j.inject = injPanic, injStall, injSlow, inject
 	s.jobs[j.ID] = j
 	s.inflight.Add(1)
 	running, queued := s.loadLocked()
@@ -513,7 +508,7 @@ func (s *Server) run(j *Job) {
 	}
 
 	rec := &harness.RecoveryLog{}
-	opts, err := j.Req.options(s.cfg.CacheDir, rec, func(ev harness.ProgressEvent) {
+	opts := j.Req.options(j.inject, s.cfg.CacheDir, rec, func(ev harness.ProgressEvent) {
 		switch ev.State {
 		case "row":
 			j.event(fmt.Sprintf("rows %d", ev.Rows))
@@ -523,10 +518,6 @@ func (s *Server) run(j *Job) {
 			j.event(fmt.Sprintf("%s %s", ev.Experiment, ev.State))
 		}
 	})
-	if err != nil {
-		j.finish(&Response{Err: err.Error(), ErrKind: KindBadRequest})
-		return
-	}
 
 	out, err := harness.RenderAllContext(j.ctx, opts, j.Req.Fig, j.Req.Table)
 	res := &Response{

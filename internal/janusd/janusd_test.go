@@ -484,12 +484,19 @@ func TestDrainDeadlineCancels(t *testing.T) {
 	}
 }
 
-// TestBadRequests: malformed bodies, inject specs and the retired
-// cache_dir field (a client may not choose where the daemon writes)
-// are refused with typed 400s before admission.
+// TestBadRequests: malformed bodies, inject specs, selections naming
+// no experiment and the retired cache_dir, static_partition,
+// single_goroutine and jobs fields (a client may not choose where the
+// daemon writes, nor its engine or row concurrency) are refused with
+// typed 400s before admission.
 func TestBadRequests(t *testing.T) {
 	s, base, _ := startServer(t, Config{Workers: 1})
-	for _, body := range []string{`{bad json`, `{"nope":1}`, `{"inject":"not-a-point"}`, `{"table":2,"cache_dir":"/tmp/x"}`, `{"table":2,"static_partition":true}`} {
+	for _, body := range []string{
+		`{bad json`, `{"nope":1}`, `{"inject":"not-a-point"}`,
+		`{"table":2,"cache_dir":"/tmp/x"}`, `{"table":2,"static_partition":true}`,
+		`{"table":2,"single_goroutine":true}`, `{"table":2,"jobs":4}`,
+		`{"fig":99}`, `{"table":3}`,
+	} {
 		res, payload := postJSON(t, base+"/v1/render", body)
 		if res.StatusCode != http.StatusBadRequest {
 			t.Fatalf("body %q: status %d: %s", body, res.StatusCode, payload)

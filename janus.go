@@ -43,21 +43,11 @@ type Config struct {
 	// UseChecks admits dynamic-DOALL loops guarded by runtime checks
 	// and speculation.
 	UseChecks bool
-	// MinCoverage is the coverage threshold for UseProfile (default 1%).
-	MinCoverage float64
-	// Cost overrides the DBM cost model (zero value = default).
-	Cost *dbm.CostModel
 	// TrainExe, when non-nil, is a build of the same program with
 	// training inputs used for the profiling stage (the paper profiles
 	// with train inputs and evaluates with ref inputs). Parallelise
 	// reads it; ParalleliseBinary takes the train binary as a handle.
 	TrainExe *obj.Executable
-	// SingleGoroutine forces the deterministic round-robin engine for
-	// every parallel region instead of running eligible regions on host
-	// goroutines. The two engines produce bit-identical simulated
-	// results (virtual cycles, figures, memory hashes); this knob only
-	// trades host wall-clock, for debugging and engine A/B runs.
-	SingleGoroutine bool
 	// Verify compares the DBM run's outputs and final memory image
 	// against native execution and fails on mismatch. The zero value
 	// skips the comparison; the evaluation harness sets it on every run.
@@ -131,11 +121,7 @@ func ParalleliseBinary(ref, train *obj.Binary, cfg Config) (*Report, error) {
 	}
 
 	dcfg := dbm.DefaultConfig(cfg.Threads)
-	dcfg.HostParallel = !cfg.SingleGoroutine
 	dcfg.Inject = cfg.Inject
-	if cfg.Cost != nil {
-		dcfg.Cost = *cfg.Cost
-	}
 	native, res, err := RunPlanBinary(cfg.Cache, ref, plan, dcfg)
 	if err != nil {
 		return nil, err

@@ -2,6 +2,7 @@ package janus
 
 import (
 	"fmt"
+	"reflect"
 	"runtime"
 	"testing"
 
@@ -40,11 +41,17 @@ func TestParalleliseAllNineBenchmarks(t *testing.T) {
 // every binary flavour the harness measures: the full configuration of
 // each parallelisable benchmark at O2, O3 and O3AVX, at 1 and 8
 // threads, under the speculative and the round-robin engine, is
-// indistinguishable from native execution. The O3AVX builds hoist a
+// indistinguishable from native execution. It is also the suite-wide
+// engine-equivalence check at the DBM seam: the round-robin run
+// (single=true, dbm.Config.HostParallel off) must reproduce the default
+// engine's simulated result and every Stats counter except the two that
+// attribute regions to an engine, which is what keeps every figure
+// independent of the engine the DBM picks. The O3AVX builds hoist a
 // vector broadcast out of their float-stream loops, so this is also the
 // suite-level check that vector live-ins reach region threads. Not
 // -short-skipped: the race job runs it on host goroutines.
 func TestVerifyAcrossOptLevelsThreadsEngines(t *testing.T) {
+	full := Config{UseProfile: true, UseChecks: true}.Selection()
 	for _, name := range workloads.ParallelisableNames() {
 		for _, opt := range []workloads.OptLevel{workloads.O2, workloads.O3, workloads.O3AVX} {
 			exe, libs, err := workloads.Build(name, workloads.Ref, opt)
@@ -55,19 +62,42 @@ func TestVerifyAcrossOptLevelsThreadsEngines(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
+			ref := BinaryOf(exe, libs...)
+			plan, err := PlanCached(nil, ref, BinaryOf(trainExe, libs...), full)
+			if err != nil {
+				t.Fatal(err)
+			}
 			for _, threads := range []int{1, 8} {
+				var def *dbm.Result // the default engine's run, for the round-robin one
 				for _, single := range []bool{false, true} {
 					t.Run(fmt.Sprintf("%s/%s/%dT/single=%t", name, opt, threads, single), func(t *testing.T) {
-						_, err := Parallelise(exe, Config{
-							Threads:         threads,
-							UseProfile:      true,
-							UseChecks:       true,
-							Verify:          true,
-							TrainExe:        trainExe,
-							SingleGoroutine: single,
-						}, libs...)
+						dcfg := dbm.DefaultConfig(threads)
+						dcfg.HostParallel = !single
+						native, res, err := RunPlanBinary(nil, ref, plan, dcfg)
 						if err != nil {
 							t.Fatal(err)
+						}
+						if err := Verify(native, res); err != nil {
+							t.Fatal(err)
+						}
+						if !single {
+							def = res
+							return
+						}
+						if def == nil {
+							t.Fatal("the default engine's run failed; nothing to compare with")
+						}
+						if res.Stats.HostParRegions != 0 || res.Stats.StealRegions != 0 {
+							t.Errorf("round-robin run attributed %d regions to host goroutines, %d subdivided", res.Stats.HostParRegions, res.Stats.StealRegions)
+						}
+						if !reflect.DeepEqual(res.Result, def.Result) {
+							t.Errorf("results differ:\n round-robin %+v\n     default %+v", res.Result, def.Result)
+						}
+						rr, hp := res.Stats, def.Stats
+						rr.HostParRegions, rr.StealRegions = 0, 0
+						hp.HostParRegions, hp.StealRegions = 0, 0
+						if rr != hp {
+							t.Errorf("stats differ beyond engine attribution:\n round-robin %+v\n     default %+v", res.Stats, def.Stats)
 						}
 					})
 				}

@@ -72,19 +72,17 @@ type Selection struct {
 }
 
 // Selection is the Janus policy of cfg: the paper's loop selection
-// under the figure-7 configuration knobs (UseProfile, UseChecks,
-// MinCoverage; nothing else of cfg influences a plan).
+// under the figure-7 configuration knobs (UseProfile, UseChecks;
+// nothing else of cfg influences a plan) at the default coverage
+// threshold.
 func (cfg Config) Selection() Selection {
-	if cfg.MinCoverage == 0 {
-		cfg.MinCoverage = analyzer.DefaultMinCoverage
-	}
 	return Selection{
-		Key:   fmt.Sprintf("janus profile=%t checks=%t mincov=%g", cfg.UseProfile, cfg.UseChecks, cfg.MinCoverage),
+		Key:   fmt.Sprintf("janus profile=%t checks=%t mincov=%g", cfg.UseProfile, cfg.UseChecks, analyzer.DefaultMinCoverage),
 		Train: cfg.UseProfile || cfg.UseChecks,
 		Select: func(prog *analyzer.Program) {
 			prog.SelectLoops(analyzer.SelectOptions{
 				UseProfile:  cfg.UseProfile,
-				MinCoverage: cfg.MinCoverage,
+				MinCoverage: analyzer.DefaultMinCoverage,
 				UseChecks:   cfg.UseChecks,
 			})
 		},
