@@ -8,6 +8,8 @@ import (
 	"errors"
 	"fmt"
 	"slices"
+	"strconv"
+	"sync"
 
 	"janus/internal/analyzer"
 	"janus/internal/artcache"
@@ -54,7 +56,8 @@ import (
 //	plan             ref, train, Selection.Key   schedule-v1  (the OFFLINE half:
 //	                 schedule and loop summary; a hit skips analysis, profile
 //	                 and image)
-//	DBM run          handle, digest, dbm.Config  dbm-v2
+//	DBM run          handle, digest, dbm.Config  dbm-v3  (fixed little-endian
+//	                 words, dbm.EncodeResult)
 //	compiler model   —  (internal/compilers: the plan under its selection, then
 //	                 RunPlanBinary under its cost model, on the Janus rows'
 //	                 baseline)
@@ -286,9 +289,10 @@ type dbmKey struct {
 // table: distinct runs whose schedules hash equal, and every run of a
 // later render in the same process, are answered here. v2: v1 results
 // of binaries with a vector register live into a parallel loop carry
-// the DataHash of a run that dropped it.
+// the DataHash of a run that dropped it. v3: the payload is binary
+// words, not JSON.
 var dbmTier = artcache.Tier[dbmKey, *dbm.Result]{
-	Kind:   "dbm-v2",
+	Kind:   "dbm-v3",
 	Limit:  handleLimit,
 	Encode: dbm.EncodeResult,
 	Decode: dbm.DecodeResult,
@@ -307,10 +311,44 @@ const noSchedule = "none"
 
 // dbmConfigKey is a dbmKey's configuration as the disk key spells it —
 // engine-selection knobs included, which leave virtual cycles untouched
-// but are attributed in Stats (HostParRegions, StealRegions).
+// but are attributed in Stats (HostParRegions, StealRegions). The
+// spelling is that of
+//
+//	fmt.Sprintf("threads=%d parallel=%t hostpar=%t steal=%t miniter=%d maxsteps=%d cost=%+v", ...)
+//
+// built by appends, with the cost model's %+v taken once per distinct
+// model.
 func dbmConfigKey(c dbm.Config) string {
-	return fmt.Sprintf("threads=%d parallel=%t hostpar=%t steal=%t miniter=%d maxsteps=%d cost=%+v",
-		c.Threads, c.Parallel, c.HostParallel, c.WorkStealing, c.MinIterPerThread, c.MaxSteps, c.Cost)
+	b := make([]byte, 0, 256)
+	b = append(b, "threads="...)
+	b = strconv.AppendInt(b, int64(c.Threads), 10)
+	b = append(b, " parallel="...)
+	b = strconv.AppendBool(b, c.Parallel)
+	b = append(b, " hostpar="...)
+	b = strconv.AppendBool(b, c.HostParallel)
+	b = append(b, " steal="...)
+	b = strconv.AppendBool(b, c.WorkStealing)
+	b = append(b, " miniter="...)
+	b = strconv.AppendInt(b, c.MinIterPerThread, 10)
+	b = append(b, " maxsteps="...)
+	b = strconv.AppendInt(b, c.MaxSteps, 10)
+	b = append(b, " cost="...)
+	b = append(b, costKey(c.Cost)...)
+	return string(b)
+}
+
+// costKeys memoises costKey: a process runs under a handful of cost
+// models (the DBM's default, the compiler models' static one).
+var costKeys sync.Map // dbm.CostModel → string
+
+// costKey spells a cost model as %+v does.
+func costKey(m dbm.CostModel) string {
+	if s, ok := costKeys.Load(m); ok {
+		return s.(string)
+	}
+	s := fmt.Sprintf("%+v", m)
+	costKeys.Store(m, s)
+	return s
 }
 
 // runDBM executes bin under the DBM and sched, the schedule digest

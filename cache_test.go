@@ -328,10 +328,10 @@ func TestInjectedAndProfilingRunsBypassBothTiers(t *testing.T) {
 	// The plan, baseline and profile beneath the injected run are cached
 	// as ever; the runs themselves left no trace.
 	st := c.Stats()
-	if _, looked := st.Kinds["dbm-v2"]; looked || st.Kinds["schedule-v1"].Misses != 1 {
+	if _, looked := st.Kinds["dbm-v3"]; looked || st.Kinds["schedule-v1"].Misses != 1 {
 		t.Fatalf("store saw %s", st.KindsString())
 	}
-	if stored, _ := filepath.Glob(filepath.Join(c.Dir(), "dbm-v2", "*.art")); len(stored) != 0 {
+	if stored, _ := filepath.Glob(filepath.Join(c.Dir(), "dbm-v3", "*.art")); len(stored) != 0 {
 		t.Fatalf("%d bypassing runs were stored", len(stored))
 	}
 }
@@ -540,5 +540,31 @@ func TestMemoEvictionKeepsInFlight(t *testing.T) {
 	wg.Wait()
 	if got := runs.Load(); got != 1 {
 		t.Fatalf("in-flight computation ran %d times under eviction pressure, want 1", got)
+	}
+}
+
+// TestDBMConfigKeySpelling pins the disk key's configuration spelling:
+// dbmConfigKey builds it by appends, and every stored dbm entry is
+// found by the bytes the format string below produced when it was the
+// implementation.
+func TestDBMConfigKeySpelling(t *testing.T) {
+	const want = "threads=8 parallel=true hostpar=true steal=true miniter=4 maxsteps=2000000000 " +
+		"cost={TransPerInst:60 Dispatch:1 LoopInitBase:4000 LoopInitPerThread:900 LoopFinishBase:2000 " +
+		"LoopFinishPerThread:400 CheckPerRange:60 TxStart:60 TxPerAccess:6 TxValidatePerWord:12 TxCommitPerWord:8}"
+	if got := dbmConfigKey(dbm.DefaultConfig(8)); got != want {
+		t.Fatalf("dbmConfigKey(DefaultConfig(8)) =\n%q\nwant\n%q", got, want)
+	}
+	odd := dbm.DefaultConfig(3)
+	odd.Parallel, odd.WorkStealing = false, false
+	odd.MinIterPerThread, odd.MaxSteps = -1, 0
+	odd.Cost.Dispatch, odd.Cost.TxCommitPerWord = -5, 1<<40
+	for _, c := range []dbm.Config{{}, odd, {Threads: 1, Cost: dbm.DefaultCost(), MaxSteps: vm.DefaultMaxSteps}} {
+		want := fmt.Sprintf("threads=%d parallel=%t hostpar=%t steal=%t miniter=%d maxsteps=%d cost=%+v",
+			c.Threads, c.Parallel, c.HostParallel, c.WorkStealing, c.MinIterPerThread, c.MaxSteps, c.Cost)
+		for range 2 { // the second spelling comes from the memoised cost
+			if got := dbmConfigKey(c); got != want {
+				t.Fatalf("dbmConfigKey(%+v) =\n%q\nwant\n%q", c, got, want)
+			}
+		}
 	}
 }

@@ -20,21 +20,28 @@
 //     caller recomputes and rewrites. Corruption can cost time, never
 //     correctness.
 //   - The store is size-bounded with LRU eviction: Get refreshes an
-//     entry's mtime, and when the resident bytes exceed MaxBytes the
-//     oldest entries are deleted until the bound holds again. Eviction
-//     unlinks files; a concurrent reader that already opened the entry
-//     keeps its consistent view (POSIX), and one that lost the race
-//     simply misses.
+//     entry's mtime — at most once a second, so recency has one-second
+//     resolution and a hot entry costs no write per read — and when
+//     the resident bytes exceed MaxBytes the oldest entries are
+//     deleted until the bound holds again. Eviction unlinks files; a
+//     concurrent reader that already opened the entry keeps its
+//     consistent view (POSIX), and one that lost the race simply
+//     misses.
+//   - Publishing is skipped when it would change nothing: Put reads
+//     the entry first (counting no lookup) and leaves an identical
+//     image in place, refreshing its recency as Get does.
 //   - Versioned invalidation is by schema tag: the schema string is
 //     folded into every key digest, so bumping it orphans every old
 //     entry at once (the orphans age out through the LRU bound).
 package artcache
 
 import (
+	"bytes"
 	"crypto/sha256"
 	"encoding/binary"
 	"encoding/hex"
 	"fmt"
+	"io"
 	"os"
 	"path/filepath"
 	"sort"
@@ -291,23 +298,22 @@ const headerSize = 8 + 32 + 8 + 32
 // length-prefixed so no two distinct keys can collide by sliding bytes
 // between fields.
 func (c *Cache) keyID(k Key) [32]byte {
-	h := sha256.New()
-	for _, s := range []string{c.schema, k.Kind, k.Binary, k.Input, k.Config} {
-		var n [8]byte
-		binary.LittleEndian.PutUint64(n[:], uint64(len(s)))
-		h.Write(n[:])
-		h.Write([]byte(s))
+	var buf [512]byte
+	b := buf[:0]
+	for _, s := range [...]string{c.schema, k.Kind, k.Binary, k.Input, k.Config} {
+		b = binary.LittleEndian.AppendUint64(b, uint64(len(s)))
+		b = append(b, s...)
 	}
-	var id [32]byte
-	h.Sum(id[:0])
-	return id
+	return sha256.Sum256(b)
 }
 
-// path locates the entry file for a key: one subdirectory per kind,
-// file named by the key digest.
-func (c *Cache) path(k Key) string {
-	id := c.keyID(k)
-	return filepath.Join(c.dir, kindDir(k.Kind), hex.EncodeToString(id[:])+".art")
+// path locates the entry file for a key.
+func (c *Cache) path(k Key) string { return entryPath(c.dir, k.Kind, c.keyID(k)) }
+
+// entryPath locates the entry file of a key digest: one subdirectory
+// per kind, file named by the digest.
+func entryPath(dir, kind string, id [32]byte) string {
+	return filepath.Join(dir, kindDir(kind), hex.EncodeToString(id[:])+".art")
 }
 
 // kindDir maps a kind to its subdirectory, folding any filepath-unsafe
@@ -327,10 +333,13 @@ func kindDir(kind string) string {
 }
 
 // encode serialises payload into a complete entry image for k.
-func (c *Cache) encode(k Key, payload []byte) []byte {
+func (c *Cache) encode(k Key, payload []byte) []byte { return encodeEntry(c.keyID(k), payload) }
+
+// encodeEntry serialises payload into a complete entry image for the
+// key digest id.
+func encodeEntry(id [32]byte, payload []byte) []byte {
 	out := make([]byte, headerSize+len(payload))
 	copy(out[0:8], magic[:])
-	id := c.keyID(k)
 	copy(out[8:40], id[:])
 	binary.LittleEndian.PutUint64(out[40:48], uint64(len(payload)))
 	sum := sha256.Sum256(payload)
@@ -339,15 +348,16 @@ func (c *Cache) encode(k Key, payload []byte) []byte {
 	return out
 }
 
-// decode verifies an entry image against k and returns the payload.
-func (c *Cache) decode(k Key, data []byte) ([]byte, error) {
+// decodeEntry verifies an entry image against the key digest id and
+// returns the payload.
+func decodeEntry(id [32]byte, data []byte) ([]byte, error) {
 	if len(data) < headerSize {
 		return nil, fmt.Errorf("artcache: entry truncated: %d bytes", len(data))
 	}
 	if [8]byte(data[0:8]) != magic {
 		return nil, fmt.Errorf("artcache: bad magic")
 	}
-	if [32]byte(data[8:40]) != c.keyID(k) {
+	if [32]byte(data[8:40]) != id {
 		return nil, fmt.Errorf("artcache: entry key mismatch")
 	}
 	n := binary.LittleEndian.Uint64(data[40:48])
@@ -361,21 +371,57 @@ func (c *Cache) decode(k Key, data []byte) ([]byte, error) {
 	return payload, nil
 }
 
+// readEntry reads the entry file at p whole — one open, one fstat and
+// one read of exactly the size that fstat reports — and returns its
+// bytes with its mtime.
+func readEntry(p string) ([]byte, time.Time, error) {
+	f, err := os.Open(p)
+	if err != nil {
+		return nil, time.Time{}, err
+	}
+	defer f.Close()
+	st, err := f.Stat()
+	if err != nil {
+		return nil, time.Time{}, err
+	}
+	data := make([]byte, st.Size())
+	if _, err := io.ReadFull(f, data); err != nil {
+		return nil, time.Time{}, err
+	}
+	return data, st.ModTime(), nil
+}
+
+// touchInterval is the resolution of LRU recency: an entry's mtime is
+// refreshed only when it is at least this much older than the clock,
+// so a store read many times a second costs one Chtimes a second per
+// entry, not one per read.
+const touchInterval = time.Second
+
+// touch refreshes the LRU recency of the entry at p, whose mtime was
+// read as mtime. Best-effort: a raced eviction or another process's
+// concurrent rewrite only perturbs recency, never contents.
+func (c *Cache) touch(p string, mtime time.Time) {
+	if now := c.now(); now.Sub(mtime) >= touchInterval {
+		_ = os.Chtimes(p, now, now)
+	}
+}
+
 // Get returns the verified payload for k, or ok=false on a miss. A
 // present-but-invalid entry (truncated, corrupted, written under
 // another schema layout, or not an entry file at all) counts as a
 // miss: it is removed best-effort so the caller's recompute-and-Put
 // heals the store.
 func (c *Cache) Get(k Key) ([]byte, bool) {
-	p := c.path(k)
+	id := c.keyID(k)
+	p := entryPath(c.dir, k.Kind, id)
 	kc := c.kind(k.Kind)
-	data, err := os.ReadFile(p)
+	data, mtime, err := readEntry(p)
 	if err != nil {
 		c.misses.Add(1)
 		kc.misses.Add(1)
 		return nil, false
 	}
-	payload, err := c.decode(k, data)
+	payload, err := decodeEntry(id, data)
 	if err != nil {
 		c.bad.Add(1)
 		c.misses.Add(1)
@@ -385,20 +431,27 @@ func (c *Cache) Get(k Key) ([]byte, bool) {
 	}
 	c.hits.Add(1)
 	kc.hits.Add(1)
-	// LRU touch. Best-effort: a raced eviction or another process's
-	// concurrent rewrite only perturbs recency, never contents.
-	now := c.now()
-	_ = os.Chtimes(p, now, now)
+	c.touch(p, mtime)
 	return payload, true
 }
 
 // Put atomically publishes payload under k and enforces the size
-// bound. Concurrent writers for the same key (goroutines or
-// processes) each publish a complete entry; whichever rename lands
-// last wins, and both images verify identically because cached stages
-// are deterministic.
+// bound. An entry that already holds the identical image is left in
+// place (its recency refreshed as Get refreshes it): renaming over an
+// existing name costs a data flush on common filesystems, and the
+// bytes would not change. Different bytes — a healed corruption, a
+// Tier.Replace, a changed codec — are renamed over it. Concurrent
+// writers for the same key (goroutines or processes) each publish a
+// complete entry; whichever rename lands last wins, and both images
+// verify identically because cached stages are deterministic.
 func (c *Cache) Put(k Key, payload []byte) error {
-	p := c.path(k)
+	id := c.keyID(k)
+	p := entryPath(c.dir, k.Kind, id)
+	img := encodeEntry(id, payload)
+	if old, mtime, err := readEntry(p); err == nil && bytes.Equal(old, img) {
+		c.touch(p, mtime)
+		return nil
+	}
 	if err := os.MkdirAll(filepath.Dir(p), 0o755); err != nil {
 		return fmt.Errorf("artcache: %w", err)
 	}
@@ -406,7 +459,6 @@ func (c *Cache) Put(k Key, payload []byte) error {
 	if err != nil {
 		return fmt.Errorf("artcache: %w", err)
 	}
-	img := c.encode(k, payload)
 	if _, err := tmp.Write(img); err != nil {
 		tmp.Close()
 		os.Remove(tmp.Name())

@@ -122,7 +122,7 @@ func TestParalleliseCachedReplays(t *testing.T) {
 			hits, misses := after.Hits-before.Hits, after.Misses-before.Misses
 			if pass == "cold" {
 				// One baseline shared by both models, one plan and one run each.
-				if hits != 0 || misses != 5 || now["native-v1"] != 1 || now["schedule-v1"] != 2 || now["dbm-v2"] != 2 || len(now) != 3 {
+				if hits != 0 || misses != 5 || now["native-v1"] != 1 || now["schedule-v1"] != 2 || now["dbm-v3"] != 2 || len(now) != 3 {
 					t.Errorf("%s, cold store: %d hits, %d misses, entries %v", bench, hits, misses, now)
 				}
 				continue
@@ -150,8 +150,8 @@ func TestParalleliseCachedReplays(t *testing.T) {
 		if hits, misses := after.Hits-before.Hits, after.Misses-before.Misses; hits != 2 || misses != 1 {
 			t.Errorf("%s, round-robin engine on the default engine's store: %d hits, %d misses — want plan and baseline replayed and the run simulated", bench, hits, misses)
 		}
-		if n := artifacts(t, c.Dir())["dbm-v2"]; n != 3 {
-			t.Errorf("%s: %d dbm-v2 entries after a second engine, want 3", bench, n)
+		if n := artifacts(t, c.Dir())["dbm-v3"]; n != 3 {
+			t.Errorf("%s: %d dbm-v3 entries after a second engine, want 3", bench, n)
 		}
 	}
 }

@@ -1,6 +1,7 @@
 package dbm
 
 import (
+	"bytes"
 	"testing"
 
 	"janus/internal/rules"
@@ -51,5 +52,34 @@ func FuzzLoadSchedule(f *testing.F) {
 		}
 		defer ex.Close()
 		ex.Run()
+	})
+}
+
+// FuzzDecodeResult feeds arbitrary bytes to the cached-result decoder,
+// as a corrupted or foreign store entry would: it must never panic, and
+// any payload it accepts must re-encode to the same bytes (the layout
+// has exactly one spelling of each Result).
+func FuzzDecodeResult(f *testing.F) {
+	r := filledResult()
+	valid, err := EncodeResult(&r)
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Add(valid)
+	f.Add(valid[:len(valid)-8])
+	f.Add([]byte{})
+	f.Add([]byte(`{"Exit":0}`))
+	f.Fuzz(func(t *testing.T, data []byte) {
+		r, err := DecodeResult(data)
+		if err != nil {
+			return
+		}
+		again, err := EncodeResult(r)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(again, data) {
+			t.Fatalf("accepted %d-byte payload re-encodes to %d other bytes", len(data), len(again))
+		}
 	})
 }

@@ -154,7 +154,7 @@ func TestGoldenColdWarmOff(t *testing.T) {
 		"ident-v1":    {Hits: builds},
 		"schedule-v1": {Hits: entries["schedule-v1"]},
 		"native-v1":   {Hits: 3 * names},
-		"dbm-v2":      {Hits: entries["dbm-v2"]},
+		"dbm-v3":      {Hits: entries["dbm-v3"]},
 	}
 	if !reflect.DeepEqual(warm.Kinds, wantWarm) {
 		t.Errorf("warm render looked up %s, want %s", warm.KindsString(), artcache.Stats{Kinds: wantWarm}.KindsString())
@@ -173,7 +173,7 @@ func TestGoldenColdWarmOff(t *testing.T) {
 	janusRuns := names * (DefaultThreads + 2 + 2)
 	for kind, asked := range map[string]int64{
 		"schedule-v1": janusRuns + all + 2*names,
-		"dbm-v2":      janusRuns + names + 2*names,
+		"dbm-v3":      janusRuns + names + 2*names,
 	} {
 		ts := warmTiers[kind]
 		if got := warm.Kinds[kind].Hits + ts.MemHits; got != asked || ts.Computed != 0 {
@@ -277,7 +277,7 @@ func TestFigure11ReplaysAroundMissingRuns(t *testing.T) {
 		t.Errorf("warm figure 11 did not replay its %d plans image-free: %s, %d builds assembled", stored["schedule-v1"], warm.KindsString(), builds)
 	}
 
-	for _, f := range artifactsOf(t, dir, "dbm-v2") {
+	for _, f := range artifactsOf(t, dir, "dbm-v3") {
 		if err := os.Remove(f); err != nil {
 			t.Fatal(err)
 		}
@@ -295,10 +295,10 @@ func TestFigure11ReplaysAroundMissingRuns(t *testing.T) {
 	for kind, ks := range warm.Kinds {
 		missedWant[kind] = ks
 	}
-	missedWant["dbm-v2"] = artcache.KindStats{Misses: stored["dbm-v2"]}
+	missedWant["dbm-v3"] = artcache.KindStats{Misses: stored["dbm-v3"]}
 	if !reflect.DeepEqual(missed.Kinds, missedWant) {
 		t.Errorf("the render without stored runs looked up %s, want %s — exactly the %d DBM runs missed, every plan hit",
-			missed.KindsString(), artcache.Stats{Kinds: missedWant}.KindsString(), stored["dbm-v2"])
+			missed.KindsString(), artcache.Stats{Kinds: missedWant}.KindsString(), stored["dbm-v3"])
 	}
 	if now := entriesByKind(t, dir); !reflect.DeepEqual(now, stored) {
 		t.Errorf("store holds %v after the runs executed again, want %v", now, stored)
@@ -345,7 +345,7 @@ func TestCacheCorruptionHealsAcrossRender(t *testing.T) {
 	}
 	first := RenderFigure7(rows)
 	stored := entriesByKind(t, dir)
-	for _, kind := range []string{"ident-v1", "schedule-v1", "native-v1", "profile-v1", "dbm-v2"} {
+	for _, kind := range []string{"ident-v1", "schedule-v1", "native-v1", "profile-v1", "dbm-v3"} {
 		if stored[kind] == 0 {
 			t.Fatalf("figure 7 stored no %s entry to corrupt (store entries %v)", kind, stored)
 		}
@@ -513,12 +513,12 @@ func TestImageFreeReplay(t *testing.T) {
 	// (c) Identity on record, one downstream result gone: the run
 	// executes on an assembled image, which hashes to the record —
 	// nothing is bad, one build is assembled, none is stored.
-	if err := os.Remove(artifactsOf(t, dir, "dbm-v2")[0]); err != nil {
+	if err := os.Remove(artifactsOf(t, dir, "dbm-v3")[0]); err != nil {
 		t.Fatal(err)
 	}
 	assembled := TierStats()["build"].Computed
 	d := replay("one run missing")
-	if builds := TierStats()["build"].Computed - assembled; d.BadEntries != 0 || d.Kinds["dbm-v2"].Misses == 0 || d.Misses != d.Kinds["dbm-v2"].Misses || builds != 1 {
+	if builds := TierStats()["build"].Computed - assembled; d.BadEntries != 0 || d.Kinds["dbm-v3"].Misses == 0 || d.Misses != d.Kinds["dbm-v3"].Misses || builds != 1 {
 		t.Fatalf("want the missing run executed on one assembled image and nothing else recomputed: %s (%s), %d builds assembled", d, d.KindsString(), builds)
 	}
 	if n := entriesByKind(t, dir)[imageKind]; n != int64(planted) {
@@ -551,7 +551,7 @@ func TestImageFreeReplay(t *testing.T) {
 		t.Fatal(err)
 	}
 	reseal(t, record, lie)
-	if err := os.Remove(artifactsOf(t, dir, "dbm-v2")[0]); err != nil {
+	if err := os.Remove(artifactsOf(t, dir, "dbm-v3")[0]); err != nil {
 		t.Fatal(err)
 	}
 	stored := entriesByKind(t, dir)
@@ -563,7 +563,7 @@ func TestImageFreeReplay(t *testing.T) {
 		t.Fatalf("identity record was not rewritten from its image (%v)", err)
 	}
 	now := entriesByKind(t, dir)
-	now["dbm-v2"]-- // the removed run, re-executed
+	now["dbm-v3"]-- // the removed run, re-executed
 	if !reflect.DeepEqual(now, stored) {
 		t.Fatalf("artifacts were published under the wrong identity: entries %v, were %v", now, stored)
 	}

@@ -36,10 +36,10 @@ const goldenPath = "testdata/janus-bench.golden"
 func freshRuns(t *testing.T) (executed func()) {
 	t.Helper()
 	janus.ResetMemos()
-	before := janus.TierStats()["dbm-v2"].Computed
+	before := janus.TierStats()["dbm-v3"].Computed
 	return func() {
 		t.Helper()
-		if janus.TierStats()["dbm-v2"].Computed == before {
+		if janus.TierStats()["dbm-v3"].Computed == before {
 			t.Fatal("the render executed no DBM run: it replayed another configuration's memoised results")
 		}
 	}

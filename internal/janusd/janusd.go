@@ -596,7 +596,7 @@ type Stats struct {
 	CacheMisses int64 `json:"cache_misses,omitempty"`
 	CacheBad    int64 `json:"cache_bad,omitempty"`
 	// CacheKinds splits hits and misses by artifact kind (ident-v1,
-	// schedule-v1, native-v1, profile-v1, dbm-v2), with each stage's
+	// schedule-v1, native-v1, profile-v1, dbm-v3), with each stage's
 	// memory-tier hits and computations since the process started:
 	// which stages requests replayed, from where, and which they
 	// recomputed. "build" is the builds assembled, which are not stored.

@@ -558,7 +558,7 @@ func TestGoldenThroughService(t *testing.T) {
 	// says whether it did. The concurrent clients below are then served
 	// from memory, which is what a long-lived daemon is for.
 	janus.ResetMemos()
-	executed := s.Snapshot().CacheKinds["dbm-v2"].Computed
+	executed := s.Snapshot().CacheKinds["dbm-v3"].Computed
 	c := &Client{Base: base, Backoff: Backoff{Base: 20 * time.Millisecond, Max: 300 * time.Millisecond, Retries: 100, Seed: 1}}
 	warm, err := c.Render(context.Background(), Request{})
 	if err != nil {
@@ -567,7 +567,7 @@ func TestGoldenThroughService(t *testing.T) {
 	if warm.Output != string(golden) {
 		t.Fatalf("service render differs from golden fixture (%d vs %d bytes)", len(warm.Output), len(golden))
 	}
-	if s.Snapshot().CacheKinds["dbm-v2"].Computed == executed {
+	if s.Snapshot().CacheKinds["dbm-v3"].Computed == executed {
 		t.Fatal("/statusz counts no DBM run executed by the first render: it compared memoised results with the fixture")
 	}
 

@@ -148,7 +148,7 @@ func TestReplicasShareCache(t *testing.T) {
 	// per kind what it replayed — plans and runs — and that it never
 	// assembled a build image.
 	kinds := stB.CacheKinds
-	if kinds["schedule-v1"].Hits == 0 || kinds["dbm-v2"].Hits == 0 || kinds["ident-v1"].Hits == 0 {
+	if kinds["schedule-v1"].Hits == 0 || kinds["dbm-v3"].Hits == 0 || kinds["ident-v1"].Hits == 0 {
 		t.Fatalf("replica B's statusz does not show a replay per kind: %v", kinds)
 	}
 	if b, ok := kinds["build"]; !ok || b.Computed != 0 {
@@ -157,7 +157,7 @@ func TestReplicasShareCache(t *testing.T) {
 	// The memory-tier counters beside them are B's whole life: it never
 	// planned or executed anything, and what its concurrent requests
 	// asked for twice came from memory.
-	if kinds["schedule-v1"].Computed+kinds["dbm-v2"].Computed != 0 || kinds["dbm-v2"].MemHits == 0 {
+	if kinds["schedule-v1"].Computed+kinds["dbm-v3"].Computed != 0 || kinds["dbm-v3"].MemHits == 0 {
 		t.Fatalf("replica B's statusz shows computations, or no memory hit, on a warm store: %v", kinds)
 	}
 }

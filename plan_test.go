@@ -263,7 +263,7 @@ func TestScheduleForAnotherBinaryIsRefused(t *testing.T) {
 			t.Fatalf("store %v: benchmark A's schedule on benchmark B: result %v, error %v — want rules.ErrWrongBinary", store != nil, res, err)
 		}
 	}
-	if stored, _ := filepath.Glob(filepath.Join(c.Dir(), "dbm-v2", "*.art")); len(stored) != 0 {
+	if stored, _ := filepath.Glob(filepath.Join(c.Dir(), "dbm-v3", "*.art")); len(stored) != 0 {
 		t.Fatalf("%d DBM results were stored for a refused schedule", len(stored))
 	}
 	if _, err := dbm.New(b, loaded, dcfg, bLibs...); !errors.Is(err, rules.ErrWrongBinary) {
