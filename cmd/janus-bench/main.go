@@ -15,13 +15,6 @@
 //	                                     Spec: point[@every][#seed], point
 //	                                     one of scan-defeat, worker-panic,
 //	                                     stall, budget
-//	janus-bench -gen-corpus 50           screen 50 generated kernels with
-//	                                     the differential oracle and
-//	                                     graduate interesting ones into
-//	                                     the benchmark corpus for this
-//	                                     run (figures gain gen/* rows;
-//	                                     default output is unchanged when
-//	                                     the flag is absent)
 //	janus-bench -cache-dir .janus-cache  store build identities, rewrite
 //	                                     schedules, native baselines,
 //	                                     profiles and DBM results in a
@@ -44,7 +37,6 @@ import (
 
 	"janus/internal/artcache"
 	"janus/internal/faultinject"
-	"janus/internal/genkern"
 	"janus/internal/harness"
 )
 
@@ -55,7 +47,6 @@ func main() {
 	threads := flag.Int("threads", def.Threads, "guest thread count")
 	jobs := flag.Int("jobs", def.Jobs, "how many benchmark rows run concurrently across the suite (figure/table outputs are byte-identical at any value)")
 	inject := flag.String("inject", "", "arm deterministic fault injection in speculative regions, spec point[@every][#seed] with point one of scan-defeat, worker-panic, stall, budget (recovery keeps stdout byte-identical; summary on stderr)")
-	genCorpus := flag.Int("gen-corpus", 0, "screen N seeded generated kernels against the differential oracle and graduate interesting ones into this run's benchmark corpus (0 = off; the default suite and its golden output are unchanged)")
 	cacheDir := flag.String("cache-dir", "", "durable artifact cache directory (empty = off); figure/table outputs are byte-identical with the cache off, cold or warm, and the directory is safe to share between processes")
 	flag.Parse()
 
@@ -107,18 +98,6 @@ func main() {
 			fail(err)
 		}
 		opts.Inject = plan
-	}
-
-	if *genCorpus > 0 {
-		// Graduation happens before rendering so the figures below
-		// include the gen/* rows; a lattice violation (soundness bug)
-		// aborts with the failing seed's repro command.
-		entries, err := genkern.Graduate(*genCorpus, opts.Threads)
-		if err != nil {
-			fail(err)
-		}
-		fmt.Print(genkern.RenderCorpus(entries, *genCorpus))
-		fmt.Println()
 	}
 
 	out, err := harness.RenderAll(opts, *fig, *table)

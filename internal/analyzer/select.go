@@ -13,17 +13,14 @@ type SelectOptions struct {
 	// UseChecks admits dynamic-DOALL (type C) loops guarded by runtime
 	// bounds checks and speculation.
 	UseChecks bool
-	// MinAvgIter rejects loops whose profiled mean trip count is too
-	// small to amortise per-invocation overheads (only with
-	// UseProfile; 0 selects the default).
-	MinAvgIter float64
 }
 
 // DefaultMinCoverage matches the paper's low-coverage filter intent.
 const DefaultMinCoverage = 0.01
 
 // DefaultMinAvgIter is the profitability floor on profiled mean
-// iterations per invocation.
+// iterations per invocation: with UseProfile, a loop whose mean trip
+// count is below it cannot amortise per-invocation overheads.
 const DefaultMinAvgIter = 96
 
 // SelectLoops marks the loops to parallelise and returns them. Within
@@ -112,14 +109,10 @@ func (p *Program) selectable(li *LoopInfo, opts SelectOptions) bool {
 		if li.Coverage < opts.MinCoverage {
 			return false
 		}
-		minAvg := opts.MinAvgIter
-		if minAvg == 0 {
-			minAvg = DefaultMinAvgIter
-		}
 		// A loop entered many times for a handful of iterations pays
 		// LOOP_INIT/FINISH on every invocation: the paper's profile
 		// stage exists exactly to reject these.
-		if li.AvgIter > 0 && li.AvgIter < minAvg {
+		if li.AvgIter > 0 && li.AvgIter < DefaultMinAvgIter {
 			return false
 		}
 	}

@@ -59,9 +59,6 @@ type Report struct {
 	// statically analysable but the analyser classified as carrying a
 	// dependence — a missed parallelisation, counted rather than fatal.
 	MissedPar int
-	// Interesting lists the reasons this kernel is worth graduating
-	// into the benchmark corpus (empty for plain agreement).
-	Interesting []string
 	// Planted is the loop whose class was deliberately flipped by
 	// Options.PlantDOALL (nil otherwise).
 	Planted *LoopVerdict
@@ -248,15 +245,6 @@ func RunDiff(k *Kernel, o Options) (*Report, error) {
 		if li.Selected {
 			rep.Selected++
 		}
-		if li.DepProfiled && li.ObservedDep {
-			rep.note("dep-observed")
-		}
-		if li.Dep != nil && li.Dep.CheckFailed {
-			rep.note("check-unclosable")
-		}
-	}
-	if rep.MissedPar > 0 {
-		rep.note("missed-parallelisation")
 	}
 	if o.PlantDOALL && rep.Planted != nil && !rep.Planted.Selected {
 		return nil, k.failInert("planted loop was not selected (coverage %.3f): the plant cannot reach the engines", rep.Planted.Coverage)
@@ -331,14 +319,6 @@ func RunDiff(k *Kernel, o Options) (*Report, error) {
 			if run.Stats.ParRecoveries != 0 {
 				return nil, k.failf("SPECULATION: %s reported %d recoveries without fault injection", ec.name, run.Stats.ParRecoveries)
 			}
-		} else if run.Stats.ParRecoveries > 0 {
-			rep.note("recovery-exercised")
-		}
-		if run.Stats.ChecksFailed > 0 {
-			rep.note("checks-failed")
-		}
-		if run.Stats.SeqFallbacks > 0 {
-			rep.note("seq-fallback")
 		}
 	}
 	if o.PlantDOALL {
@@ -363,15 +343,6 @@ func RunDiff(k *Kernel, o Options) (*Report, error) {
 		}
 	}
 	return rep, nil
-}
-
-func (r *Report) note(reason string) {
-	for _, have := range r.Interesting {
-		if have == reason {
-			return
-		}
-	}
-	r.Interesting = append(r.Interesting, reason)
 }
 
 // compareToNative asserts the DBM result is byte-identical to native

@@ -32,7 +32,7 @@ func TestSeededCorpus(t *testing.T) {
 				t.Logf("loop %d %-13s class=%v profiled=%v observed=%v selected=%v cov=%.3f",
 					lv.ID, lv.Truth.Kind, lv.Class, lv.DepProfiled, lv.ObservedDep, lv.Selected, lv.Coverage)
 			}
-			t.Logf("selected=%d missed=%d interesting=%v", rep.Selected, rep.MissedPar, rep.Interesting)
+			t.Logf("selected=%d missed=%d", rep.Selected, rep.MissedPar)
 		})
 		return
 	}

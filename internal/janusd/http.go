@@ -92,9 +92,13 @@ func writeFailure(w http.ResponseWriter, res *Response) {
 	writeJSON(w, statusFor(res.ErrKind), res)
 }
 
-func decodeRequest(r *http.Request) (Request, error) {
+// maxRequestBytes bounds a request body; a longer one is refused
+// before it is decoded in full.
+const maxRequestBytes = 1 << 20
+
+func decodeRequest(w http.ResponseWriter, r *http.Request) (Request, error) {
 	var req Request
-	dec := json.NewDecoder(r.Body)
+	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxRequestBytes))
 	dec.DisallowUnknownFields()
 	if err := dec.Decode(&req); err != nil {
 		return req, fmt.Errorf("bad request body: %w", err)
@@ -103,7 +107,7 @@ func decodeRequest(r *http.Request) (Request, error) {
 }
 
 func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
-	req, err := decodeRequest(r)
+	req, err := decodeRequest(w, r)
 	if err != nil {
 		writeFailure(w, &Response{State: StateFailed, Err: err.Error(), ErrKind: KindBadRequest})
 		return
@@ -181,7 +185,7 @@ func (s *Server) handleEvents(w http.ResponseWriter, r *http.Request) {
 // metadata rides in X-Janus-* headers; failures come back as the same
 // typed JSON the async path uses.
 func (s *Server) handleRender(w http.ResponseWriter, r *http.Request) {
-	req, err := decodeRequest(r)
+	req, err := decodeRequest(w, r)
 	if err != nil {
 		writeFailure(w, &Response{State: StateFailed, Err: err.Error(), ErrKind: KindBadRequest})
 		return

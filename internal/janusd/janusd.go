@@ -111,7 +111,8 @@ type Request struct {
 	// refused before admission.
 	Fig   int `json:"fig,omitempty"`
 	Table int `json:"table,omitempty"`
-	// Threads mirrors harness.Options (zero = default).
+	// Threads mirrors harness.Options (zero = default). Above
+	// maxThreads it is refused before admission.
 	Threads int `json:"threads,omitempty"`
 	// Inject arms region-level fault injection inside this request's
 	// renders (spec grammar of janus-bench -inject).
@@ -120,6 +121,11 @@ type Request struct {
 	// a typed deadline error. Zero inherits Config.DefaultDeadline.
 	DeadlineMS int64 `json:"deadline_ms,omitempty"`
 }
+
+// maxThreads bounds Request.Threads: the DBM allocates one record per
+// guest thread, so outside input may not size that freely. It is eight
+// times the paper's eight-thread machine.
+const maxThreads = 64
 
 // options translates the request, its Inject spec parsed at admission,
 // into per-run harness options.
@@ -381,6 +387,9 @@ func (s *Server) Submit(req Request) (*Job, error) {
 	// admission so a bad request never counts against the bound.
 	if _, err := harness.Experiments(req.Fig, req.Table); err != nil {
 		return nil, err
+	}
+	if req.Threads > maxThreads {
+		return nil, fmt.Errorf("janusd: %d threads requested, at most %d", req.Threads, maxThreads)
 	}
 	var inject *faultinject.Plan
 	if req.Inject != "" {

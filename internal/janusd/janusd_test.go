@@ -485,9 +485,10 @@ func TestDrainDeadlineCancels(t *testing.T) {
 }
 
 // TestBadRequests: malformed bodies, inject specs, selections naming
-// no experiment and the retired cache_dir, static_partition,
+// no experiment, the retired cache_dir, static_partition,
 // single_goroutine and jobs fields (a client may not choose where the
-// daemon writes, nor its engine or row concurrency) are refused with
+// daemon writes, nor its engine or row concurrency), a thread count
+// above maxThreads and a body over maxRequestBytes are refused with
 // typed 400s before admission.
 func TestBadRequests(t *testing.T) {
 	s, base, _ := startServer(t, Config{Workers: 1})
@@ -495,15 +496,16 @@ func TestBadRequests(t *testing.T) {
 		`{bad json`, `{"nope":1}`, `{"inject":"not-a-point"}`,
 		`{"table":2,"cache_dir":"/tmp/x"}`, `{"table":2,"static_partition":true}`,
 		`{"table":2,"single_goroutine":true}`, `{"table":2,"jobs":4}`,
-		`{"fig":99}`, `{"table":3}`,
+		`{"fig":99}`, `{"table":3}`, `{"table":2,"threads":65}`,
+		`{"table":2` + strings.Repeat(" ", 2<<20) + `}`,
 	} {
 		res, payload := postJSON(t, base+"/v1/render", body)
 		if res.StatusCode != http.StatusBadRequest {
-			t.Fatalf("body %q: status %d: %s", body, res.StatusCode, payload)
+			t.Fatalf("body %.40q: status %d: %s", body, res.StatusCode, payload)
 		}
 		var r Response
 		if err := json.Unmarshal(payload, &r); err != nil || r.ErrKind != KindBadRequest {
-			t.Fatalf("body %q: kind %q err %v", body, r.ErrKind, err)
+			t.Fatalf("body %.40q: kind %q err %v", body, r.ErrKind, err)
 		}
 	}
 	if s.Snapshot().Served != 0 {

@@ -4,7 +4,6 @@ import (
 	"encoding/json"
 	"fmt"
 	"sort"
-	"sync"
 
 	"janus/internal/artcache"
 	"janus/internal/asm"
@@ -27,11 +26,6 @@ type Benchmark struct {
 	PaperChecks float64
 	// build emits the program. Sizes derive from input and opt.
 	build func(k *kctx, in Input)
-	// buildExt, when non-nil, supersedes build: the benchmark comes
-	// from an external generator (the graduated generative corpus),
-	// supplies its own libraries, and ignores OptLevel (generated
-	// kernels are emitted at one optimisation shape).
-	buildExt func(in Input) (*obj.Executable, []*obj.Library, error)
 }
 
 // scale maps the input set to a size multiplier.
@@ -328,77 +322,20 @@ var registry = []Benchmark{
 	},
 }
 
-// generated holds benchmarks registered at runtime (the graduated
-// generative corpus, janus-bench -gen-corpus). It is empty unless a
-// caller explicitly registers kernels, so the default suite — and the
-// golden fixture pinning its byte-exact output — is unaffected by the
-// generator's presence.
-var (
-	genMu     sync.Mutex
-	generated []Benchmark
-)
-
-// RegisterGenerated appends a generated benchmark to the evaluation
-// suite. The build callback must be deterministic; parallelisable
-// marks kernels whose loops were actually selected (they join the
-// figure-7 set). Names must be unique across the static registry and
-// prior registrations; the "gen/" prefix keeps them visually distinct.
-func RegisterGenerated(name string, parallelisable bool, build func(in Input) (*obj.Executable, []*obj.Library, error)) error {
-	if name == "" || build == nil {
-		return fmt.Errorf("workloads: RegisterGenerated: name and build are required")
-	}
-	genMu.Lock()
-	defer genMu.Unlock()
-	if _, ok := byNameLocked(name); ok {
-		return fmt.Errorf("workloads: benchmark %q already registered", name)
-	}
-	generated = append(generated, Benchmark{
-		Name:           name,
-		Parallelisable: parallelisable,
-		buildExt:       build,
-	})
-	return nil
-}
-
-// GeneratedNames returns the registered generative-corpus benchmarks
-// in registration order.
-func GeneratedNames() []string {
-	genMu.Lock()
-	defer genMu.Unlock()
-	out := make([]string, len(generated))
-	for i, b := range generated {
+// Names returns all benchmark names in evaluation order.
+func Names() []string {
+	out := make([]string, len(registry))
+	for i, b := range registry {
 		out[i] = b.Name
 	}
 	return out
 }
 
-// Names returns all benchmark names in evaluation order: the static
-// registry followed by any graduated generated kernels.
-func Names() []string {
-	genMu.Lock()
-	defer genMu.Unlock()
-	out := make([]string, 0, len(registry)+len(generated))
-	for _, b := range registry {
-		out = append(out, b.Name)
-	}
-	for _, b := range generated {
-		out = append(out, b.Name)
-	}
-	return out
-}
-
-// ParallelisableNames returns the figure-7 benchmarks in order: the
-// paper's nine plus any parallelisable graduated kernels.
+// ParallelisableNames returns the paper's nine figure-7 benchmarks in
+// order.
 func ParallelisableNames() []string {
-	genMu.Lock()
-	defer genMu.Unlock()
 	var out []string
 	for _, b := range registry {
-		if b.Parallelisable {
-			out = append(out, b.Name)
-		}
-	}
-	for _, b := range generated {
 		if b.Parallelisable {
 			out = append(out, b.Name)
 		}
@@ -407,21 +344,9 @@ func ParallelisableNames() []string {
 	return out
 }
 
-// ByName looks up a benchmark in the static registry or the generated
-// corpus.
+// ByName looks up a benchmark in the registry.
 func ByName(name string) (Benchmark, bool) {
-	genMu.Lock()
-	defer genMu.Unlock()
-	return byNameLocked(name)
-}
-
-func byNameLocked(name string) (Benchmark, bool) {
 	for _, b := range registry {
-		if b.Name == name {
-			return b, true
-		}
-	}
-	for _, b := range generated {
 		if b.Name == name {
 			return b, true
 		}
@@ -500,16 +425,14 @@ func BuildCached(c *artcache.Cache, name string, in Input, opt OptLevel) (*obj.E
 	return Build(name, in, opt)
 }
 
-// buildDiskKey is the disk key of one registry build's identity record
-// (ident-v1). Generated-corpus benchmarks (buildExt) report ok=false:
-// their libraries are supplied by the generator, so they have no
-// record and are always opened eagerly.
-func buildDiskKey(bm Benchmark, in Input, opt OptLevel) (artcache.Key, bool) {
+// buildDiskKey is the disk key of one build's identity record
+// (ident-v1).
+func buildDiskKey(bm Benchmark, in Input, opt OptLevel) artcache.Key {
 	return artcache.Key{
 		Binary: bm.Name,
 		Input:  fmt.Sprintf("%s", in),
 		Config: fmt.Sprintf("opt=%s schema=%s", opt, BuildSchema),
-	}, bm.buildExt == nil
+	}
 }
 
 // ident is what a build is known by in a store, without its image: the
@@ -560,14 +483,14 @@ func Open(c *artcache.Cache, name string, in Input, opt OptLevel) (*obj.Binary, 
 	}
 	return openTier.Do(nil, buildKey{name: name, in: in, opt: opt}, nil, func() (*obj.Binary, error) {
 		load := func() (*obj.Executable, []*obj.Library, error) { return Build(name, in, opt) }
-		key, keyed := buildDiskKey(bm, in, opt)
-		if c == nil || !keyed {
+		if c == nil {
 			exe, libs, err := load()
 			if err != nil {
 				return nil, err
 			}
 			return obj.NewBinary(exe, libs...), nil
 		}
+		key := buildDiskKey(bm, in, opt)
 		var eager *obj.Binary
 		rec, err := identTier.Disk(c, func() (artcache.Key, bool) { return key, true }, func() (ident, error) {
 			exe, libs, err := load()
@@ -612,10 +535,6 @@ func TierStats() map[string]artcache.TierStats {
 // build performs the uncached assembly of one benchmark binary over
 // its (name, input) data section, generated once (sectionTier).
 func build(bm Benchmark, in Input, opt OptLevel) (built, error) {
-	if bm.buildExt != nil {
-		exe, libs, err := bm.buildExt(in)
-		return built{exe: exe, libs: libs}, err
-	}
 	b := assemble(bm, in, opt)
 	sec, _ := sectionTier.Memo(sectionKey{name: bm.Name, in: in}, func() (*asm.Section, error) { return b.Section(), nil })
 	exe, err := b.BuildOver(sec)

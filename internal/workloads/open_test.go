@@ -94,7 +94,7 @@ func TestOpenHealsALyingRecord(t *testing.T) {
 		t.Fatal(err)
 	}
 	bm, _ := ByName("470.lbm")
-	key, _ := buildDiskKey(bm, Train, O3)
+	key := buildDiskKey(bm, Train, O3)
 	ResetBuildCache()
 	honest, err := Open(c, "470.lbm", Train, O3)
 	if err != nil {

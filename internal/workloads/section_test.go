@@ -16,9 +16,6 @@ func TestRegistrySectionsShared(t *testing.T) {
 	// build tier, which shares no section with a registry build.
 	ResetBuildCache()
 	for _, bm := range registry {
-		if bm.buildExt != nil {
-			continue
-		}
 		for _, in := range []Input{Train, Ref} {
 			var image any
 			for _, opt := range []OptLevel{O2, O3, O3AVX} {

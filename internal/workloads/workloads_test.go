@@ -1,6 +1,7 @@
 package workloads
 
 import (
+	"reflect"
 	"testing"
 
 	"janus/internal/vm"
@@ -70,12 +71,27 @@ func TestRefLargerThanTrain(t *testing.T) {
 	}
 }
 
+// TestRegistryMetadata pins the suite the paper evaluates: SPEC
+// CPU2006 minus omnetpp, tonto and wrf (25 unique names), of which the
+// nine figure-7 benchmarks are parallelisable.
 func TestRegistryMetadata(t *testing.T) {
-	if len(Names()) != 25 {
-		t.Fatalf("expected 25 benchmarks, got %d", len(Names()))
+	names := Names()
+	if len(names) != 25 {
+		t.Fatalf("expected 25 benchmarks, got %d: %v", len(names), names)
 	}
-	if len(ParallelisableNames()) != 9 {
-		t.Fatalf("expected 9 parallelisable, got %d", len(ParallelisableNames()))
+	seen := map[string]bool{}
+	for _, name := range names {
+		if seen[name] {
+			t.Fatalf("benchmark %q listed twice", name)
+		}
+		seen[name] = true
+	}
+	want := []string{
+		"410.bwaves", "433.milc", "436.cactusADM", "437.leslie3d", "459.GemsFDTD",
+		"462.libquantum", "464.h264ref", "470.lbm", "482.sphinx3",
+	}
+	if par := ParallelisableNames(); !reflect.DeepEqual(par, want) {
+		t.Fatalf("parallelisable benchmarks %v, want %v", par, want)
 	}
 	if _, ok := ByName("470.lbm"); !ok {
 		t.Fatal("lbm missing")
