@@ -20,10 +20,10 @@
 // jittered exponential backoff; the rendered bytes land on stdout
 // exactly as a local janus-bench run would print them.
 //
-// The fuzz subcommand runs a resumable shape-vector campaign over
-// generated kernels (see fuzz.go):
+// Generated kernels are fuzzed with the toolchain's fuzzer, not by
+// this command:
 //
-//	janus fuzz -campaign CORPUSDIR -campaign-secs 30    breed, screen, graduate
+//	go test -fuzz=FuzzShapeVector ./internal/genkern
 package main
 
 import (
@@ -53,9 +53,10 @@ func main() {
 	case "bench":
 		benchClient(os.Args[2:])
 		return
-	case "fuzz":
-		fuzzCampaign(os.Args[2:])
-		return
+	case "analyze", "profile", "schedule", "run", "disasm", "list":
+	default:
+		usage()
+		os.Exit(2)
 	}
 	fs := flag.NewFlagSet(cmd, flag.ExitOnError)
 	bench := fs.String("bench", "470.lbm", "workload name (see 'janus list')")
@@ -214,10 +215,6 @@ func main() {
 			addr := exe.CodeBase + uint64(i)*guest.InstSize
 			fmt.Printf("%#x\t%s\n", addr, in)
 		}
-
-	default:
-		usage()
-		os.Exit(2)
 	}
 }
 
@@ -263,7 +260,7 @@ func printRun(sched *rules.Schedule, native *vm.Result, res *dbm.Result, selecte
 }
 
 func usage() {
-	fmt.Fprintln(os.Stderr, `usage: janus <analyze|profile|schedule|run|disasm|list|bench|fuzz> [flags]`)
+	fmt.Fprintln(os.Stderr, `usage: janus <analyze|profile|schedule|run|disasm|list|bench> [flags]`)
 }
 
 // usageError reports a command line the tool cannot act on and exits 2.

@@ -1,9 +1,8 @@
 package main
 
 // Command-line contract tests through the real binary: what `janus`
-// refuses (exit 2 and a usage line, not a silent default), and the
-// failure path of `janus fuzz`, whose stats line must reach stdout even
-// when the campaign exits nonzero.
+// refuses (exit 2 and a usage line, not a silent default), and what a
+// hostile schedule file may do to `janus run`.
 
 import (
 	"os"
@@ -66,7 +65,7 @@ func TestRejectsUnknownOptAndInput(t *testing.T) {
 		{"opt is case sensitive", []string{"run", "-bench", "470.lbm", "-input", "train", "-opt", "o3"}, 2, `unknown -opt "o3"`},
 		{"unknown input", []string{"run", "-bench", "470.lbm", "-input", "test"}, 2, `unknown -input "test"`},
 		{"empty input", []string{"analyze", "-bench", "470.lbm", "-input", ""}, 2, `unknown -input ""`},
-		{"fuzz without a corpus dir", []string{"fuzz"}, 2, "usage: janus fuzz -campaign"},
+		{"fuzz is an unknown subcommand", []string{"fuzz", "-campaign", "corpus"}, 2, "usage: janus <"},
 		{"known values still run", []string{"run", "-bench", "470.lbm", "-input", "train", "-opt", "O3avx", "-threads", "2"}, 0, "verification       OK"},
 		{"defaults still run", []string{"schedule", "-bench", "470.lbm", "-input", "train"}, 0, "# "},
 	} {
@@ -89,35 +88,6 @@ func TestRejectsUnknownOptAndInput(t *testing.T) {
 				t.Errorf("output lacks %q:\n%s", tc.want, got)
 			}
 		})
-	}
-}
-
-// TestCampaignStatsLineOnFailedRun: a campaign that exits nonzero still
-// prints its stats line to stdout. The failure is manufactured with
-// -campaign-plant: a planted mis-classification guarantees a
-// divergence, so the run exits nonzero on a deterministic path that
-// still accumulated stats.
-func TestCampaignStatsLineOnFailedRun(t *testing.T) {
-	if testing.Short() {
-		t.Skip("drives the real binary; skipped in -short")
-	}
-	stdout, stderr, code := runJanus(t,
-		"fuzz",
-		"-campaign", t.TempDir(),
-		"-campaign-plant",
-		"-campaign-secs", "60", // stop-on-divergence ends it far sooner
-	)
-	if code == 0 {
-		t.Fatalf("planted campaign must exit nonzero; stdout:\n%s\nstderr:\n%s", stdout, stderr)
-	}
-	if !strings.Contains(stdout, "campaign: iters=") {
-		t.Fatalf("failing campaign swallowed its stats line; stdout:\n%s", stdout)
-	}
-	if !strings.Contains(stdout, "divergences=") || strings.Contains(stdout, "divergences=0") {
-		t.Fatalf("planted campaign reported no divergences; stdout:\n%s", stdout)
-	}
-	if !strings.Contains(stderr, "janus: ") {
-		t.Fatalf("stderr does not name the divergence:\n%s", stderr)
 	}
 }
 

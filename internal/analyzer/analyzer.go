@@ -7,7 +7,6 @@ package analyzer
 
 import (
 	"fmt"
-	"sort"
 
 	"janus/internal/alias"
 	"janus/internal/cfg"
@@ -347,17 +346,5 @@ func (p *Program) ClassCounts() map[Class]int {
 	for _, li := range p.Loops {
 		out[li.Class]++
 	}
-	return out
-}
-
-// SortedLoops returns loops ordered by descending coverage then ID.
-func (p *Program) SortedLoops() []*LoopInfo {
-	out := append([]*LoopInfo(nil), p.Loops...)
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].Coverage != out[j].Coverage {
-			return out[i].Coverage > out[j].Coverage
-		}
-		return out[i].ID < out[j].ID
-	})
 	return out
 }

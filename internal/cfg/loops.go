@@ -46,15 +46,6 @@ func (l *Loop) Contains(b *Block) bool {
 	return b != nil && b.Fn == l.Fn && b.Index < len(l.body) && l.body[b.Index]
 }
 
-// InstCount returns the static number of instructions in the loop body.
-func (l *Loop) InstCount() int {
-	n := 0
-	for _, b := range l.blocks {
-		n += len(b.Insts)
-	}
-	return n
-}
-
 // Outermost returns the root of this loop's nest.
 func (l *Loop) Outermost() *Loop {
 	for l.Parent != nil {

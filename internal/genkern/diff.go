@@ -91,8 +91,7 @@ func (k *Kernel) failf(format string, args ...any) error {
 // ErrPlantInert marks a PlantDOALL run where the planted
 // mis-classification could not arm (no statically-proven carried loop,
 // or the planted loop was not selected so the bug cannot reach the
-// engines). Campaign drivers treat it as a clean outcome: the shape
-// simply cannot exhibit the planted bug.
+// engines): the shape simply cannot exhibit the planted bug.
 var ErrPlantInert = errors.New("planted mis-classification could not arm")
 
 func (k *Kernel) failInert(format string, args ...any) error {

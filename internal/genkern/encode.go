@@ -8,12 +8,11 @@ import (
 // Shape-vector genome encoding.
 //
 // A Shape — not the 8-byte seed that derives one — is the unit the
-// corpus-guided fuzzer mutates. The encoding below is the genome: a
-// versioned, fixed-width byte vector in which every field of every
-// segment occupies a known offset, so byte-level mutation (the native
-// go fuzzer's, or mutate.go's structured operators) perturbs structure
-// rather than teleporting to an unrelated kernel the way mutating a
-// hash-expanded seed does.
+// native fuzzer (FuzzShapeVector) mutates. The encoding below is the
+// genome: a versioned, fixed-width byte vector in which every field of
+// every segment occupies a known offset, so byte-level mutation
+// perturbs structure rather than teleporting to an unrelated kernel the
+// way mutating a hash-expanded seed does.
 //
 // DecodeShape is total: *every* byte string, of any length, normalises
 // into a Validate-clean Shape by modular clamping of each field into
@@ -39,7 +38,7 @@ import (
 const ShapeEncodingVersion = 1
 
 // MaxShapeSegs bounds the genome's segment count. DeriveShape emits at
-// most 4 segments; the mutation engine may splice up to this many.
+// most 4 segments; a fuzzed genome may carry up to this many.
 const MaxShapeSegs = 6
 
 // Per-field legal ranges. Hot trip counts stay above the selector's
@@ -210,11 +209,6 @@ func DecodeShape(data []byte) Shape {
 	}
 	return sh
 }
-
-// NormaliseShape clamps every field of sh into its legal range via the
-// genome round-trip; the mutation operators use it so any perturbation
-// lands back on a Validate-clean shape.
-func NormaliseShape(sh Shape) Shape { return DecodeShape(EncodeShape(sh)) }
 
 // ShapeHex renders the genome as the hex string repro commands and
 // regression fixtures carry.

@@ -2,6 +2,8 @@ package genkern
 
 import (
 	"bytes"
+	"errors"
+	"strings"
 	"testing"
 )
 
@@ -119,15 +121,27 @@ func TestParseShapeHex(t *testing.T) {
 	}
 }
 
+// fuzzSeedShapes is FuzzShapeVector's seed corpus: the first eight
+// seed-derived shapes, then the hand-picked table.
+func fuzzSeedShapes() []Shape {
+	var out []Shape
+	for seed := uint64(1); seed <= 8; seed++ {
+		out = append(out, DeriveShape(seed))
+	}
+	return append(out, validShapes()...)
+}
+
+// fuzzOptions is the oracle configuration FuzzShapeVector runs every
+// input under; the fuzzer feeds it input-data seed 1.
+var fuzzOptions = Options{Threads: 4}
+
 // FuzzShapeVector is the structured-genome fuzz target: the native
 // fuzzer mutates genome bytes directly (structure, not hashes). Every
 // input must normalise into a valid shape, and the shape must survive
-// the full differential oracle.
+// the full differential oracle. Finds land in
+// testdata/fuzz/FuzzShapeVector, which plain go test replays.
 func FuzzShapeVector(f *testing.F) {
-	for seed := uint64(1); seed <= 8; seed++ {
-		f.Add(EncodeShape(DeriveShape(seed)))
-	}
-	for _, sh := range validShapes() {
+	for _, sh := range fuzzSeedShapes() {
 		f.Add(EncodeShape(sh))
 	}
 	f.Fuzz(func(t *testing.T, data []byte) {
@@ -138,8 +152,32 @@ func FuzzShapeVector(f *testing.F) {
 		if !shapeEqual(sh, DecodeShape(EncodeShape(sh))) {
 			t.Fatal("decoded shape does not re-encode canonically")
 		}
-		if _, err := DiffShape(sh, 1, Options{Threads: 4}); err != nil {
+		if _, err := DiffShape(sh, 1, fuzzOptions); err != nil {
 			t.Fatal(err)
 		}
 	})
+}
+
+// TestFuzzSeedsCatchPlantedBug proves FuzzShapeVector's seed corpus has
+// teeth: under the planted mis-classification, at least one seed shape
+// must catch the plant, and every other one must catch it too or be
+// unable to arm it. A seed on which the plant escapes, or that fails
+// for another reason, is a hole in the remaining shape fuzzer.
+func TestFuzzSeedsCatchPlantedBug(t *testing.T) {
+	planted := fuzzOptions
+	planted.PlantDOALL = true
+	caught := 0
+	for i, sh := range fuzzSeedShapes() {
+		_, err := DiffShape(sh, 1, planted)
+		switch {
+		case err != nil && strings.Contains(err.Error(), plantedCaught):
+			caught++
+		case !errors.Is(err, ErrPlantInert):
+			t.Errorf("seed shape %d (%s): the plant armed and was not caught: %v", i, ShapeHex(sh), err)
+		}
+	}
+	if caught == 0 {
+		t.Error("no FuzzShapeVector seed shape catches the planted mis-classification")
+	}
+	t.Logf("%d seed shapes catch the plant", caught)
 }

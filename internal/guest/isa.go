@@ -377,7 +377,3 @@ const (
 	SysWriteF = 4 // write float64 bits R1 to the output stream (IO)
 	SysClock  = 5 // R0 <- virtual cycle counter
 )
-
-// IsIOSyscall reports whether syscall number nr performs IO; loops
-// containing IO syscalls are rejected by the static analyser.
-func IsIOSyscall(nr int64) bool { return nr == SysWrite || nr == SysWriteF }

@@ -215,18 +215,3 @@ func (c *Client) Stats(ctx context.Context) (*Stats, error) {
 	}
 	return &st, nil
 }
-
-// Ready probes /readyz; false with a nil error means draining.
-func (c *Client) Ready(ctx context.Context) (bool, error) {
-	hreq, err := http.NewRequestWithContext(ctx, http.MethodGet, c.Base+"/readyz", nil)
-	if err != nil {
-		return false, err
-	}
-	hres, err := c.httpClient().Do(hreq)
-	if err != nil {
-		return false, err
-	}
-	io.Copy(io.Discard, hres.Body)
-	hres.Body.Close()
-	return hres.StatusCode == http.StatusOK, nil
-}

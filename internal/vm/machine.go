@@ -259,17 +259,6 @@ func (m *Machine) FetchInst(addr uint64) (guest.Inst, error) {
 	return guest.Inst{}, fmt.Errorf("vm: fetch from unmapped address %#x", addr)
 }
 
-// InLibrary reports whether addr is inside any mapped shared library —
-// i.e. code the static analyser never saw.
-func (m *Machine) InLibrary(addr uint64) bool {
-	for _, lib := range m.Libs {
-		if lib.InCode(addr) {
-			return true
-		}
-	}
-	return false
-}
-
 // PLTTarget returns the resolved target of a PLT stub, if addr is one.
 func (m *Machine) PLTTarget(addr uint64) (uint64, bool) {
 	t, ok := m.pltTarget[addr]
