@@ -5,7 +5,6 @@ import (
 	"flag"
 	"fmt"
 	"os"
-	"time"
 
 	"janus/internal/janusd"
 )
@@ -13,8 +12,8 @@ import (
 // benchClient is the janusd thin-client mode: `janus bench -server URL`
 // submits one render request to a running daemon and prints the bytes
 // a local janus-bench run would have printed. Load-shed (429) and
-// draining (503) refusals are retried with seeded jittered exponential
-// backoff; terminal failures (deadline, panic, render error) exit
+// draining (503) refusals are retried with janusd.Backoff's seeded
+// jittered exponential backoff at its defaults; terminal failures (deadline, panic, render error) exit
 // nonzero with the server's typed error on stderr.
 func benchClient(args []string) {
 	fs := flag.NewFlagSet("bench", flag.ExitOnError)
@@ -24,29 +23,11 @@ func benchClient(args []string) {
 	threads := fs.Int("threads", 0, "guest thread count (0 = daemon default)")
 	inject := fs.String("inject", "", "region fault plan point[@every][#seed] applied inside the remote render")
 	deadline := fs.Duration("deadline", 0, "per-request deadline enforced by the daemon (0 = daemon default)")
-	retries := fs.Int("retries", 8, "max retries for shed/draining responses")
-	backoff := fs.Duration("backoff", 50*time.Millisecond, "base retry delay (doubles per attempt)")
-	backoffMax := fs.Duration("backoff-max", 2*time.Second, "retry delay cap, including server Retry-After hints")
 	seed := fs.Uint64("seed", 1, "jitter stream seed; distinct seeds desynchronise competing clients")
-	timeout := fs.Duration("timeout", 0, "overall client budget including retries (0 = none)")
 	_ = fs.Parse(args)
 
-	c := &janusd.Client{
-		Base: *server,
-		Backoff: janusd.Backoff{
-			Base:    *backoff,
-			Max:     *backoffMax,
-			Retries: *retries,
-			Seed:    *seed,
-		},
-	}
-	ctx := context.Background()
-	if *timeout > 0 {
-		var cancel context.CancelFunc
-		ctx, cancel = context.WithTimeout(ctx, *timeout)
-		defer cancel()
-	}
-	res, err := c.Render(ctx, janusd.Request{
+	c := &janusd.Client{Base: *server, Backoff: janusd.Backoff{Seed: *seed}}
+	res, err := c.Render(context.Background(), janusd.Request{
 		Fig:        *fig,
 		Table:      *table,
 		Threads:    *threads,

@@ -16,9 +16,10 @@
 //	janus bench -server http://127.0.0.1:7117           full suite
 //	janus bench -server ... -fig 7 -deadline 30s        one figure, bounded
 //
-// Shed (429) and draining (503) answers are retried with seeded
-// jittered exponential backoff; the rendered bytes land on stdout
-// exactly as a local janus-bench run would print them.
+// Shed (429) and draining (503) answers are retried up to 8 times with
+// jittered exponential backoff from 50ms, capped at 2s (-seed picks the
+// jitter stream); the rendered bytes land on stdout exactly as a local
+// janus-bench run would print them.
 //
 // Generated kernels are fuzzed with the toolchain's fuzzer, not by
 // this command:

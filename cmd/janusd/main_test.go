@@ -6,7 +6,6 @@ package main
 // signals and a real inherited listener fd.
 
 import (
-	"encoding/json"
 	"io"
 	"net/http"
 	"os"
@@ -86,60 +85,60 @@ func tab2Expected(t *testing.T) string {
 	return out
 }
 
-// submitJob posts one async job and returns its ID.
-func submitJob(t *testing.T, base string) string {
-	t.Helper()
-	res, err := http.Post(base+"/v1/jobs", "application/json", strings.NewReader(`{"table":2}`))
-	if err != nil {
-		t.Fatal(err)
-	}
-	payload, _ := io.ReadAll(res.Body)
-	res.Body.Close()
-	if res.StatusCode != http.StatusAccepted {
-		t.Fatalf("submit: %d %s", res.StatusCode, payload)
-	}
-	var acc janusd.Response
-	if err := json.Unmarshal(payload, &acc); err != nil || acc.ID == "" {
-		t.Fatalf("submit response %s: %v", payload, err)
-	}
-	return acc.ID
+// render is one finished /v1/render exchange.
+type render struct {
+	status int
+	body   string
+	err    error
 }
 
-// waitRunning polls the job until the daemon reports it running.
-func waitRunning(t *testing.T, base, id string) {
+// renderAsync posts a Table II render on its own goroutine and delivers
+// the exchange once it ends, so a test can signal the daemon while the
+// job is in flight.
+func renderAsync(base string) <-chan render {
+	c := make(chan render, 1)
+	go func() {
+		res, err := (&http.Client{Timeout: time.Minute}).Post(base+"/v1/render", "application/json", strings.NewReader(`{"table":2}`))
+		if err != nil {
+			c <- render{err: err}
+			return
+		}
+		payload, err := io.ReadAll(res.Body)
+		res.Body.Close()
+		c <- render{res.StatusCode, string(payload), err}
+	}()
+	return c
+}
+
+// waitRunning polls /statusz until the daemon counts a running job.
+func waitRunning(t *testing.T, base string) {
 	t.Helper()
+	c := &janusd.Client{Base: base}
 	deadline := time.Now().Add(10 * time.Second)
 	for time.Now().Before(deadline) {
-		res, err := http.Get(base + "/v1/jobs/" + id)
-		if err == nil {
-			payload, _ := io.ReadAll(res.Body)
-			res.Body.Close()
-			var r janusd.Response
-			if json.Unmarshal(payload, &r) == nil && r.State != janusd.StateQueued {
-				return
-			}
+		if st, err := c.Stats(t.Context()); err == nil && st.Running > 0 {
+			return
 		}
 		time.Sleep(5 * time.Millisecond)
 	}
-	t.Fatalf("job %s never left the queue", id)
+	t.Fatal("no job ever started running")
 }
 
-// fetchResult blocks on the result endpoint.
-func fetchResult(base, id string) (*janusd.Response, error) {
-	res, err := (&http.Client{Timeout: time.Minute}).Get(base + "/v1/jobs/" + id + "/result")
-	if err != nil {
-		return nil, err
+// wantTab2 waits for an in-flight render and fails unless it is a 200
+// whose body is the Table II render.
+func wantTab2(t *testing.T, what string, c <-chan render) {
+	t.Helper()
+	select {
+	case r := <-c:
+		if r.err != nil {
+			t.Fatalf("%s dropped: %v", what, r.err)
+		}
+		if r.status != http.StatusOK || r.body != tab2Expected(t) {
+			t.Fatalf("%s: status %d: %s", what, r.status, r.body)
+		}
+	case <-time.After(30 * time.Second):
+		t.Fatalf("%s never answered", what)
 	}
-	defer res.Body.Close()
-	payload, err := io.ReadAll(res.Body)
-	if err != nil {
-		return nil, err
-	}
-	var r janusd.Response
-	if err := json.Unmarshal(payload, &r); err != nil {
-		return nil, err
-	}
-	return &r, nil
 }
 
 // TestQueueZeroSheds: -queue 0 means no queue, not the default depth:
@@ -151,8 +150,9 @@ func TestQueueZeroSheds(t *testing.T) {
 	m := waitLog(t, logPath, readyRe)
 	base := "http://" + m[2]
 
-	waitRunning(t, base, submitJob(t, base))
-	res, err := http.Post(base+"/v1/jobs", "application/json", strings.NewReader(`{"table":2}`))
+	renderAsync(base)
+	waitRunning(t, base)
+	res, err := http.Post(base+"/v1/render", "application/json", strings.NewReader(`{"table":2}`))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -176,34 +176,13 @@ func TestSIGTERMGracefulDrain(t *testing.T) {
 	m := waitLog(t, logPath, readyRe)
 	base := "http://" + m[2]
 
-	id := submitJob(t, base)
-	waitRunning(t, base, id)
-	resc := make(chan *janusd.Response, 1)
-	errc := make(chan error, 1)
-	go func() {
-		r, err := fetchResult(base, id)
-		if err != nil {
-			errc <- err
-			return
-		}
-		resc <- r
-	}()
-	// Give the blocking result exchange a moment to be in flight.
-	time.Sleep(50 * time.Millisecond)
+	inflight := renderAsync(base)
+	waitRunning(t, base)
 
 	if err := cmd.Process.Signal(syscall.SIGTERM); err != nil {
 		t.Fatal(err)
 	}
-	select {
-	case err := <-errc:
-		t.Fatalf("in-flight result dropped during drain: %v", err)
-	case r := <-resc:
-		if r.State != janusd.StateDone || r.Output != tab2Expected(t) {
-			t.Fatalf("drained job: state %s err %s", r.State, r.Err)
-		}
-	case <-time.After(30 * time.Second):
-		t.Fatal("result never arrived")
-	}
+	wantTab2(t, "in-flight render during drain", inflight)
 	if err := cmd.Wait(); err != nil {
 		t.Fatalf("daemon did not exit 0 after SIGTERM drain: %v", err)
 	}
@@ -225,35 +204,15 @@ func TestSIGHUPHotRestart(t *testing.T) {
 	oldPID, _ := strconv.Atoi(m[1])
 	base := "http://" + m[2]
 
-	id := submitJob(t, base)
-	waitRunning(t, base, id)
-	resc := make(chan *janusd.Response, 1)
-	errc := make(chan error, 1)
-	go func() {
-		r, err := fetchResult(base, id)
-		if err != nil {
-			errc <- err
-			return
-		}
-		resc <- r
-	}()
-	time.Sleep(50 * time.Millisecond)
+	inflight := renderAsync(base)
+	waitRunning(t, base)
 
 	if err := cmd.Process.Signal(syscall.SIGHUP); err != nil {
 		t.Fatal(err)
 	}
 
 	// The in-flight request must complete through the handoff.
-	select {
-	case err := <-errc:
-		t.Fatalf("in-flight result dropped during hot restart: %v", err)
-	case r := <-resc:
-		if r.State != janusd.StateDone || r.Output != tab2Expected(t) {
-			t.Fatalf("job across hot restart: state %s err %s", r.State, r.Err)
-		}
-	case <-time.After(30 * time.Second):
-		t.Fatal("result never arrived")
-	}
+	wantTab2(t, "in-flight render across hot restart", inflight)
 	// The old process drains and exits 0.
 	if err := cmd.Wait(); err != nil {
 		t.Fatalf("old daemon did not exit 0: %v", err)

@@ -7,6 +7,7 @@ package harness
 // from disk (nonzero hit counter) rather than quietly recomputing.
 
 import (
+	"context"
 	"crypto/sha256"
 	"encoding/binary"
 	"encoding/json"
@@ -255,7 +256,7 @@ func TestFigure11ReplaysAroundMissingRuns(t *testing.T) {
 		t.Helper()
 		resetMemoryTiers()
 		before, assembled := cache.Stats(), TierStats()["build"].Computed
-		rows, err := Figure11(o)
+		rows, err := launch(context.Background(), o, figure11)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -339,7 +340,7 @@ func TestCacheCorruptionHealsAcrossRender(t *testing.T) {
 
 	// One figure is enough to populate every artifact kind.
 	resetMemoryTiers()
-	rows, err := Figure7(o)
+	rows, err := launch(context.Background(), o, figure7)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -373,7 +374,7 @@ func TestCacheCorruptionHealsAcrossRender(t *testing.T) {
 	}
 
 	resetMemoryTiers()
-	rows, err = Figure7(o)
+	rows, err = launch(context.Background(), o, figure7)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -400,16 +401,16 @@ func TestUnopenableCacheDirIsAnError(t *testing.T) {
 	}
 	o := DefaultOptions()
 	o.CacheDir = file
-	_, figErr := Figure7(o)
+	_, figErr := launch(context.Background(), o, figure7)
 	if figErr == nil {
-		t.Fatal("Figure7 accepted a CacheDir naming a regular file")
+		t.Fatal("figure 7 accepted a CacheDir naming a regular file")
 	}
 	out, allErr := RenderAll(o, 0, 2)
 	if allErr == nil {
 		t.Fatalf("RenderAll swallowed the cache-open error and rendered %d bytes uncached", len(out))
 	}
 	if allErr.Error() != figErr.Error() {
-		t.Fatalf("entry points disagree:\n RenderAll: %v\n Figure7:   %v", allErr, figErr)
+		t.Fatalf("entry points disagree:\n RenderAll: %v\n launch:    %v", allErr, figErr)
 	}
 	if out != "" {
 		t.Fatalf("RenderAll rendered despite the open failure:\n%s", out)

@@ -11,6 +11,7 @@ package harness
 // engine tests and the genkern oracle pin its equivalence.)
 
 import (
+	"context"
 	"runtime"
 	"testing"
 )
@@ -27,7 +28,7 @@ func renderFigure7(t *testing.T, o Options) string {
 		t.Skip("renders figure 7 twice; run without -short")
 	}
 	executed := freshRuns(t)
-	rows, err := Figure7(o)
+	rows, err := launch(context.Background(), o, figure7)
 	if err != nil {
 		t.Fatal(err)
 	}

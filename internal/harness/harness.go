@@ -122,8 +122,8 @@ type render struct {
 	runs artcache.Tier[runSpec, *janus.Report]
 }
 
-// launch is the one entry path of every experiment and of RenderAll: it
-// fills unset options with their defaults, opens the durable cache
+// launch is the one entry path of RenderAll, and of tests that want
+// one experiment's rows: it fills unset options with their defaults, opens the durable cache
 // when CacheDir is set — an open failure is returned, never silently
 // degraded to an uncached run — and hands f the render state all of its
 // experiments share.
@@ -301,17 +301,13 @@ type Fig6Row struct {
 	Dynamic ClassFractions
 }
 
-// Figure6 classifies every loop of every benchmark and profiles
-// execution-time fractions with training inputs.
-func Figure6(o Options) ([]Fig6Row, error) {
-	return launch(context.Background(), o, figure6)
-}
-
 // figure6Selection is the full Janus policy; figure 6 reads only the
 // loop summary of the plan it yields (classes after dependence
 // profiling, exclusive coverage), which no selection knob influences.
 var figure6Selection = janus.Config{UseProfile: true, UseChecks: true}.Selection()
 
+// figure6 classifies every loop of every benchmark and profiles
+// execution-time fractions with training inputs.
 func figure6(r *render) ([]Fig6Row, error) {
 	return rows(r, workloads.Names(), func(name string) (Fig6Row, error) {
 		row := Fig6Row{Bench: name}
@@ -384,12 +380,8 @@ type Fig7Row struct {
 	Threads   int // thread count the three Janus bars were measured at
 }
 
-// Figure7 measures the four configurations on the nine parallelisable
+// figure7 measures the four configurations on the nine parallelisable
 // benchmarks.
-func Figure7(o Options) ([]Fig7Row, error) {
-	return launch(context.Background(), o, figure7)
-}
-
 func figure7(r *render) ([]Fig7Row, error) {
 	return rows(r, workloads.ParallelisableNames(), func(name string) (Fig7Row, error) {
 		row := Fig7Row{Bench: name, Threads: r.o.Threads}
@@ -467,11 +459,7 @@ type Fig8Row struct {
 	Threads int
 }
 
-// Figure8 measures breakdowns for 1 and Options.Threads threads.
-func Figure8(o Options) ([]Fig8Row, error) {
-	return launch(context.Background(), o, figure8)
-}
-
+// figure8 measures breakdowns for 1 and Options.Threads threads.
 func figure8(r *render) ([]Fig8Row, error) {
 	return rows(r, workloads.ParallelisableNames(), func(name string) (Fig8Row, error) {
 		row := Fig8Row{Bench: name, Threads: r.o.Threads}
@@ -530,11 +518,7 @@ type Fig9Row struct {
 	Speedups []float64 // index 0 = 1 thread
 }
 
-// Figure9 sweeps thread counts 1..Options.Threads.
-func Figure9(o Options) ([]Fig9Row, error) {
-	return launch(context.Background(), o, figure9)
-}
-
+// figure9 sweeps thread counts 1..Options.Threads.
 func figure9(r *render) ([]Fig9Row, error) {
 	return rows(r, workloads.ParallelisableNames(), func(name string) (Fig9Row, error) {
 		row := Fig9Row{Bench: name}
@@ -581,12 +565,8 @@ type Fig10Row struct {
 	Fraction     float64
 }
 
-// Figure10 generates the full-Janus schedule for each benchmark and
+// figure10 generates the full-Janus schedule for each benchmark and
 // compares its serialised size with the binary image size.
-func Figure10(o Options) ([]Fig10Row, error) {
-	return launch(context.Background(), o, figure10)
-}
-
 func figure10(r *render) ([]Fig10Row, error) {
 	return rows(r, workloads.ParallelisableNames(), func(name string) (Fig10Row, error) {
 		rep, err := r.janus(name, workloads.O3, r.o.Threads, full)
@@ -634,11 +614,7 @@ type Fig11Row struct {
 	JanusIcc float64 // Janus on the icc-like binary (O3AVX)
 }
 
-// Figure11 runs both compilers and Janus on both binary flavours.
-func Figure11(o Options) ([]Fig11Row, error) {
-	return launch(context.Background(), o, figure11)
-}
-
+// figure11 runs both compilers and Janus on both binary flavours.
 func figure11(r *render) ([]Fig11Row, error) {
 	return rows(r, workloads.ParallelisableNames(), func(name string) (Fig11Row, error) {
 		row := Fig11Row{Bench: name}
@@ -701,11 +677,7 @@ type Fig12Row struct {
 	AVX   float64
 }
 
-// Figure12 runs Janus on all three optimisation-level builds.
-func Figure12(o Options) ([]Fig12Row, error) {
-	return launch(context.Background(), o, figure12)
-}
-
+// figure12 runs Janus on all three optimisation-level builds.
 func figure12(r *render) ([]Fig12Row, error) {
 	return rows(r, workloads.ParallelisableNames(), func(name string) (Fig12Row, error) {
 		row := Fig12Row{Bench: name}
@@ -751,11 +723,7 @@ type Tab1Row struct {
 	PaperRef  float64
 }
 
-// TableI inspects the generated schedules.
-func TableI(o Options) ([]Tab1Row, error) {
-	return launch(context.Background(), o, tableI)
-}
-
+// tableI inspects the generated schedules.
 func tableI(r *render) ([]Tab1Row, error) {
 	all, err := rows(r, workloads.ParallelisableNames(), func(name string) (Tab1Row, error) {
 		row := Tab1Row{Bench: name}

@@ -1,6 +1,7 @@
 package harness
 
 import (
+	"context"
 	"errors"
 	"strings"
 	"testing"
@@ -33,7 +34,7 @@ func TestSelectionNamesAnExperiment(t *testing.T) {
 }
 
 func TestFigure6ShapeHolds(t *testing.T) {
-	rows, err := Figure6(seqOptions())
+	rows, err := launch(context.Background(), seqOptions(), figure6)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -86,7 +87,7 @@ func TestFigure7HeaderCarriesMeasuredThreads(t *testing.T) {
 }
 
 func TestFigure7ShapeHolds(t *testing.T) {
-	rows, err := Figure7(seqOptions())
+	rows, err := launch(context.Background(), seqOptions(), figure7)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -146,7 +147,7 @@ func TestFigure7ShapeHolds(t *testing.T) {
 }
 
 func TestFigure9Monotonicity(t *testing.T) {
-	rows, err := Figure9(seqOptions())
+	rows, err := launch(context.Background(), seqOptions(), figure9)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -171,7 +172,7 @@ func TestFigure9Monotonicity(t *testing.T) {
 }
 
 func TestFigure10SmallSchedules(t *testing.T) {
-	rows, err := Figure10(seqOptions())
+	rows, err := launch(context.Background(), seqOptions(), figure10)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -192,7 +193,7 @@ func TestFigure10SmallSchedules(t *testing.T) {
 }
 
 func TestFigure11CompilerComparison(t *testing.T) {
-	rows, err := Figure11(seqOptions())
+	rows, err := launch(context.Background(), seqOptions(), figure11)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -217,7 +218,7 @@ func TestFigure11CompilerComparison(t *testing.T) {
 }
 
 func TestFigure12OptLevels(t *testing.T) {
-	rows, err := Figure12(seqOptions())
+	rows, err := launch(context.Background(), seqOptions(), figure12)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -236,7 +237,7 @@ func TestFigure12OptLevels(t *testing.T) {
 }
 
 func TestTableIShape(t *testing.T) {
-	rows, err := TableI(seqOptions())
+	rows, err := launch(context.Background(), seqOptions(), tableI)
 	if err != nil {
 		t.Fatal(err)
 	}

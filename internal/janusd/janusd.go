@@ -3,9 +3,9 @@
 // parallelise → simulate pipeline over HTTP/JSON. Each admitted
 // request becomes a job on its own goroutine, admitted by a count of
 // unfinished jobs and run when it takes one of Workers slots; each job
-// carries its own harness.Options, gets an ID, streams progress
-// events, and renders byte-identically to janus-bench, so the golden
-// fixture pins the service path too.
+// carries its own harness.Options, gets an ID, and renders
+// byte-identically to janus-bench, so the golden fixture pins the
+// service path too.
 //
 // Robustness is the point of the package:
 //
@@ -31,6 +31,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"io"
 	"log"
 	"net/http"
 	"os"
@@ -93,14 +94,10 @@ func (c Config) withDefaults() Config {
 		c.StallDelay = 100 * time.Millisecond
 	}
 	if c.Log == nil {
-		c.Log = log.New(nowhere{}, "", 0)
+		c.Log = log.New(io.Discard, "", 0)
 	}
 	return c
 }
-
-type nowhere struct{}
-
-func (nowhere) Write(p []byte) (int, error) { return len(p), nil }
 
 // Request is one pipeline render request: the harness.Options a
 // janus-bench invocation would build from its flags, plus a deadline.
@@ -129,7 +126,7 @@ const maxThreads = 64
 
 // options translates the request, its Inject spec parsed at admission,
 // into per-run harness options.
-func (r Request) options(inject *faultinject.Plan, cacheDir string, rec *harness.RecoveryLog, onProgress func(harness.ProgressEvent)) harness.Options {
+func (r Request) options(inject *faultinject.Plan, cacheDir string, rec *harness.RecoveryLog) harness.Options {
 	o := harness.DefaultOptions()
 	if r.Threads > 0 {
 		o.Threads = r.Threads
@@ -137,7 +134,6 @@ func (r Request) options(inject *faultinject.Plan, cacheDir string, rec *harness
 	o.Inject = inject
 	o.CacheDir = cacheDir
 	o.Recovery = rec
-	o.OnProgress = onProgress
 	return o
 }
 
@@ -152,13 +148,12 @@ const (
 	KindCanceled   = "canceled"    // cancelled (drain hard-stop) (499→500)
 	KindPanic      = "panic"       // handler panic, contained (500)
 	KindRender     = "render"      // the harness itself errored (500)
-	KindNotFound   = "not-found"   // unknown job ID (404)
 )
 
 // Response is the terminal state of a job.
 type Response struct {
 	ID      string `json:"id"`
-	State   string `json:"state"` // "queued", "running", "done", "failed"
+	State   string `json:"state"` // StateDone or StateFailed
 	Output  string `json:"output,omitempty"`
 	Err     string `json:"err,omitempty"`
 	ErrKind string `json:"err_kind,omitempty"`
@@ -172,12 +167,10 @@ type Response struct {
 // Failed reports whether the response is a typed failure.
 func (r *Response) Failed() bool { return r.ErrKind != "" }
 
-// Job states.
+// Terminal job states.
 const (
-	StateQueued  = "queued"
-	StateRunning = "running"
-	StateDone    = "done"
-	StateFailed  = "failed"
+	StateDone   = "done"
+	StateFailed = "failed"
 )
 
 // Job is one admitted request.
@@ -185,11 +178,9 @@ type Job struct {
 	ID  string
 	Req Request
 
-	mu     sync.Mutex
-	cond   *sync.Cond
-	state  string
-	events []string
-	res    *Response
+	once sync.Once
+	done chan struct{} // closed once res is published
+	res  *Response
 
 	ctx      context.Context
 	cancel   context.CancelFunc
@@ -199,37 +190,6 @@ type Job struct {
 	injPanic, injStall, injSlow bool
 	// inject is Req.Inject, parsed at admission.
 	inject *faultinject.Plan
-}
-
-func newJob(id string, req Request, ctx context.Context, cancel context.CancelFunc) *Job {
-	j := &Job{ID: id, Req: req, state: StateQueued, ctx: ctx, cancel: cancel, accepted: time.Now()}
-	j.cond = sync.NewCond(&j.mu)
-	return j
-}
-
-// State returns the job's current state.
-func (j *Job) State() string {
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	return j.state
-}
-
-func (j *Job) setState(s string) {
-	j.mu.Lock()
-	j.state = s
-	j.cond.Broadcast()
-	j.mu.Unlock()
-	j.event("state " + s)
-}
-
-// event appends one progress line and wakes streamers.
-func (j *Job) event(line string) {
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	if len(j.events) < 16384 { // bound a pathological streamer
-		j.events = append(j.events, line)
-	}
-	j.cond.Broadcast()
 }
 
 // finish publishes the terminal response exactly once.
@@ -242,70 +202,20 @@ func (j *Job) finish(res *Response) {
 		res.State = StateDone
 	}
 	j.cancel()
-	// The terminal event is appended in the same critical section that
-	// publishes res: a streamer that observes the job finished must
-	// also observe its last line.
-	j.mu.Lock()
-	if j.res == nil {
+	j.once.Do(func() {
 		j.res = res
-		j.state = res.State
-	}
-	j.events = append(j.events, "state "+res.State)
-	j.cond.Broadcast()
-	j.mu.Unlock()
+		close(j.done)
+	})
 }
 
 // Wait blocks until the job finishes or ctx is done, returning the
 // terminal response.
 func (j *Job) Wait(ctx context.Context) (*Response, error) {
-	if ctx.Done() != nil {
-		stop := context.AfterFunc(ctx, func() {
-			j.mu.Lock()
-			j.cond.Broadcast()
-			j.mu.Unlock()
-		})
-		defer stop()
-	}
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	for j.res == nil {
-		if err := ctx.Err(); err != nil {
-			return nil, err
-		}
-		j.cond.Wait()
-	}
-	return j.res, nil
-}
-
-// Events streams progress lines to yield, starting from the first,
-// until the job finishes, yield returns false, or ctx is done.
-func (j *Job) Events(ctx context.Context, yield func(line string) bool) {
-	if ctx.Done() != nil {
-		stop := context.AfterFunc(ctx, func() {
-			j.mu.Lock()
-			j.cond.Broadcast()
-			j.mu.Unlock()
-		})
-		defer stop()
-	}
-	i := 0
-	for {
-		j.mu.Lock()
-		for i >= len(j.events) && j.res == nil && ctx.Err() == nil {
-			j.cond.Wait()
-		}
-		lines := j.events[i:]
-		i = len(j.events)
-		done := j.res != nil
-		j.mu.Unlock()
-		for _, l := range lines {
-			if !yield(l) {
-				return
-			}
-		}
-		if done || ctx.Err() != nil {
-			return
-		}
+	select {
+	case <-j.done:
+		return j.res, nil
+	case <-ctx.Done():
+		return nil, ctx.Err()
 	}
 }
 
@@ -324,11 +234,9 @@ type Server struct {
 	mu         sync.Mutex
 	draining   bool // set by Drain or Close; refuses every later submission
 	inj        *faultinject.Injector
-	jobs       map[string]*Job
-	finished   []string // finish order, for bounded retention
-	unfinished int      // admitted jobs not yet retired, queued or running
-	admitted   int64    // jobs admitted over the server's lifetime; the last ID
-	shed       int64    // submissions rejected with KindShed
+	unfinished int   // admitted jobs not yet retired, queued or running
+	admitted   int64 // jobs admitted over the server's lifetime; the last ID
+	shed       int64 // submissions rejected with KindShed
 
 	inflight sync.WaitGroup
 
@@ -340,9 +248,6 @@ type Server struct {
 	started time.Time
 }
 
-// keepJobs bounds how many finished jobs stay queryable.
-const keepJobs = 256
-
 // New returns an idle daemon; Serve starts it on a listener.
 func New(cfg Config) *Server {
 	cfg = cfg.withDefaults()
@@ -351,7 +256,6 @@ func New(cfg Config) *Server {
 		cfg:        cfg,
 		slots:      make(chan struct{}, cfg.Workers),
 		inj:        faultinject.NewInjector(cfg.Inject),
-		jobs:       map[string]*Job{},
 		baseCtx:    ctx,
 		baseCancel: cancel,
 		started:    time.Now(),
@@ -428,14 +332,15 @@ func (s *Server) Submit(req Request) (*Job, error) {
 	} else {
 		ctx, cancel = context.WithCancel(s.baseCtx)
 	}
-	j := newJob(fmt.Sprintf("job-%d", s.admitted), req, ctx, cancel)
-	j.injPanic, j.injStall, j.injSlow, j.inject = injPanic, injStall, injSlow, inject
-	s.jobs[j.ID] = j
+	j := &Job{
+		ID: fmt.Sprintf("job-%d", s.admitted), Req: req,
+		done: make(chan struct{}), ctx: ctx, cancel: cancel, accepted: time.Now(),
+		injPanic: injPanic, injStall: injStall, injSlow: injSlow, inject: inject,
+	}
 	s.inflight.Add(1)
 	running, queued := s.loadLocked()
 	s.mu.Unlock()
 
-	j.event("accepted " + j.ID)
 	go s.runJob(j)
 	s.cfg.Log.Printf("janusd: %s accepted (queued %d, running %d)", j.ID, queued, running)
 	return j, nil
@@ -448,14 +353,6 @@ func (s *Server) Submit(req Request) (*Job, error) {
 func (s *Server) loadLocked() (running, queued int) {
 	running = len(s.slots)
 	return running, s.unfinished - running
-}
-
-// Job returns a live or retained job by ID.
-func (s *Server) Job(id string) (*Job, bool) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	j, ok := s.jobs[id]
-	return j, ok
 }
 
 // runJob is an admitted job's goroutine: it waits for a slot (or its
@@ -474,7 +371,7 @@ func (s *Server) runJob(j *Job) {
 			})
 		}
 	}()
-	defer s.retire(j.ID)
+	defer s.retire()
 
 	select {
 	case s.slots <- struct{}{}:
@@ -493,16 +390,13 @@ func (s *Server) run(j *Job) {
 	if j.injStall {
 		// The job wedges between taking its slot and starting: deadline
 		// and shedding behaviour under a stalled dispense path.
-		j.event("fault: queue-stall")
 		s.sleep(j.ctx, s.cfg.StallDelay)
 	}
 	if err := j.ctx.Err(); err != nil {
 		j.finish(classify(fmt.Errorf("expired before start: %w", err), err))
 		return
 	}
-	j.setState(StateRunning)
 	if j.injSlow {
-		j.event("fault: slow-worker")
 		s.sleep(j.ctx, s.cfg.StallDelay)
 		// Re-check after the stall: a job whose deadline passed (or that
 		// was cancelled by a hard drain) must report the typed error, not
@@ -517,17 +411,7 @@ func (s *Server) run(j *Job) {
 	}
 
 	rec := &harness.RecoveryLog{}
-	opts := j.Req.options(j.inject, s.cfg.CacheDir, rec, func(ev harness.ProgressEvent) {
-		switch ev.State {
-		case "row":
-			j.event(fmt.Sprintf("rows %d", ev.Rows))
-		case "failed":
-			j.event(fmt.Sprintf("%s %s: %s", ev.Experiment, ev.State, firstLine(ev.Err)))
-		default:
-			j.event(fmt.Sprintf("%s %s", ev.Experiment, ev.State))
-		}
-	})
-
+	opts := j.Req.options(j.inject, s.cfg.CacheDir, rec)
 	out, err := harness.RenderAllContext(j.ctx, opts, j.Req.Fig, j.Req.Table)
 	res := &Response{
 		Output:     out,
@@ -542,17 +426,11 @@ func (s *Server) run(j *Job) {
 	j.finish(res)
 }
 
-// retire frees the job's place under the admission bound and bounds
-// the finished-job registry.
-func (s *Server) retire(id string) {
+// retire frees the job's place under the admission bound.
+func (s *Server) retire() {
 	s.mu.Lock()
-	defer s.mu.Unlock()
 	s.unfinished--
-	s.finished = append(s.finished, id)
-	for len(s.finished) > keepJobs {
-		delete(s.jobs, s.finished[0])
-		s.finished = s.finished[1:]
-	}
+	s.mu.Unlock()
 }
 
 // classify maps a render/lifecycle error to a typed failure response.

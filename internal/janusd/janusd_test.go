@@ -95,6 +95,59 @@ func waitFor(t *testing.T, what string, cond func() bool) {
 	t.Fatalf("timed out waiting for %s", what)
 }
 
+// reply is one finished /v1/render exchange.
+type reply struct {
+	status int
+	body   []byte
+	err    error
+}
+
+// renderAsync posts body to /v1/render on its own goroutine and
+// delivers the exchange once it ends, so a test can act while the job
+// it submitted is queued or running.
+func renderAsync(base, body string) <-chan reply {
+	c := make(chan reply, 1)
+	go func() {
+		res, err := http.Post(base+"/v1/render", "application/json", strings.NewReader(body))
+		if err != nil {
+			c <- reply{err: err}
+			return
+		}
+		payload, err := io.ReadAll(res.Body)
+		res.Body.Close()
+		c <- reply{res.StatusCode, payload, err}
+	}()
+	return c
+}
+
+// statusz fetches the daemon's /statusz snapshot over HTTP.
+func statusz(t *testing.T, base string) Stats {
+	t.Helper()
+	res, payload := getBody(t, base+"/statusz")
+	var st Stats
+	if err := json.Unmarshal(payload, &st); err != nil || res.StatusCode != http.StatusOK {
+		t.Fatalf("statusz: %d %v: %s", res.StatusCode, err, payload)
+	}
+	return st
+}
+
+// waitRunning waits until /statusz counts n jobs holding a run slot.
+func waitRunning(t *testing.T, base string, n int) {
+	t.Helper()
+	waitFor(t, fmt.Sprintf("%d jobs running", n), func() bool { return statusz(t, base).Running == n })
+}
+
+// wantTab2 fails unless r is a 200 whose body is the Table II render.
+func wantTab2(t *testing.T, what string, r reply) {
+	t.Helper()
+	if r.err != nil {
+		t.Fatalf("%s: %v", what, r.err)
+	}
+	if r.status != http.StatusOK || string(r.body) != tab2Expected(t) {
+		t.Fatalf("%s: status %d: %s", what, r.status, r.body)
+	}
+}
+
 // TestRenderSync pins the synchronous endpoint: the body is the exact
 // bytes a local render produces, with job metadata in headers.
 func TestRenderSync(t *testing.T) {
@@ -112,68 +165,8 @@ func TestRenderSync(t *testing.T) {
 	if ct := res.Header.Get("Content-Type"); !strings.HasPrefix(ct, "text/plain") {
 		t.Fatalf("content type %q", ct)
 	}
-}
-
-// TestJobLifecycle drives the async API end to end: submit, status,
-// events, result.
-func TestJobLifecycle(t *testing.T) {
-	_, base, _ := startServer(t, Config{Workers: 2})
-	res, payload := postJSON(t, base+"/v1/jobs", `{"table":2}`)
-	if res.StatusCode != http.StatusAccepted {
-		t.Fatalf("submit status %d: %s", res.StatusCode, payload)
-	}
-	var acc Response
-	if err := json.Unmarshal(payload, &acc); err != nil {
-		t.Fatal(err)
-	}
-	if acc.ID == "" {
-		t.Fatalf("no job ID in %s", payload)
-	}
-
-	res, payload = getBody(t, base+"/v1/jobs/"+acc.ID+"/result")
-	if res.StatusCode != http.StatusOK {
-		t.Fatalf("result status %d: %s", res.StatusCode, payload)
-	}
-	var final Response
-	if err := json.Unmarshal(payload, &final); err != nil {
-		t.Fatal(err)
-	}
-	if final.State != StateDone || final.Output != tab2Expected(t) {
-		t.Fatalf("unexpected terminal response: state %s, %d bytes", final.State, len(final.Output))
-	}
-
-	res, payload = getBody(t, base+"/v1/jobs/"+acc.ID)
-	if res.StatusCode != http.StatusOK {
-		t.Fatalf("status status %d", res.StatusCode)
-	}
-
-	res, payload = getBody(t, base+"/v1/jobs/"+acc.ID+"/events")
-	if res.StatusCode != http.StatusOK {
-		t.Fatalf("events status %d", res.StatusCode)
-	}
-	ev := string(payload)
-	for _, want := range []string{"accepted " + acc.ID, "state running", "tab2 start", "tab2 done", "state done"} {
-		if !strings.Contains(ev, want) {
-			t.Fatalf("event stream missing %q:\n%s", want, ev)
-		}
-	}
-
-	res, payload = getBody(t, base+"/statusz")
-	var st Stats
-	if err := json.Unmarshal(payload, &st); err != nil || res.StatusCode != http.StatusOK {
-		t.Fatalf("statusz: %d %v: %s", res.StatusCode, err, payload)
-	}
-	if st.Served < 1 || st.PID != os.Getpid() {
+	if st := statusz(t, base); st.Served != 1 || st.PID != os.Getpid() {
 		t.Fatalf("statusz: %+v", st)
-	}
-
-	res, payload = getBody(t, base+"/v1/jobs/nope")
-	if res.StatusCode != http.StatusNotFound {
-		t.Fatalf("unknown job status %d: %s", res.StatusCode, payload)
-	}
-	var nf Response
-	if err := json.Unmarshal(payload, &nf); err != nil || nf.ErrKind != KindNotFound {
-		t.Fatalf("unknown job kind %q err %v", nf.ErrKind, err)
 	}
 }
 
@@ -197,16 +190,10 @@ func TestLoadShedding(t *testing.T) {
 		Inject:     mustPlan(t, "slow-worker@1"),
 		StallDelay: 500 * time.Millisecond,
 	})
-	res, payload := postJSON(t, base+"/v1/jobs", `{"table":2}`)
-	if res.StatusCode != http.StatusAccepted {
-		t.Fatalf("first submit: status %d: %s", res.StatusCode, payload)
-	}
-	var acc Response
-	if err := json.Unmarshal(payload, &acc); err != nil {
-		t.Fatal(err)
-	}
+	wedged := renderAsync(base, `{"table":2}`)
+	waitRunning(t, base, 1)
 
-	res, payload = postJSON(t, base+"/v1/render", `{"table":2}`)
+	res, payload := postJSON(t, base+"/v1/render", `{"table":2}`)
 	if res.StatusCode != http.StatusTooManyRequests {
 		t.Fatalf("overload status %d, want 429: %s", res.StatusCode, payload)
 	}
@@ -222,14 +209,7 @@ func TestLoadShedding(t *testing.T) {
 	}
 
 	// The wedged job still completes correctly.
-	res, payload = getBody(t, base+"/v1/jobs/"+acc.ID+"/result")
-	var final Response
-	if err := json.Unmarshal(payload, &final); err != nil {
-		t.Fatal(err)
-	}
-	if final.State != StateDone || final.Output != tab2Expected(t) {
-		t.Fatalf("wedged job did not finish cleanly: %s %s", final.State, final.Err)
-	}
+	wantTab2(t, "wedged job", <-wedged)
 }
 
 // TestClientBackoffCompletesAll is the load-shed acceptance shape at
@@ -390,29 +370,10 @@ func TestDrainGraceful(t *testing.T) {
 		Inject:     mustPlan(t, "slow-worker@1"),
 		StallDelay: 400 * time.Millisecond,
 	})
-	res, payload := postJSON(t, base+"/v1/jobs", `{"table":2}`)
-	if res.StatusCode != http.StatusAccepted {
-		t.Fatalf("submit: %d %s", res.StatusCode, payload)
-	}
-	var acc Response
-	if err := json.Unmarshal(payload, &acc); err != nil {
-		t.Fatal(err)
-	}
-	j, ok := s.Job(acc.ID)
-	if !ok {
-		t.Fatal("job vanished")
-	}
-	waitFor(t, "job running", func() bool { return j.State() == StateRunning })
-
-	// Open the result exchange before draining: its response must be
+	// The render exchange is open before draining: its response must be
 	// delivered through the drain.
-	resultc := make(chan *Response, 1)
-	go func() {
-		_, payload := getBody(t, base+"/v1/jobs/"+acc.ID+"/result")
-		var r Response
-		_ = json.Unmarshal(payload, &r)
-		resultc <- &r
-	}()
+	inflight := renderAsync(base, `{"table":2}`)
+	waitRunning(t, base, 1)
 
 	drainErr := make(chan error, 1)
 	go func() {
@@ -425,7 +386,7 @@ func TestDrainGraceful(t *testing.T) {
 	if res, _ := getBody(t, base+"/readyz"); res.StatusCode != http.StatusServiceUnavailable {
 		t.Fatalf("readyz while draining: %d", res.StatusCode)
 	}
-	if res, payload := postJSON(t, base+"/v1/jobs", `{"table":2}`); res.StatusCode != http.StatusServiceUnavailable {
+	if res, payload := postJSON(t, base+"/v1/render", `{"table":2}`); res.StatusCode != http.StatusServiceUnavailable {
 		t.Fatalf("submit while draining: %d %s", res.StatusCode, payload)
 	} else {
 		var r Response
@@ -434,10 +395,7 @@ func TestDrainGraceful(t *testing.T) {
 		}
 	}
 
-	final := <-resultc
-	if final.State != StateDone || final.Output != tab2Expected(t) {
-		t.Fatalf("in-flight job dropped by drain: %s %s", final.State, final.Err)
-	}
+	wantTab2(t, "in-flight job through the drain", <-inflight)
 	if err := <-drainErr; err != nil {
 		t.Fatalf("drain: %v", err)
 	}
@@ -455,16 +413,11 @@ func TestDrainDeadlineCancels(t *testing.T) {
 		Inject:     mustPlan(t, "slow-worker@1"),
 		StallDelay: 30 * time.Second, // far beyond the drain budget
 	})
-	res, payload := postJSON(t, base+"/v1/jobs", `{"table":2}`)
-	if res.StatusCode != http.StatusAccepted {
-		t.Fatalf("submit: %d %s", res.StatusCode, payload)
-	}
-	var acc Response
-	if err := json.Unmarshal(payload, &acc); err != nil {
+	j, err := s.Submit(Request{Table: 2})
+	if err != nil {
 		t.Fatal(err)
 	}
-	j, _ := s.Job(acc.ID)
-	waitFor(t, "job running", func() bool { return j.State() == StateRunning })
+	waitRunning(t, base, 1)
 
 	ctx, cancel := context.WithTimeout(context.Background(), 50*time.Millisecond)
 	defer cancel()
@@ -489,7 +442,8 @@ func TestDrainDeadlineCancels(t *testing.T) {
 // single_goroutine and jobs fields (a client may not choose where the
 // daemon writes, nor its engine or row concurrency), a thread count
 // above maxThreads and a body over maxRequestBytes are refused with
-// typed 400s before admission.
+// typed 400s before admission; the retired job routes answer 404 and
+// admit nothing.
 func TestBadRequests(t *testing.T) {
 	s, base, _ := startServer(t, Config{Workers: 1})
 	for _, body := range []string{
@@ -506,6 +460,22 @@ func TestBadRequests(t *testing.T) {
 		var r Response
 		if err := json.Unmarshal(payload, &r); err != nil || r.ErrKind != KindBadRequest {
 			t.Fatalf("body %.40q: kind %q err %v", body, r.ErrKind, err)
+		}
+	}
+	for _, route := range []struct{ method, path string }{
+		{http.MethodPost, "/v1/jobs"}, {http.MethodGet, "/v1/jobs/job-1"},
+	} {
+		req, err := http.NewRequest(route.method, base+route.path, strings.NewReader(`{"table":2}`))
+		if err != nil {
+			t.Fatal(err)
+		}
+		res, err := http.DefaultClient.Do(req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		res.Body.Close()
+		if res.StatusCode != http.StatusNotFound {
+			t.Fatalf("%s %s: status %d, want 404", route.method, route.path, res.StatusCode)
 		}
 	}
 	if s.Snapshot().Served != 0 {
@@ -602,36 +572,6 @@ func TestGoldenThroughService(t *testing.T) {
 	}
 }
 
-// TestEventsStreamFullSuite (cheap slice): progress events stream over
-// HTTP while a render runs and end with the terminal state.
-func TestEventsStream(t *testing.T) {
-	_, base, _ := startServer(t, Config{
-		Workers:    1,
-		Inject:     mustPlan(t, "slow-worker@1"),
-		StallDelay: 100 * time.Millisecond,
-	})
-	res, payload := postJSON(t, base+"/v1/jobs", `{"table":2}`)
-	var acc Response
-	if err := json.Unmarshal(payload, &acc); err != nil || res.StatusCode != http.StatusAccepted {
-		t.Fatalf("submit: %d %s", res.StatusCode, payload)
-	}
-	// Stream while the job is still stalled: the body must deliver
-	// lines incrementally and close at the terminal state.
-	hres, err := http.Get(base + "/v1/jobs/" + acc.ID + "/events")
-	if err != nil {
-		t.Fatal(err)
-	}
-	body, err := io.ReadAll(hres.Body)
-	hres.Body.Close()
-	if err != nil {
-		t.Fatal(err)
-	}
-	ev := string(body)
-	if !strings.Contains(ev, "fault: slow-worker") || !strings.Contains(ev, "state done") {
-		t.Fatalf("stream missing expected lines:\n%s", ev)
-	}
-}
-
 // TestUnopenableCacheDegradesOnce: a daemon whose CacheDir cannot be
 // opened says so once at start-up and then serves uncached, instead of
 // failing every request on the same open error.
@@ -653,23 +593,12 @@ func TestUnopenableCacheDegradesOnce(t *testing.T) {
 	}
 }
 
-var _ = fmt.Sprintf // keep fmt import if assertions above change
-
 // TestStatuszShowsFreeListReuse: /statusz reports the free lists a
 // render draws from, and a second render of the same figure — its
 // results dropped from memory, so its machines and profiles run again —
 // takes page blocks and dependence tables the first one returned.
 func TestStatuszShowsFreeListReuse(t *testing.T) {
 	_, base, _ := startServer(t, Config{Workers: 1})
-	statusz := func() harness.FreeLists {
-		t.Helper()
-		res, payload := getBody(t, base+"/statusz")
-		var st Stats
-		if err := json.Unmarshal(payload, &st); err != nil || res.StatusCode != http.StatusOK {
-			t.Fatalf("statusz: %d %v: %s", res.StatusCode, err, payload)
-		}
-		return st.FreeLists
-	}
 	c := &Client{Base: base}
 	render := func() {
 		t.Helper()
@@ -679,9 +608,9 @@ func TestStatuszShowsFreeListReuse(t *testing.T) {
 		}
 	}
 	render()
-	first := statusz()
+	first := statusz(t, base).FreeLists
 	render()
-	second := statusz()
+	second := statusz(t, base).FreeLists
 	if second.VMBlocks.Reused <= first.VMBlocks.Reused || second.ProfilerTables.Reused <= first.ProfilerTables.Reused {
 		t.Fatalf("second render reused nothing: after the first %+v, after the second %+v", first, second)
 	}
@@ -697,16 +626,14 @@ func TestQueuedDeadlineEndsWait(t *testing.T) {
 		Inject:     mustPlan(t, "slow-worker@1"),
 		StallDelay: 2 * time.Second,
 	})
-	res, payload := postJSON(t, base+"/v1/jobs", `{"table":2}`)
-	var acc Response
-	if err := json.Unmarshal(payload, &acc); err != nil || res.StatusCode != http.StatusAccepted {
-		t.Fatalf("submit: %d %s", res.StatusCode, payload)
+	first, err := s.Submit(Request{Table: 2})
+	if err != nil {
+		t.Fatal(err)
 	}
-	first, _ := s.Job(acc.ID)
-	waitFor(t, "first job running", func() bool { return first.State() == StateRunning })
+	waitRunning(t, base, 1)
 
 	start := time.Now()
-	res, payload = postJSON(t, base+"/v1/render", `{"table":2,"deadline_ms":100}`)
+	res, payload := postJSON(t, base+"/v1/render", `{"table":2,"deadline_ms":100}`)
 	if res.StatusCode != http.StatusGatewayTimeout {
 		t.Fatalf("status %d, want 504: %s", res.StatusCode, payload)
 	}
@@ -714,8 +641,10 @@ func TestQueuedDeadlineEndsWait(t *testing.T) {
 	if err := json.Unmarshal(payload, &r); err != nil || r.ErrKind != KindDeadline {
 		t.Fatalf("kind %q err %v: %s", r.ErrKind, err, payload)
 	}
-	if first.State() != StateRunning {
+	select {
+	case <-first.done:
 		t.Fatalf("the queued job's 504 came after %v, once the job ahead of it had finished", time.Since(start))
+	default:
 	}
 }
 
@@ -732,65 +661,53 @@ func TestAdmissionBoundExact(t *testing.T) {
 		Inject:     mustPlan(t, "slow-worker@1"),
 		StallDelay: time.Second,
 	})
-	submit := func() (*http.Response, Response) {
-		t.Helper()
-		res, payload := postJSON(t, base+"/v1/jobs", `{"table":2}`)
-		var r Response
-		if err := json.Unmarshal(payload, &r); err != nil {
-			t.Fatalf("submit: %d %s", res.StatusCode, payload)
-		}
-		return res, r
-	}
-	var ids []string
+	var jobs []*Job
 	for i := 0; i < workers+depth; i++ {
-		res, r := submit()
-		if res.StatusCode != http.StatusAccepted {
-			t.Fatalf("submission %d: status %d (%s %s)", i, res.StatusCode, r.ErrKind, r.Err)
+		j, err := s.Submit(Request{Table: 2})
+		if err != nil {
+			t.Fatalf("submission %d: %v", i, err)
 		}
-		ids = append(ids, r.ID)
+		jobs = append(jobs, j)
 	}
-	waitFor(t, "both workers busy", func() bool { return s.Snapshot().Running == workers })
-	if st := s.Snapshot(); st.Queued != depth || st.Cap != workers {
-		t.Fatalf("snapshot %+v, want cap %d, queued %d", st, workers, depth)
+	waitRunning(t, base, workers)
+	if st := statusz(t, base); st.Queued != depth || st.Cap != workers {
+		t.Fatalf("statusz %+v, want cap %d, queued %d", st, workers, depth)
 	}
-	res, r := submit()
-	if res.StatusCode != http.StatusTooManyRequests || r.ErrKind != KindShed {
-		t.Fatalf("over-bound submission: status %d kind %q, want 429 shed", res.StatusCode, r.ErrKind)
+	res, payload := postJSON(t, base+"/v1/render", `{"table":2}`)
+	var r Response
+	if err := json.Unmarshal(payload, &r); err != nil || res.StatusCode != http.StatusTooManyRequests || r.ErrKind != KindShed {
+		t.Fatalf("over-bound submission: status %d kind %q, want 429 shed: %s", res.StatusCode, r.ErrKind, payload)
 	}
 	if res.Header.Get("Retry-After") == "" {
 		t.Fatal("429 without Retry-After")
 	}
 
 	waitFor(t, "capacity to free", func() bool {
-		st := s.Snapshot()
+		st := statusz(t, base)
 		return st.Running+st.Queued < workers+depth
 	})
-	res, r = submit()
-	if res.StatusCode != http.StatusAccepted {
-		t.Fatalf("submission after capacity freed: status %d (%s %s)", res.StatusCode, r.ErrKind, r.Err)
+	j, err := s.Submit(Request{Table: 2})
+	if err != nil {
+		t.Fatalf("submission after capacity freed: %v", err)
 	}
-	ids = append(ids, r.ID)
+	jobs = append(jobs, j)
 
 	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
 	defer cancel()
 	if err := s.Drain(ctx); err != nil {
 		t.Fatalf("drain: %v", err)
 	}
-	for _, id := range ids {
-		j, ok := s.Job(id)
-		if !ok {
-			t.Fatalf("job %s vanished", id)
-		}
+	for _, j := range jobs {
 		final, err := j.Wait(context.Background())
 		if err != nil {
 			t.Fatal(err)
 		}
 		if final.State != StateDone || final.Output != tab2Expected(t) {
-			t.Fatalf("job %s: state %s err %s", id, final.State, final.Err)
+			t.Fatalf("job %s: state %s err %s", j.ID, final.State, final.Err)
 		}
 	}
-	if st := s.Snapshot(); st.Running != 0 || st.Queued != 0 || st.Served != int64(len(ids)) || st.Shed != 1 {
-		t.Fatalf("snapshot after drain %+v, want 0 running, 0 queued, %d served, 1 shed", st, len(ids))
+	if st := s.Snapshot(); st.Running != 0 || st.Queued != 0 || st.Served != int64(len(jobs)) || st.Shed != 1 {
+		t.Fatalf("snapshot after drain %+v, want 0 running, 0 queued, %d served, 1 shed", st, len(jobs))
 	}
 }
 
@@ -842,18 +759,12 @@ func TestSubmitRacingDrain(t *testing.T) {
 	wg.Wait()
 
 	for _, j := range accepted {
-		j.mu.Lock()
-		res, terminal := j.res, 0
-		for _, line := range j.events {
-			if line == "state "+StateDone || line == "state "+StateFailed {
-				terminal++
-			}
+		select {
+		case <-j.done:
+		default:
+			t.Fatalf("%s has no terminal response after drain", j.ID)
 		}
-		j.mu.Unlock()
-		if res == nil || terminal != 1 {
-			t.Fatalf("%s after drain: response %v, %d terminal events", j.ID, res, terminal)
-		}
-		if res.State != StateDone || res.Output != want {
+		if res := j.res; res.State != StateDone || res.Output != want {
 			t.Fatalf("%s: state %s err %s", j.ID, res.State, res.Err)
 		}
 	}
