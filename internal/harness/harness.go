@@ -62,8 +62,8 @@ type Options struct {
 	// runs: one "start"/"done"/"failed" event per experiment and one
 	// "row" tick per completed benchmark row. Events are delivered from
 	// concurrent worker goroutines, so the callback must be safe for
-	// concurrent use; janusd streams them to service clients. Progress
-	// observation never changes rendered bytes.
+	// concurrent use; bench/ times experiments and counts rows from
+	// them. Progress observation never changes rendered bytes.
 	OnProgress func(ProgressEvent)
 	// CacheDir, when non-empty, enables the durable artifact cache
 	// (janus-bench -cache-dir): workload builds and their identities,

@@ -47,20 +47,16 @@ func canceledErr(ctx context.Context) error {
 // ProgressEvent is one tick of a running suite render, delivered to
 // Options.OnProgress. Experiment-level events carry the artefact name
 // and a State of "start", "done" or "failed"; row-level ticks have
-// State "row" with an empty Experiment. Rows is the cumulative count
-// of benchmark rows completed across the whole run at emission time.
+// State "row" with an empty Experiment.
 type ProgressEvent struct {
 	Experiment string
 	State      string
-	Rows       int
-	Err        string
 }
 
 // scheduler bounds row-level concurrency across the whole suite.
 type scheduler struct {
 	ctx        context.Context
 	slots      chan struct{}
-	rows       atomic.Int64
 	onProgress func(ProgressEvent)
 }
 
@@ -77,13 +73,11 @@ func newScheduler(ctx context.Context, jobs int, onProgress func(ProgressEvent))
 	return &scheduler{ctx: ctx, slots: make(chan struct{}, jobs), onProgress: onProgress}
 }
 
-// emit delivers a progress event, filling in the cumulative row count.
+// emit delivers a progress event.
 func (s *scheduler) emit(ev ProgressEvent) {
-	if s.onProgress == nil {
-		return
+	if s.onProgress != nil {
+		s.onProgress(ev)
 	}
-	ev.Rows = int(s.rows.Load())
-	s.onProgress(ev)
 }
 
 // forEach runs f(0..n-1) on the bounded pool and returns the
@@ -128,7 +122,6 @@ func (s *scheduler) forEach(n int, f func(i int) error) error {
 				errs[i] = err
 				return
 			}
-			s.rows.Add(1)
 			s.emit(ProgressEvent{State: "row"})
 		}(i)
 	}

@@ -118,13 +118,13 @@ func renderAll(r *render, fig, table int) (string, error) {
 			defer func() {
 				if p := recover(); p != nil {
 					errs[i] = fmt.Errorf("experiment panicked: %v\n%s", p, debug.Stack())
-					s.emit(ProgressEvent{Experiment: e.Name, State: "failed", Err: fmt.Sprint(p)})
+					s.emit(ProgressEvent{Experiment: e.Name, State: "failed"})
 				}
 			}()
 			s.emit(ProgressEvent{Experiment: e.Name, State: "start"})
 			outs[i], errs[i] = e.render(r)
 			if errs[i] != nil {
-				s.emit(ProgressEvent{Experiment: e.Name, State: "failed", Err: errs[i].Error()})
+				s.emit(ProgressEvent{Experiment: e.Name, State: "failed"})
 			} else {
 				s.emit(ProgressEvent{Experiment: e.Name, State: "done"})
 			}
