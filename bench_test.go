@@ -4,8 +4,8 @@
 //	go test -bench=. -benchmem
 //
 // Each reports its headline metric as custom units (speedups). Plans
-// and results are memoised per process, so every iteration starts from
-// empty memos: the time is a run's, not a lookup's. The figures and
+// and results are memoised per janus.Session, so every iteration starts
+// in a fresh one: the time is a run's, not a lookup's. The figures and
 // tables themselves are timed by bench/ (harness.figN_s, suite_off).
 package janus_test
 
@@ -26,12 +26,12 @@ func BenchmarkAblation_NoProfile(b *testing.B) {
 		b.Fatal(err)
 	}
 	for i := 0; i < b.N; i++ {
-		janus.ResetMemos()
-		static, err := janus.Parallelise(exe, janus.Config{Threads: 8}, libs...)
+		s := janus.NewSession(nil)
+		static, err := janus.Parallelise(exe, janus.Config{Threads: 8, Session: s}, libs...)
 		if err != nil {
 			b.Fatal(err)
 		}
-		prof, err := janus.Parallelise(exe, janus.Config{Threads: 8, UseProfile: true}, libs...)
+		prof, err := janus.Parallelise(exe, janus.Config{Threads: 8, UseProfile: true, Session: s}, libs...)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -48,12 +48,12 @@ func BenchmarkAblation_NoChecks(b *testing.B) {
 		b.Fatal(err)
 	}
 	for i := 0; i < b.N; i++ {
-		janus.ResetMemos()
-		off, err := janus.Parallelise(exe, janus.Config{Threads: 8, UseProfile: true}, libs...)
+		s := janus.NewSession(nil)
+		off, err := janus.Parallelise(exe, janus.Config{Threads: 8, UseProfile: true, Session: s}, libs...)
 		if err != nil {
 			b.Fatal(err)
 		}
-		on, err := janus.Parallelise(exe, janus.Config{Threads: 8, UseProfile: true, UseChecks: true}, libs...)
+		on, err := janus.Parallelise(exe, janus.Config{Threads: 8, UseProfile: true, UseChecks: true, Session: s}, libs...)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -75,7 +75,6 @@ func BenchmarkAblation_TranslationCost(b *testing.B) {
 		b.Fatal(err)
 	}
 	for i := 0; i < b.N; i++ {
-		janus.ResetMemos()
 		for _, cost := range []int64{0, 60, 240} {
 			cm := dbm.DefaultCost()
 			cm.TransPerInst = cost

@@ -10,6 +10,7 @@ import (
 	"slices"
 	"strconv"
 	"sync"
+	"sync/atomic"
 
 	"janus/internal/analyzer"
 	"janus/internal/artcache"
@@ -17,6 +18,7 @@ import (
 	"janus/internal/obj"
 	"janus/internal/rules"
 	"janus/internal/vm"
+	"janus/internal/workloads"
 )
 
 // Cached stages. Native execution, the training profile, the train
@@ -24,43 +26,38 @@ import (
 // schedule) and a DBM run are deterministic functions of the binary
 // (plus schedule and configuration), and the evaluation harness asks
 // for the same ones many times: figure 9 alone replays one binary at
-// eight thread counts, each replay needing the identical native result
-// and plan, and with the experiment scheduler several rows ask
-// concurrently. Each stage is therefore one artcache.Tier instance —
-// memory singleflight → disk → compute → publish, written once in
-// internal/artcache — and this file only declares what distinguishes
-// them: the memory key, the disk key and the payload codec.
+// eight thread counts, and with the experiment scheduler several rows
+// ask concurrently. Each stage is therefore one artcache.Tier — memory
+// singleflight → disk → compute → publish — owned by a Session, and
+// this file only declares what distinguishes them: the memory key, the
+// disk key and the payload codec.
 //
 // Every stage takes the binary as an *obj.Binary handle. The handle
-// pointer is the memory key (workloads.Open returns a stable handle per
-// (name, input, opt), BinaryOf one per executable pointer, so a pointer
-// can never alias two different programs); the handle's ID — recorded
-// beside a stored build, or hashed once from a resident image — is the
-// content identity in every disk key; and the image is asked for only
-// inside a computation, so a stage replayed from the store never loads
-// it. The disk tier is Config.Cache; nil leaves the memory tier alone
-// and never derives a disk key, so no identity is ever hashed.
+// pointer is the memory key (a session hands out one handle per build
+// and per resident image, so a pointer never aliases two programs); the
+// handle's ID — recorded beside a stored build, or hashed once from a
+// resident image — is the content identity in every disk key; and the
+// image is asked for only inside a computation, so a stage replayed
+// from the store never loads it. The disk tier is Config.Cache; nil
+// leaves the memory tier alone and never derives a disk key.
 //
-// Every stage's memory key names exactly what its disk key names
-// (handles for identities), so a render with the cache off computes
-// precisely the artifacts a cold one stores, and a second render in the
-// same process computes nothing.
+// Every memory key names exactly what its disk key names, so a render
+// with the cache off computes precisely the artifacts a cold one
+// stores, and a second render in the same session computes nothing.
 //
-//	stage            memory key                  disk
-//	binary handle    (exe, libs) pointers        ident-v1  (internal/workloads:
-//	                 identity + code size; the build itself is assembled, and
-//	                 BinaryOf's handles of resident images are memory-only)
-//	native baseline  handle                      native-v1
-//	train profile    handle                      profile-v1
-//	train analysis   handle                      —  (a live CFG/SSA graph)
-//	plan             ref, train, Selection.Key   schedule-v1  (the OFFLINE half:
-//	                 schedule and loop summary; a hit skips analysis, profile
-//	                 and image)
-//	DBM run          handle, digest, dbm.Config  dbm-v3  (fixed little-endian
-//	                 words, dbm.EncodeResult)
-//	compiler model   —  (internal/compilers: the plan under its selection, then
-//	                 RunPlanBinary under its cost model, on the Janus rows'
-//	                 baseline)
+//	Session   stage            memory key                  disk
+//	builds    registry build   (name, input, opt)          ident-v1: identity and code
+//	                                                       size (internal/workloads)
+//	handles   resident image   (exe, libs) pointers        —
+//	native    native baseline  handle                      native-v1
+//	profile   train profile    handle                      profile-v1
+//	analyze   train analysis   handle                      —  (a live CFG/SSA graph)
+//	plans     plan             ref, train, Selection.Key   schedule-v1: a hit skips
+//	                                                       analysis, profile and image
+//	runs      DBM run          handle, digest, dbm.Config  dbm-v3 (dbm.EncodeResult)
+//
+// The compiler models (internal/compilers) are clients of plans and
+// runs under their own selection and cost model.
 
 // memoLimit bounds the memory tiers a render holds at most one entry
 // per binary in (the harness working set is far smaller).
@@ -87,32 +84,112 @@ type runKey struct {
 	libs libsKey
 }
 
-// handleLimit bounds handleTier and the plan and DBM tiers. It sits
+// handleLimit bounds the handle, plan and DBM tiers. It sits
 // above the 70 binaries a full-suite render derives keys for, its 88
 // plans and its 127 runs, so a long-lived process never wraps a bound
 // and recomputes its working set.
 const handleLimit = 4 * memoLimit
 
-// handleTier maps (executable, library set) to its stable handle, on
-// the contract every pointer-keyed tier here rests on: executables and
-// libraries are never mutated after construction. The handle lives
-// beside the binary rather than inside it: it describes an executable
-// *and* a library set, and the executable alone cannot know the
-// second. An entry keeps its executable reachable, which is why the
-// tier is bounded at all.
-var handleTier = artcache.Tier[runKey, *obj.Binary]{Limit: handleLimit}
+// Session owns the memory tier of every cached stage, each with its
+// bound: its stage tiers, and the build tiers of the workloads.Memo it
+// was made over. Sessions share nothing else but the durable store and
+// the free lists. A nil *Session is the process default; ResetMemos
+// renews its stage tiers and workloads.ResetBuildCache its build tiers.
+type Session struct {
+	// handles rests on the contract of every pointer-keyed tier here:
+	// executables and libraries are never mutated after construction.
+	// A handle describes an executable *and* a library set, so it lives
+	// beside the binary, and keeps it reachable: hence the bound.
+	handles artcache.Tier[runKey, *obj.Binary]
+	native  artcache.Tier[*obj.Binary, *vm.Result]
+	analyze artcache.Tier[*obj.Binary, *analyzer.Program]
+	// profile is keyed by the binary alone: every Program reaching it is
+	// a fresh analysis of that binary, so the plans that train on one
+	// build — under the memoised train analysis or, figure 6, under the
+	// build's own — share one profile.
+	profile artcache.Tier[*obj.Binary, *ProfileResult]
+	plans   artcache.Tier[planKey, *Plan]
+	// runs answers, beneath the harness's per-render run table, distinct
+	// runs whose schedules hash equal and every later render's. v2: v1
+	// results of binaries with a vector register live into a parallel
+	// loop carry the DataHash of a run that dropped it. v3: binary words.
+	runs   artcache.Tier[dbmKey, *dbm.Result]
+	builds *workloads.Memo
+}
+
+// NewSession returns a session with empty stage tiers over builds, the
+// build tiers it shares with every session given the same memo; nil is
+// the process default's (workloads.Default).
+func NewSession(builds *workloads.Memo) *Session {
+	return &Session{
+		handles: artcache.Tier[runKey, *obj.Binary]{Limit: handleLimit},
+		native:  artcache.Tier[*obj.Binary, *vm.Result]{Kind: "native-v1", Limit: memoLimit, Encode: vm.EncodeResult, Decode: vm.DecodeResult},
+		analyze: artcache.Tier[*obj.Binary, *analyzer.Program]{Limit: memoLimit},
+		profile: artcache.Tier[*obj.Binary, *ProfileResult]{Kind: "profile-v1", Limit: memoLimit, Encode: encodeProfile, Decode: decodeProfile},
+		plans:   artcache.Tier[planKey, *Plan]{Kind: "schedule-v1", Limit: handleLimit, Encode: encodePlan, Decode: decodePlan},
+		runs:    artcache.Tier[dbmKey, *dbm.Result]{Kind: "dbm-v3", Limit: handleLimit, Encode: dbm.EncodeResult, Decode: dbm.DecodeResult},
+		builds:  builds,
+	}
+}
+
+// process is the session every caller that names none works in.
+var process atomic.Pointer[Session]
+
+func init() { process.Store(NewSession(nil)) }
+
+// orDefault resolves a nil session to the process default.
+func (s *Session) orDefault() *Session {
+	if s == nil {
+		return process.Load()
+	}
+	return s
+}
+
+// ResetMemos empties the process default's stage tiers, handles
+// included; computations in flight finish into the old ones.
+func ResetMemos() { process.Store(NewSession(nil)) }
+
+// TierStats reports the session's memory-tier counters by artifact kind,
+// assemblies under "build" (artcache.Stats.WithTiers adds the store's).
+func (s *Session) TierStats() map[string]artcache.TierStats {
+	s = s.orDefault()
+	out := s.memo().TierStats()
+	out[s.native.Kind] = s.native.Stats()
+	out[s.profile.Kind] = s.profile.Stats()
+	out[s.plans.Kind] = s.plans.Stats()
+	out[s.runs.Kind] = s.runs.Stats()
+	return out
+}
+
+// memo is the session's build memory.
+func (s *Session) memo() *workloads.Memo {
+	if s.builds == nil {
+		return workloads.Default()
+	}
+	return s.builds
+}
+
+// Open is workloads.Memo.Open in the session's build tiers.
+func (s *Session) Open(c *artcache.Cache, name string, in workloads.Input, opt workloads.OptLevel) (*obj.Binary, error) {
+	return s.orDefault().memo().Open(c, name, in, opt)
+}
+
+// BinaryOf is the process default's BinaryOf.
+func BinaryOf(exe *obj.Executable, libs ...*obj.Library) *obj.Binary {
+	return process.Load().BinaryOf(exe, libs...)
+}
 
 // BinaryOf returns the handle of a resident image: the same one for the
 // same executable pointer and library set, so the (exe, libs...) entry
 // points share memory tiers and hash each binary at most once. A set of
 // more than four libraries is too wide to key and gets a fresh handle
 // per call, which no later call can share a memoised stage with.
-func BinaryOf(exe *obj.Executable, libs ...*obj.Library) *obj.Binary {
+func (s *Session) BinaryOf(exe *obj.Executable, libs ...*obj.Library) *obj.Binary {
 	lk, ok := libsKeyOf(libs)
 	if !ok {
 		return obj.NewBinary(exe, libs...)
 	}
-	b, _ := handleTier.Do(nil, runKey{exe: exe, libs: lk}, nil, func() (*obj.Binary, error) {
+	b, _ := s.orDefault().handles.Do(nil, runKey{exe: exe, libs: lk}, nil, func() (*obj.Binary, error) {
 		return obj.NewBinary(exe, libs...), nil
 	})
 	return b
@@ -165,18 +242,11 @@ func binaryDiskKey(ids []string) artcache.Key {
 	return artcache.Key{Binary: ids[0]}
 }
 
-var nativeTier = artcache.Tier[*obj.Binary, *vm.Result]{
-	Kind:   "native-v1",
-	Limit:  memoLimit,
-	Encode: vm.EncodeResult,
-	Decode: vm.DecodeResult,
-}
-
 // runNativeBaseline is the native-baseline stage: bin runs natively at
 // most once per handle even under concurrent callers, and not at all
 // when c holds its result.
-func runNativeBaseline(c *artcache.Cache, bin *obj.Binary) (*vm.Result, error) {
-	return staged(&nativeTier, c, bin, []*obj.Binary{bin}, binaryDiskKey, func() (*vm.Result, error) {
+func (s *Session) runNativeBaseline(c *artcache.Cache, bin *obj.Binary) (*vm.Result, error) {
+	return staged(&s.native, c, bin, []*obj.Binary{bin}, binaryDiskKey, func() (*vm.Result, error) {
 		exe, libs, err := bin.Image()
 		if err != nil {
 			return nil, err
@@ -190,17 +260,15 @@ func runNativeBaseline(c *artcache.Cache, bin *obj.Binary) (*vm.Result, error) {
 // natively at most once per (executable, libraries) even under
 // concurrent callers.
 func RunNativeBaselineCached(c *artcache.Cache, exe *obj.Executable, libs ...*obj.Library) (*vm.Result, error) {
-	return runNativeBaseline(c, BinaryOf(exe, libs...))
+	return process.Load().runNativeBaseline(c, BinaryOf(exe, libs...))
 }
-
-var analyzeTier = artcache.Tier[*obj.Binary, *analyzer.Program]{Limit: memoLimit}
 
 // runAnalyzeMemo returns the static analysis of bin, running it at
 // most once per handle. The shared Program is read-only in the
 // profiling path (GenProfileSchedule builds a fresh schedule; the
 // Apply* mutators are only ever called on per-plan analyses).
-func runAnalyzeMemo(bin *obj.Binary) (*analyzer.Program, error) {
-	return analyzeTier.Do(nil, bin, nil, func() (*analyzer.Program, error) {
+func (s *Session) runAnalyzeMemo(bin *obj.Binary) (*analyzer.Program, error) {
+	return s.analyze.Do(nil, bin, nil, func() (*analyzer.Program, error) {
 		exe, _, err := bin.Image()
 		if err != nil {
 			return nil, err
@@ -209,24 +277,11 @@ func runAnalyzeMemo(bin *obj.Binary) (*analyzer.Program, error) {
 	})
 }
 
-// profileTier is keyed by the binary alone, in memory as on disk: every
-// Program reaching it is a fresh deterministic analysis of that binary
-// (the Apply* mutations happen downstream on ref analyses), so the
-// binary subsumes it, and the plans that train on one build — under the
-// memoised train analysis or, figure 6, under the build's own — share
-// one profile.
-var profileTier = artcache.Tier[*obj.Binary, *ProfileResult]{
-	Kind:   "profile-v1",
-	Limit:  memoLimit,
-	Encode: encodeProfile,
-	Decode: decodeProfile,
-}
-
 // runProfiling is the train-profile stage: the profile of bin is taken
 // at most once per handle even under concurrent callers; prog, an
 // unmodified analysis of bin, instruments the run when there is one.
-func runProfiling(c *artcache.Cache, bin *obj.Binary, prog *analyzer.Program) (*ProfileResult, error) {
-	return staged(&profileTier, c, bin, []*obj.Binary{bin}, binaryDiskKey, func() (*ProfileResult, error) {
+func (s *Session) runProfiling(c *artcache.Cache, bin *obj.Binary, prog *analyzer.Program) (*ProfileResult, error) {
+	return staged(&s.profile, c, bin, []*obj.Binary{bin}, binaryDiskKey, func() (*ProfileResult, error) {
 		exe, libs, err := bin.Image()
 		if err != nil {
 			return nil, err
@@ -240,7 +295,7 @@ func runProfiling(c *artcache.Cache, bin *obj.Binary, prog *analyzer.Program) (*
 // concurrent callers, and a replayed one equals a computed one. prog
 // must be an unmodified analysis of exe.
 func RunProfilingCached(c *artcache.Cache, exe *obj.Executable, prog *analyzer.Program, libs ...*obj.Library) (*ProfileResult, error) {
-	return runProfiling(c, BinaryOf(exe, libs...), prog)
+	return process.Load().runProfiling(c, BinaryOf(exe, libs...), prog)
 }
 
 // profilePayload is the disk form of a ProfileResult.
@@ -283,19 +338,6 @@ type dbmKey struct {
 	bin   *obj.Binary
 	sched string
 	cfg   dbm.Config
-}
-
-// dbmTier holds whole results beneath the harness's per-render run
-// table: distinct runs whose schedules hash equal, and every run of a
-// later render in the same process, are answered here. v2: v1 results
-// of binaries with a vector register live into a parallel loop carry
-// the DataHash of a run that dropped it. v3: the payload is binary
-// words, not JSON.
-var dbmTier = artcache.Tier[dbmKey, *dbm.Result]{
-	Kind:   "dbm-v3",
-	Limit:  handleLimit,
-	Encode: dbm.EncodeResult,
-	Decode: dbm.DecodeResult,
 }
 
 // scheduleDigest names a rewrite schedule by the SHA-256 of its
@@ -357,7 +399,7 @@ func costKey(m dbm.CostModel) string {
 // the key. Profiling runs go through the profile tier instead, and a
 // schedule with no digest (unserialisable, hand-built plan) has nothing
 // to be keyed by.
-func runDBM(c *artcache.Cache, bin *obj.Binary, sched *rules.Schedule, digest string, dcfg dbm.Config) (*dbm.Result, error) {
+func (s *Session) runDBM(c *artcache.Cache, bin *obj.Binary, sched *rules.Schedule, digest string, dcfg dbm.Config) (*dbm.Result, error) {
 	compute := func() (*dbm.Result, error) {
 		exe, libs, err := bin.Image()
 		if err != nil {
@@ -371,47 +413,22 @@ func runDBM(c *artcache.Cache, bin *obj.Binary, sched *rules.Schedule, digest st
 		return ex.Run()
 	}
 	if dcfg.Inject != nil || dcfg.Profile || digest == "" {
-		return dbmTier.Disk(nil, nil, compute)
+		return s.runs.Disk(nil, nil, compute)
 	}
-	return staged(&dbmTier, c, dbmKey{bin, digest, dcfg}, []*obj.Binary{bin}, func(ids []string) artcache.Key {
+	return staged(&s.runs, c, dbmKey{bin, digest, dcfg}, []*obj.Binary{bin}, func(ids []string) artcache.Key {
 		return artcache.Key{Binary: ids[0], Input: digest, Config: dbmConfigKey(dcfg)}
 	}, compute)
-}
-
-// ResetMemos drops every completed entry from the memory tiers —
-// handles with their memoised identities and resident images included.
-// Tests use it to force the next run through the durable tier;
-// in-flight computations are unaffected.
-func ResetMemos() {
-	handleTier.Reset()
-	nativeTier.Reset()
-	analyzeTier.Reset()
-	profileTier.Reset()
-	planTier.Reset()
-	dbmTier.Reset()
-}
-
-// TierStats reports the memory-tier counters of the stages declared
-// here, by artifact kind (artcache.Stats.WithTiers puts them beside the
-// store's).
-func TierStats() map[string]artcache.TierStats {
-	return map[string]artcache.TierStats{
-		nativeTier.Kind:  nativeTier.Stats(),
-		profileTier.Kind: profileTier.Stats(),
-		planTier.Kind:    planTier.Stats(),
-		dbmTier.Kind:     dbmTier.Stats(),
-	}
 }
 
 // RunBareDBMBinary executes bin under the DBM with no rewrite schedule
 // (the "DynamoRIO only" baseline of figure 7), replayed from c when it
 // holds the run; nil c always executes.
-func RunBareDBMBinary(c *artcache.Cache, bin *obj.Binary) (*dbm.Result, error) {
-	return runDBM(c, bin, nil, noSchedule, dbm.Config{Threads: 1, Cost: dbm.DefaultCost(), MaxSteps: vm.DefaultMaxSteps})
+func (s *Session) RunBareDBMBinary(c *artcache.Cache, bin *obj.Binary) (*dbm.Result, error) {
+	return s.orDefault().runDBM(c, bin, nil, noSchedule, dbm.Config{Threads: 1, Cost: dbm.DefaultCost(), MaxSteps: vm.DefaultMaxSteps})
 }
 
-// RunBareDBMCached is RunBareDBMBinary over the handle BinaryOf
-// memoises for exe and libs.
+// RunBareDBMCached is the process default's RunBareDBMBinary over the
+// handle BinaryOf memoises for exe and libs.
 func RunBareDBMCached(c *artcache.Cache, exe *obj.Executable, libs ...*obj.Library) (*dbm.Result, error) {
-	return RunBareDBMBinary(c, BinaryOf(exe, libs...))
+	return process.Load().RunBareDBMBinary(c, BinaryOf(exe, libs...))
 }

@@ -68,11 +68,12 @@ func staleLayoutWith(entry, payload []byte) []byte {
 }
 
 // TestTierInstances drives each of the six cached stages through its
-// production entry point and asserts what its artcache.Tier instance
-// promises. A computation is observable from outside as a cache miss
-// (or, for a verified but undecodable payload, a hit that yields a
-// fresh result) and on the tier's own counter, a memory hit as the
-// identical pointer with the store untouched and nothing computed.
+// production entry point, in a session of its own that each reset
+// replaces, and asserts what its artcache.Tier instance promises. A
+// computation is observable from outside as a cache miss (or, for a
+// verified but undecodable payload, a hit that yields a fresh result)
+// and on the tier's own counter, a memory hit as the identical pointer
+// with the store untouched and nothing computed.
 // Every stage has a memory tier: the plan and the DBM run are keyed in
 // memory by what their disk keys name, so a repeat never reaches the
 // store.
@@ -87,6 +88,8 @@ func TestTierInstances(t *testing.T) {
 		t.Fatal(err)
 	}
 	planBin := BinaryOf(exe, libs...)
+	var s *Session
+	reset := func() { s = NewSession(workloads.NewMemo()) }
 	// encoded views a result through its production codec, so equality
 	// is equality of everything a cache replay must preserve.
 	encoded := func(data []byte, err error) any {
@@ -99,45 +102,38 @@ func TestTierInstances(t *testing.T) {
 		name   string
 		disk   bool
 		lookup func(c *artcache.Cache) (any, error)
-		reset  func()
 		stats  func() artcache.TierStats
 		view   func(any) any
 	}{
 		{"build", false,
 			func(*artcache.Cache) (any, error) {
-				e, _, err := workloads.Build(bench, workloads.Train, workloads.O3)
+				e, _, err := s.memo().Build(bench, workloads.Train, workloads.O3)
 				return e, err
 			},
-			workloads.ResetBuildCache,
-			func() artcache.TierStats { return workloads.TierStats()["build"] },
+			func() artcache.TierStats { return s.TierStats()["build"] },
 			func(v any) any { return v.(*obj.Executable).Fingerprint() }},
 		{"native", true,
-			func(c *artcache.Cache) (any, error) { return RunNativeBaselineCached(c, exe, libs...) },
-			ResetMemos,
-			nativeTier.Stats,
+			func(c *artcache.Cache) (any, error) { return s.runNativeBaseline(c, s.BinaryOf(exe, libs...)) },
+			func() artcache.TierStats { return s.native.Stats() },
 			func(v any) any { return encoded(vm.EncodeResult(v.(*vm.Result))) }},
 		{"profile", true,
-			func(c *artcache.Cache) (any, error) { return RunProfilingCached(c, exe, prog, libs...) },
-			ResetMemos,
-			profileTier.Stats,
+			func(c *artcache.Cache) (any, error) { return s.runProfiling(c, s.BinaryOf(exe, libs...), prog) },
+			func() artcache.TierStats { return s.profile.Stats() },
 			func(v any) any { return encoded(encodeProfile(v.(*ProfileResult))) }},
 		{"analysis", false,
-			func(*artcache.Cache) (any, error) { return runAnalyzeMemo(BinaryOf(exe, libs...)) },
-			ResetMemos,
-			analyzeTier.Stats,
+			func(*artcache.Cache) (any, error) { return s.runAnalyzeMemo(s.BinaryOf(exe, libs...)) },
+			func() artcache.TierStats { return s.analyze.Stats() },
 			func(v any) any { return fmt.Sprint(v.(*analyzer.Program).ClassCounts()) }},
 		{"plan", true,
 			// Untrained, so the plan is the only stage looked up. The
 			// handle is held across resets: a fresh one would be another
 			// memory key, which is not what the repeat step is about.
-			func(c *artcache.Cache) (any, error) { return PlanCached(c, planBin, nil, Config{}.Selection()) },
-			ResetMemos,
-			planTier.Stats,
+			func(c *artcache.Cache) (any, error) { return s.PlanCached(c, planBin, nil, Config{}.Selection()) },
+			func() artcache.TierStats { return s.plans.Stats() },
 			func(v any) any { return encoded(encodePlan(v.(*Plan))) }},
 		{"dbm", true,
-			func(c *artcache.Cache) (any, error) { return RunBareDBMBinary(c, planBin) },
-			ResetMemos,
-			dbmTier.Stats,
+			func(c *artcache.Cache) (any, error) { return s.RunBareDBMBinary(c, planBin) },
+			func() artcache.TierStats { return s.runs.Stats() },
 			func(v any) any { return encoded(dbm.EncodeResult(v.(*dbm.Result))) }},
 	} {
 		t.Run(in.name, func(t *testing.T) {
@@ -182,7 +178,7 @@ func TestTierInstances(t *testing.T) {
 				hit, miss, bad = artcache.Stats{Hits: 1}, artcache.Stats{Misses: 1}, artcache.Stats{Misses: 1, BadEntries: 1}
 			}
 
-			in.reset() // other tests may hold this key in memory
+			reset()
 			first, d := step("cold")
 			expect("cold lookup computes", d, miss)
 			counted("cold lookup", 1, 0)
@@ -195,14 +191,14 @@ func TestTierInstances(t *testing.T) {
 				t.Fatal("memory hit returned a different pointer: the stage ran again")
 			}
 
-			in.reset()
-			replayed, d := step("after Reset")
+			reset()
+			replayed, d := step("in a fresh session")
 			expect("disk hit computes 0x", d, hit)
 			if in.disk {
 				counted("disk hit", 0, 0)
 			}
 			if replayed == first {
-				t.Fatal("Reset kept the memory entry")
+				t.Fatal("a fresh session kept the memory entry")
 			}
 			if got := in.view(replayed); !reflect.DeepEqual(got, want) {
 				t.Fatalf("replayed result differs from the computed one:\n got %v\nwant %v", got, want)
@@ -212,18 +208,18 @@ func TestTierInstances(t *testing.T) {
 			}
 
 			rewriteArtifacts(t, c.Dir(), flipBit)
-			in.reset()
+			reset()
 			healed, d := step("bit-flipped entry")
 			expect("bit-flipped entry recomputes", d, bad)
 			if got := in.view(healed); !reflect.DeepEqual(got, want) {
 				t.Fatal("recomputed result differs after corruption")
 			}
-			in.reset()
+			reset()
 			_, d = step("healed entry")
 			expect("recompute healed the store", d, hit)
 
 			rewriteArtifacts(t, c.Dir(), staleLayout)
-			in.reset()
+			reset()
 			fresh, d := step("stale-layout entry")
 			expect("verified but undecodable payload reads as a hit", d, hit)
 			if got := in.view(fresh); !reflect.DeepEqual(got, want) {
@@ -240,7 +236,7 @@ func TestTierInstances(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			in.reset()
+			reset()
 			before := in.stats()
 			results := make([]any, 8)
 			var wg sync.WaitGroup
@@ -278,7 +274,7 @@ func TestTierInstances(t *testing.T) {
 func TestInjectedAndProfilingRunsBypassBothTiers(t *testing.T) {
 	// The schedule lookup counted below must reach this store, not a
 	// plan an earlier test memoised.
-	ResetMemos()
+	s := NewSession(nil)
 	c, err := artcache.Open(t.TempDir(), artcache.Options{})
 	if err != nil {
 		t.Fatal(err)
@@ -287,15 +283,15 @@ func TestInjectedAndProfilingRunsBypassBothTiers(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	bin := BinaryOf(exe, libs...)
+	bin := s.BinaryOf(exe, libs...)
 	executes := func(what string, run func() error) {
 		t.Helper()
 		for i := 0; i < 2; i++ {
-			before := dbmTier.Stats()
+			before := s.runs.Stats()
 			if err := run(); err != nil {
 				t.Fatalf("%s: %v", what, err)
 			}
-			after := dbmTier.Stats()
+			after := s.runs.Stats()
 			if after.Computed != before.Computed+1 || after.MemHits != before.MemHits {
 				t.Fatalf("%s, call %d: tier counted %+v, was %+v; want one computation and no memory hit", what, i, after, before)
 			}
@@ -307,7 +303,7 @@ func TestInjectedAndProfilingRunsBypassBothTiers(t *testing.T) {
 		t.Fatal(err)
 	}
 	executes("injected run", func() error {
-		_, err := ParalleliseBinary(bin, nil, Config{Threads: 4, UseProfile: true, UseChecks: true, Verify: true, Inject: inject, Cache: c})
+		_, err := ParalleliseBinary(bin, nil, Config{Threads: 4, UseProfile: true, UseChecks: true, Verify: true, Inject: inject, Cache: c, Session: s})
 		return err
 	})
 
@@ -321,7 +317,7 @@ func TestInjectedAndProfilingRunsBypassBothTiers(t *testing.T) {
 		t.Fatal(err)
 	}
 	executes("profiling run", func() error {
-		_, err := runDBM(c, bin, sched, scheduleDigest(img), dbm.Config{Threads: 1, Profile: true, Cost: dbm.DefaultCost(), MaxSteps: vm.DefaultMaxSteps})
+		_, err := s.runDBM(c, bin, sched, scheduleDigest(img), dbm.Config{Threads: 1, Profile: true, Cost: dbm.DefaultCost(), MaxSteps: vm.DefaultMaxSteps})
 		return err
 	})
 
@@ -353,13 +349,12 @@ func TestSharedPlansAndResultsStayImmutable(t *testing.T) {
 		t.Fatal(err)
 	}
 	bin, train := BinaryOf(ref, libs...), BinaryOf(trainExe, libs...)
+	s := NewSession(nil)
 	run := func(threads int) (*Report, error) {
-		return ParalleliseBinary(bin, train, Config{Threads: threads, UseProfile: true, UseChecks: true, Verify: true})
+		return ParalleliseBinary(bin, train, Config{Threads: threads, UseProfile: true, UseChecks: true, Verify: true, Session: s})
 	}
 	threadsOf := func(i int) int { return 4 + 4*(i%2) }
 
-	ResetMemos()
-	plans := planTier.Stats()
 	reports := make([]*Report, 8)
 	var wg sync.WaitGroup
 	for i := range reports {
@@ -384,8 +379,8 @@ func TestSharedPlansAndResultsStayImmutable(t *testing.T) {
 	if t.Failed() {
 		return
 	}
-	if d := planTier.Stats(); d.Computed != plans.Computed+1 || d.MemHits != plans.MemHits+7 {
-		t.Fatalf("eight runs did not share one plan: tier counted %+v, was %+v", d, plans)
+	if d := s.plans.Stats(); d.Computed != 1 || d.MemHits != 7 {
+		t.Fatalf("eight runs did not share one plan: tier counted %+v", d)
 	}
 	for i, rep := range reports {
 		if rep.Schedule != reports[0].Schedule || rep.Native != reports[0].Native || rep.DBM != reports[i%2].DBM {
@@ -393,7 +388,7 @@ func TestSharedPlansAndResultsStayImmutable(t *testing.T) {
 		}
 	}
 	for i := 0; i < 2; i++ {
-		ResetMemos()
+		s = NewSession(nil)
 		fresh, err := run(threadsOf(i))
 		if err != nil {
 			t.Fatal(err)

@@ -35,6 +35,7 @@ import (
 	"fmt"
 	"os"
 
+	"janus"
 	"janus/internal/artcache"
 	"janus/internal/faultinject"
 	"janus/internal/harness"
@@ -55,6 +56,7 @@ func main() {
 		Jobs:     *jobs,
 		Recovery: &harness.RecoveryLog{},
 		CacheDir: *cacheDir,
+		Session:  janus.NewSession(nil),
 	}
 	// Open the store here too: OpenShared dedups per directory, so this
 	// handle observes the same counters the harness increments.
@@ -81,7 +83,7 @@ func main() {
 			// store answered or computed: which stages a render read,
 			// observed.
 			if len(st.Kinds) > 0 {
-				st = st.WithTiers(harness.TierStats())
+				st = st.WithTiers(opts.Session.TierStats())
 				fmt.Fprintln(os.Stderr, "janus-bench: artcache kinds:", st.KindsString())
 			}
 		}

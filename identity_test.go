@@ -49,7 +49,7 @@ func TestIdentityMemoMatchesFreshKey(t *testing.T) {
 	if testing.Short() {
 		t.Skip("assembles every registry build; run without -short")
 	}
-	ResetMemos()
+	s := NewSession(nil)
 	keys := map[string]string{}
 	first := map[*obj.Executable]string{}
 	registryBuilds(t, func(exe *obj.Executable, libs []*obj.Library) {
@@ -58,7 +58,7 @@ func TestIdentityMemoMatchesFreshKey(t *testing.T) {
 			sets = append(sets, libs)
 		}
 		for _, ls := range sets {
-			got := BinaryOf(exe, ls...).ID()
+			got := s.BinaryOf(exe, ls...).ID()
 			if want := obj.Identity(exe, ls); got != want {
 				t.Fatalf("%s (%d libs): memoised identity %s, fresh %s", exe.Name, len(ls), got, want)
 			}
@@ -67,7 +67,7 @@ func TestIdentityMemoMatchesFreshKey(t *testing.T) {
 			}
 			keys[got] = exe.Name
 		}
-		first[exe] = BinaryOf(exe, libs...).ID()
+		first[exe] = s.BinaryOf(exe, libs...).ID()
 	})
 	if len(keys) == len(first) {
 		t.Fatal("no registry build links a library")
@@ -76,7 +76,7 @@ func TestIdentityMemoMatchesFreshKey(t *testing.T) {
 		t.Fatalf("the registry's %d handles do not fit under handleLimit %d", len(keys), handleLimit)
 	}
 	registryBuilds(t, func(exe *obj.Executable, libs []*obj.Library) {
-		if !sameString(BinaryOf(exe, libs...).ID(), first[exe]) {
+		if !sameString(s.BinaryOf(exe, libs...).ID(), first[exe]) {
 			t.Fatalf("%s: binary was hashed again within the bound", exe.Name)
 		}
 	})
@@ -113,20 +113,17 @@ func TestIdentityMemoDoesNotFollowStrip(t *testing.T) {
 	}
 }
 
-// TestIdentityKeyStableAcrossProcessState: a build assembled in this
-// process state, the identity recorded for it in the store, and the
-// same build assembled again in a state made to look like a new process
-// all agree — what lets one process replay the artifacts another one
-// stored, without the image.
+// TestIdentityKeyStableAcrossProcessState: a build assembled in one
+// session, the identity recorded for it in the store, and the same
+// build assembled again in a fresh session all agree — what lets one
+// process replay the artifacts another one stored, without the image.
 func TestIdentityKeyStableAcrossProcessState(t *testing.T) {
 	c, err := artcache.Open(t.TempDir(), artcache.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	for _, name := range []string{"462.libquantum", "410.bwaves"} { // without and with a library
-		workloads.ResetBuildCache()
-		ResetMemos()
-		assembled, err := workloads.Open(c, name, workloads.Ref, workloads.O3AVX)
+		assembled, err := NewSession(workloads.NewMemo()).Open(c, name, workloads.Ref, workloads.O3AVX)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -139,10 +136,9 @@ func TestIdentityKeyStableAcrossProcessState(t *testing.T) {
 			t.Fatalf("%s: assembled handle identity %s, fresh %s", name, ka, want)
 		}
 
-		workloads.ResetBuildCache()
-		ResetMemos()
+		s := NewSession(workloads.NewMemo())
 		before := c.Stats()
-		recorded, err := workloads.Open(c, name, workloads.Ref, workloads.O3AVX)
+		recorded, err := s.Open(c, name, workloads.Ref, workloads.O3AVX)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -163,7 +159,7 @@ func TestIdentityKeyStableAcrossProcessState(t *testing.T) {
 		if loaded == exeA || st.Hits+st.Misses != after.Hits+after.Misses || st.BadEntries != 0 {
 			t.Fatalf("%s: image was not assembled anew, or its assembly consulted the store (%s; %s)", name, st, st.KindsString())
 		}
-		if kl := BinaryOf(loaded, libs...).ID(); kl != ka || recorded.ID() != ka {
+		if kl := s.BinaryOf(loaded, libs...).ID(); kl != ka || recorded.ID() != ka {
 			t.Fatalf("%s: assembled build keyed %s, its stored image %s, the handle after loading it %s", name, ka, kl, recorded.ID())
 		}
 	}
@@ -171,20 +167,20 @@ func TestIdentityKeyStableAcrossProcessState(t *testing.T) {
 
 // TestIdentityMemoComputesOnce: concurrent first users of one binary
 // share a single handle and a single hash, later users get that same
-// value, and ResetMemos drops both.
+// value, and a fresh session has neither.
 func TestIdentityMemoComputesOnce(t *testing.T) {
 	exe, libs, err := workloads.Build("410.bwaves", workloads.Ref, workloads.O3)
 	if err != nil {
 		t.Fatal(err)
 	}
-	ResetMemos()
+	s := NewSession(nil)
 	keys := make([]string, 16)
 	var wg sync.WaitGroup
 	for i := range keys {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			keys[i] = BinaryOf(exe, libs...).ID()
+			keys[i] = s.BinaryOf(exe, libs...).ID()
 		}()
 	}
 	wg.Wait()
@@ -193,21 +189,56 @@ func TestIdentityMemoComputesOnce(t *testing.T) {
 			t.Fatalf("caller %d hashed the binary itself", i)
 		}
 	}
-	held := BinaryOf(exe, libs...)
+	held := s.BinaryOf(exe, libs...)
 	if !sameString(held.ID(), keys[0]) {
 		t.Fatal("a later lookup hashed the binary again")
 	}
 
-	ResetMemos()
-	fresh := BinaryOf(exe, libs...)
+	fresh := NewSession(nil).BinaryOf(exe, libs...)
 	if fresh == held {
-		t.Fatal("ResetMemos kept the handle")
+		t.Fatal("a fresh session had the handle")
 	}
 	again := fresh.ID()
 	if again != keys[0] {
-		t.Fatalf("identity changed across ResetMemos: %s vs %s", again, keys[0])
+		t.Fatalf("identity changed across sessions: %s vs %s", again, keys[0])
 	}
 	if sameString(again, keys[0]) {
-		t.Fatal("ResetMemos kept the memoised identity")
+		t.Fatal("a fresh session had the memoised identity")
+	}
+}
+
+// TestResetsRenewTheDefaultSession: the two resets the benchmark module
+// calls between renders replace the process default's tiers —
+// ResetMemos the stages', handles included, and ResetBuildCache the
+// builds', which the default session reads through to — and reach no
+// other session.
+func TestResetsRenewTheDefaultSession(t *testing.T) {
+	exe, libs, err := workloads.Build("470.lbm", workloads.Train, workloads.O3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	own := NewSession(workloads.NewMemo())
+	mine, held := own.BinaryOf(exe, libs...), BinaryOf(exe, libs...)
+	opened, err := workloads.Open(nil, "470.lbm", workloads.Train, workloads.O3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ResetMemos()
+	if BinaryOf(exe, libs...) == held {
+		t.Fatal("ResetMemos kept the default session's handle")
+	}
+	if b, _ := process.Load().Open(nil, "470.lbm", workloads.Train, workloads.O3); b != opened {
+		t.Fatal("ResetMemos dropped the default session's builds")
+	}
+	workloads.ResetBuildCache()
+	b, _ := process.Load().Open(nil, "470.lbm", workloads.Train, workloads.O3)
+	if b == opened {
+		t.Fatal("ResetBuildCache kept the default session's handle")
+	}
+	if w, _ := workloads.Open(nil, "470.lbm", workloads.Train, workloads.O3); w != b {
+		t.Fatal("the default session does not open through workloads' own builds")
+	}
+	if own.BinaryOf(exe, libs...) != mine {
+		t.Fatal("a reset of the default reached another session")
 	}
 }

@@ -113,8 +113,8 @@ type KindStats struct {
 	TierStats
 }
 
-// WithTiers returns s with each stage's process-wide memory-tier
-// counters beside its kind's store counters, so lookups that never
+// WithTiers returns s with each stage's memory-tier counters (a
+// session's) beside its kind's store counters, so lookups that never
 // reached the store are on the same line as those that did.
 func (s Stats) WithTiers(tiers map[string]TierStats) Stats {
 	kinds := make(map[string]KindStats, len(s.Kinds)+len(tiers))

@@ -22,12 +22,14 @@ func testKey(i int) Key {
 	return Key{Kind: "test-v1", Binary: fmt.Sprintf("bin%d", i), Input: "train", Config: "threads=8"}
 }
 
-// rawTier is a tier over raw payloads under testKey's kind, for
+// rawTier returns a tier over raw payloads under testKey's kind, for
 // driving the tiered lookup against hand-built entries.
-var rawTier = Tier[string, []byte]{
-	Kind:   "test-v1",
-	Encode: func(b []byte) ([]byte, error) { return b, nil },
-	Decode: func(b []byte) ([]byte, error) { return b, nil },
+func rawTier() *Tier[string, []byte] {
+	return &Tier[string, []byte]{
+		Kind:   "test-v1",
+		Encode: func(b []byte) ([]byte, error) { return b, nil },
+		Decode: func(b []byte) ([]byte, error) { return b, nil },
+	}
 }
 
 func keyFn(k Key) func() (Key, bool) { return func() (Key, bool) { return k, true } }
@@ -172,7 +174,7 @@ func TestCorruptEntryIsMissAndHeals(t *testing.T) {
 			}
 			// The recompute path heals the entry in place.
 			recomputed := 0
-			got, err := rawTier.Disk(c, keyFn(k), func() ([]byte, error) {
+			got, err := rawTier().Disk(c, keyFn(k), func() ([]byte, error) {
 				recomputed++
 				return want, nil
 			})

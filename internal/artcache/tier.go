@@ -47,9 +47,9 @@ type Tier[K comparable, V any] struct {
 	memHits, computed atomic.Int64
 }
 
-// TierStats are one tier's memory-side counters since the process
-// started: beside the store's hits and misses they say where every
-// lookup of a stage ended.
+// TierStats are one tier's memory-side counters since it was made:
+// beside the store's hits and misses they say where every lookup of a
+// stage ended.
 type TierStats struct {
 	// MemHits counts lookups answered from memory, by a completed entry
 	// or by joining one in flight.
@@ -59,7 +59,7 @@ type TierStats struct {
 	Computed int64 `json:"computed,omitempty"`
 }
 
-// Stats snapshots the tier's counters. Reset does not clear them.
+// Stats snapshots the tier's counters.
 func (t *Tier[K, V]) Stats() TierStats {
 	return TierStats{MemHits: t.memHits.Load(), Computed: t.computed.Load()}
 }
@@ -171,17 +171,6 @@ func (t *Tier[K, V]) Replace(c *Cache, k Key, v V) {
 	if data, err := t.Encode(v); err == nil {
 		_ = c.Put(k, data)
 	}
-}
-
-// Reset drops every completed memory entry, forcing the next Do
-// through the disk tier (or a fresh computation). In-flight lookups
-// are kept so concurrent callers still join them and the
-// run-exactly-once guarantee holds. Tests use it to exercise
-// cold/warm paths in one process.
-func (t *Tier[K, V]) Reset() {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	t.dropCompletedLocked()
 }
 
 func (t *Tier[K, V]) dropCompletedLocked() {

@@ -139,67 +139,6 @@ func TestEvictionKeepsInFlight(t *testing.T) {
 	}
 }
 
-// TestResetDropsCompletedKeepsInFlight pins the Reset contract:
-// completed entries recompute afterwards, but an in-flight run is kept
-// so joiners still dedup onto it.
-func TestResetDropsCompletedKeepsInFlight(t *testing.T) {
-	var f Tier[string, int]
-	if _, err := f.Do(nil, "done", nil, func() (int, error) { return 1, nil }); err != nil {
-		t.Fatal(err)
-	}
-	var runs atomic.Int32
-	started := make(chan struct{})
-	release := make(chan struct{})
-	var wg sync.WaitGroup
-	wg.Add(1)
-	go func() {
-		defer wg.Done()
-		f.Do(nil, "inflight", nil, func() (int, error) {
-			runs.Add(1)
-			close(started)
-			<-release
-			return 2, nil
-		})
-	}()
-	<-started
-	f.Reset()
-	f.mu.Lock()
-	_, droppedDone := f.calls["done"]
-	_, keptInflight := f.calls["inflight"]
-	f.mu.Unlock()
-	if droppedDone {
-		t.Fatal("Reset kept a completed entry")
-	}
-	if !keptInflight {
-		t.Fatal("Reset dropped an in-flight entry")
-	}
-	// A joiner for the in-flight key must not start a second run.
-	wg.Add(1)
-	go func() {
-		defer wg.Done()
-		v, err := f.Do(nil, "inflight", nil, func() (int, error) {
-			runs.Add(1)
-			return -1, nil
-		})
-		if err != nil || v != 2 {
-			t.Errorf("joiner got %d, %v", v, err)
-		}
-	}()
-	close(release)
-	wg.Wait()
-	if got := runs.Load(); got != 1 {
-		t.Fatalf("in-flight fn ran %d times, want 1", got)
-	}
-	// The completed entry really recomputes.
-	runsDone := 0
-	if v, err := f.Do(nil, "done", nil, func() (int, error) { runsDone++; return 11, nil }); err != nil || v != 11 {
-		t.Fatalf("re-Do after Reset = %d, %v", v, err)
-	}
-	if runsDone != 1 {
-		t.Fatal("completed entry was not recomputed after Reset")
-	}
-}
-
 // TestPanicReleasesWaiters pins the panic contract: the panicking
 // caller sees the panic, a concurrent caller either joins the doomed
 // run (and gets an error) or arrives after cleanup (and recomputes) —

@@ -16,7 +16,7 @@ import (
 func TestTierDiskPropagatesComputeError(t *testing.T) {
 	c := mustOpen(t, t.TempDir(), Options{})
 	wantErr := fmt.Errorf("boom")
-	if _, err := rawTier.Disk(c, keyFn(testKey(1)), func() ([]byte, error) { return nil, wantErr }); err != wantErr {
+	if _, err := rawTier().Disk(c, keyFn(testKey(1)), func() ([]byte, error) { return nil, wantErr }); err != wantErr {
 		t.Fatalf("err = %v, want boom", err)
 	}
 	if _, ok := c.Get(testKey(1)); ok {
@@ -32,9 +32,9 @@ func TestTierDiskBypasses(t *testing.T) {
 	mustNotKey := func() (Key, bool) { t.Error("disk key derived with nothing to look up"); return Key{}, false }
 	var memOnly Tier[string, []byte]
 	for name, lookup := range map[string]func(func() ([]byte, error)) ([]byte, error){
-		"nil-cache": func(f func() ([]byte, error)) ([]byte, error) { return rawTier.Disk(nil, mustNotKey, f) },
+		"nil-cache": func(f func() ([]byte, error)) ([]byte, error) { return rawTier().Disk(nil, mustNotKey, f) },
 		"no-codec":  func(f func() ([]byte, error)) ([]byte, error) { return memOnly.Disk(c, mustNotKey, f) },
-		"no-key":    func(f func() ([]byte, error)) ([]byte, error) { return rawTier.Disk(c, noKey, f) },
+		"no-key":    func(f func() ([]byte, error)) ([]byte, error) { return rawTier().Disk(c, noKey, f) },
 	} {
 		runs := 0
 		for i := 0; i < 2; i++ {
@@ -80,8 +80,7 @@ func TestTierUndecodableVerifiedPayloadIsOverwritten(t *testing.T) {
 	if st := c.Stats(); st.Hits != 1 || st.BadEntries != 0 {
 		t.Fatalf("stale payload must read as a verified hit, not corruption: %s", st)
 	}
-	strict.Reset()
-	if got, err := strict.Do(c, "k", keyFn(k), compute); err != nil || string(got) != "ok:fresh" {
+	if got, err := strict.Do(c, "k2", keyFn(k), compute); err != nil || string(got) != "ok:fresh" {
 		t.Fatalf("second Do = %q, %v", got, err)
 	}
 	if runs != 1 {
@@ -94,7 +93,7 @@ func TestTierUndecodableVerifiedPayloadIsOverwritten(t *testing.T) {
 // waiter is released, nothing is published and the key works again.
 func TestTierPanicWithDiskReleasesWaiters(t *testing.T) {
 	c := mustOpen(t, t.TempDir(), Options{})
-	tier := Tier[string, []byte]{Kind: rawTier.Kind, Encode: rawTier.Encode, Decode: rawTier.Decode}
+	tier := rawTier()
 	k := testKey(4)
 	started := make(chan struct{})
 	var wg sync.WaitGroup
@@ -182,8 +181,8 @@ func TestTierReplace(t *testing.T) {
 // TestTierStats: every lookup of a tier ends in exactly one of three
 // places, and each is counted where it ends — memory (a completed entry
 // or an in-flight one joined), the store (the Cache's own hit counter),
-// or a computation, whichever of the bypasses led there. Reset drops
-// entries, not counts, and the counters render beside their kind's.
+// or a computation, whichever of the bypasses led there — and the
+// counters render beside their kind's.
 func TestTierStats(t *testing.T) {
 	c := mustOpen(t, t.TempDir(), Options{})
 	tier := Tier[string, []byte]{
@@ -204,8 +203,7 @@ func TestTierStats(t *testing.T) {
 	expect("miss everywhere computes", TierStats{Computed: 1})
 	tier.Do(c, "k", key, compute)
 	expect("memory hit", TierStats{MemHits: 1, Computed: 1})
-	tier.Reset()
-	tier.Do(c, "k", key, compute)
+	tier.Do(c, "k2", key, compute)
 	expect("store hit is the Cache's to count", TierStats{MemHits: 1, Computed: 1})
 	tier.Disk(nil, key, compute)
 	tier.Disk(c, func() (Key, bool) { return Key{}, false }, compute)

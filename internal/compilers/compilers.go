@@ -82,7 +82,7 @@ type Engine struct {
 // Parallelise runs the modelled compiler over exe with the given thread
 // count and returns the achieved speedup.
 func Parallelise(kind Kind, exe *obj.Executable, threads int, eng Engine, libs ...*obj.Library) (*Result, error) {
-	return ParalleliseBinary(nil, kind, janus.BinaryOf(exe, libs...), threads, eng)
+	return ParalleliseBinary(nil, nil, kind, janus.BinaryOf(exe, libs...), threads, eng)
 }
 
 // selection is the model's loop-selection policy. No profiling:
@@ -107,15 +107,15 @@ func (k Kind) selection() janus.Selection {
 	}
 }
 
-// ParalleliseBinary runs the modelled compiler over bin, backed by a
-// durable artifact cache. The model owns only its loop selection and
-// cost model; the plan, the native baseline and the simulated run are
-// janus's cached stages, so the baseline is the one Janus's own rows of
-// the same binary use, a warm store replays plan and run instead of
-// analysing and simulating, and the run is verified against native
-// execution like every Janus run.
-func ParalleliseBinary(c *artcache.Cache, kind Kind, bin *obj.Binary, threads int, eng Engine) (*Result, error) {
-	plan, err := janus.PlanCached(c, bin, nil, kind.selection())
+// ParalleliseBinary runs the modelled compiler over bin in session s
+// (nil is the process default), backed by a durable artifact cache. The
+// model owns only its loop selection and cost model; the plan, the
+// native baseline and the simulated run are janus's cached stages, so
+// the baseline is the one Janus's own rows of the same binary use, a
+// warm store replays plan and run instead of analysing and simulating,
+// and the run is verified against native execution like every Janus run.
+func ParalleliseBinary(s *janus.Session, c *artcache.Cache, kind Kind, bin *obj.Binary, threads int, eng Engine) (*Result, error) {
+	plan, err := s.PlanCached(c, bin, nil, kind.selection())
 	if err != nil {
 		return nil, err
 	}
@@ -128,7 +128,7 @@ func ParalleliseBinary(c *artcache.Cache, kind Kind, bin *obj.Binary, threads in
 		MaxSteps:         vm.DefaultMaxSteps,
 		Cost:             staticCost(),
 	}
-	native, res, err := janus.RunPlanBinary(c, bin, plan, cfg)
+	native, res, err := s.RunPlanBinary(c, bin, plan, cfg)
 	if err != nil {
 		return nil, err
 	}

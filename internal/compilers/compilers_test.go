@@ -82,8 +82,8 @@ func artifacts(t *testing.T, dir string) map[string]int {
 // TestParalleliseCachedReplays: the uncached entry point, a cold store
 // and a warm store give the same Result for both models; the cold call
 // stores one baseline per binary and one plan and one run per model,
-// and the warm call — memos dropped, as in a new process — replays all
-// three without analysing, simulating or publishing anything.
+// and the warm call — in a fresh session, as in a new process — replays
+// all three without analysing, simulating or publishing anything.
 func TestParalleliseCachedReplays(t *testing.T) {
 	eng := Engine{HostParallel: true, WorkStealing: true}
 	// Two benchmarks on which the models select different loops: where
@@ -107,10 +107,10 @@ func TestParalleliseCachedReplays(t *testing.T) {
 			want[kind] = *res
 		}
 		for _, pass := range []string{"cold", "warm"} {
-			janus.ResetMemos()
+			s := janus.NewSession(nil)
 			before, stored := c.Stats(), artifacts(t, c.Dir())
 			for _, kind := range []Kind{GCC, ICC} {
-				res, err := ParalleliseBinary(c, kind, janus.BinaryOf(exe, libs...), 8, eng)
+				res, err := ParalleliseBinary(s, c, kind, s.BinaryOf(exe, libs...), 8, eng)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -137,9 +137,9 @@ func TestParalleliseCachedReplays(t *testing.T) {
 
 		// The engine selection is part of the run's key: a round-robin
 		// render must not replay a host-parallel run's stored Stats.
-		janus.ResetMemos()
+		s := janus.NewSession(nil)
 		before := c.Stats()
-		res, err := ParalleliseBinary(c, GCC, janus.BinaryOf(exe, libs...), 8, Engine{})
+		res, err := ParalleliseBinary(s, c, GCC, s.BinaryOf(exe, libs...), 8, Engine{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -169,10 +169,9 @@ func TestModelRunIsVerified(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	janus.ResetMemos()
-	// The foreign baseline planted below must not outlive the test.
-	t.Cleanup(janus.ResetMemos)
-	if _, err := ParalleliseBinary(c, GCC, janus.BinaryOf(exe, libs...), 8, eng); err != nil {
+	// The foreign baseline planted below lives and dies with a session
+	// of the test's own.
+	if _, err := ParalleliseBinary(janus.NewSession(nil), c, GCC, janus.BinaryOf(exe, libs...), 8, eng); err != nil {
 		t.Fatal(err)
 	}
 	// Swap in the baseline of another program under this binary's key:
@@ -196,8 +195,7 @@ func TestModelRunIsVerified(t *testing.T) {
 	if err := os.WriteFile(entries[0], reseal(t, entries[0], payload), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	janus.ResetMemos()
-	_, err = ParalleliseBinary(c, GCC, janus.BinaryOf(exe, libs...), 8, eng)
+	_, err = ParalleliseBinary(janus.NewSession(nil), c, GCC, janus.BinaryOf(exe, libs...), 8, eng)
 	if err == nil {
 		t.Fatal("a run that differs from its native baseline passed the model")
 	}

@@ -23,13 +23,13 @@ import (
 	"janus/internal/workloads"
 )
 
-// resetMemoryTiers drops every in-process memo so the next render must
-// go through the durable tier (or recompute). Without this, the warm
-// render would be served entirely from pointer-keyed memory memos and
-// the disk cache would never be exercised in-process.
-func resetMemoryTiers() {
-	janus.ResetMemos()
-	workloads.ResetBuildCache()
+// fresh gives o a session of its own, build tiers included, so the
+// render under it goes through the durable tier (or recomputes) instead
+// of being served from another render's memory, and its TierStats count
+// that render alone.
+func fresh(o Options) Options {
+	o.Session = janus.NewSession(workloads.NewMemo())
+	return o
 }
 
 // statsDelta is how the store's counters moved between two snapshots,
@@ -50,16 +50,6 @@ func statsDelta(before, after artcache.Stats) artcache.Stats {
 	return d
 }
 
-// tierDelta is how the memory-tier counters moved between two
-// snapshots of TierStats.
-func tierDelta(before, after map[string]artcache.TierStats) map[string]artcache.TierStats {
-	d := map[string]artcache.TierStats{}
-	for kind, a := range after {
-		d[kind] = artcache.TierStats{MemHits: a.MemHits - before[kind].MemHits, Computed: a.Computed - before[kind].Computed}
-	}
-	return d
-}
-
 func TestGoldenColdWarmOff(t *testing.T) {
 	if testing.Short() {
 		t.Skip("three full-suite renders; run without -short")
@@ -71,25 +61,23 @@ func TestGoldenColdWarmOff(t *testing.T) {
 		t.Fatal(err)
 	}
 	withCache := func() Options {
-		o := DefaultOptions()
+		o := fresh(DefaultOptions())
 		o.CacheDir = dir
 		return o
 	}
 
-	resetMemoryTiers()
-	diffGolden(t, "cache off", renderSuite(t, DefaultOptions()), want)
+	diffGolden(t, "cache off", renderSuite(t, fresh(DefaultOptions())), want)
 	if st := cache.Stats(); st.Hits+st.Misses != 0 {
 		t.Fatalf("a render with the cache off consulted the store: %s", st)
 	}
 
-	resetMemoryTiers()
 	diffGolden(t, "cold cache", renderSuite(t, withCache()), want)
 	cold := cache.Stats()
 
-	resetMemoryTiers()
-	saves, tiers := rules.Saves(), TierStats()
-	diffGolden(t, "warm cache", renderSuite(t, withCache()), want)
-	warm, warmTiers := statsDelta(cold, cache.Stats()), tierDelta(tiers, TierStats())
+	o := withCache()
+	saves := rules.Saves()
+	diffGolden(t, "warm cache", renderSuite(t, o), want)
+	warm, warmTiers := statsDelta(cold, cache.Stats()), o.Session.TierStats()
 	if warm.Hits == 0 {
 		t.Fatalf("warm render recorded no hits: cold %s, warm %s", cold, warm)
 	}
@@ -188,7 +176,7 @@ func TestGoldenColdWarmOff(t *testing.T) {
 // process are the same amount of work for the same bytes. A render with
 // the cache off computes, per stage, exactly as many artifacts as a cold
 // render stores of that kind — nothing is computed twice — and a second
-// identical render in the same process computes nothing at all.
+// identical render in the same session computes nothing at all.
 func TestCacheOffComputesWhatColdStores(t *testing.T) {
 	if testing.Short() {
 		t.Skip("three full-suite renders; run without -short")
@@ -196,21 +184,19 @@ func TestCacheOffComputesWhatColdStores(t *testing.T) {
 	want := readGolden(t)
 	rendered := func(label string, o Options) map[string]artcache.TierStats {
 		t.Helper()
-		before := TierStats()
 		diffGolden(t, label, renderSuite(t, o), want)
-		return tierDelta(before, TierStats())
+		return o.Session.TierStats()
 	}
-	resetMemoryTiers()
-	off := rendered("cache off", DefaultOptions())
-	for kind, ts := range rendered("cache off, again", DefaultOptions()) {
-		if ts.Computed != 0 {
-			t.Errorf("a second render in one process computed %d %s artifacts, want 0", ts.Computed, kind)
+	o := fresh(DefaultOptions())
+	off := rendered("cache off", o)
+	for kind, ts := range rendered("cache off, again", o) {
+		if n := ts.Computed - off[kind].Computed; n != 0 {
+			t.Errorf("a second render in one session computed %d %s artifacts, want 0", n, kind)
 		}
 	}
 
-	o := DefaultOptions()
+	o = fresh(DefaultOptions())
 	o.CacheDir = t.TempDir()
-	resetMemoryTiers()
 	cold := rendered("cold cache", o)
 	entries := entriesByKind(t, o.CacheDir)
 	if len(entries) != 5 {
@@ -254,13 +240,13 @@ func TestFigure11ReplaysAroundMissingRuns(t *testing.T) {
 	var builds int64
 	fig11 := func(o Options) (string, artcache.Stats) {
 		t.Helper()
-		resetMemoryTiers()
-		before, assembled := cache.Stats(), TierStats()["build"].Computed
+		o = fresh(o)
+		before := cache.Stats()
 		rows, err := launch(context.Background(), o, figure11)
 		if err != nil {
 			t.Fatal(err)
 		}
-		builds = TierStats()["build"].Computed - assembled
+		builds = o.Session.TierStats()["build"].Computed
 		return RenderFigure11(rows), statsDelta(before, cache.Stats())
 	}
 
@@ -339,8 +325,7 @@ func TestCacheCorruptionHealsAcrossRender(t *testing.T) {
 	o.CacheDir = dir
 
 	// One figure is enough to populate every artifact kind.
-	resetMemoryTiers()
-	rows, err := launch(context.Background(), o, figure7)
+	rows, err := launch(context.Background(), fresh(o), figure7)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -373,8 +358,7 @@ func TestCacheCorruptionHealsAcrossRender(t *testing.T) {
 		t.Fatal("no artifacts were written by the first render")
 	}
 
-	resetMemoryTiers()
-	rows, err = launch(context.Background(), o, figure7)
+	rows, err = launch(context.Background(), fresh(o), figure7)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -453,8 +437,8 @@ func reseal(t *testing.T, path string, payload []byte) {
 // it costs nothing in safety: build images left in a store by older
 // releases are never read, an identity record that lies about its image
 // is caught the moment the image is needed, an image needed by a missing
-// result is assembled to the identity on record, and the memory resets
-// leave nothing behind that a fresh process would not have.
+// result is assembled to the identity on record, and a fresh session
+// holds nothing that a fresh process would not.
 func TestImageFreeReplay(t *testing.T) {
 	if testing.Short() {
 		t.Skip("one cold and six warm full-suite renders; run without -short")
@@ -467,18 +451,21 @@ func TestImageFreeReplay(t *testing.T) {
 	}
 	o := DefaultOptions()
 	o.CacheDir = dir
+	// builds is how many binaries the last replay assembled.
+	var builds int64
 	replay := func(label string) artcache.Stats {
 		t.Helper()
-		resetMemoryTiers()
+		o := fresh(o)
 		before := cache.Stats()
 		diffGolden(t, label, renderSuite(t, o), want)
+		builds = o.Session.TierStats()["build"].Computed
 		return statsDelta(before, cache.Stats())
 	}
 	replay("cold")
 
-	// (f) The two resets are a fresh process: a second warm render
+	// (f) A fresh session is a fresh process: a second warm render
 	// re-reads the store lookup for lookup, so no handle, identity or
-	// plan survived them in memory.
+	// plan reaches it in memory.
 	first := replay("warm")
 	again := replay("warm again")
 	if first.Misses != 0 || first.BadEntries != 0 || first.Hits == 0 || !reflect.DeepEqual(first, again) {
@@ -517,9 +504,8 @@ func TestImageFreeReplay(t *testing.T) {
 	if err := os.Remove(artifactsOf(t, dir, "dbm-v3")[0]); err != nil {
 		t.Fatal(err)
 	}
-	assembled := TierStats()["build"].Computed
 	d := replay("one run missing")
-	if builds := TierStats()["build"].Computed - assembled; d.BadEntries != 0 || d.Kinds["dbm-v3"].Misses == 0 || d.Misses != d.Kinds["dbm-v3"].Misses || builds != 1 {
+	if d.BadEntries != 0 || d.Kinds["dbm-v3"].Misses == 0 || d.Misses != d.Kinds["dbm-v3"].Misses || builds != 1 {
 		t.Fatalf("want the missing run executed on one assembled image and nothing else recomputed: %s (%s), %d builds assembled", d, d.KindsString(), builds)
 	}
 	if n := entriesByKind(t, dir)[imageKind]; n != int64(planted) {

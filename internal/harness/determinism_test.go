@@ -16,8 +16,8 @@ import (
 	"testing"
 )
 
-// renderFigure7 regenerates figure 7 — executing its runs, not
-// replaying the other leg's from memory (freshRuns) — and renders it to
+// renderFigure7 regenerates figure 7 under freshRuns — executing its
+// runs, not replaying the other leg's from memory — and renders it to
 // text. The byte-comparison pairs below are skipped under -short (each
 // renders the figure twice); the -race CI job runs -short and still
 // exercises the concurrent machinery through TestGoldenOutput and the
@@ -27,12 +27,12 @@ func renderFigure7(t *testing.T, o Options) string {
 	if testing.Short() {
 		t.Skip("renders figure 7 twice; run without -short")
 	}
-	executed := freshRuns(t)
+	o = freshRuns(o)
 	rows, err := launch(context.Background(), o, figure7)
 	if err != nil {
 		t.Fatal(err)
 	}
-	executed()
+	executed(t, o)
 	return RenderFigure7(rows)
 }
 

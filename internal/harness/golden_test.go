@@ -29,19 +29,20 @@ var update = flag.Bool("update", false, "rewrite testdata/janus-bench.golden fro
 
 const goldenPath = "testdata/janus-bench.golden"
 
-// freshRuns drops the process's memoised plans and results, so the next
-// render executes its DBM runs instead of being handed the previous
-// cell's — a matrix cell that compares a memo with itself pins nothing —
-// and returns a check, to be called after the render, that it did.
-func freshRuns(t *testing.T) (executed func()) {
+// freshRuns gives o empty stage tiers over the process's builds, so the
+// render under it executes its DBM runs instead of being handed another
+// configuration's memoised results; executed checks that it did.
+func freshRuns(o Options) Options {
+	o.Session = janus.NewSession(nil)
+	return o
+}
+
+// executed fails t unless the render under o executed its DBM runs
+// rather than being handed another configuration's memoised results.
+func executed(t *testing.T, o Options) {
 	t.Helper()
-	janus.ResetMemos()
-	before := janus.TierStats()["dbm-v3"].Computed
-	return func() {
-		t.Helper()
-		if janus.TierStats()["dbm-v3"].Computed == before {
-			t.Fatal("the render executed no DBM run: it replayed another configuration's memoised results")
-		}
+	if o.Session.TierStats()["dbm-v3"].Computed == 0 {
+		t.Fatal("the render executed no DBM run: it replayed another configuration's memoised results")
 	}
 }
 
@@ -154,7 +155,8 @@ func TestGoldenOutput(t *testing.T) {
 
 // TestGoldenAcrossConfigurations renders the suite under every
 // determinism axis and compares each render against the committed
-// fixture byte for byte.
+// fixture byte for byte. Each cell renders under freshRuns: a cell that
+// compares a memo with itself pins nothing.
 func TestGoldenAcrossConfigurations(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full-suite renders across four configurations; run without -short")
@@ -177,9 +179,9 @@ func TestGoldenAcrossConfigurations(t *testing.T) {
 				prev := runtime.GOMAXPROCS(tc.gomaxprocs)
 				defer runtime.GOMAXPROCS(prev)
 			}
-			executed := freshRuns(t)
-			diffGolden(t, tc.name, renderSuite(t, tc.opts()), want)
-			executed()
+			o := freshRuns(tc.opts())
+			diffGolden(t, tc.name, renderSuite(t, o), want)
+			executed(t, o)
 		})
 	}
 }

@@ -40,8 +40,8 @@ import (
 const DefaultThreads = 8
 
 // Options is one harness run's configuration. Experiments receive it
-// per call — nothing is process-global — so concurrent experiments
-// with different options cannot leak into each other.
+// per call, memoised state included (Session), so concurrent
+// experiments with different options cannot leak into each other.
 type Options struct {
 	// Threads is the guest thread count experiments measure at
 	// (figures 8/9 additionally sweep below it).
@@ -73,6 +73,9 @@ type Options struct {
 	// or warm; only wall-clock changes. The directory is safe to share
 	// between concurrent processes.
 	CacheDir string
+	// Session holds the memoised builds, plans, baselines, profiles and
+	// DBM results renders share; nil is the process default.
+	Session *janus.Session
 }
 
 // RecoveryLog aggregates speculation-recovery counters across the
@@ -146,18 +149,6 @@ func launch[T any](ctx context.Context, o Options, f func(*render) (T, error)) (
 	return f(r)
 }
 
-// TierStats reports the memory-tier counters of every cached stage a
-// render goes through, by artifact kind: what janus-bench and janusd
-// print beside the store's per-kind hits and misses, so a lookup that
-// never reached the store is accounted for too.
-func TierStats() map[string]artcache.TierStats {
-	out := janus.TierStats()
-	for kind, ts := range workloads.TierStats() {
-		out[kind] = ts
-	}
-	return out
-}
-
 // Recycled counts one free list's takes since the process started:
 // those that allocated and those served a value an earlier run
 // returned.
@@ -219,11 +210,11 @@ type runSpec struct {
 // may read it.
 func (r *render) janus(bench string, opt workloads.OptLevel, threads int, mode runMode) (*janus.Report, error) {
 	return r.runs.Do(nil, runSpec{bench, opt, threads, mode}, nil, func() (*janus.Report, error) {
-		ref, err := workloads.Open(r.cache, bench, workloads.Ref, opt)
+		ref, err := r.o.Session.Open(r.cache, bench, workloads.Ref, opt)
 		if err != nil {
 			return nil, err
 		}
-		train, err := workloads.Open(r.cache, bench, workloads.Train, opt)
+		train, err := r.o.Session.Open(r.cache, bench, workloads.Train, opt)
 		if err != nil {
 			return nil, err
 		}
@@ -234,6 +225,7 @@ func (r *render) janus(bench string, opt workloads.OptLevel, threads int, mode r
 			Verify:     true,
 			Inject:     r.o.Inject,
 			Cache:      r.cache,
+			Session:    r.o.Session,
 		})
 		if err != nil {
 			return nil, fmt.Errorf("%s, %d threads, %s: %w", opt, threads, mode, err)
@@ -313,11 +305,11 @@ func figure6(r *render) ([]Fig6Row, error) {
 		row := Fig6Row{Bench: name}
 		// The train-input build, trained on itself: a projection over its
 		// plan, which a warm store replays without the image.
-		bin, err := workloads.Open(r.cache, name, workloads.Train, workloads.O3)
+		bin, err := r.o.Session.Open(r.cache, name, workloads.Train, workloads.O3)
 		if err != nil {
 			return row, err
 		}
-		plan, err := janus.PlanCached(r.cache, bin, nil, figure6Selection)
+		plan, err := r.o.Session.PlanCached(r.cache, bin, nil, figure6Selection)
 		if err != nil {
 			return row, err
 		}
@@ -385,11 +377,11 @@ type Fig7Row struct {
 func figure7(r *render) ([]Fig7Row, error) {
 	return rows(r, workloads.ParallelisableNames(), func(name string) (Fig7Row, error) {
 		row := Fig7Row{Bench: name, Threads: r.o.Threads}
-		ref, err := workloads.Open(r.cache, name, workloads.Ref, workloads.O3)
+		ref, err := r.o.Session.Open(r.cache, name, workloads.Ref, workloads.O3)
 		if err != nil {
 			return row, err
 		}
-		bare, err := janus.RunBareDBMBinary(r.cache, ref)
+		bare, err := r.o.Session.RunBareDBMBinary(r.cache, ref)
 		if err != nil {
 			return row, err
 		}
@@ -620,11 +612,11 @@ func figure11(r *render) ([]Fig11Row, error) {
 		row := Fig11Row{Bench: name}
 		engine := compilers.Engine{HostParallel: true, WorkStealing: true}
 		auto := func(c compilers.Kind, opt workloads.OptLevel) (float64, error) {
-			bin, err := workloads.Open(r.cache, name, workloads.Ref, opt)
+			bin, err := r.o.Session.Open(r.cache, name, workloads.Ref, opt)
 			if err != nil {
 				return 0, err
 			}
-			res, err := compilers.ParalleliseBinary(r.cache, c, bin, r.o.Threads, engine)
+			res, err := compilers.ParalleliseBinary(r.o.Session, r.cache, c, bin, r.o.Threads, engine)
 			if err != nil {
 				return 0, fmt.Errorf("%s: %w", c, err)
 			}

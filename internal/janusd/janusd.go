@@ -40,9 +40,11 @@ import (
 	"sync"
 	"time"
 
+	"janus"
 	"janus/internal/artcache"
 	"janus/internal/faultinject"
 	"janus/internal/harness"
+	"janus/internal/workloads"
 )
 
 // Config configures one daemon instance.
@@ -123,19 +125,6 @@ type Request struct {
 // guest thread, so outside input may not size that freely. It is eight
 // times the paper's eight-thread machine.
 const maxThreads = 64
-
-// options translates the request, its Inject spec parsed at admission,
-// into per-run harness options.
-func (r Request) options(inject *faultinject.Plan, cacheDir string, rec *harness.RecoveryLog) harness.Options {
-	o := harness.DefaultOptions()
-	if r.Threads > 0 {
-		o.Threads = r.Threads
-	}
-	o.Inject = inject
-	o.CacheDir = cacheDir
-	o.Recovery = rec
-	return o
-}
 
 // Error kinds carried by Response.ErrKind. Every failed request is
 // classified into exactly one of these, so clients can branch without
@@ -245,6 +234,7 @@ type Server struct {
 
 	http    *http.Server
 	cache   *artcache.Cache // cfg.CacheDir's handle, for statusz
+	session *janus.Session  // the memoised stages every job renders through
 	started time.Time
 }
 
@@ -258,6 +248,7 @@ func New(cfg Config) *Server {
 		inj:        faultinject.NewInjector(cfg.Inject),
 		baseCtx:    ctx,
 		baseCancel: cancel,
+		session:    janus.NewSession(workloads.NewMemo()),
 		started:    time.Now(),
 	}
 	if cfg.CacheDir != "" {
@@ -410,8 +401,13 @@ func (s *Server) run(j *Job) {
 		panic("faultinject: handler-panic")
 	}
 
+	// The request as harness options, its Inject spec parsed at admission.
 	rec := &harness.RecoveryLog{}
-	opts := j.Req.options(j.inject, s.cfg.CacheDir, rec)
+	opts := harness.DefaultOptions()
+	if j.Req.Threads > 0 {
+		opts.Threads = j.Req.Threads
+	}
+	opts.Inject, opts.CacheDir, opts.Recovery, opts.Session = j.inject, s.cfg.CacheDir, rec, s.session
 	out, err := harness.RenderAllContext(j.ctx, opts, j.Req.Fig, j.Req.Table)
 	res := &Response{
 		Output:     out,
@@ -484,7 +480,7 @@ type Stats struct {
 	CacheBad    int64 `json:"cache_bad,omitempty"`
 	// CacheKinds splits hits and misses by artifact kind (ident-v1,
 	// schedule-v1, native-v1, profile-v1, dbm-v3), with each stage's
-	// memory-tier hits and computations since the process started:
+	// memory-tier hits and computations since this server started:
 	// which stages requests replayed, from where, and which they
 	// recomputed. "build" is the builds assembled, which are not stored.
 	CacheKinds map[string]artcache.KindStats `json:"cache_kinds,omitempty"`
@@ -499,7 +495,7 @@ func (s *Server) Snapshot() Stats {
 	if s.cache != nil {
 		cs = s.cache.Stats()
 	}
-	cs = cs.WithTiers(harness.TierStats())
+	cs = cs.WithTiers(s.session.TierStats())
 	s.mu.Lock()
 	running, queued := s.loadLocked()
 	served, shed, draining := s.admitted, s.shed, s.draining

@@ -15,14 +15,13 @@ import (
 	"net/http"
 	"os"
 	"os/exec"
+	"path/filepath"
 	"regexp"
 	"strings"
 	"testing"
 	"time"
 
-	"janus"
 	"janus/internal/artcache"
-	"janus/internal/workloads"
 )
 
 // TestHelperReplicaDaemon is not a test: re-exec'd by
@@ -52,11 +51,9 @@ func TestReplicasShareCache(t *testing.T) {
 	}
 	dir := t.TempDir()
 
-	// Replica A, in-process, warms the shared cache with one full run —
-	// from a fresh process state: what an earlier test left in the memory
-	// tiers would be served from there and never published to this store.
-	janus.ResetMemos()
-	workloads.ResetBuildCache()
+	// Replica A, in-process, warms the shared cache with one full run in
+	// a session of its own, so everything it renders is published to
+	// this store.
 	_, baseA, _ := startServer(t, Config{Workers: 2, CacheDir: dir})
 	cA := &Client{Base: baseA}
 	warm, err := cA.Render(context.Background(), Request{})
@@ -165,4 +162,46 @@ func TestReplicasShareCache(t *testing.T) {
 // longClient returns an HTTP client that tolerates full-suite renders.
 func longClient() *http.Client {
 	return &http.Client{Timeout: 5 * time.Minute}
+}
+
+// TestStatuszCountsOwnWork: two servers in one process on one cache
+// directory, each warmed with the same figure. The store's counters are
+// the directory's, but each server's memory-tier counters are its own
+// session's: the first computed every artifact it stored, the second
+// replayed all of them and computed nothing, and both answered the
+// figure's repeated asks from memory alike.
+func TestStatuszCountsOwnWork(t *testing.T) {
+	dir := t.TempDir()
+	var kinds [2]map[string]artcache.KindStats
+	for i := range kinds {
+		_, base, _ := startServer(t, Config{Workers: 1, CacheDir: dir})
+		if res, err := (&Client{Base: base}).Render(context.Background(), Request{Fig: 8}); err != nil || res.Failed() {
+			t.Fatalf("server %d: %v %+v", i, err, res)
+		}
+		kinds[i] = statusz(t, base).CacheKinds
+	}
+	first, second := kinds[0], kinds[1]
+	entries := map[string]int64{}
+	files, err := filepath.Glob(filepath.Join(dir, "*", "*.art"))
+	if err != nil || len(files) == 0 {
+		t.Fatalf("store entries: %v, %v", files, err)
+	}
+	for _, f := range files {
+		entries[filepath.Base(filepath.Dir(f))]++
+	}
+	entries["build"] = entries["ident-v1"]
+	for kind, n := range entries {
+		if first[kind].Computed != n {
+			t.Errorf("%s: the first server computed %d, the store holds %d", kind, first[kind].Computed, n)
+		}
+		if second[kind].Computed != 0 {
+			t.Errorf("%s: the second server computed %d on a warm store", kind, second[kind].Computed)
+		}
+		if second[kind].MemHits != first[kind].MemHits {
+			t.Errorf("%s: memory hits %d on the second server, %d on the first", kind, second[kind].MemHits, first[kind].MemHits)
+		}
+	}
+	if first["schedule-v1"].MemHits == 0 {
+		t.Errorf("figure 8 asked for no plan twice: %v", first)
+	}
 }

@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"sort"
+	"sync/atomic"
 
 	"janus/internal/artcache"
 	"janus/internal/asm"
@@ -362,13 +363,6 @@ type sectionKey struct {
 	in   Input
 }
 
-// sectionTier generates each (name, input) data section once, in memory
-// only: every optimisation level's executable aliases it, so the loader
-// lays its image out once too. asm.Builder.BuildOver refuses a section
-// whose layout is not the builder's, so a level whose data declarations
-// ever diverged would fail its build rather than run over foreign data.
-var sectionTier artcache.Tier[sectionKey, *asm.Section]
-
 // buildKey identifies one deterministic build.
 type buildKey struct {
 	name string
@@ -391,30 +385,84 @@ type built struct {
 // replays stale figures.
 const BuildSchema = "workloads-build/v1"
 
-// buildTier memoises builds per (name, input, opt): concurrent
-// experiments asking for the same binary share one build — and,
-// because the returned *obj.Executable pointer is stable, they also
-// share the downstream per-executable tiers (native baseline, train
-// profile). It is memory-only: assembling a registry build is faster
-// than reading its ~1.3 MB image back from a store, and everything
-// downstream is keyed by its identity record (identTier), never by the
-// image. The key space is bounded by the registry, so the
-// tier is unbounded.
-var buildTier artcache.Tier[buildKey, built]
+// ident is what a build is known by in a store, without its image: the
+// content identity every downstream artifact is keyed by, and the
+// code-section size figure 10 normalises against.
+type ident struct {
+	ID       string
+	CodeSize int
+}
+
+// Memo is the memory of the build stages, what a janus.Session holds of
+// this package. The registry bounds every key space, so no tier is.
+type Memo struct {
+	// sections holds each (name, input) data section, which every
+	// optimisation level's executable aliases (asm.Builder.BuildOver
+	// refuses a section whose layout is not the builder's), so the
+	// loader lays its image out once too.
+	sections artcache.Tier[sectionKey, *asm.Section]
+	// builds is memory-only: assembling a registry build is faster than
+	// reading its ~1.3 MB image back, and everything downstream is keyed
+	// by its identity record. Its stable executable pointers let
+	// concurrent experiments share the downstream per-binary tiers.
+	builds artcache.Tier[buildKey, built]
+	// idents records what each build is known by, used through Disk
+	// only. A record is trusted as much as its verified entry; obj.Lazy
+	// re-checks it against the image whenever the image is needed.
+	idents artcache.Tier[struct{}, ident]
+	// opens holds one handle per (name, input, opt), for the same sharing.
+	opens artcache.Tier[buildKey, *obj.Binary]
+}
+
+// NewMemo returns an empty build memory.
+func NewMemo() *Memo {
+	return &Memo{idents: artcache.Tier[struct{}, ident]{
+		Kind:   "ident-v1",
+		Encode: func(id ident) ([]byte, error) { return json.Marshal(id) },
+		Decode: func(data []byte) (ident, error) {
+			var id ident
+			if err := json.Unmarshal(data, &id); err != nil {
+				return ident{}, err
+			}
+			if id.ID == "" || id.CodeSize <= 0 {
+				return ident{}, fmt.Errorf("workloads: empty identity record")
+			}
+			return id, nil
+		},
+	}}
+}
+
+// process is the memo of the package-level Build and Open, and of the
+// process-default janus.Session.
+var process atomic.Pointer[Memo]
+
+func init() { process.Store(NewMemo()) }
+
+// Default returns the process's memo.
+func Default() *Memo { return process.Load() }
+
+// ResetBuildCache empties the process's memo: the next Open reads the
+// identity record (or assembles), and the next Build assembles.
+func ResetBuildCache() { process.Store(NewMemo()) }
+
+// Build is Default().Build.
+func Build(name string, in Input, opt OptLevel) (*obj.Executable, []*obj.Library, error) {
+	return Default().Build(name, in, opt)
+}
 
 // Build assembles the named benchmark at the given input size and
 // optimisation level, returning the executable and any libraries it
 // links against. The executable is stripped, as the paper targets
-// stripped binaries. Builds are deterministic and memoised (buildTier);
-// executables and libraries are never mutated after construction, so
-// sharing them is safe under concurrency.
-func Build(name string, in Input, opt OptLevel) (*obj.Executable, []*obj.Library, error) {
+// stripped binaries. Builds are deterministic and memoised; executables
+// and libraries are never mutated after construction, so sharing them
+// is safe under concurrency.
+func (m *Memo) Build(name string, in Input, opt OptLevel) (*obj.Executable, []*obj.Library, error) {
 	bm, ok := ByName(name)
 	if !ok {
 		return nil, nil, fmt.Errorf("workloads: unknown benchmark %q", name)
 	}
-	b, err := buildTier.Do(nil, buildKey{name: name, in: in, opt: opt}, nil,
-		func() (built, error) { return build(bm, in, opt) })
+	b, err := m.builds.Do(nil, buildKey{name: name, in: in, opt: opt}, nil,
+		func() (built, error) { return m.build(bm, in, opt) })
 	return b.exe, b.libs, err
 }
 
@@ -435,37 +483,10 @@ func buildDiskKey(bm Benchmark, in Input, opt OptLevel) artcache.Key {
 	}
 }
 
-// ident is what a build is known by in a store, without its image: the
-// content identity every downstream artifact is keyed by, and the
-// code-section size figure 10 normalises against.
-type ident struct {
-	ID       string
-	CodeSize int
+// Open is Default().Open.
+func Open(c *artcache.Cache, name string, in Input, opt OptLevel) (*obj.Binary, error) {
+	return Default().Open(c, name, in, opt)
 }
-
-// identTier records what each registry build is known by, used through
-// Disk only (the handles made from it live in openTier). A record is
-// trusted exactly as much as its verified entry is; obj.Lazy re-checks
-// it against the assembled image whenever the image is actually needed.
-var identTier = artcache.Tier[struct{}, ident]{
-	Kind:   "ident-v1",
-	Encode: func(id ident) ([]byte, error) { return json.Marshal(id) },
-	Decode: func(data []byte) (ident, error) {
-		var id ident
-		if err := json.Unmarshal(data, &id); err != nil {
-			return ident{}, err
-		}
-		if id.ID == "" || id.CodeSize <= 0 {
-			return ident{}, fmt.Errorf("workloads: empty identity record")
-		}
-		return id, nil
-	},
-}
-
-// openTier holds one handle per (name, input, opt), so concurrent
-// experiments share the downstream per-binary tiers the way Build's
-// stable executable pointer lets them.
-var openTier artcache.Tier[buildKey, *obj.Binary]
 
 // Open returns the handle of the named build. With a store, a build
 // whose identity record is there is opened without its image — a lazy
@@ -476,13 +497,13 @@ var openTier artcache.Tier[buildKey, *obj.Binary]
 // counted as a bad entry and rewritten from the build. Without a store
 // the handle is eager and no identity is hashed unless a caller asks
 // for one.
-func Open(c *artcache.Cache, name string, in Input, opt OptLevel) (*obj.Binary, error) {
+func (m *Memo) Open(c *artcache.Cache, name string, in Input, opt OptLevel) (*obj.Binary, error) {
 	bm, ok := ByName(name)
 	if !ok {
 		return nil, fmt.Errorf("workloads: unknown benchmark %q", name)
 	}
-	return openTier.Do(nil, buildKey{name: name, in: in, opt: opt}, nil, func() (*obj.Binary, error) {
-		load := func() (*obj.Executable, []*obj.Library, error) { return Build(name, in, opt) }
+	return m.opens.Do(nil, buildKey{name: name, in: in, opt: opt}, nil, func() (*obj.Binary, error) {
+		load := func() (*obj.Executable, []*obj.Library, error) { return m.Build(name, in, opt) }
 		if c == nil {
 			exe, libs, err := load()
 			if err != nil {
@@ -492,7 +513,7 @@ func Open(c *artcache.Cache, name string, in Input, opt OptLevel) (*obj.Binary, 
 		}
 		key := buildDiskKey(bm, in, opt)
 		var eager *obj.Binary
-		rec, err := identTier.Disk(c, func() (artcache.Key, bool) { return key, true }, func() (ident, error) {
+		rec, err := m.idents.Disk(c, func() (artcache.Key, bool) { return key, true }, func() (ident, error) {
 			exe, libs, err := load()
 			if err != nil {
 				return ident{}, err
@@ -504,39 +525,27 @@ func Open(c *artcache.Cache, name string, in Input, opt OptLevel) (*obj.Binary, 
 			return eager, err
 		}
 		return obj.Lazy(rec.ID, rec.CodeSize, load, func(id string, codeSize int) {
-			identTier.Replace(c, key, ident{ID: id, CodeSize: codeSize})
+			m.idents.Replace(c, key, ident{ID: id, CodeSize: codeSize})
 		}), nil
 	})
 }
 
-// ResetBuildCache drops every completed entry from the in-memory
-// section and build tiers and every handle Open has handed out, forcing
-// the next Open through the identity record (or a fresh assembly) and
-// the next Build to assemble. Tests use it to exercise cold/warm paths
-// in one process.
-func ResetBuildCache() {
-	sectionTier.Reset()
-	buildTier.Reset()
-	openTier.Reset()
-}
-
-// TierStats reports the memory-tier counters of the identity stage by
-// artifact kind (see janus.TierStats), and the build tier's under
-// "build": every assembly this process ran, since builds are not
-// stored. Handles are memoised above both, so a memory hit on a handle
-// shows as no lookup at all.
-func TierStats() map[string]artcache.TierStats {
+// TierStats reports the identity stage's counters by artifact kind,
+// and the build tier's under "build": every assembly, since builds are
+// not stored. Handles are memoised above both, so a memory hit on a
+// handle shows as no lookup at all.
+func (m *Memo) TierStats() map[string]artcache.TierStats {
 	return map[string]artcache.TierStats{
-		"build":        buildTier.Stats(),
-		identTier.Kind: identTier.Stats(),
+		"build":       m.builds.Stats(),
+		m.idents.Kind: m.idents.Stats(),
 	}
 }
 
 // build performs the uncached assembly of one benchmark binary over
-// its (name, input) data section, generated once (sectionTier).
-func build(bm Benchmark, in Input, opt OptLevel) (built, error) {
+// its (name, input) data section, generated once (m.sections).
+func (m *Memo) build(bm Benchmark, in Input, opt OptLevel) (built, error) {
 	b := assemble(bm, in, opt)
-	sec, _ := sectionTier.Memo(sectionKey{name: bm.Name, in: in}, func() (*asm.Section, error) { return b.Section(), nil })
+	sec, _ := m.sections.Memo(sectionKey{name: bm.Name, in: in}, func() (*asm.Section, error) { return b.Section(), nil })
 	exe, err := b.BuildOver(sec)
 	if err != nil {
 		return built{}, fmt.Errorf("workloads: %s: %w", bm.Name, err)

@@ -9,35 +9,34 @@ import (
 )
 
 // TestOpenWithoutStoreIsEager: with no store the handle is the build,
-// shared per (name, input, opt), and ResetBuildCache drops it.
+// shared per (name, input, opt) within a Memo and not beyond it.
 func TestOpenWithoutStoreIsEager(t *testing.T) {
-	ResetBuildCache()
-	bin, err := Open(nil, "470.lbm", Train, O3)
+	m := NewMemo()
+	bin, err := m.Open(nil, "470.lbm", Train, O3)
 	if err != nil {
 		t.Fatal(err)
 	}
-	exe, libs, err := Build("470.lbm", Train, O3)
+	exe, libs, err := m.Build("470.lbm", Train, O3)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if e, l, err := bin.Image(); e != exe || len(l) != len(libs) || err != nil {
 		t.Fatalf("handle's image is not the build: %v, %v, %v", e, l, err)
 	}
-	if again, _ := Open(nil, "470.lbm", Train, O3); again != bin {
+	if again, _ := m.Open(nil, "470.lbm", Train, O3); again != bin {
 		t.Fatal("second Open returned another handle")
 	}
-	ResetBuildCache()
-	if fresh, _ := Open(nil, "470.lbm", Train, O3); fresh == bin {
-		t.Fatal("ResetBuildCache kept the handle")
+	if fresh, _ := NewMemo().Open(nil, "470.lbm", Train, O3); fresh == bin {
+		t.Fatal("a fresh Memo had the handle")
 	}
-	if _, err := Open(nil, "no-such-benchmark", Train, O3); err == nil {
+	if _, err := m.Open(nil, "no-such-benchmark", Train, O3); err == nil {
 		t.Fatal("unknown benchmark opened")
 	}
 }
 
 // TestOpenReadsTheRecordNotTheImage: the first Open against a store
-// assembles the build and publishes its identity record; a later
-// process state opens from the record alone — same identity, same code
+// assembles the build and publishes its identity record; a fresh Memo
+// opens from the record alone — same identity, same code
 // size, nothing assembled — and assembles the image only when asked,
 // which then checks out against the record.
 func TestOpenReadsTheRecordNotTheImage(t *testing.T) {
@@ -45,8 +44,7 @@ func TestOpenReadsTheRecordNotTheImage(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ResetBuildCache()
-	cold, err := Open(c, "410.bwaves", Ref, O3)
+	cold, err := NewMemo().Open(c, "410.bwaves", Ref, O3)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -59,9 +57,8 @@ func TestOpenReadsTheRecordNotTheImage(t *testing.T) {
 		t.Fatal("cold handle's identity is not its image's")
 	}
 
-	ResetBuildCache()
-	assembled := buildTier.Stats().Computed
-	warm, err := Open(c, "410.bwaves", Ref, O3)
+	m := NewMemo()
+	warm, err := m.Open(c, "410.bwaves", Ref, O3)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -70,15 +67,15 @@ func TestOpenReadsTheRecordNotTheImage(t *testing.T) {
 	}
 	st = c.Stats()
 	want := map[string]artcache.KindStats{"ident-v1": {Hits: 1, Misses: 1}}
-	if !reflect.DeepEqual(st.Kinds, want) || buildTier.Stats().Computed != assembled {
-		t.Fatalf("warm Open looked up %s and assembled %d builds — want the record alone", st.KindsString(), buildTier.Stats().Computed-assembled)
+	if !reflect.DeepEqual(st.Kinds, want) || m.builds.Stats().Computed != 0 {
+		t.Fatalf("warm Open looked up %s and assembled %d builds — want the record alone", st.KindsString(), m.builds.Stats().Computed)
 	}
 	loaded, libs, err := warm.Image()
 	if err != nil {
 		t.Fatal(err)
 	}
 	st = c.Stats()
-	if loaded == exe || buildTier.Stats().Computed != assembled+1 || obj.Identity(loaded, libs) != cold.ID() ||
+	if loaded == exe || m.builds.Stats().Computed != 1 || obj.Identity(loaded, libs) != cold.ID() ||
 		st.BadEntries != 0 || warm.ID() != cold.ID() || !reflect.DeepEqual(st.Kinds, want) {
 		t.Fatalf("image was not assembled anew and accepted: %s (%s)", st, st.KindsString())
 	}
@@ -87,7 +84,7 @@ func TestOpenReadsTheRecordNotTheImage(t *testing.T) {
 // TestOpenHealsALyingRecord: a record that verifies but names another
 // binary is believed until its image is loaded; then the handle takes
 // the image's identity, the record is counted bad and rewritten, and
-// the next process state reads the truth.
+// a fresh Memo reads the truth.
 func TestOpenHealsALyingRecord(t *testing.T) {
 	c, err := artcache.Open(t.TempDir(), artcache.Options{})
 	if err != nil {
@@ -95,16 +92,15 @@ func TestOpenHealsALyingRecord(t *testing.T) {
 	}
 	bm, _ := ByName("470.lbm")
 	key := buildDiskKey(bm, Train, O3)
-	ResetBuildCache()
-	honest, err := Open(c, "470.lbm", Train, O3)
+	m := NewMemo()
+	honest, err := m.Open(c, "470.lbm", Train, O3)
 	if err != nil {
 		t.Fatal(err)
 	}
-	identTier.Replace(c, key, ident{ID: "someone-else", CodeSize: honest.CodeSize()})
+	m.idents.Replace(c, key, ident{ID: "someone-else", CodeSize: honest.CodeSize()})
 	bad := c.Stats().BadEntries
 
-	ResetBuildCache()
-	lying, err := Open(c, "470.lbm", Train, O3)
+	lying, err := NewMemo().Open(c, "470.lbm", Train, O3)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -117,8 +113,7 @@ func TestOpenHealsALyingRecord(t *testing.T) {
 	if lying.ID() != honest.ID() || c.Stats().BadEntries != bad+1 {
 		t.Fatalf("after loading: handle says %s (image is %s), %d bad entries counted", lying.ID(), honest.ID(), c.Stats().BadEntries-bad)
 	}
-	ResetBuildCache()
-	healed, err := Open(c, "470.lbm", Train, O3)
+	healed, err := NewMemo().Open(c, "470.lbm", Train, O3)
 	if err != nil {
 		t.Fatal(err)
 	}

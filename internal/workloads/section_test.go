@@ -12,14 +12,12 @@ import (
 // backing array, one loaded image — whose bytes equal what a fresh,
 // unshared assembly generates.
 func TestRegistrySectionsShared(t *testing.T) {
-	// An Open test may have left an image decoded from a store in the
-	// build tier, which shares no section with a registry build.
-	ResetBuildCache()
+	memo := NewMemo()
 	for _, bm := range registry {
 		for _, in := range []Input{Train, Ref} {
 			var image any
 			for _, opt := range []OptLevel{O2, O3, O3AVX} {
-				exe, libs, err := Build(bm.Name, in, opt)
+				exe, libs, err := memo.Build(bm.Name, in, opt)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -49,7 +47,7 @@ func TestRegistrySectionsShared(t *testing.T) {
 				if img != image {
 					t.Errorf("%s %s %s: a second image was built for the section", bm.Name, in, opt)
 				}
-				o2, _, _ := Build(bm.Name, in, O2)
+				o2, _, _ := memo.Build(bm.Name, in, O2)
 				if &exe.Data[0] != &o2.Data[0] || exe.DataSection() != o2.DataSection() {
 					t.Errorf("%s %s %s: data section not shared with O2", bm.Name, in, opt)
 				}

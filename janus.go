@@ -67,6 +67,8 @@ type Config struct {
 	// runs bypass it, see cache.go). Nil disables the tier; the
 	// in-memory memos still apply.
 	Cache *artcache.Cache
+	// Session holds the memoised stages; nil is the process default.
+	Session *Session
 }
 
 // Report is the outcome of a full Janus run.
@@ -99,9 +101,9 @@ func (r *Report) Speedup() float64 {
 func Parallelise(exe *obj.Executable, cfg Config, libs ...*obj.Library) (*Report, error) {
 	var train *obj.Binary
 	if cfg.TrainExe != nil {
-		train = BinaryOf(cfg.TrainExe, libs...)
+		train = cfg.Session.BinaryOf(cfg.TrainExe, libs...)
 	}
-	return ParalleliseBinary(BinaryOf(exe, libs...), train, cfg)
+	return ParalleliseBinary(cfg.Session.BinaryOf(exe, libs...), train, cfg)
 }
 
 // ParalleliseBinary runs the complete Janus flow on ref in its two
@@ -115,14 +117,15 @@ func ParalleliseBinary(ref, train *obj.Binary, cfg Config) (*Report, error) {
 	if cfg.Threads <= 0 {
 		cfg.Threads = 8
 	}
-	plan, err := PlanCached(cfg.Cache, ref, train, cfg.Selection())
+	s := cfg.Session.orDefault()
+	plan, err := s.PlanCached(cfg.Cache, ref, train, cfg.Selection())
 	if err != nil {
 		return nil, err
 	}
 
 	dcfg := dbm.DefaultConfig(cfg.Threads)
 	dcfg.Inject = cfg.Inject
-	native, res, err := RunPlanBinary(cfg.Cache, ref, plan, dcfg)
+	native, res, err := s.RunPlanBinary(cfg.Cache, ref, plan, dcfg)
 	if err != nil {
 		return nil, err
 	}
@@ -149,14 +152,14 @@ func ParalleliseBinary(ref, train *obj.Binary, cfg Config) (*Report, error) {
 // a run asked for twice executes once, and a warm store replays both.
 // The run is keyed by the digest a plan of PlanCached's carries, so
 // nothing is serialised or hashed here; any other plan runs uncached.
-func RunPlanBinary(c *artcache.Cache, bin *obj.Binary, plan *Plan, dcfg dbm.Config) (*vm.Result, *dbm.Result, error) {
-	return runSchedule(c, bin, plan.Schedule, plan.digest, dcfg)
+func (s *Session) RunPlanBinary(c *artcache.Cache, bin *obj.Binary, plan *Plan, dcfg dbm.Config) (*vm.Result, *dbm.Result, error) {
+	return s.orDefault().runSchedule(c, bin, plan.Schedule, plan.digest, dcfg)
 }
 
-// RunScheduleBinary is RunPlanBinary for callers that bring a bare
-// rewrite schedule (`janus run -schedule`): sched is serialised and
-// hashed once per call to key the run; one that does not serialise runs
-// uncached.
+// RunScheduleBinary is the process default's RunPlanBinary for callers
+// that bring a bare rewrite schedule (`janus run -schedule`): sched is
+// serialised and hashed once per call to key the run; one that does not
+// serialise runs uncached.
 func RunScheduleBinary(c *artcache.Cache, bin *obj.Binary, sched *rules.Schedule, dcfg dbm.Config) (*vm.Result, *dbm.Result, error) {
 	var digest string // stays empty if sched does not serialise
 	if sched == nil {
@@ -164,15 +167,15 @@ func RunScheduleBinary(c *artcache.Cache, bin *obj.Binary, sched *rules.Schedule
 	} else if img, err := sched.Save(); err == nil {
 		digest = scheduleDigest(img)
 	}
-	return runSchedule(c, bin, sched, digest, dcfg)
+	return process.Load().runSchedule(c, bin, sched, digest, dcfg)
 }
 
-func runSchedule(c *artcache.Cache, bin *obj.Binary, sched *rules.Schedule, digest string, dcfg dbm.Config) (*vm.Result, *dbm.Result, error) {
-	native, err := runNativeBaseline(c, bin)
+func (s *Session) runSchedule(c *artcache.Cache, bin *obj.Binary, sched *rules.Schedule, digest string, dcfg dbm.Config) (*vm.Result, *dbm.Result, error) {
+	native, err := s.runNativeBaseline(c, bin)
 	if err != nil {
 		return nil, nil, fmt.Errorf("janus: native run: %w", err)
 	}
-	res, err := runDBM(c, bin, sched, digest, dcfg)
+	res, err := s.runDBM(c, bin, sched, digest, dcfg)
 	if err != nil {
 		return nil, nil, fmt.Errorf("janus: DBM run: %w", err)
 	}

@@ -52,6 +52,7 @@ func TestParalleliseAllNineBenchmarks(t *testing.T) {
 // -short-skipped: the race job runs it on host goroutines.
 func TestVerifyAcrossOptLevelsThreadsEngines(t *testing.T) {
 	full := Config{UseProfile: true, UseChecks: true}.Selection()
+	s := process.Load()
 	for _, name := range workloads.ParallelisableNames() {
 		for _, opt := range []workloads.OptLevel{workloads.O2, workloads.O3, workloads.O3AVX} {
 			exe, libs, err := workloads.Build(name, workloads.Ref, opt)
@@ -63,7 +64,7 @@ func TestVerifyAcrossOptLevelsThreadsEngines(t *testing.T) {
 				t.Fatal(err)
 			}
 			ref := BinaryOf(exe, libs...)
-			plan, err := PlanCached(nil, ref, BinaryOf(trainExe, libs...), full)
+			plan, err := s.PlanCached(nil, ref, BinaryOf(trainExe, libs...), full)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -73,7 +74,7 @@ func TestVerifyAcrossOptLevelsThreadsEngines(t *testing.T) {
 					t.Run(fmt.Sprintf("%s/%s/%dT/single=%t", name, opt, threads, single), func(t *testing.T) {
 						dcfg := dbm.DefaultConfig(threads)
 						dcfg.HostParallel = !single
-						native, res, err := RunPlanBinary(nil, ref, plan, dcfg)
+						native, res, err := s.RunPlanBinary(nil, ref, plan, dcfg)
 						if err != nil {
 							t.Fatal(err)
 						}

@@ -98,15 +98,6 @@ type planKey struct {
 	trains     bool
 }
 
-// planTier holds whole plans: every thread count of a Janus run, and
-// every later render in the same process, asks for the same one.
-var planTier = artcache.Tier[planKey, *Plan]{
-	Kind:   "schedule-v1",
-	Limit:  handleLimit,
-	Encode: encodePlan,
-	Decode: decodePlan,
-}
-
 // PlanCached returns the plan of ref under sel: from memory, from c when
 // it holds one for (ref identity, train identity or "self"/"none",
 // sel.Key) — in which case neither binary is analysed, profiled or
@@ -114,7 +105,8 @@ var planTier = artcache.Tier[planKey, *Plan]{
 // sel.Train (nil train profiles ref itself; the profile is the
 // profile-v1 stage), selecting and generating the schedule, then
 // publishing it. Nil c keeps the memory tier alone.
-func PlanCached(c *artcache.Cache, ref, train *obj.Binary, sel Selection) (*Plan, error) {
+func (s *Session) PlanCached(c *artcache.Cache, ref, train *obj.Binary, sel Selection) (*Plan, error) {
+	s = s.orDefault()
 	bins, trainedOn := []*obj.Binary{ref}, "none"
 	switch {
 	case !sel.Train:
@@ -124,18 +116,18 @@ func PlanCached(c *artcache.Cache, ref, train *obj.Binary, sel Selection) (*Plan
 	default:
 		bins = append(bins, train)
 	}
-	return staged(&planTier, c, planKey{ref, train, sel.Key, sel.Train}, bins, func(ids []string) artcache.Key {
+	return staged(&s.plans, c, planKey{ref, train, sel.Key, sel.Train}, bins, func(ids []string) artcache.Key {
 		k := artcache.Key{Binary: ids[0], Input: trainedOn, Config: sel.Key}
 		if len(ids) > 1 {
 			k.Input = ids[1]
 		}
 		return k
-	}, func() (*Plan, error) { return computePlan(c, ref, train, sel) })
+	}, func() (*Plan, error) { return s.computePlan(c, ref, train, sel) })
 }
 
 // computePlan is the static analyser's pass over ref: figure 1(a) left
 // to right up to the rewrite schedule.
-func computePlan(c *artcache.Cache, ref, train *obj.Binary, sel Selection) (*Plan, error) {
+func (s *Session) computePlan(c *artcache.Cache, ref, train *obj.Binary, sel Selection) (*Plan, error) {
 	exe, _, err := ref.Image()
 	if err != nil {
 		return nil, err
@@ -150,13 +142,13 @@ func computePlan(c *artcache.Cache, ref, train *obj.Binary, sel Selection) (*Pla
 		trainProg := prog
 		if train == nil {
 			train = ref
-		} else if trainProg, err = runAnalyzeMemo(train); err != nil {
+		} else if trainProg, err = s.runAnalyzeMemo(train); err != nil {
 			// Memoised: the train binary is re-analysed identically for
 			// every plan that profiles it, and the profiling path never
 			// mutates the Program.
 			return nil, fmt.Errorf("janus: train analysis: %w", err)
 		}
-		pr, err := runProfiling(c, train, trainProg)
+		pr, err := s.runProfiling(c, train, trainProg)
 		if err != nil {
 			return nil, fmt.Errorf("janus: profiling: %w", err)
 		}

@@ -29,9 +29,9 @@ var figure7Modes = []Config{
 // byte-identical schedule and the same loop summary, and the digest it
 // took of the stored bytes — which keys every run under the plan, and
 // is never recomputed — is the SHA-256 of that schedule's serialised
-// form: anything else would turn a warm replay's runs into misses. The
-// memory tier is reset between the two lookups; without that the second
-// one is the first one's pointer and compares a plan with itself.
+// form: anything else would turn a warm replay's runs into misses. Each
+// lookup is made in a fresh session; in one the second would be the
+// first one's pointer and compare a plan with itself.
 func TestReplayedPlanEqualsGenerated(t *testing.T) {
 	c, err := artcache.Open(t.TempDir(), artcache.Options{})
 	if err != nil {
@@ -45,14 +45,12 @@ func TestReplayedPlanEqualsGenerated(t *testing.T) {
 		bin := BinaryOf(exe, libs...)
 		for _, cfg := range figure7Modes {
 			sel := cfg.Selection()
-			ResetMemos() // a plan another test memoised was never published here
-			gen, err := PlanCached(c, bin, nil, sel)
+			gen, err := NewSession(nil).PlanCached(c, bin, nil, sel)
 			if err != nil {
 				t.Fatalf("%s, %s: %v", name, sel.Key, err)
 			}
-			ResetMemos()
 			before := c.Stats()
-			got, err := PlanCached(c, bin, nil, sel)
+			got, err := NewSession(nil).PlanCached(c, bin, nil, sel)
 			if err != nil {
 				t.Fatalf("%s, %s: %v", name, sel.Key, err)
 			}
@@ -81,8 +79,7 @@ func TestReplayedPlanEqualsGenerated(t *testing.T) {
 }
 
 // TestReplayedReportEqualsCold: Parallelise against a warm store — in a
-// process state with no memo left — reports exactly what the cold call
-// did.
+// fresh session — reports exactly what the cold call did.
 func TestReplayedReportEqualsCold(t *testing.T) {
 	for _, name := range []string{"470.lbm", "410.bwaves"} {
 		c, err := artcache.Open(t.TempDir(), artcache.Options{})
@@ -98,12 +95,12 @@ func TestReplayedReportEqualsCold(t *testing.T) {
 			t.Fatal(err)
 		}
 		cfg := Config{Threads: 8, UseProfile: true, UseChecks: true, Verify: true, TrainExe: trainExe, Cache: c}
-		ResetMemos()
+		cfg.Session = NewSession(nil)
 		cold, err := Parallelise(exe, cfg, libs...)
 		if err != nil {
 			t.Fatal(err)
 		}
-		ResetMemos()
+		cfg.Session = NewSession(nil)
 		before := c.Stats()
 		warm, err := Parallelise(exe, cfg, libs...)
 		if err != nil {
@@ -136,8 +133,7 @@ func TestUnloadablePlanIsRecomputed(t *testing.T) {
 		t.Fatal(err)
 	}
 	bin, sel := BinaryOf(exe, libs...), Config{}.Selection()
-	ResetMemos()
-	gen, err := PlanCached(c, bin, nil, sel)
+	gen, err := NewSession(nil).PlanCached(c, bin, nil, sel)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -156,9 +152,8 @@ func TestUnloadablePlanIsRecomputed(t *testing.T) {
 		}
 		return staleLayoutWith(entry, payload)
 	})
-	ResetMemos() // the generated plan is in memory; the store is what is under test
-	before := c.Stats()
-	got, err := PlanCached(c, bin, nil, sel)
+	before := c.Stats() // a fresh session: the store is what is under test
+	got, err := NewSession(nil).PlanCached(c, bin, nil, sel)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -186,7 +181,7 @@ func TestPlanDigestCoversExactlyTheSchedule(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	plan, err := PlanCached(nil, BinaryOf(exe, libs...), nil, Config{}.Selection())
+	plan, err := process.Load().PlanCached(nil, BinaryOf(exe, libs...), nil, Config{}.Selection())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -310,18 +305,18 @@ func TestStaleIdentityNeverKeysAnArtifact(t *testing.T) {
 	}
 
 	// Everything stored must be reachable by the honest identity, so a
-	// second process state replays it all; the victim's identity must
-	// key nothing.
-	ResetMemos()
+	// fresh session replays it all; the victim's identity must key
+	// nothing.
+	s := NewSession(nil)
 	before := c.Stats()
-	if _, err := ParalleliseBinary(BinaryOf(exe, libs...), nil, Config{Threads: 4, UseProfile: true, UseChecks: true, Verify: true, Cache: c}); err != nil {
+	if _, err := ParalleliseBinary(s.BinaryOf(exe, libs...), nil, Config{Threads: 4, UseProfile: true, UseChecks: true, Verify: true, Cache: c, Session: s}); err != nil {
 		t.Fatal(err)
 	}
 	if d := c.Stats(); d.Misses != before.Misses || d.Hits != before.Hits+3 {
 		t.Fatalf("honest replay of what the lying handle stored: %s, was %s", d, before)
 	}
 	before = c.Stats()
-	if _, err := PlanCached(c, victim, nil, Config{UseProfile: true, UseChecks: true}.Selection()); err != nil {
+	if _, err := s.PlanCached(c, victim, nil, Config{UseProfile: true, UseChecks: true}.Selection()); err != nil {
 		t.Fatal(err)
 	}
 	if d := c.Stats(); d.Hits != before.Hits {
