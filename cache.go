@@ -236,6 +236,63 @@ func staged[K comparable, V any](t *artcache.Tier[K, V], c *artcache.Cache, memK
 	})
 }
 
+// started is a stage lookup that runs beside its caller: on a goroutine
+// of its own, or — when the session's memory already holds its result —
+// on the caller's, at join, so a memory hit spawns nothing. Either way
+// the lookup is asked exactly once, so every tier counts what the
+// sequential pipeline counts. A caller that starts one defers wait
+// before anything that can return or panic, so no goroutine outlives
+// the call.
+type started[V any] struct {
+	lookup func() (V, error)
+	done   chan struct{} // nil: the lookup runs at join
+	val    V
+	err    error
+	panic  any // what the lookup panicked with, raised again by join
+}
+
+// start begins lookup on a goroutine unless inMemory.
+func start[V any](inMemory bool, lookup func() (V, error)) *started[V] {
+	st := &started[V]{lookup: lookup}
+	if inMemory {
+		return st
+	}
+	st.done = make(chan struct{})
+	go func() {
+		defer close(st.done)
+		defer func() { st.panic = recover() }()
+		st.val, st.err = lookup()
+	}()
+	return st
+}
+
+// wait blocks until a started goroutine has finished, discarding its
+// outcome: what an error path that outranks the lookup's does.
+func (st *started[V]) wait() {
+	if st.done != nil {
+		<-st.done
+	}
+}
+
+// join returns the lookup's result, running it now if it was not
+// started, and raises on the caller's goroutine what a started one
+// panicked with.
+func (st *started[V]) join() (V, error) {
+	if st.done == nil {
+		return st.lookup()
+	}
+	<-st.done
+	if st.panic != nil {
+		panic(st.panic)
+	}
+	return st.val, st.err
+}
+
+// startNative starts bin's native-baseline lookup.
+func (s *Session) startNative(c *artcache.Cache, bin *obj.Binary) *started[*vm.Result] {
+	return start(s.native.Has(bin), func() (*vm.Result, error) { return s.runNativeBaseline(c, bin) })
+}
+
 // binaryDiskKey is the disk key of a stage that depends on the binary
 // alone.
 func binaryDiskKey(ids []string) artcache.Key {
@@ -275,6 +332,23 @@ func (s *Session) runAnalyzeMemo(bin *obj.Binary) (*analyzer.Program, error) {
 		}
 		return analyzer.Analyze(exe)
 	})
+}
+
+// trainProfile is the training stage on a distinct train binary: its
+// memoised analysis, then its profile under that analysis.
+func (s *Session) trainProfile(c *artcache.Cache, train *obj.Binary) (*ProfileResult, error) {
+	// Memoised: the train binary is re-analysed identically for every
+	// plan that profiles it, and the profiling path never mutates the
+	// Program.
+	prog, err := s.runAnalyzeMemo(train)
+	if err != nil {
+		return nil, fmt.Errorf("janus: train analysis: %w", err)
+	}
+	pr, err := s.runProfiling(c, train, prog)
+	if err != nil {
+		return nil, fmt.Errorf("janus: profiling: %w", err)
+	}
+	return pr, nil
 }
 
 // runProfiling is the train-profile stage: the profile of bin is taken

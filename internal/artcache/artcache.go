@@ -152,7 +152,7 @@ func (s Stats) KindsString() string {
 		}
 		ks := s.Kinds[k]
 		fmt.Fprintf(&b, "%s %d/%d", k, ks.Hits, ks.Hits+ks.Misses)
-		if ks.TierStats != (TierStats{}) {
+		if ks.MemHits != 0 || ks.Computed != 0 {
 			fmt.Fprintf(&b, " (mem %d, computed %d)", ks.MemHits, ks.Computed)
 		}
 	}

@@ -44,7 +44,7 @@ type Tier[K comparable, V any] struct {
 	mu    sync.Mutex
 	calls map[K]*call[V]
 
-	memHits, computed atomic.Int64
+	memHits, computed, storeHits, storeMisses atomic.Int64
 }
 
 // TierStats are one tier's memory-side counters since it was made:
@@ -57,11 +57,30 @@ type TierStats struct {
 	// Computed counts the computations run: lookups that neither memory
 	// nor the store could answer, bypasses included.
 	Computed int64 `json:"computed,omitempty"`
+	// StoreHits and StoreMisses count the tier's own store lookups, as
+	// the store counts them (Cache.Get): its share of its kind's hits and
+	// misses in a store other tiers may read too.
+	StoreHits   int64 `json:"-"`
+	StoreMisses int64 `json:"-"`
 }
 
 // Stats snapshots the tier's counters.
 func (t *Tier[K, V]) Stats() TierStats {
-	return TierStats{MemHits: t.memHits.Load(), Computed: t.computed.Load()}
+	return TierStats{
+		MemHits:     t.memHits.Load(),
+		Computed:    t.computed.Load(),
+		StoreHits:   t.storeHits.Load(),
+		StoreMisses: t.storeMisses.Load(),
+	}
+}
+
+// Has reports whether memory holds an entry for memKey, completed or in
+// flight: whether a lookup made now would be a memory hit.
+func (t *Tier[K, V]) Has(memKey K) bool {
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	_, ok := t.calls[memKey]
+	return ok
 }
 
 // call is one in-flight or completed lookup.
@@ -138,7 +157,11 @@ func (t *Tier[K, V]) Disk(c *Cache, diskKey func() (Key, bool), compute func() (
 	}
 	if keyed {
 		k.Kind = t.Kind
-		if data, hit := c.Get(k); hit {
+		data, hit := c.Get(k)
+		if !hit {
+			t.storeMisses.Add(1)
+		} else {
+			t.storeHits.Add(1)
 			if v, err := t.Decode(data); err == nil {
 				return v, nil
 			}

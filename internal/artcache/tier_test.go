@@ -182,7 +182,8 @@ func TestTierReplace(t *testing.T) {
 // places, and each is counted where it ends — memory (a completed entry
 // or an in-flight one joined), the store (the Cache's own hit counter),
 // or a computation, whichever of the bypasses led there — and the
-// counters render beside their kind's.
+// counters render beside their kind's. The tier's own store lookups are
+// counted as the store counts them.
 func TestTierStats(t *testing.T) {
 	c := mustOpen(t, t.TempDir(), Options{})
 	tier := Tier[string, []byte]{
@@ -200,17 +201,17 @@ func TestTierStats(t *testing.T) {
 	}
 	expect("unused tier", TierStats{})
 	tier.Do(c, "k", key, compute)
-	expect("miss everywhere computes", TierStats{Computed: 1})
+	expect("miss everywhere computes", TierStats{Computed: 1, StoreMisses: 1})
 	tier.Do(c, "k", key, compute)
-	expect("memory hit", TierStats{MemHits: 1, Computed: 1})
+	expect("memory hit", TierStats{MemHits: 1, Computed: 1, StoreMisses: 1})
 	tier.Do(c, "k2", key, compute)
-	expect("store hit is the Cache's to count", TierStats{MemHits: 1, Computed: 1})
+	expect("store hit computes nothing", TierStats{MemHits: 1, Computed: 1, StoreHits: 1, StoreMisses: 1})
 	tier.Disk(nil, key, compute)
 	tier.Disk(c, func() (Key, bool) { return Key{}, false }, compute)
 	tier.Disk(c, key, func() ([]byte, error) { return nil, errors.New("not reached") })
-	expect("both bypasses compute, a store hit does not", TierStats{MemHits: 1, Computed: 3})
+	expect("both bypasses compute, a store hit does not", TierStats{MemHits: 1, Computed: 3, StoreHits: 2, StoreMisses: 1})
 	tier.Disk(nil, nil, func() ([]byte, error) { return nil, errors.New("failed") })
-	expect("a failed computation is one", TierStats{MemHits: 1, Computed: 4})
+	expect("a failed computation is one", TierStats{MemHits: 1, Computed: 4, StoreHits: 2, StoreMisses: 1})
 
 	// An in-flight lookup joined is a memory hit.
 	started, release := make(chan struct{}), make(chan struct{})
@@ -228,7 +229,10 @@ func TestTierStats(t *testing.T) {
 	}
 	close(release)
 	wg.Wait()
-	expect("joined in flight", TierStats{MemHits: 2, Computed: 5})
+	expect("joined in flight", TierStats{MemHits: 2, Computed: 5, StoreHits: 2, StoreMisses: 1})
+	if ks := c.Stats().Kinds["test-v1"]; ks.Hits != 2 || ks.Misses != 1 {
+		t.Fatalf("the store counted %+v for the tier's 2 hits and 1 miss", ks)
+	}
 
 	st := c.Stats().WithTiers(map[string]TierStats{"test-v1": tier.Stats(), "other-v1": {Computed: 2}})
 	if got := st.KindsString(); got != "other-v1 0/0 (mem 0, computed 2), test-v1 2/3 (mem 2, computed 5)" {

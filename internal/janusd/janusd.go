@@ -33,6 +33,7 @@ import (
 	"fmt"
 	"io"
 	"log"
+	"net"
 	"net/http"
 	"os"
 	"runtime"
@@ -232,8 +233,15 @@ type Server struct {
 	baseCtx    context.Context
 	baseCancel context.CancelFunc
 
-	http    *http.Server
-	cache   *artcache.Cache // cfg.CacheDir's handle, for statusz
+	http *http.Server
+	// silent holds the connections that have sent no request yet
+	// (http.StateNew); once closeSilent is set, Drain has closed them and
+	// the state hook closes every later one as it arrives.
+	connMu      sync.Mutex
+	silent      map[net.Conn]struct{}
+	closeSilent bool
+
+	cache   *artcache.Cache // cfg.CacheDir's handle, for statusz's bad entries
 	session *janus.Session  // the memoised stages every job renders through
 	started time.Time
 }
@@ -249,11 +257,12 @@ func New(cfg Config) *Server {
 		baseCtx:    ctx,
 		baseCancel: cancel,
 		session:    janus.NewSession(workloads.NewMemo()),
+		silent:     map[net.Conn]struct{}{},
 		started:    time.Now(),
 	}
 	if cfg.CacheDir != "" {
 		// Same handle the harness opens (OpenShared dedups per dir), so
-		// statusz reports the counters requests actually increment.
+		// statusz reports the bad entries requests actually meet.
 		if c, err := artcache.OpenShared(cfg.CacheDir); err == nil {
 			s.cache = c
 		} else {
@@ -263,8 +272,23 @@ func New(cfg Config) *Server {
 			s.cfg.CacheDir = ""
 		}
 	}
-	s.http = &http.Server{Handler: s.Handler()}
+	s.http = &http.Server{Handler: s.Handler(), ConnState: s.trackConn}
 	return s
+}
+
+// trackConn is the HTTP server's connection-state hook: it keeps the
+// set of connections that have sent no request yet.
+func (s *Server) trackConn(c net.Conn, state http.ConnState) {
+	s.connMu.Lock()
+	defer s.connMu.Unlock()
+	switch {
+	case state != http.StateNew:
+		delete(s.silent, c)
+	case s.closeSilent:
+		c.Close()
+	default:
+		s.silent[c] = struct{}{}
+	}
 }
 
 // Typed submit errors; the HTTP layer maps them to KindDraining and
@@ -471,18 +495,19 @@ type Stats struct {
 	Served   int64 `json:"served"`
 	Shed     int64 `json:"shed"`
 	Draining bool  `json:"draining"`
-	// Cache counters from the daemon's artifact cache (zero values
-	// when the daemon runs cacheless). CacheBad counts entries
-	// rejected by verification — the replica-sharing tests assert it
-	// stays zero.
+	// Cache counters (zero values when the daemon runs cacheless):
+	// CacheHits and CacheMisses are this server's own lookups in its
+	// artifact cache, which other servers and processes may share.
+	// CacheBad is the store's count of entries rejected by verification
+	// — the replica-sharing tests assert it stays zero.
 	CacheHits   int64 `json:"cache_hits,omitempty"`
 	CacheMisses int64 `json:"cache_misses,omitempty"`
 	CacheBad    int64 `json:"cache_bad,omitempty"`
-	// CacheKinds splits hits and misses by artifact kind (ident-v1,
-	// schedule-v1, native-v1, profile-v1, dbm-v3), with each stage's
-	// memory-tier hits and computations since this server started:
-	// which stages requests replayed, from where, and which they
-	// recomputed. "build" is the builds assembled, which are not stored.
+	// CacheKinds splits this server's hits and misses by artifact kind
+	// (ident-v1, schedule-v1, native-v1, profile-v1, dbm-v3), with each
+	// stage's memory-tier hits and computations since it started: which
+	// stages requests replayed, from where, and which they recomputed.
+	// "build" is the builds assembled, which are not stored.
 	CacheKinds map[string]artcache.KindStats `json:"cache_kinds,omitempty"`
 	// FreeLists counts the page blocks and dependence tables renders
 	// allocated fresh and took recycled since the process started.
@@ -491,20 +516,30 @@ type Stats struct {
 
 // Snapshot returns current daemon stats.
 func (s *Server) Snapshot() Stats {
-	var cs artcache.Stats
+	var bad int64
 	if s.cache != nil {
-		cs = s.cache.Stats()
+		bad = s.cache.Stats().BadEntries
 	}
-	cs = cs.WithTiers(s.session.TierStats())
+	// The store's hit and miss counters are the directory's, shared by
+	// every server in the process that opened it; the session's tiers
+	// count this server's own.
+	tiers := s.session.TierStats()
+	kinds := make(map[string]artcache.KindStats, len(tiers))
+	var hits, misses int64
+	for kind, ts := range tiers {
+		kinds[kind] = artcache.KindStats{Hits: ts.StoreHits, Misses: ts.StoreMisses, TierStats: ts}
+		hits += ts.StoreHits
+		misses += ts.StoreMisses
+	}
 	s.mu.Lock()
 	running, queued := s.loadLocked()
 	served, shed, draining := s.admitted, s.shed, s.draining
 	s.mu.Unlock()
 	return Stats{
-		CacheHits:   cs.Hits,
-		CacheMisses: cs.Misses,
-		CacheBad:    cs.BadEntries,
-		CacheKinds:  cs.Kinds,
+		CacheHits:   hits,
+		CacheMisses: misses,
+		CacheBad:    bad,
+		CacheKinds:  kinds,
 		FreeLists:   harness.FreeListStats(),
 		PID:         os.Getpid(),
 		UptimeMS:    time.Since(s.started).Milliseconds(),

@@ -403,6 +403,45 @@ func TestDrainGraceful(t *testing.T) {
 	}
 }
 
+// TestDrainClosesSilentConnection: a connection that was dialled but
+// never sent a request — a client's spare — does not hold Drain up.
+// net/http counts such a connection as active until it is 5 s old, as
+// long as Drain's flush window, so Drain closes it once every job is
+// done, and returns nil well inside the window.
+func TestDrainClosesSilentConnection(t *testing.T) {
+	s, base, errc := startServer(t, Config{Workers: 1})
+	silent, err := net.Dial("tcp", strings.TrimPrefix(base, "http://"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer silent.Close()
+	// The listener accepts in dial order, so once a later connection has
+	// been served, the silent one has been accepted too.
+	probe := &http.Client{Transport: &http.Transport{DisableKeepAlives: true}}
+	if res, err := probe.Get(base + "/healthz"); err != nil {
+		t.Fatal(err)
+	} else {
+		res.Body.Close()
+	}
+
+	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+	defer cancel()
+	start := time.Now()
+	if err := s.Drain(ctx); err != nil {
+		t.Fatalf("drain with a silent connection open: %v after %v", err, time.Since(start))
+	}
+	if elapsed := time.Since(start); elapsed > 2*time.Second {
+		t.Fatalf("drain took %v with a silent connection open", elapsed)
+	}
+	silent.SetReadDeadline(time.Now().Add(2 * time.Second))
+	if n, err := silent.Read(make([]byte, 1)); err != io.EOF {
+		t.Fatalf("silent connection after drain: read %d bytes, %v; want it closed", n, err)
+	}
+	if err := <-errc; err != http.ErrServerClosed {
+		t.Fatalf("serve returned %v", err)
+	}
+}
+
 // TestDrainDeadlineCancels: when the drain budget expires, still-running
 // jobs are cancelled through their contexts and flush typed responses —
 // clients get an answer, never a dropped connection.

@@ -165,22 +165,38 @@ func longClient() *http.Client {
 }
 
 // TestStatuszCountsOwnWork: two servers in one process on one cache
-// directory, each warmed with the same figure. The store's counters are
-// the directory's, but each server's memory-tier counters are its own
-// session's: the first computed every artifact it stored, the second
-// replayed all of them and computed nothing, and both answered the
-// figure's repeated asks from memory alike.
+// directory, each warmed with the same figure. The store is the
+// directory's, but each server's counters are its own session's: the
+// first missed and computed every artifact it stored, the second
+// replayed all of them from the store, missed none and computed
+// nothing, and both answered the figure's repeated asks from memory
+// alike.
 func TestStatuszCountsOwnWork(t *testing.T) {
 	dir := t.TempDir()
-	var kinds [2]map[string]artcache.KindStats
-	for i := range kinds {
+	var stats [2]Stats
+	for i := range stats {
 		_, base, _ := startServer(t, Config{Workers: 1, CacheDir: dir})
 		if res, err := (&Client{Base: base}).Render(context.Background(), Request{Fig: 8}); err != nil || res.Failed() {
 			t.Fatalf("server %d: %v %+v", i, err, res)
 		}
-		kinds[i] = statusz(t, base).CacheKinds
+		stats[i] = statusz(t, base)
 	}
-	first, second := kinds[0], kinds[1]
+	first, second := stats[0].CacheKinds, stats[1].CacheKinds
+	if got := second["dbm-v3"]; got.Hits != 18 || got.Misses != 0 {
+		t.Errorf("the warm server's dbm-v3 reads %d hits, %d misses; want 18 hits, 0 misses", got.Hits, got.Misses)
+	}
+	for i, st := range stats {
+		var hits, misses int64
+		for _, ks := range st.CacheKinds {
+			hits, misses = hits+ks.Hits, misses+ks.Misses
+		}
+		if st.CacheHits != hits || st.CacheMisses != misses {
+			t.Errorf("server %d: %d hits, %d misses in all, %d and %d by kind", i, st.CacheHits, st.CacheMisses, hits, misses)
+		}
+	}
+	if stats[0].CacheHits != 0 || stats[1].CacheMisses != 0 {
+		t.Errorf("cold server %d hits, warm server %d misses", stats[0].CacheHits, stats[1].CacheMisses)
+	}
 	entries := map[string]int64{}
 	files, err := filepath.Glob(filepath.Join(dir, "*", "*.art"))
 	if err != nil || len(files) == 0 {
@@ -196,6 +212,9 @@ func TestStatuszCountsOwnWork(t *testing.T) {
 		}
 		if second[kind].Computed != 0 {
 			t.Errorf("%s: the second server computed %d on a warm store", kind, second[kind].Computed)
+		}
+		if kind != "build" && (first[kind].Misses != n || second[kind].Misses != 0) {
+			t.Errorf("%s: the store holds %d; the cold server missed %d, the warm one %d", kind, n, first[kind].Misses, second[kind].Misses)
 		}
 		if second[kind].MemHits != first[kind].MemHits {
 			t.Errorf("%s: memory hits %d on the second server, %d on the first", kind, second[kind].MemHits, first[kind].MemHits)

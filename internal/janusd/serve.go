@@ -43,8 +43,18 @@ func (s *Server) Drain(ctx context.Context) error {
 		s.baseCancel()
 		<-done // cancelled renders abandon pending rows and finish fast
 	}
-	// Every job has a terminal response now; give in-flight HTTP
-	// exchanges a moment to flush it before connections close.
+	// Every job has a terminal response now. net/http's Shutdown counts
+	// a connection that has sent no request as active until it is 5 s
+	// old — as long as the flush window below — so a client's spare
+	// connection would run the window out: close those first.
+	s.connMu.Lock()
+	s.closeSilent = true
+	for c := range s.silent {
+		c.Close()
+	}
+	s.connMu.Unlock()
+	// Give in-flight HTTP exchanges a moment to flush their responses
+	// before connections close.
 	flushCtx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
 	defer cancel()
 	err := s.http.Shutdown(flushCtx)

@@ -110,14 +110,18 @@ func Parallelise(exe *obj.Executable, cfg Config, libs ...*obj.Library) (*Report
 // halves: the plan (PlanCached: static analysis, the optional training
 // stage on train — nil profiles ref itself — loop selection and
 // schedule generation) and its execution (RunPlanBinary), validated
-// against native execution when cfg.Verify. With cfg.Cache warm both
-// halves replay and neither binary's image is loaded. cfg.TrainExe is
-// not read: train is its handle form.
+// against native execution when cfg.Verify. ref's native baseline
+// depends on nothing else, so it runs beside both halves and is joined
+// at the comparison. With cfg.Cache warm both halves replay and neither
+// binary's image is loaded. cfg.TrainExe is not read: train is its
+// handle form.
 func ParalleliseBinary(ref, train *obj.Binary, cfg Config) (*Report, error) {
 	if cfg.Threads <= 0 {
 		cfg.Threads = 8
 	}
 	s := cfg.Session.orDefault()
+	baseline := s.startNative(cfg.Cache, ref)
+	defer baseline.wait()
 	plan, err := s.PlanCached(cfg.Cache, ref, train, cfg.Selection())
 	if err != nil {
 		return nil, err
@@ -125,7 +129,7 @@ func ParalleliseBinary(ref, train *obj.Binary, cfg Config) (*Report, error) {
 
 	dcfg := dbm.DefaultConfig(cfg.Threads)
 	dcfg.Inject = cfg.Inject
-	native, res, err := s.RunPlanBinary(cfg.Cache, ref, plan, dcfg)
+	native, res, err := s.runSchedule(baseline, cfg.Cache, ref, plan.Schedule, plan.digest, dcfg)
 	if err != nil {
 		return nil, err
 	}
@@ -150,10 +154,12 @@ func ParalleliseBinary(ref, train *obj.Binary, cfg Config) (*Report, error) {
 // and its run under plan's schedule and dcfg, each through its cached
 // stage, so a binary shared with another run shares that run's baseline,
 // a run asked for twice executes once, and a warm store replays both.
-// The run is keyed by the digest a plan of PlanCached's carries, so
-// nothing is serialised or hashed here; any other plan runs uncached.
+// The baseline runs beside the DBM run. The run is keyed by the digest a
+// plan of PlanCached's carries, so nothing is serialised or hashed here;
+// any other plan runs uncached.
 func (s *Session) RunPlanBinary(c *artcache.Cache, bin *obj.Binary, plan *Plan, dcfg dbm.Config) (*vm.Result, *dbm.Result, error) {
-	return s.orDefault().runSchedule(c, bin, plan.Schedule, plan.digest, dcfg)
+	s = s.orDefault()
+	return s.runSchedule(s.startNative(c, bin), c, bin, plan.Schedule, plan.digest, dcfg)
 }
 
 // RunScheduleBinary is the process default's RunPlanBinary for callers
@@ -167,17 +173,21 @@ func RunScheduleBinary(c *artcache.Cache, bin *obj.Binary, sched *rules.Schedule
 	} else if img, err := sched.Save(); err == nil {
 		digest = scheduleDigest(img)
 	}
-	return process.Load().runSchedule(c, bin, sched, digest, dcfg)
+	s := process.Load()
+	return s.runSchedule(s.startNative(c, bin), c, bin, sched, digest, dcfg)
 }
 
-func (s *Session) runSchedule(c *artcache.Cache, bin *obj.Binary, sched *rules.Schedule, digest string, dcfg dbm.Config) (*vm.Result, *dbm.Result, error) {
-	native, err := s.runNativeBaseline(c, bin)
+// runSchedule runs bin under sched while baseline, bin's started native
+// lookup, runs beside it; a native failure outranks a DBM one.
+func (s *Session) runSchedule(baseline *started[*vm.Result], c *artcache.Cache, bin *obj.Binary, sched *rules.Schedule, digest string, dcfg dbm.Config) (*vm.Result, *dbm.Result, error) {
+	defer baseline.wait()
+	res, dbmErr := s.runDBM(c, bin, sched, digest, dcfg)
+	native, err := baseline.join()
 	if err != nil {
 		return nil, nil, fmt.Errorf("janus: native run: %w", err)
 	}
-	res, err := s.runDBM(c, bin, sched, digest, dcfg)
-	if err != nil {
-		return nil, nil, fmt.Errorf("janus: DBM run: %w", err)
+	if dbmErr != nil {
+		return nil, nil, fmt.Errorf("janus: DBM run: %w", dbmErr)
 	}
 	return native, res, nil
 }

@@ -126,8 +126,17 @@ func (s *Session) PlanCached(c *artcache.Cache, ref, train *obj.Binary, sel Sele
 }
 
 // computePlan is the static analyser's pass over ref: figure 1(a) left
-// to right up to the rewrite schedule.
+// to right up to the rewrite schedule. A distinct train binary's
+// analysis and profile depend on train alone, so they run beside ref's
+// analysis; a failure of ref's outranks theirs.
 func (s *Session) computePlan(c *artcache.Cache, ref, train *obj.Binary, sel Selection) (*Plan, error) {
+	var trained *started[*ProfileResult]
+	if sel.Train && train != nil {
+		trained = start(s.analyze.Has(train) && s.profile.Has(train), func() (*ProfileResult, error) {
+			return s.trainProfile(c, train)
+		})
+		defer trained.wait()
+	}
 	exe, _, err := ref.Image()
 	if err != nil {
 		return nil, err
@@ -139,18 +148,14 @@ func (s *Session) computePlan(c *artcache.Cache, ref, train *obj.Binary, sel Sel
 
 	// Training stage (optional, figure 1(a) left).
 	if sel.Train {
-		trainProg := prog
-		if train == nil {
-			train = ref
-		} else if trainProg, err = s.runAnalyzeMemo(train); err != nil {
-			// Memoised: the train binary is re-analysed identically for
-			// every plan that profiles it, and the profiling path never
-			// mutates the Program.
-			return nil, fmt.Errorf("janus: train analysis: %w", err)
+		var pr *ProfileResult
+		if trained != nil {
+			pr, err = trained.join()
+		} else if pr, err = s.runProfiling(c, ref, prog); err != nil {
+			err = fmt.Errorf("janus: profiling: %w", err)
 		}
-		pr, err := s.runProfiling(c, train, trainProg)
 		if err != nil {
-			return nil, fmt.Errorf("janus: profiling: %w", err)
+			return nil, err
 		}
 		// Loop IDs are assigned deterministically from the same binary
 		// layout, so train results map directly onto ref analysis.
