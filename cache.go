@@ -149,8 +149,9 @@ func (s *Session) orDefault() *Session {
 // included; computations in flight finish into the old ones.
 func ResetMemos() { process.Store(NewSession(nil)) }
 
-// TierStats reports the session's memory-tier counters by artifact kind,
-// assemblies under "build" (artcache.Stats.WithTiers adds the store's).
+// TierStats reports the session's tier counters by artifact kind —
+// memory hits, computations and its own store lookups — assemblies
+// under "build" (artcache.Stats.WithTiers sets them beside the store's).
 func (s *Session) TierStats() map[string]artcache.TierStats {
 	s = s.orDefault()
 	out := s.memo().TierStats()
@@ -236,51 +237,40 @@ func staged[K comparable, V any](t *artcache.Tier[K, V], c *artcache.Cache, memK
 	})
 }
 
-// started is a stage lookup that runs beside its caller: on a goroutine
-// of its own, or — when the session's memory already holds its result —
-// on the caller's, at join, so a memory hit spawns nothing. Either way
-// the lookup is asked exactly once, so every tier counts what the
-// sequential pipeline counts. A caller that starts one defers wait
-// before anything that can return or panic, so no goroutine outlives
-// the call.
+// started is a stage that runs on a goroutine of its own beside its
+// caller. A caller starts one only for a stage that has to compute —
+// a lookup that memory or the store answers is cheaper made in line
+// than handed over — and defers wait before anything that can return
+// or panic, so no goroutine outlives the call.
 type started[V any] struct {
-	lookup func() (V, error)
-	done   chan struct{} // nil: the lookup runs at join
-	val    V
-	err    error
-	panic  any // what the lookup panicked with, raised again by join
+	done  chan struct{}
+	val   V
+	err   error
+	panic any // what the stage panicked with, raised again by join
 }
 
-// start begins lookup on a goroutine unless inMemory.
-func start[V any](inMemory bool, lookup func() (V, error)) *started[V] {
-	st := &started[V]{lookup: lookup}
-	if inMemory {
-		return st
-	}
-	st.done = make(chan struct{})
+// start runs stage on a goroutine of its own.
+func start[V any](stage func() (V, error)) *started[V] {
+	st := &started[V]{done: make(chan struct{})}
 	go func() {
 		defer close(st.done)
 		defer func() { st.panic = recover() }()
-		st.val, st.err = lookup()
+		st.val, st.err = stage()
 	}()
 	return st
 }
 
-// wait blocks until a started goroutine has finished, discarding its
-// outcome: what an error path that outranks the lookup's does.
+// wait blocks until the stage, if one was started, has finished, and
+// discards its outcome: what an error path that outranks it does.
 func (st *started[V]) wait() {
-	if st.done != nil {
+	if st != nil {
 		<-st.done
 	}
 }
 
-// join returns the lookup's result, running it now if it was not
-// started, and raises on the caller's goroutine what a started one
-// panicked with.
+// join returns the stage's result and raises on the caller's goroutine
+// what it panicked with.
 func (st *started[V]) join() (V, error) {
-	if st.done == nil {
-		return st.lookup()
-	}
 	<-st.done
 	if st.panic != nil {
 		panic(st.panic)
@@ -288,15 +278,34 @@ func (st *started[V]) join() (V, error) {
 	return st.val, st.err
 }
 
-// startNative starts bin's native-baseline lookup.
+// startNative starts bin's native baseline beside the caller when its
+// lookup would compute it, and returns nil when memory or c answers it:
+// joinNative then looks it up in line.
 func (s *Session) startNative(c *artcache.Cache, bin *obj.Binary) *started[*vm.Result] {
-	return start(s.native.Has(bin), func() (*vm.Result, error) { return s.runNativeBaseline(c, bin) })
+	if s.native.Has(c, bin, binaryDiskKeyOf(bin)) {
+		return nil
+	}
+	return start(func() (*vm.Result, error) { return s.runNativeBaseline(c, bin) })
+}
+
+// joinNative is bin's native baseline: st's result, or the lookup made
+// now when none was started. Either way the native tier is asked once.
+func (s *Session) joinNative(st *started[*vm.Result], c *artcache.Cache, bin *obj.Binary) (*vm.Result, error) {
+	if st == nil {
+		return s.runNativeBaseline(c, bin)
+	}
+	return st.join()
 }
 
 // binaryDiskKey is the disk key of a stage that depends on the binary
 // alone.
 func binaryDiskKey(ids []string) artcache.Key {
 	return artcache.Key{Binary: ids[0]}
+}
+
+// binaryDiskKeyOf is binaryDiskKey of bin, for Tier.Has.
+func binaryDiskKeyOf(bin *obj.Binary) func() artcache.Key {
+	return func() artcache.Key { return binaryDiskKey([]string{bin.ID()}) }
 }
 
 // runNativeBaseline is the native-baseline stage: bin runs natively at

@@ -178,6 +178,42 @@ func TestTierReplace(t *testing.T) {
 	}
 }
 
+// TestTierHas: Has says whether a lookup would be answered without
+// computing — by memory, completed or in flight, or by an entry in the
+// store — and counts nothing itself.
+func TestTierHas(t *testing.T) {
+	c := mustOpen(t, t.TempDir(), Options{})
+	tier := Tier[string, []byte]{
+		Kind:   "test-v1",
+		Encode: func(b []byte) ([]byte, error) { return b, nil },
+		Decode: func(b []byte) ([]byte, error) { return b, nil },
+	}
+	has := func(memKey, b string) bool { return tier.Has(c, memKey, func() Key { return Key{Binary: b} }) }
+	if has("k", "x") {
+		t.Fatal("an empty tier over an empty store has an entry")
+	}
+	started, release := make(chan struct{}), make(chan struct{})
+	go tier.Do(c, "k", func() (Key, bool) { return Key{Binary: "x"}, true }, func() ([]byte, error) {
+		close(started)
+		<-release
+		return []byte("v"), nil
+	})
+	<-started
+	if !has("k", "y") {
+		t.Fatal("an entry in flight is not in memory")
+	}
+	close(release)
+	for !has("other", "x") { // the store holds "x" once the lookup has published it
+		runtime.Gosched()
+	}
+	if tier.Has(nil, "other", nil) {
+		t.Fatal("without a store only memory answers")
+	}
+	if st, ts := c.Stats(), tier.Stats(); st.Hits+st.Misses != 1 || ts.MemHits != 0 || ts.Computed != 1 {
+		t.Fatalf("Has counted lookups: store %s, tier %+v", st, ts)
+	}
+}
+
 // TestTierStats: every lookup of a tier ends in exactly one of three
 // places, and each is counted where it ends — memory (a completed entry
 // or an in-flight one joined), the store (the Cache's own hit counter),

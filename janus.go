@@ -177,12 +177,13 @@ func RunScheduleBinary(c *artcache.Cache, bin *obj.Binary, sched *rules.Schedule
 	return s.runSchedule(s.startNative(c, bin), c, bin, sched, digest, dcfg)
 }
 
-// runSchedule runs bin under sched while baseline, bin's started native
-// lookup, runs beside it; a native failure outranks a DBM one.
+// runSchedule runs bin under sched while baseline, bin's native
+// baseline as startNative started it, runs beside it; a native failure
+// outranks a DBM one.
 func (s *Session) runSchedule(baseline *started[*vm.Result], c *artcache.Cache, bin *obj.Binary, sched *rules.Schedule, digest string, dcfg dbm.Config) (*vm.Result, *dbm.Result, error) {
 	defer baseline.wait()
 	res, dbmErr := s.runDBM(c, bin, sched, digest, dcfg)
-	native, err := baseline.join()
+	native, err := s.joinNative(baseline, c, bin)
 	if err != nil {
 		return nil, nil, fmt.Errorf("janus: native run: %w", err)
 	}

@@ -58,18 +58,32 @@ func settle(t *testing.T, base int) {
 // stage beside the plan changes no tier's counts. Each call asks the
 // native tier once — a first ask computes, a later one is a memory hit —
 // and every other stage is asked exactly as often as a run in a row
-// asks it. A memory hit starts no goroutine.
+// asks it. A baseline that memory or the store holds starts no
+// goroutine.
 func TestOverlapAsksEachStageOnce(t *testing.T) {
 	refExe, trainExe, libs := buildPair(t)
-	s := NewSession(nil)
-	ref := s.BinaryOf(refExe, libs...)
-	if st := s.startNative(nil, ref); st.done == nil {
-		t.Fatal("a baseline missing from memory was not started on a goroutine")
-	} else if _, err := st.join(); err != nil {
+	c, err := artcache.Open(t.TempDir(), artcache.Options{})
+	if err != nil {
 		t.Fatal(err)
 	}
-	if st := s.startNative(nil, ref); st.done != nil {
+	s := NewSession(nil)
+	ref := s.BinaryOf(refExe, libs...)
+	st := s.startNative(c, ref)
+	if st == nil {
+		t.Fatal("a baseline neither in memory nor stored was not started on a goroutine")
+	}
+	if _, err := s.joinNative(st, c, ref); err != nil {
+		t.Fatal(err)
+	}
+	if s.startNative(c, ref) != nil {
 		t.Fatal("a baseline held in memory was started on a goroutine")
+	}
+	before := c.Stats()
+	if NewSession(nil).startNative(c, ref) != nil {
+		t.Fatal("a stored baseline was started on a goroutine")
+	}
+	if d := c.Stats(); d.Hits != before.Hits || d.Misses != before.Misses {
+		t.Fatalf("asking whether the store holds a baseline counted a lookup: %s, was %s", d, before)
 	}
 
 	s = NewSession(nil)

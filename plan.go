@@ -126,36 +126,42 @@ func (s *Session) PlanCached(c *artcache.Cache, ref, train *obj.Binary, sel Sele
 }
 
 // computePlan is the static analyser's pass over ref: figure 1(a) left
-// to right up to the rewrite schedule. A distinct train binary's
-// analysis and profile depend on train alone, so they run beside ref's
-// analysis; a failure of ref's outranks theirs.
+// to right up to the rewrite schedule.
 func (s *Session) computePlan(c *artcache.Cache, ref, train *obj.Binary, sel Selection) (*Plan, error) {
-	var trained *started[*ProfileResult]
-	if sel.Train && train != nil {
-		trained = start(s.analyze.Has(train) && s.profile.Has(train), func() (*ProfileResult, error) {
-			return s.trainProfile(c, train)
-		})
-		defer trained.wait()
+	var (
+		prog     *analyzer.Program
+		pr       *ProfileResult
+		err      error
+		trainErr error
+	)
+	if sel.Train && train != nil && !s.profile.Has(c, train, binaryDiskKeyOf(train)) {
+		// A distinct train binary's analysis and profile depend on train
+		// alone: take them here while ref's analysis, the shorter stage,
+		// runs beside them. A failure of ref's outranks theirs.
+		analysed := start(func() (*analyzer.Program, error) { return analyse(ref) })
+		defer analysed.wait()
+		pr, trainErr = s.trainProfile(c, train)
+		prog, err = analysed.join()
+	} else {
+		prog, err = analyse(ref)
 	}
-	exe, _, err := ref.Image()
 	if err != nil {
 		return nil, err
-	}
-	prog, err := analyzer.Analyze(exe)
-	if err != nil {
-		return nil, fmt.Errorf("janus: static analysis: %w", err)
 	}
 
 	// Training stage (optional, figure 1(a) left).
 	if sel.Train {
-		var pr *ProfileResult
-		if trained != nil {
-			pr, err = trained.join()
-		} else if pr, err = s.runProfiling(c, ref, prog); err != nil {
-			err = fmt.Errorf("janus: profiling: %w", err)
+		switch {
+		case pr != nil || trainErr != nil:
+		case train != nil:
+			pr, trainErr = s.trainProfile(c, train)
+		default:
+			if pr, trainErr = s.runProfiling(c, ref, prog); trainErr != nil {
+				trainErr = fmt.Errorf("janus: profiling: %w", trainErr)
+			}
 		}
-		if err != nil {
-			return nil, err
+		if trainErr != nil {
+			return nil, trainErr
 		}
 		// Loop IDs are assigned deterministically from the same binary
 		// layout, so train results map directly onto ref analysis.
@@ -179,6 +185,20 @@ func (s *Session) computePlan(c *artcache.Cache, ref, train *obj.Binary, sel Sel
 		loops[i] = LoopSummary{Class: li.Class, ExclCoverage: li.ExclCoverage, Selected: li.Selected}
 	}
 	return &Plan{Schedule: sched, Loops: loops, image: img, digest: scheduleDigest(img)}, nil
+}
+
+// analyse is the static analysis of bin's image, fresh for each plan:
+// the plan's training results are applied to it.
+func analyse(bin *obj.Binary) (*analyzer.Program, error) {
+	exe, _, err := bin.Image()
+	if err != nil {
+		return nil, err
+	}
+	prog, err := analyzer.Analyze(exe)
+	if err != nil {
+		return nil, fmt.Errorf("janus: static analysis: %w", err)
+	}
+	return prog, nil
 }
 
 // Plan payload: u32 schedule length, the schedule in its own file
