@@ -238,10 +238,10 @@ func staged[K comparable, V any](t *artcache.Tier[K, V], c *artcache.Cache, memK
 }
 
 // started is a stage that runs on a goroutine of its own beside its
-// caller. A caller starts one only for a stage that has to compute —
-// a lookup that memory or the store answers is cheaper made in line
-// than handed over — and defers wait before anything that can return
-// or panic, so no goroutine outlives the call.
+// caller. A caller starts one only for a stage that has to compute — a
+// lookup that memory or the store answers is cheaper made in line than
+// handed over — and defers wait before anything that can return or
+// panic, so no goroutine outlives the call.
 type started[V any] struct {
 	done  chan struct{}
 	val   V
@@ -278,11 +278,11 @@ func (st *started[V]) join() (V, error) {
 	return st.val, st.err
 }
 
-// startNative starts bin's native baseline beside the caller when its
-// lookup would compute it, and returns nil when memory or c answers it:
-// joinNative then looks it up in line.
+// startNative starts bin's native baseline beside the caller, unless
+// memory holds it: it returns nil then, and joinNative looks it up in
+// line.
 func (s *Session) startNative(c *artcache.Cache, bin *obj.Binary) *started[*vm.Result] {
-	if s.native.Has(c, bin, binaryDiskKeyOf(bin)) {
+	if s.native.Has(bin) {
 		return nil
 	}
 	return start(func() (*vm.Result, error) { return s.runNativeBaseline(c, bin) })
@@ -301,11 +301,6 @@ func (s *Session) joinNative(st *started[*vm.Result], c *artcache.Cache, bin *ob
 // alone.
 func binaryDiskKey(ids []string) artcache.Key {
 	return artcache.Key{Binary: ids[0]}
-}
-
-// binaryDiskKeyOf is binaryDiskKey of bin, for Tier.Has.
-func binaryDiskKeyOf(bin *obj.Binary) func() artcache.Key {
-	return func() artcache.Key { return binaryDiskKey([]string{bin.ID()}) }
 }
 
 // runNativeBaseline is the native-baseline stage: bin runs natively at

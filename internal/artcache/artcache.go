@@ -435,13 +435,6 @@ func (c *Cache) Get(k Key) ([]byte, bool) {
 	return payload, true
 }
 
-// Has reports whether an entry file for k is present, without reading
-// or verifying it and without counting a lookup.
-func (c *Cache) Has(k Key) bool {
-	_, err := os.Stat(entryPath(c.dir, k.Kind, c.keyID(k)))
-	return err == nil
-}
-
 // Put atomically publishes payload under k and enforces the size
 // bound. An entry that already holds the identical image is left in
 // place (its recency refreshed as Get refreshes it): renaming over an

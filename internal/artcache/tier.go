@@ -74,21 +74,14 @@ func (t *Tier[K, V]) Stats() TierStats {
 	}
 }
 
-// Has reports whether a lookup of memKey made now would be answered
-// without computing: memory holds an entry for it, completed or in
-// flight, or c holds an entry under diskKey (present; a corrupt one
-// still computes). It counts nothing, and diskKey is called only when
-// memory has no entry and there is a store and a codec.
-func (t *Tier[K, V]) Has(c *Cache, memKey K, diskKey func() Key) bool {
+// Has reports whether memory holds an entry for memKey, completed or in
+// flight: whether a lookup made now would be a memory hit. It counts
+// nothing.
+func (t *Tier[K, V]) Has(memKey K) bool {
 	t.mu.Lock()
+	defer t.mu.Unlock()
 	_, ok := t.calls[memKey]
-	t.mu.Unlock()
-	if ok || c == nil || t.Decode == nil {
-		return ok
-	}
-	k := diskKey()
-	k.Kind = t.Kind
-	return c.Has(k)
+	return ok
 }
 
 // call is one in-flight or completed lookup.

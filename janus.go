@@ -111,8 +111,8 @@ func Parallelise(exe *obj.Executable, cfg Config, libs ...*obj.Library) (*Report
 // stage on train — nil profiles ref itself — loop selection and
 // schedule generation) and its execution (RunPlanBinary), validated
 // against native execution when cfg.Verify. ref's native baseline
-// depends on nothing else, so it runs beside both halves and is joined
-// at the comparison. With cfg.Cache warm both halves replay and neither
+// depends on nothing else, so when it has to be computed it runs beside
+// the DBM run. With cfg.Cache warm both halves replay and neither
 // binary's image is loaded. cfg.TrainExe is not read: train is its
 // handle form.
 func ParalleliseBinary(ref, train *obj.Binary, cfg Config) (*Report, error) {
@@ -120,16 +120,14 @@ func ParalleliseBinary(ref, train *obj.Binary, cfg Config) (*Report, error) {
 		cfg.Threads = 8
 	}
 	s := cfg.Session.orDefault()
-	baseline := s.startNative(cfg.Cache, ref)
-	defer baseline.wait()
-	plan, err := s.PlanCached(cfg.Cache, ref, train, cfg.Selection())
+	plan, computed, err := s.planCached(cfg.Cache, ref, train, cfg.Selection())
 	if err != nil {
 		return nil, err
 	}
 
 	dcfg := dbm.DefaultConfig(cfg.Threads)
 	dcfg.Inject = cfg.Inject
-	native, res, err := s.runSchedule(baseline, cfg.Cache, ref, plan.Schedule, plan.digest, dcfg)
+	native, res, err := s.runSchedule(cfg.Cache, ref, plan.Schedule, plan.digest, dcfg, computed || cfg.Cache == nil)
 	if err != nil {
 		return nil, err
 	}
@@ -154,12 +152,11 @@ func ParalleliseBinary(ref, train *obj.Binary, cfg Config) (*Report, error) {
 // and its run under plan's schedule and dcfg, each through its cached
 // stage, so a binary shared with another run shares that run's baseline,
 // a run asked for twice executes once, and a warm store replays both.
-// The baseline runs beside the DBM run. The run is keyed by the digest a
-// plan of PlanCached's carries, so nothing is serialised or hashed here;
-// any other plan runs uncached.
+// Without a store, a baseline memory does not hold runs beside the DBM
+// run. The run is keyed by the digest a plan of PlanCached's carries, so
+// nothing is serialised or hashed here; any other plan runs uncached.
 func (s *Session) RunPlanBinary(c *artcache.Cache, bin *obj.Binary, plan *Plan, dcfg dbm.Config) (*vm.Result, *dbm.Result, error) {
-	s = s.orDefault()
-	return s.runSchedule(s.startNative(c, bin), c, bin, plan.Schedule, plan.digest, dcfg)
+	return s.orDefault().runSchedule(c, bin, plan.Schedule, plan.digest, dcfg, c == nil)
 }
 
 // RunScheduleBinary is the process default's RunPlanBinary for callers
@@ -173,14 +170,19 @@ func RunScheduleBinary(c *artcache.Cache, bin *obj.Binary, sched *rules.Schedule
 	} else if img, err := sched.Save(); err == nil {
 		digest = scheduleDigest(img)
 	}
-	s := process.Load()
-	return s.runSchedule(s.startNative(c, bin), c, bin, sched, digest, dcfg)
+	return process.Load().runSchedule(c, bin, sched, digest, dcfg, c == nil)
 }
 
-// runSchedule runs bin under sched while baseline, bin's native
-// baseline as startNative started it, runs beside it; a native failure
-// outranks a DBM one.
-func (s *Session) runSchedule(baseline *started[*vm.Result], c *artcache.Cache, bin *obj.Binary, sched *rules.Schedule, digest string, dcfg dbm.Config) (*vm.Result, *dbm.Result, error) {
+// runSchedule runs bin under sched, and bin's native baseline beside it
+// when computing says the lookups beneath are likely to compute: no
+// store to answer them, or a plan that none could (with a store, asking
+// it whether it holds the baseline costs about what the overlap saves
+// on a replay). A native failure outranks a DBM one.
+func (s *Session) runSchedule(c *artcache.Cache, bin *obj.Binary, sched *rules.Schedule, digest string, dcfg dbm.Config, computing bool) (*vm.Result, *dbm.Result, error) {
+	var baseline *started[*vm.Result]
+	if computing {
+		baseline = s.startNative(c, bin)
+	}
 	defer baseline.wait()
 	res, dbmErr := s.runDBM(c, bin, sched, digest, dcfg)
 	native, err := s.joinNative(baseline, c, bin)

@@ -2,8 +2,6 @@ package janus
 
 import (
 	"errors"
-	"os"
-	"path/filepath"
 	"runtime"
 	"strings"
 	"testing"
@@ -12,6 +10,7 @@ import (
 	"janus/internal/artcache"
 	"janus/internal/dbm"
 	"janus/internal/obj"
+	"janus/internal/vm"
 	"janus/internal/workloads"
 )
 
@@ -54,41 +53,58 @@ func settle(t *testing.T, base int) {
 	}
 }
 
-// TestOverlapAsksEachStageOnce: running the baseline and the training
-// stage beside the plan changes no tier's counts. Each call asks the
-// native tier once — a first ask computes, a later one is a memory hit —
-// and every other stage is asked exactly as often as a run in a row
-// asks it. A baseline that memory or the store holds starts no
-// goroutine.
+// panicking is a lazy handle on bin's identity whose image load panics
+// with v.
+func panicking(bin *obj.Binary, v any) *obj.Binary {
+	return obj.Lazy(bin.ID(), bin.CodeSize(), func() (*obj.Executable, []*obj.Library, error) {
+		panic(v)
+	}, nil)
+}
+
+// recovered runs f and returns what it panicked with.
+func recovered(t *testing.T, f func() error) (p any) {
+	t.Helper()
+	defer func() { p = recover() }()
+	err := f()
+	t.Errorf("returned (%v) instead of panicking", err)
+	return nil
+}
+
+// TestOverlapAsksEachStageOnce: running stages beside each other changes
+// no tier's counts. Each call asks the native tier once — a first ask
+// computes, a later one is a memory hit — and every other stage is asked
+// exactly as often as a run in a row asks it. A baseline memory holds
+// starts no goroutine, and a plan memory or the store held says its
+// baseline need not either.
 func TestOverlapAsksEachStageOnce(t *testing.T) {
 	refExe, trainExe, libs := buildPair(t)
+	s := NewSession(nil)
+	ref := s.BinaryOf(refExe, libs...)
+	st := s.startNative(nil, ref)
+	if st == nil {
+		t.Fatal("a baseline missing from memory was not started on a goroutine")
+	}
+	if _, err := s.joinNative(st, nil, ref); err != nil {
+		t.Fatal(err)
+	}
+	if s.startNative(nil, ref) != nil {
+		t.Fatal("a baseline held in memory was started on a goroutine")
+	}
 	c, err := artcache.Open(t.TempDir(), artcache.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	s := NewSession(nil)
-	ref := s.BinaryOf(refExe, libs...)
-	st := s.startNative(c, ref)
-	if st == nil {
-		t.Fatal("a baseline neither in memory nor stored was not started on a goroutine")
+	for i, want := range []bool{true, false} {
+		if _, computed, err := s.planCached(c, ref, nil, Config{}.Selection()); err != nil || computed != want {
+			t.Fatalf("plan lookup %d: computed %t (%v), want %t", i, computed, err, want)
+		}
 	}
-	if _, err := s.joinNative(st, c, ref); err != nil {
-		t.Fatal(err)
-	}
-	if s.startNative(c, ref) != nil {
-		t.Fatal("a baseline held in memory was started on a goroutine")
-	}
-	before := c.Stats()
-	if NewSession(nil).startNative(c, ref) != nil {
-		t.Fatal("a stored baseline was started on a goroutine")
-	}
-	if d := c.Stats(); d.Hits != before.Hits || d.Misses != before.Misses {
-		t.Fatalf("asking whether the store holds a baseline counted a lookup: %s, was %s", d, before)
+	if _, computed, err := NewSession(nil).planCached(c, ref, nil, Config{}.Selection()); err != nil || computed {
+		t.Fatalf("a plan replayed from the store reads as computed (%v)", err)
 	}
 
 	s = NewSession(nil)
 	ref, train := s.BinaryOf(refExe, libs...), s.BinaryOf(trainExe, libs...)
-
 	full, err := ParalleliseBinary(ref, train, Config{Threads: 4, UseProfile: true, UseChecks: true, Verify: true, Session: s})
 	if err != nil {
 		t.Fatal(err)
@@ -126,7 +142,7 @@ func TestOverlapAsksEachStageOnce(t *testing.T) {
 
 // TestOverlapLeavesNoGoroutine: the stages started beside a call are
 // joined before it returns, whether the call succeeds or its plan fails
-// while the baseline is still running.
+// while ref's analysis is running beside it.
 func TestOverlapLeavesNoGoroutine(t *testing.T) {
 	refExe, trainExe, libs := buildPair(t)
 	base := runtime.NumGoroutine()
@@ -145,8 +161,30 @@ func TestOverlapLeavesNoGoroutine(t *testing.T) {
 	if !errors.Is(err, noTrain) || !strings.HasPrefix(err.Error(), "janus: train analysis:") {
 		t.Fatalf("plan over an unloadable train binary: %v", err)
 	}
-	if st := s.native.Stats(); st.Computed != 1 {
-		t.Fatalf("the baseline did not run beside the failing plan: %+v", st)
+	settle(t, base)
+
+	// A panic on the caller's side waits for the stage beside it: ref's
+	// image load is held until the test releases it, so a call that
+	// ends before the release has left ref's analysis running.
+	release := make(chan struct{})
+	held := obj.Lazy("held", len(refExe.Code), func() (*obj.Executable, []*obj.Library, error) {
+		<-release
+		return refExe, libs, nil
+	}, nil)
+	cfg.Session = NewSession(nil)
+	ended := make(chan any, 1)
+	go func() {
+		defer func() { ended <- recover() }()
+		ParalleliseBinary(held, panicking(BinaryOf(trainExe, libs...), "train load panicked"), cfg)
+	}()
+	select {
+	case p := <-ended:
+		t.Fatalf("the call ended (%v) while ref's analysis beside it was still loading", p)
+	case <-time.After(100 * time.Millisecond):
+	}
+	close(release)
+	if p := <-ended; p != "train load panicked" {
+		t.Fatalf("recovered %v, want the train load's panic", p)
 	}
 	settle(t, base)
 }
@@ -164,18 +202,12 @@ func TestOverlapErrorOrder(t *testing.T) {
 		t.Fatalf("ref and train both unloadable: %v, want ref's error", err)
 	}
 
-	// A store holding the plan alone: the plan replays without the image,
-	// then the baseline and the DBM run both fail to load it.
-	c, err := artcache.Open(t.TempDir(), artcache.Options{})
+	plan, err := NewSession(nil).PlanCached(nil, eager, nil, cfg.Selection())
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := NewSession(nil).PlanCached(c, eager, nil, cfg.Selection()); err != nil {
-		t.Fatal(err)
-	}
 	s := NewSession(nil)
-	cfg.Session, cfg.Cache = s, c
-	_, err = ParalleliseBinary(unloadable(eager, noRef), nil, cfg)
+	_, _, err = s.runSchedule(nil, unloadable(eager, noRef), plan.Schedule, plan.digest, dbm.DefaultConfig(4), true)
 	if !errors.Is(err, noRef) || !strings.HasPrefix(err.Error(), "janus: native run:") {
 		t.Fatalf("baseline and DBM run both failing: %v, want the native run's error", err)
 	}
@@ -187,42 +219,42 @@ func TestOverlapErrorOrder(t *testing.T) {
 // TestOverlapPanicReachesCaller: a panic in a stage started on its own
 // goroutine is raised again on the caller's, where a recover — the
 // harness row's, janusd's job's — can contain it, and the goroutine is
-// gone by then. The store holds everything but the baseline, so the
-// baseline is the only stage that loads the image.
+// gone by then. Ref's analysis runs beside the training stage, and the
+// baseline beside a DBM run the store replays, so in both calls the
+// started stage is the only one that loads the image.
 func TestOverlapPanicReachesCaller(t *testing.T) {
-	refExe, _, libs := buildPair(t)
+	refExe, trainExe, libs := buildPair(t)
+	eager := BinaryOf(refExe, libs...)
+	const boom = "image load panicked"
+	base := runtime.NumGoroutine()
+	cfg := fullConfig
+	cfg.Session = NewSession(nil)
+	got := recovered(t, func() error {
+		_, err := ParalleliseBinary(panicking(eager, boom), BinaryOf(trainExe, libs...), cfg)
+		return err
+	})
+	if got != boom {
+		t.Fatalf("ParalleliseBinary recovered %v, want the load's panic %q", got, boom)
+	}
+	settle(t, base)
+
 	c, err := artcache.Open(t.TempDir(), artcache.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	eager := BinaryOf(refExe, libs...)
-	cfg := fullConfig
-	cfg.Session, cfg.Cache = NewSession(nil), c
-	if _, err := ParalleliseBinary(eager, nil, cfg); err != nil {
+	if _, err := NewSession(nil).RunBareDBMBinary(c, eager); err != nil {
 		t.Fatal(err)
 	}
-	if err := os.RemoveAll(filepath.Join(c.Dir(), "native-v1")); err != nil {
-		t.Fatal(err)
-	}
-
-	const boom = "image load panicked"
-	panicking := obj.Lazy(eager.ID(), eager.CodeSize(), func() (*obj.Executable, []*obj.Library, error) {
-		panic(boom)
-	}, nil)
-	base := runtime.NumGoroutine()
 	s := NewSession(nil)
-	cfg.Session = s
-	got := func() (p any) {
-		defer func() { p = recover() }()
-		_, err := ParalleliseBinary(panicking, nil, cfg)
-		t.Errorf("ParalleliseBinary returned (%v) instead of panicking", err)
-		return nil
-	}()
+	got = recovered(t, func() error {
+		_, _, err := s.runSchedule(c, panicking(eager, boom), nil, noSchedule, dbm.Config{Threads: 1, Cost: dbm.DefaultCost(), MaxSteps: vm.DefaultMaxSteps}, true)
+		return err
+	})
 	if got != boom {
-		t.Fatalf("recovered %v, want the load's panic %q", got, boom)
+		t.Fatalf("a started baseline's panic: recovered %v, want %q", got, boom)
 	}
-	if p, r := s.plans.Stats(), s.runs.Stats(); p.Computed != 0 || r.Computed != 0 {
-		t.Fatalf("a stage other than the baseline computed: plan %+v, DBM %+v", p, r)
+	if st := s.runs.Stats(); st.Computed != 0 {
+		t.Fatalf("the DBM run was computed, not replayed: %+v", st)
 	}
 	settle(t, base)
 }

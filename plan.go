@@ -106,7 +106,14 @@ type planKey struct {
 // profile-v1 stage), selecting and generating the schedule, then
 // publishing it. Nil c keeps the memory tier alone.
 func (s *Session) PlanCached(c *artcache.Cache, ref, train *obj.Binary, sel Selection) (*Plan, error) {
-	s = s.orDefault()
+	plan, _, err := s.orDefault().planCached(c, ref, train, sel)
+	return plan, err
+}
+
+// planCached is PlanCached that also reports whether this call computed
+// the plan: then neither memory nor c held it, nor, most likely, what
+// it is derived from.
+func (s *Session) planCached(c *artcache.Cache, ref, train *obj.Binary, sel Selection) (plan *Plan, computed bool, err error) {
 	bins, trainedOn := []*obj.Binary{ref}, "none"
 	switch {
 	case !sel.Train:
@@ -116,13 +123,17 @@ func (s *Session) PlanCached(c *artcache.Cache, ref, train *obj.Binary, sel Sele
 	default:
 		bins = append(bins, train)
 	}
-	return staged(&s.plans, c, planKey{ref, train, sel.Key, sel.Train}, bins, func(ids []string) artcache.Key {
+	plan, err = staged(&s.plans, c, planKey{ref, train, sel.Key, sel.Train}, bins, func(ids []string) artcache.Key {
 		k := artcache.Key{Binary: ids[0], Input: trainedOn, Config: sel.Key}
 		if len(ids) > 1 {
 			k.Input = ids[1]
 		}
 		return k
-	}, func() (*Plan, error) { return s.computePlan(c, ref, train, sel) })
+	}, func() (*Plan, error) {
+		computed = true
+		return s.computePlan(c, ref, train, sel)
+	})
+	return plan, computed, err
 }
 
 // computePlan is the static analyser's pass over ref: figure 1(a) left
@@ -134,10 +145,12 @@ func (s *Session) computePlan(c *artcache.Cache, ref, train *obj.Binary, sel Sel
 		err      error
 		trainErr error
 	)
-	if sel.Train && train != nil && !s.profile.Has(c, train, binaryDiskKeyOf(train)) {
-		// A distinct train binary's analysis and profile depend on train
-		// alone: take them here while ref's analysis, the shorter stage,
-		// runs beside them. A failure of ref's outranks theirs.
+	// A distinct train binary's analysis and profile depend on train
+	// alone: when memory does not hold the profile, take it here while
+	// ref's analysis, the shorter stage, runs beside it. A failure of
+	// ref's outranks train's.
+	beside := sel.Train && train != nil && !s.profile.Has(train)
+	if beside {
 		analysed := start(func() (*analyzer.Program, error) { return analyse(ref) })
 		defer analysed.wait()
 		pr, trainErr = s.trainProfile(c, train)
@@ -152,7 +165,7 @@ func (s *Session) computePlan(c *artcache.Cache, ref, train *obj.Binary, sel Sel
 	// Training stage (optional, figure 1(a) left).
 	if sel.Train {
 		switch {
-		case pr != nil || trainErr != nil:
+		case beside: // taken above
 		case train != nil:
 			pr, trainErr = s.trainProfile(c, train)
 		default:
