@@ -111,8 +111,8 @@ func Parallelise(exe *obj.Executable, cfg Config, libs ...*obj.Library) (*Report
 // stage on train — nil profiles ref itself — loop selection and
 // schedule generation) and its execution (RunPlanBinary), validated
 // against native execution when cfg.Verify. ref's native baseline
-// depends on nothing else, so when it has to be computed it runs beside
-// the DBM run. With cfg.Cache warm both halves replay and neither
+// depends on nothing else, so when it is likely to be computed it runs
+// beside the DBM run. With cfg.Cache warm both halves replay and neither
 // binary's image is loaded. cfg.TrainExe is not read: train is its
 // handle form.
 func ParalleliseBinary(ref, train *obj.Binary, cfg Config) (*Report, error) {
@@ -175,9 +175,9 @@ func RunScheduleBinary(c *artcache.Cache, bin *obj.Binary, sched *rules.Schedule
 
 // runSchedule runs bin under sched, and bin's native baseline beside it
 // when computing says the lookups beneath are likely to compute: no
-// store to answer them, or a plan that none could (with a store, asking
-// it whether it holds the baseline costs about what the overlap saves
-// on a replay). A native failure outranks a DBM one.
+// store to answer them, or a plan that none could (probing a store for
+// the baseline instead cost a warm replay more than the overlap saves).
+// A native failure outranks a DBM one.
 func (s *Session) runSchedule(c *artcache.Cache, bin *obj.Binary, sched *rules.Schedule, digest string, dcfg dbm.Config, computing bool) (*vm.Result, *dbm.Result, error) {
 	var baseline *started[*vm.Result]
 	if computing {
