@@ -93,6 +93,12 @@ func run(args []string) int {
 	}
 	srv := janusd.New(cfg)
 
+	// Catch the lifecycle signals before the ready line announces the
+	// daemon: a SIGHUP that arrived between the two would take its
+	// default action and kill the process with its requests in flight.
+	sigs := make(chan os.Signal, 1)
+	signal.Notify(sigs, syscall.SIGTERM, syscall.SIGINT, syscall.SIGHUP)
+
 	// The ready line goes to stdout so scripts can scrape the bound
 	// address (important with -addr :0) and the serving pid.
 	how := "listening"
@@ -104,8 +110,6 @@ func run(args []string) int {
 	errc := make(chan error, 1)
 	go func() { errc <- srv.Serve(ln) }()
 
-	sigs := make(chan os.Signal, 1)
-	signal.Notify(sigs, syscall.SIGTERM, syscall.SIGINT, syscall.SIGHUP)
 	for {
 		select {
 		case err := <-errc:

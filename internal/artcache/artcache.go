@@ -41,7 +41,6 @@ import (
 	"encoding/binary"
 	"encoding/hex"
 	"fmt"
-	"io"
 	"os"
 	"path/filepath"
 	"sort"
@@ -176,14 +175,20 @@ type Cache struct {
 
 	hits, misses, evictions, bad atomic.Int64
 
-	// kinds holds the per-kind hit/miss counters behind Stats.Kinds.
+	// kinds holds one record per artifact kind: its directory and the
+	// hit/miss counters behind Stats.Kinds.
 	kindMu sync.Mutex
 	kinds  map[string]*kindCounters
 }
 
-type kindCounters struct{ hits, misses atomic.Int64 }
+// kindCounters is one artifact kind's record: the directory prefix its
+// entry paths start with, computed once, and its lookup counters.
+type kindCounters struct {
+	dir          string // the kind's subdirectory, separator included
+	hits, misses atomic.Int64
+}
 
-// kind returns the counters of one artifact kind.
+// kind returns the record of one artifact kind.
 func (c *Cache) kind(kind string) *kindCounters {
 	c.kindMu.Lock()
 	defer c.kindMu.Unlock()
@@ -192,10 +197,23 @@ func (c *Cache) kind(kind string) *kindCounters {
 		if c.kinds == nil {
 			c.kinds = map[string]*kindCounters{}
 		}
-		kc = &kindCounters{}
+		kc = &kindCounters{dir: filepath.Join(c.dir, kindDir(kind)) + string(filepath.Separator)}
 		c.kinds[kind] = kc
 	}
 	return kc
+}
+
+// path locates the entry file of a key digest of this kind: one
+// subdirectory per kind, file named by the digest.
+func (kc *kindCounters) path(id [32]byte) string {
+	var name [2*len(id) + len(".art")]byte
+	hex.Encode(name[:], id[:])
+	copy(name[2*len(id):], ".art")
+	var b strings.Builder // one allocation, where dir + string(name[:]) makes two
+	b.Grow(len(kc.dir) + len(name))
+	b.WriteString(kc.dir)
+	b.Write(name[:])
+	return b.String()
 }
 
 // Open creates (if needed) and opens the store rooted at dir. The
@@ -267,11 +285,16 @@ func (c *Cache) Stats() Stats {
 	}
 	c.kindMu.Lock()
 	defer c.kindMu.Unlock()
-	if len(c.kinds) > 0 {
-		s.Kinds = make(map[string]KindStats, len(c.kinds))
-		for k, kc := range c.kinds {
-			s.Kinds[k] = KindStats{Hits: kc.hits.Load(), Misses: kc.misses.Load()}
+	for k, kc := range c.kinds {
+		// A kind only Put so far has a record but no lookup to show.
+		ks := KindStats{Hits: kc.hits.Load(), Misses: kc.misses.Load()}
+		if ks.Hits == 0 && ks.Misses == 0 {
+			continue
 		}
+		if s.Kinds == nil {
+			s.Kinds = make(map[string]KindStats, len(c.kinds))
+		}
+		s.Kinds[k] = ks
 	}
 	return s
 }
@@ -308,13 +331,7 @@ func (c *Cache) keyID(k Key) [32]byte {
 }
 
 // path locates the entry file for a key.
-func (c *Cache) path(k Key) string { return entryPath(c.dir, k.Kind, c.keyID(k)) }
-
-// entryPath locates the entry file of a key digest: one subdirectory
-// per kind, file named by the digest.
-func entryPath(dir, kind string, id [32]byte) string {
-	return filepath.Join(dir, kindDir(kind), hex.EncodeToString(id[:])+".art")
-}
+func (c *Cache) path(k Key) string { return c.kind(k.Kind).path(c.keyID(k)) }
 
 // kindDir maps a kind to its subdirectory, folding any filepath-unsafe
 // rune so a hostile kind string cannot escape the cache root.
@@ -371,26 +388,6 @@ func decodeEntry(id [32]byte, data []byte) ([]byte, error) {
 	return payload, nil
 }
 
-// readEntry reads the entry file at p whole — one open, one fstat and
-// one read of exactly the size that fstat reports — and returns its
-// bytes with its mtime.
-func readEntry(p string) ([]byte, time.Time, error) {
-	f, err := os.Open(p)
-	if err != nil {
-		return nil, time.Time{}, err
-	}
-	defer f.Close()
-	st, err := f.Stat()
-	if err != nil {
-		return nil, time.Time{}, err
-	}
-	data := make([]byte, st.Size())
-	if _, err := io.ReadFull(f, data); err != nil {
-		return nil, time.Time{}, err
-	}
-	return data, st.ModTime(), nil
-}
-
 // touchInterval is the resolution of LRU recency: an entry's mtime is
 // refreshed only when it is at least this much older than the clock,
 // so a store read many times a second costs one Chtimes a second per
@@ -413,8 +410,8 @@ func (c *Cache) touch(p string, mtime time.Time) {
 // heals the store.
 func (c *Cache) Get(k Key) ([]byte, bool) {
 	id := c.keyID(k)
-	p := entryPath(c.dir, k.Kind, id)
 	kc := c.kind(k.Kind)
+	p := kc.path(id)
 	data, mtime, err := readEntry(p)
 	if err != nil {
 		c.misses.Add(1)
@@ -446,7 +443,7 @@ func (c *Cache) Get(k Key) ([]byte, bool) {
 // verify identically because cached stages are deterministic.
 func (c *Cache) Put(k Key, payload []byte) error {
 	id := c.keyID(k)
-	p := entryPath(c.dir, k.Kind, id)
+	p := c.kind(k.Kind).path(id)
 	img := encodeEntry(id, payload)
 	if old, mtime, err := readEntry(p); err == nil && bytes.Equal(old, img) {
 		c.touch(p, mtime)

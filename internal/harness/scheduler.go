@@ -81,12 +81,15 @@ func (s *scheduler) emit(ev ProgressEvent) {
 }
 
 // forEach runs f(0..n-1) on the bounded pool and returns the
-// lowest-index error. Each call acquires one slot; experiments fan
-// their rows out through this, so nested units never hold a slot while
-// waiting on children. A panicking row is recovered into an error
-// carrying its stack, so one broken experiment can never take down a
-// long-lived process embedding the harness. A cancelled context
-// abandons every not-yet-started row with ErrCanceled.
+// lowest-index error. It starts at most Jobs goroutines, each taking
+// the next row index until none is left, so a suite of many rows grows
+// no stack per row; each row still acquires one slot of the suite-wide
+// pool. Experiments fan their rows out through this, so nested units
+// never hold a slot while waiting on children. A panicking row is
+// recovered into an error carrying its stack, so one broken experiment
+// can never take down a long-lived process embedding the harness. A
+// cancelled context abandons every not-yet-started row with
+// ErrCanceled.
 func (s *scheduler) forEach(n int, f func(i int) error) error {
 	errs := make([]error, n)
 	// failed is scoped to this call: it abandons this experiment's
@@ -95,35 +98,16 @@ func (s *scheduler) forEach(n int, f func(i int) error) error {
 	// flag can depend on host scheduling; whether the experiment fails
 	// never does.
 	var failed atomic.Bool
+	var next atomic.Int64
 	var wg sync.WaitGroup
-	for i := 0; i < n; i++ {
+	for range min(n, cap(s.slots)) {
 		wg.Add(1)
-		go func(i int) {
+		go func() {
 			defer wg.Done()
-			s.slots <- struct{}{}
-			defer func() { <-s.slots }()
-			if s.ctx.Err() != nil {
-				// Cancellation outranks sibling failures: the caller sees
-				// the typed cancel error for every abandoned row.
-				errs[i] = canceledErr(s.ctx)
-				return
+			for i := int(next.Add(1)) - 1; i < n; i = int(next.Add(1)) - 1 {
+				errs[i] = s.row(i, f, &failed)
 			}
-			if failed.Load() {
-				return
-			}
-			defer func() {
-				if p := recover(); p != nil {
-					failed.Store(true)
-					errs[i] = fmt.Errorf("row %d panicked: %v\n%s", i, p, debug.Stack())
-				}
-			}()
-			if err := f(i); err != nil {
-				failed.Store(true)
-				errs[i] = err
-				return
-			}
-			s.emit(ProgressEvent{State: "row"})
-		}(i)
+		}()
 	}
 	wg.Wait()
 	for _, err := range errs {
@@ -131,5 +115,32 @@ func (s *scheduler) forEach(n int, f func(i int) error) error {
 			return err
 		}
 	}
+	return nil
+}
+
+// row runs f(i) in a slot of the pool, unless the context is cancelled
+// or a sibling row has failed.
+func (s *scheduler) row(i int, f func(i int) error, failed *atomic.Bool) (err error) {
+	s.slots <- struct{}{}
+	defer func() { <-s.slots }()
+	if s.ctx.Err() != nil {
+		// Cancellation outranks sibling failures: the caller sees the
+		// typed cancel error for every abandoned row.
+		return canceledErr(s.ctx)
+	}
+	if failed.Load() {
+		return nil
+	}
+	defer func() {
+		if p := recover(); p != nil {
+			failed.Store(true)
+			err = fmt.Errorf("row %d panicked: %v\n%s", i, p, debug.Stack())
+		}
+	}()
+	if err := f(i); err != nil {
+		failed.Store(true)
+		return err
+	}
+	s.emit(ProgressEvent{State: "row"})
 	return nil
 }

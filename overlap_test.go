@@ -141,8 +141,9 @@ func TestOverlapAsksEachStageOnce(t *testing.T) {
 }
 
 // TestOverlapLeavesNoGoroutine: the stages started beside a call are
-// joined before it returns, whether the call succeeds or its plan fails
-// while ref's analysis is running beside it.
+// joined before it returns, whether the call succeeds, its plan fails
+// while ref's analysis is running beside it, or its DBM run panics
+// while the native baseline is running beside it.
 func TestOverlapLeavesNoGoroutine(t *testing.T) {
 	refExe, trainExe, libs := buildPair(t)
 	base := runtime.NumGoroutine()
@@ -185,6 +186,44 @@ func TestOverlapLeavesNoGoroutine(t *testing.T) {
 	close(release)
 	if p := <-ended; p != "train load panicked" {
 		t.Fatalf("recovered %v, want the train load's panic", p)
+	}
+	settle(t, base)
+
+	// A DBM run that panics on the caller waits for the baseline started
+	// beside it: the store holds both results, the baseline's decode is
+	// held until the test releases it, and the DBM run's decode panics.
+	c, err := artcache.Open(t.TempDir(), artcache.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	eager := BinaryOf(refExe, libs...)
+	bare := dbm.Config{Threads: 1, Cost: dbm.DefaultCost(), MaxSteps: vm.DefaultMaxSteps}
+	if _, _, err := NewSession(nil).runSchedule(c, eager, nil, noSchedule, bare, true); err != nil {
+		t.Fatal(err)
+	}
+	s = NewSession(nil)
+	hold := make(chan struct{})
+	decodeNative := s.native.Decode
+	s.native.Decode = func(b []byte) (*vm.Result, error) {
+		<-hold
+		return decodeNative(b)
+	}
+	s.runs.Decode = func([]byte) (*dbm.Result, error) { panic("DBM run panicked") }
+	go func() {
+		defer func() { ended <- recover() }()
+		s.runSchedule(c, eager, nil, noSchedule, bare, true)
+	}()
+	select {
+	case p := <-ended:
+		t.Fatalf("the call ended (%v) while the baseline beside it was still running", p)
+	case <-time.After(100 * time.Millisecond):
+	}
+	close(hold)
+	if p := <-ended; p != "DBM run panicked" {
+		t.Fatalf("recovered %v, want the DBM run's panic", p)
+	}
+	if st := s.native.Stats(); st.Computed != 0 || st.StoreHits != 1 {
+		t.Fatalf("the baseline was not the store's: %+v", st)
 	}
 	settle(t, base)
 }
