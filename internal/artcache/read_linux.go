@@ -1,6 +1,7 @@
 package artcache
 
 import (
+	"fmt"
 	"io"
 	"os"
 	"syscall"
@@ -30,7 +31,7 @@ func readEntry(p string) ([]byte, time.Time, error) {
 		return nil, time.Time{}, &os.PathError{Op: "fstat", Path: p, Err: err}
 	}
 	if st.Mode&syscall.S_IFMT != syscall.S_IFREG {
-		return nil, time.Time{}, &os.PathError{Op: "read", Path: p, Err: syscall.EISDIR}
+		return nil, time.Time{}, fmt.Errorf("artcache: %s is not a regular file", p)
 	}
 	data := make([]byte, st.Size)
 	for n := 0; n < len(data); {
