@@ -46,10 +46,10 @@ import (
 // stores, and a second render in the same session computes nothing.
 //
 //	Session   stage            memory key                  disk
-//	builds    registry build   (name, input, opt)          ident-v1: identity and code
+//	builds    registry build   (name, input, opt)          ident-v2: identity and code
 //	                                                       size (internal/workloads)
 //	handles   resident image   (exe, libs) pointers        —
-//	native    native baseline  handle                      native-v1
+//	native    native baseline  handle                      native-v2 (vm.EncodeResult)
 //	profile   train profile    handle                      profile-v1
 //	analyze   train analysis   handle                      —  (a live CFG/SSA graph)
 //	plans     plan             ref, train, Selection.Key   schedule-v1: a hit skips
@@ -101,6 +101,7 @@ type Session struct {
 	// A handle describes an executable *and* a library set, so it lives
 	// beside the binary, and keeps it reachable: hence the bound.
 	handles artcache.Tier[runKey, *obj.Binary]
+	// native: v2 is binary words (v1 was JSON).
 	native  artcache.Tier[*obj.Binary, *vm.Result]
 	analyze artcache.Tier[*obj.Binary, *analyzer.Program]
 	// profile is keyed by the binary alone: every Program reaching it is
@@ -123,7 +124,7 @@ type Session struct {
 func NewSession(builds *workloads.Memo) *Session {
 	return &Session{
 		handles: artcache.Tier[runKey, *obj.Binary]{Limit: handleLimit},
-		native:  artcache.Tier[*obj.Binary, *vm.Result]{Kind: "native-v1", Limit: memoLimit, Encode: vm.EncodeResult, Decode: vm.DecodeResult},
+		native:  artcache.Tier[*obj.Binary, *vm.Result]{Kind: "native-v2", Limit: memoLimit, Encode: vm.EncodeResult, Decode: vm.DecodeResult},
 		analyze: artcache.Tier[*obj.Binary, *analyzer.Program]{Limit: memoLimit},
 		profile: artcache.Tier[*obj.Binary, *ProfileResult]{Kind: "profile-v1", Limit: memoLimit, Encode: encodeProfile, Decode: decodeProfile},
 		plans:   artcache.Tier[planKey, *Plan]{Kind: "schedule-v1", Limit: handleLimit, Encode: encodePlan, Decode: decodePlan},

@@ -144,7 +144,7 @@ func TestIdentityKeyStableAcrossProcessState(t *testing.T) {
 		}
 		kr, size := recorded.ID(), recorded.CodeSize()
 		after := c.Stats()
-		if recorded == assembled || after.Hits != before.Hits+1 || after.Kinds["ident-v1"].Hits != before.Kinds["ident-v1"].Hits+1 {
+		if recorded == assembled || after.Hits != before.Hits+1 || after.Kinds["ident-v2"].Hits != before.Kinds["ident-v2"].Hits+1 {
 			t.Fatalf("%s: second open did not come from the identity record alone (%s; %s)", name, after, after.KindsString())
 		}
 		if kr != ka || size != len(exeA.Code) {

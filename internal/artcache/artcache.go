@@ -43,6 +43,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"runtime"
 	"sort"
 	"strings"
 	"sync"
@@ -64,7 +65,7 @@ const DefaultMaxBytes = 256 << 20
 // so it must be a short filepath-safe slug (letters, digits, '-', '.').
 type Key struct {
 	// Kind is the artifact type plus its serialisation version, e.g.
-	// "native-v1".
+	// "native-v2".
 	Kind string
 	// Binary is the content fingerprint of the guest binary (and
 	// library set) the artifact derives from.
@@ -175,30 +176,49 @@ type Cache struct {
 
 	hits, misses, evictions, bad atomic.Int64
 
-	// kinds holds one record per artifact kind: its directory and the
-	// hit/miss counters behind Stats.Kinds.
-	kindMu sync.Mutex
-	kinds  map[string]*kindCounters
+	// kinds holds one record per artifact kind. It is an object of its
+	// own so the cleanup that releases the records' held directories
+	// when the Cache becomes unreachable can reach them without it.
+	kinds *kindSet
+}
+
+// kindSet is a Cache's per-kind records.
+type kindSet struct {
+	mu sync.Mutex
+	m  map[string]*kindCounters
+}
+
+// release lets go of every record's held directory.
+func (ks *kindSet) release() {
+	ks.mu.Lock()
+	defer ks.mu.Unlock()
+	for _, kc := range ks.m {
+		kc.held.release()
+	}
 }
 
 // kindCounters is one artifact kind's record: the directory prefix its
-// entry paths start with, computed once, and its lookup counters.
+// entry paths start with, computed once, the descriptor of that
+// directory a hit opens its entry relative to where the system has one
+// (read_linux.go), and its lookup counters.
 type kindCounters struct {
 	dir          string // the kind's subdirectory, separator included
+	held         heldDir
 	hits, misses atomic.Int64
 }
 
 // kind returns the record of one artifact kind.
 func (c *Cache) kind(kind string) *kindCounters {
-	c.kindMu.Lock()
-	defer c.kindMu.Unlock()
-	kc := c.kinds[kind]
+	ks := c.kinds
+	ks.mu.Lock()
+	defer ks.mu.Unlock()
+	kc := ks.m[kind]
 	if kc == nil {
-		if c.kinds == nil {
-			c.kinds = map[string]*kindCounters{}
+		if ks.m == nil {
+			ks.m = map[string]*kindCounters{}
 		}
 		kc = &kindCounters{dir: filepath.Join(c.dir, kindDir(kind)) + string(filepath.Separator)}
-		c.kinds[kind] = kc
+		ks.m[kind] = kc
 	}
 	return kc
 }
@@ -231,7 +251,9 @@ func Open(dir string, o Options) (*Cache, error) {
 		maxBytes: o.MaxBytes,
 		schema:   o.Schema,
 		now:      time.Now,
+		kinds:    &kindSet{},
 	}
+	runtime.AddCleanup(c, (*kindSet).release, c.kinds)
 	if c.maxBytes <= 0 {
 		c.maxBytes = DefaultMaxBytes
 	}
@@ -283,16 +305,16 @@ func (c *Cache) Stats() Stats {
 		Evictions:  c.evictions.Load(),
 		BadEntries: c.bad.Load(),
 	}
-	c.kindMu.Lock()
-	defer c.kindMu.Unlock()
-	for k, kc := range c.kinds {
+	c.kinds.mu.Lock()
+	defer c.kinds.mu.Unlock()
+	for k, kc := range c.kinds.m {
 		// A kind only Put so far has a record but no lookup to show.
 		ks := KindStats{Hits: kc.hits.Load(), Misses: kc.misses.Load()}
 		if ks.Hits == 0 && ks.Misses == 0 {
 			continue
 		}
 		if s.Kinds == nil {
-			s.Kinds = make(map[string]KindStats, len(c.kinds))
+			s.Kinds = make(map[string]KindStats, len(c.kinds.m))
 		}
 		s.Kinds[k] = ks
 	}
@@ -412,7 +434,7 @@ func (c *Cache) Get(k Key) ([]byte, bool) {
 	id := c.keyID(k)
 	kc := c.kind(k.Kind)
 	p := kc.path(id)
-	data, mtime, err := readEntry(p)
+	data, mtime, err := kc.read(p)
 	if err != nil {
 		c.misses.Add(1)
 		kc.misses.Add(1)

@@ -2,8 +2,11 @@ package artcache
 
 import (
 	"bytes"
+	"fmt"
 	"os"
 	"path/filepath"
+	"runtime"
+	"strings"
 	"syscall"
 	"testing"
 	"time"
@@ -31,21 +34,16 @@ func TestWarmGetAllocations(t *testing.T) {
 	}
 }
 
-// openFDs counts the process's open descriptors.
-func openFDs(t *testing.T) int {
-	t.Helper()
-	fds, err := os.ReadDir("/proc/self/fd")
-	if err != nil {
-		t.Skipf("no /proc/self/fd: %v", err)
-	}
-	return len(fds)
-}
-
 // TestReadClosesEveryDescriptor: a thousand lookups over every outcome
-// of TestReadOutcomes leave the process's open-descriptor count where
-// it was — each path out of readEntry closes what it opened.
+// of TestReadOutcomes leave the count of the process's open descriptors
+// of files in the store where it was — each path out of readEntry
+// closes what it opened. The count is taken after one hit of the kind,
+// which opens the descriptor of the kind's directory that the store
+// then holds. (Only the store's are counted: other tests' stores
+// release theirs whenever the collector finds them unreachable.)
 func TestReadClosesEveryDescriptor(t *testing.T) {
-	c := mustOpen(t, t.TempDir(), Options{})
+	dir := t.TempDir()
+	c := mustOpen(t, dir, Options{})
 	clock := time.Unix(1_700_000_000, 0)
 	c.now = func() time.Time { return clock }
 	k := testKey(1)
@@ -53,11 +51,15 @@ func TestReadClosesEveryDescriptor(t *testing.T) {
 	if err := os.MkdirAll(filepath.Dir(c.path(k)), 0o755); err != nil {
 		t.Fatal(err)
 	}
-	before := openFDs(t)
+	checkRead(t, c, k, payload, readCases[len(readCases)-1])
+	before := fdsUnder(t, dir)
+	if before != 1 {
+		t.Fatalf("%d descriptors open in the store after a hit, want its kind's directory alone", before)
+	}
 	for i := 0; i < 1000; i++ {
 		checkRead(t, c, k, payload, readCases[i%len(readCases)])
 	}
-	if after := openFDs(t); after != before {
+	if after := fdsUnder(t, dir); after != before {
 		t.Fatalf("%d open descriptors after 1000 lookups, %d before", after, before)
 	}
 }
@@ -80,4 +82,85 @@ func TestIgnoringEINTR(t *testing.T) {
 	if _, err := ignoringEINTR(func() (int, error) { calls++; return -1, syscall.ENOENT }); err != syscall.ENOENT || calls != 1 {
 		t.Fatalf("got %v after %d calls, want ENOENT after 1", err, calls)
 	}
+}
+
+// TestReplacedKindDirectory: after a hit, the kind's directory is
+// removed and made again and a new payload is put: the next Get reads
+// the new directory's entry, not the held one's.
+func TestReplacedKindDirectory(t *testing.T) {
+	c := mustOpen(t, t.TempDir(), Options{})
+	k := testKey(1)
+	if err := c.Put(k, []byte("old")); err != nil {
+		t.Fatal(err)
+	}
+	if got, ok := c.Get(k); !ok || string(got) != "old" {
+		t.Fatalf("first Get: %q, %t", got, ok)
+	}
+	dir := filepath.Dir(c.path(k))
+	if err := os.RemoveAll(dir); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.Mkdir(dir, 0o755); err != nil {
+		t.Fatal(err)
+	}
+	if err := c.Put(k, []byte("new")); err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 2; i++ { // the second through the re-opened directory
+		if got, ok := c.Get(k); !ok || string(got) != "new" {
+			t.Fatalf("Get %d after the directory was replaced: %q, %t", i, got, ok)
+		}
+	}
+	if st := c.Stats(); st.Hits != 3 || st.Misses != 0 || st.BadEntries != 0 {
+		t.Fatalf("counted %s", st)
+	}
+}
+
+// TestHeldDirectoriesReleased: the directory descriptors a Cache holds
+// are closed once the Cache is unreachable.
+func TestHeldDirectoriesReleased(t *testing.T) {
+	dir := t.TempDir()
+	func() {
+		c := mustOpen(t, dir, Options{})
+		for i := 0; i < 3; i++ {
+			k := testKey(i)
+			k.Kind = fmt.Sprintf("kind-%d", i)
+			if err := c.Put(k, []byte("x")); err != nil {
+				t.Fatal(err)
+			}
+			if _, ok := c.Get(k); !ok {
+				t.Fatal("miss")
+			}
+		}
+		if n := fdsUnder(t, dir); n != 3 {
+			t.Fatalf("%d descriptors open under the store after a hit of each of 3 kinds, want 3", n)
+		}
+	}()
+	for i := 0; i < 100 && fdsUnder(t, dir) != 0; i++ {
+		runtime.GC()
+		time.Sleep(10 * time.Millisecond)
+	}
+	if n := fdsUnder(t, dir); n != 0 {
+		t.Fatalf("%d descriptors open under the store after the Cache went unreachable", n)
+	}
+}
+
+// fdsUnder counts the process's open descriptors of files under dir.
+func fdsUnder(t *testing.T, dir string) int {
+	t.Helper()
+	dir, err := filepath.EvalSymlinks(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	fds, err := os.ReadDir("/proc/self/fd")
+	if err != nil {
+		t.Skipf("no /proc/self/fd: %v", err)
+	}
+	n := 0
+	for _, fd := range fds {
+		if target, err := os.Readlink(filepath.Join("/proc/self/fd", fd.Name())); err == nil && strings.HasPrefix(target, dir+string(filepath.Separator)) {
+			n++
+		}
+	}
+	return n
 }

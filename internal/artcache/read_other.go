@@ -8,6 +8,14 @@ import (
 	"time"
 )
 
+// heldDir holds nothing here: a hit opens its entry by its full path.
+type heldDir struct{}
+
+func (heldDir) release() {}
+
+// read reads the entry file at p.
+func (kc *kindCounters) read(p string) ([]byte, time.Time, error) { return readEntry(p) }
+
 // readEntry reads the entry file at p whole — one open, one fstat and
 // one read of exactly the size that fstat reports — and returns its
 // bytes with its mtime. Darwin and the BSDs already keep a regular

@@ -28,7 +28,7 @@ import (
 // ready, unbounded, memory-only tier.
 type Tier[K comparable, V any] struct {
 	// Kind is the version-tagged artifact kind stamped on every disk
-	// key of this stage ("native-v1", ...). Any change to the payload
+	// key of this stage ("native-v2", ...). Any change to the payload
 	// layout or to the semantics feeding it must bump the kind, which
 	// orphans old entries: they stop matching and age out via LRU.
 	Kind string

@@ -122,7 +122,7 @@ func TestParalleliseCachedReplays(t *testing.T) {
 			hits, misses := after.Hits-before.Hits, after.Misses-before.Misses
 			if pass == "cold" {
 				// One baseline shared by both models, one plan and one run each.
-				if hits != 0 || misses != 5 || now["native-v1"] != 1 || now["schedule-v1"] != 2 || now["dbm-v3"] != 2 || len(now) != 3 {
+				if hits != 0 || misses != 5 || now["native-v2"] != 1 || now["schedule-v1"] != 2 || now["dbm-v3"] != 2 || len(now) != 3 {
 					t.Errorf("%s, cold store: %d hits, %d misses, entries %v", bench, hits, misses, now)
 				}
 				continue
@@ -188,9 +188,9 @@ func TestModelRunIsVerified(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	entries, err := filepath.Glob(filepath.Join(c.Dir(), "native-v1", "*.art"))
+	entries, err := filepath.Glob(filepath.Join(c.Dir(), "native-v2", "*.art"))
 	if err != nil || len(entries) != 1 {
-		t.Fatalf("native-v1 entries: %v, %v", entries, err)
+		t.Fatalf("native-v2 entries: %v, %v", entries, err)
 	}
 	if err := os.WriteFile(entries[0], reseal(t, entries[0], payload), 0o644); err != nil {
 		t.Fatal(err)

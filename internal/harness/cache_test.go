@@ -7,10 +7,10 @@ package harness
 // from disk (nonzero hit counter) rather than quietly recomputing.
 
 import (
+	"bytes"
 	"context"
 	"crypto/sha256"
 	"encoding/binary"
-	"encoding/json"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -108,9 +108,9 @@ func TestGoldenColdWarmOff(t *testing.T) {
 	entries := entriesByKind(t, dir)
 	builds := all + 5*names
 	for kind, n := range map[string]int64{
-		"ident-v1":    builds,
+		"ident-v2":    builds,
 		"schedule-v1": all + 5*names + 2*names,
-		"native-v1":   3 * names,
+		"native-v2":   3 * names,
 		"profile-v1":  all + 2*names,
 	} {
 		if entries[kind] != n {
@@ -140,9 +140,9 @@ func TestGoldenColdWarmOff(t *testing.T) {
 	// identity, plan, baseline and run in the store (312: 70 / 88 / 27 /
 	// 127).
 	wantWarm := map[string]artcache.KindStats{
-		"ident-v1":    {Hits: builds},
+		"ident-v2":    {Hits: builds},
 		"schedule-v1": {Hits: entries["schedule-v1"]},
-		"native-v1":   {Hits: 3 * names},
+		"native-v2":   {Hits: 3 * names},
 		"dbm-v3":      {Hits: entries["dbm-v3"]},
 	}
 	if !reflect.DeepEqual(warm.Kinds, wantWarm) {
@@ -205,7 +205,7 @@ func TestCacheOffComputesWhatColdStores(t *testing.T) {
 	for kind, n := range entries {
 		// An identity record is derived only where there is a store to
 		// key into; every other stage is the same work either way.
-		if kind != "ident-v1" && off[kind].Computed != n {
+		if kind != "ident-v2" && off[kind].Computed != n {
 			t.Errorf("cache off computed %d %s artifacts, a cold store holds %d", off[kind].Computed, kind, n)
 		}
 		if cold[kind].Computed != n {
@@ -214,9 +214,9 @@ func TestCacheOffComputesWhatColdStores(t *testing.T) {
 	}
 	// Builds are not stored: each is assembled once, with or without a
 	// store, and has its identity recorded.
-	if off["build"].Computed != entries["ident-v1"] || cold["build"].Computed != entries["ident-v1"] {
+	if off["build"].Computed != entries["ident-v2"] || cold["build"].Computed != entries["ident-v2"] {
 		t.Errorf("cache off assembled %d builds, cache cold %d; the cold store records %d identities",
-			off["build"].Computed, cold["build"].Computed, entries["ident-v1"])
+			off["build"].Computed, cold["build"].Computed, entries["ident-v2"])
 	}
 }
 
@@ -275,8 +275,8 @@ func TestFigure11ReplaysAroundMissingRuns(t *testing.T) {
 	}
 	// The missed runs execute, so their binaries are materialised: one
 	// assembly each, beneath the identity that opened them.
-	if builds != stored["native-v1"] {
-		t.Errorf("the render assembled %d binaries, want one per baseline: %d", builds, stored["native-v1"])
+	if builds != stored["native-v2"] {
+		t.Errorf("the render assembled %d binaries, want one per baseline: %d", builds, stored["native-v2"])
 	}
 	missedWant := map[string]artcache.KindStats{}
 	for kind, ks := range warm.Kinds {
@@ -331,7 +331,7 @@ func TestCacheCorruptionHealsAcrossRender(t *testing.T) {
 	}
 	first := RenderFigure7(rows)
 	stored := entriesByKind(t, dir)
-	for _, kind := range []string{"ident-v1", "schedule-v1", "native-v1", "profile-v1", "dbm-v3"} {
+	for _, kind := range []string{"ident-v2", "schedule-v1", "native-v2", "profile-v1", "dbm-v3"} {
 		if stored[kind] == 0 {
 			t.Fatalf("figure 7 stored no %s entry to corrupt (store entries %v)", kind, stored)
 		}
@@ -520,22 +520,18 @@ func TestImageFreeReplay(t *testing.T) {
 	// not to be the binary on record. The record is counted bad and
 	// rewritten, nothing is published under the wrong identity, and the
 	// render is golden.
-	record := artifactsOf(t, dir, "ident-v1")[0]
+	record := artifactsOf(t, dir, "ident-v2")[0]
 	honest, err := os.ReadFile(record)
 	if err != nil {
 		t.Fatal(err)
 	}
-	var rec struct {
-		ID       string
-		CodeSize int
-	}
-	if err := json.Unmarshal(honest[80:], &rec); err != nil {
-		t.Fatal(err)
-	}
-	rec.ID = strings.Repeat("0", len(rec.ID))
-	lie, err := json.Marshal(rec)
-	if err != nil {
-		t.Fatal(err)
+	// The payload is the code size (8 bytes) and then the identity:
+	// every fingerprint in it turns to zeros, its '+' joins kept.
+	lie := bytes.Clone(honest[80:])
+	for i, b := range lie[8:] {
+		if b != '+' {
+			lie[8+i] = '0'
+		}
 	}
 	reseal(t, record, lie)
 	if err := os.Remove(artifactsOf(t, dir, "dbm-v3")[0]); err != nil {

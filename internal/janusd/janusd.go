@@ -504,7 +504,7 @@ type Stats struct {
 	CacheMisses int64 `json:"cache_misses,omitempty"`
 	CacheBad    int64 `json:"cache_bad,omitempty"`
 	// CacheKinds splits this server's hits and misses by artifact kind
-	// (ident-v1, schedule-v1, native-v1, profile-v1, dbm-v3), with each
+	// (ident-v2, schedule-v1, native-v2, profile-v1, dbm-v3), with each
 	// stage's memory-tier hits and computations since it started: which
 	// stages requests replayed, from where, and which they recomputed.
 	// "build" is the builds assembled, which are not stored.

@@ -145,7 +145,7 @@ func TestReplicasShareCache(t *testing.T) {
 	// per kind what it replayed — plans and runs — and that it never
 	// assembled a build image.
 	kinds := stB.CacheKinds
-	if kinds["schedule-v1"].Hits == 0 || kinds["dbm-v3"].Hits == 0 || kinds["ident-v1"].Hits == 0 {
+	if kinds["schedule-v1"].Hits == 0 || kinds["dbm-v3"].Hits == 0 || kinds["ident-v2"].Hits == 0 {
 		t.Fatalf("replica B's statusz does not show a replay per kind: %v", kinds)
 	}
 	if b, ok := kinds["build"]; !ok || b.Computed != 0 {
@@ -205,7 +205,7 @@ func TestStatuszCountsOwnWork(t *testing.T) {
 	for _, f := range files {
 		entries[filepath.Base(filepath.Dir(f))]++
 	}
-	entries["build"] = entries["ident-v1"]
+	entries["build"] = entries["ident-v2"]
 	for kind, n := range entries {
 		if first[kind].Computed != n {
 			t.Errorf("%s: the first server computed %d, the store holds %d", kind, first[kind].Computed, n)

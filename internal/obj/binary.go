@@ -1,6 +1,7 @@
 package obj
 
 import (
+	"crypto/sha256"
 	"strings"
 	"sync"
 )
@@ -18,6 +19,29 @@ func Identity(exe *Executable, libs []*Library) string {
 		sb.WriteString(l.Fingerprint())
 	}
 	return sb.String()
+}
+
+// IsIdentity reports whether id has the shape Identity gives every
+// binary: one or more lowercase-hex SHA-256 fingerprints joined by '+'.
+func IsIdentity(id string) bool {
+	const n = 2 * sha256.Size
+	for {
+		if len(id) < n {
+			return false
+		}
+		for _, c := range []byte(id[:n]) {
+			if (c < '0' || c > '9') && (c < 'a' || c > 'f') {
+				return false
+			}
+		}
+		if id = id[n:]; id == "" {
+			return true
+		}
+		if id[0] != '+' {
+			return false
+		}
+		id = id[1:]
+	}
 }
 
 // Binary is a handle on one guest binary — an executable plus the

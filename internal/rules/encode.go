@@ -120,6 +120,31 @@ func (r *rd) str() string {
 
 func (r *rd) boolean() bool { return r.u8() == 1 }
 
+// Smallest encodings, in bytes, of the elements a schedule counts: a
+// rule (address, ID, loop ID, payload length), an expression with no
+// terms, one term (register, coefficient), an induction variable
+// (register, initial expression, step) and a bounds-check range (write
+// flag, base expression, stride, offsets).
+const (
+	minRule      = 8 + 2 + 4 + 4
+	minExpr      = 1 + 8 + 8 + 2
+	minTerm      = 1 + 8
+	minInduction = 1 + minExpr + 8
+	minRange     = 1 + minExpr + 3*8
+)
+
+// sized returns an empty slice with room for the n elements the image
+// says follow, each at least size bytes long, but for no more than the
+// bytes left before end can hold: a count in a corrupted image cannot
+// make the decoder allocate more than the image could describe. It
+// returns nil when n is 0 or nothing fits.
+func sized[T any](r *rd, n, size, end int) []T {
+	if n = min(n, (end-r.off)/size); n <= 0 {
+		return nil
+	}
+	return make([]T, 0, n)
+}
+
 // reg reads a register operand: a general-purpose register, the TLS
 // pseudo-register or RegNone. Anything else would index past a
 // context's register file, so it fails the load.
@@ -138,12 +163,12 @@ func (r *rd) expr() sym.Expr {
 	e.Const = r.i64()
 	e.Iter = r.i64()
 	n := int(r.u16())
-	for i := 0; i < n; i++ {
+	if n > 0 {
+		e.Regs = make(map[guest.Reg]int64, min(n, (len(r.b)-r.off)/minTerm))
+	}
+	for i := 0; i < n && r.err == nil; i++ {
 		reg := r.reg()
 		coeff := r.i64()
-		if e.Regs == nil {
-			e.Regs = map[guest.Reg]int64{}
-		}
 		e.Regs[reg] = coeff
 	}
 	return e
@@ -235,7 +260,8 @@ func decodePayload(r *rd, id ID, n int) (Payload, error) {
 	case LOOP_INIT:
 		var d LoopInitData
 		niv := int(r.u16())
-		for i := 0; i < niv; i++ {
+		d.Inductions = sized[InductionSpec](r, niv, minInduction, end)
+		for i := 0; i < niv && r.err == nil; i++ {
 			var iv InductionSpec
 			iv.Reg = r.reg()
 			iv.Init = r.expr()
@@ -243,7 +269,8 @@ func decodePayload(r *rd, id ID, n int) (Payload, error) {
 			d.Inductions = append(d.Inductions, iv)
 		}
 		nred := int(r.u16())
-		for i := 0; i < nred; i++ {
+		d.Reductions = sized[ReductionSpec](r, nred, 2, end)
+		for i := 0; i < nred && r.err == nil; i++ {
 			d.Reductions = append(d.Reductions, ReductionSpec{Reg: r.reg(), Op: guest.Op(r.u8())})
 		}
 		d.Trip.Known = r.boolean()
@@ -257,7 +284,8 @@ func decodePayload(r *rd, id ID, n int) (Payload, error) {
 	case LOOP_FINISH:
 		var d LoopFinishData
 		niv := int(r.u16())
-		for i := 0; i < niv; i++ {
+		d.Inductions = sized[InductionSpec](r, niv, minInduction, end)
+		for i := 0; i < niv && r.err == nil; i++ {
 			var iv InductionSpec
 			iv.Reg = r.reg()
 			iv.Init = r.expr()
@@ -265,11 +293,13 @@ func decodePayload(r *rd, id ID, n int) (Payload, error) {
 			d.Inductions = append(d.Inductions, iv)
 		}
 		nred := int(r.u16())
-		for i := 0; i < nred; i++ {
+		d.Reductions = sized[ReductionSpec](r, nred, 2, end)
+		for i := 0; i < nred && r.err == nil; i++ {
 			d.Reductions = append(d.Reductions, ReductionSpec{Reg: r.reg(), Op: guest.Op(r.u8())})
 		}
 		nlo := int(r.u16())
-		for i := 0; i < nlo; i++ {
+		d.LiveOut = sized[guest.Reg](r, nlo, 1, end)
+		for i := 0; i < nlo && r.err == nil; i++ {
 			d.LiveOut = append(d.LiveOut, r.reg())
 		}
 		p = d
@@ -294,7 +324,8 @@ func decodePayload(r *rd, id ID, n int) (Payload, error) {
 	case MEM_BOUNDS_CHECK:
 		var d BoundsCheckData
 		nr := int(r.u16())
-		for i := 0; i < nr; i++ {
+		d.Ranges = sized[RangeSpec](r, nr, minRange, end)
+		for i := 0; i < nr && r.err == nil; i++ {
 			var rg RangeSpec
 			rg.Write = r.boolean()
 			rg.Base = r.expr()
@@ -307,7 +338,8 @@ func decodePayload(r *rd, id ID, n int) (Payload, error) {
 	case MEM_SPILL_REG, MEM_RECOVER_REG:
 		var d SpillRegData
 		nr := int(r.u16())
-		for i := 0; i < nr; i++ {
+		d.Regs = sized[guest.Reg](r, nr, 1, end)
+		for i := 0; i < nr && r.err == nil; i++ {
 			d.Regs = append(d.Regs, r.reg())
 		}
 		p = d
@@ -382,6 +414,7 @@ func Load(img []byte) (*Schedule, error) {
 	s.ExeName = r.str()
 	s.ExeSize = r.u64()
 	n := int(r.u32())
+	s.Rules = sized[Rule](r, n, minRule, len(img))
 	for i := 0; i < n && r.err == nil; i++ {
 		var rule Rule
 		rule.Addr = r.u64()

@@ -1,9 +1,12 @@
 package rules
 
 import (
+	"bytes"
 	"errors"
+	"math"
 	"math/rand"
 	"reflect"
+	"runtime"
 	"testing"
 	"testing/quick"
 
@@ -103,6 +106,75 @@ func TestLoadRejectsCorruptImages(t *testing.T) {
 	// last rule would give one schedule two names.
 	if _, err := Load(append(img, 0)); err == nil {
 		t.Error("an image with a trailing byte should fail")
+	}
+}
+
+// TestLoadSizesFromCounts: every slice Load fills is made at the size
+// its count gives, and a count larger than the bytes left could hold
+// allocates no more than those bytes could describe.
+func TestLoadSizesFromCounts(t *testing.T) {
+	img, err := sampleSchedule().Save()
+	if err != nil {
+		t.Fatal(err)
+	}
+	s, err := Load(img)
+	if err != nil {
+		t.Fatal(err)
+	}
+	exact := func(what string, n, c int) {
+		if n != c {
+			t.Errorf("%s: %d elements in room for %d", what, n, c)
+		}
+	}
+	exact("rules", len(s.Rules), cap(s.Rules))
+	for _, r := range s.Rules {
+		switch d := r.Data.(type) {
+		case LoopInitData:
+			exact("LOOP_INIT inductions", len(d.Inductions), cap(d.Inductions))
+			exact("LOOP_INIT reductions", len(d.Reductions), cap(d.Reductions))
+		case LoopFinishData:
+			exact("LOOP_FINISH inductions", len(d.Inductions), cap(d.Inductions))
+			exact("LOOP_FINISH reductions", len(d.Reductions), cap(d.Reductions))
+			exact("LOOP_FINISH live-outs", len(d.LiveOut), cap(d.LiveOut))
+		case BoundsCheckData:
+			exact("bounds-check ranges", len(d.Ranges), cap(d.Ranges))
+		case SpillRegData:
+			exact("spilled registers", len(d.Regs), cap(d.Regs))
+		}
+	}
+
+	// Counts at their maximum over a few bytes: 2^32-1 rules, and a
+	// LOOP_INIT payload of 2^16-1 inductions, each of 2^16-1 terms.
+	var w wr
+	w.b.WriteString(scheduleMagic)
+	w.str("x")
+	w.u64(0)
+	w.u32(math.MaxUint32)
+	huge := [][]byte{bytes.Clone(w.b.Bytes())}
+	w.b.Truncate(w.b.Len() - 4)
+	w.u32(1)
+	w.u64(0x400900)
+	w.u16(uint16(LOOP_INIT))
+	w.u32(0)
+	w.u32(3 + 19)
+	w.u16(math.MaxUint16)
+	w.u8(uint8(guest.R1))
+	w.boolean(false)
+	w.i64(0)
+	w.i64(0)
+	w.u16(math.MaxUint16)
+	huge = append(huge, w.b.Bytes())
+	for i, img := range huge {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		_, err := Load(img)
+		runtime.ReadMemStats(&after)
+		if err == nil {
+			t.Errorf("image %d: %d bytes claiming the largest counts loaded", i, len(img))
+		}
+		if n := after.TotalAlloc - before.TotalAlloc; n > 64<<10 {
+			t.Errorf("image %d: loading %d bytes allocated %d", i, len(img), n)
+		}
 	}
 }
 

@@ -1,7 +1,7 @@
 package workloads
 
 import (
-	"encoding/json"
+	"encoding/binary"
 	"fmt"
 	"sort"
 	"sync/atomic"
@@ -376,7 +376,7 @@ type built struct {
 	libs []*obj.Library
 }
 
-// BuildSchema versions the build's identity record (ident-v1): it is
+// BuildSchema versions the build's identity record (ident-v2): it is
 // part of every record's key, so it must be bumped whenever kernel
 // emission changes in any way — generator kernels, the cold-runtime
 // padding, the assembler encoding — otherwise a warm cache replays
@@ -391,6 +391,30 @@ const BuildSchema = "workloads-build/v1"
 type ident struct {
 	ID       string
 	CodeSize int
+}
+
+// encodeIdent serialises an identity record (ident-v2): CodeSize as a
+// little-endian u64, then the ID's bytes.
+func encodeIdent(id ident) ([]byte, error) {
+	out := binary.LittleEndian.AppendUint64(make([]byte, 0, 8+len(id.ID)), uint64(id.CodeSize))
+	return append(out, id.ID...), nil
+}
+
+// decodeIdent parses an encodeIdent record, rejecting one that names no
+// binary or a code size no build has, and an ID obj.Identity could not
+// have produced.
+func decodeIdent(data []byte) (ident, error) {
+	if len(data) < 8 {
+		return ident{}, fmt.Errorf("workloads: %d-byte identity record", len(data))
+	}
+	id := ident{ID: string(data[8:]), CodeSize: int(int64(binary.LittleEndian.Uint64(data)))}
+	if id.ID == "" || id.CodeSize <= 0 {
+		return ident{}, fmt.Errorf("workloads: empty identity record")
+	}
+	if !obj.IsIdentity(id.ID) {
+		return ident{}, fmt.Errorf("workloads: identity record names no binary: %q", id.ID)
+	}
+	return id, nil
 }
 
 // Memo is the memory of the build stages, what a janus.Session holds of
@@ -416,20 +440,7 @@ type Memo struct {
 
 // NewMemo returns an empty build memory.
 func NewMemo() *Memo {
-	return &Memo{idents: artcache.Tier[struct{}, ident]{
-		Kind:   "ident-v1",
-		Encode: func(id ident) ([]byte, error) { return json.Marshal(id) },
-		Decode: func(data []byte) (ident, error) {
-			var id ident
-			if err := json.Unmarshal(data, &id); err != nil {
-				return ident{}, err
-			}
-			if id.ID == "" || id.CodeSize <= 0 {
-				return ident{}, fmt.Errorf("workloads: empty identity record")
-			}
-			return id, nil
-		},
-	}}
+	return &Memo{idents: artcache.Tier[struct{}, ident]{Kind: "ident-v2", Encode: encodeIdent, Decode: decodeIdent}}
 }
 
 // process is the memo of the package-level Build and Open, and of the
@@ -474,12 +485,12 @@ func BuildCached(c *artcache.Cache, name string, in Input, opt OptLevel) (*obj.E
 }
 
 // buildDiskKey is the disk key of one build's identity record
-// (ident-v1).
+// (ident-v2).
 func buildDiskKey(bm Benchmark, in Input, opt OptLevel) artcache.Key {
 	return artcache.Key{
 		Binary: bm.Name,
-		Input:  fmt.Sprintf("%s", in),
-		Config: fmt.Sprintf("opt=%s schema=%s", opt, BuildSchema),
+		Input:  in.String(),
+		Config: "opt=" + opt.String() + " schema=" + BuildSchema,
 	}
 }
 

@@ -2,6 +2,7 @@ package workloads
 
 import (
 	"reflect"
+	"strings"
 	"testing"
 
 	"janus/internal/artcache"
@@ -50,7 +51,7 @@ func TestOpenReadsTheRecordNotTheImage(t *testing.T) {
 	}
 	exe, libs, _ := cold.Image()
 	st := c.Stats()
-	if want := map[string]artcache.KindStats{"ident-v1": {Misses: 1}}; !reflect.DeepEqual(st.Kinds, want) {
+	if want := map[string]artcache.KindStats{"ident-v2": {Misses: 1}}; !reflect.DeepEqual(st.Kinds, want) {
 		t.Fatalf("cold Open looked up %s", st.KindsString())
 	}
 	if cold.ID() != obj.Identity(exe, libs) {
@@ -66,7 +67,7 @@ func TestOpenReadsTheRecordNotTheImage(t *testing.T) {
 		t.Fatalf("record says %s with %d code bytes, build is %s with %d", warm.ID(), warm.CodeSize(), cold.ID(), len(exe.Code))
 	}
 	st = c.Stats()
-	want := map[string]artcache.KindStats{"ident-v1": {Hits: 1, Misses: 1}}
+	want := map[string]artcache.KindStats{"ident-v2": {Hits: 1, Misses: 1}}
 	if !reflect.DeepEqual(st.Kinds, want) || m.builds.Stats().Computed != 0 {
 		t.Fatalf("warm Open looked up %s and assembled %d builds — want the record alone", st.KindsString(), m.builds.Stats().Computed)
 	}
@@ -81,8 +82,8 @@ func TestOpenReadsTheRecordNotTheImage(t *testing.T) {
 	}
 }
 
-// TestOpenHealsALyingRecord: a record that verifies but names another
-// binary is believed until its image is loaded; then the handle takes
+// TestOpenHealsALyingRecord: a record that verifies and is well formed
+// but names another binary is believed until its image is loaded; then the handle takes
 // the image's identity, the record is counted bad and rewritten, and
 // a fresh Memo reads the truth.
 func TestOpenHealsALyingRecord(t *testing.T) {
@@ -97,14 +98,15 @@ func TestOpenHealsALyingRecord(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	m.idents.Replace(c, key, ident{ID: "someone-else", CodeSize: honest.CodeSize()})
+	someoneElse := strings.Repeat("0", len(honest.ID()))
+	m.idents.Replace(c, key, ident{ID: someoneElse, CodeSize: honest.CodeSize()})
 	bad := c.Stats().BadEntries
 
 	lying, err := NewMemo().Open(c, "470.lbm", Train, O3)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if lying.ID() != "someone-else" {
+	if lying.ID() != someoneElse {
 		t.Fatalf("record not served: %s", lying.ID())
 	}
 	if _, _, err := lying.Image(); err != nil {

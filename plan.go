@@ -76,17 +76,36 @@ type Selection struct {
 // nothing else of cfg influences a plan) at the default coverage
 // threshold.
 func (cfg Config) Selection() Selection {
-	return Selection{
-		Key:   fmt.Sprintf("janus profile=%t checks=%t mincov=%g", cfg.UseProfile, cfg.UseChecks, analyzer.DefaultMinCoverage),
-		Train: cfg.UseProfile || cfg.UseChecks,
-		Select: func(prog *analyzer.Program) {
-			prog.SelectLoops(analyzer.SelectOptions{
-				UseProfile:  cfg.UseProfile,
-				MinCoverage: analyzer.DefaultMinCoverage,
-				UseChecks:   cfg.UseChecks,
-			})
-		},
+	return janusSelections[b2i(cfg.UseProfile)][b2i(cfg.UseChecks)]
+}
+
+// janusSelections holds Config.Selection of every (UseProfile,
+// UseChecks) pair, so a lookup formats no key.
+var janusSelections = func() (t [2][2]Selection) {
+	for _, useProfile := range []bool{false, true} {
+		for _, useChecks := range []bool{false, true} {
+			t[b2i(useProfile)][b2i(useChecks)] = Selection{
+				Key:   fmt.Sprintf("janus profile=%t checks=%t mincov=%g", useProfile, useChecks, analyzer.DefaultMinCoverage),
+				Train: useProfile || useChecks,
+				Select: func(prog *analyzer.Program) {
+					prog.SelectLoops(analyzer.SelectOptions{
+						UseProfile:  useProfile,
+						MinCoverage: analyzer.DefaultMinCoverage,
+						UseChecks:   useChecks,
+					})
+				},
+			}
+		}
 	}
+	return t
+}()
+
+// b2i is 1 for true and 0 for false.
+func b2i(b bool) int {
+	if b {
+		return 1
+	}
+	return 0
 }
 
 // planKey names a plan as its disk key does: the two binaries and the
