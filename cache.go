@@ -8,7 +8,6 @@ import (
 	"errors"
 	"fmt"
 	"slices"
-	"strconv"
 	"sync"
 	"sync/atomic"
 
@@ -432,45 +431,24 @@ const noSchedule = "none"
 
 // dbmConfigKey is a dbmKey's configuration as the disk key spells it —
 // engine-selection knobs included, which leave virtual cycles untouched
-// but are attributed in Stats (HostParRegions, StealRegions). The
-// spelling is that of
-//
-//	fmt.Sprintf("threads=%d parallel=%t hostpar=%t steal=%t miniter=%d maxsteps=%d cost=%+v", ...)
-//
-// built by appends, with the cost model's %+v taken once per distinct
-// model.
+// but are attributed in Stats (HostParRegions, StealRegions) —
+// formatted once per distinct configuration (configKeys).
 func dbmConfigKey(c dbm.Config) string {
-	b := make([]byte, 0, 256)
-	b = append(b, "threads="...)
-	b = strconv.AppendInt(b, int64(c.Threads), 10)
-	b = append(b, " parallel="...)
-	b = strconv.AppendBool(b, c.Parallel)
-	b = append(b, " hostpar="...)
-	b = strconv.AppendBool(b, c.HostParallel)
-	b = append(b, " steal="...)
-	b = strconv.AppendBool(b, c.WorkStealing)
-	b = append(b, " miniter="...)
-	b = strconv.AppendInt(b, c.MinIterPerThread, 10)
-	b = append(b, " maxsteps="...)
-	b = strconv.AppendInt(b, c.MaxSteps, 10)
-	b = append(b, " cost="...)
-	b = append(b, costKey(c.Cost)...)
-	return string(b)
-}
-
-// costKeys memoises costKey: a process runs under a handful of cost
-// models (the DBM's default, the compiler models' static one).
-var costKeys sync.Map // dbm.CostModel → string
-
-// costKey spells a cost model as %+v does.
-func costKey(m dbm.CostModel) string {
-	if s, ok := costKeys.Load(m); ok {
+	if s, ok := configKeys.Load(c); ok {
 		return s.(string)
 	}
-	s := fmt.Sprintf("%+v", m)
-	costKeys.Store(m, s)
+	s := fmt.Sprintf("threads=%d parallel=%t hostpar=%t steal=%t miniter=%d maxsteps=%d cost=%+v",
+		c.Threads, c.Parallel, c.HostParallel, c.WorkStealing, c.MinIterPerThread, c.MaxSteps, c.Cost)
+	configKeys.Store(c, s)
 	return s
 }
+
+// configKeys memoises dbmConfigKey. Only runs that reach the disk tier
+// are keyed — no fault-injected or profiling configuration — and a
+// process runs those under a handful of configurations: the suite's
+// thread counts and engine knobs, under the DBM's cost model and the
+// compiler models' static one.
+var configKeys sync.Map // dbm.Config → string
 
 // runDBM executes bin under the DBM and sched, the schedule digest
 // names. Fault-injected runs bypass both tiers: their recovery counters

@@ -539,9 +539,8 @@ func TestMemoEvictionKeepsInFlight(t *testing.T) {
 }
 
 // TestDBMConfigKeySpelling pins the disk key's configuration spelling:
-// dbmConfigKey builds it by appends, and every stored dbm entry is
-// found by the bytes the format string below produced when it was the
-// implementation.
+// every stored dbm entry is found by the bytes the format string below
+// produces, whether dbmConfigKey formats the key or finds it memoised.
 func TestDBMConfigKeySpelling(t *testing.T) {
 	const want = "threads=8 parallel=true hostpar=true steal=true miniter=4 maxsteps=2000000000 " +
 		"cost={TransPerInst:60 Dispatch:1 LoopInitBase:4000 LoopInitPerThread:900 LoopFinishBase:2000 " +
@@ -556,7 +555,7 @@ func TestDBMConfigKeySpelling(t *testing.T) {
 	for _, c := range []dbm.Config{{}, odd, {Threads: 1, Cost: dbm.DefaultCost(), MaxSteps: vm.DefaultMaxSteps}} {
 		want := fmt.Sprintf("threads=%d parallel=%t hostpar=%t steal=%t miniter=%d maxsteps=%d cost=%+v",
 			c.Threads, c.Parallel, c.HostParallel, c.WorkStealing, c.MinIterPerThread, c.MaxSteps, c.Cost)
-		for range 2 { // the second spelling comes from the memoised cost
+		for range 2 { // the second spelling is the memoised one
 			if got := dbmConfigKey(c); got != want {
 				t.Fatalf("dbmConfigKey(%+v) =\n%q\nwant\n%q", c, got, want)
 			}

@@ -88,8 +88,8 @@ func (h *heldDir) release() {
 // readEntry reads the entry file at p whole and returns its bytes with
 // its mtime: one open, then readOpen — one fstat, reads up to the size
 // fstat reports (one read unless the kernel returns it short) and one
-// close — on a raw descriptor. os.Open would add about five syscalls and five
-// allocations to every hit on Linux: it sets the descriptor
+// close — on a raw descriptor. os.Open would add about five syscalls
+// and five allocations to every hit on Linux: it sets the descriptor
 // non-blocking, tries to register it with the runtime poller (a regular
 // file is refused), sets it back to blocking, and attaches a finalizer
 // to the *os.File. O_CLOEXEC keeps the descriptor out of the process a

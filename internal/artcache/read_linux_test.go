@@ -7,6 +7,7 @@ import (
 	"path/filepath"
 	"runtime"
 	"strings"
+	"sync"
 	"syscall"
 	"testing"
 	"time"
@@ -136,7 +137,7 @@ func TestHeldDirectoriesReleased(t *testing.T) {
 			t.Fatalf("%d descriptors open under the store after a hit of each of 3 kinds, want 3", n)
 		}
 	}()
-	for i := 0; i < 100 && fdsUnder(t, dir) != 0; i++ {
+	for i := 0; i < 500 && fdsUnder(t, dir) != 0; i++ { // up to 5 s
 		runtime.GC()
 		time.Sleep(10 * time.Millisecond)
 	}
@@ -163,4 +164,60 @@ func fdsUnder(t *testing.T, dir string) int {
 		}
 	}
 	return n
+}
+
+// TestConcurrentHitsAcrossReplacedDirectory: readers hit one entry
+// while its kind's directory is removed, made again and refilled under
+// them. Every hit is the entry's payload, none is counted bad, and
+// afterwards the store holds one descriptor: the directory now there.
+func TestConcurrentHitsAcrossReplacedDirectory(t *testing.T) {
+	dir := t.TempDir()
+	c := mustOpen(t, dir, Options{})
+	k := testKey(1)
+	payload := payloadFor(k)
+	if err := c.Put(k, payload); err != nil {
+		t.Fatal(err)
+	}
+	kindDir := filepath.Dir(c.path(k))
+	var wg sync.WaitGroup
+	stop := make(chan struct{})
+	for r := 0; r < 4; r++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for {
+				select {
+				case <-stop:
+					return
+				default:
+				}
+				if got, ok := c.Get(k); ok && !bytes.Equal(got, payload) {
+					t.Errorf("hit returned %q", got)
+					return
+				}
+			}
+		}()
+	}
+	for i := 0; i < 20; i++ {
+		if err := os.RemoveAll(kindDir); err != nil {
+			t.Error(err)
+			break
+		}
+		if err := c.Put(k, payload); err != nil {
+			t.Error(err)
+			break
+		}
+		time.Sleep(time.Millisecond)
+	}
+	close(stop)
+	wg.Wait()
+	if got, ok := c.Get(k); !ok || !bytes.Equal(got, payload) {
+		t.Fatalf("Get after the replacements: %q, %t", got, ok)
+	}
+	if st := c.Stats(); st.BadEntries != 0 || st.Hits == 0 {
+		t.Fatalf("counted %s", st)
+	}
+	if n := fdsUnder(t, dir); n != 1 {
+		t.Fatalf("%d descriptors open in the store, want the kind directory's alone", n)
+	}
 }
