@@ -26,8 +26,8 @@
 //	                                     is byte-identical with the cache
 //	                                     off, cold or warm.
 //
-// Every run ends its stderr with the free lists' counters: page blocks
-// and dependence tables allocated fresh and recycled.
+// Every run ends its stderr with the free lists' counters: page blocks,
+// page-table leaves and dependence tables allocated fresh and recycled.
 package main
 
 import (

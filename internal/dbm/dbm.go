@@ -324,7 +324,6 @@ type Executor struct {
 	// Profiling state.
 	Cov *profiler.Coverage
 	Dep *profiler.Dependence
-	Ex  *profiler.Excall
 
 	// inj is the armed fault injector (nil unless Config.Inject is
 	// set; nil-safe everywhere it is consulted).
@@ -365,7 +364,6 @@ func New(exe *obj.Executable, s *rules.Schedule, cfg Config, libs ...*obj.Librar
 		loops:   map[int32]*loopRec{},
 		Cov:     profiler.NewCoverage(),
 		Dep:     profiler.NewDependence(),
-		Ex:      profiler.NewExcall(),
 		inj:     faultinject.NewInjector(cfg.Inject),
 	}
 	for i := range ex.threads {
@@ -436,21 +434,11 @@ func (ex *Executor) fold(t *jrt.Thread) {
 	t.Steps, t.TransBlocks, t.TransInsts, t.TransCycles = 0, 0, 0, 0
 }
 
-// Run executes the program to completion under the DBM.
+// Run executes the program to completion under the DBM and returns its
+// result, memory hashes included.
 func (ex *Executor) Run() (*Result, error) {
-	t := &jrt.Thread{ID: 0, Ctx: ex.main}
-	for !ex.main.Halted {
-		if ex.steps >= ex.Cfg.MaxSteps {
-			return nil, fmt.Errorf("dbm: exceeded %d steps: %w", ex.Cfg.MaxSteps, ErrStepBudget)
-		}
-		err := ex.stepBlock(t)
-		ex.fold(t)
-		if err != nil {
-			if err == vm.ErrExited {
-				break
-			}
-			return nil, err
-		}
+	if err := ex.Execute(); err != nil {
+		return nil, err
 	}
 	return &Result{
 		Result: vm.Result{
@@ -465,10 +453,31 @@ func (ex *Executor) Run() (*Result, error) {
 	}, nil
 }
 
+// Execute runs the program to completion under the DBM and builds no
+// Result, so it hashes no memory: a profiling run reads only Cov and
+// Dep afterwards.
+func (ex *Executor) Execute() error {
+	t := &jrt.Thread{ID: 0, Ctx: ex.main}
+	for !ex.main.Halted {
+		if ex.steps >= ex.Cfg.MaxSteps {
+			return fmt.Errorf("dbm: exceeded %d steps: %w", ex.Cfg.MaxSteps, ErrStepBudget)
+		}
+		err := ex.stepBlock(t)
+		ex.fold(t)
+		if err != nil {
+			if err == vm.ErrExited {
+				break
+			}
+			return err
+		}
+	}
+	return nil
+}
+
 // Close recycles the machine's memory (vm.Machine.Close) and the
 // dependence profile's tables (profiler.Dependence.Close) for the next
-// run. The Result, the Stats, the coverage and external-call profiles
-// stay readable; memory, and so DataHash, and Dep do not.
+// run. The Result, the Stats and the coverage profile stay readable;
+// memory, and so DataHash, and Dep do not.
 func (ex *Executor) Close() {
 	ex.M.Close()
 	ex.Dep.Close()

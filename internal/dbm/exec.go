@@ -50,10 +50,10 @@ func (ex *Executor) stepBlock(t *jrt.Thread) error {
 	c := t.Ctx
 	c.Cycles += ex.Cfg.Cost.Dispatch
 	// Alternate runs and sites. Every mode a step depends on — profiling,
-	// this loop's parallel region, an open transaction, an active
-	// external call — is fixed per executor or changes only in a handler,
-	// i.e. at a site, so it is decided once per step, never per
-	// instruction, and each step is accounted for in one go.
+	// this loop's parallel region, an open transaction — is fixed per
+	// executor or changes only in a handler, i.e. at a site, so it is
+	// decided once per step, never per instruction, and each step is
+	// accounted for in one go.
 	for i, si := 0, 0; i < len(b.insts); {
 		pc := b.start + uint64(i)*guest.InstSize
 		stop := len(b.insts)
@@ -89,9 +89,6 @@ func (ex *Executor) stepBlock(t *jrt.Thread) error {
 		t.Steps += int64(n)
 		if ex.Cfg.Profile {
 			ex.Cov.Step(int64(n))
-			if ex.Ex.Active() {
-				ex.Ex.Step(int64(n))
-			}
 		}
 		if err != nil {
 			return err
@@ -109,15 +106,11 @@ func (ex *Executor) stepBlock(t *jrt.Thread) error {
 // chargeTxAccess charges instruction in, about to execute inside thread
 // t's transaction, for the memory access it makes, if any.
 func (ex *Executor) chargeTxAccess(t *jrt.Thread, in *guest.Inst) {
-	writes := in.WritesMem()
-	if !writes && !in.ReadsMem() {
+	if !in.WritesMem() && !in.ReadsMem() {
 		return
 	}
 	t.Ctx.Cycles += ex.Cfg.Cost.TxPerAccess
 	ex.Stats.SpecInsts++
-	if ex.Cfg.Profile && ex.Ex.Active() {
-		ex.Ex.RecordMem(writes)
-	}
 }
 
 // execSite executes site s's instruction, the one element of ins at
@@ -178,10 +171,6 @@ func (ex *Executor) runHandler(t *jrt.Thread, rec *threadRec, in *guest.Inst, ad
 		if in.Op.HasMem() {
 			ex.Dep.Record(int(r.LoopID), t.Ctx.EffAddr(in.M), in.AccessWidth(), in.WritesMem())
 		}
-	case rules.PROF_EXCALL_START:
-		ex.Ex.Start(r.Addr)
-	case rules.PROF_EXCALL_FINISH:
-		ex.Ex.Finish()
 
 	case rules.THREAD_SCHEDULE, rules.THREAD_YIELD:
 		// Pool transitions are modelled inside the LOOP_INIT/FINISH

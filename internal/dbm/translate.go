@@ -53,8 +53,11 @@ type handler struct {
 // tblock is one translated basic block in a thread's code cache.
 type tblock struct {
 	start uint64
-	// insts is the block's decoded instructions, the only copy; sites
-	// are the ones a rule touches, ascending by index.
+	// insts is the block's decoded instructions: for executable code a
+	// window onto the machine's linked decode cache (vm.Machine.ExeCode),
+	// shared with every machine and thread and never written, for
+	// library code a copy. sites are the ones a rule touches, ascending
+	// by index; a site's rewritten instruction is its own copy.
 	insts []guest.Inst
 	sites []site
 	// end is the fall-through address after the block.
@@ -166,11 +169,13 @@ func (ex *Executor) chargeTranslation(t *jrt.Thread, b *tblock) {
 // touches becomes a site, the rest stay plain members of insts.
 func (ex *Executor) translate(tid int, addr uint64) (*tblock, error) {
 	b := &tblock{start: addr, scanLoop: -1}
+	var buf [maxBlockLen]guest.Inst
+	n := 0
 	a := addr
-	for len(b.insts) < maxBlockLen {
+	for n < maxBlockLen {
 		in, err := ex.M.FetchInst(a)
 		if err != nil {
-			if len(b.insts) > 0 {
+			if n > 0 {
 				// Lazy decoding: stop at the first undecodable byte;
 				// execution never falls through here (e.g. an exit
 				// syscall precedes it).
@@ -182,7 +187,7 @@ func (ex *Executor) translate(tid int, addr uint64) (*tblock, error) {
 			b.hasSyscall = true
 		}
 		if rs := ex.Ix.At(a); len(rs) > 0 {
-			s := site{idx: len(b.insts)}
+			s := site{idx: n}
 			for _, r := range rs {
 				ex.applyRule(&s, tid, &in, r)
 			}
@@ -190,7 +195,8 @@ func (ex *Executor) translate(tid int, addr uint64) (*tblock, error) {
 				b.sites = append(b.sites, s)
 			}
 		}
-		b.insts = append(b.insts, in)
+		buf[n] = in
+		n++
 		a += guest.InstSize
 		if in.Op.IsBlockEnd() {
 			break
@@ -205,6 +211,13 @@ func (ex *Executor) translate(tid int, addr uint64) (*tblock, error) {
 		}
 	}
 	b.end = a
+	// Executable code is a window onto the machine's decode cache; only
+	// library code is copied out of the buffer.
+	var ok bool
+	if b.insts, ok = ex.M.ExeCode(addr, n); !ok {
+		b.insts = make([]guest.Inst, n)
+		copy(b.insts, buf[:n])
+	}
 	return b, nil
 }
 
@@ -246,10 +259,13 @@ func (ex *Executor) applyRule(s *site, tid int, in *guest.Inst, r rules.Rule) {
 		s.bound = r.Data.(rules.UpdateBoundData)
 		s.loopID = r.LoopID
 	case rules.PROF_LOOP_ITER, rules.PROF_LOOP_FINISH, rules.PROF_MEM_ACCESS,
-		rules.PROF_LOOP_START, rules.PROF_EXCALL_START, rules.PROF_EXCALL_FINISH:
+		rules.PROF_LOOP_START:
 		if ex.Cfg.Profile {
 			s.pre = append(s.pre, handler{rule: r})
 		}
+	case rules.PROF_EXCALL_START, rules.PROF_EXCALL_FINISH:
+		// Schedule files carry them, but nothing reads an external-call
+		// profile, so they make no site.
 	case rules.MEM_BOUNDS_CHECK, rules.THREAD_SCHEDULE, rules.THREAD_YIELD,
 		rules.LOOP_INIT, rules.LOOP_FINISH, rules.TX_START, rules.TX_FINISH,
 		rules.MEM_SPILL_REG, rules.MEM_RECOVER_REG:

@@ -14,12 +14,14 @@ import (
 )
 
 // survives restates which rules a configuration keeps: profiling rules
-// under Profile, every other rule under Parallel.
+// under Profile, except the external-call pair, which no configuration
+// keeps, and every other rule under Parallel.
 func survives(r rules.Rule, cfg dbm.Config) bool {
 	switch r.ID {
-	case rules.PROF_LOOP_START, rules.PROF_LOOP_FINISH, rules.PROF_LOOP_ITER,
-		rules.PROF_EXCALL_START, rules.PROF_EXCALL_FINISH, rules.PROF_MEM_ACCESS:
+	case rules.PROF_LOOP_START, rules.PROF_LOOP_FINISH, rules.PROF_LOOP_ITER, rules.PROF_MEM_ACCESS:
 		return cfg.Profile
+	case rules.PROF_EXCALL_START, rules.PROF_EXCALL_FINISH:
+		return false
 	}
 	return cfg.Parallel
 }

@@ -632,8 +632,8 @@ func TestUnopenableCacheDegradesOnce(t *testing.T) {
 // TestStatuszShowsFreeListReuse: /statusz reports the process's free
 // lists a render draws from, and a second server's render of the same
 // figure — its machines and profiles run again, in that server's own
-// session — takes page blocks and dependence tables the first one
-// returned.
+// session — takes page blocks, page-table leaves and dependence tables
+// the first one returned.
 func TestStatuszShowsFreeListReuse(t *testing.T) {
 	render := func() harness.FreeLists {
 		t.Helper()
@@ -645,7 +645,8 @@ func TestStatuszShowsFreeListReuse(t *testing.T) {
 	}
 	first := render()
 	second := render()
-	if second.VMBlocks.Reused <= first.VMBlocks.Reused || second.ProfilerTables.Reused <= first.ProfilerTables.Reused {
+	if second.VMBlocks.Reused <= first.VMBlocks.Reused || second.VMLeaves.Reused <= first.VMLeaves.Reused ||
+		second.ProfilerTables.Reused <= first.ProfilerTables.Reused {
 		t.Fatalf("second render reused nothing: after the first %+v, after the second %+v", first, second)
 	}
 }

@@ -317,65 +317,3 @@ func (d *Dependence) live() {
 		panic("profiler: Dependence used after Close")
 	}
 }
-
-// ExcallStats aggregates PROF_EXCALL profiling: instruction and memory
-// access counts inside external calls (paper §III-B reports these for
-// bwaves' pow call).
-type ExcallStats struct {
-	Calls  int64
-	Insts  int64
-	Reads  int64
-	Writes int64
-}
-
-// Excall accumulates per-call-site external call statistics.
-type Excall struct {
-	stats map[uint64]*ExcallStats
-	// activeSite is the call site currently being profiled (0 if none);
-	// active caches its stats so the per-instruction path skips the map.
-	activeSite uint64
-	active     *ExcallStats
-}
-
-// NewExcall returns an empty external-call profile.
-func NewExcall() *Excall { return &Excall{stats: map[uint64]*ExcallStats{}} }
-
-// Start begins profiling the external call at site.
-func (e *Excall) Start(site uint64) {
-	e.activeSite = site
-	s := e.stats[site]
-	if s == nil {
-		s = &ExcallStats{}
-		e.stats[site] = s
-	}
-	s.Calls++
-	e.active = s
-}
-
-// Finish ends profiling of the active call.
-func (e *Excall) Finish() { e.activeSite = 0; e.active = nil }
-
-// Active reports whether an external call is being profiled.
-func (e *Excall) Active() bool { return e.activeSite != 0 }
-
-// Step attributes n executed instructions to the active call.
-func (e *Excall) Step(n int64) {
-	if e.active != nil {
-		e.active.Insts += n
-	}
-}
-
-// RecordMem attributes a memory access to the active call.
-func (e *Excall) RecordMem(write bool) {
-	if e.active == nil {
-		return
-	}
-	if write {
-		e.active.Writes++
-	} else {
-		e.active.Reads++
-	}
-}
-
-// Stats returns the profile for a call site (nil if never executed).
-func (e *Excall) Stats(site uint64) *ExcallStats { return e.stats[site] }

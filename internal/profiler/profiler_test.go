@@ -150,35 +150,3 @@ func TestDependenceDisjointStridesClean(t *testing.T) {
 		t.Error(err)
 	}
 }
-
-func TestExcallProfile(t *testing.T) {
-	e := NewExcall()
-	if e.Active() {
-		t.Fatal("fresh profile active")
-	}
-	e.Start(0x400940)
-	if !e.Active() {
-		t.Fatal("not active after Start")
-	}
-	for i := 0; i < 49; i++ {
-		e.Step(1)
-	}
-	for i := 0; i < 11; i++ {
-		e.RecordMem(false)
-	}
-	e.Finish()
-	st := e.Stats(0x400940)
-	if st == nil || st.Calls != 1 || st.Insts != 49 || st.Reads != 11 || st.Writes != 0 {
-		t.Fatalf("stats %+v", st)
-	}
-	// Second call accumulates.
-	e.Start(0x400940)
-	e.Step(1)
-	e.Finish()
-	if st.Calls != 2 || st.Insts != 50 {
-		t.Fatalf("accumulation wrong: %+v", st)
-	}
-	if e.Stats(0xdead) != nil {
-		t.Fatal("phantom site")
-	}
-}

@@ -259,6 +259,27 @@ func (m *Machine) FetchInst(addr uint64) (guest.Inst, error) {
 	return guest.Inst{}, fmt.Errorf("vm: fetch from unmapped address %#x", addr)
 }
 
+// ExeCode returns the n instructions at addr as a window onto the
+// machine's linked decode cache — the array every machine loaded from
+// the executable against the same libraries shares — with its capacity
+// clipped to n, or false unless they are n aligned, decoded
+// instructions of the executable. They are what FetchInst returns for
+// each address. The window is shared and must never be written.
+func (m *Machine) ExeCode(addr uint64, n int) ([]guest.Inst, bool) {
+	off := addr - m.Exe.CodeBase
+	idx := off / guest.InstSize
+	if addr < m.Exe.CodeBase || off%guest.InstSize != 0 || idx+uint64(n) > uint64(len(m.exeOK)) {
+		return nil, false
+	}
+	end := idx + uint64(n)
+	for _, ok := range m.exeOK[idx:end] {
+		if !ok {
+			return nil, false
+		}
+	}
+	return m.exeInsts[idx:end:end], true
+}
+
 // PLTTarget returns the resolved target of a PLT stub, if addr is one.
 func (m *Machine) PLTTarget(addr uint64) (uint64, bool) {
 	t, ok := m.pltTarget[addr]

@@ -28,10 +28,11 @@
 // privatises is seen by every other view on its next access — there is
 // no TLB shoot-down to get wrong.
 //
-// The private blocks a run writes outlive it: Close hands them to a
-// package-level free list the next machine's pages come from. A block is
-// recycled only after Close and is zeroed, or overwritten in full,
-// before it is mapped.
+// The private blocks a run writes, and its page-table leaves, outlive
+// it: Close hands them to package-level free lists the next machine's
+// pages and leaves come from. Both are recycled only after Close; a
+// block is zeroed, or overwritten in full, before it is mapped, and a
+// leaf is emptied by Close.
 package vm
 
 import (
@@ -96,6 +97,23 @@ func takeBlock() *pageData { return blocks.Get() }
 // BlockStats reports how many page blocks machines of this process have
 // allocated fresh and how many they were handed recycled.
 func BlockStats() (fresh, reused int64) { return blocks.Stats() }
+
+// maxFreeLeaves bounds the recycled page-table leaves a process keeps,
+// at 256 KiB (8 KiB each). A machine maps a handful of 4 MiB spans —
+// code and data, heap, stacks, TLS — and a cache-off janus-bench render
+// peaks at 10 leaves on the list (6 at -jobs 1), a pipeline_gen sweep at
+// 6, so the bound is about three times the render's peak: steady renders
+// allocate no leaf, and an idle process holds no more than this.
+const maxFreeLeaves = 32
+
+// freeLeaves recycles page-table leaves between machines
+// (Memory.Close empties and puts, leafFor gets). It is touched only
+// when a leaf is added and at Close, never per access.
+var freeLeaves = freelist.New[leaf](maxFreeLeaves)
+
+// LeafStats reports how many page-table leaves machines of this process
+// have allocated fresh and how many they were handed recycled.
+func LeafStats() (fresh, reused int64) { return freeLeaves.Stats() }
 
 // Page states (page.dirty). A store is allowed only in pageDirty, so
 // every store path is one load and one compare whatever else a page can
@@ -184,8 +202,9 @@ func (p *page) refresh() {
 
 // leaf is one directory entry: an array of page slots covering a 4 MiB
 // aligned span. Slots are atomic pointers: they transition nil→page
-// exactly once (under Memory.mu), and lock-free readers on other
-// goroutines must not observe a torn write.
+// exactly once (under Memory.mu) in a Memory's life, and lock-free
+// readers on other goroutines must not observe a torn write. A leaf
+// outlives its Memory on the free list, emptied by Close.
 type leaf struct {
 	pages [1 << leafBits]atomic.Pointer[page]
 }
@@ -211,6 +230,11 @@ type Memory struct {
 	// never take it.
 	mu     sync.RWMutex
 	leaves map[uint64]*leaf
+	// closed is set by Close, before its leaves go to the free list. A
+	// view checks it before trusting its last-leaf cache, so a view that
+	// outlived the Memory faults instead of reading through a leaf
+	// another Memory now owns.
+	closed atomic.Bool
 
 	// all lists every allocated page for the hash routines; it is
 	// re-sorted by page number on demand after new allocations.
@@ -279,16 +303,24 @@ func (m *Memory) NewView() *MemView {
 
 // Close ends the Memory's life and recycles every block it owns — the
 // pages it allocated, its private copies of image pages, checkpoint
-// pre-images and spares. The page table is dropped and every header
-// loses its bytes, so a view that outlived the Memory faults on its next
-// access instead of reading another run's data. No guest thread may be
-// running; a second Close is a no-op.
+// pre-images and spares — and its page-table leaves. The page table is
+// dropped and every header loses its bytes, so a view that outlived the
+// Memory faults on its next access instead of reading another run's
+// data. No guest thread may be running; a second Close is a no-op.
 func (m *Memory) Close() {
 	if m.ckpt != nil {
 		m.ckpt.Discard() // its pre-images become spares
 	}
 	m.mu.Lock()
 	defer m.mu.Unlock()
+	m.closed.Store(true)
+	for _, lf := range m.leaves {
+		// Emptied here, not at reuse: a leaf left waiting on the list
+		// with its slots would keep this Memory's headers reachable,
+		// and through them every data section they map.
+		*lf = leaf{}
+		freeLeaves.Put(lf)
+	}
 	for _, p := range m.all {
 		if d := p.data.Swap(nil); d != nil && d != p.img {
 			blocks.Put(d)
@@ -317,7 +349,7 @@ func (m *Memory) leafFor(leafKey uint64, create bool) *leaf {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	if lf = m.leaves[leafKey]; lf == nil {
-		lf = new(leaf)
+		lf = freeLeaves.Get() // empty: Close cleared it
 		m.leaves[leafKey] = lf
 	}
 	return lf
@@ -403,11 +435,13 @@ func (v *MemView) ensure(addr uint64) *page {
 // walk is the TLB-miss path: two-level table lookup, optional
 // allocation, and TLB fill. Misses without allocation are not cached,
 // so a later allocation of the same page cannot be shadowed by a stale
-// negative entry.
+// negative entry. The last-leaf cache is trusted only while the Memory
+// is open: a closed one's leaves may already be another's, and leafFor
+// faults.
 func (v *MemView) walk(key uint64, create bool) *page {
 	leafKey := key >> leafBits
 	lf := v.lastLeaf
-	if lf == nil || v.lastLeafKey != leafKey {
+	if lf == nil || v.lastLeafKey != leafKey || v.mem.closed.Load() {
 		lf = v.mem.leafFor(leafKey, create)
 		if lf == nil {
 			return nil

@@ -239,7 +239,7 @@ func RunProfiling(exe *obj.Executable, prog *analyzer.Program, libs ...*obj.Libr
 		return nil, err
 	}
 	defer ex.Close()
-	if _, err := ex.Run(); err != nil {
+	if err := ex.Execute(); err != nil {
 		return nil, err
 	}
 	deps := ex.Dep.Observed()
