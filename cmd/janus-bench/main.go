@@ -27,7 +27,8 @@
 //	                                     off, cold or warm.
 //
 // Every run ends its stderr with the free lists' counters: page blocks,
-// page-table leaves and dependence tables allocated fresh and recycled.
+// page-table leaves, dependence tables and DBM thread records allocated
+// fresh and recycled.
 package main
 
 import (

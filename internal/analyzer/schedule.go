@@ -24,9 +24,12 @@ func libCallSites(li *LoopInfo) []uint64 {
 
 // GenProfileSchedule emits the profiling rewrite schedule: loop
 // coverage instrumentation for every feasible loop, plus memory-access
-// and external-call instrumentation for ambiguous loops (paper §II-C:
-// only the loops of interest, and only certain instructions within
-// them, are instrumented).
+// instrumentation for ambiguous loops (paper §II-C: only the loops of
+// interest, and only certain instructions within them, are
+// instrumented). It emits no PROF_EXCALL_START/FINISH pair: nothing
+// reads an external-call profile, and each pair would end a block
+// before the call it brackets. The rule IDs stay, so schedule files
+// that carry them still load.
 func (p *Program) GenProfileSchedule() *rules.Schedule {
 	s := &rules.Schedule{ExeName: p.Exe.Name, ExeSize: uint64(p.Exe.Size())}
 	for _, li := range p.Loops {
@@ -52,10 +55,6 @@ func (p *Program) GenProfileSchedule() *rules.Schedule {
 				for _, acc := range g.Accesses {
 					s.Append(rules.Rule{Addr: acc.Ref.Addr(), ID: rules.PROF_MEM_ACCESS, LoopID: int32(li.ID), Data: rules.ProfMemData{}})
 				}
-			}
-			for _, site := range libCallSites(li) {
-				s.Append(rules.Rule{Addr: site, ID: rules.PROF_EXCALL_START, LoopID: int32(li.ID), Data: rules.ProfExcallData{Target: site}})
-				s.Append(rules.Rule{Addr: site + guest.InstSize, ID: rules.PROF_EXCALL_FINISH, LoopID: int32(li.ID), Data: rules.ProfExcallData{Target: site}})
 			}
 		}
 	}

@@ -17,6 +17,8 @@
 //
 // Run-time state lives in two record types built once by New: a
 // threadRec per guest thread and a loopRec per loop the schedule names.
+// Thread records, with the blocks translated into them, are recycled
+// from a closed executor to the next one (see threadRecs).
 //
 // Execution is deterministic and the elapsed time of a parallel region
 // is always the maximum thread virtual-cycle clock plus orchestration
@@ -48,6 +50,7 @@ import (
 	"sync"
 
 	"janus/internal/faultinject"
+	"janus/internal/freelist"
 	"janus/internal/guest"
 	"janus/internal/jrt"
 	"janus/internal/obj"
@@ -237,6 +240,100 @@ type threadRec struct {
 	chargeUndo []uint64
 	// txSpare keeps a finished transaction for buffer reuse.
 	txSpare *stm.Tx
+	// slab holds every block translated into this record since New,
+	// slab[:slabUsed], in translation order, then the empty ones an
+	// earlier executor's Close left: translate takes the next one
+	// before it allocates (newBlock).
+	slab     []*tblock
+	slabUsed int
+}
+
+// Thread records outlive their executor: Close empties each one and
+// puts it on a process-wide free list, and New takes them from it. A
+// record waiting there keeps its view, bound to nothing, its region and
+// worker contexts, zeroed, its code-cache and charge maps, cleared, its
+// journal's storage and its slab of zeroed blocks; nothing in it names
+// the closed run's Memory, blocks or transactions.
+const (
+	// maxFreeThreads bounds the records a process keeps. A cache-off
+	// janus-bench render peaks at 16 records on the list (8 at -jobs 1),
+	// a pipeline_gen sweep at 8, so the bound is twice the render's
+	// peak: steady renders allocate no record, and an idle process holds
+	// no more than 32 records of under 58 KiB each (1.8 MiB).
+	maxFreeThreads = 32
+	// maxKeptBlocks caps what a record keeps: the blocks of its slab and
+	// the entries of its ledger and journal. Of the 744 records a
+	// cache-off render closes, 703 translated fewer than 64 blocks and
+	// the most any translated is 214 (37 in a pipeline_gen sweep); a
+	// record past the cap goes back without its slab, maps and journal,
+	// whose size it set.
+	maxKeptBlocks = 256
+)
+
+// threadRecs recycles thread records between executors (Close puts, New
+// gets). It is touched only at set-up and at Close, never per block.
+var threadRecs = freelist.New[threadRec](maxFreeThreads)
+
+// ThreadStats reports how many thread records executors of this process
+// have allocated fresh and how many they were handed recycled.
+func ThreadStats() (fresh, reused int64) { return threadRecs.Stats() }
+
+// takeThreadRec returns a record for a new executor over mem: a
+// recycled one, already emptied by Close, or a new one.
+func takeThreadRec(mem *vm.Memory) *threadRec {
+	r := threadRecs.Get()
+	if r.view == nil {
+		r.view = mem.NewView()
+	} else {
+		r.view.Rebind(mem)
+	}
+	if r.cache == nil {
+		r.cache, r.charged = map[uint64]*tblock{}, map[uint64]bool{}
+	}
+	return r
+}
+
+// release empties r for the free list (see threadRecs). Emptied here,
+// not at reuse: a record left waiting with its view's TLB, a context's
+// bus or a block's instruction window would keep the closed Memory and
+// the data sections it maps reachable. A record past maxKeptBlocks
+// drops its slab, maps and journal as well.
+func (r *threadRec) release() {
+	r.view.Rebind(nil)
+	kept := threadRec{
+		view:   r.view,
+		worker: jrt.Thread{Ctx: zeroed(r.worker.Ctx)},
+		region: jrt.Thread{Ctx: zeroed(r.region.Ctx)},
+	}
+	if r.slabUsed <= maxKeptBlocks && len(r.charged) <= maxKeptBlocks && cap(r.chargeUndo) <= maxKeptBlocks {
+		for _, b := range r.slab[:r.slabUsed] {
+			*b = tblock{}
+		}
+		clear(r.cache)
+		clear(r.charged)
+		kept.cache, kept.charged, kept.chargeUndo, kept.slab = r.cache, r.charged, r.chargeUndo[:0], r.slab
+	}
+	*r = kept
+	threadRecs.Put(r)
+}
+
+// zeroed clears the context c points to, if any, and returns c.
+func zeroed(c *vm.Context) *vm.Context {
+	if c != nil {
+		*c = vm.Context{}
+	}
+	return c
+}
+
+// newBlock returns an empty block for r's code cache: the next one in
+// its slab, or a new one the slab keeps from now on.
+func (r *threadRec) newBlock() *tblock {
+	if r.slabUsed == len(r.slab) {
+		r.slab = append(r.slab, &tblock{})
+	}
+	b := r.slab[r.slabUsed]
+	r.slabUsed++
+	return b
 }
 
 // reset drops the thread's code cache and dispatch anchor. A modelled
@@ -367,7 +464,7 @@ func New(exe *obj.Executable, s *rules.Schedule, cfg Config, libs ...*obj.Librar
 		inj:     faultinject.NewInjector(cfg.Inject),
 	}
 	for i := range ex.threads {
-		ex.threads[i] = &threadRec{cache: map[uint64]*tblock{}, charged: map[uint64]bool{}, view: m.Mem.NewView()}
+		ex.threads[i] = takeThreadRec(m.Mem)
 	}
 	for _, r := range s.Rules {
 		switch d := r.Data.(type) {
@@ -474,13 +571,18 @@ func (ex *Executor) Execute() error {
 	return nil
 }
 
-// Close recycles the machine's memory (vm.Machine.Close) and the
-// dependence profile's tables (profiler.Dependence.Close) for the next
-// run. The Result, the Stats and the coverage profile stay readable;
-// memory, and so DataHash, and Dep do not.
+// Close recycles the machine's memory (vm.Machine.Close), the
+// dependence profile's tables (profiler.Dependence.Close) and the
+// thread records, translated blocks included, for the next run. The
+// Result, the Stats and the coverage profile stay readable; memory, and
+// so DataHash, Dep and the records do not. A second Close is a no-op.
 func (ex *Executor) Close() {
 	ex.M.Close()
 	ex.Dep.Close()
+	for _, rec := range ex.threads {
+		rec.release()
+	}
+	ex.threads = nil
 }
 
 // DataHash hashes memory below the runtime-private regions, for

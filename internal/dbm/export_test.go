@@ -11,9 +11,9 @@ type BlockShape struct {
 }
 
 // ShapeAt translates the block starting at addr for thread tid's cache,
-// without caching it.
+// without caching it or keeping it in a record.
 func (ex *Executor) ShapeAt(tid int, addr uint64) (BlockShape, error) {
-	b, err := ex.translate(tid, addr)
+	b, err := ex.translate(&threadRec{}, tid, addr)
 	if err != nil {
 		return BlockShape{}, err
 	}

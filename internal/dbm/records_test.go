@@ -129,7 +129,7 @@ func checkPath(t *testing.T, name string, rec reflect.Value, path func(), cleare
 var (
 	threadRegionScoped = []string{"blocks", "bound", "worker", "region"}
 	loopRegionScoped   = []string{"lc", "ivInit", "spec"}
-	threadPersistent   = []string{"tx", "suppressTx", "view", "txSpare"}
+	threadPersistent   = []string{"tx", "suppressTx", "view", "txSpare", "slab", "slabUsed"}
 	loopPersistent     = []string{"id", "exits", "exit", "finish", "bound", "hasBound", "priv", "checks", "scan", "scanned", "seq"}
 )
 

@@ -110,7 +110,7 @@ func (ex *Executor) blockFor(rec *threadRec, tid int, addr uint64) (*tblock, err
 	b, ok := rec.cache[addr]
 	if !ok {
 		var err error
-		b, err = ex.translate(tid, addr)
+		b, err = ex.translate(rec, tid, addr)
 		if err != nil {
 			return nil, err
 		}
@@ -164,11 +164,13 @@ func (ex *Executor) chargeTranslation(t *jrt.Thread, b *tblock) {
 }
 
 // translate decodes one basic block starting at addr for the code
-// cache of thread tid and applies the rewrite rules found in the
-// schedule hash table (figure 2(b)): an instruction a surviving rule
-// touches becomes a site, the rest stay plain members of insts.
-func (ex *Executor) translate(tid int, addr uint64) (*tblock, error) {
-	b := &tblock{start: addr, scanLoop: -1}
+// cache of thread tid (rec is its record, whose slab the block comes
+// from) and applies the rewrite rules found in the schedule hash table
+// (figure 2(b)): an instruction a surviving rule touches becomes a
+// site, the rest stay plain members of insts.
+func (ex *Executor) translate(rec *threadRec, tid int, addr uint64) (*tblock, error) {
+	b := rec.newBlock()
+	b.start, b.scanLoop = addr, -1
 	var buf [maxBlockLen]guest.Inst
 	n := 0
 	a := addr
@@ -264,8 +266,8 @@ func (ex *Executor) applyRule(s *site, tid int, in *guest.Inst, r rules.Rule) {
 			s.pre = append(s.pre, handler{rule: r})
 		}
 	case rules.PROF_EXCALL_START, rules.PROF_EXCALL_FINISH:
-		// Schedule files carry them, but nothing reads an external-call
-		// profile, so they make no site.
+		// Older schedule files carry them, but nothing reads an
+		// external-call profile, so they make no site.
 	case rules.MEM_BOUNDS_CHECK, rules.THREAD_SCHEDULE, rules.THREAD_YIELD,
 		rules.LOOP_INIT, rules.LOOP_FINISH, rules.TX_START, rules.TX_FINISH,
 		rules.MEM_SPILL_REG, rules.MEM_RECOVER_REG:

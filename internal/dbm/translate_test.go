@@ -15,7 +15,8 @@ import (
 
 // survives restates which rules a configuration keeps: profiling rules
 // under Profile, except the external-call pair, which no configuration
-// keeps, and every other rule under Parallel.
+// keeps (the analyser no longer emits it; older schedule files may
+// carry it), and every other rule under Parallel.
 func survives(r rules.Rule, cfg dbm.Config) bool {
 	switch r.ID {
 	case rules.PROF_LOOP_START, rules.PROF_LOOP_FINISH, rules.PROF_LOOP_ITER, rules.PROF_MEM_ACCESS:
@@ -89,6 +90,11 @@ func TestTranslatePartition(t *testing.T) {
 			t.Fatalf("%s: %v", what, err)
 		}
 		prof := prog.GenProfileSchedule()
+		for _, r := range prof.Rules {
+			if r.ID == rules.PROF_EXCALL_START || r.ID == rules.PROF_EXCALL_FINISH {
+				t.Fatalf("%s: profile schedule carries %v at %#x, which nothing reads", what, r.ID, r.Addr)
+			}
+		}
 		if len(par.Rules) > 0 && checkPartition(t, what+"/parallel", exe, libs, par, dbm.DefaultConfig(4)) == 0 {
 			t.Errorf("%s/parallel: %d rules made no site", what, len(par.Rules))
 		}

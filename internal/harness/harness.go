@@ -158,12 +158,13 @@ type Recycled struct {
 }
 
 // FreeLists are the counters of the process-wide free lists a render
-// draws from: the VM's page blocks and page-table leaves and the
-// profiler's dependence tables.
+// draws from: the VM's page blocks and page-table leaves, the
+// profiler's dependence tables and the DBM's thread records.
 type FreeLists struct {
 	VMBlocks       Recycled `json:"vm_blocks"`
 	VMLeaves       Recycled `json:"vm_leaves"`
 	ProfilerTables Recycled `json:"profiler_tables"`
+	DBMThreads     Recycled `json:"dbm_threads"`
 }
 
 // FreeListStats snapshots the free lists' counters.
@@ -172,13 +173,15 @@ func FreeListStats() FreeLists {
 	f.VMBlocks.Fresh, f.VMBlocks.Reused = vm.BlockStats()
 	f.VMLeaves.Fresh, f.VMLeaves.Reused = vm.LeafStats()
 	f.ProfilerTables.Fresh, f.ProfilerTables.Reused = profiler.TableStats()
+	f.DBMThreads.Fresh, f.DBMThreads.Reused = dbm.ThreadStats()
 	return f
 }
 
 // String renders the counters the way janus-bench prints them on stderr.
 func (f FreeLists) String() string {
-	return fmt.Sprintf("vm blocks %d fresh, %d reused; vm leaves %d fresh, %d reused; profiler tables %d fresh, %d reused",
-		f.VMBlocks.Fresh, f.VMBlocks.Reused, f.VMLeaves.Fresh, f.VMLeaves.Reused, f.ProfilerTables.Fresh, f.ProfilerTables.Reused)
+	return fmt.Sprintf("vm blocks %d fresh, %d reused; vm leaves %d fresh, %d reused; profiler tables %d fresh, %d reused; dbm threads %d fresh, %d reused",
+		f.VMBlocks.Fresh, f.VMBlocks.Reused, f.VMLeaves.Fresh, f.VMLeaves.Reused, f.ProfilerTables.Fresh, f.ProfilerTables.Reused,
+		f.DBMThreads.Fresh, f.DBMThreads.Reused)
 }
 
 // runMode is how much of the Janus system a run enables: the three

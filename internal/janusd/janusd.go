@@ -509,9 +509,9 @@ type Stats struct {
 	// stages requests replayed, from where, and which they recomputed.
 	// "build" is the builds assembled, which are not stored.
 	CacheKinds map[string]artcache.KindStats `json:"cache_kinds,omitempty"`
-	// FreeLists counts the page blocks, page-table leaves and dependence
-	// tables renders allocated fresh and took recycled since the process
-	// started.
+	// FreeLists counts the page blocks, page-table leaves, dependence
+	// tables and DBM thread records renders allocated fresh and took
+	// recycled since the process started.
 	FreeLists harness.FreeLists `json:"free_lists"`
 }
 

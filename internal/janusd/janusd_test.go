@@ -632,8 +632,8 @@ func TestUnopenableCacheDegradesOnce(t *testing.T) {
 // TestStatuszShowsFreeListReuse: /statusz reports the process's free
 // lists a render draws from, and a second server's render of the same
 // figure — its machines and profiles run again, in that server's own
-// session — takes page blocks, page-table leaves and dependence tables
-// the first one returned.
+// session — takes page blocks, page-table leaves, dependence tables and
+// DBM thread records the first one returned.
 func TestStatuszShowsFreeListReuse(t *testing.T) {
 	render := func() harness.FreeLists {
 		t.Helper()
@@ -646,7 +646,7 @@ func TestStatuszShowsFreeListReuse(t *testing.T) {
 	first := render()
 	second := render()
 	if second.VMBlocks.Reused <= first.VMBlocks.Reused || second.VMLeaves.Reused <= first.VMLeaves.Reused ||
-		second.ProfilerTables.Reused <= first.ProfilerTables.Reused {
+		second.ProfilerTables.Reused <= first.ProfilerTables.Reused || second.DBMThreads.Reused <= first.DBMThreads.Reused {
 		t.Fatalf("second render reused nothing: after the first %+v, after the second %+v", first, second)
 	}
 }

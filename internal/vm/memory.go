@@ -79,10 +79,13 @@ const noPage = ^uint64(0)
 type pageData [pageSize]byte
 
 // maxFreeBlocks bounds the recycled blocks a process keeps, at 16 MiB.
-// A cache-off janus-bench render peaks at 2 096 blocks on the list and
-// a pipeline_gen sweep at under 32, so the bound is about twice the
-// render's peak: steady renders allocate no block, and an idle process
-// holds no more than this.
+// A cache-off janus-bench render peaks at 2 900–3 800 blocks on the
+// list at -jobs 2 (once in 14 processes at the bound) and at 2 170–
+// 2 400 at -jobs 1; a pipeline_gen sweep peaks at 31. A later render
+// in the same process at -jobs 2 can still take a few hundred fresh
+// blocks, and did so as often with a bound of 8 192: the rows that
+// happen to overlap set a render's peak, not the bound. An idle
+// process holds no more than this.
 const maxFreeBlocks = 4096
 
 // blocks recycles private blocks between machines (Memory.Close puts,
@@ -404,6 +407,11 @@ type tlbEntry struct {
 
 // tlbSlot folds a page number onto the TLB's index bits.
 func tlbSlot(key uint64) uint64 { return (key ^ key>>tlbBits) & tlbMask }
+
+// Rebind points v at m as if it were new, with an empty TLB and
+// last-leaf cache; a nil m leaves it bound to nothing, holding no page
+// of the Memory it was on. It lets a recycled view serve the next run.
+func (v *MemView) Rebind(m *Memory) { v.init(m) }
 
 func (v *MemView) init(m *Memory) {
 	v.mem = m
