@@ -25,8 +25,8 @@ import (
 // schedule) and a DBM run are deterministic functions of the binary
 // (plus schedule and configuration), and the evaluation harness asks
 // for the same ones many times: figure 9 alone replays one binary at
-// eight thread counts, and with the experiment scheduler several rows
-// ask concurrently. Each stage is therefore one artcache.Tier — memory
+// eight thread counts, and several rows of a render's queue ask
+// concurrently. Each stage is therefore one artcache.Tier — memory
 // singleflight → disk → compute → publish — owned by a Session, and
 // this file only declares what distinguishes them: the memory key, the
 // disk key and the payload codec.

@@ -4,8 +4,9 @@
 //	janus-bench                          all experiments
 //	janus-bench -fig 7                   one figure (6..12)
 //	janus-bench -table 1                 one table (1 or 2)
-//	janus-bench -jobs 4                  run up to 4 benchmark rows
-//	                                     concurrently (output is
+//	janus-bench -jobs 4                  take benchmark rows from the
+//	                                     render's one queue on 4
+//	                                     goroutines (output is
 //	                                     byte-identical at any value)
 //	janus-bench -inject scan-defeat      arm deterministic fault injection
 //	                                     in speculative regions; recovery
@@ -47,7 +48,7 @@ func main() {
 	fig := flag.Int("fig", 0, "regenerate one figure (6..12); 0 = all")
 	table := flag.Int("table", 0, "regenerate one table (1 or 2); 0 = all")
 	threads := flag.Int("threads", def.Threads, "guest thread count")
-	jobs := flag.Int("jobs", def.Jobs, "how many benchmark rows run concurrently across the suite (figure/table outputs are byte-identical at any value)")
+	jobs := flag.Int("jobs", def.Jobs, "how many goroutines take benchmark rows from the render's one queue (figure/table outputs are byte-identical at any value)")
 	inject := flag.String("inject", "", "arm deterministic fault injection in speculative regions, spec point[@every][#seed] with point one of scan-defeat, worker-panic, stall, budget (recovery keeps stdout byte-identical; summary on stderr)")
 	cacheDir := flag.String("cache-dir", "", "durable artifact cache directory (empty = off); figure/table outputs are byte-identical with the cache off, cold or warm, and the directory is safe to share between processes")
 	flag.Parse()

@@ -8,7 +8,6 @@ package harness
 
 import (
 	"bytes"
-	"context"
 	"crypto/sha256"
 	"encoding/binary"
 	"os"
@@ -242,10 +241,7 @@ func TestFigure11ReplaysAroundMissingRuns(t *testing.T) {
 		t.Helper()
 		o = fresh(o)
 		before := cache.Stats()
-		rows, err := launch(context.Background(), o, figure11)
-		if err != nil {
-			t.Fatal(err)
-		}
+		rows := rowsOf(t, o, workloads.ParallelisableNames(), figure11)
 		builds = o.Session.TierStats()["build"].Computed
 		return RenderFigure11(rows), statsDelta(before, cache.Stats())
 	}
@@ -325,11 +321,7 @@ func TestCacheCorruptionHealsAcrossRender(t *testing.T) {
 	o.CacheDir = dir
 
 	// One figure is enough to populate every artifact kind.
-	rows, err := launch(context.Background(), fresh(o), figure7)
-	if err != nil {
-		t.Fatal(err)
-	}
-	first := RenderFigure7(rows)
+	first := RenderFigure7(rowsOf(t, fresh(o), workloads.ParallelisableNames(), figure7))
 	stored := entriesByKind(t, dir)
 	for _, kind := range []string{"ident-v2", "schedule-v1", "native-v2", "profile-v1", "dbm-v3"} {
 		if stored[kind] == 0 {
@@ -358,11 +350,7 @@ func TestCacheCorruptionHealsAcrossRender(t *testing.T) {
 		t.Fatal("no artifacts were written by the first render")
 	}
 
-	rows, err = launch(context.Background(), fresh(o), figure7)
-	if err != nil {
-		t.Fatal(err)
-	}
-	second := RenderFigure7(rows)
+	second := RenderFigure7(rowsOf(t, fresh(o), workloads.ParallelisableNames(), figure7))
 	if second != first {
 		t.Errorf("render after corruption differs from the pre-corruption render")
 	}
@@ -385,16 +373,16 @@ func TestUnopenableCacheDirIsAnError(t *testing.T) {
 	}
 	o := DefaultOptions()
 	o.CacheDir = file
-	_, figErr := launch(context.Background(), o, figure7)
+	_, figErr := newRender(o)
 	if figErr == nil {
-		t.Fatal("figure 7 accepted a CacheDir naming a regular file")
+		t.Fatal("newRender accepted a CacheDir naming a regular file")
 	}
 	out, allErr := RenderAll(o, 0, 2)
 	if allErr == nil {
 		t.Fatalf("RenderAll swallowed the cache-open error and rendered %d bytes uncached", len(out))
 	}
 	if allErr.Error() != figErr.Error() {
-		t.Fatalf("entry points disagree:\n RenderAll: %v\n launch:    %v", allErr, figErr)
+		t.Fatalf("entry points disagree:\n RenderAll: %v\n newRender: %v", allErr, figErr)
 	}
 	if out != "" {
 		t.Fatalf("RenderAll rendered despite the open failure:\n%s", out)

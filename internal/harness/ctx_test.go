@@ -42,14 +42,18 @@ func TestRenderAllContextPreCanceled(t *testing.T) {
 	}
 }
 
-// failedRunRender is a render whose run table already holds a failed
-// run of the one spec figures 7–12 and Table I all project from.
-func failedRunRender(ctx context.Context, bench string, cause error) *render {
+// failedRunRender is a render at jobs whose run table already holds a
+// failed run, for each benchmark of causes, of the one spec figures
+// 7–12 and Table I all project from.
+func failedRunRender(jobs int, causes map[string]error) *render {
 	o := DefaultOptions()
-	r := &render{o: o, s: newScheduler(ctx, o.Jobs, nil)}
-	r.runs.Do(nil, runSpec{bench, workloads.O3, o.Threads, full}, nil, func() (*janus.Report, error) {
-		return nil, cause
-	})
+	o.Jobs = jobs
+	r := &render{o: o}
+	for bench, cause := range causes {
+		r.runs.Do(nil, runSpec{bench, workloads.O3, o.Threads, full}, nil, func() (*janus.Report, error) {
+			return nil, cause
+		})
+	}
 	return r
 }
 
@@ -61,7 +65,8 @@ func TestFailedSharedRunFailsEveryProjection(t *testing.T) {
 		t.Skip("most of a full-suite render; run without -short")
 	}
 	boom := errors.New("boom")
-	out, err := renderAll(failedRunRender(context.Background(), "470.lbm", boom), 0, 0)
+	r := failedRunRender(DefaultOptions().Jobs, map[string]error{"470.lbm": boom})
+	out, err := r.renderAll(context.Background(), suite)
 	if !errors.Is(err, boom) {
 		t.Fatalf("render error %v does not wrap the failed run's", err)
 	}
@@ -87,7 +92,8 @@ func TestPreCanceledOutranksFailedRun(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 	boom := errors.New("boom")
-	_, err := renderAll(failedRunRender(ctx, "470.lbm", boom), 0, 0)
+	r := failedRunRender(DefaultOptions().Jobs, map[string]error{"470.lbm": boom})
+	_, err := r.renderAll(ctx, suite)
 	if !errors.Is(err, ErrCanceled) || errors.Is(err, boom) {
 		t.Fatalf("want ErrCanceled and no table error, got %v", err)
 	}

@@ -11,9 +11,10 @@ package harness
 // engine tests and the genkern oracle pin its equivalence.)
 
 import (
-	"context"
 	"runtime"
 	"testing"
+
+	"janus/internal/workloads"
 )
 
 // renderFigure7 regenerates figure 7 under freshRuns — executing its
@@ -28,10 +29,7 @@ func renderFigure7(t *testing.T, o Options) string {
 		t.Skip("renders figure 7 twice; run without -short")
 	}
 	o = freshRuns(o)
-	rows, err := launch(context.Background(), o, figure7)
-	if err != nil {
-		t.Fatal(err)
-	}
+	rows := rowsOf(t, o, workloads.ParallelisableNames(), figure7)
 	executed(t, o)
 	return RenderFigure7(rows)
 }

@@ -3,25 +3,21 @@
 // returns structured rows and can render itself as a text table; the
 // janus-bench command and the repository-level benchmarks drive it.
 //
-// Experiments and their benchmark rows are schedulable units run on a
-// bounded worker pool (see scheduler.go and RenderAll). Each distinct
-// Janus run — one binary flavour at one thread count under one
-// configuration — executes once per render, verified against native
-// execution, in the render's run table (render.janus); figures 7–12 and
-// Table I are projections over those shared reports. Every figure
-// is computed from deterministic virtual cycles and folded back in a
-// fixed order, so the rendered output is byte-identical whatever the
-// Jobs bound and the host GOMAXPROCS; determinism_test.go and
-// golden_test.go pin both.
+// A render puts every benchmark row of its experiments on one queue
+// that Jobs goroutines drain (see suite.go). Each distinct Janus run —
+// one binary flavour at one thread count under one configuration —
+// executes once per render, verified against native execution, in the
+// render's run table (render.janus); figures 7–12 and Table I are
+// projections over those shared reports. Every figure is computed from
+// deterministic virtual cycles and folded back in a fixed order, so the
+// rendered output is byte-identical whatever the Jobs bound and the
+// host GOMAXPROCS; determinism_test.go and golden_test.go pin both.
 package harness
 
 import (
-	"context"
 	"fmt"
 	"math"
 	"runtime"
-	"slices"
-	"sort"
 	"strings"
 	"sync/atomic"
 
@@ -46,8 +42,8 @@ type Options struct {
 	// Threads is the guest thread count experiments measure at
 	// (figures 8/9 additionally sweep below it).
 	Threads int
-	// Jobs bounds how many benchmark rows run concurrently across the
-	// whole suite (janus-bench's -jobs flag; 1 = fully sequential).
+	// Jobs is how many goroutines take a render's benchmark rows from
+	// its one queue (janus-bench's -jobs flag; 1 = fully sequential).
 	// Rendered output is byte-identical at any value.
 	Jobs int
 	// Inject arms deterministic fault injection inside speculative
@@ -60,10 +56,12 @@ type Options struct {
 	Recovery *RecoveryLog
 	// OnProgress, when non-nil, receives progress events while a render
 	// runs: one "start"/"done"/"failed" event per experiment and one
-	// "row" tick per completed benchmark row. Events are delivered from
-	// concurrent worker goroutines, so the callback must be safe for
-	// concurrent use; bench/ times experiments and counts rows from
-	// them. Progress observation never changes rendered bytes.
+	// "row" tick per completed benchmark row. An experiment starts when
+	// its first row is taken from the render's queue and is done or
+	// failed once its last row has finished. Events come from the
+	// queue's goroutines and the caller's at once, so the callback must
+	// be safe for concurrent use; bench/ times experiments and counts
+	// rows from them. Progress observation never changes rendered bytes.
 	OnProgress func(ProgressEvent)
 	// CacheDir, when non-empty, enables the durable artifact cache
 	// (janus-bench -cache-dir): workload builds and their identities,
@@ -107,12 +105,11 @@ func DefaultOptions() Options {
 	}
 }
 
-// render is one launch's shared state: the normalised options, the row
-// scheduler, the opened durable store and the run table every
-// experiment of the launch projects its rows from.
+// render is one render's shared state: the normalised options, the
+// opened durable store and the run table every experiment of the render
+// projects its rows from.
 type render struct {
 	o Options
-	s *scheduler
 	// cache is the durable store resolved from Options.CacheDir
 	// (OpenShared dedups per directory, so every experiment and the
 	// owning command observe one counter set); nil when caching is off.
@@ -125,28 +122,25 @@ type render struct {
 	runs artcache.Tier[runSpec, *janus.Report]
 }
 
-// launch is the one entry path of RenderAll, and of tests that want
-// one experiment's rows: it fills unset options with their defaults, opens the durable cache
-// when CacheDir is set — an open failure is returned, never silently
-// degraded to an uncached run — and hands f the render state all of its
-// experiments share.
-func launch[T any](ctx context.Context, o Options, f func(*render) (T, error)) (T, error) {
+// newRender fills unset options with their defaults and opens the
+// durable cache when CacheDir is set: an open failure is returned,
+// never silently degraded to an uncached run.
+func newRender(o Options) (*render, error) {
 	if o.Threads <= 0 {
 		o.Threads = DefaultThreads
 	}
 	if o.Jobs <= 0 {
 		o.Jobs = 1
 	}
-	r := &render{o: o, s: newScheduler(ctx, o.Jobs, o.OnProgress)}
+	r := &render{o: o}
 	if o.CacheDir != "" {
 		c, err := artcache.OpenShared(o.CacheDir)
 		if err != nil {
-			var zero T
-			return zero, err
+			return nil, err
 		}
 		r.cache = c
 	}
-	return f(r)
+	return r, nil
 }
 
 // Recycled counts one free list's takes since the process started:
@@ -243,24 +237,6 @@ func (r *render) janus(bench string, opt workloads.OptLevel, threads int, mode r
 	})
 }
 
-// rows computes one row per name on the render's scheduler and returns
-// them in name order; a failing row's error is prefixed with its name.
-func rows[T any](r *render, names []string, row func(name string) (T, error)) ([]T, error) {
-	out := make([]T, len(names))
-	err := r.s.forEach(len(names), func(i int) error {
-		v, err := row(names[i])
-		if err != nil {
-			return fmt.Errorf("%s: %w", names[i], err)
-		}
-		out[i] = v
-		return nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	return out, nil
-}
-
 // geomean of strictly positive values.
 func geomean(vals []float64) float64 {
 	if len(vals) == 0 {
@@ -304,46 +280,44 @@ type Fig6Row struct {
 // profiling, exclusive coverage), which no selection knob influences.
 var figure6Selection = janus.Config{UseProfile: true, UseChecks: true}.Selection()
 
-// figure6 classifies every loop of every benchmark and profiles
+// figure6 classifies every loop of a benchmark and profiles
 // execution-time fractions with training inputs.
-func figure6(r *render) ([]Fig6Row, error) {
-	return rows(r, workloads.Names(), func(name string) (Fig6Row, error) {
-		row := Fig6Row{Bench: name}
-		// The train-input build, trained on itself: a projection over its
-		// plan, which a warm store replays without the image.
-		bin, err := r.o.Session.Open(r.cache, name, workloads.Train, workloads.O3)
-		if err != nil {
-			return row, err
-		}
-		plan, err := r.o.Session.PlanCached(r.cache, bin, nil, figure6Selection)
-		if err != nil {
-			return row, err
-		}
+func figure6(r *render, name string) (Fig6Row, error) {
+	row := Fig6Row{Bench: name}
+	// The train-input build, trained on itself: a projection over its
+	// plan, which a warm store replays without the image.
+	bin, err := r.o.Session.Open(r.cache, name, workloads.Train, workloads.O3)
+	if err != nil {
+		return row, err
+	}
+	plan, err := r.o.Session.PlanCached(r.cache, bin, nil, figure6Selection)
+	if err != nil {
+		return row, err
+	}
 
-		n := float64(len(plan.Loops))
-		for _, li := range plan.Loops {
-			sf := 1.0 / n
-			df := li.ExclCoverage
-			switch li.Class {
-			case analyzer.ClassStaticDOALL:
-				row.Static.StaticDOALL += sf
-				row.Dynamic.StaticDOALL += df
-			case analyzer.ClassDynDOALL:
-				row.Static.DynDOALL += sf
-				row.Dynamic.DynDOALL += df
-			case analyzer.ClassStaticDep:
-				row.Static.StaticDep += sf
-				row.Dynamic.StaticDep += df
-			case analyzer.ClassDynDep:
-				row.Static.DynDep += sf
-				row.Dynamic.DynDep += df
-			default:
-				row.Static.Incompat += sf
-				row.Dynamic.Incompat += df
-			}
+	n := float64(len(plan.Loops))
+	for _, li := range plan.Loops {
+		sf := 1.0 / n
+		df := li.ExclCoverage
+		switch li.Class {
+		case analyzer.ClassStaticDOALL:
+			row.Static.StaticDOALL += sf
+			row.Dynamic.StaticDOALL += df
+		case analyzer.ClassDynDOALL:
+			row.Static.DynDOALL += sf
+			row.Dynamic.DynDOALL += df
+		case analyzer.ClassStaticDep:
+			row.Static.StaticDep += sf
+			row.Dynamic.StaticDep += df
+		case analyzer.ClassDynDep:
+			row.Static.DynDep += sf
+			row.Dynamic.DynDep += df
+		default:
+			row.Static.Incompat += sf
+			row.Dynamic.Incompat += df
 		}
-		return row, nil
-	})
+	}
+	return row, nil
 }
 
 // RenderFigure6 formats the rows as the two stacked-bar tables.
@@ -378,38 +352,36 @@ type Fig7Row struct {
 	Threads   int // thread count the three Janus bars were measured at
 }
 
-// figure7 measures the four configurations on the nine parallelisable
-// benchmarks.
-func figure7(r *render) ([]Fig7Row, error) {
-	return rows(r, workloads.ParallelisableNames(), func(name string) (Fig7Row, error) {
-		row := Fig7Row{Bench: name, Threads: r.o.Threads}
-		ref, err := r.o.Session.Open(r.cache, name, workloads.Ref, workloads.O3)
-		if err != nil {
-			return row, err
-		}
-		bare, err := r.o.Session.RunBareDBMBinary(r.cache, ref)
-		if err != nil {
-			return row, err
-		}
-		static, err := r.janus(name, workloads.O3, r.o.Threads, staticOnly)
-		if err != nil {
-			return row, err
-		}
-		prof, err := r.janus(name, workloads.O3, r.o.Threads, profiled)
-		if err != nil {
-			return row, err
-		}
-		rep, err := r.janus(name, workloads.O3, r.o.Threads, full)
-		if err != nil {
-			return row, err
-		}
-		bm, _ := workloads.ByName(name)
-		row.DBMOnly = float64(rep.Native.Cycles) / float64(bare.Cycles)
-		row.Static, row.Profile, row.Janus = static.Speedup(), prof.Speedup(), rep.Speedup()
-		row.PaperRef = bm.PaperSpeedup8T
-		row.LoopsPar, row.ChecksRun = rep.Selected, rep.Stats.ChecksRun
-		return row, nil
-	})
+// figure7 measures the four configurations on one of the nine
+// parallelisable benchmarks.
+func figure7(r *render, name string) (Fig7Row, error) {
+	row := Fig7Row{Bench: name, Threads: r.o.Threads}
+	ref, err := r.o.Session.Open(r.cache, name, workloads.Ref, workloads.O3)
+	if err != nil {
+		return row, err
+	}
+	bare, err := r.o.Session.RunBareDBMBinary(r.cache, ref)
+	if err != nil {
+		return row, err
+	}
+	static, err := r.janus(name, workloads.O3, r.o.Threads, staticOnly)
+	if err != nil {
+		return row, err
+	}
+	prof, err := r.janus(name, workloads.O3, r.o.Threads, profiled)
+	if err != nil {
+		return row, err
+	}
+	rep, err := r.janus(name, workloads.O3, r.o.Threads, full)
+	if err != nil {
+		return row, err
+	}
+	bm, _ := workloads.ByName(name)
+	row.DBMOnly = float64(rep.Native.Cycles) / float64(bare.Cycles)
+	row.Static, row.Profile, row.Janus = static.Speedup(), prof.Speedup(), rep.Speedup()
+	row.PaperRef = bm.PaperSpeedup8T
+	row.LoopsPar, row.ChecksRun = rep.Selected, rep.Stats.ChecksRun
+	return row, nil
 }
 
 // RenderFigure7 formats the rows plus the geomean line.
@@ -458,21 +430,19 @@ type Fig8Row struct {
 }
 
 // figure8 measures breakdowns for 1 and Options.Threads threads.
-func figure8(r *render) ([]Fig8Row, error) {
-	return rows(r, workloads.ParallelisableNames(), func(name string) (Fig8Row, error) {
-		row := Fig8Row{Bench: name, Threads: r.o.Threads}
-		one, err := r.janus(name, workloads.O3, 1, full)
-		if err != nil {
-			return row, err
-		}
-		nt, err := r.janus(name, workloads.O3, r.o.Threads, full)
-		if err != nil {
-			return row, err
-		}
-		base := float64(one.DBM.Cycles)
-		row.One, row.N = breakdownOf(one.DBM, base), breakdownOf(nt.DBM, base)
-		return row, nil
-	})
+func figure8(r *render, name string) (Fig8Row, error) {
+	row := Fig8Row{Bench: name, Threads: r.o.Threads}
+	one, err := r.janus(name, workloads.O3, 1, full)
+	if err != nil {
+		return row, err
+	}
+	nt, err := r.janus(name, workloads.O3, r.o.Threads, full)
+	if err != nil {
+		return row, err
+	}
+	base := float64(one.DBM.Cycles)
+	row.One, row.N = breakdownOf(one.DBM, base), breakdownOf(nt.DBM, base)
+	return row, nil
 }
 
 func breakdownOf(res *dbm.Result, base float64) Breakdown {
@@ -517,18 +487,16 @@ type Fig9Row struct {
 }
 
 // figure9 sweeps thread counts 1..Options.Threads.
-func figure9(r *render) ([]Fig9Row, error) {
-	return rows(r, workloads.ParallelisableNames(), func(name string) (Fig9Row, error) {
-		row := Fig9Row{Bench: name}
-		for n := 1; n <= r.o.Threads; n++ {
-			rep, err := r.janus(name, workloads.O3, n, full)
-			if err != nil {
-				return row, err
-			}
-			row.Speedups = append(row.Speedups, rep.Speedup())
+func figure9(r *render, name string) (Fig9Row, error) {
+	row := Fig9Row{Bench: name}
+	for n := 1; n <= r.o.Threads; n++ {
+		rep, err := r.janus(name, workloads.O3, n, full)
+		if err != nil {
+			return row, err
 		}
-		return row, nil
-	})
+		row.Speedups = append(row.Speedups, rep.Speedup())
+	}
+	return row, nil
 }
 
 // RenderFigure9 formats the scaling table.
@@ -563,26 +531,24 @@ type Fig10Row struct {
 	Fraction     float64
 }
 
-// figure10 generates the full-Janus schedule for each benchmark and
+// figure10 generates the full-Janus schedule for a benchmark and
 // compares its serialised size with the binary image size.
-func figure10(r *render) ([]Fig10Row, error) {
-	return rows(r, workloads.ParallelisableNames(), func(name string) (Fig10Row, error) {
-		rep, err := r.janus(name, workloads.O3, r.o.Threads, full)
-		if err != nil {
-			return Fig10Row{}, err
-		}
-		size := rep.ScheduleSize
-		// Normalise against the code section: the paper's SPEC binaries
-		// read their reference inputs from files, whereas our synthetic
-		// binaries embed them in .data, which would deflate the ratio
-		// meaninglessly.
-		return Fig10Row{
-			Bench:        name,
-			ScheduleSize: size,
-			BinarySize:   rep.CodeSize,
-			Fraction:     float64(size) / float64(rep.CodeSize),
-		}, nil
-	})
+func figure10(r *render, name string) (Fig10Row, error) {
+	rep, err := r.janus(name, workloads.O3, r.o.Threads, full)
+	if err != nil {
+		return Fig10Row{}, err
+	}
+	size := rep.ScheduleSize
+	// Normalise against the code section: the paper's SPEC binaries
+	// read their reference inputs from files, whereas our synthetic
+	// binaries embed them in .data, which would deflate the ratio
+	// meaninglessly.
+	return Fig10Row{
+		Bench:        name,
+		ScheduleSize: size,
+		BinarySize:   rep.CodeSize,
+		Fraction:     float64(size) / float64(rep.CodeSize),
+	}, nil
 }
 
 // RenderFigure10 formats the size table with the geomean.
@@ -613,39 +579,37 @@ type Fig11Row struct {
 }
 
 // figure11 runs both compilers and Janus on both binary flavours.
-func figure11(r *render) ([]Fig11Row, error) {
-	return rows(r, workloads.ParallelisableNames(), func(name string) (Fig11Row, error) {
-		row := Fig11Row{Bench: name}
-		engine := compilers.Engine{HostParallel: true, WorkStealing: true}
-		auto := func(c compilers.Kind, opt workloads.OptLevel) (float64, error) {
-			bin, err := r.o.Session.Open(r.cache, name, workloads.Ref, opt)
-			if err != nil {
-				return 0, err
-			}
-			res, err := compilers.ParalleliseBinary(r.o.Session, r.cache, c, bin, r.o.Threads, engine)
-			if err != nil {
-				return 0, fmt.Errorf("%s: %w", c, err)
-			}
-			return res.Speedup, nil
-		}
-		var err error
-		if row.GccAuto, err = auto(compilers.GCC, workloads.O3); err != nil {
-			return row, err
-		}
-		if row.IccAuto, err = auto(compilers.ICC, workloads.O3AVX); err != nil {
-			return row, err
-		}
-		jg, err := r.janus(name, workloads.O3, r.o.Threads, full)
+func figure11(r *render, name string) (Fig11Row, error) {
+	row := Fig11Row{Bench: name}
+	engine := compilers.Engine{HostParallel: true, WorkStealing: true}
+	auto := func(c compilers.Kind, opt workloads.OptLevel) (float64, error) {
+		bin, err := r.o.Session.Open(r.cache, name, workloads.Ref, opt)
 		if err != nil {
-			return row, err
+			return 0, err
 		}
-		ji, err := r.janus(name, workloads.O3AVX, r.o.Threads, full)
+		res, err := compilers.ParalleliseBinary(r.o.Session, r.cache, c, bin, r.o.Threads, engine)
 		if err != nil {
-			return row, err
+			return 0, fmt.Errorf("%s: %w", c, err)
 		}
-		row.JanusGcc, row.JanusIcc = jg.Speedup(), ji.Speedup()
-		return row, nil
-	})
+		return res.Speedup, nil
+	}
+	var err error
+	if row.GccAuto, err = auto(compilers.GCC, workloads.O3); err != nil {
+		return row, err
+	}
+	if row.IccAuto, err = auto(compilers.ICC, workloads.O3AVX); err != nil {
+		return row, err
+	}
+	jg, err := r.janus(name, workloads.O3, r.o.Threads, full)
+	if err != nil {
+		return row, err
+	}
+	ji, err := r.janus(name, workloads.O3AVX, r.o.Threads, full)
+	if err != nil {
+		return row, err
+	}
+	row.JanusGcc, row.JanusIcc = jg.Speedup(), ji.Speedup()
+	return row, nil
 }
 
 // RenderFigure11 formats the comparison.
@@ -676,21 +640,19 @@ type Fig12Row struct {
 }
 
 // figure12 runs Janus on all three optimisation-level builds.
-func figure12(r *render) ([]Fig12Row, error) {
-	return rows(r, workloads.ParallelisableNames(), func(name string) (Fig12Row, error) {
-		row := Fig12Row{Bench: name}
-		for _, col := range []struct {
-			opt workloads.OptLevel
-			dst *float64
-		}{{workloads.O2, &row.O2}, {workloads.O3, &row.O3}, {workloads.O3AVX, &row.AVX}} {
-			rep, err := r.janus(name, col.opt, r.o.Threads, full)
-			if err != nil {
-				return row, err
-			}
-			*col.dst = rep.Speedup()
+func figure12(r *render, name string) (Fig12Row, error) {
+	row := Fig12Row{Bench: name}
+	for _, col := range []struct {
+		opt workloads.OptLevel
+		dst *float64
+	}{{workloads.O2, &row.O2}, {workloads.O3, &row.O3}, {workloads.O3AVX, &row.AVX}} {
+		rep, err := r.janus(name, col.opt, r.o.Threads, full)
+		if err != nil {
+			return row, err
 		}
-		return row, nil
-	})
+		*col.dst = rep.Speedup()
+	}
+	return row, nil
 }
 
 // RenderFigure12 formats the optimisation-level table.
@@ -721,43 +683,38 @@ type Tab1Row struct {
 	PaperRef  float64
 }
 
-// tableI inspects the generated schedules.
-func tableI(r *render) ([]Tab1Row, error) {
-	all, err := rows(r, workloads.ParallelisableNames(), func(name string) (Tab1Row, error) {
-		row := Tab1Row{Bench: name}
-		rep, err := r.janus(name, workloads.O3, r.o.Threads, full)
-		if err != nil {
-			return row, err
-		}
-		ranges := 0
-		for _, rule := range rep.Schedule.Rules {
-			if d, ok := rule.Data.(interface{ NumChecks() int }); ok {
-				row.Loops++
-				ranges += d.NumChecks()
-			}
-		}
-		if row.Loops > 0 {
-			bm, _ := workloads.ByName(name)
-			row.AvgRanges = float64(ranges) / float64(row.Loops)
-			row.PaperRef = bm.PaperChecks
-		}
-		return row, nil
-	})
+// tableI inspects a benchmark's generated schedule.
+func tableI(r *render, name string) (Tab1Row, error) {
+	row := Tab1Row{Bench: name}
+	rep, err := r.janus(name, workloads.O3, r.o.Threads, full)
 	if err != nil {
-		return nil, err
+		return row, err
 	}
-	// Benchmarks without checks are absent from Table I.
-	all = slices.DeleteFunc(all, func(r Tab1Row) bool { return r.Loops == 0 })
-	sort.Slice(all, func(i, j int) bool { return all[i].Bench < all[j].Bench })
-	return all, nil
+	ranges := 0
+	for _, rule := range rep.Schedule.Rules {
+		if d, ok := rule.Data.(interface{ NumChecks() int }); ok {
+			row.Loops++
+			ranges += d.NumChecks()
+		}
+	}
+	if row.Loops > 0 {
+		bm, _ := workloads.ByName(name)
+		row.AvgRanges = float64(ranges) / float64(row.Loops)
+		row.PaperRef = bm.PaperChecks
+	}
+	return row, nil
 }
 
-// RenderTableI formats the check-count table.
+// RenderTableI formats the check-count table. Benchmarks without
+// checks are absent from it.
 func RenderTableI(rows []Tab1Row) string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "Table I: array-bounds checks per loop requiring them\n")
 	fmt.Fprintf(&b, "%-16s %8s %8s %8s\n", "benchmark", "ranges", "loops", "paper")
 	for _, r := range rows {
+		if r.Loops == 0 {
+			continue
+		}
 		fmt.Fprintf(&b, "%-16s %8.1f %8d %8.1f\n", r.Bench, r.AvgRanges, r.Loops, r.PaperRef)
 	}
 	return b.String()

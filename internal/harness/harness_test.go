@@ -5,6 +5,8 @@ import (
 	"errors"
 	"strings"
 	"testing"
+
+	"janus/internal/workloads"
 )
 
 // seqOptions is the shape tests' configuration: default engines, a
@@ -14,6 +16,22 @@ func seqOptions() Options {
 	o := DefaultOptions()
 	o.Jobs = 2
 	return o
+}
+
+// rowsOf computes one experiment's rows, one per benchmark of benches,
+// on a render's queue under o.
+func rowsOf[T any](t *testing.T, o Options, benches []string, row func(*render, string) (T, error)) []T {
+	t.Helper()
+	r, err := newRender(o)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var rows []T
+	fold := func(v []T) string { rows = v; return "" }
+	if _, err := r.renderAll(context.Background(), []Experiment{experiment("rows", benches, row, fold)}); err != nil {
+		t.Fatal(err)
+	}
+	return rows
 }
 
 // TestSelectionNamesAnExperiment: a fig or table naming no experiment
@@ -34,10 +52,7 @@ func TestSelectionNamesAnExperiment(t *testing.T) {
 }
 
 func TestFigure6ShapeHolds(t *testing.T) {
-	rows, err := launch(context.Background(), seqOptions(), figure6)
-	if err != nil {
-		t.Fatal(err)
-	}
+	rows := rowsOf(t, seqOptions(), workloads.Names(), figure6)
 	if len(rows) != 25 {
 		t.Fatalf("figure 6 covers %d benchmarks, want 25", len(rows))
 	}
@@ -87,10 +102,7 @@ func TestFigure7HeaderCarriesMeasuredThreads(t *testing.T) {
 }
 
 func TestFigure7ShapeHolds(t *testing.T) {
-	rows, err := launch(context.Background(), seqOptions(), figure7)
-	if err != nil {
-		t.Fatal(err)
-	}
+	rows := rowsOf(t, seqOptions(), workloads.ParallelisableNames(), figure7)
 	if len(rows) != 9 {
 		t.Fatalf("figure 7 rows: %d", len(rows))
 	}
@@ -147,10 +159,7 @@ func TestFigure7ShapeHolds(t *testing.T) {
 }
 
 func TestFigure9Monotonicity(t *testing.T) {
-	rows, err := launch(context.Background(), seqOptions(), figure9)
-	if err != nil {
-		t.Fatal(err)
-	}
+	rows := rowsOf(t, seqOptions(), workloads.ParallelisableNames(), figure9)
 	byName := map[string]Fig9Row{}
 	for _, r := range rows {
 		byName[r.Bench] = r
@@ -172,10 +181,7 @@ func TestFigure9Monotonicity(t *testing.T) {
 }
 
 func TestFigure10SmallSchedules(t *testing.T) {
-	rows, err := launch(context.Background(), seqOptions(), figure10)
-	if err != nil {
-		t.Fatal(err)
-	}
+	rows := rowsOf(t, seqOptions(), workloads.ParallelisableNames(), figure10)
 	var fr []float64
 	for _, r := range rows {
 		if r.ScheduleSize <= 0 {
@@ -193,10 +199,7 @@ func TestFigure10SmallSchedules(t *testing.T) {
 }
 
 func TestFigure11CompilerComparison(t *testing.T) {
-	rows, err := launch(context.Background(), seqOptions(), figure11)
-	if err != nil {
-		t.Fatal(err)
-	}
+	rows := rowsOf(t, seqOptions(), workloads.ParallelisableNames(), figure11)
 	byName := map[string]Fig11Row{}
 	var g, jg []float64
 	for _, r := range rows {
@@ -218,10 +221,7 @@ func TestFigure11CompilerComparison(t *testing.T) {
 }
 
 func TestFigure12OptLevels(t *testing.T) {
-	rows, err := launch(context.Background(), seqOptions(), figure12)
-	if err != nil {
-		t.Fatal(err)
-	}
+	rows := rowsOf(t, seqOptions(), workloads.ParallelisableNames(), figure12)
 	byName := map[string]Fig12Row{}
 	var o3s, avxs []float64
 	for _, r := range rows {
@@ -237,13 +237,12 @@ func TestFigure12OptLevels(t *testing.T) {
 }
 
 func TestTableIShape(t *testing.T) {
-	rows, err := launch(context.Background(), seqOptions(), tableI)
-	if err != nil {
-		t.Fatal(err)
-	}
+	rows := rowsOf(t, seqOptions(), workloads.ParallelisableNames(), tableI)
 	byName := map[string]Tab1Row{}
 	for _, r := range rows {
-		byName[r.Bench] = r
+		if r.Loops > 0 { // Table I lists only benchmarks with checks
+			byName[r.Bench] = r
+		}
 	}
 	// The check-needing set includes bwaves, milc, cactusADM, GemsFDTD.
 	for _, name := range []string{"410.bwaves", "433.milc", "436.cactusADM", "459.GemsFDTD"} {

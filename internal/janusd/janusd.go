@@ -10,9 +10,9 @@
 // Robustness is the point of the package:
 //
 //   - per-request deadlines propagate as context cancellation into the
-//     harness scheduler, so an expired job aborts its pending rows
-//     instead of running the suite to completion, and a queued job's
-//     deadline ends its wait for a slot;
+//     render's row queue, so an expired job starts none of its pending
+//     rows instead of running the suite to completion, and a queued
+//     job's deadline ends its wait for a slot;
 //   - submissions beyond the admission bound (Workers+QueueDepth
 //     unfinished jobs) are shed with
 //     HTTP 429 + Retry-After (the janus thin client retries them with
