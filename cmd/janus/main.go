@@ -178,9 +178,15 @@ func main() {
 		for _, c := range classes {
 			fmt.Printf("  %-16s %d\n", c, counts[c])
 		}
+		// No profile here: the check is static selection's verdict.
+		prog.SelectLoops(analyzer.SelectOptions{UseChecks: cfg.UseChecks})
 		for _, li := range prog.Loops {
-			fmt.Printf("loop %2d @%#x depth=%d class=%-14s %s\n",
-				li.ID, li.Loop.Header.Addr, li.Loop.Depth, li.Class, li.Sym)
+			check := string(li.Rejected)
+			if li.Selected {
+				check = "selected"
+			}
+			fmt.Printf("loop %2d @%#x depth=%d class=%-14s check=%-19s %s\n",
+				li.ID, li.Loop.Header.Addr, li.Loop.Depth, li.Class, check, li.Sym)
 		}
 
 	case "profile":

@@ -151,3 +151,36 @@ func TestRunScheduleSurvivesHostileLoopIDs(t *testing.T) {
 		})
 	}
 }
+
+// TestAnalyzePrintsEachLoopsCheck: every loop line of `janus analyze`
+// names the loop's verdict under static selection, and -no-checks
+// turns a type-C loop's into checks-off.
+func TestAnalyzePrintsEachLoopsCheck(t *testing.T) {
+	if testing.Short() {
+		t.Skip("drives the real binary; skipped in -short")
+	}
+	for _, tc := range []struct {
+		args []string
+		want string // the check of bwaves' first loop, a type-C one
+	}{
+		{[]string{"analyze", "-bench", "410.bwaves"}, "check=selected "},
+		{[]string{"analyze", "-bench", "410.bwaves", "-no-checks"}, "check=checks-off "},
+	} {
+		stdout, stderr, code := runJanus(t, tc.args...)
+		if code != 0 {
+			t.Fatalf("%v: exit %d: %s", tc.args, code, stderr)
+		}
+		var loops []string
+		for _, line := range strings.Split(stdout, "\n") {
+			if strings.HasPrefix(line, "loop ") {
+				loops = append(loops, line)
+				if strings.Contains(line, "check= ") {
+					t.Errorf("%v: loop without a check: %s", tc.args, line)
+				}
+			}
+		}
+		if len(loops) == 0 || !strings.Contains(loops[0], "class=dynamic-DOALL") || !strings.Contains(loops[0], tc.want) {
+			t.Errorf("%v: first loop line %q, want a dynamic-DOALL loop with %q", tc.args, loops, tc.want)
+		}
+	}
+}

@@ -6,8 +6,6 @@
 package analyzer
 
 import (
-	"fmt"
-
 	"janus/internal/alias"
 	"janus/internal/cfg"
 	"janus/internal/guest"
@@ -52,6 +50,60 @@ func (c Class) String() string {
 	return "incompatible"
 }
 
+// Check names one condition a loop must meet to be parallelised: the
+// value is its stable name, the doc comment its description. The checks
+// are listed by stage, in the order the stages run them.
+type Check string
+
+const (
+	// Classification (§II-C's feasibility filter, then §II-D's static
+	// dependence classes), run by Analyze.
+
+	// IndirectFlow: the loop body jumps or calls through a register.
+	IndirectFlow Check = "indirect-flow"
+	// Syscall: the loop body performs IO or another system call.
+	Syscall Check = "syscall"
+	// ImpureCallee: a callee stores, calls, makes a syscall, jumps indirectly or was not analysed.
+	ImpureCallee Check = "impure-callee"
+	// NoIterator: no exit condition yields an affine loop iterator.
+	NoIterator Check = "no-iterator"
+	// CarriedRegister: a register carries a value across iterations (type B).
+	CarriedRegister Check = "carried-register"
+	// MemoryDependence: a cross-iteration memory dependence is proven (type B).
+	MemoryDependence Check = "memory-dependence"
+
+	// Profiling, run by ApplyDependences.
+
+	// ObservedDependence: dependence profiling saw a cross-iteration conflict (type D).
+	ObservedDependence Check = "observed-dependence"
+
+	// Selection (§II-D), run by SelectLoops on type-A and type-C loops.
+
+	// ChecksOff: a type-C loop needs runtime checks, and UseChecks is off.
+	ChecksOff Check = "checks-off"
+	// Unchecked: a cross-base pair has no range check, and profiling has not cleared it.
+	Unchecked Check = "unchecked"
+	// Unanalysable: accesses are unanalysable, and profiling has not cleared them.
+	Unanalysable Check = "unanalysable"
+	// UnknownTrip: the trip count is not computable before the loop (or it has several exits).
+	UnknownTrip Check = "unknown-trip"
+	// NoPreheader: the header has no unique predecessor outside the loop.
+	NoPreheader Check = "no-preheader"
+	// LowCoverage: profiled coverage is below MinCoverage.
+	LowCoverage Check = "low-coverage"
+	// FewIterations: the profiled mean trip count is below DefaultMinAvgIter.
+	FewIterations Check = "few-iterations"
+	// Nested: an enclosing loop was selected.
+	Nested Check = "nested"
+
+	// Source-compiler models, applied by package compilers after SelectLoops.
+
+	// LibraryCall: the loop calls library code, which a compiler cannot speculate on.
+	LibraryCall Check = "library-call"
+	// AnyCall: the loop calls a subroutine, which gcc's model gives up on.
+	AnyCall Check = "any-call"
+)
+
 // LoopInfo is the analyser's complete record for one loop.
 type LoopInfo struct {
 	ID   int
@@ -59,14 +111,11 @@ type LoopInfo struct {
 	Sym  *sym.Analysis
 	Dep  *alias.Result
 
-	Class   Class
-	Reasons []string
+	Class Class
+	// Rejected is the first check the loop failed, or "" while it
+	// passes every check run so far.
+	Rejected Check
 
-	// Ambiguous is set when static analysis alone cannot decide DOALL
-	// (the loop sits between type C and D until dependence profiling).
-	Ambiguous bool
-	// NeedsChecks: runtime bounds checks are required for safety.
-	NeedsChecks bool
 	// LibCalls are PLT call sites (addr -> import name) inside the
 	// loop; they demand TX speculation.
 	LibCalls map[uint64]string
@@ -87,18 +136,14 @@ type LoopInfo struct {
 	Selected bool
 }
 
-func (li *LoopInfo) reason(format string, args ...any) {
-	li.Reasons = append(li.Reasons, fmt.Sprintf(format, args...))
-}
-
 // Program is the analysed executable.
 type Program struct {
-	Exe   *obj.Executable
-	CFG   *cfg.Program
-	SSA   map[*cfg.Func]*ssa.SSA
+	Exe *obj.Executable
+	CFG *cfg.Program
+	SSA map[*cfg.Func]*ssa.SSA
+	// Loops is indexed by loop ID, which Analyze assigns as each
+	// cfg.Loop's ID.
 	Loops []*LoopInfo
-	// byLoop maps cfg loops to their info records.
-	byLoop map[*cfg.Loop]*LoopInfo
 
 	// UnknownProfileIDs counts profile records whose loop ID resolved
 	// to no analysed loop when applied via ApplyCoverage/
@@ -116,22 +161,17 @@ func Analyze(exe *obj.Executable) (*Program, error) {
 		return nil, err
 	}
 	p := &Program{
-		Exe:    exe,
-		CFG:    cp,
-		SSA:    make(map[*cfg.Func]*ssa.SSA),
-		byLoop: make(map[*cfg.Loop]*LoopInfo),
+		Exe: exe,
+		CFG: cp,
+		SSA: make(map[*cfg.Func]*ssa.SSA),
 	}
 	for _, fn := range cp.Funcs {
 		p.SSA[fn] = ssa.Build(fn)
 	}
-	id := 0
 	for _, fn := range cp.Funcs {
 		for _, l := range fn.Loops {
-			l.ID = id
-			li := &LoopInfo{ID: id, Loop: l, LibCalls: map[uint64]string{}}
-			p.Loops = append(p.Loops, li)
-			p.byLoop[l] = li
-			id++
+			l.ID = len(p.Loops)
+			p.Loops = append(p.Loops, &LoopInfo{ID: l.ID, Loop: l, LibCalls: map[uint64]string{}})
 		}
 	}
 	for _, li := range p.Loops {
@@ -158,14 +198,13 @@ func (p *Program) analyzeLoop(li *LoopInfo) {
 	// Feasibility filter (paper §II-C): reject loops with IO,
 	// syscalls, indirect flow, non-returning or impure subroutines, or
 	// unrecognisable induction variables.
+	li.Class = ClassIncompatible
 	if l.HasIndirect {
-		li.Class = ClassIncompatible
-		li.reason("indirect control flow")
+		li.Rejected = IndirectFlow
 		return
 	}
 	if p.loopHasSyscall(l) {
-		li.Class = ClassIncompatible
-		li.reason("performs IO or syscalls")
+		li.Rejected = Syscall
 		return
 	}
 	for _, target := range l.CallTargets {
@@ -173,64 +212,32 @@ func (p *Program) analyzeLoop(li *LoopInfo) {
 			li.LibCalls[p.callSiteFor(l, target)] = name
 			continue
 		}
-		callee := p.CFG.FuncByAddr[target]
-		if callee == nil {
-			li.Class = ClassIncompatible
-			li.reason("call to unknown address %#x", target)
-			return
-		}
-		if !p.calleePure(callee) {
-			li.Class = ClassIncompatible
-			li.reason("call to impure subroutine %s", callee.Name)
+		if callee := p.CFG.FuncByAddr[target]; callee == nil || !p.calleePure(callee) {
+			li.Rejected = ImpureCallee
 			return
 		}
 	}
 	if li.Sym.MainIV == nil {
-		li.Class = ClassIncompatible
-		li.reason("loop iterator not recognised: %s", li.Sym.Reason)
+		li.Rejected = NoIterator
 		return
 	}
 
 	// Dependence-based classification.
+	li.Class = ClassStaticDep
 	if len(li.Sym.CarriedRegs) > 0 {
-		li.Class = ClassStaticDep
-		li.reason("cross-iteration register dependence via %v", li.Sym.CarriedRegs)
+		li.Rejected = CarriedRegister
 		return
 	}
 	if len(li.Dep.Deps) > 0 {
-		li.Class = ClassStaticDep
-		for _, d := range li.Dep.Deps {
-			li.reason("memory dependence (%s) at %#x", d.Kind, d.A.Ref.Addr())
-		}
+		li.Rejected = MemoryDependence
 		return
 	}
-
-	ambiguous := len(li.Dep.Unanalyzable) > 0 || len(li.LibCalls) > 0
-	needsChecks := len(li.Dep.Checks) > 0
-	if li.Dep.CheckFailed {
-		// Cross-base ambiguity exists but no runtime check can close
-		// it: only profiling + speculation could help; treat as
-		// ambiguous without checks.
-		ambiguous = true
-	}
-	switch {
-	case !ambiguous && !needsChecks:
-		li.Class = ClassStaticDOALL
-	default:
-		// Until dependence profiling runs, assume type C; profiling
-		// may demote to type D.
+	// Accesses that need a runtime check, that no check can close, that
+	// are unanalysable, or that library code makes leave the loop type C
+	// until dependence profiling, which may demote it to type D.
+	li.Class = ClassStaticDOALL
+	if len(li.Dep.Checks) > 0 || li.Dep.CheckFailed || len(li.Dep.Unanalyzable) > 0 || len(li.LibCalls) > 0 {
 		li.Class = ClassDynDOALL
-		li.Ambiguous = ambiguous
-		li.NeedsChecks = needsChecks
-		if needsChecks {
-			li.reason("requires %d-range bounds check", len(li.Dep.Checks))
-		}
-		if len(li.LibCalls) > 0 {
-			li.reason("shared-library calls need speculation")
-		}
-		if len(li.Dep.Unanalyzable) > 0 {
-			li.reason("%d statically unanalysable accesses", len(li.Dep.Unanalyzable))
-		}
 	}
 }
 
@@ -334,8 +341,7 @@ func (p *Program) ApplyDependences(observed map[int]bool) {
 		li.DepProfiled = true
 		li.ObservedDep = dep
 		if li.Class == ClassDynDOALL && dep {
-			li.Class = ClassDynDep
-			li.reason("dependence observed during profiling")
+			li.Class, li.Rejected = ClassDynDep, ObservedDependence
 		}
 	}
 }

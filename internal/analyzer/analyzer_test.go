@@ -283,7 +283,7 @@ func TestPureCalleeAllowed(t *testing.T) {
 	}
 	main := p.Loops[0]
 	if main.Class == ClassIncompatible {
-		t.Fatalf("pure callee rejected: %v", main.Reasons)
+		t.Fatalf("pure callee rejected: %s", main.Rejected)
 	}
 }
 

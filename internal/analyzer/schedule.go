@@ -98,15 +98,6 @@ func (p *Program) genLoopRules(s *rules.Schedule, li *LoopInfo) error {
 	}
 	trip := rules.TripSpec{Known: true, Num: la.Trip.Num, Den: la.Trip.Den, Round: la.Trip.Round}
 
-	policy := rules.PolicyChunked
-	var chunk int64
-	if _, static := la.Trip.IsStatic(); !static {
-		// The trip count is runtime-computable before the loop (a
-		// register-held bound), so chunked scheduling still applies; a
-		// genuinely undeterminable count would use round-robin.
-		policy = rules.PolicyChunked
-	}
-
 	// THREAD_SCHEDULE + LOOP_INIT trigger at the loop header: the first
 	// point where the loop's entry state (iterator initial value, bound
 	// registers, array bases) is fully established. The DBM fires the
@@ -117,13 +108,14 @@ func (p *Program) genLoopRules(s *rules.Schedule, li *LoopInfo) error {
 		Inductions: ivs,
 		Reductions: reds,
 		Trip:       trip,
-		Policy:     policy,
-		ChunkSize:  chunk,
-		LoopStart:  l.Header.Addr,
+		// Selection admits only trip counts computable before the
+		// loop, so no loop needs round-robin's ChunkSize.
+		Policy:    rules.PolicyChunked,
+		LoopStart: l.Header.Addr,
 	}})
 
 	// Bounds checks guard the same point.
-	if li.NeedsChecks {
+	if len(li.Dep.Checks) > 0 {
 		s.Append(rules.Rule{Addr: initAddr, ID: rules.MEM_BOUNDS_CHECK, LoopID: id, Data: rules.BoundsCheckData{Ranges: li.Dep.Checks}})
 	}
 

@@ -28,50 +28,45 @@ const DefaultMinAvgIter = 96
 // failing that the outermost type-C loop (paper §II-D). Selection
 // prefers loops with statically known iteration counts and single
 // exits; loops violating those are skipped because the runtime cannot
-// schedule them safely.
+// schedule them safely. Every loop's Rejected is left naming the check
+// it failed, or "" when it is selected; a type-A or type-C loop's
+// verdict from an earlier SelectLoops is replaced.
 func (p *Program) SelectLoops(opts SelectOptions) []*LoopInfo {
-	for _, li := range p.Loops {
-		li.Selected = false
-	}
 	var selected []*LoopInfo
-	// Process loop nests: roots first; descend only when the parent was
-	// not selected.
-	var roots []*cfg.Loop
+	// Process loop nests from their roots; underSelected is set below
+	// a selected loop.
+	var walk func(l *cfg.Loop, underSelected bool)
+	walk = func(l *cfg.Loop, underSelected bool) {
+		li := p.Loops[l.ID]
+		li.Rejected = p.selectable(li, opts)
+		if li.Rejected == "" && underSelected {
+			li.Rejected = Nested
+		}
+		li.Selected = li.Rejected == ""
+		if li.Selected {
+			selected = append(selected, li)
+		}
+		for _, c := range l.Children {
+			walk(c, underSelected || li.Selected)
+		}
+	}
 	for _, li := range p.Loops {
 		if li.Loop.Parent == nil {
-			roots = append(roots, li.Loop)
+			walk(li.Loop, false)
 		}
-	}
-	var walk func(l *cfg.Loop) bool
-	walk = func(l *cfg.Loop) bool {
-		li := p.byLoop[l]
-		if li != nil && p.selectable(li, opts) {
-			li.Selected = true
-			selected = append(selected, li)
-			return true
-		}
-		any := false
-		for _, c := range l.Children {
-			if walk(c) {
-				any = true
-			}
-		}
-		return any
-	}
-	for _, r := range roots {
-		walk(r)
 	}
 	return selected
 }
 
-// selectable applies the per-loop eligibility rules.
-func (p *Program) selectable(li *LoopInfo, opts SelectOptions) bool {
+// selectable returns the first check li fails, or "" when it is
+// eligible; loops outside types A and C keep their earlier verdict.
+func (p *Program) selectable(li *LoopInfo, opts SelectOptions) Check {
 	switch li.Class {
 	case ClassStaticDOALL:
 		// eligible
 	case ClassDynDOALL:
 		if !opts.UseChecks {
-			return false
+			return ChecksOff
 		}
 		// A type-C loop is only safe if every ambiguity is closed: all
 		// cross-base pairs have checks and every residual unanalysable
@@ -79,42 +74,37 @@ func (p *Program) selectable(li *LoopInfo, opts SelectOptions) bool {
 		// checks could not be constructed need dependence profiling to
 		// have confirmed independence.
 		if li.Dep.CheckFailed && !li.DepProfiled {
-			return false
-		}
-		if li.DepProfiled && li.ObservedDep {
-			return false
+			return Unchecked
 		}
 		// Unanalysable plain accesses (not library code) can only be
 		// speculated on; without dependence profiling the abort rate is
 		// unknown, so require profiling to have cleared them.
 		if len(li.Dep.Unanalyzable) > 0 && !li.DepProfiled {
-			return false
+			return Unanalysable
 		}
 	default:
-		return false
+		return li.Rejected
 	}
-	// Scheduling requirements: recognised trip count and single exit.
+	// Scheduling requirements: a trip count computable before the loop,
+	// which sym leaves unset for a loop with more than one exit.
 	if li.Sym.Trip == nil || li.Sym.Trip.Num.Unknown {
-		return false
-	}
-	if len(li.Loop.Exits) != 1 {
-		return false
+		return UnknownTrip
 	}
 	// The loop must be entered through a unique preheader so LOOP_INIT
 	// has a well-defined trigger point.
 	if li.Sym.Preheader == nil {
-		return false
+		return NoPreheader
 	}
 	if opts.UseProfile {
 		if li.Coverage < opts.MinCoverage {
-			return false
+			return LowCoverage
 		}
 		// A loop entered many times for a handful of iterations pays
 		// LOOP_INIT/FINISH on every invocation: the paper's profile
 		// stage exists exactly to reject these.
 		if li.AvgIter > 0 && li.AvgIter < DefaultMinAvgIter {
-			return false
+			return FewIterations
 		}
 	}
-	return true
+	return ""
 }

@@ -94,14 +94,17 @@ func (k Kind) selection() janus.Selection {
 	return janus.Selection{
 		Key: "model=" + k.String(),
 		Select: func(prog *analyzer.Program) {
-			prog.SelectLoops(analyzer.SelectOptions{UseChecks: k == ICC})
-			for _, li := range prog.Loops {
+			for _, li := range prog.SelectLoops(analyzer.SelectOptions{UseChecks: k == ICC}) {
 				// icc cannot speculate on opaque library code: it gives up
 				// on loops that would need transactions. gcc's
 				// tree-parallelizer gives up on loops with any call.
-				if li.Selected && (len(li.LibCalls) > 0 || k == GCC && len(li.Loop.CallTargets) > 0) {
-					li.Selected = false
+				switch {
+				case len(li.LibCalls) > 0:
+					li.Rejected = analyzer.LibraryCall
+				case k == GCC && len(li.Loop.CallTargets) > 0:
+					li.Rejected = analyzer.AnyCall
 				}
+				li.Selected = li.Rejected == ""
 			}
 		},
 	}

@@ -232,6 +232,9 @@ func RunDiff(k *Kernel, o Options) (*Report, error) {
 		if li.Selected && t.Carried && li != planted {
 			return nil, k.failf("SOUNDNESS: selection parallelised %s loop at %#x despite its carried dependence", t.Kind, t.Header)
 		}
+		if li.Selected != (li.Rejected == "") {
+			return nil, k.failf("VERDICT: %s loop at %#x has Selected %v but Rejected %q", t.Kind, t.Header, li.Selected, li.Rejected)
+		}
 		v := LoopVerdict{
 			ID: li.ID, Truth: *t, Class: li.Class,
 			DepProfiled: li.DepProfiled, ObservedDep: li.ObservedDep,

@@ -25,12 +25,12 @@ func profileRun(loops, iters, words int) {
 	d.Close()
 }
 
-// TestRecycledTableReadsEmpty: a table taken from the pool holds
+// TestRecycledTableReadsEmpty: a table taken from the free list holds
 // nothing of its previous run. The first run writes every word in a late
 // iteration; the second reads them in iteration 0 without entering the
 // loop first (Record alone takes the table), so a stale record would
-// show as a cross-iteration conflict. Many loops, so the second run
-// draws tables the first one returned even when the pool drops some.
+// show as a cross-iteration conflict. As many loops as the list holds
+// tables, so the second run draws only tables the first one returned.
 func TestRecycledTableReadsEmpty(t *testing.T) {
 	const loops, words = 16, 512
 	d := NewDependence()
@@ -58,16 +58,14 @@ func TestRecycledTableReadsEmpty(t *testing.T) {
 
 // TestSecondRunAllocatesNoTableStorage: once a run of a given shape has
 // closed, the next run of that shape grows its tables through the
-// recycled backing arrays. The GC is off so the pool keeps what the
-// first run returned; every loop touches the same number of words, so
-// whichever table a loop draws is big enough.
+// backing arrays it draws from the free list. Every loop touches the
+// same number of words, so whichever table a loop draws is big enough.
+// The GC is off, so the measured window holds the run's own
+// allocations alone.
 func TestSecondRunAllocatesNoTableStorage(t *testing.T) {
-	if raceEnabled {
-		t.Skip("the race detector makes sync.Pool drop entries at random")
-	}
 	defer debug.SetGCPercent(debug.SetGCPercent(-1))
 	const loops, iters, words = 8, 16, 1 << 14
-	profileRun(loops, iters, words) // fills the pool
+	profileRun(loops, iters, words) // fills the free list
 	var before, after runtime.MemStats
 	runtime.ReadMemStats(&before)
 	profileRun(loops, iters, words)
