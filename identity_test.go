@@ -94,7 +94,7 @@ func TestIdentityMemoDoesNotFollowStrip(t *testing.T) {
 	e := &obj.Executable{
 		Name: reg.Name, Entry: reg.Entry,
 		CodeBase: reg.CodeBase, Code: reg.Code,
-		DataBase: reg.DataBase, Data: reg.Data,
+		Section: reg.Section,
 		Imports: reg.Imports,
 		Symbols: []obj.Symbol{{Name: "main", Addr: reg.Entry, Size: 8, Kind: obj.SymFunc}},
 	}

@@ -43,7 +43,13 @@ type FuncBuilder struct {
 	items  []item
 	labels []int // label -> item index, -1 if unbound
 	b      *Builder
+	// code is the text of a function defined already encoded
+	// (EncodedFunc), copied verbatim after items at layout.
+	code []byte
 }
+
+// size returns the function's text size in bytes.
+func (f *FuncBuilder) size() uint64 { return uint64(len(f.items)*guest.InstSize + len(f.code)) }
 
 // dataChunk is one initialised data symbol: n words at off in the data
 // section, word(i) at index i.
@@ -59,7 +65,7 @@ type chunkSpan struct{ off, n int }
 // together with the layout that generated it. Builders that declare
 // the same layout — every optimisation level of one workload does —
 // can build over one Section (BuildOver), so the section is generated
-// once and all their executables alias its bytes.
+// once and all their executables alias its pages.
 type Section struct {
 	sec    *obj.Section
 	syms   []obj.Symbol
@@ -74,12 +80,13 @@ type Builder struct {
 	funcs    []*FuncBuilder
 	byName   map[string]*FuncBuilder
 	// The data section is held as its length plus one generator per
-	// initialised symbol; nothing holds bytes before Build, which
+	// initialised symbol; nothing holds bytes before Section, which
 	// evaluates the generators in declaration order straight into the
-	// section at its final size, so a ~10 MB section is written once.
+	// pages they cover, so no byte is written twice and a page no
+	// initialised symbol lands in is never made.
 	dataLen    int
 	dataChunks []dataChunk
-	// built is set by Build, which hands the section bytes to the
+	// built is set by Build, which hands the section pages to the
 	// executable it returns.
 	built     bool
 	dataSyms  []obj.Symbol
@@ -153,6 +160,19 @@ func (b *Builder) DataI64(name string, vals []int64) uint64 {
 
 // DataAddr returns the address of a previously defined data symbol.
 func (b *Builder) DataAddr(name string) uint64 { return b.dataAddr[name] }
+
+// EncodedFunc defines the function name as code already encoded: whole
+// instructions that reference nothing (no label, call or data
+// relocation), so their bytes are the same at any address. code is
+// copied into the code section at layout and never written, so one
+// encoding may define functions in any number of builders. It panics if
+// name is already defined or code is not whole instructions.
+func (b *Builder) EncodedFunc(name string, code []byte) {
+	if _, ok := b.byName[name]; ok || len(code)%guest.InstSize != 0 {
+		panic(fmt.Sprintf("asm: EncodedFunc %q: defined twice or %d bytes of code", name, len(code)))
+	}
+	b.Func(name).code = code
+}
 
 // NewLabel creates an unbound label.
 func (f *FuncBuilder) NewLabel() Label {
@@ -285,29 +305,37 @@ func (f *FuncBuilder) Nop() *FuncBuilder {
 func (f *FuncBuilder) Len() int { return len(f.items) }
 
 // Section evaluates the builder's data generators — symbols in
-// declaration order, one call per index — straight into a new section
-// at its final size, and records the layout it came from.
+// declaration order, one call per index — straight into the pages of a
+// new section, a page at a time, and records the layout it came from.
+// Only pages an initialised symbol lands in are made; the rest of the
+// section, reserved by Data alone, stays absent.
 func (b *Builder) Section() *Section {
-	data := make([]byte, b.dataLen)
+	sec := obj.NewSection(b.dataBase, uint64(b.dataLen))
 	spans := make([]chunkSpan, len(b.dataChunks))
+	var buf [obj.PageSize]byte
 	for i, c := range b.dataChunks {
-		for j := 0; j < c.n; j++ {
-			binary.LittleEndian.PutUint64(data[c.off+j*8:], c.word(j))
+		for j := 0; j < c.n; {
+			off := c.off + j*8
+			room := obj.PageSize - int((b.dataBase+uint64(off))%obj.PageSize)
+			k := min(c.n-j, max(1, room/8))
+			for w := range k {
+				binary.LittleEndian.PutUint64(buf[w*8:], c.word(j+w))
+			}
+			// Data reserved every chunk inside the section, so the
+			// write cannot fail.
+			sec.WriteAt(buf[:k*8], int64(off))
+			j += k
 		}
 		spans[i] = chunkSpan{off: c.off, n: c.n}
 	}
-	return &Section{
-		sec:    &obj.Section{Base: b.dataBase, Bytes: data},
-		syms:   slices.Clone(b.dataSyms),
-		chunks: spans,
-	}
+	return &Section{sec: sec, syms: slices.Clone(b.dataSyms), chunks: spans}
 }
 
 // sameLayout reports whether sec was generated from exactly b's data
 // declarations: base, symbol names, offsets and sizes, and where each
 // initialised symbol's words sit.
 func (b *Builder) sameLayout(sec *Section) bool {
-	if sec.sec.Base != b.dataBase || len(sec.sec.Bytes) != b.dataLen || !slices.Equal(sec.syms, b.dataSyms) || len(sec.chunks) != len(b.dataChunks) {
+	if sec.sec.Base != b.dataBase || sec.sec.Size != uint64(b.dataLen) || !slices.Equal(sec.syms, b.dataSyms) || len(sec.chunks) != len(b.dataChunks) {
 		return false
 	}
 	for i, c := range b.dataChunks {
@@ -321,7 +349,7 @@ func (b *Builder) sameLayout(sec *Section) bool {
 // Build lays out all functions and the PLT, resolves relocations and
 // returns the finished executable over a data section of its own
 // (Section). The section belongs to the executable from then on
-// (executables are immutable, and the loader maps these very bytes into
+// (executables are immutable, and the loader maps these very pages into
 // every machine), so a builder builds one executable: a second Build is
 // an error.
 func (b *Builder) Build() (*obj.Executable, error) {
@@ -332,7 +360,7 @@ func (b *Builder) Build() (*obj.Executable, error) {
 }
 
 // BuildOver is Build over sec instead of a freshly generated section:
-// the executable aliases sec's bytes and shares the loader's view of
+// the executable aliases sec's pages and shares the loader's view of
 // them with every other executable built over sec. sec must have been
 // generated from a data layout equal to b's (Section); otherwise
 // BuildOver returns an error. b's own generators are never called.
@@ -348,7 +376,7 @@ func (b *Builder) BuildOver(sec *Section) (*obj.Executable, error) {
 	addr := b.codeBase
 	for _, f := range b.funcs {
 		funcAddr[f.name] = addr
-		addr += uint64(len(f.items) * guest.InstSize)
+		addr += f.size()
 	}
 	pltAddr := map[string]uint64{}
 	var imports []obj.Import
@@ -362,7 +390,7 @@ func (b *Builder) BuildOver(sec *Section) (*obj.Executable, error) {
 	var symbols []obj.Symbol
 	for _, f := range b.funcs {
 		base := funcAddr[f.name]
-		symbols = append(symbols, obj.Symbol{Name: f.name, Addr: base, Size: uint64(len(f.items) * guest.InstSize), Kind: obj.SymFunc})
+		symbols = append(symbols, obj.Symbol{Name: f.name, Addr: base, Size: f.size(), Kind: obj.SymFunc})
 		for _, it := range f.items {
 			in := it.inst
 			switch it.kind {
@@ -396,6 +424,7 @@ func (b *Builder) BuildOver(sec *Section) (*obj.Executable, error) {
 			eb := guest.Encode(in)
 			code = append(code, eb[:]...)
 		}
+		code = append(code, f.code...)
 	}
 	// PLT stubs: a single JMP each; target patched by the loader.
 	for range b.imports {
@@ -412,16 +441,15 @@ func (b *Builder) BuildOver(sec *Section) (*obj.Executable, error) {
 		entry = funcAddr[f.name]
 	}
 	b.built, b.dataChunks = true, nil
-	exe := &obj.Executable{
+	return &obj.Executable{
 		Name:     b.name,
 		Entry:    entry,
 		CodeBase: b.codeBase,
 		Code:     code,
+		Section:  sec.sec,
 		Symbols:  symbols,
 		Imports:  imports,
-	}
-	exe.ShareSection(sec.sec)
-	return exe, nil
+	}, nil
 }
 
 // BuildLibrary assembles a shared library from the builder's functions.
@@ -431,13 +459,13 @@ func (b *Builder) BuildLibrary(base uint64) (*obj.Library, error) {
 	addr := base
 	for _, f := range b.funcs {
 		funcAddr[f.name] = addr
-		addr += uint64(len(f.items) * guest.InstSize)
+		addr += f.size()
 	}
 	var code []byte
 	var symbols []obj.Symbol
 	for _, f := range b.funcs {
 		fbase := funcAddr[f.name]
-		symbols = append(symbols, obj.Symbol{Name: f.name, Addr: fbase, Size: uint64(len(f.items) * guest.InstSize), Kind: obj.SymFunc})
+		symbols = append(symbols, obj.Symbol{Name: f.name, Addr: fbase, Size: f.size(), Kind: obj.SymFunc})
 		for _, it := range f.items {
 			in := it.inst
 			switch it.kind {
@@ -459,6 +487,7 @@ func (b *Builder) BuildLibrary(base uint64) (*obj.Library, error) {
 			eb := guest.Encode(in)
 			code = append(code, eb[:]...)
 		}
+		code = append(code, f.code...)
 	}
 	return &obj.Library{Name: b.name, Base: base, Code: code, Symbols: symbols}, nil
 }

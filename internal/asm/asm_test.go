@@ -1,6 +1,7 @@
 package asm
 
 import (
+	"bytes"
 	"encoding/binary"
 	"runtime"
 	"testing"
@@ -60,6 +61,13 @@ func TestUndefinedDataFails(t *testing.T) {
 	}
 }
 
+// sectionBytes returns s's bytes, absent pages as zeros.
+func sectionBytes(s *obj.Section) []byte {
+	var b bytes.Buffer
+	s.WriteTo(&b)
+	return b.Bytes()
+}
+
 func TestDataLayout(t *testing.T) {
 	b := NewBuilder("data")
 	a1 := b.Data("a", 64)
@@ -81,7 +89,7 @@ func TestDataLayout(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Initialised values present in the image.
-	if got := exe.Data[a2-obj.DefaultDataBase]; got != 1 {
+	if got := sectionBytes(exe.Section)[a2-obj.DefaultDataBase]; got != 1 {
 		t.Fatalf("data[0] of b = %d", got)
 	}
 }
@@ -106,16 +114,17 @@ func TestDataSectionLaidOutOnce(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(exe.Data) != 3*8+40+2*8 {
-		t.Fatalf("data section is %d bytes", len(exe.Data))
+	data, base := sectionBytes(exe.Section), exe.Section.Base
+	if len(data) != 3*8+40+2*8 {
+		t.Fatalf("data section is %d bytes", len(data))
 	}
 	word := func(addr uint64) uint64 {
-		return binary.LittleEndian.Uint64(exe.Data[addr-exe.DataBase:])
+		return binary.LittleEndian.Uint64(data[addr-base:])
 	}
 	if word(w1) != 10 || word(w1+16) != 12 || word(w2) != ^uint64(0) || word(w2+8) != ^uint64(1) {
 		t.Fatal("DataWords values are not at their symbols")
 	}
-	for _, c := range exe.Data[z-exe.DataBase : z-exe.DataBase+40] {
+	for _, c := range data[z-base : z-base+40] {
 		if c != 0 {
 			t.Fatal("a zeroed reservation holds data")
 		}
@@ -153,15 +162,16 @@ func TestDataSectionLaidOutOnce(t *testing.T) {
 		t.Errorf("declaring a %d-byte symbol allocated %d bytes: its data was materialised before Build", words*8, got)
 	}
 	if got := built.TotalAlloc - declared.TotalAlloc; got >= words*8*5/4 {
-		t.Errorf("Build allocated %d bytes for a %d-byte section: the section was written more than once", got, len(exe.Data))
+		t.Errorf("Build allocated %d bytes for a %d-byte section: the section was written more than once", got, exe.Section.Size)
 	}
 	if len(order) != 2 || order[0] != "big" || order[1] != "tail" {
 		t.Errorf("generators ran as %v, want each once in declaration order", order)
 	}
-	if got := binary.LittleEndian.Uint64(exe.Data[vi-exe.DataBase:]); got != 5 {
+	data = sectionBytes(exe.Section)
+	if got := binary.LittleEndian.Uint64(data[vi-exe.Section.Base:]); got != 5 {
 		t.Errorf("DataI64 read its slice at Build: first value %d, want 5", got)
 	}
-	if got := binary.LittleEndian.Uint64(exe.Data[(words-1)*8:]); got != words-1 {
+	if got := binary.LittleEndian.Uint64(data[(words-1)*8:]); got != words-1 {
 		t.Errorf("last generated word is %d", got)
 	}
 }
@@ -274,7 +284,7 @@ func TestEmptyProgramFails(t *testing.T) {
 // TestSectionLayoutMismatchRefused: a builder builds over a pre-generated
 // section only if the section came from the same data layout — base,
 // symbol names, offsets and sizes, and where each initialised symbol's
-// words sit — and then aliases its bytes without calling a generator.
+// words sit — and then aliases its pages without calling a generator.
 // Any other layout is an error, not an executable over foreign data.
 func TestSectionLayoutMismatchRefused(t *testing.T) {
 	declare := func(b *Builder) {
@@ -300,10 +310,10 @@ func TestSectionLayoutMismatchRefused(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if &exe.Data[0] != &sec.sec.Bytes[0] || exe.DataSection() != sec.sec {
+	if exe.Section != sec.sec {
 		t.Fatal("BuildOver copied the section")
 	}
-	if string(exe.Data) != string(own.Data) {
+	if !bytes.Equal(sectionBytes(exe.Section), sectionBytes(own.Section)) {
 		t.Fatal("shared section differs from the generating builder's own build")
 	}
 
@@ -341,5 +351,113 @@ func TestSectionLayoutMismatchRefused(t *testing.T) {
 		if exe, err := b.BuildOver(sec); err == nil || exe != nil {
 			t.Errorf("%s: a section of another layout was accepted", name)
 		}
+	}
+}
+
+// TestSectionMakesOnlyInitialisedPages: a 1 MiB reservation and one
+// page of words yield a section that holds that one page — the
+// reservation costs no bytes, like .bss — and the executable's
+// Fingerprint equals that of the same executable over a section written
+// out byte for byte. Words that straddle a page boundary, at an offset
+// no page or word boundary aligns, land in both pages.
+func TestSectionMakesOnlyInitialisedPages(t *testing.T) {
+	const words = obj.PageSize / 8
+	b := NewBuilder("sparse")
+	b.Data("bss", 1<<20)
+	w := b.DataWords("w", words, func(i int) uint64 { return uint64(i) | 1<<63 })
+	b.Func("main").Halt()
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	sec := b.Section()
+	runtime.ReadMemStats(&after)
+	if got := after.TotalAlloc - before.TotalAlloc; got >= 16<<10 {
+		t.Errorf("generating a %d-byte section with one page of words allocated %d bytes", 1<<20+obj.PageSize, got)
+	}
+	exe, err := b.BuildOver(sec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	present := 0
+	for _, p := range exe.Section.Pages {
+		if p != nil {
+			present++
+		}
+	}
+	if present != 1 || exe.Section.Pages[(w-exe.Section.Base)/obj.PageSize] == nil {
+		t.Fatalf("section holds %d of its %d pages, want only the words' page", present, len(exe.Section.Pages))
+	}
+	dense := make([]byte, exe.Section.Size)
+	for i := range words {
+		binary.LittleEndian.PutUint64(dense[w-exe.Section.Base+uint64(i)*8:], uint64(i)|1<<63)
+	}
+	ref := &obj.Executable{Name: exe.Name, Entry: exe.Entry, CodeBase: exe.CodeBase, Code: exe.Code,
+		Section: obj.NewSection(exe.Section.Base, exe.Section.Size), Symbols: exe.Symbols, Imports: exe.Imports}
+	ref.Section.WriteAt(dense, 0)
+	if exe.Fingerprint() != ref.Fingerprint() || exe.Size() != ref.Size() {
+		t.Fatal("the sparse section does not fingerprint as its dense bytes")
+	}
+
+	b = NewBuilder("straddle")
+	b.Data("pad", obj.PageSize-12)
+	w = b.DataWords("w", 3, func(i int) uint64 { return 0x0807060504030201 * uint64(i+1) })
+	b.Func("main").Halt()
+	exe, err = b.Build()
+	if err != nil {
+		t.Fatal(err)
+	}
+	data := sectionBytes(exe.Section)
+	for i := range uint64(3) {
+		if got := binary.LittleEndian.Uint64(data[w-exe.Section.Base+8*i:]); got != 0x0807060504030201*(i+1) {
+			t.Errorf("word %d reads %#x", i, got)
+		}
+	}
+}
+
+// TestEncodedFuncSplicesSameBytes: a function defined already encoded
+// lays out, resolves calls and fingerprints exactly as the same
+// instructions emitted one by one, and one encoding serves any number
+// of builders.
+func TestEncodedFuncSplicesSameBytes(t *testing.T) {
+	body := []guest.Inst{
+		guest.NewInstI(guest.ADDI, guest.R0, 3),
+		guest.NewInst(guest.XOR, guest.R1, guest.R2),
+		{Op: guest.RET, Rd: guest.RegNone, Rs: guest.RegNone, M: guest.NoMem},
+	}
+	text := guest.EncodeAll(body)
+	build := func(encoded bool) *obj.Executable {
+		b := NewBuilder("splice")
+		b.Func("main").Call("helper").Call("tail").Halt()
+		if encoded {
+			b.EncodedFunc("helper", text)
+		} else {
+			f := b.Func("helper")
+			for _, in := range body {
+				f.I(in)
+			}
+		}
+		b.Func("tail").Ret()
+		exe, err := b.Build()
+		if err != nil {
+			t.Fatal(err)
+		}
+		return exe
+	}
+	want := build(false)
+	for range 2 {
+		if got := build(true); !bytes.Equal(got.Code, want.Code) || got.Fingerprint() != want.Fingerprint() {
+			t.Fatal("an encoded function laid out differently from the same instructions emitted")
+		}
+	}
+	b := NewBuilder("misuse")
+	b.Func("helper").Ret()
+	for name, code := range map[string][]byte{"helper": text, "ragged": text[:5]} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("EncodedFunc(%q, %d bytes) did not panic", name, len(code))
+				}
+			}()
+			b.EncodedFunc(name, code)
+		}()
 	}
 }

@@ -8,7 +8,7 @@ import (
 )
 
 func testImage(name string) (*Executable, []*Library) {
-	exe := &Executable{Name: name, Entry: DefaultCodeBase, CodeBase: DefaultCodeBase, Code: make([]byte, 48), DataBase: DefaultDataBase, Data: []byte{1, 2, 3}}
+	exe := &Executable{Name: name, Entry: DefaultCodeBase, CodeBase: DefaultCodeBase, Code: make([]byte, 48), Section: sectionOf(DefaultDataBase, []byte{1, 2, 3})}
 	return exe, []*Library{{Name: "libm", Base: DefaultLibBase, Code: make([]byte, 24)}}
 }
 

@@ -37,6 +37,19 @@ func (r *refEncoder) sum() string {
 	return hex.EncodeToString(sum[:])
 }
 
+// denseData reads a section's bytes page by page, an absent page as
+// zeros: the bytes obj once held in one slice.
+func denseData(s *obj.Section) []byte {
+	b := make([]byte, s.Size)
+	for i := range b {
+		addr := s.Base + uint64(i)
+		if p := s.Pages[addr>>obj.PageShift-s.Base>>obj.PageShift]; p != nil {
+			b[i] = p[addr%obj.PageSize]
+		}
+	}
+	return b
+}
+
 // saveReference hashes an executable's image in the format obj once
 // saved to files ("JEXE0001", name, entry, code and data sections,
 // strip flag, symbols, imports): every identity record in a store
@@ -47,7 +60,7 @@ func saveReference(e *obj.Executable) string {
 	r.str(e.Name)
 	r.u64(e.Entry)
 	r.section(e.CodeBase, e.Code)
-	r.section(e.DataBase, e.Data)
+	r.section(e.Section.Base, denseData(e.Section))
 	if e.Stripped {
 		r.WriteByte(1)
 	} else {
@@ -83,10 +96,11 @@ func TestFingerprintIsHashOfSave(t *testing.T) {
 	unstripped := &obj.Executable{
 		Name: "sample", Entry: obj.DefaultCodeBase,
 		CodeBase: obj.DefaultCodeBase, Code: []byte{1, 2, 3, 4, 5, 6, 7, 8},
-		DataBase: obj.DefaultDataBase, Data: []byte{9, 10},
+		Section: obj.NewSection(obj.DefaultDataBase, 2),
 		Symbols: []obj.Symbol{{Name: "main", Addr: obj.DefaultCodeBase, Size: 8, Kind: obj.SymFunc}, {Name: "x", Addr: obj.DefaultDataBase, Size: 2, Kind: obj.SymData}},
 		Imports: []obj.Import{{Name: "pow", PLT: obj.DefaultCodeBase}},
 	}
+	unstripped.Section.WriteAt([]byte{9, 10}, 0)
 	if got, want := unstripped.Fingerprint(), saveReference(unstripped); got != want {
 		t.Errorf("unstripped executable: Fingerprint %s, reference image hashes to %s", got, want)
 	}

@@ -57,18 +57,87 @@ type Import struct {
 	PLT  uint64
 }
 
-// Section is one data section: its load address and bytes, plus the
-// loader's view of them (see Loaded). Several executables may alias one
-// section — every optimisation level of one (benchmark, input) does
-// (asm.Builder.BuildOver) — and then share what the loader derives from
-// it. A section is immutable and, like an Executable, must not be
-// copied by value.
+// PageShift and PageSize give a data section's granularity: the guest
+// page, so a loaded image maps a section's pages as they are.
+const (
+	PageShift = 12
+	PageSize  = 1 << PageShift
+)
+
+// zeroPage is what an absent page reads as.
+var zeroPage [PageSize]byte
+
+// Section is one data section: Size bytes loaded at Base, held as the
+// guest pages that cover them. Pages[i] is the page at address
+// (Base>>PageShift + i) << PageShift; it is nil where no initialised
+// symbol lands, and then reads as zeros and costs nothing, as .bss costs
+// a real binary nothing. Bytes of a page outside [Base, End) are zero.
+//
+// A section also carries the loader's view of it (see Loaded). Several
+// executables may alias one section — every optimisation level of one
+// (benchmark, input) does (asm.Builder.BuildOver) — and then share
+// what the loader derives from it. A section is immutable once built
+// (NewSection, WriteAt) and, like an Executable, must not be copied by
+// value.
 type Section struct {
 	Base  uint64
-	Bytes []byte
+	Size  uint64
+	Pages []*[PageSize]byte
 
 	loadOnce sync.Once
 	loaded   any
+}
+
+// NewSection returns a section of size bytes at base, all zero: every
+// page absent until WriteAt makes it.
+func NewSection(base, size uint64) *Section {
+	s := &Section{Base: base, Size: size}
+	if size > 0 {
+		s.Pages = make([]*[PageSize]byte, (base+size-1)>>PageShift-base>>PageShift+1)
+	}
+	return s
+}
+
+// End returns the first address past the section.
+func (s *Section) End() uint64 { return s.Base + s.Size }
+
+// WriteAt copies p into the section at offset off from Base, making the
+// pages it lands in. It is part of construction: nothing may write to
+// a section once an executable or a loader has seen it.
+func (s *Section) WriteAt(p []byte, off int64) (int, error) {
+	if off < 0 || uint64(off)+uint64(len(p)) > s.Size {
+		return 0, fmt.Errorf("obj: %d-byte write at offset %d outside a %d-byte section", len(p), off, s.Size)
+	}
+	n := len(p)
+	for addr := s.Base + uint64(off); len(p) > 0; {
+		page := &s.Pages[addr>>PageShift-s.Base>>PageShift]
+		if *page == nil {
+			*page = new([PageSize]byte)
+		}
+		c := copy((*page)[addr&(PageSize-1):], p)
+		p, addr = p[c:], addr+uint64(c)
+	}
+	return n, nil
+}
+
+// WriteTo streams the section's Size bytes into w, an absent page as
+// zeros.
+func (s *Section) WriteTo(w io.Writer) (int64, error) {
+	var n int64
+	for addr := s.Base; addr < s.End(); {
+		lo := addr & (PageSize - 1)
+		hi := min(PageSize, lo+s.End()-addr)
+		b := zeroPage[lo:hi]
+		if p := s.Pages[addr>>PageShift-s.Base>>PageShift]; p != nil {
+			b = p[lo:hi]
+		}
+		m, err := w.Write(b)
+		if n += int64(m); err != nil {
+			return n, err
+		}
+		addr += hi - lo
+	}
+	return n, nil
 }
 
 // Loaded returns the loader's view of s: the value build returned on
@@ -82,30 +151,26 @@ func (s *Section) Loaded(build func() any) any {
 // Executable is a loadable guest program image.
 //
 // An executable is immutable once constructed: nothing may write to
-// Code, Data, Symbols or Imports afterwards. Every consumer relies on
+// Code, Section, Symbols or Imports afterwards. Every consumer relies on
 // it — the memoised identity (Binary), the pointer-keyed stage caches,
-// and the loader, which maps Data's bytes into every machine it loads
-// instead of copying them (vm.NewMachine). Because it carries
+// and the loader, which maps the section's pages into every machine it
+// loads instead of copying them (vm.NewMachine). Because it carries
 // once-built derived state, an Executable must not be copied by value.
 type Executable struct {
 	Name     string
 	Entry    uint64
 	CodeBase uint64
 	Code     []byte
-	DataBase uint64
-	Data     []byte
-	Symbols  []Symbol // empty when stripped
-	Imports  []Import
+	// Section is the data section, nil when there is none. Other
+	// executables may share it (see Section).
+	Section *Section
+	Symbols []Symbol // empty when stripped
+	Imports []Import
 	// Stripped marks that Symbols carries no local function names; the
 	// analyser must recover functions from the entry point and call
 	// targets alone.
 	Stripped bool
 
-	// section is the data section Data and DataBase alias: shared with
-	// other executables when set at construction (ShareSection), made
-	// private to this executable on first use otherwise (DataSection).
-	sectionOnce sync.Once
-	section     *Section
 	// decoded is the code section decoded once (Decoded).
 	decodeOnce sync.Once
 	decoded    *Decoded
@@ -114,25 +179,6 @@ type Executable struct {
 	// executable alone and is collected with it.
 	loadOnce sync.Once
 	loaded   any
-}
-
-// ShareSection makes s e's data section: Data and DataBase become s's,
-// and every executable sharing s shares the loader's view of it. It is
-// part of construction and must precede any other use of e.
-func (e *Executable) ShareSection(s *Section) {
-	e.section, e.DataBase, e.Data = s, s.Base, s.Bytes
-}
-
-// DataSection returns e's data section: the shared one if e was built
-// over one (ShareSection), otherwise a section private to e, made on
-// first use — the behaviour of an executable that shares nothing.
-func (e *Executable) DataSection() *Section {
-	e.sectionOnce.Do(func() {
-		if e.section == nil {
-			e.section = &Section{Base: e.DataBase, Bytes: e.Data}
-		}
-	})
-	return e.section
 }
 
 // Loaded returns the loader's linked view of e's code: the value build
@@ -182,9 +228,6 @@ func (e *Executable) Decoded() *Decoded {
 
 // CodeEnd returns the first address past the code section.
 func (e *Executable) CodeEnd() uint64 { return e.CodeBase + uint64(len(e.Code)) }
-
-// DataEnd returns the first address past the data section.
-func (e *Executable) DataEnd() uint64 { return e.DataBase + uint64(len(e.Data)) }
 
 // InCode reports whether addr lies inside the code section.
 func (e *Executable) InCode(addr uint64) bool {
@@ -249,20 +292,17 @@ func (e *Executable) SymbolByName(name string) (Symbol, bool) {
 // Strip returns a stripped view of e: local function symbols removed,
 // keeping only what a stripped dynamic binary retains — entry, section
 // bounds, imports. The sections and the import table are shared with e,
-// not copied: executables are immutable (see Executable), and a ~10 MB
-// image per build is exactly the copy that contract exists to avoid.
-// The result is built field by field: a shared data section follows it,
-// but e's decoded and linked code do not — the stripped executable
-// builds its own on first use.
+// not copied: executables are immutable (see Executable), so a copy
+// per build would buy nothing. The result is built field by field: the
+// data section follows it, but e's decoded and linked code do not — the
+// stripped executable builds its own on first use.
 func (e *Executable) Strip() *Executable {
 	return &Executable{
-		section:  e.section,
 		Name:     e.Name,
 		Entry:    e.Entry,
 		CodeBase: e.CodeBase,
 		Code:     e.Code,
-		DataBase: e.DataBase,
-		Data:     e.Data,
+		Section:  e.Section,
 		Imports:  e.Imports,
 		Stripped: true,
 	}
@@ -270,7 +310,12 @@ func (e *Executable) Strip() *Executable {
 
 // Size returns the total image size in bytes (code + data), the figure
 // the paper normalises rewrite-schedule sizes against.
-func (e *Executable) Size() int { return len(e.Code) + len(e.Data) }
+func (e *Executable) Size() int {
+	if e.Section == nil {
+		return len(e.Code)
+	}
+	return len(e.Code) + int(e.Section.Size)
+}
 
 // Library is a shared object mapped by the loader.
 type Library struct {
@@ -345,7 +390,13 @@ func (e *Executable) encode(w io.Writer) {
 	enc.str(e.Name)
 	enc.u64(e.Entry)
 	enc.section(e.CodeBase, e.Code)
-	enc.section(e.DataBase, e.Data)
+	if sec := e.Section; sec != nil {
+		enc.u64(sec.Base)
+		enc.u64(sec.Size)
+		sec.WriteTo(w)
+	} else {
+		enc.section(0, nil)
+	}
 	if e.Stripped {
 		enc.u8(1)
 	} else {

@@ -1,10 +1,18 @@
 package obj
 
 import (
+	"bytes"
 	"testing"
 
 	"janus/internal/guest"
 )
+
+// sectionOf returns a section holding data at base.
+func sectionOf(base uint64, data []byte) *Section {
+	s := NewSection(base, uint64(len(data)))
+	s.WriteAt(data, 0)
+	return s
+}
 
 func sampleExe() *Executable {
 	code := guest.EncodeAll([]guest.Inst{
@@ -17,8 +25,7 @@ func sampleExe() *Executable {
 		Entry:    DefaultCodeBase,
 		CodeBase: DefaultCodeBase,
 		Code:     code,
-		DataBase: DefaultDataBase,
-		Data:     []byte{1, 2, 3, 4},
+		Section:  sectionOf(DefaultDataBase, []byte{1, 2, 3, 4}),
 		Symbols: []Symbol{
 			{Name: "main", Addr: DefaultCodeBase, Size: 2 * guest.InstSize, Kind: SymFunc},
 			{Name: "tab", Addr: DefaultDataBase, Size: 4, Kind: SymData},
@@ -32,8 +39,8 @@ func TestSectionPredicates(t *testing.T) {
 	if !e.InCode(e.Entry) || e.InCode(e.CodeEnd()) {
 		t.Fatal("InCode boundaries wrong")
 	}
-	if e.DataEnd() != DefaultDataBase+4 {
-		t.Fatal("DataEnd wrong")
+	if e.Section.End() != DefaultDataBase+4 {
+		t.Fatal("section End wrong")
 	}
 	if e.Size() != len(e.Code)+4 {
 		t.Fatal("Size wrong")
@@ -84,10 +91,9 @@ func TestStripKeepsDynamicInfo(t *testing.T) {
 	}
 	// Strip shares the sections instead of copying them: executables are
 	// immutable after construction (the contract the loader's mapped
-	// image and every pointer-keyed cache rest on), so a second ~10 MB
-	// copy per build would buy nothing. This used to assert a deep copy;
-	// nothing ever wrote to one.
-	if &st.Code[0] != &e.Code[0] || &st.Data[0] != &e.Data[0] {
+	// image and every pointer-keyed cache rest on), so a copy per build
+	// would buy nothing.
+	if &st.Code[0] != &e.Code[0] || st.Section != e.Section {
 		t.Fatal("strip copied a section")
 	}
 	// The loader's once-built image belongs to the executable it was
@@ -115,5 +121,45 @@ func TestLibraryLookups(t *testing.T) {
 	}
 	if !lib.InCode(DefaultLibBase) || lib.InCode(DefaultLibBase+3*guest.InstSize) {
 		t.Fatal("library InCode bounds")
+	}
+}
+
+// TestSectionPages: a section holds the pages its writes land in and no
+// other, a write may straddle pages and an unaligned base, and WriteTo
+// streams exactly Size bytes with absent pages as zeros.
+func TestSectionPages(t *testing.T) {
+	const base = DefaultDataBase + 8
+	s := NewSection(base, 5*PageSize)
+	if len(s.Pages) != 6 {
+		t.Fatalf("a %d-byte section at %#x covers %d pages, want 6", s.Size, s.Base, len(s.Pages))
+	}
+	want := make([]byte, s.Size)
+	for _, w := range []struct {
+		off  int64
+		data []byte
+	}{{0, []byte{1}}, {PageSize - 12, []byte{2, 3, 4, 5, 6, 7, 8, 9}}, {5*PageSize - 1, []byte{10}}} {
+		if n, err := s.WriteAt(w.data, w.off); n != len(w.data) || err != nil {
+			t.Fatalf("WriteAt(%d bytes, %d) = %d, %v", len(w.data), w.off, n, err)
+		}
+		copy(want[w.off:], w.data)
+	}
+	if _, err := s.WriteAt([]byte{1}, 5*PageSize); err == nil {
+		t.Fatal("a write past the section's end succeeded")
+	}
+	var present []int
+	for i, p := range s.Pages {
+		if p != nil {
+			present = append(present, i)
+		}
+	}
+	if len(present) != 3 || present[0] != 0 || present[1] != 1 || present[2] != 5 {
+		t.Fatalf("pages %v present, want [0 1 5]", present)
+	}
+	if s.Pages[0][7] != 0 || s.Pages[0][8] != 1 {
+		t.Fatal("the first byte did not land at the section's unaligned base")
+	}
+	var got bytes.Buffer
+	if n, err := s.WriteTo(&got); n != int64(s.Size) || err != nil || !bytes.Equal(got.Bytes(), want) {
+		t.Fatalf("WriteTo streamed %d bytes (%v), equal to the writes: %v", n, err, bytes.Equal(got.Bytes(), want))
 	}
 }

@@ -3,6 +3,7 @@ package profiler
 import (
 	"runtime"
 	"runtime/debug"
+	"runtime/pprof"
 	"testing"
 )
 
@@ -61,15 +62,25 @@ func TestRecycledTableReadsEmpty(t *testing.T) {
 // backing arrays it draws from the free list. Every loop touches the
 // same number of words, so whichever table a loop draws is big enough.
 // The GC is off, so the measured window holds the run's own
-// allocations alone.
+// allocations alone — unless the Go runtime started an OS thread inside
+// it, whose bookkeeping (about 5 KiB) it counts too. A window in which
+// the threadcreate count moved is measured again, at most three times;
+// a window without a new thread is the verdict.
 func TestSecondRunAllocatesNoTableStorage(t *testing.T) {
 	defer debug.SetGCPercent(debug.SetGCPercent(-1))
 	const loops, iters, words = 8, 16, 1 << 14
 	profileRun(loops, iters, words) // fills the free list
+	threads := pprof.Lookup("threadcreate")
 	var before, after runtime.MemStats
-	runtime.ReadMemStats(&before)
-	profileRun(loops, iters, words)
-	runtime.ReadMemStats(&after)
+	for attempt := 1; ; attempt++ {
+		n := threads.Count()
+		runtime.ReadMemStats(&before)
+		profileRun(loops, iters, words)
+		runtime.ReadMemStats(&after)
+		if threads.Count() == n || attempt == 3 {
+			break
+		}
+	}
 	// The tables hold loops × ≥ 2·words slots of 8-byte keys, 16-byte
 	// values and 1-byte marks: several MB. What a run may allocate is
 	// its per-loop bookkeeping.

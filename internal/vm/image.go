@@ -9,14 +9,13 @@ import "janus/internal/obj"
 // that section maps the result copy-on-write (newMemoryOver). Sections
 // are shared: every optimisation level of one (benchmark, input) aliases
 // one (obj.Section), so its image and page digests are built once per
-// distinct section, not once per executable. Pages that lie wholly
-// inside the section are the section's own bytes — nothing is copied,
-// which is sound because sections are immutable after construction and
-// a Memory never writes through a shared page. The ragged first and
-// last pages are copied into padded blocks. All-zero pages are left
-// out: an absent page reads as zero and hashes as nothing, exactly like
-// a resident zero page. Each page's digest is taken here, so a run
-// never hashes a page it did not write.
+// distinct section, not once per executable. A section is already held
+// page by page, so every image page is the section's own page — nothing
+// is copied, which is sound because sections are immutable after
+// construction and a Memory never writes through a shared page. Absent
+// and all-zero pages are left out: an absent page reads as zero and
+// hashes as nothing, exactly like a resident zero page. Each page's
+// digest is taken here, so a run never hashes a page it did not write.
 //
 // The image is owned by its section (obj.Section.Loaded) and is
 // collected with it; there is no table of images anywhere else.
@@ -37,37 +36,23 @@ type imagePage struct {
 // imageOf returns the loaded image of exe's data section, building it
 // on first use.
 func imageOf(exe *obj.Executable) *image {
-	sec := exe.DataSection()
-	return sec.Loaded(func() any { return buildImage(sec.Base, sec.Bytes) }).(*image)
+	sec := exe.Section
+	if sec == nil {
+		return &image{}
+	}
+	return sec.Loaded(func() any { return buildImage(sec) }).(*image)
 }
 
-// buildImage lays data out at base as pages.
-func buildImage(base uint64, data []byte) *image {
+// buildImage maps sec's nonzero pages.
+func buildImage(sec *obj.Section) *image {
 	img := &image{}
-	if len(data) == 0 {
-		return img
-	}
-	end := base + uint64(len(data))
-	first, last := base>>pageShift, (end-1)>>pageShift
-	img.pages = make([]imagePage, 0, last-first+1)
-	for key := first; key <= last; key++ {
-		lo, hi := key<<pageShift, (key+1)<<pageShift
-		if lo < base {
-			lo = base
+	first := sec.Base >> pageShift
+	for i, p := range sec.Pages {
+		if p == nil {
+			continue
 		}
-		if hi > end {
-			hi = end
-		}
-		span := data[lo-base : hi-base]
-		var pd *pageData
-		if len(span) == pageSize {
-			pd = (*pageData)(span)
-		} else {
-			pd = new(pageData)
-			copy(pd[lo&pageMask:], span)
-		}
-		if digest, nonzero := digestOf(pd); nonzero {
-			img.pages = append(img.pages, imagePage{key: key, data: pd, digest: digest})
+		if digest, nonzero := digestOf((*pageData)(p)); nonzero {
+			img.pages = append(img.pages, imagePage{key: first + uint64(i), data: (*pageData)(p), digest: digest})
 		}
 	}
 	return img

@@ -26,13 +26,20 @@ func dataProgram(t *testing.T, words int, word func(i int) uint64) *obj.Executab
 	return exe
 }
 
+// sectionBytes returns s's bytes, absent pages as zeros.
+func sectionBytes(s *obj.Section) []byte {
+	var b bytes.Buffer
+	s.WriteTo(&b)
+	return b.Bytes()
+}
+
 // TestImageMachinesAreIsolated loads two machines from one executable:
 // they map the same bytes, so a store in one must be invisible to the
 // other and must never reach the executable's own section.
 func TestImageMachinesAreIsolated(t *testing.T) {
 	const words = 3*pageSize/8 + 17 // three full pages and a ragged tail
 	exe := dataProgram(t, words, func(i int) uint64 { return uint64(i) + 1 })
-	pristine := append([]byte(nil), exe.Data...)
+	pristine := sectionBytes(exe.Section)
 	m1, err := NewMachine(exe)
 	if err != nil {
 		t.Fatal(err)
@@ -45,10 +52,10 @@ func TestImageMachinesAreIsolated(t *testing.T) {
 	if m1.Mem.Hash() != clean {
 		t.Fatal("two machines over one executable hash differently before any store")
 	}
-	base := exe.DataBase
+	base := exe.Section.Base
 	m1.Mem.Write64(base, 0xdead)                                      // full, aliased page
 	m1.Mem.Store8(base+pageSize+3, 0xee)                              // another one
-	m1.Mem.WriteBytes(base+words*8-8, []byte{9, 9, 9, 9, 9, 9, 9, 9}) // the copied tail page
+	m1.Mem.WriteBytes(base+words*8-8, []byte{9, 9, 9, 9, 9, 9, 9, 9}) // the ragged tail page
 	m1.Mem.Copy(base+2*pageSize, base, 64)
 	if m1.Mem.Hash() == clean {
 		t.Fatal("stores did not change the writer's hash")
@@ -59,7 +66,7 @@ func TestImageMachinesAreIsolated(t *testing.T) {
 	if got := m2.Mem.ReadBytes(base, len(pristine)); !bytes.Equal(got, pristine) {
 		t.Fatal("stores in one machine are visible in the other")
 	}
-	if !bytes.Equal(exe.Data, pristine) {
+	if !bytes.Equal(sectionBytes(exe.Section), pristine) {
 		t.Fatal("a store reached the executable's data section")
 	}
 	m3, err := NewMachine(exe)
@@ -80,12 +87,12 @@ func TestImageMachinesAreIsolated(t *testing.T) {
 func TestImageConcurrentFirstWrites(t *testing.T) {
 	const pages = 128
 	exe := dataProgram(t, pages*pageSize/8, func(i int) uint64 { return uint64(i) | 1<<40 })
-	pristine := append([]byte(nil), exe.Data...)
+	pristine := sectionBytes(exe.Section)
 	m, err := NewMachine(exe)
 	if err != nil {
 		t.Fatal(err)
 	}
-	base := exe.DataBase
+	base := exe.Section.Base
 	orig := func(addr uint64) uint64 { return (addr-base)/8 | 1<<40 }
 	start := make(chan struct{})
 	var wg sync.WaitGroup
@@ -131,7 +138,7 @@ func TestImageConcurrentFirstWrites(t *testing.T) {
 			t.Fatalf("page %d: an unwritten word changed", p)
 		}
 	}
-	if !bytes.Equal(exe.Data, pristine) {
+	if !bytes.Equal(sectionBytes(exe.Section), pristine) {
 		t.Fatal("a store reached the executable's data section")
 	}
 }
@@ -149,10 +156,11 @@ func poisonPool(n int) {
 }
 
 // TestImagePropertyMatchesWriteBytes checks the mapped image against
-// the loader it replaced: for random sections — all-zero pages, ragged
-// ends, unaligned bases, no data at all — a Memory mapped over the image
-// and a reference Memory filled by WriteBytes must agree on Hash,
-// HashBelow and every byte, before and after the same random stores.
+// the loader it replaced: for random sections — absent pages, present
+// all-zero pages, ragged ends, unaligned bases, no data at all — a
+// Memory mapped over the image and a reference Memory filled by
+// WriteBytes must agree on Hash, HashBelow and every byte, before and
+// after the same random stores.
 // Both take their blocks from a pool poisoned with 0xFF and with what
 // the previous round's memories held when they were closed, and both
 // are held to a plain byte-slice model of the same stores: a fresh page
@@ -176,16 +184,23 @@ func TestImagePropertyMatchesWriteBytes(t *testing.T) {
 			size = (rng.Intn(5) + 1) * pageSize
 		}
 		data := make([]byte, size)
+		sec := obj.NewSection(base, uint64(size))
 		for off := 0; off < size; off += pageSize / 2 {
-			if rng.Intn(3) == 0 {
-				continue // leave a zero run; two in a row make a zero page
-			}
 			end := min(off+pageSize/2, size)
+			if rng.Intn(3) == 0 {
+				// A zero run, written or left absent; two in a row
+				// make a zero page.
+				if rng.Intn(2) == 0 {
+					sec.WriteAt(data[off:end], int64(off))
+				}
+				continue
+			}
 			rng.Read(data[off:end])
+			sec.WriteAt(data[off:end], int64(off))
 		}
 		pristine := append([]byte(nil), data...)
 
-		got, ref := newMemoryOver(buildImage(base, data)), NewMemory()
+		got, ref := newMemoryOver(buildImage(sec)), NewMemory()
 		ref.WriteBytes(base, data)
 		lo, span := base-pageSize, size+3*pageSize
 		model := make([]byte, span)
@@ -262,49 +277,49 @@ func TestImagePropertyMatchesWriteBytes(t *testing.T) {
 		compare("after stores")
 		got.Close()
 		ref.Close()
-		if !bytes.Equal(data, pristine) {
+		if !bytes.Equal(sectionBytes(sec), pristine) {
 			t.Fatalf("round %d: a store or a recycled block reached the section bytes", round)
 		}
 	}
 }
 
-// TestImageOmitsZeroPagesAndAliasesFullOnes pins the image's shape: a
-// page wholly inside the section is the section's own bytes, a ragged
-// end is a padded copy, an all-zero page is not there at all.
-func TestImageOmitsZeroPagesAndAliasesFullOnes(t *testing.T) {
+// TestImageAliasesSectionPages pins the image's shape: every page is
+// the section's own page, whatever the base's alignment, and an absent
+// or all-zero page is not there at all.
+func TestImageAliasesSectionPages(t *testing.T) {
 	const base = 0x600000
-	data := make([]byte, 3*pageSize+100) // pages 1 and 2 stay zero
-	data[5] = 1                          // page 0: full
-	data[3*pageSize+7] = 2               // page 3: ragged tail
-	img := buildImage(base, data)
+	sec := obj.NewSection(base, 4*pageSize+100) // page 1 absent
+	sec.WriteAt([]byte{1}, 5)                   // page 0
+	sec.WriteAt(make([]byte, 8), 2*pageSize)    // page 2: present, all zero
+	sec.WriteAt([]byte{2}, 4*pageSize+7)        // page 4: ragged tail
+	img := buildImage(sec)
 	if len(img.pages) != 2 {
-		t.Fatalf("image has %d pages, want 2 (zero pages omitted)", len(img.pages))
+		t.Fatalf("image has %d pages, want 2 (absent and zero pages omitted)", len(img.pages))
 	}
-	if &img.pages[0].data[0] != &data[0] {
-		t.Error("a full page was copied instead of aliased")
-	}
-	if tail := img.pages[1]; tail.key != base>>pageShift+3 || tail.data[7] != 2 || tail.data[100] != 0 {
-		t.Errorf("ragged tail page wrong: key %#x", tail.key)
-	}
-
-	// An unaligned base still aliases every page that lies wholly inside
-	// the section; only the ragged head and tail are copied.
-	for i := range data {
-		data[i] = byte(i) | 1
-	}
-	img = buildImage(base+8, data)
-	if len(img.pages) != 4 {
-		t.Fatalf("unaligned image has %d pages, want 4", len(img.pages))
-	}
-	if head := img.pages[0]; head.data[7] != 0 || head.data[8] != data[0] || &head.data[8] == &data[0] {
-		t.Error("ragged head page wrong")
-	}
-	if &img.pages[1].data[0] != &data[pageSize-8] || &img.pages[2].data[0] != &data[2*pageSize-8] {
-		t.Error("an interior page of an unaligned section was copied instead of aliased")
+	for i, want := range []int{0, 4} {
+		if p := img.pages[i]; p.key != base>>pageShift+uint64(want) || p.data != (*pageData)(sec.Pages[want]) {
+			t.Errorf("image page %d is not section page %d", i, want)
+		}
 	}
 
-	if got := buildImage(base, nil); len(got.pages) != 0 {
+	// An unaligned base: the head page's bytes before the base read zero.
+	sec = obj.NewSection(base+8, 2*pageSize)
+	sec.WriteAt(bytes.Repeat([]byte{7}, 2*pageSize), 0)
+	img = buildImage(sec)
+	if len(img.pages) != 3 || img.pages[0].data[7] != 0 || img.pages[0].data[8] != 7 || img.pages[2].data[8] != 0 {
+		t.Fatalf("unaligned image: %d pages, or its head or tail bytes wrong", len(img.pages))
+	}
+	for i, p := range img.pages {
+		if p.data != (*pageData)(sec.Pages[i]) {
+			t.Errorf("page %d of an unaligned section was copied instead of aliased", i)
+		}
+	}
+
+	if got := buildImage(obj.NewSection(base, 0)); len(got.pages) != 0 {
 		t.Error("empty section produced pages")
+	}
+	if got := imageOf(&obj.Executable{}); len(got.pages) != 0 {
+		t.Error("an executable without a data section produced pages")
 	}
 }
 
@@ -318,8 +333,8 @@ func TestCheckpointOverImage(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	pristine := append([]byte(nil), exe.Data...)
-	mem, base := m.Mem, exe.DataBase
+	pristine := sectionBytes(exe.Section)
+	mem, base := m.Mem, exe.Section.Base
 	shared, private, fresh := base, base+pageSize, base+64*pageSize
 	mem.Write64(private, 0x1111) // privatised before the snapshot
 	span := 65 * pageSize
@@ -349,7 +364,7 @@ func TestCheckpointOverImage(t *testing.T) {
 		t.Fatal("a restored shared page did not go back to the image's bytes")
 	}
 
-	if !bytes.Equal(exe.Data, pristine) {
+	if !bytes.Equal(sectionBytes(exe.Section), pristine) {
 		t.Fatal("a store reached the executable's data section")
 	}
 
@@ -399,7 +414,7 @@ func TestNewMachineMapsWithoutCopying(t *testing.T) {
 	if imageOf(exe) != img {
 		t.Fatal("a second NewMachine built another image")
 	}
-	if got := m.Mem.Read64(exe.DataBase + size - 8); got != size/8 {
+	if got := m.Mem.Read64(exe.Section.Base + size - 8); got != size/8 {
 		t.Fatalf("last word reads %d through the mapping", got)
 	}
 }

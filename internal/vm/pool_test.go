@@ -27,7 +27,7 @@ func TestCloseFaultsLaterUse(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	base, fresh := exe.DataBase, exe.DataBase+64*pageSize
+	base, fresh := exe.Section.Base, exe.Section.Base+64*pageSize
 	v := m.Mem.NewView()
 	v.Write64(base, 7)  // privatised image page
 	v.Write64(fresh, 9) // allocated page
@@ -84,9 +84,9 @@ func TestPoolMachinesShareNoBlock(t *testing.T) {
 					return
 				}
 				mark := uint64(g+1)<<56 | uint64(round)
-				heap := exe.DataBase + 1024*pageSize
+				heap := exe.Section.Base + 1024*pageSize
 				for p := uint64(0); p < pages; p++ {
-					m.Mem.Write64(exe.DataBase+p*pageSize+8*p, mark)
+					m.Mem.Write64(exe.Section.Base+p*pageSize+8*p, mark)
 					m.Mem.Write64(heap+p*pageSize+8*p, mark)
 				}
 				for p := uint64(0); p < pages; p++ {
@@ -95,7 +95,7 @@ func TestPoolMachinesShareNoBlock(t *testing.T) {
 						if w == p {
 							img, zero = mark, mark
 						}
-						if got := m.Mem.Read64(exe.DataBase + p*pageSize + 8*w); got != img {
+						if got := m.Mem.Read64(exe.Section.Base + p*pageSize + 8*w); got != img {
 							t.Errorf("goroutine %d round %d: image page %d word %d reads %#x, want %#x", g, round, p, w, got, img)
 							return
 						}

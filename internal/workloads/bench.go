@@ -4,6 +4,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"sort"
+	"sync"
 	"sync/atomic"
 
 	"janus/internal/artcache"
@@ -581,32 +582,40 @@ func assemble(bm Benchmark, in Input, opt OptLevel) *asm.Builder {
 	// reference inputs; the rewrite-schedule size of figure 10 is
 	// normalised against that full text section. Emit an equivalent
 	// amount of cold support code (unreachable from main, so neither
-	// the analyser nor the DBM ever touches it).
-	emitColdRuntime(b, 36, 32)
+	// the analyser nor the DBM ever touches it). It references
+	// nothing, so every build splices in the same bytes, encoded once.
+	names, text := coldRuntime()
+	for _, name := range names {
+		b.EncodedFunc(name, text)
+	}
 	return b
 }
 
-// emitColdRuntime appends nFuncs unreferenced support functions of
-// instsPerFunc instructions each (the statically-linked runtime text of
-// a real binary).
-func emitColdRuntime(b *asm.Builder, nFuncs, instsPerFunc int) {
-	for i := 0; i < nFuncs; i++ {
-		f := b.Func(fmt.Sprintf("__rt_support_%d", i))
-		for j := 0; j < instsPerFunc-1; j++ {
-			switch j % 4 {
-			case 0:
-				f.OpI(guest.ADDI, guest.R0, int64(j))
-			case 1:
-				f.Op(guest.XOR, guest.R1, guest.R2)
-			case 2:
-				f.OpI(guest.SHLI, guest.R3, 1)
-			default:
-				f.Mov(guest.R4, guest.R5)
-			}
-		}
-		f.Ret()
+// coldRuntime returns the names of the 36 cold support functions and
+// their common text, 32 instructions (ADDI/XOR/SHLI/MOV in turn, then
+// RET), encoded once per process.
+var coldRuntime = sync.OnceValues(func() ([]string, []byte) {
+	const funcs, insts = 36, 32
+	names := make([]string, funcs)
+	for i := range names {
+		names[i] = fmt.Sprintf("__rt_support_%d", i)
 	}
-}
+	text := make([]guest.Inst, 0, insts)
+	for j := 0; j < insts-1; j++ {
+		switch j % 4 {
+		case 0:
+			text = append(text, guest.NewInstI(guest.ADDI, guest.R0, int64(j)))
+		case 1:
+			text = append(text, guest.NewInst(guest.XOR, guest.R1, guest.R2))
+		case 2:
+			text = append(text, guest.NewInstI(guest.SHLI, guest.R3, 1))
+		default:
+			text = append(text, guest.NewInst(guest.MOV, guest.R4, guest.R5))
+		}
+	}
+	text = append(text, guest.Inst{Op: guest.RET, Rd: guest.RegNone, Rs: guest.RegNone, M: guest.NoMem})
+	return names, guest.EncodeAll(text)
+})
 
 // MustBuild is Build that panics on error (for examples and benches).
 func MustBuild(name string, in Input, opt OptLevel) (*obj.Executable, []*obj.Library) {

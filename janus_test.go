@@ -191,8 +191,8 @@ func TestRunAllocationBudget(t *testing.T) {
 	}
 	runtime.ReadMemStats(&after)
 	got := after.TotalAlloc - before.TotalAlloc
-	t.Logf("470.lbm ref O3: %d KiB of data, native + 8-thread DBM run allocated %d KiB", len(exe.Data)>>10, got>>10)
+	t.Logf("470.lbm ref O3: %d KiB of data, native + 8-thread DBM run allocated %d KiB", exe.Section.Size>>10, got>>10)
 	if got > budget {
-		t.Fatalf("native + 8-thread DBM run of 470.lbm allocated %d bytes, budget %d: has a copy of the %d-byte data section come back?", got, budget, len(exe.Data))
+		t.Fatalf("native + 8-thread DBM run of 470.lbm allocated %d bytes, budget %d: has a copy of the %d-byte data section come back?", got, budget, exe.Section.Size)
 	}
 }
