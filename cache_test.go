@@ -302,9 +302,18 @@ func TestInjectedAndProfilingRunsBypassBothTiers(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	plan, err := s.PlanCached(c, bin, nil, Config{UseProfile: true, UseChecks: true}.Selection())
+	if err != nil {
+		t.Fatal(err)
+	}
+	dcfg := dbm.DefaultConfig(4)
+	dcfg.Inject = inject
 	executes("injected run", func() error {
-		_, err := ParalleliseBinary(bin, nil, Config{Threads: 4, UseProfile: true, UseChecks: true, Verify: true, Inject: inject, Cache: c, Session: s})
-		return err
+		native, res, err := s.RunPlanBinary(c, bin, plan, dcfg)
+		if err != nil {
+			return err
+		}
+		return Verify(native, res)
 	})
 
 	prog, err := analyzer.Analyze(exe)

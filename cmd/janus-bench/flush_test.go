@@ -47,28 +47,6 @@ func runBench(t *testing.T, args ...string) (string, string, int) {
 	return stdout.String(), stderr.String(), code
 }
 
-// TestCacheCounterLineOnFailedRun: a render-mode run that dies through
-// the fail path with a cache attached (here: an unparsable -inject
-// spec) must still print the artcache counter line to stderr.
-func TestCacheCounterLineOnFailedRun(t *testing.T) {
-	if testing.Short() {
-		t.Skip("drives the real binary; skipped in -short")
-	}
-	_, stderr, code := runBench(t,
-		"-cache-dir", t.TempDir(),
-		"-inject", "no-such-point",
-	)
-	if code == 0 {
-		t.Fatal("an unknown injection point should have failed the run")
-	}
-	if !strings.Contains(stderr, "janus-bench: artcache:") {
-		t.Fatalf("failed run swallowed the cache counter line; stderr:\n%s", stderr)
-	}
-	if !strings.Contains(stderr, "no-such-point") {
-		t.Fatalf("stderr lacks the underlying error:\n%s", stderr)
-	}
-}
-
 // TestNoSuchExperimentFails: a selection naming no figure or table
 // renders nothing and exits through the fail path — nonzero, with the
 // error and the counter lines on stderr — instead of printing nothing

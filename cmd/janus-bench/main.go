@@ -8,14 +8,6 @@
 //	                                     render's one queue on 4
 //	                                     goroutines (output is
 //	                                     byte-identical at any value)
-//	janus-bench -inject scan-defeat      arm deterministic fault injection
-//	                                     in speculative regions; recovery
-//	                                     re-executes them round-robin, so
-//	                                     stdout stays byte-identical and a
-//	                                     recovery summary goes to stderr.
-//	                                     Spec: point[@every][#seed], point
-//	                                     one of scan-defeat, worker-panic,
-//	                                     stall, budget
 //	janus-bench -cache-dir .janus-cache  store build identities, rewrite
 //	                                     schedules, native baselines,
 //	                                     profiles and DBM results in a
@@ -27,7 +19,9 @@
 //	                                     is byte-identical with the cache
 //	                                     off, cold or warm.
 //
-// Every run ends its stderr with the free lists' counters: page blocks,
+// A render in which a speculative region failed and was re-executed
+// round-robin says so on stderr (stdout is unchanged by it). Every run
+// ends its stderr with the free lists' counters: page blocks,
 // page-table leaves, dependence tables and DBM thread records allocated
 // fresh and recycled.
 package main
@@ -39,7 +33,6 @@ import (
 
 	"janus"
 	"janus/internal/artcache"
-	"janus/internal/faultinject"
 	"janus/internal/harness"
 )
 
@@ -49,7 +42,6 @@ func main() {
 	table := flag.Int("table", 0, "regenerate one table (1 or 2); 0 = all")
 	threads := flag.Int("threads", def.Threads, "guest thread count")
 	jobs := flag.Int("jobs", def.Jobs, "how many goroutines take benchmark rows from the render's one queue (figure/table outputs are byte-identical at any value)")
-	inject := flag.String("inject", "", "arm deterministic fault injection in speculative regions, spec point[@every][#seed] with point one of scan-defeat, worker-panic, stall, budget (recovery keeps stdout byte-identical; summary on stderr)")
 	cacheDir := flag.String("cache-dir", "", "durable artifact cache directory (empty = off); figure/table outputs are byte-identical with the cache off, cold or warm, and the directory is safe to share between processes")
 	flag.Parse()
 
@@ -96,19 +88,11 @@ func main() {
 		fmt.Fprintln(os.Stderr, "janus-bench:", err)
 		os.Exit(1)
 	}
-	if *inject != "" {
-		plan, err := faultinject.ParsePlan(*inject)
-		if err != nil {
-			fail(err)
-		}
-		opts.Inject = plan
-	}
-
 	out, err := harness.RenderAll(opts, *fig, *table)
 	// Partial results: failed experiments are marked inline, healthy
 	// ones render normally; print before exiting nonzero.
 	fmt.Print(out)
-	if opts.Inject != nil || opts.Recovery.ParRecoveries.Load() > 0 {
+	if opts.Recovery.ParRecoveries.Load() > 0 {
 		fmt.Fprintln(os.Stderr, "janus-bench:", opts.Recovery.Summary())
 	}
 	if err != nil {

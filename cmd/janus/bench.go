@@ -21,7 +21,6 @@ func benchClient(args []string) {
 	fig := fs.Int("fig", 0, "regenerate one figure (6..12); 0 = all")
 	table := fs.Int("table", 0, "regenerate one table (1 or 2); 0 = all")
 	threads := fs.Int("threads", 0, "guest thread count (0 = daemon default)")
-	inject := fs.String("inject", "", "region fault plan point[@every][#seed] applied inside the remote render")
 	deadline := fs.Duration("deadline", 0, "per-request deadline enforced by the daemon (0 = daemon default)")
 	seed := fs.Uint64("seed", 1, "jitter stream seed; distinct seeds desynchronise competing clients")
 	_ = fs.Parse(args)
@@ -31,7 +30,6 @@ func benchClient(args []string) {
 		Fig:        *fig,
 		Table:      *table,
 		Threads:    *threads,
-		Inject:     *inject,
 		DeadlineMS: deadline.Milliseconds(),
 	})
 	if err != nil {

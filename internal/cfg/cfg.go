@@ -220,7 +220,9 @@ func (c *code) push(addr uint64) {
 }
 
 // scanCalls walks reachable instructions from fa and collects direct
-// call targets that are not PLT stubs.
+// call targets that are not PLT stubs. A target outside the code
+// section or off instruction alignment starts no function: its call
+// sites keep a nil callee, which the analyser rejects as impure.
 func (c *code) scanCalls(fa uint64, plt map[uint64]string) []uint64 {
 	defer c.clear()
 	var targets []uint64
@@ -236,7 +238,8 @@ func (c *code) scanCalls(fa uint64, plt map[uint64]string) []uint64 {
 		in, next := c.insts[i], c.addr(i+1)
 		switch {
 		case in.Op == guest.CALL:
-			if _, isPLT := plt[uint64(in.Imm)]; !isPLT {
+			_, isPLT := plt[uint64(in.Imm)]
+			if _, ok := c.index(uint64(in.Imm)); ok && !isPLT {
 				targets = append(targets, uint64(in.Imm))
 			}
 			c.push(next)

@@ -139,6 +139,13 @@ func TestNamedChecks(t *testing.T) {
 				g.Ret()
 			})
 		}},
+		{want: analyzer.ImpureCallee, sel: checked, exe: func(t *testing.T) *obj.Executable {
+			// A direct call outside the code section has no callee to
+			// analyse; the rest of the binary stays analysable.
+			return loopOf(t, func(f *asm.FuncBuilder) {
+				f.I(guest.Inst{Op: guest.CALL, Rd: guest.RegNone, Rs: guest.RegNone, Imm: 8, M: guest.NoMem})
+			}, nil)
+		}},
 		{want: analyzer.NoIterator, sel: checked, exe: func(t *testing.T) *obj.Executable {
 			return kernel(t, func(f *asm.FuncBuilder) {
 				f.MoviData(guest.R9, "b", 0)

@@ -7,7 +7,8 @@
 // call that returns immediately, so the production fast path pays
 // nothing.
 //
-// Spec grammar (the janus-bench -inject flag):
+// Spec grammar (ParsePlan; dbm.Config.Inject arms a region plan, and
+// janusd's -inject flag a service plan):
 //
 //	point[@every][#seed]
 //

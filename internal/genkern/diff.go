@@ -22,7 +22,8 @@ type Options struct {
 	PlantDOALL bool
 	// Recovery additionally runs the work-stealing engine under
 	// scan-defeat fault injection, exercising the checkpoint/rollback/
-	// re-execute recovery path; the output must still match native.
+	// re-execute recovery path; the output must still match native, and
+	// the cycles and data hash the round-robin run's.
 	Recovery bool
 }
 
@@ -329,14 +330,11 @@ func RunDiff(k *Kernel, o Options) (*Report, error) {
 		return rep, k.failf("PLANTED BUG ESCAPED: all engines matched native despite the forced mis-classification")
 	}
 
-	// Cross-engine agreement on the simulated timeline.
+	// Cross-engine agreement on the simulated timeline, recovered runs
+	// included: a failed region re-executes round-robin from its
+	// checkpoint, and nothing of the failed attempt is charged.
 	base := rep.Engines[0]
 	for _, run := range rep.Engines[1:] {
-		if run.Stats.ParRecoveries > 0 {
-			// The injected run re-executes regions; its timeline
-			// legitimately includes recovery cycles.
-			continue
-		}
 		if run.Cycles != base.Cycles {
 			return nil, k.failf("DIVERGENCE: %s simulated %d cycles, %s %d", run.Name, run.Cycles, base.Name, base.Cycles)
 		}

@@ -178,13 +178,13 @@ func TestDiffDeterministicAcrossGOMAXPROCS(t *testing.T) {
 	}
 }
 
-// TestRecoveryPathOnGeneratedKernels runs a few kernels with the PR 4
+// TestRecoveryPathOnGeneratedKernels runs the whole corpus with the
 // recovery path armed (scan-defeat injection): outputs must still be
-// byte-identical to native, and any host-parallel region must have
-// recovered through rollback + round-robin re-execution.
+// byte-identical to native, and a recovered run's cycles and data hash
+// must equal the round-robin run's, as every other engine's must.
 func TestRecoveryPathOnGeneratedKernels(t *testing.T) {
 	recovered := false
-	for _, seed := range []uint64{1, 2, 3, 4, 5, 6, 7, 8} {
+	for seed := uint64(1); seed <= uint64(corpusSeeds); seed++ {
 		rep, err := DiffSeed(seed, Options{Recovery: true})
 		if err != nil {
 			t.Fatal(err)

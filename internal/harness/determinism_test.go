@@ -56,3 +56,29 @@ func TestFigure7ByteIdenticalAcrossJobs(t *testing.T) {
 		t.Errorf("figure 7 output differs across -jobs:\n--- jobs=1 ---\n%s\n--- jobs=n ---\n%s", want, got)
 	}
 }
+
+// TestDefaultSuiteRunsOnePieceRegions pins that the suite's default
+// runs exercise both subdivision factors of the speculative engine:
+// under default options figure 7's Janus runs send some scan-eligible
+// regions through it at one piece per thread (HostParRegions counts
+// every eligible region, StealRegions only the subdivided ones). The
+// recovery of either factor is covered at the DBM seam, by
+// internal/dbm's TestRecoveryBitIdenticalPerPoint.
+func TestDefaultSuiteRunsOnePieceRegions(t *testing.T) {
+	o := DefaultOptions()
+	r := &render{o: o}
+	var hostPar, steal int64
+	for _, name := range workloads.ParallelisableNames() {
+		for _, mode := range []runMode{staticOnly, profiled, full} {
+			rep, err := r.janus(name, workloads.O3, o.Threads, mode)
+			if err != nil {
+				t.Fatal(err)
+			}
+			hostPar += rep.Stats.HostParRegions
+			steal += rep.Stats.StealRegions
+		}
+	}
+	if hostPar <= steal {
+		t.Errorf("default figure 7 ran no one-piece speculative region: HostParRegions %d, StealRegions %d", hostPar, steal)
+	}
+}

@@ -26,7 +26,6 @@ import (
 	"janus/internal/artcache"
 	"janus/internal/compilers"
 	"janus/internal/dbm"
-	"janus/internal/faultinject"
 	"janus/internal/profiler"
 	"janus/internal/vm"
 	"janus/internal/workloads"
@@ -46,11 +45,6 @@ type Options struct {
 	// its one queue (janus-bench's -jobs flag; 1 = fully sequential).
 	// Rendered output is byte-identical at any value.
 	Jobs int
-	// Inject arms deterministic fault injection inside speculative
-	// regions (janus-bench -inject). Injected faults recover onto the
-	// round-robin engine, so rendered output stays byte-identical; the
-	// Recovery log below proves the recovery path actually ran.
-	Inject *faultinject.Plan
 	// Recovery, when non-nil, accumulates recovery counters across
 	// every Janus run the suite performs.
 	Recovery *RecoveryLog
@@ -223,7 +217,6 @@ func (r *render) janus(bench string, opt workloads.OptLevel, threads int, mode r
 			UseProfile: mode >= profiled,
 			UseChecks:  mode == full,
 			Verify:     true,
-			Inject:     r.o.Inject,
 			Cache:      r.cache,
 			Session:    r.o.Session,
 		})

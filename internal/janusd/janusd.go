@@ -70,8 +70,8 @@ type Config struct {
 	// directory.
 	CacheDir string
 	// Inject arms service-level fault injection (handler-panic,
-	// queue-stall, slow-worker). Region-level points are ignored here —
-	// they belong in a request's Inject spec.
+	// queue-stall, slow-worker). Region-level points are ignored here:
+	// they are armed only through dbm.Config, which no request reaches.
 	Inject *faultinject.Plan
 	// StallDelay is how long queue-stall and slow-worker injections
 	// delay an armed job. Default 100ms; tests shrink it.
@@ -114,9 +114,6 @@ type Request struct {
 	// Threads mirrors harness.Options (zero = default). Above
 	// maxThreads it is refused before admission.
 	Threads int `json:"threads,omitempty"`
-	// Inject arms region-level fault injection inside this request's
-	// renders (spec grammar of janus-bench -inject).
-	Inject string `json:"inject,omitempty"`
 	// DeadlineMS bounds queue wait + render; past it the job fails with
 	// a typed deadline error. Zero inherits Config.DefaultDeadline.
 	DeadlineMS int64 `json:"deadline_ms,omitempty"`
@@ -148,7 +145,8 @@ type Response struct {
 	Err     string `json:"err,omitempty"`
 	ErrKind string `json:"err_kind,omitempty"`
 	// Recoveries/Demoted surface the request's speculation-recovery
-	// counters (nonzero under region-level injection).
+	// counters (nonzero only when a speculative region failed and was
+	// re-executed round-robin).
 	Recoveries int64 `json:"recoveries,omitempty"`
 	Demoted    int64 `json:"demoted,omitempty"`
 	ElapsedMS  int64 `json:"elapsed_ms"`
@@ -178,8 +176,6 @@ type Job struct {
 
 	// armed service faults (at most one; decided at admission).
 	injPanic, injStall, injSlow bool
-	// inject is Req.Inject, parsed at admission.
-	inject *faultinject.Plan
 }
 
 // finish publishes the terminal response exactly once.
@@ -302,20 +298,13 @@ var (
 // Workers+QueueDepth jobs are unfinished, errDraining during drain, or
 // a validation error.
 func (s *Server) Submit(req Request) (*Job, error) {
-	// Validate the selection and the region-level inject spec before
-	// admission so a bad request never counts against the bound.
+	// Validate the selection and the thread count before admission so
+	// a bad request never counts against the bound.
 	if _, err := harness.Experiments(req.Fig, req.Table); err != nil {
 		return nil, err
 	}
 	if req.Threads > maxThreads {
 		return nil, fmt.Errorf("janusd: %d threads requested, at most %d", req.Threads, maxThreads)
-	}
-	var inject *faultinject.Plan
-	if req.Inject != "" {
-		var err error
-		if inject, err = faultinject.ParsePlan(req.Inject); err != nil {
-			return nil, err
-		}
 	}
 	deadline := time.Duration(req.DeadlineMS) * time.Millisecond
 	if deadline <= 0 {
@@ -350,7 +339,7 @@ func (s *Server) Submit(req Request) (*Job, error) {
 	j := &Job{
 		ID: fmt.Sprintf("job-%d", s.admitted), Req: req,
 		done: make(chan struct{}), ctx: ctx, cancel: cancel, accepted: time.Now(),
-		injPanic: injPanic, injStall: injStall, injSlow: injSlow, inject: inject,
+		injPanic: injPanic, injStall: injStall, injSlow: injSlow,
 	}
 	s.inflight.Add(1)
 	running, queued := s.loadLocked()
@@ -425,13 +414,13 @@ func (s *Server) run(j *Job) {
 		panic("faultinject: handler-panic")
 	}
 
-	// The request as harness options, its Inject spec parsed at admission.
+	// The request as harness options.
 	rec := &harness.RecoveryLog{}
 	opts := harness.DefaultOptions()
 	if j.Req.Threads > 0 {
 		opts.Threads = j.Req.Threads
 	}
-	opts.Inject, opts.CacheDir, opts.Recovery, opts.Session = j.inject, s.cfg.CacheDir, rec, s.session
+	opts.CacheDir, opts.Recovery, opts.Session = s.cfg.CacheDir, rec, s.session
 	out, err := harness.RenderAllContext(j.ctx, opts, j.Req.Fig, j.Req.Table)
 	res := &Response{
 		Output:     out,

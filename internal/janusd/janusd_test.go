@@ -475,13 +475,13 @@ func TestDrainDeadlineCancels(t *testing.T) {
 	}
 }
 
-// TestBadRequests: malformed bodies, inject specs, selections naming
-// no experiment, the retired cache_dir, static_partition,
-// single_goroutine and jobs fields (a client may not choose where the
-// daemon writes, nor its engine or row concurrency), a thread count
-// above maxThreads and a body over maxRequestBytes are refused with
-// typed 400s before admission; the retired job routes answer 404 and
-// admit nothing.
+// TestBadRequests: malformed bodies, selections naming no experiment,
+// the retired inject, cache_dir, static_partition, single_goroutine and
+// jobs fields (a client may not arm faults, choose where the daemon
+// writes, nor its engine or row concurrency), a thread count above
+// maxThreads and a body over maxRequestBytes are refused with typed
+// 400s before admission; the retired job routes answer 404 and admit
+// nothing.
 func TestBadRequests(t *testing.T) {
 	s, base, _ := startServer(t, Config{Workers: 1})
 	for _, body := range []string{

@@ -616,12 +616,3 @@ var coldRuntime = sync.OnceValues(func() ([]string, []byte) {
 	text = append(text, guest.Inst{Op: guest.RET, Rd: guest.RegNone, Rs: guest.RegNone, M: guest.NoMem})
 	return names, guest.EncodeAll(text)
 })
-
-// MustBuild is Build that panics on error (for examples and benches).
-func MustBuild(name string, in Input, opt OptLevel) (*obj.Executable, []*obj.Library) {
-	exe, libs, err := Build(name, in, opt)
-	if err != nil {
-		panic(err)
-	}
-	return exe, libs
-}

@@ -388,21 +388,6 @@ func (k *kctx) coldCode(nBlocks int, reps int64) {
 	f.StData(a, 0, guest.R5)
 }
 
-// checksum writes a checksum of the named array to the output stream so
-// every kernel's results feed verification.
-func (k *kctx) checksum(symName string, n int64) {
-	f := k.f
-	f.MoviData(guest.R8, symName, 0)
-	f.Movi(guest.R2, 0)
-	k.counting(guest.R1, n, 1, func() {
-		f.Ld(guest.R3, guest.Mem{Base: guest.R8, Index: guest.R1, Scale: 8})
-		f.Op(guest.ADD, guest.R2, guest.R3)
-	})
-	f.Movi(guest.R0, guest.SysWrite)
-	f.Mov(guest.R1, guest.R2)
-	f.Syscall()
-}
-
 // exit terminates the program.
 func (k *kctx) exit() {
 	f := k.f

@@ -8,7 +8,7 @@
 //
 // The package exposes the whole figure-1(a) flow:
 //
-//	exe := workloads.MustBuild(...)            // or any guest binary
+//	exe, libs, err := workloads.Build(...)     // or any guest binary
 //	rep, err := janus.Parallelise(exe, janus.Config{Threads: 8}, libs...)
 //	fmt.Println(rep.Speedup())
 //
@@ -24,7 +24,6 @@ import (
 	"janus/internal/analyzer"
 	"janus/internal/artcache"
 	"janus/internal/dbm"
-	"janus/internal/faultinject"
 	"janus/internal/obj"
 	"janus/internal/rules"
 	"janus/internal/vm"
@@ -52,20 +51,12 @@ type Config struct {
 	// against native execution and fails on mismatch. The zero value
 	// skips the comparison; the evaluation harness sets it on every run.
 	Verify bool
-	// Inject arms deterministic fault injection inside the DBM's
-	// speculative region engine (see internal/faultinject). Injected
-	// faults are recovered by re-executing the region round-robin, so
-	// results — and Verify — are unaffected; Stats.ParRecoveries
-	// records that the recovery path ran. Nil disables injection at
-	// zero cost.
-	Inject *faultinject.Plan
 	// Cache, when non-nil, is the durable artifact tier: plans (the
 	// rewrite schedule with its loop summary), native baselines,
 	// training profiles and DBM results are looked up on disk by
 	// content identity before being recomputed, and published after.
-	// Results are byte-identical with or without it (fault-injected
-	// runs bypass it, see cache.go). Nil disables the tier; the
-	// in-memory memos still apply.
+	// Results are byte-identical with or without it. Nil disables the
+	// tier; the in-memory memos still apply.
 	Cache *artcache.Cache
 	// Session holds the memoised stages; nil is the process default.
 	Session *Session
@@ -125,9 +116,7 @@ func ParalleliseBinary(ref, train *obj.Binary, cfg Config) (*Report, error) {
 		return nil, err
 	}
 
-	dcfg := dbm.DefaultConfig(cfg.Threads)
-	dcfg.Inject = cfg.Inject
-	native, res, err := s.runSchedule(cfg.Cache, ref, plan.Schedule, plan.digest, dcfg, computed || cfg.Cache == nil)
+	native, res, err := s.runSchedule(cfg.Cache, ref, plan.Schedule, plan.digest, dbm.DefaultConfig(cfg.Threads), computed || cfg.Cache == nil)
 	if err != nil {
 		return nil, err
 	}
