@@ -20,7 +20,7 @@ import (
 	"janus/internal/workloads"
 )
 
-// Cached stages. Native execution, the training profile, the train
+// Cached stages. Native execution, the training profile, the static
 // analysis, the plan (analysis → training → selection → rewrite
 // schedule) and a DBM run are deterministic functions of the binary
 // (plus schedule and configuration), and the evaluation harness asks
@@ -50,7 +50,8 @@ import (
 //	handles   resident image   (exe, libs) pointers        —
 //	native    native baseline  handle                      native-v2 (vm.EncodeResult)
 //	profile   train profile    handle                      profile-v1
-//	analyze   train analysis   handle                      —  (a live CFG/SSA graph)
+//	analyze   static analysis  handle                      —  (a live CFG/SSA graph;
+//	                                                       plans fork its verdicts)
 //	plans     plan             ref, train, Selection.Key   schedule-v1: a hit skips
 //	                                                       analysis, profile and image
 //	runs      DBM run          handle, digest, dbm.Config  dbm-v3 (dbm.EncodeResult)
@@ -58,8 +59,12 @@ import (
 // The compiler models (internal/compilers) are clients of plans and
 // runs under their own selection and cost model.
 
-// memoLimit bounds the memory tiers a render holds at most one entry
-// per binary in (the harness working set is far smaller).
+// memoLimit bounds the native and profile tiers, which hold an entry
+// per binary a render runs natively (27 in a full-suite render) or
+// profiles (43). A tier at its bound drops every completed entry, and a
+// later ask recomputes it, so a bound must sit above the render's
+// working set: the analysis tier, one entry per binary (70), is held
+// to handleLimit instead.
 const memoLimit = 64
 
 // libsKey folds a library pointer set into a comparable key.
@@ -83,10 +88,10 @@ type runKey struct {
 	libs libsKey
 }
 
-// handleLimit bounds the handle, plan and DBM tiers. It sits
-// above the 70 binaries a full-suite render derives keys for, its 88
-// plans and its 127 runs, so a long-lived process never wraps a bound
-// and recomputes its working set.
+// handleLimit bounds the handle, analysis, plan and DBM tiers. It
+// sits above the 70 binaries a full-suite render derives keys for and
+// analyses, its 88 plans and its 127 runs, so a long-lived process
+// never wraps a bound and recomputes its working set.
 const handleLimit = 4 * memoLimit
 
 // Session owns the memory tier of every cached stage, each with its
@@ -101,12 +106,15 @@ type Session struct {
 	// beside the binary, and keeps it reachable: hence the bound.
 	handles artcache.Tier[runKey, *obj.Binary]
 	// native: v2 is binary words (v1 was JSON).
-	native  artcache.Tier[*obj.Binary, *vm.Result]
+	native artcache.Tier[*obj.Binary, *vm.Result]
+	// analyze holds each binary's one analysis, shared by every plan of
+	// it and every profile taken of it; no one writes to it (a plan
+	// applies its training and selection to a Fork).
 	analyze artcache.Tier[*obj.Binary, *analyzer.Program]
 	// profile is keyed by the binary alone: every Program reaching it is
-	// a fresh analysis of that binary, so the plans that train on one
-	// build — under the memoised train analysis or, figure 6, under the
-	// build's own — share one profile.
+	// the binary's memoised, unmodified analysis, so the plans that train
+	// on one build — on a distinct train build or, figure 6, on the
+	// build itself — share one profile.
 	profile artcache.Tier[*obj.Binary, *ProfileResult]
 	plans   artcache.Tier[planKey, *Plan]
 	// runs answers, beneath the harness's per-render run table, distinct
@@ -124,7 +132,7 @@ func NewSession(builds *workloads.Memo) *Session {
 	return &Session{
 		handles: artcache.Tier[runKey, *obj.Binary]{Limit: handleLimit},
 		native:  artcache.Tier[*obj.Binary, *vm.Result]{Kind: "native-v2", Limit: memoLimit, Encode: vm.EncodeResult, Decode: vm.DecodeResult},
-		analyze: artcache.Tier[*obj.Binary, *analyzer.Program]{Limit: memoLimit},
+		analyze: artcache.Tier[*obj.Binary, *analyzer.Program]{Limit: handleLimit},
 		profile: artcache.Tier[*obj.Binary, *ProfileResult]{Kind: "profile-v1", Limit: memoLimit, Encode: encodeProfile, Decode: decodeProfile},
 		plans:   artcache.Tier[planKey, *Plan]{Kind: "schedule-v1", Limit: handleLimit, Encode: encodePlan, Decode: decodePlan},
 		runs:    artcache.Tier[dbmKey, *dbm.Result]{Kind: "dbm-v3", Limit: handleLimit, Encode: dbm.EncodeResult, Decode: dbm.DecodeResult},
@@ -151,10 +159,12 @@ func ResetMemos() { process.Store(NewSession(nil)) }
 
 // TierStats reports the session's tier counters by artifact kind —
 // memory hits, computations and its own store lookups — assemblies
-// under "build" (artcache.Stats.WithTiers sets them beside the store's).
+// under "build" and static analyses under "analysis", neither of which
+// is stored (artcache.Stats.WithTiers sets them beside the store's).
 func (s *Session) TierStats() map[string]artcache.TierStats {
 	s = s.orDefault()
 	out := s.memo().TierStats()
+	out["analysis"] = s.analyze.Stats()
 	out[s.native.Kind] = s.native.Stats()
 	out[s.profile.Kind] = s.profile.Stats()
 	out[s.plans.Kind] = s.plans.Stats()
@@ -325,25 +335,48 @@ func RunNativeBaselineCached(c *artcache.Cache, exe *obj.Executable, libs ...*ob
 }
 
 // runAnalyzeMemo returns the static analysis of bin, running it at
-// most once per handle. The shared Program is read-only in the
-// profiling path (GenProfileSchedule builds a fresh schedule; the
-// Apply* mutators are only ever called on per-plan analyses).
+// most once per handle. Every plan of bin and every profile taken of it
+// share the one Program, so nothing writes to it: the profiling path
+// only reads it (GenProfileSchedule builds a fresh schedule), and a
+// plan applies its training and selection to a Fork. An Analyze
+// failure comes back as an analysisError, an image that does not load
+// as its own error.
 func (s *Session) runAnalyzeMemo(bin *obj.Binary) (*analyzer.Program, error) {
 	return s.analyze.Do(nil, bin, nil, func() (*analyzer.Program, error) {
 		exe, _, err := bin.Image()
 		if err != nil {
 			return nil, err
 		}
-		return analyzer.Analyze(exe)
+		prog, err := analyzer.Analyze(exe)
+		if err != nil {
+			return nil, analysisError{err}
+		}
+		return prog, nil
 	})
+}
+
+// analysisError is analyzer.Analyze's failure, told apart from its
+// binary's image failing to load: a plan names only the former a
+// static-analysis error.
+type analysisError struct{ err error }
+
+func (e analysisError) Error() string { return e.err.Error() }
+func (e analysisError) Unwrap() error { return e.err }
+
+// refAnalysis is the memoised analysis of a plan's ref binary, its
+// failure named as a plan names it.
+func (s *Session) refAnalysis(ref *obj.Binary) (*analyzer.Program, error) {
+	prog, err := s.runAnalyzeMemo(ref)
+	var ae analysisError
+	if errors.As(err, &ae) {
+		return nil, fmt.Errorf("janus: static analysis: %w", ae.err)
+	}
+	return prog, err
 }
 
 // trainProfile is the training stage on a distinct train binary: its
 // memoised analysis, then its profile under that analysis.
 func (s *Session) trainProfile(c *artcache.Cache, train *obj.Binary) (*ProfileResult, error) {
-	// Memoised: the train binary is re-analysed identically for every
-	// plan that profiles it, and the profiling path never mutates the
-	// Program.
 	prog, err := s.runAnalyzeMemo(train)
 	if err != nil {
 		return nil, fmt.Errorf("janus: train analysis: %w", err)

@@ -180,6 +180,23 @@ func Analyze(exe *obj.Executable) (*Program, error) {
 	return p, nil
 }
 
+// Fork returns a copy of p whose per-loop verdicts — Class, Rejected,
+// the profile fields, Selected — and UnknownProfileIDs the Apply*
+// mutators and SelectLoops may rewrite without touching p's: the
+// header and every LoopInfo are copied by value, while the analyses
+// they point to (CFG, SSA, Loop, Sym, Dep, LibCalls), which nothing
+// writes after Analyze, are shared.
+func (p *Program) Fork() *Program {
+	f := *p
+	loops := make([]LoopInfo, len(p.Loops))
+	f.Loops = make([]*LoopInfo, len(p.Loops))
+	for i, li := range p.Loops {
+		loops[i] = *li
+		f.Loops[i] = &loops[i]
+	}
+	return &f
+}
+
 // LoopByID returns the loop record with the given id.
 func (p *Program) LoopByID(id int) *LoopInfo {
 	if id < 0 || id >= len(p.Loops) {

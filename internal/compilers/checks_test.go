@@ -259,14 +259,14 @@ func TestNamedChecks(t *testing.T) {
 					f.Bind(d)
 				}, nil)
 			}},
-		{want: analyzer.LibraryCall, sel: ICC.selection().Select, exe: func(t *testing.T) *obj.Executable {
+		{want: analyzer.LibraryCall, sel: ICC.Selection().Select, exe: func(t *testing.T) *obj.Executable {
 			return loopOf(t, func(f *asm.FuncBuilder) {
 				f.Ld(guest.R1, ai)
 				f.Call("fsq")
 				f.St(bi, guest.R0)
 			}, func(b *asm.Builder) { b.Import("fsq") })
 		}},
-		{want: analyzer.AnyCall, sel: GCC.selection().Select, exe: func(t *testing.T) *obj.Executable {
+		{want: analyzer.AnyCall, sel: GCC.Selection().Select, exe: func(t *testing.T) *obj.Executable {
 			return loopOf(t, func(f *asm.FuncBuilder) {
 				f.Mov(guest.R1, guest.R6)
 				f.Call("triple")
@@ -340,7 +340,7 @@ func TestEveryVerdictNamed(t *testing.T) {
 			sels = append(sels, janus.Config{UseProfile: profile, UseChecks: checks}.Selection())
 		}
 	}
-	sels = append(sels, GCC.selection(), ICC.selection())
+	sels = append(sels, GCC.Selection(), ICC.Selection())
 
 	for _, c := range cases {
 		trainProg, err := analyzer.Analyze(c.train)

@@ -85,12 +85,13 @@ func Parallelise(kind Kind, exe *obj.Executable, threads int, eng Engine, libs .
 	return ParalleliseBinary(nil, nil, kind, janus.BinaryOf(exe, libs...), threads, eng)
 }
 
-// selection is the model's loop-selection policy. No profiling:
-// compilers select on static heuristics alone. gcc: static DOALL only.
-// icc: also runtime-checked multi-versioned loops (type C with
-// constructible checks) — but never speculation, so loops with library
-// calls stay sequential.
-func (k Kind) selection() janus.Selection {
+// Selection is the model's loop-selection policy, as
+// janus.Config.Selection is Janus's. No profiling: compilers select on
+// static heuristics alone. gcc: static DOALL only. icc: also
+// runtime-checked multi-versioned loops (type C with constructible
+// checks) — but never speculation, so loops with library calls stay
+// sequential.
+func (k Kind) Selection() janus.Selection {
 	return janus.Selection{
 		Key: "model=" + k.String(),
 		Select: func(prog *analyzer.Program) {
@@ -118,7 +119,7 @@ func (k Kind) selection() janus.Selection {
 // warm store replays plan and run instead of analysing and simulating,
 // and the run is verified against native execution like every Janus run.
 func ParalleliseBinary(s *janus.Session, c *artcache.Cache, kind Kind, bin *obj.Binary, threads int, eng Engine) (*Result, error) {
-	plan, err := s.PlanCached(c, bin, nil, kind.selection())
+	plan, err := s.PlanCached(c, bin, nil, kind.Selection())
 	if err != nil {
 		return nil, err
 	}

@@ -124,8 +124,13 @@ func recoveryPlans(t *testing.T) []*recoveryPlan {
 // must finish bit-identical to the plan's round-robin run, and each
 // (point, factor, GOMAXPROCS) cell must have recovered and demoted at
 // least once (an injection plan that never fires would pass the
-// comparison vacuously).
+// comparison vacuously). -short skips it: the fault-injection CI job
+// runs it with and without the race detector, and a -race -short run of
+// every package would only repeat the former.
 func TestRecoveryBitIdenticalPerPoint(t *testing.T) {
+	if testing.Short() {
+		t.Skip("the recovery matrix; run without -short")
+	}
 	plans := recoveryPlans(t)
 	prev := runtime.GOMAXPROCS(0)
 	defer runtime.GOMAXPROCS(prev)

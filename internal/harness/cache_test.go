@@ -186,7 +186,11 @@ func TestCacheOffComputesWhatColdStores(t *testing.T) {
 		diffGolden(t, label, renderSuite(t, o), want)
 		return o.Session.TierStats()
 	}
+	// Eight jobs interleave the rows' binaries the most: a memory tier
+	// bounded below a render's working set then drops entries a later
+	// row asks for again, and recomputes them.
 	o := fresh(DefaultOptions())
+	o.Jobs = 8
 	off := rendered("cache off", o)
 	for kind, ts := range rendered("cache off, again", o) {
 		if n := ts.Computed - off[kind].Computed; n != 0 {
@@ -216,6 +220,14 @@ func TestCacheOffComputesWhatColdStores(t *testing.T) {
 	if off["build"].Computed != entries["ident-v2"] || cold["build"].Computed != entries["ident-v2"] {
 		t.Errorf("cache off assembled %d builds, cache cold %d; the cold store records %d identities",
 			off["build"].Computed, cold["build"].Computed, entries["ident-v2"])
+	}
+	// Nor are analyses. Every build the render assembles is analysed —
+	// a ref build for its plans, a train build for its profile — and a
+	// session analyses a binary once, however many plans and profiles
+	// read it: one analysis per recorded identity.
+	if off["analysis"].Computed != entries["ident-v2"] || cold["analysis"].Computed != entries["ident-v2"] {
+		t.Errorf("cache off made %d analyses, cache cold %d; the render analysed %d distinct binaries",
+			off["analysis"].Computed, cold["analysis"].Computed, entries["ident-v2"])
 	}
 }
 

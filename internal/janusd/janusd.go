@@ -496,7 +496,8 @@ type Stats struct {
 	// (ident-v2, schedule-v1, native-v2, profile-v1, dbm-v3), with each
 	// stage's memory-tier hits and computations since it started: which
 	// stages requests replayed, from where, and which they recomputed.
-	// "build" is the builds assembled, which are not stored.
+	// "build" is the builds assembled and "analysis" the static
+	// analyses made, neither of which is stored.
 	CacheKinds map[string]artcache.KindStats `json:"cache_kinds,omitempty"`
 	// FreeLists counts the page blocks, page-table leaves, dependence
 	// tables and DBM thread records renders allocated fresh and took

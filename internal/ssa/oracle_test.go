@@ -279,6 +279,11 @@ func compareWithOracle(t *testing.T, name string, exe *obj.Executable) {
 			t.Helper()
 			t.Fatalf("%s %s: %s", name, fn.Name, fmt.Sprintf(format, args...))
 		}
+		headers := map[*cfg.Block]bool{}
+		for _, l := range fn.Loops {
+			headers[l.Header] = true
+			checkLoopValues(t, got, l, fail)
+		}
 		for _, b := range fn.Blocks {
 			entry := got.EntryOf(b)
 			for r := guest.Reg(0); r <= guest.RegTLS; r++ {
@@ -296,8 +301,13 @@ func compareWithOracle(t *testing.T, name string, exe *obj.Executable) {
 						}
 					}
 				}
+				// Entry state is kept for loop headers alone.
 				if r < guest.NumGPR {
-					if g, w := denseKey(entry[r]), refKey(want.entry[b][r]); g != w {
+					w := "nil"
+					if headers[b] {
+						w = refKey(want.entry[b][r])
+					}
+					if g := denseKey(entry[r]); g != w {
 						fail("block %#x: EntryOf[%s] = %s, want %s", b.Addr, r, g, w)
 					}
 				}
@@ -317,10 +327,39 @@ func compareWithOracle(t *testing.T, name string, exe *obj.Executable) {
 	}
 }
 
-// TestDenseMatchesMapOracle: liveness, uses, defs, phis and entry
-// state agree with the map-based reference for every registry
+// checkLoopValues fails unless LoopValues(l) holds exactly the values
+// l's blocks define: the phis in one range, the instruction defs in the
+// other.
+func checkLoopValues(t *testing.T, s *ssa.SSA, l *cfg.Loop, fail func(string, ...any)) {
+	t.Helper()
+	phis, defs := s.LoopValues(l)
+	nPhis, nDefs := 0, 0
+	for _, b := range l.Blocks() {
+		for _, v := range s.PhisAt(b) {
+			if !phis.Has(v) {
+				fail("loop %#x: phi %s outside %+v", l.Header.Addr, v, phis)
+			}
+			nPhis++
+		}
+		for i := range b.Insts {
+			for _, v := range s.DefsAt(ssa.InstRef{Block: b, Idx: i}) {
+				if !defs.Has(v) {
+					fail("loop %#x: def %s outside %+v", l.Header.Addr, v, defs)
+				}
+				nDefs++
+			}
+		}
+	}
+	if phis.Len() != nPhis || defs.Len() != nDefs {
+		fail("loop %#x: ranges %+v and %+v for %d phis and %d defs", l.Header.Addr, phis, defs, nPhis, nDefs)
+	}
+}
+
+// TestDenseMatchesMapOracle: liveness, uses, defs, phis and loop-header
+// entry state agree with the map-based reference for every registry
 // benchmark at every input and opt level, and for both builds of every
-// kernel of the 200-seed generated corpus.
+// kernel of the 200-seed generated corpus; every loop's values are
+// numbered consecutively.
 func TestDenseMatchesMapOracle(t *testing.T) {
 	for _, name := range workloads.Names() {
 		for _, in := range []workloads.Input{workloads.Train, workloads.Ref} {

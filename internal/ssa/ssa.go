@@ -8,6 +8,7 @@
 package ssa
 
 import (
+	"cmp"
 	"fmt"
 	"math/bits"
 	"slices"
@@ -132,10 +133,20 @@ type SSA struct {
 	// Block i's phis are phis[phiOff[i]:phiOff[i+1]], in location order.
 	phiOff []int32
 	phis   []*Value
-	// entry[i] is every GPR's value at entry to block i, after its phis.
+	// entry[j] is every GPR's value at entry to the header of
+	// Fn.Loops[j], after its phis: no other block's entry state is kept.
 	entry   [][guest.NumGPR]*Value
 	liveOut []guest.RegSet
 }
+
+// IDRange is the value IDs Lo ≤ ID < Hi.
+type IDRange struct{ Lo, Hi int }
+
+// Len is the number of IDs in the range.
+func (r IDRange) Len() int { return r.Hi - r.Lo }
+
+// Has reports whether v's ID lies in the range.
+func (r IDRange) Has(v *Value) bool { return r.Lo <= v.ID && v.ID < r.Hi }
 
 // Build constructs SSA form for fn.
 func Build(fn *cfg.Func) *SSA {
@@ -144,7 +155,7 @@ func Build(fn *cfg.Func) *SSA {
 		Fn:      fn,
 		base:    make([]int32, nb+1),
 		phiOff:  make([]int32, nb+1),
-		entry:   make([][guest.NumGPR]*Value, nb),
+		entry:   make([][guest.NumGPR]*Value, len(fn.Loops)),
 		liveOut: liveness(fn),
 	}
 
@@ -200,40 +211,90 @@ func Build(fn *cfg.Func) *SSA {
 
 	// Every value comes from one slab sized exactly: the phis, block by
 	// block in location order, the entry values, then one per
-	// instruction def.
+	// instruction def. Blocks take their phis and defs in loop order, so
+	// each loop's values are two runs of consecutive IDs (LoopValues).
 	nPhis, nArgs := 0, 0
 	for i, b := range fn.Blocks {
 		c := bits.OnesCount32(phiMask[i])
+		s.phiOff[i+1] = s.phiOff[i] + int32(c)
 		nPhis += c
 		nArgs += c * len(b.Preds)
 	}
-	s.vals = make([]Value, 0, nPhis+numLocs+int(s.defOff[n]))
-	s.phis = make([]*Value, 0, nPhis)
+	s.vals = make([]Value, nPhis+numLocs+int(s.defOff[n]))
+	s.phis = make([]*Value, nPhis)
 	args := make([]*Value, nArgs)
-	for i, b := range fn.Blocks {
+	next := 0
+	order := loopOrder(fn)
+	for _, i := range order {
+		b, k := fn.Blocks[i], s.phiOff[i]
 		for l := loc(0); int(l) < numLocs; l++ {
 			if phiMask[i]&(1<<l) != 0 {
-				phi := s.newValue(PhiDef, l)
+				phi := s.newValue(next, PhiDef, l)
+				next++
 				phi.Block = b
 				phi.Args, args = args[:len(b.Preds):len(b.Preds)], args[len(b.Preds):]
-				s.phis = append(s.phis, phi)
+				s.phis[k] = phi
+				k++
 			}
 		}
-		s.phiOff[i+1] = int32(len(s.phis))
 	}
 
-	// 3. Renaming over the dominator tree.
+	// 3. Renaming over the dominator tree, block i's defs from
+	// defAt[i] on.
 	var cur [numLocs]*Value
-	for r := guest.Reg(0); r <= guest.RegTLS; r++ {
-		v := s.newValue(Param, loc(r))
-		s.Params[r] = v
-		cur[r] = v
+	for l := loc(0); int(l) < numLocs; l++ {
+		cur[l] = s.newValue(next, Param, l)
+		next++
 	}
-	cur[locFlags] = s.newValue(Param, locFlags)
+	copy(s.Params[:], cur[:])
+	defAt := make([]int32, nb)
+	for _, i := range order {
+		defAt[i] = int32(next)
+		next += int(s.defOff[s.base[i+1]] - s.defOff[s.base[i]])
+	}
 	if fn.Entry != nil {
-		s.rename(fn.Entry, cur, domChildren(fn))
+		s.rename(fn.Entry, cur, domChildren(fn), defAt)
 	}
 	return s
+}
+
+// loopOrder lists fn's block indices in Blocks order, except that the
+// first block met of a loop brings the rest of the loop's blocks
+// straight after it, nested loops alike: every loop's blocks are
+// consecutive in it.
+func loopOrder(fn *cfg.Func) []int32 {
+	nb := len(fn.Blocks)
+	inner := make([]*cfg.Loop, nb) // the innermost loop holding block i
+	for _, l := range fn.Loops {
+		for _, b := range l.Blocks() {
+			if in := inner[b.Index]; in == nil || l.Depth > in.Depth {
+				inner[b.Index] = l
+			}
+		}
+	}
+	order := make([]int32, 0, nb)
+	placed := make([]bool, nb)
+	var place func(scope *cfg.Loop, blocks []*cfg.Block)
+	place = func(scope *cfg.Loop, blocks []*cfg.Block) {
+		for _, b := range blocks {
+			if placed[b.Index] {
+				continue
+			}
+			// The loop directly inside scope that holds b, if any.
+			l := inner[b.Index]
+			for l != nil && l != scope && l.Parent != scope {
+				l = l.Parent
+			}
+			if l == nil || l == scope {
+				placed[b.Index] = true
+				order = append(order, int32(b.Index))
+			} else {
+				place(l, l.Blocks())
+			}
+		}
+	}
+	place(nil, fn.Blocks)
+	return order
 }
 
 // domTree is the dominator tree: block i's children are
@@ -268,12 +329,15 @@ func domChildren(fn *cfg.Func) domTree {
 // rename renames block b with cur the values reaching its entry, then
 // its dominator-tree children. cur is a copy, so siblings see what
 // reaches their common dominator's end.
-func (s *SSA) rename(b *cfg.Block, cur [numLocs]*Value, t domTree) {
+func (s *SSA) rename(b *cfg.Block, cur [numLocs]*Value, t domTree, defAt []int32) {
 	for _, phi := range s.PhisAt(b) {
 		cur[phi.loc()] = phi
 	}
-	copy(s.entry[b.Index][:], cur[:guest.NumGPR])
+	if j := s.headerSlot(b); j >= 0 {
+		copy(s.entry[j][:], cur[:guest.NumGPR])
+	}
 	k := s.base[b.Index]
+	next := int(defAt[b.Index])
 	for i, in := range b.Insts {
 		u := s.useOff[k]
 		use := in.UseRegs()
@@ -287,7 +351,8 @@ func (s *SSA) rename(b *cfg.Block, cur [numLocs]*Value, t domTree) {
 		def := defLocs(in)
 		for l := loc(0); int(l) < numLocs; l++ {
 			if def&(1<<l) != 0 {
-				v := s.newValue(InstDef, l)
+				v := s.newValue(next, InstDef, l)
+				next++
 				v.Block = b
 				v.InstIdx = i
 				cur[l] = v
@@ -304,19 +369,15 @@ func (s *SSA) rename(b *cfg.Block, cur [numLocs]*Value, t domTree) {
 		}
 	}
 	for _, c := range t.kids[t.off[b.Index]:t.off[b.Index+1]] {
-		s.rename(c, cur, t)
+		s.rename(c, cur, t, defAt)
 	}
 }
 
-// newValue takes the next value from the slab, whose capacity is the
-// exact count Build computed: running past it panics rather than move
-// values other values already point at.
-func (s *SSA) newValue(k ValueKind, l loc) *Value {
-	if len(s.vals) == cap(s.vals) {
-		panic("ssa: value slab overflow")
-	}
-	s.vals = append(s.vals, Value{ID: len(s.vals) + 1, Kind: k, Reg: guest.Reg(l)})
-	v := &s.vals[len(s.vals)-1]
+// newValue makes the value in slab slot i, which is ID i+1. The slab
+// has the exact length Build computed, and every slot is made once.
+func (s *SSA) newValue(i int, k ValueKind, l loc) *Value {
+	v := &s.vals[i]
+	*v = Value{ID: i + 1, Kind: k, Reg: guest.Reg(l)}
 	if l == locFlags {
 		v.IsFlags = true
 		v.Reg = guest.RegNone
@@ -337,7 +398,42 @@ func predIndex(b, pred *cfg.Block) int {
 func (s *SSA) NumValues() int { return len(s.vals) }
 
 // owns reports whether b is one of the function's blocks.
-func (s *SSA) owns(b *cfg.Block) bool { return b != nil && b.Fn == s.Fn && b.Index < len(s.entry) }
+func (s *SSA) owns(b *cfg.Block) bool { return b != nil && b.Fn == s.Fn && b.Index < len(s.Fn.Blocks) }
+
+// headerSlot returns j when b heads Fn.Loops[j] (sorted by header
+// address, one loop per header), and -1 for any other block.
+func (s *SSA) headerSlot(b *cfg.Block) int {
+	if !s.owns(b) {
+		return -1
+	}
+	loops := s.Fn.Loops
+	j, ok := slices.BinarySearchFunc(loops, b.Addr, func(l *cfg.Loop, addr uint64) int { return cmp.Compare(l.Header.Addr, addr) })
+	if !ok || loops[j].Header != b {
+		return -1
+	}
+	return j
+}
+
+// LoopValues returns the IDs of the values l's blocks define: its
+// blocks' phis, and the defs of their instructions. Build numbers each
+// loop's values consecutively, so the ranges hold them and no others.
+func (s *SSA) LoopValues(l *cfg.Loop) (phis, defs IDRange) {
+	phis.Lo, defs.Lo = len(s.vals)+1, len(s.vals)+1
+	for _, b := range l.Blocks() {
+		if !s.owns(b) {
+			continue
+		}
+		i := b.Index
+		if p := s.phis[s.phiOff[i]:s.phiOff[i+1]]; len(p) > 0 {
+			phis.Lo, phis.Hi = min(phis.Lo, p[0].ID), max(phis.Hi, p[len(p)-1].ID+1)
+		}
+		if d := s.defs[s.defOff[s.base[i]]:s.defOff[s.base[i+1]]]; len(d) > 0 {
+			defs.Lo, defs.Hi = min(defs.Lo, d[0].ID), max(defs.Hi, d[len(d)-1].ID+1)
+		}
+	}
+	phis.Lo, defs.Lo = min(phis.Lo, phis.Hi), min(defs.Lo, defs.Hi)
+	return phis, defs
+}
 
 // inst returns the flat index of ref, or -1.
 func (s *SSA) inst(ref InstRef) int32 {
@@ -376,13 +472,15 @@ func (s *SSA) PhisAt(b *cfg.Block) []*Value {
 	return s.phis[s.phiOff[b.Index]:s.phiOff[b.Index+1]]
 }
 
-// EntryOf returns the value of every GPR at entry to block b, after
-// the block's phis.
+// EntryOf returns the value of every GPR at entry to loop header b,
+// after the block's phis. Build keeps entry state for loop headers
+// alone: for any other block, EntryOf returns all nil.
 func (s *SSA) EntryOf(b *cfg.Block) [guest.NumGPR]*Value {
-	if !s.owns(b) {
+	j := s.headerSlot(b)
+	if j < 0 {
 		return [guest.NumGPR]*Value{}
 	}
-	return s.entry[b.Index]
+	return s.entry[j]
 }
 
 // UseOf returns the SSA value reaching register r at instruction ref.

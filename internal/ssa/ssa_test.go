@@ -1,6 +1,7 @@
 package ssa
 
 import (
+	"slices"
 	"testing"
 
 	"janus/internal/asm"
@@ -163,6 +164,36 @@ func TestEntryStateSnapshots(t *testing.T) {
 	// r1 has a phi: the entry value must be the phi itself.
 	if v := entry[guest.R1]; v == nil || v.Kind != PhiDef {
 		t.Fatalf("entry r1 = %v", v)
+	}
+}
+
+// TestEntryOfHeadersOnly pins EntryOf's contract: entry state is kept
+// for loop headers alone, so every other block — the function entry,
+// the loop body, the exit — and a block of another function read all
+// nil, while the header reads its values.
+func TestEntryOfHeadersOnly(t *testing.T) {
+	emit := func(f *asm.FuncBuilder) {
+		loop, done := f.NewLabel(), f.NewLabel()
+		f.Movi(guest.R1, 0)
+		f.Bind(loop)
+		f.Cmpi(guest.R1, 10)
+		f.J(guest.JGE, done)
+		f.OpI(guest.ADDI, guest.R1, 1)
+		f.J(guest.JMP, loop)
+		f.Bind(done)
+		f.Halt()
+	}
+	fn, s := buildSSA(t, emit)
+	other, _ := buildSSA(t, emit)
+	header := fn.Loops[0].Header
+	if s.EntryOf(header)[guest.R1] == nil {
+		t.Fatal("the loop header has no entry value for its iterator")
+	}
+	var none [guest.NumGPR]*Value
+	for _, b := range append(slices.Clone(fn.Blocks), other.Loops[0].Header) {
+		if b != header && s.EntryOf(b) != none {
+			t.Errorf("block %#x is no loop header of the function but has entry state %v", b.Addr, s.EntryOf(b))
+		}
 	}
 }
 

@@ -131,10 +131,13 @@ type Analysis struct {
 	Irregular bool
 	Reason    string
 
-	// memo is per-value state indexed by ssa.Value.ID; exprs holds
-	// the expressions it refers to.
-	memo  []valMemo
-	exprs []Expr
+	// memo is what the analysis knows of each value the loop defines:
+	// the phis in phiIDs, then the instruction defs in defIDs (slot).
+	// exprs holds the expressions it refers to. Both are dropped when
+	// Analyze returns, so an Analysis is read-only from then on.
+	memo           []valMemo
+	exprs          []Expr
+	phiIDs, defIDs ssa.IDRange
 }
 
 // valMemo is what one loop's analysis knows of one SSA value.
@@ -152,11 +155,9 @@ const visiting = -1
 
 // Analyze builds the symbolic summary of loop under s.
 func Analyze(loop *cfg.Loop, s *ssa.SSA) *Analysis {
-	a := &Analysis{
-		Loop: loop,
-		S:    s,
-		memo: make([]valMemo, s.NumValues()+1),
-	}
+	a := &Analysis{Loop: loop, S: s}
+	a.phiIDs, a.defIDs = s.LoopValues(loop)
+	a.memo = make([]valMemo, a.phiIDs.Len()+a.defIDs.Len())
 	a.findPreheader()
 	a.findEntryVals()
 	a.findInductionsAndReductions()
@@ -166,7 +167,21 @@ func Analyze(loop *cfg.Loop, s *ssa.SSA) *Analysis {
 	if loop.HasIndirect {
 		a.fail("indirect control flow in loop body")
 	}
+	a.memo, a.exprs = nil, nil
 	return a
+}
+
+// slot is the memo entry of v, a value the loop defines, and nil for a
+// value defined outside it: that one is an invariant atom whose
+// expression exprOfOutside derives afresh.
+func (a *Analysis) slot(v *ssa.Value) *valMemo {
+	switch {
+	case a.phiIDs.Has(v):
+		return &a.memo[v.ID-a.phiIDs.Lo]
+	case a.defIDs.Has(v):
+		return &a.memo[a.phiIDs.Len()+v.ID-a.defIDs.Lo]
+	}
+	return nil
 }
 
 func (a *Analysis) fail(reason string) {
@@ -255,22 +270,28 @@ func (a *Analysis) findInductionsAndReductions() {
 			init := a.exprOfOutside(initV)
 			ind := Induction{Phi: phi, Reg: phi.Reg, Init: init, Step: step}
 			a.Inductions = append(a.Inductions, ind)
-			a.memo[phi.ID].ind = int32(len(a.Inductions))
+			a.slot(phi).ind = int32(len(a.Inductions))
 			continue
 		}
 		if op, ok := a.reductionOf(latch, phi); ok {
 			a.Reductions = append(a.Reductions, Reduction{Phi: phi, Reg: phi.Reg, Op: op})
-			a.memo[phi.ID].red = true
+			a.slot(phi).red = true
 		}
 	}
 }
 
 // inductionOf returns the induction whose phi v is, or nil.
 func (a *Analysis) inductionOf(v *ssa.Value) *Induction {
-	if i := a.memo[v.ID].ind; i > 0 {
-		return &a.Inductions[i-1]
+	if m := a.slot(v); m != nil && m.ind > 0 {
+		return &a.Inductions[m.ind-1]
 	}
 	return nil
+}
+
+// isReduction reports whether v is a reduction's phi.
+func (a *Analysis) isReduction(v *ssa.Value) bool {
+	m := a.slot(v)
+	return m != nil && m.red
 }
 
 // stepOf reports whether value v equals phi + k for a constant k,
@@ -304,16 +325,16 @@ func (a *Analysis) stepOf(v, phi *ssa.Value, depth int) (int64, bool) {
 		k, ok := a.stepOf(use(in.Rd), phi, depth+1)
 		return k - 1, ok
 	case guest.ADD:
-		if e := a.ExprOf(use(in.Rs)); e.IsConst() {
+		if e := a.valueExpr(use(in.Rs)); e.IsConst() {
 			k, ok := a.stepOf(use(in.Rd), phi, depth+1)
 			return k + e.Const, ok
 		}
-		if e := a.ExprOf(use(in.Rd)); e.IsConst() {
+		if e := a.valueExpr(use(in.Rd)); e.IsConst() {
 			k, ok := a.stepOf(use(in.Rs), phi, depth+1)
 			return k + e.Const, ok
 		}
 	case guest.SUB:
-		if e := a.ExprOf(use(in.Rs)); e.IsConst() {
+		if e := a.valueExpr(use(in.Rs)); e.IsConst() {
 			k, ok := a.stepOf(use(in.Rd), phi, depth+1)
 			return k - e.Const, ok
 		}
@@ -407,13 +428,16 @@ func (a *Analysis) exprOfOutside(v *ssa.Value) Expr {
 	return UnknownExpr()
 }
 
-// ExprOf canonicalises an SSA value as a polynomial over loop-entry
+// valueExpr canonicalises an SSA value as a polynomial over loop-entry
 // registers and the canonical iteration index.
-func (a *Analysis) ExprOf(v *ssa.Value) Expr {
+func (a *Analysis) valueExpr(v *ssa.Value) Expr {
 	if v == nil {
 		return UnknownExpr()
 	}
-	m := &a.memo[v.ID]
+	m := a.slot(v)
+	if m == nil {
+		return a.exprOfOutside(v)
+	}
 	switch m.expr {
 	case 0:
 	case visiting:
@@ -434,7 +458,7 @@ func (a *Analysis) exprOf(v *ssa.Value) Expr {
 		if ind := a.inductionOf(v); ind != nil {
 			return ind.Init.Add(IterExpr(ind.Step))
 		}
-		if a.memo[v.ID].red {
+		if a.isReduction(v) {
 			return UnknownExpr()
 		}
 		return a.phiArgsEqual(v)
@@ -451,7 +475,7 @@ func (a *Analysis) exprOf(v *ssa.Value) Expr {
 	}
 	ref := ssa.InstRef{Block: v.Block, Idx: v.InstIdx}
 	in := v.Inst()
-	use := func(r guest.Reg) Expr { return a.ExprOf(a.S.UseOf(ref, r)) }
+	use := func(r guest.Reg) Expr { return a.valueExpr(a.S.UseOf(ref, r)) }
 	switch in.Op {
 	case guest.MOVI:
 		return ConstExpr(in.Imm)
@@ -508,7 +532,7 @@ func (a *Analysis) phiArgsEqual(phi *ssa.Value) Expr {
 		if arg == nil {
 			return UnknownExpr()
 		}
-		e := a.ExprOf(arg)
+		e := a.valueExpr(arg)
 		if e.Unknown {
 			return UnknownExpr()
 		}
@@ -529,7 +553,7 @@ func (a *Analysis) phiArgsEqual(phi *ssa.Value) Expr {
 // when the operand sits outside the loop).
 func (a *Analysis) memExprAt(ref ssa.InstRef, m guest.Mem, lookup func(*ssa.Value) Expr) Expr {
 	if lookup == nil {
-		lookup = a.ExprOf
+		lookup = a.valueExpr
 	}
 	e := ConstExpr(m.Disp)
 	if m.Base != guest.RegNone {
@@ -541,8 +565,8 @@ func (a *Analysis) memExprAt(ref ssa.InstRef, m guest.Mem, lookup func(*ssa.Valu
 	return e
 }
 
-// AddrExpr canonicalises the memory operand of the instruction at ref.
-func (a *Analysis) AddrExpr(ref ssa.InstRef) Expr {
+// addrExpr canonicalises the memory operand of the instruction at ref.
+func (a *Analysis) addrExpr(ref ssa.InstRef) Expr {
 	return a.memExprAt(ref, ref.Inst().M, nil)
 }
 
@@ -555,9 +579,9 @@ func (a *Analysis) collectAccesses() {
 			ref := ssa.InstRef{Block: b, Idx: i}
 			switch in.Op {
 			case guest.LD, guest.VLD:
-				a.Accesses = append(a.Accesses, Access{Ref: ref, Width: in.AccessWidth(), Addr: a.AddrExpr(ref)})
+				a.Accesses = append(a.Accesses, Access{Ref: ref, Width: in.AccessWidth(), Addr: a.addrExpr(ref)})
 			case guest.ST, guest.STI, guest.VST:
-				a.Accesses = append(a.Accesses, Access{Ref: ref, Write: true, Width: in.AccessWidth(), Addr: a.AddrExpr(ref)})
+				a.Accesses = append(a.Accesses, Access{Ref: ref, Write: true, Width: in.AccessWidth(), Addr: a.addrExpr(ref)})
 			}
 		}
 	}
@@ -629,13 +653,13 @@ func (a *Analysis) solveExit(exit *cfg.Block) (exitSolution, bool) {
 		return none, false
 	}
 	ref := ssa.InstRef{Block: exit, Idx: cmpIdx}
-	lhs := a.ExprOf(a.S.UseOf(ref, cmp.Rd))
+	lhs := a.valueExpr(a.S.UseOf(ref, cmp.Rd))
 	var rhs Expr
 	boundIsImm := cmp.Op == guest.CMPI
 	if boundIsImm {
 		rhs = ConstExpr(cmp.Imm)
 	} else {
-		rhs = a.ExprOf(a.S.UseOf(ref, cmp.Rs))
+		rhs = a.valueExpr(a.S.UseOf(ref, cmp.Rs))
 	}
 
 	// Determine the leave-loop condition.
@@ -727,7 +751,7 @@ func (a *Analysis) inductionFor(e Expr) *Induction {
 // registers needing final-value reconstruction.
 func (a *Analysis) findCarriedAndLiveOut() {
 	for _, phi := range a.S.PhisAt(a.Loop.Header) {
-		if phi.IsFlags || a.inductionOf(phi) != nil || a.memo[phi.ID].red {
+		if phi.IsFlags || a.inductionOf(phi) != nil || a.isReduction(phi) {
 			continue
 		}
 		// Minimal SSA places phis for registers merely redefined in the

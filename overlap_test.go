@@ -129,7 +129,7 @@ func TestOverlapAsksEachStageOnce(t *testing.T) {
 		got, want artcache.TierStats
 	}{
 		{"native", s.native.Stats(), artcache.TierStats{MemHits: 2, Computed: 1}},
-		{"train analysis", s.analyze.Stats(), artcache.TierStats{MemHits: 1, Computed: 1}},
+		{"analysis", s.analyze.Stats(), artcache.TierStats{MemHits: 2, Computed: 2}},
 		{"profile", s.profile.Stats(), artcache.TierStats{MemHits: 1, Computed: 1}},
 		{"plan", s.plans.Stats(), artcache.TierStats{MemHits: 1, Computed: 2}},
 		{"dbm", s.runs.Stats(), artcache.TierStats{MemHits: 1, Computed: 2}},

@@ -156,7 +156,9 @@ func (s *Session) planCached(c *artcache.Cache, ref, train *obj.Binary, sel Sele
 }
 
 // computePlan is the static analyser's pass over ref: figure 1(a) left
-// to right up to the rewrite schedule.
+// to right up to the rewrite schedule. ref's analysis is the session's
+// memoised one, which every plan of ref shares; the plan's training
+// results and selection go to a fork of it.
 func (s *Session) computePlan(c *artcache.Cache, ref, train *obj.Binary, sel Selection) (*Plan, error) {
 	var (
 		prog     *analyzer.Program
@@ -166,16 +168,21 @@ func (s *Session) computePlan(c *artcache.Cache, ref, train *obj.Binary, sel Sel
 	)
 	// A distinct train binary's analysis and profile depend on train
 	// alone: when memory does not hold the profile, take it here while
-	// ref's analysis, the shorter stage, runs beside it. A failure of
-	// ref's outranks train's.
+	// ref's analysis, the shorter stage, runs beside it unless memory
+	// holds that too. A failure of ref's outranks train's.
 	beside := sel.Train && train != nil && !s.profile.Has(train)
-	if beside {
-		analysed := start(func() (*analyzer.Program, error) { return analyse(ref) })
+	var analysed *started[*analyzer.Program]
+	if beside && !s.analyze.Has(ref) {
+		analysed = start(func() (*analyzer.Program, error) { return s.refAnalysis(ref) })
 		defer analysed.wait()
+	}
+	if beside {
 		pr, trainErr = s.trainProfile(c, train)
+	}
+	if analysed != nil {
 		prog, err = analysed.join()
 	} else {
-		prog, err = analyse(ref)
+		prog, err = s.refAnalysis(ref)
 	}
 	if err != nil {
 		return nil, err
@@ -195,6 +202,10 @@ func (s *Session) computePlan(c *artcache.Cache, ref, train *obj.Binary, sel Sel
 		if trainErr != nil {
 			return nil, trainErr
 		}
+	}
+
+	prog = prog.Fork()
+	if sel.Train {
 		// Loop IDs are assigned deterministically from the same binary
 		// layout, so train results map directly onto ref analysis.
 		prog.ApplyCoverage(pr.Coverage)
@@ -202,7 +213,6 @@ func (s *Session) computePlan(c *artcache.Cache, ref, train *obj.Binary, sel Sel
 		prog.ApplyAvgIters(pr.AvgIters)
 		prog.ApplyDependences(pr.Dependences)
 	}
-
 	sel.Select(prog)
 	sched, err := prog.GenParallelSchedule()
 	if err != nil {
@@ -217,20 +227,6 @@ func (s *Session) computePlan(c *artcache.Cache, ref, train *obj.Binary, sel Sel
 		loops[i] = LoopSummary{Class: li.Class, ExclCoverage: li.ExclCoverage, Selected: li.Selected}
 	}
 	return &Plan{Schedule: sched, Loops: loops, image: img, digest: scheduleDigest(img)}, nil
-}
-
-// analyse is the static analysis of bin's image, fresh for each plan:
-// the plan's training results are applied to it.
-func analyse(bin *obj.Binary) (*analyzer.Program, error) {
-	exe, _, err := bin.Image()
-	if err != nil {
-		return nil, err
-	}
-	prog, err := analyzer.Analyze(exe)
-	if err != nil {
-		return nil, fmt.Errorf("janus: static analysis: %w", err)
-	}
-	return prog, nil
 }
 
 // Plan payload: u32 schedule length, the schedule in its own file
